@@ -1,9 +1,13 @@
 """Freezable backbones: a graph transformer, an MPGNN, readout and head.
 
-Batched execution flattens every sample's real nodes into one tall
-matrix and restricts attention / message passing to block-diagonal,
-within-sample index sets. Padding never enters the computation, so a
-batched forward agrees with per-sample forwards.
+Batched execution flattens every sample's rows (its nodes, plus any
+prompt slot or token rows) into one tall matrix. Row-wise work, such as
+projections, layer norms, the FFN, residuals and readout, runs on that
+matrix with no padding. Only mixing between rows is per sample: the
+transformer's attention gathers each sample's rows into one padded group
+(``AttentionGroups``, built from the row layout) and attends within it,
+and the MPGNN aggregates over within-sample neighbour lists. A batched
+forward therefore agrees with per-sample forwards.
 
 Prompt hooks (graph token addition, prefix slots, virtual token nodes)
 are applied here when a prompt context is supplied; with no context the
@@ -22,11 +26,13 @@ from gpt_lab.graphs import BatchedGraph, GraphSample, with_rwpe
 from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
+    AttentionGroups,
     ContractError,
     ShapeError,
     Tensor,
     add,
     add_rows_masked,
+    block_attention,
     concat_cols,
     concat_rows,
     embedding,
@@ -36,10 +42,7 @@ from gpt_lab.tensor import (
     matmul,
     neighbor_max,
     overwrite_rows,
-    scale,
     slice_rows,
-    softmax_masked,
-    transpose,
 )
 
 __all__ = [
@@ -269,18 +272,19 @@ class PredictionHead:
 # ---------------------------------------------------------------------------
 
 
-def transformer_layer_forward(x: Tensor, attn_mask: np.ndarray,
+def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
                               params: TransformerLayerParams) -> Tensor:
-    """Pre-norm block: multi-head masked attention, then the FFN, with residuals."""
+    """Pre-norm block: multi-head attention within groups, then the FFN, with residuals.
+
+    A single sequence with an n x n mask is the one-group case,
+    ``AttentionGroups(np.arange(n)[None], mask[None])``.
+    """
     h = layer_norm(x, params.ln1_gain, params.ln1_bias, LN_EPS)
-    dq = params.w_q[0].shape[1]
-    inv_sqrt = 1.0 / math.sqrt(dq)
-    heads = []
-    for wq, wk, wv in zip(params.w_q, params.w_k, params.w_v):
-        q, k, v = matmul(h, wq), matmul(h, wk), matmul(h, wv)
-        attn = softmax_masked(scale(matmul(q, transpose(k)), inv_sqrt), attn_mask)
-        heads.append(matmul(attn, v))
-    mixed = add(matmul(concat_cols(heads), params.w_out), params.b_out)
+    q = matmul(h, concat_cols(params.w_q))
+    k = matmul(h, concat_cols(params.w_k))
+    v = matmul(h, concat_cols(params.w_v))
+    attn = block_attention(q, k, v, groups, len(params.w_q))
+    mixed = add(matmul(attn, params.w_out), params.b_out)
     x1 = add(x, mixed)
     h2 = layer_norm(x1, params.ln2_gain, params.ln2_bias, LN_EPS)
     ff = add(matmul(gelu(add(matmul(h2, params.w_ff1), params.b_ff1)), params.w_ff2),
@@ -338,12 +342,14 @@ class RowLayout:
         return range(s, e)
 
 
-def _block_attention_mask(layout: RowLayout) -> np.ndarray:
-    r = layout.total_rows
-    mask = np.zeros((r, r), dtype=bool)
-    for s, e in layout.blocks:
-        mask[s:e, s:e] = True
-    return mask
+def _attention_groups(layout: RowLayout) -> AttentionGroups:
+    """One padded group per sample block; every row of a block sees the whole block."""
+    starts = np.array([s for s, _ in layout.blocks], dtype=np.int64)
+    sizes = np.array([e - s for s, e in layout.blocks], dtype=np.int64)
+    pos = np.arange(sizes.max())
+    real = pos[None, :] < sizes[:, None]
+    index = np.where(real, starts[:, None] + pos[None, :], -1)
+    return AttentionGroups(index, real[:, :, None] & real[:, None, :])
 
 
 def _prepend_slots(h: Tensor, layout: RowLayout, p_len: int) -> tuple[Tensor, RowLayout]:
@@ -426,6 +432,13 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
                  prompt_ctx=None) -> tuple[Tensor, RowLayout]:
     """Final-layer embeddings for the flattened batch, plus row bookkeeping.
 
+    Every layer takes and returns the flattened (R, d) matrix, R being the
+    batch's total row count. The transformer's attention groups are built
+    from ``layout.blocks`` at entry and again after the prefix slots are
+    inserted; ``block_attention`` gathers the rows into padded
+    (B, heads, L, L) arrays, L being the longest block, and scatters its
+    result back to (R, d).
+
     The layout's ``nodes`` ranges locate each sample's original-node rows;
     prompt slot / token rows, when present, sit outside those ranges.
     """
@@ -460,15 +473,15 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     if cfg.kind == "transformer":
         prompted = sorted(prefixes)
         first = prompted[0] if prompted else None
-        mask = _block_attention_mask(layout)
+        groups = _attention_groups(layout)
         for li in range(cfg.layers):
             if first is not None and li == first:
                 p_len = prefixes[first].shape[0]
                 h, layout = _prepend_slots(h, layout, p_len)
-                mask = _block_attention_mask(layout)
+                groups = _attention_groups(layout)
             if li in prefixes:
                 h = overwrite_rows(h, prefixes[li], layout.prefix_starts)
-            h = transformer_layer_forward(h, mask, backbone.layers[li])
+            h = transformer_layer_forward(h, groups, backbone.layers[li])
     else:
         if prefixes:
             raise ContractError("prefix tokens require the transformer backbone")

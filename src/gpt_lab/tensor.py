@@ -6,15 +6,19 @@ node holding per-input backward closures; ``backward`` replays the node
 list once, in reverse, and returns a gradient map keyed by the leaf
 tensors that require gradients.
 
-Shapes are kept deliberately rigid: scalars, vectors and matrices only,
-and the single allowed broadcast is a row vector over the rows of a
-matrix. Everything else is a shape error.
+Shapes are kept deliberately rigid: every tensor is a scalar, a vector or
+a matrix, and the single allowed broadcast is a row vector over the rows
+of a matrix. Everything else is a shape error. The one place that works
+on higher-rank arrays is ``block_attention``: it gathers the rows of its
+(R, heads * dq) operands into padded (B, heads, L, dq) groups, runs
+softmax attention within each group and scatters the result back to
+(R, heads * dq), so the 4-D arrays never leave that operation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf, expit
@@ -35,6 +39,8 @@ __all__ = [
     "gelu",
     "tsum",
     "softmax_masked",
+    "AttentionGroups",
+    "block_attention",
     "layer_norm",
     "concat_rows",
     "concat_cols",
@@ -305,12 +311,43 @@ def tsum(a: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g * np.ones_like(ad))])
 
 
+def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str,
+                       row_ids: np.ndarray | None = None):
+    """Softmax over the last axis with masked entries pinned to exactly zero.
+
+    ``m`` broadcasts against ``scores``. Masking adds ``MASK_FILL`` before
+    exponentiation and zeroes the masked outputs afterwards; rows are
+    stabilized by max subtraction. ``row_ids`` (shape ``m.shape[:-1]``)
+    names each row in the caller's terms for the error message; a row
+    whose id is negative is padding, which may be fully masked and then
+    comes out all zero. Any other fully masked row is rejected.
+
+    Returns the probabilities and the backward map from an upstream
+    gradient on them to the gradient on ``scores``.
+    """
+    alive = m.any(axis=-1)
+    if row_ids is None:
+        row_ids = np.arange(alive.size).reshape(alive.shape)
+    dead = ~alive & (row_ids >= 0)
+    if dead.any():
+        raise DegenerateRowError(f"{what}: row {int(row_ids[dead][0])} is fully masked")
+    shifted = scores + np.where(m, 0.0, MASK_FILL)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    e = np.where(m, np.exp(shifted), 0.0)
+    total = e.sum(axis=-1, keepdims=True)
+    probs = e / np.where(alive[..., None], total, 1.0)
+
+    def bwd(g):
+        dot = (g * probs).sum(axis=-1, keepdims=True)
+        return probs * (g - dot)
+
+    return probs, bwd
+
+
 def softmax_masked(scores: Tensor, mask=None) -> Tensor:
     """Row softmax with masked entries pinned to exactly zero.
 
-    Masking adds ``MASK_FILL`` before exponentiation and zeroes the masked
-    outputs afterwards; rows are stabilized by max subtraction. A row with
-    no unmasked entry is rejected.
+    A row with no unmasked entry is rejected.
     """
     scores = _as_tensor(scores)
     if scores.ndim != 2:
@@ -319,22 +356,85 @@ def softmax_masked(scores: Tensor, mask=None) -> Tensor:
         m = np.ones(scores.shape, dtype=bool)
     else:
         m = _as_mask(mask, scores.shape, "softmax_masked")
-    alive = m.any(axis=1)
-    if not alive.all():
-        row = int(np.argmin(alive))
-        raise DegenerateRowError(f"softmax_masked: row {row} is fully masked")
-    shifted = scores.data + np.where(m, 0.0, MASK_FILL)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    e[~m] = 0.0
-    probs = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(probs)
+    probs, bwd = _softmax_last_axis(scores.data, m, "softmax_masked")
+    return _record(Tensor(probs), [(scores, bwd)])
 
-    def bwd(g):
-        dot = (g * probs).sum(axis=1, keepdims=True)
-        return probs * (g - dot)
 
-    return _record(out, [(scores, bwd)])
+class AttentionGroups(NamedTuple):
+    """Rows of a flattened batch gathered into padded groups for attention.
+
+    ``index[b, i]`` is the row at position ``i`` of group ``b``, or -1 for
+    padding; every row appears exactly once. ``key_mask[b, i, j]`` lets
+    position ``i`` attend to position ``j`` and is false for padding keys.
+    """
+
+    index: np.ndarray      # (B, L) int
+    key_mask: np.ndarray   # (B, L, L) bool
+
+
+def block_attention(q: Tensor, k: Tensor, v: Tensor, groups: AttentionGroups,
+                    heads: int) -> Tensor:
+    """Multi-head scaled softmax attention within each group of rows.
+
+    ``q``, ``k`` and ``v`` are (R, heads * dq); head ``h`` owns columns
+    ``h * dq : (h + 1) * dq``. Rows attend only to rows of their own group,
+    as ``groups.key_mask`` allows, and the (R, heads * dq) result keeps
+    the same column layout. The backward pass computes the gradients of
+    all three operands together, once per incoming gradient.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"block_attention: q, k, v must be equal-shape matrices, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    rows, width = q.shape
+    if heads < 1 or width % heads:
+        raise ShapeError(f"block_attention: width {width} does not split into {heads} heads")
+    index = np.asarray(groups.index)
+    if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError(f"block_attention: index must be a 2-D int array, got "
+                         f"{index.dtype} {index.shape}")
+    b, n = index.shape
+    m = _as_mask(groups.key_mask, (b, n, n), "block_attention")
+    real = index >= 0
+    order = index[real]
+    if index.min(initial=0) < -1 or not np.array_equal(
+            np.bincount(order, minlength=rows), np.ones(rows)):
+        raise ContractError(f"block_attention: index must hold each of the {rows} rows "
+                            "exactly once, and -1 for padding")
+    if (m & ~real[:, None, :]).any():
+        raise ContractError("block_attention: key_mask allows a padding key")
+    dq = width // heads
+    inv_sqrt = 1.0 / math.sqrt(dq)
+    # Position of each row in the flattened (B * L) group layout.
+    slot = np.flatnonzero(real.ravel())[np.argsort(order)]
+
+    def split(a):
+        """(R, heads * dq) -> (B, heads, L, dq); padding positions read zeros."""
+        padded = np.concatenate([a, np.zeros((1, width))])
+        return padded[index].reshape(b, n, heads, dq).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        """(B, heads, L, dq) -> (R, heads * dq), dropping padding positions."""
+        return a.transpose(0, 2, 1, 3).reshape(b * n, width)[slot]
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    probs, softmax_bwd = _softmax_last_axis((qs @ ks.transpose(0, 1, 3, 2)) * inv_sqrt,
+                                            m[:, None], "block_attention", index[:, None])
+    out = Tensor(merge(probs @ vs))
+
+    last: list = [None, None]   # [incoming gradient, (dq, dk, dv)]
+
+    def grads(g):
+        if last[0] is not g:
+            gs = split(g)
+            ds = softmax_bwd(gs @ vs.transpose(0, 1, 3, 2)) * inv_sqrt
+            last[0] = g
+            last[1] = (merge(ds @ ks), merge(ds.transpose(0, 1, 3, 2) @ qs),
+                       merge(probs.transpose(0, 1, 3, 2) @ gs))
+        return last[1]
+
+    return _record(out, [(q, lambda g: grads(g)[0]), (k, lambda g: grads(g)[1]),
+                         (v, lambda g: grads(g)[2])])
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

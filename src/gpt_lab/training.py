@@ -9,6 +9,8 @@ the computation.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import time
@@ -39,6 +41,7 @@ __all__ = [
     "auroc",
     "average_precision",
     "clip_global_norm",
+    "steady_heap",
     "train",
     "METRICS",
 ]
@@ -318,9 +321,43 @@ def _encode_dataset(dataset, backbone_cfg: BackboneConfig) -> list[GraphSample]:
     return list(dataset)
 
 
+# glibc mallopt parameters, and the values they are pinned to.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def steady_heap() -> bool:
+    """Pin glibc's malloc thresholds so that freed array memory is reused.
+
+    Every step allocates and frees the same arrays. By default glibc
+    serves blocks above a threshold with fresh mappings, and gives the
+    free top of the heap back to the OS once it exceeds a trim threshold;
+    it raises both thresholds only as ever larger blocks are freed. So
+    whether a step's arrays reuse resident pages or fault in zeroed ones
+    depends on the largest block the process has freed so far, and the
+    same step costs more or less depending on what ran before it. Here
+    the thresholds are fixed at the ceiling of glibc's own sliding scale
+    (32 MB, with the trim threshold at twice that), so that arrays below
+    32 MB always come from the heap and up to 64 MB of freed memory stays
+    resident. The setting is process-wide, made once per process, and
+    a no-op (returning False) where the C library has no glibc
+    ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
 def _fit(config: TuningConfig, encoded, train_idx, eval_idx, bb, head,
          prompts: PromptSet, registry, shuffle_rng) -> RunRecord:
     """The shared epoch loop: shuffled minibatches, clip, AdamW, epoch eval."""
+    steady_heap()
     optimizer = AdamW(registry.trainable, betas=config.betas, eps=config.eps,
                       weight_decay=config.weight_decay)
     schedule = Schedule(config.lr, config.warmup_epochs, config.epochs, config.decay)

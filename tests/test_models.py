@@ -15,7 +15,8 @@ from gpt_lab.models import (
     readout,
     transformer_layer_forward,
 )
-from gpt_lab.tensor import ContractError, Tape, Tensor, backward, tsum
+from gpt_lab.prompt import init_prompts
+from gpt_lab.tensor import AttentionGroups, ContractError, Tape, Tensor, backward, tsum
 
 RNG = np.random.default_rng(100)
 
@@ -96,6 +97,11 @@ def oracle_transformer_layer(x, mask, p):
     return np.array(out), attn_all
 
 
+def one_group(mask):
+    """A single sequence under an arbitrary n x n mask, as attention groups."""
+    return AttentionGroups(np.arange(mask.shape[0])[None], mask[None])
+
+
 def _layer_params(dim, heads, seed=0, ffn_mult=2):
     cfg = BackboneConfig(kind="transformer", feature_dim=dim, dim=dim,
                          heads=heads, layers=1, ffn_mult=ffn_mult)
@@ -108,7 +114,7 @@ class TestTransformerLayer:
         x = RNG.normal(size=(4, 6))
         mask = np.ones((4, 4), dtype=bool)
         mask[0, 2] = mask[2, 0] = False
-        got = transformer_layer_forward(Tensor(x), mask, p).data
+        got = transformer_layer_forward(Tensor(x), one_group(mask), p).data
         want, _ = oracle_transformer_layer(x, mask, p)
         assert np.abs(got - want).max() <= 1e-10
 
@@ -118,7 +124,8 @@ class TestTransformerLayer:
         _, attn = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p)
         for head in attn:
             assert head[0][0] == pytest.approx(1.0, abs=0)
-        got = transformer_layer_forward(Tensor(x), np.ones((1, 1), dtype=bool), p).data
+        got = transformer_layer_forward(Tensor(x), one_group(np.ones((1, 1), dtype=bool)),
+                                        p).data
         want, _ = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -136,9 +143,26 @@ class TestTransformerLayer:
             for i in range(4):
                 alive = [head[i][j] for j in range(5) if mask[i][j]]
                 assert np.allclose(alive, 1.0 / len(alive), atol=1e-15)
-        got = transformer_layer_forward(Tensor(x), mask, p).data
+        got = transformer_layer_forward(Tensor(x), one_group(mask), p).data
         want, _ = oracle_transformer_layer(x, mask, p)
         assert np.abs(got - want).max() <= 1e-10
+
+    def test_two_groups_of_different_sizes_match_the_oracle_per_group(self):
+        p = _layer_params(dim=6, heads=2, seed=4)
+        x = RNG.normal(size=(8, 6))
+        small = np.ones((3, 3), dtype=bool)
+        small[1, 0] = False
+        large = np.ones((5, 5), dtype=bool)
+        large[0, 3] = large[3, 0] = large[4, 1] = False
+        key_mask = np.zeros((2, 5, 5), dtype=bool)
+        key_mask[0, :3, :3] = small
+        key_mask[1] = large
+        index = np.array([[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]])
+        got = transformer_layer_forward(Tensor(x), AttentionGroups(index, key_mask), p).data
+        want_small, _ = oracle_transformer_layer(x[:3], small, p)
+        want_large, _ = oracle_transformer_layer(x[3:], large, p)
+        assert np.abs(got[:3] - want_small).max() <= 1e-10
+        assert np.abs(got[3:] - want_large).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +287,30 @@ class TestBackboneForward:
         for i, g in enumerate(graphs):
             solo = backbone_forward(prepare_batch([g], cfg), bb, head).data
             assert np.abs(batched[i] - solo[0]).max() <= 1e-10
+
+    @pytest.mark.parametrize("mode, prompted_layers", [("deepgpt", None),
+                                                        ("prefix_only", (1, 2))])
+    def test_batched_equals_per_sample_with_prompts(self, mode, prompted_layers):
+        """Prompt slots pad each group differently; outputs and prompt grads still agree."""
+        rng = np.random.default_rng(18)
+        cfg, bb, head = _build("transformer", layers=3)
+        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=7,
+                               prompted_layers=prompted_layers)
+        graphs = [random_graph(n, 0.4, rng) for n in (3, 8, 5, 4, 7)]
+        named = prompts.named_params()
+        with Tape():
+            batched = backbone_forward(prepare_batch(graphs, cfg), bb, head, prompt_ctx=prompts)
+            batched_grads = backward(tsum(batched))
+        summed = {name: np.zeros_like(t.data) for name, t in named.items()}
+        for i, g in enumerate(graphs):
+            with Tape():
+                solo = backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts)
+                grads = backward(tsum(solo))
+            assert np.abs(batched.data[i] - solo.data[0]).max() <= 1e-10
+            for name, t in named.items():
+                summed[name] += grads[t]
+        for name, t in named.items():
+            assert np.abs(batched_grads[t] - summed[name]).max() <= 1e-10, name
 
     def test_duplicate_sample_gives_identical_rows(self):
         rng = np.random.default_rng(13)

@@ -112,6 +112,64 @@ class TestSoftmaxMasked:
         check_against_fd(lambda: T.tsum(T.mul(T.softmax_masked(s, mask), w)), [s])
 
 
+def _two_groups():
+    """Groups of 3 and 4 rows (so the first is padded) with one masked key pair."""
+    index = np.array([[4, 0, 2, -1], [1, 3, 5, 6]])
+    real = index >= 0
+    mask = real[:, :, None] & real[:, None, :]
+    mask[1, 2, 0] = False
+    return T.AttentionGroups(index, mask)
+
+
+class TestBlockAttention:
+    def test_grads_vs_fd_with_padding_and_a_masked_pair(self):
+        q, k, v = (Tensor(rand(7, 4), requires_grad=True) for _ in range(3))
+        w = Tensor(rand(7, 4))
+        groups = _two_groups()
+        check_against_fd(lambda: T.tsum(T.mul(T.block_attention(q, k, v, groups, 2), w)),
+                         [q, k, v])
+
+    def test_padding_rows_neither_raise_nor_leak(self):
+        q, k, v = (Tensor(rand(7, 4)) for _ in range(3))
+        out = T.block_attention(q, k, v, _two_groups(), 2).data
+        assert np.isfinite(out).all()
+        # Row 4 attends to its own padded group, rows 4, 0 and 2, and to no other row.
+        rows = [4, 0, 2]
+        for h in (slice(0, 2), slice(2, 4)):
+            s = k.data[rows, h] @ q.data[4, h] / math.sqrt(2)
+            p = np.exp(s - s.max())
+            assert np.abs(out[4, h] - p @ v.data[rows, h] / p.sum()).max() < 1e-12
+
+    @pytest.mark.parametrize("index", [[[0, 1, 2, -1], [3, 4, 5, -1]],    # skips row 6
+                                       [[0, 1, 2, 2], [3, 4, 5, 6]],      # repeats row 2
+                                       [[0, 1, 2, -2], [3, 4, 5, 6]]])    # bad padding id
+    def test_index_must_cover_each_row_once(self, index):
+        q = Tensor(rand(7, 4))
+        groups = T.AttentionGroups(np.array(index), np.ones((2, 4, 4), dtype=bool))
+        with pytest.raises(ContractError, match="exactly once"):
+            T.block_attention(q, q, q, groups, 2)
+
+    def test_real_query_row_without_a_key_raises(self):
+        index, mask = _two_groups()
+        mask[1, 1, :] = False
+        q = Tensor(rand(7, 4))
+        with pytest.raises(DegenerateRowError, match="row 3 "):
+            T.block_attention(q, q, q, T.AttentionGroups(index, mask), 2)
+
+    def test_mask_shape_must_be_groups_by_length_squared(self):
+        index, mask = _two_groups()
+        q = Tensor(rand(7, 4))
+        with pytest.raises(ShapeError, match="mask shape"):
+            T.block_attention(q, q, q, T.AttentionGroups(index, mask[:, :3]), 2)
+
+    def test_padding_key_must_stay_masked(self):
+        index, mask = _two_groups()
+        mask[0, 0, 3] = True
+        q = Tensor(rand(7, 4))
+        with pytest.raises(ContractError, match="padding key"):
+            T.block_attention(q, q, q, T.AttentionGroups(index, mask), 2)
+
+
 class TestLayerNorm:
     def test_constant_row_normalizes_to_zero(self):
         x = Tensor(np.full((2, 4), 3.7))

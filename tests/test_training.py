@@ -1,5 +1,9 @@
 import itertools
 import math
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from gpt_lab.training import (
     lr_at,
     mse_loss,
     rmse,
+    steady_heap,
     train,
 )
 
@@ -395,3 +400,32 @@ class TestFreezeSoundness:
                 opt.step(registry.trainable, clip_global_norm(named), lr_t=3e-3)
             drops.append(losses[0] - losses[-1])
         assert float(np.median(drops)) > 0.0
+
+
+# Three 2 MB arrays live at once, then all freed, as in one attention step.
+# Under glibc's default sliding thresholds the freed 6 MB at the top of the
+# heap exceeds the trim threshold (twice the largest freed block, 4 MB) and
+# goes back to the OS, so every repeat faults it in again.
+HEAP_CHURN = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from gpt_lab.training import steady_heap
+
+    applied = steady_heap()
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 18) for _ in range(3)]
+        del arrays
+    print(applied, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+def test_steady_heap_keeps_freed_arrays_resident():
+    out = subprocess.run([sys.executable, "-c", HEAP_CHURN], check=True,
+                         capture_output=True, text=True).stdout.split()
+    applied, faults = out[0] == "True", int(out[1])
+    assert applied == (platform.libc_ver()[0] == "glibc")
+    if applied:
+        # 6 MB is 1536 pages; a repeat served from resident memory faults none.
+        assert faults < 100, faults
+    assert steady_heap() is applied
