@@ -157,7 +157,6 @@ class BatchedGraph:
     """Zero-padded feature block plus the masks that make padding inert."""
 
     features: Tensor                 # (B, N_max, d)
-    attn_mask: np.ndarray            # (B, N_max, N_max) bool, real x real only
     node_mask: np.ndarray            # (B, N_max) bool
     adjacency: tuple[tuple[tuple[int, ...], ...], ...]  # per sample, per node
     degrees: np.ndarray              # (B, N_max) int, 0 on padding
@@ -176,7 +175,7 @@ class BatchedGraph:
 
 
 def batch(graphs: Sequence[GraphSample]) -> BatchedGraph:
-    """Pad a list of samples into one block with attention/readout masks."""
+    """Pad a list of samples into one block with a node mask."""
     if not graphs:
         raise DataError("cannot batch an empty list of graphs")
     d = graphs[0].feature_dim
@@ -190,19 +189,17 @@ def batch(graphs: Sequence[GraphSample]) -> BatchedGraph:
     n_max = max(g.n for g in graphs)
     feats = np.zeros((b, n_max, d))
     node_mask = np.zeros((b, n_max), dtype=bool)
-    attn_mask = np.zeros((b, n_max, n_max), dtype=bool)
     degs = np.zeros((b, n_max), dtype=np.int64)
     labels = np.zeros((b, t))
     adjacency = []
     for bi, g in enumerate(graphs):
         feats[bi, :g.n] = g.features
         node_mask[bi, :g.n] = True
-        attn_mask[bi] = np.outer(node_mask[bi], node_mask[bi])
         degs[bi, :g.n] = g.degrees()
         adjacency.append(tuple(tuple(nb) for nb in g.neighbors()))
         if t:
             labels[bi] = g.label
-    return BatchedGraph(Tensor(feats), attn_mask, node_mask,
+    return BatchedGraph(Tensor(feats), node_mask,
                         tuple(adjacency), degs, Tensor(labels))
 
 

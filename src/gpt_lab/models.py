@@ -1,29 +1,35 @@
 """Freezable backbones: a graph transformer, an MPGNN, readout and head.
 
-Batched execution flattens every sample's rows (its nodes, plus any
-prompt slot or token rows) into one tall matrix. Row-wise work, such as
-projections, layer norms, the FFN, residuals and readout, runs on that
-matrix with no padding. Only mixing between rows is per sample: the
-transformer's attention gathers each sample's rows into one padded group
-(``AttentionGroups``, built from the row layout) and attends within it,
-and the MPGNN aggregates over within-sample neighbour lists. A batched
-forward therefore agrees with per-sample forwards.
+Batched execution flattens every sample's rows (its prompt rows, if any,
+then its nodes) into one tall matrix. Row-wise work, such as projections,
+layer norms, the FFN and residuals, runs on that matrix with no padding.
+Work across rows is per sample: the transformer's attention gathers each
+sample's rows into one padded group (``AttentionGroups``, built from the
+row layout) and attends within it, the MPGNN aggregates over
+within-sample neighbour lists, and readout pools each sample's node rows,
+all samples in one operation. A batched forward therefore agrees with
+per-sample forwards.
 
-Prompt hooks (graph token addition, prefix slots, virtual token nodes)
-are applied here when a prompt context is supplied; with no context the
-executed operation sequence is identical to a prompt-free build.
+Prompts arrive as a ``PromptSet``. ``encode_nodes`` validates it with
+``PromptSet.check`` and applies it through ``gpt_lab.prompt``'s hooks
+(``apply_graph_prompt`` for the graph token, ``inject_prefix`` for the
+prefixes); virtual tokens and prefix slots are the same layout concept,
+p prompt rows at the head of each sample block. With no prompt set, or
+an empty one, the executed operation sequence is that of a prompt-free
+build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from gpt_lab.graphs import BatchedGraph, GraphSample, with_rwpe
 from gpt_lab.graphs import batch as batch_graphs
+from gpt_lab.prompt import PromptSet, apply_graph_prompt, inject_prefix
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
     AttentionGroups,
@@ -31,7 +37,6 @@ from gpt_lab.tensor import (
     ShapeError,
     Tensor,
     add,
-    add_rows_masked,
     block_attention,
     concat_cols,
     concat_rows,
@@ -41,7 +46,6 @@ from gpt_lab.tensor import (
     masked_pool_rows,
     matmul,
     neighbor_max,
-    overwrite_rows,
     slice_rows,
 )
 
@@ -312,12 +316,13 @@ def mpgnn_layer_forward(h: Tensor, neighbors: Sequence[Sequence[int]],
     return gelu(add(matmul(agg, params.weight), params.bias))
 
 
-def readout(h: Tensor, node_mask, mode: str, exclude=None) -> Tensor:
-    """Permutation-invariant pooling over real, non-excluded positions."""
-    m = np.asarray(node_mask, dtype=bool).copy()
-    if exclude is not None:
-        m &= ~np.asarray(exclude, dtype=bool)
-    return masked_pool_rows(h, m, mode)
+def readout(h: Tensor, node_mask, mode: str) -> Tensor:
+    """Permutation-invariant pooling of every sample's rows in one operation.
+
+    Row b of the (B, R) ``node_mask`` selects sample b's rows of ``h``;
+    the result is (B, d).
+    """
+    return masked_pool_rows(h, node_mask, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +332,15 @@ def readout(h: Tensor, node_mask, mode: str, exclude=None) -> Tensor:
 
 @dataclass
 class RowLayout:
-    """Row bookkeeping for the flattened batch as prompt rows are added."""
+    """Row bookkeeping for the flattened batch.
 
-    blocks: list[tuple[int, int]]        # current row range per sample
-    nodes: list[tuple[int, int]]         # original-node row range per sample
-    prefix_starts: list[int] = field(default_factory=list)
+    Sample b owns rows ``blocks[b]`` and its original nodes are rows
+    ``nodes[b]``, the tail of the block. Prompt rows (virtual tokens or
+    prefix slots), once inserted, are the rows of a block before its nodes.
+    """
+
+    blocks: list[tuple[int, int]]
+    nodes: list[tuple[int, int]]
 
     @property
     def total_rows(self) -> int:
@@ -340,6 +349,13 @@ class RowLayout:
     def node_rows(self, sample: int) -> range:
         s, e = self.nodes[sample]
         return range(s, e)
+
+    def node_mask(self) -> np.ndarray:
+        """(B, R) bool: row b marks sample b's original-node rows."""
+        mask = np.zeros((len(self.nodes), self.total_rows), dtype=bool)
+        for b, (s, e) in enumerate(self.nodes):
+            mask[b, s:e] = True
+        return mask
 
 
 def _attention_groups(layout: RowLayout) -> AttentionGroups:
@@ -352,38 +368,17 @@ def _attention_groups(layout: RowLayout) -> AttentionGroups:
     return AttentionGroups(index, real[:, :, None] & real[:, None, :])
 
 
-def _prepend_slots(h: Tensor, layout: RowLayout, p_len: int) -> tuple[Tensor, RowLayout]:
-    """Insert p_len leading slot rows per sample (filled by overwrite later)."""
-    filler = Tensor(np.zeros((p_len, h.shape[1])))
-    parts, blocks, nodes, starts = [], [], [], []
+def _insert_prompt_rows(h: Tensor, layout: RowLayout, rows: Tensor) -> tuple[Tensor, RowLayout]:
+    """Put ``rows`` at the head of every sample block, ahead of its node rows."""
+    p = rows.shape[0]
+    parts, blocks, nodes = [], [], []
     offset = 0
     for (bs, be), (ns, ne) in zip(layout.blocks, layout.nodes):
-        parts.append(filler)
-        parts.append(slice_rows(h, bs, be))
-        width = be - bs
-        starts.append(offset)
-        blocks.append((offset, offset + p_len + width))
-        nodes.append((offset + p_len + (ns - bs), offset + p_len + (ne - bs)))
-        offset += p_len + width
-    new_layout = RowLayout(blocks, nodes, starts)
-    return concat_rows(parts), new_layout
-
-
-def _append_token_rows(h: Tensor, layout: RowLayout, tokens: Tensor) -> tuple[Tensor, RowLayout]:
-    """Append the token rows at the end of each sample block."""
-    p_len = tokens.shape[0]
-    parts, blocks, nodes, starts = [], [], [], []
-    offset = 0
-    for (bs, be), (ns, ne) in zip(layout.blocks, layout.nodes):
-        parts.append(slice_rows(h, bs, be))
-        parts.append(tokens)
-        width = be - bs
-        blocks.append((offset, offset + width + p_len))
-        nodes.append((offset + (ns - bs), offset + (ne - bs)))
-        starts.append(offset + width)
-        offset += width + p_len
-    new_layout = RowLayout(blocks, nodes, starts)
-    return concat_rows(parts), new_layout
+        parts += [rows, slice_rows(h, bs, be)]
+        blocks.append((offset, offset + p + be - bs))
+        nodes.append((offset + p + ns - bs, offset + p + ne - bs))
+        offset = blocks[-1][1]
+    return concat_rows(parts), RowLayout(blocks, nodes)
 
 
 def _flat_features(batch: BatchedGraph) -> tuple[np.ndarray, np.ndarray, RowLayout]:
@@ -401,23 +396,15 @@ def _flat_features(batch: BatchedGraph) -> tuple[np.ndarray, np.ndarray, RowLayo
     return np.concatenate(blocks, axis=0), np.concatenate(degs), layout
 
 
-def _mpgnn_groups(batch: BatchedGraph, layout: RowLayout,
-                  token_ranges: list[tuple[int, int]] | None) -> list[list[int]]:
-    """Flat neighbor lists (self excluded); tokens link to all original nodes."""
-    total = layout.total_rows
-    groups: list[list[int]] = [[] for _ in range(total)]
-    for b, adj in enumerate(batch.adjacency):
-        ns, _ = layout.nodes[b]
+def _mpgnn_groups(batch: BatchedGraph, layout: RowLayout) -> list[list[int]]:
+    """Flat neighbor lists (self excluded): each sample's graph edges, plus
+    its prompt rows wired to every one of its original nodes and back."""
+    groups: list[list[int]] = [[] for _ in range(layout.total_rows)]
+    for adj, (bs, _), (ns, ne) in zip(batch.adjacency, layout.blocks, layout.nodes):
         for local, nb in enumerate(adj):
-            groups[ns + local] = [ns + j for j in nb]
-    if token_ranges is not None:
-        for b, (ts, te) in enumerate(token_ranges):
-            ns, ne = layout.nodes[b]
-            original = list(range(ns, ne))
-            for row in range(ts, te):
-                groups[row] = list(original)
-            for node in original:
-                groups[node].extend(range(ts, te))
+            groups[ns + local] = [ns + j for j in nb] + list(range(bs, ns))
+        for row in range(bs, ns):
+            groups[row] = list(range(ns, ne))
     return groups
 
 
@@ -429,82 +416,73 @@ def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> Batched
 
 
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,
-                 prompt_ctx=None) -> tuple[Tensor, RowLayout]:
+                 prompt_ctx: PromptSet | None = None) -> tuple[Tensor, RowLayout]:
     """Final-layer embeddings for the flattened batch, plus row bookkeeping.
 
     Every layer takes and returns the flattened (R, d) matrix, R being the
-    batch's total row count. The transformer's attention groups are built
-    from ``layout.blocks`` at entry and again after the prefix slots are
-    inserted; ``block_attention`` gathers the rows into padded
-    (B, heads, L, L) arrays, L being the longest block, and scatters its
-    result back to (R, d).
+    batch's total row count. ``prompt_ctx`` is validated with
+    ``PromptSet.check`` and applied through the hooks of ``gpt_lab.prompt``:
+    ``apply_graph_prompt`` adds the graph token to every node row, before
+    or after the input projection as its stage says; virtual tokens are
+    inserted as prompt rows after the projection; at the first prompted
+    layer p_len slot rows are inserted, and ``inject_prefix`` overwrites
+    them with each prompted layer's prefix. Prompt rows sit at the head of
+    each sample block. An empty prompt set runs the same operations as no
+    prompt set.
 
-    The layout's ``nodes`` ranges locate each sample's original-node rows;
-    prompt slot / token rows, when present, sit outside those ranges.
+    The transformer's attention groups are built from ``layout.blocks`` at
+    entry and again after prompt rows are inserted; ``block_attention``
+    gathers the rows into padded (B, heads, L, L) arrays, L being the
+    longest block, and scatters its result back to (R, d). The layout's
+    ``nodes`` ranges locate each sample's original-node rows.
     """
     cfg = backbone.cfg
+    prompts = PromptSet() if prompt_ctx is None else prompt_ctx.check(cfg)
     flat, flat_deg, layout = _flat_features(batch)
     if flat.shape[1] != cfg.input_width:
         raise ShapeError(f"batch feature width {flat.shape[1]} does not match "
                          f"input projection width {cfg.input_width}")
     x = Tensor(flat)
 
-    token = getattr(prompt_ctx, "graph_token", None) if prompt_ctx is not None else None
-    stage = getattr(prompt_ctx, "token_stage", "post_projection") if prompt_ctx is not None else None
-    prefixes = dict(getattr(prompt_ctx, "prefixes", {}) or {}) if prompt_ctx is not None else {}
-    virtual = getattr(prompt_ctx, "virtual_tokens", None) if prompt_ctx is not None else None
-
-    if token is not None and stage == "pre_projection":
-        x = add_rows_masked(x, token, None)
+    token = prompts.graph_token
+    if token is not None and prompts.token_stage == "pre_projection":
+        x = apply_graph_prompt(x, token)
     h = add(matmul(x, backbone.w_in), backbone.b_in)
     if backbone.degree_table is not None:
         ids = np.minimum(flat_deg, cfg.max_degree)
         h = add(h, embedding(backbone.degree_table, ids))
-    if token is not None and stage == "post_projection":
-        h = add_rows_masked(h, token, None)
+    if token is not None and prompts.token_stage == "post_projection":
+        h = apply_graph_prompt(h, token)
+    if prompts.virtual_tokens is not None and prompts.virtual_tokens.shape[0] > 0:
+        h, layout = _insert_prompt_rows(h, layout, prompts.virtual_tokens)
 
-    token_ranges = None
-    if virtual is not None and virtual.shape[0] > 0:
-        if prefixes:
-            raise ContractError("virtual token nodes and prefix slots are exclusive")
-        h, layout = _append_token_rows(h, layout, virtual)
-        token_ranges = [(s, s + virtual.shape[0]) for s in layout.prefix_starts]
-
-    if cfg.kind == "transformer":
-        prompted = sorted(prefixes)
-        first = prompted[0] if prompted else None
-        groups = _attention_groups(layout)
-        for li in range(cfg.layers):
-            if first is not None and li == first:
-                p_len = prefixes[first].shape[0]
-                h, layout = _prepend_slots(h, layout, p_len)
-                groups = _attention_groups(layout)
-            if li in prefixes:
-                h = overwrite_rows(h, prefixes[li], layout.prefix_starts)
-            h = transformer_layer_forward(h, groups, backbone.layers[li])
-    else:
-        if prefixes:
-            raise ContractError("prefix tokens require the transformer backbone")
-        groups = _mpgnn_groups(batch, layout, token_ranges)
-        for li in range(cfg.layers):
-            h = mpgnn_layer_forward(h, groups, backbone.layers[li])
+    if cfg.kind == "mpgnn":
+        groups = _mpgnn_groups(batch, layout)
+        for params in backbone.layers:
+            h = mpgnn_layer_forward(h, groups, params)
+        return h, layout
+    prompted = prompts.prompted_layers
+    groups = _attention_groups(layout)
+    for li, params in enumerate(backbone.layers):
+        if prompted and li == prompted[0]:
+            slots = Tensor(np.zeros((prompts.p_len, cfg.dim)))
+            h, layout = _insert_prompt_rows(h, layout, slots)
+            groups = _attention_groups(layout)
+        if li in prompts.prefixes:
+            h = inject_prefix(h, prompts.prefixes[li], li, prompts,
+                              [s for s, _ in layout.blocks])
+        h = transformer_layer_forward(h, groups, params)
     return h, layout
 
 
 def backbone_forward(batch: BatchedGraph, backbone: Backbone,
                      head: PredictionHead | None = None,
-                     prompt_ctx=None) -> Tensor:
+                     prompt_ctx: PromptSet | None = None) -> Tensor:
     """Per-sample predictions (B x t), or graph embeddings when head is None.
 
-    Readout always pools over original-node rows only, so prompt rows never
+    Readout pools over original-node rows only, so prompt rows never
     change which positions are averaged.
     """
     h, layout = encode_nodes(batch, backbone, prompt_ctx)
-    pooled = []
-    total = layout.total_rows
-    for ns, ne in layout.nodes:
-        m = np.zeros(total, dtype=bool)
-        m[ns:ne] = True
-        pooled.append(masked_pool_rows(h, m, backbone.cfg.readout))
-    hg = concat_rows(pooled)
+    hg = readout(h, layout.node_mask(), backbone.cfg.readout)
     return head.forward(hg) if head is not None else hg

@@ -1,9 +1,14 @@
 """Task-specific prompt parameters and the freeze/trainable partition.
 
-A prompt set bundles the graph token (one vector added to every node),
+A prompt set bundles the graph token (one vector added to every node, at
+model width after the input projection or at input width before it),
 per-layer prefix matrices that overwrite the leading slot rows of
-prompted transformer layers, and, for the MPGNN analogue, virtual token
-nodes wired to every original node. The freeze registry splits all named
+prompted transformer layers, and virtual token rows that join every
+sample and, in an MPGNN, are wired to every original node.
+``PromptSet.check`` is the one validator of a prompt set against a
+backbone. ``models.encode_nodes`` calls it and then applies the set
+through ``apply_graph_prompt`` and ``inject_prefix``, so those functions
+are the forward's prompt hooks. The freeze registry splits all named
 parameters into a frozen backbone part and the trainable prompt + head
 part; frozen tensors never enter a gradient map.
 """
@@ -12,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from gpt_lab.graphs import GraphSample
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import ContractError, ShapeError, Tensor, add_rows_masked, overwrite_rows
 
@@ -21,13 +25,11 @@ __all__ = [
     "TOKEN_STAGES",
     "PromptSet",
     "FreezeRegistry",
-    "VirtualNodeGraph",
     "init_prompts",
     "build_registry",
     "apply_graph_prompt",
     "inject_prefix",
     "deepgpt_transform",
-    "virtual_prompt_nodes",
     "count_params",
 ]
 
@@ -45,36 +47,9 @@ class PromptSet:
     token_stage: str = "post_projection"
     virtual_tokens: Tensor | None = None
 
-    def __post_init__(self):
-        if self.token_stage not in TOKEN_STAGES:
-            raise ContractError(f"unknown token stage {self.token_stage!r}")
-        widths = set()
-        for layer, p in self.prefixes.items():
-            if p.ndim != 2:
-                raise ShapeError(f"prefix for layer {layer} must be a matrix")
-            if p.shape[0] != self.p_len:
-                raise ShapeError(f"prefix for layer {layer} has {p.shape[0]} rows, "
-                                 f"expected p_len={self.p_len}")
-            widths.add(p.shape[1])
-        if len(widths) > 1:
-            raise ShapeError(f"prefix widths disagree: {sorted(widths)}")
-        if self.virtual_tokens is not None and self.prefixes:
-            raise ContractError("virtual tokens and prefixes are exclusive")
-        for t in self._tensors():
-            if not t.requires_grad:
-                raise ContractError("prompt parameters must require gradients")
-
     @property
     def prompted_layers(self) -> tuple[int, ...]:
         return tuple(sorted(self.prefixes))
-
-    def _tensors(self) -> list[Tensor]:
-        out = [p for _, p in sorted(self.prefixes.items())]
-        if self.graph_token is not None:
-            out.append(self.graph_token)
-        if self.virtual_tokens is not None:
-            out.append(self.virtual_tokens)
-        return out
 
     def named_params(self) -> dict[str, Tensor]:
         out = {}
@@ -86,8 +61,38 @@ class PromptSet:
             out["prompt.virtual"] = self.virtual_tokens
         return out
 
-    def is_empty(self) -> bool:
-        return not self.named_params()
+    def check(self, cfg) -> "PromptSet":
+        """Validate the prompts against a ``BackboneConfig``; return them unchanged.
+
+        Every forward that takes a prompt set calls this first. Prefixes
+        need a transformer; virtual tokens run on either backbone kind.
+        """
+        if self.token_stage not in TOKEN_STAGES:
+            raise ContractError(f"unknown token stage {self.token_stage!r}")
+        if self.virtual_tokens is not None and self.prefixes:
+            raise ContractError("virtual tokens and prefixes are exclusive")
+        if self.prefixes and cfg.kind != "transformer":
+            raise ContractError("prefix tokens require the transformer backbone")
+        for layer, p in self.prefixes.items():
+            if not 0 <= layer < cfg.layers:
+                raise ContractError(f"prompted layer {layer} out of range for "
+                                    f"{cfg.layers}-layer backbone")
+            if p.shape != (self.p_len, cfg.dim):
+                raise ShapeError(f"prefix for layer {layer} has shape {p.shape}, "
+                                 f"expected (p_len={self.p_len}, dim={cfg.dim})")
+        if self.graph_token is not None:
+            want = cfg.dim if self.token_stage == "post_projection" else cfg.input_width
+            if self.graph_token.shape != (want,):
+                raise ShapeError(f"graph token shape {self.graph_token.shape} "
+                                 f"!= expected ({want},)")
+        if self.virtual_tokens is not None and (
+                self.virtual_tokens.ndim != 2 or self.virtual_tokens.shape[1] != cfg.dim):
+            raise ShapeError(f"virtual tokens must be (p, {cfg.dim}), "
+                             f"got shape {self.virtual_tokens.shape}")
+        for name, t in self.named_params().items():
+            if not t.requires_grad:
+                raise ContractError(f"prompt parameter {name} must require gradients")
+        return self
 
 
 def _interval(prompted_layers, n_layers: int) -> tuple[int, ...]:
@@ -129,7 +134,10 @@ def init_prompts(mode: str, dim: int, n_layers: int, p_len: int, seed: int,
                 for li in layers}
     token = None
     if mode == "deepgpt":
-        width = dim if token_stage == "post_projection" else int(token_width)
+        if token_stage == "pre_projection" and token_width is None:
+            raise ContractError("the pre_projection token stage needs token_width, "
+                                "the backbone's input width")
+        width = int(token_width) if token_stage == "pre_projection" else dim
         token = Tensor(rng.normal(0.0, 0.02, size=width), requires_grad=True)
     return PromptSet(graph_token=token, prefixes=prefixes, p_len=p_len,
                      token_stage=token_stage)
@@ -225,62 +233,6 @@ def inject_prefix(e: Tensor, prefix: Tensor, layer: int, prompts: PromptSet,
     return overwrite_rows(e, prefix, starts)
 
 
-def deepgpt_transform(batch, prompts: PromptSet, backbone=None) -> PromptSet:
-    """Validate prompts against the batch/backbone and return the forward context.
-
-    The returned context is consumed by ``backbone_forward``: graph token
-    after the input projection, one sequence extension, prefix overwrites
-    at each prompted layer, and readout restricted to original nodes.
-    """
-    if backbone is not None:
-        cfg = backbone.cfg
-        for layer, p in prompts.prefixes.items():
-            if layer >= cfg.layers:
-                raise ContractError(f"prompted layer {layer} out of range for "
-                                    f"{cfg.layers}-layer backbone")
-            if p.shape[1] != cfg.dim:
-                raise ShapeError(f"prefix width {p.shape[1]} != model width {cfg.dim}")
-        if prompts.graph_token is not None:
-            want = cfg.dim if prompts.token_stage == "post_projection" else cfg.input_width
-            if prompts.graph_token.shape[0] != want:
-                raise ShapeError(f"graph token width {prompts.graph_token.shape[0]} "
-                                 f"!= expected {want}")
-        if prompts.virtual_tokens is not None and prompts.virtual_tokens.shape[1] != cfg.dim:
-            raise ShapeError("virtual token width does not match model width")
-    return prompts
-
-
-@dataclass(frozen=True)
-class VirtualNodeGraph:
-    """A graph augmented with token nodes connected to every original node.
-
-    Token embeddings bypass the input projection (they live at model
-    width), so the structure and the values are kept separate here.
-    """
-
-    base: GraphSample
-    tokens: Tensor
-
-    @property
-    def p_len(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def n_total(self) -> int:
-        return self.base.n + self.p_len
-
-    @property
-    def token_positions(self) -> range:
-        return range(self.base.n, self.n_total)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        extra = [(i, self.base.n + t)
-                 for t in range(self.p_len) for i in range(self.base.n)]
-        return self.base.edges + tuple(extra)
-
-
-def virtual_prompt_nodes(g: GraphSample, tokens: Tensor) -> VirtualNodeGraph:
-    """Augment a graph with trainable token nodes wired to all original nodes."""
-    if tokens.ndim != 2:
-        raise ShapeError(f"tokens must be (p_len, d), got shape {tokens.shape}")
-    return VirtualNodeGraph(base=g, tokens=tokens)
+def deepgpt_transform(batch, prompts: PromptSet, backbone) -> PromptSet:
+    """Former name of ``prompts.check(backbone.cfg)``; ``batch`` is unused."""
+    return prompts.check(backbone.cfg)

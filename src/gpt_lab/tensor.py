@@ -538,26 +538,42 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def masked_pool_rows(x: Tensor, row_mask, mode: str) -> Tensor:
-    """Sum or mean over the selected rows, returning a width-d vector."""
+    """Sum or mean over selected rows of ``x``, one set of rows per mask row.
+
+    A (B, R) mask pools B disjoint row sets into a (B, d) matrix in one
+    operation; a length-R mask pools one set into a width-d vector. Each
+    set's rows are gathered in row order into a (B, L, d) block, L being
+    the largest set and padding reading zeros, and summed along L.
+    """
     x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"masked_pool_rows needs a matrix, got shape {x.shape}")
     if mode not in ("sum", "mean"):
         raise ContractError(f"unknown pooling mode {mode!r}")
-    m = _as_mask(row_mask, (x.shape[0],), "masked_pool_rows")
-    count = int(m.sum())
-    if count == 0:
+    m = np.asarray(row_mask.data if isinstance(row_mask, Tensor) else row_mask, dtype=bool)
+    if m.ndim not in (1, 2) or m.shape[-1] != x.shape[0]:
+        raise ShapeError(f"masked_pool_rows: mask shape {m.shape} does not match "
+                         f"{x.shape[0]} rows")
+    vector = m.ndim == 1
+    m = np.atleast_2d(m)
+    counts = m.sum(axis=1)
+    if not counts.all():
         raise ContractError("masked_pool_rows: empty inclusion set")
-    pooled = x.data[m].sum(axis=0)
-    if mode == "mean":
-        pooled = pooled / count
-    out = Tensor(pooled)
+    owner, rows = np.nonzero(m)
+    if np.bincount(rows).max() > 1:
+        raise ContractError("masked_pool_rows: row sets overlap")
+    index = np.full((len(counts), counts.max()), -1)
+    index[owner, np.arange(rows.size) - (np.cumsum(counts) - counts)[owner]] = rows
     xd = x.data
-    w = 1.0 if mode == "sum" else 1.0 / count
+    pooled = np.concatenate([xd, np.zeros((1, xd.shape[1]))])[index].sum(axis=1)
+    if mode == "mean":
+        pooled = pooled / counts[:, None]
+    out = Tensor(pooled[0] if vector else pooled)
+    w = np.ones(len(counts)) if mode == "sum" else 1.0 / counts
 
     def bwd(g):
         z = np.zeros_like(xd)
-        z[m] = g * w
+        z[rows] = (g.reshape(len(counts), -1) * w[:, None])[owner]
         return z
 
     return _record(out, [(x, bwd)])

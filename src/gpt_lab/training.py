@@ -23,7 +23,7 @@ from scipy.stats import rankdata
 from gpt_lab.graphs import DataError, GraphSample, make_folds, with_rwpe
 from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward
-from gpt_lab.prompt import MODES, PromptSet, build_registry, count_params, deepgpt_transform, init_prompts
+from gpt_lab.prompt import MODES, PromptSet, build_registry, count_params, init_prompts
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward, bce_with_logits, mul, scale, tsum
 
@@ -363,7 +363,6 @@ def _fit(config: TuningConfig, encoded, train_idx, eval_idx, bb, head,
     schedule = Schedule(config.lr, config.warmup_epochs, config.epochs, config.decay)
     eval_batch = batch_graphs([encoded[i] for i in eval_idx])
     eval_labels = eval_batch.labels.data
-    ctx = deepgpt_transform(eval_batch, prompts, bb) if not prompts.is_empty() else None
 
     record = RunRecord()
     for epoch in range(config.epochs):
@@ -375,7 +374,7 @@ def _fit(config: TuningConfig, encoded, train_idx, eval_idx, bb, head,
             chunk = [int(train_idx[i]) for i in order[lo:lo + config.batch_size]]
             batch = batch_graphs([encoded[i] for i in chunk])
             with Tape():
-                out = backbone_forward(batch, bb, head, prompt_ctx=ctx)
+                out = backbone_forward(batch, bb, head, prompt_ctx=prompts)
                 loss = _loss(config, out, batch.labels.data)
                 grads = backward(loss)
             named = {}
@@ -387,7 +386,7 @@ def _fit(config: TuningConfig, encoded, train_idx, eval_idx, bb, head,
             optimizer.step(registry.trainable, named, lr_t)
             loss_sum += float(loss.data) * len(chunk)
         record.train_losses.append(loss_sum / len(train_idx))
-        scores = backbone_forward(eval_batch, bb, head, prompt_ctx=ctx).data
+        scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
         record.eval_metrics.append(_metric_value(config, scores, eval_labels))
         record.epoch_seconds.append(time.perf_counter() - started)
 
@@ -413,13 +412,12 @@ def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
 
 
 def _run_fold(args) -> FoldResult:
-    (config, dataset, backbone_cfg, backbone_state, seed, fold) = args
-    split = make_folds(len(dataset), config.folds, seed)
+    (config, encoded, backbone_cfg, backbone_state, seed, fold) = args
+    split = make_folds(len(encoded), config.folds, seed)
     train_idx, eval_idx = split.train_eval(fold)
-    encoded = _encode_dataset(dataset, backbone_cfg)
     mode = config.mode.lower()
     bb, head, prompts = _fold_pieces(config, backbone_cfg, backbone_state,
-                                     dataset[0].label_dim, seed, fold)
+                                     encoded[0].label_dim, seed, fold)
     registry = build_registry(bb, head, prompts, mode)
     counts = count_params(registry)
     record = _fit(config, encoded, train_idx, eval_idx, bb, head, prompts,
@@ -450,12 +448,13 @@ def train(config: TuningConfig, dataset: list[GraphSample],
           seed: int, parallel: int = 1) -> list[FoldResult]:
     """Run one tuning regime over all folds against a frozen backbone state.
 
-    Folds are independent; with ``parallel > 1`` they run in a process
-    pool (capped by GPT_LAB_THREADS) and results are returned in fold
-    order either way.
+    The dataset is encoded once and shared by every fold. Folds are
+    independent; with ``parallel > 1`` they run in a process pool (capped
+    by GPT_LAB_THREADS) and results are returned in fold order either way.
     """
     _validate(config, dataset, backbone_cfg)
-    jobs = [(config, dataset, backbone_cfg, backbone_state, seed, fold)
+    encoded = _encode_dataset(dataset, backbone_cfg)
+    jobs = [(config, encoded, backbone_cfg, backbone_state, seed, fold)
             for fold in range(config.folds)]
     workers = min(parallel, config.folds, _worker_cap())
     if workers <= 1:
@@ -476,7 +475,6 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
     _validate(config, dataset, backbone_cfg)
     split = make_folds(len(dataset), config.folds, seed)
     _, eval_idx = split.train_eval(fold)
-    encoded = _encode_dataset(dataset, backbone_cfg)
     bb, head, prompts = _fold_pieces(config, backbone_cfg, backbone_state,
                                      dataset[0].label_dim, seed, fold)
     named = dict(prompts.named_params())
@@ -489,9 +487,8 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
         if arr.shape != t.shape:
             raise ContractError(f"{name}: stored shape {arr.shape} != {t.shape}")
         t.data = arr.copy()
-    eval_batch = batch_graphs([encoded[i] for i in eval_idx])
-    ctx = deepgpt_transform(eval_batch, prompts, bb) if not prompts.is_empty() else None
-    scores = backbone_forward(eval_batch, bb, head, prompt_ctx=ctx).data
+    eval_batch = batch_graphs(_encode_dataset([dataset[i] for i in eval_idx], backbone_cfg))
+    scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
     return _metric_value(config, scores, eval_batch.labels.data)
 
 

@@ -119,18 +119,12 @@ class TestBatch:
         g = triangle()
         b = batch([g])
         assert b.n_max == 3
-        assert b.node_mask.all() and b.attn_mask.all()
+        assert b.node_mask.all()
 
     def test_mask_counts(self):
         b = batch([sample(3, [(0, 1)]), sample(5, [(0, 1), (2, 3)])])
         assert b.sample_sizes() == [3, 5]
         assert b.node_mask.sum(axis=1).tolist() == [3, 5]
-
-    def test_attn_mask_is_outer_and_of_node_mask(self):
-        b = batch([sample(3, []), sample(5, [])])
-        for bi in range(2):
-            assert np.array_equal(b.attn_mask[bi],
-                                  np.outer(b.node_mask[bi], b.node_mask[bi]))
 
     def test_heterogeneous_width_rejected(self):
         with pytest.raises(DataError, match="feature widths"):

@@ -16,7 +16,7 @@ from gpt_lab.models import (
     transformer_layer_forward,
 )
 from gpt_lab.prompt import init_prompts
-from gpt_lab.tensor import AttentionGroups, ContractError, Tape, Tensor, backward, tsum
+from gpt_lab.tensor import AttentionGroups, ContractError, Tape, Tensor, backward, mul, tsum
 
 RNG = np.random.default_rng(100)
 
@@ -224,31 +224,51 @@ class TestMpgnnLayer:
 
 
 class TestReadout:
+    """One call pools every sample's rows; the per-sample loop is the reference."""
+
     def test_single_node_both_modes(self):
-        h = Tensor(RNG.normal(size=(1, 4)))
+        h = Tensor(RNG.normal(size=(3, 4)))
+        mask = np.array([[True, False, False], [False, False, True]])
         for mode in ("sum", "mean"):
-            assert np.array_equal(readout(h, [True], mode).data, h.data[0])
+            assert np.array_equal(readout(h, mask, mode).data, h.data[[0, 2]])
 
     def test_mean_of_two_rows(self):
-        h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(readout(h, [True, True], "mean").data, [0.5, 0.5])
+        h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 4.0], [0.0, 2.0]]))
+        mask = np.array([[True, True, False, False], [False, False, True, True]])
+        assert np.array_equal(readout(h, mask, "mean").data, [[0.5, 0.5], [1.0, 3.0]])
 
     def test_padding_excluded_matches_stripped(self):
-        rows = RNG.normal(size=(6, 3))
-        mask = np.array([True, True, False, True, False, False])
-        got = readout(Tensor(rows), mask, "mean").data
-        want = rows[mask].mean(axis=0)
-        assert np.abs(got - want).max() <= 1e-15
-
-    def test_exclusion_set(self):
-        rows = RNG.normal(size=(4, 2))
-        got = readout(Tensor(rows), np.ones(4, bool), "sum",
-                      exclude=np.array([True, False, False, False])).data
-        assert np.allclose(got, rows[1:].sum(axis=0), atol=1e-15)
+        """Two samples of different sizes, with prompt and padding rows left out:
+        forward values and gradients equal the per-sample loop bit for bit."""
+        rows = RNG.normal(size=(11, 5))
+        mask = np.zeros((2, 11), dtype=bool)
+        mask[0, [1, 2, 3]] = True
+        mask[1, [6, 7, 8, 9, 10]] = True
+        weights = RNG.normal(size=(2, 5))
+        h = Tensor(rows, requires_grad=True)
+        for mode in ("sum", "mean"):
+            with Tape():
+                pooled = readout(h, mask, mode)
+                grad = backward(tsum(mul(pooled, Tensor(weights))))[h]
+            want_grad = np.zeros_like(rows)
+            for b, m in enumerate(mask):
+                count = int(m.sum())
+                want = rows[m].sum(axis=0)
+                if mode == "mean":
+                    want = want / count
+                assert np.array_equal(pooled.data[b], want)
+                want_grad[m] = weights[b] * (1.0 if mode == "sum" else 1.0 / count)
+            assert np.array_equal(grad, want_grad)
 
     def test_empty_inclusion_rejected(self):
+        mask = np.array([[True, False], [False, False]])
         with pytest.raises(ContractError, match="empty"):
-            readout(Tensor(RNG.normal(size=(2, 2))), [False, False], "mean")
+            readout(Tensor(RNG.normal(size=(2, 2))), mask, "mean")
+
+    def test_overlapping_samples_rejected(self):
+        mask = np.array([[True, True, False], [False, True, True]])
+        with pytest.raises(ContractError, match="overlap"):
+            readout(Tensor(RNG.normal(size=(3, 2))), mask, "sum")
 
 
 # ---------------------------------------------------------------------------

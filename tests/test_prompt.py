@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpt_lab import models
 from gpt_lab.graphs import GraphSample
 from gpt_lab.models import (
     Backbone,
@@ -19,9 +20,8 @@ from gpt_lab.prompt import (
     deepgpt_transform,
     init_prompts,
     inject_prefix,
-    virtual_prompt_nodes,
 )
-from gpt_lab.tensor import ContractError, Tape, Tensor, backward, tsum
+from gpt_lab.tensor import ContractError, ShapeError, Tape, Tensor, backward, tsum
 
 RNG = np.random.default_rng(21)
 
@@ -164,14 +164,28 @@ class TestVirtualNodes:
         via = backbone_forward(prepared, bb, head, prompt_ctx=ctx).data
         assert np.array_equal(plain, via)
 
-    def test_augmented_graph_structure(self):
-        g = random_graph(4, 0.5, np.random.default_rng(8))
-        tokens = Tensor(RNG.normal(size=(2, 8)), requires_grad=True)
-        aug = virtual_prompt_nodes(g, tokens)
-        assert aug.n_total == 6
-        assert list(aug.token_positions) == [4, 5]
-        extra = set(aug.edges()) - set(g.edges)
-        assert extra == {(i, t) for t in (4, 5) for i in range(4)}
+    def test_augmented_graph_structure(self, monkeypatch):
+        """The MPGNN forward wires each token row to every original node and back."""
+        cfg, bb, _ = small_setup(kind="mpgnn", layers=2)
+        rng = np.random.default_rng(8)
+        graphs = [random_graph(4, 0.5, rng), random_graph(6, 0.5, rng)]
+        tokens = Tensor(RNG.normal(size=(2, cfg.dim)), requires_grad=True)
+        seen = []
+        layer_forward = models.mpgnn_layer_forward
+        monkeypatch.setattr(models, "mpgnn_layer_forward",
+                            lambda h, nb, params: seen.append(nb) or layer_forward(h, nb, params))
+        _, layout = encode_nodes(prepare_batch(graphs, cfg), bb,
+                                 prompt_ctx=PromptSet(virtual_tokens=tokens))
+        assert len(seen) == cfg.layers
+        neighbors = seen[0]
+        for b, g in enumerate(graphs):
+            nodes = list(layout.node_rows(b))
+            token_rows = set(range(layout.blocks[b][0], nodes[0]))
+            assert len(token_rows) == 2
+            for row in token_rows:
+                assert sorted(neighbors[row]) == nodes
+            for local, nb in enumerate(g.neighbors()):
+                assert set(neighbors[nodes[local]]) == {nodes[j] for j in nb} | token_rows
 
     def test_prefix_equals_virtual_nodes_on_full_attention_transformer(self):
         """Same token values, single prompted layer: real-node rows agree."""
@@ -211,6 +225,104 @@ class TestVirtualNodes:
         rows = list(layout.node_rows(0))
         delta = np.abs(base.data[rows] - bumped.data[rows])
         assert np.all(delta.max(axis=1) > 1e-10)
+
+
+class TestForwardRunsThePromptHooks:
+    """encode_nodes applies prompts through prompt.py's hooks, looked up in models."""
+
+    @pytest.mark.parametrize("mode, calls", [("deepgpt", (1, 3)), ("prefix_only", (0, 3)),
+                                             ("lightweight", (0, 0))])
+    def test_hook_calls_per_forward(self, monkeypatch, mode, calls):
+        cfg, bb, head = small_setup(layers=4)
+        rng = np.random.default_rng(22)
+        prepared = prepare_batch([random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)], cfg)
+        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=23,
+                               prompted_layers=(0, 2))
+        counts = {"apply_graph_prompt": 0, "inject_prefix": 0}
+        for name in counts:
+            def counted(*args, _hook=getattr(models, name), _name=name):
+                counts[_name] += 1
+                return _hook(*args)
+            monkeypatch.setattr(models, name, counted)
+        backbone_forward(prepared, bb, head, prompt_ctx=prompts)
+        assert (counts["apply_graph_prompt"], counts["inject_prefix"]) == calls
+
+
+class TestCheck:
+    def test_rejections(self):
+        cfg, _, _ = small_setup(layers=2)
+        mpgnn_cfg, _, _ = small_setup(kind="mpgnn", layers=2)
+        prefix = {0: Tensor(np.zeros((2, cfg.dim)), requires_grad=True)}
+        virtual = Tensor(np.zeros((2, cfg.dim)), requires_grad=True)
+        cases = [
+            (PromptSet(prefixes=prefix, p_len=2), mpgnn_cfg, "transformer"),
+            (PromptSet(prefixes=prefix, p_len=2, virtual_tokens=virtual), cfg, "exclusive"),
+            (PromptSet(prefixes=prefix, p_len=3), cfg, "prefix for layer 0"),
+            (PromptSet(graph_token=Tensor(np.zeros(cfg.dim), requires_grad=True),
+                       token_stage="pre_projection"), cfg, "graph token"),
+            (PromptSet(virtual_tokens=Tensor(np.zeros((2, 3)), requires_grad=True)), cfg,
+             "virtual tokens"),
+            (PromptSet(virtual_tokens=Tensor(np.zeros((2, cfg.dim)))), cfg, "require gradients"),
+            (PromptSet(token_stage="input"), cfg, "token stage"),
+        ]
+        for prompts, against, message in cases:
+            with pytest.raises((ContractError, ShapeError), match=message):
+                prompts.check(against)
+
+    def test_virtual_tokens_allowed_on_both_kinds(self):
+        for kind in ("transformer", "mpgnn"):
+            cfg, _, _ = small_setup(kind=kind)
+            prompts = PromptSet(virtual_tokens=Tensor(np.zeros((2, cfg.dim)), requires_grad=True))
+            assert prompts.check(cfg) is prompts
+
+
+class TestPreProjectionToken:
+    """The input-space graph token: added to raw features before the projection."""
+
+    def _prompts(self, cfg, seed=24):
+        return init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=seed,
+                            token_stage="pre_projection", token_width=cfg.input_width)
+
+    def test_needs_token_width(self):
+        with pytest.raises(ContractError, match="token_width"):
+            init_prompts("deepgpt", 8, 2, p_len=2, seed=0, token_stage="pre_projection")
+
+    def test_token_gradient_matches_central_differences(self):
+        cfg, bb, head = small_setup(layers=2)
+        rng = np.random.default_rng(25)
+        prepared = prepare_batch([random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)], cfg)
+        prompts = self._prompts(cfg)
+        token = prompts.graph_token
+        token.data = rng.normal(size=cfg.input_width)
+        with Tape():
+            grad = backward(tsum(backbone_forward(prepared, bb, head, prompt_ctx=prompts)))[token]
+        fd = np.zeros_like(grad)
+        eps = 1e-6
+        for i in range(fd.size):
+            orig = token.data[i]
+            values = []
+            for shifted in (orig + eps, orig - eps):
+                token.data[i] = shifted
+                values.append(float(tsum(backbone_forward(prepared, bb, head,
+                                                          prompt_ctx=prompts)).data))
+            token.data[i] = orig
+            fd[i] = (values[0] - values[1]) / (2 * eps)
+        assert np.abs(fd).max() > 1e-3
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_equals_post_projection_token_times_input_weight(self):
+        """A pre-projection token c shifts the projection by c @ W_in."""
+        cfg, bb, head = small_setup(layers=2)
+        rng = np.random.default_rng(26)
+        prepared = prepare_batch([random_graph(6, 0.5, rng), random_graph(4, 0.5, rng)], cfg)
+        pre = self._prompts(cfg)
+        pre.graph_token.data = rng.normal(size=cfg.input_width)
+        post = PromptSet(graph_token=Tensor(pre.graph_token.data @ bb.w_in.data,
+                                            requires_grad=True),
+                         prefixes=pre.prefixes, p_len=pre.p_len)
+        out_pre = backbone_forward(prepared, bb, head, prompt_ctx=pre).data
+        out_post = backbone_forward(prepared, bb, head, prompt_ctx=post).data
+        assert np.abs(out_pre - out_post).max() <= 1e-10
 
 
 class TestRegistryAndCounts:

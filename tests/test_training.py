@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from gpt_lab import training
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
 from gpt_lab.prompt import build_registry, deepgpt_transform, init_prompts
@@ -320,6 +321,21 @@ class TestTrain:
             assert ra.record.eval_metrics == rb.record.eval_metrics
             for k in ra.prompt_state:
                 assert np.array_equal(ra.prompt_state[k], rb.prompt_state[k])
+
+    def test_rwpe_computed_once_per_call(self, motif_data, monkeypatch):
+        """train() encodes the dataset once for all folds; evaluate_fold only its split."""
+        calls = []
+        encode = training.with_rwpe
+        monkeypatch.setattr(training, "with_rwpe",
+                            lambda graphs, k: calls.append(len(graphs)) or encode(graphs, k))
+        cfg, state = tiny_backbone()
+        config = tiny_config("deepgpt")
+        results = train(config, motif_data, cfg, state, seed=1)
+        assert calls == [len(motif_data)]
+        score = training.evaluate_fold(config, motif_data, cfg, state,
+                                       results[1].prompt_state, seed=1, fold=1)
+        assert calls == [len(motif_data), len(motif_data) // config.folds]
+        assert score == results[1].final_metric
 
     def test_parallel_folds_match_sequential(self, motif_data):
         cfg, state = tiny_backbone()
