@@ -61,6 +61,8 @@ class GraphSample:
     label: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise GraphValidationError(f"a graph needs at least one node, got n={self.n}")
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.n:
             raise GraphValidationError(
@@ -154,28 +156,26 @@ def with_rwpe(graphs: Sequence[GraphSample], k: int) -> list[GraphSample]:
 
 @dataclass(frozen=True)
 class BatchedGraph:
-    """Zero-padded feature block plus the masks that make padding inert."""
+    """The samples' node rows stacked in order, with their edges in row numbers.
 
-    features: Tensor                 # (B, N_max, d)
-    node_mask: np.ndarray            # (B, N_max) bool
-    adjacency: tuple[tuple[tuple[int, ...], ...], ...]  # per sample, per node
-    degrees: np.ndarray              # (B, N_max) int, 0 on padding
+    Sample b owns rows ``offsets[b]:offsets[b + 1]``. ``edges`` holds each
+    undirected edge of each sample once, as a pair of those row numbers,
+    so no edge joins two samples. There is no padding.
+    """
+
+    features: np.ndarray             # (R, d)
+    degrees: np.ndarray              # (R,) int
+    edges: np.ndarray                # (E, 2) int, row numbers
+    offsets: np.ndarray              # (B + 1,) int, offsets[0] == 0
     labels: Tensor                   # (B, t)
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_max(self) -> int:
-        return self.features.shape[1]
-
-    def sample_sizes(self) -> list[int]:
-        return [int(m.sum()) for m in self.node_mask]
+        return len(self.offsets) - 1
 
 
 def batch(graphs: Sequence[GraphSample]) -> BatchedGraph:
-    """Pad a list of samples into one block with a node mask."""
+    """Stack samples' node rows and shift their edges to the stacked row numbers."""
     if not graphs:
         raise DataError("cannot batch an empty list of graphs")
     d = graphs[0].feature_dim
@@ -185,22 +185,13 @@ def batch(graphs: Sequence[GraphSample]) -> BatchedGraph:
             raise DataError(f"heterogeneous feature widths: {g.feature_dim} vs {d}")
         if g.label_dim != t:
             raise DataError(f"heterogeneous label arity: {g.label_dim} vs {t}")
-    b = len(graphs)
-    n_max = max(g.n for g in graphs)
-    feats = np.zeros((b, n_max, d))
-    node_mask = np.zeros((b, n_max), dtype=bool)
-    degs = np.zeros((b, n_max), dtype=np.int64)
-    labels = np.zeros((b, t))
-    adjacency = []
-    for bi, g in enumerate(graphs):
-        feats[bi, :g.n] = g.features
-        node_mask[bi, :g.n] = True
-        degs[bi, :g.n] = g.degrees()
-        adjacency.append(tuple(tuple(nb) for nb in g.neighbors()))
-        if t:
-            labels[bi] = g.label
-    return BatchedGraph(Tensor(feats), node_mask,
-                        tuple(adjacency), degs, Tensor(labels))
+    offsets = np.concatenate([[0], np.cumsum([g.n for g in graphs])])
+    edges = np.concatenate([np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) + start
+                            for g, start in zip(graphs, offsets)])
+    labels = np.array([g.label for g in graphs]) if t else np.zeros((len(graphs), 0))
+    return BatchedGraph(np.concatenate([g.features for g in graphs]),
+                        np.bincount(edges.ravel(), minlength=offsets[-1]),
+                        edges, offsets, Tensor(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +486,9 @@ def read_graph_file(path) -> list[GraphSample]:
             n, m = int(gparts[1]), int(gparts[2])
         except ValueError:
             raise GraphParseError(f"line {lineno}: expected 'g <n> <m>', got {gline!r}") from None
+        if n < 1 or m < 0:
+            raise GraphParseError(f"line {lineno}: a sample needs n >= 1 nodes and m >= 0 "
+                                  f"edges, got {gline!r}")
         feats = np.zeros((n, d))
         for i in range(n):
             lineno, fline = rd.next(f"feature row {i}")

@@ -1,14 +1,15 @@
 """Freezable backbones: a graph transformer, an MPGNN, readout and head.
 
-Batched execution flattens every sample's rows (its prompt rows, if any,
-then its nodes) into one tall matrix. Row-wise work, such as projections,
-layer norms, the FFN and residuals, runs on that matrix with no padding.
-Work across rows is per sample: the transformer's attention gathers each
-sample's rows into one padded group (``AttentionGroups``, built from the
-row layout) and attends within it, the MPGNN aggregates over
-within-sample neighbour lists, and readout pools each sample's node rows,
-all samples in one operation. A batched forward therefore agrees with
-per-sample forwards.
+A ``BatchedGraph`` already stacks every sample's node rows into one tall
+matrix; ``encode_nodes`` reads it as it is and inserts prompt rows, if
+any, at the head of each sample block. Row-wise work, such as
+projections, layer norms, the FFN and residuals, runs on that matrix with
+no padding. Work across rows is per sample: the transformer's attention
+gathers each sample's rows into one padded group (``AttentionGroups``,
+built from the row layout) and attends within it, the MPGNN multiplies by
+one sparse CSR adjacency that never joins two samples, and readout pools
+each sample's node rows, all samples in one operation. A batched forward
+therefore agrees with per-sample forwards.
 
 Prompts arrive as a ``PromptSet``. ``encode_nodes`` validates it with
 ``PromptSet.check`` and applies it through ``gpt_lab.prompt``'s hooks
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from gpt_lab.graphs import BatchedGraph, GraphSample, with_rwpe
 from gpt_lab.graphs import batch as batch_graphs
@@ -47,6 +49,7 @@ from gpt_lab.tensor import (
     matmul,
     neighbor_max,
     slice_rows,
+    spmm,
 )
 
 __all__ = [
@@ -296,23 +299,24 @@ def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
     return add(x1, ff)
 
 
-def mpgnn_layer_forward(h: Tensor, neighbors: Sequence[Sequence[int]],
-                        params: MpgnnLayerParams) -> Tensor:
-    """Aggregate each node with its neighborhood, then linear + GELU."""
+def mpgnn_layer_forward(h: Tensor, adj, params: MpgnnLayerParams) -> Tensor:
+    """Aggregate each row over its row of the (R, R) CSR 0/1 ``adj``, then linear + GELU.
+
+    Self-aggregation comes from the stored diagonal. Mean divides each
+    row of ``adj`` by its entry count.
+    """
     n = h.shape[0]
-    if len(neighbors) != n:
-        raise ShapeError(f"adjacency covers {len(neighbors)} nodes, embeddings have {n}")
+    if adj.shape != (n, n):
+        raise ShapeError(f"adjacency of shape {adj.shape} does not cover {n} rows")
     if params.aggregation == "max":
-        agg = neighbor_max(h, [[i, *nb] for i, nb in enumerate(neighbors)])
+        agg = neighbor_max(h, adj)
+    elif params.aggregation == "mean":
+        counts = np.diff(adj.indptr)
+        mean = sparse.csr_matrix((adj.data / np.repeat(counts, counts), adj.indices, adj.indptr),
+                                 shape=adj.shape)
+        agg = spmm(mean, h)
     else:
-        m = np.zeros((n, n))
-        for i, nb in enumerate(neighbors):
-            m[i, i] = 1.0
-            for j in nb:
-                m[i, j] = 1.0
-        if params.aggregation == "mean":
-            m /= m.sum(axis=1, keepdims=True)
-        agg = matmul(Tensor(m), h)
+        agg = spmm(adj, h)
     return gelu(add(matmul(agg, params.weight), params.bias))
 
 
@@ -381,31 +385,26 @@ def _insert_prompt_rows(h: Tensor, layout: RowLayout, rows: Tensor) -> tuple[Ten
     return concat_rows(parts), RowLayout(blocks, nodes)
 
 
-def _flat_features(batch: BatchedGraph) -> tuple[np.ndarray, np.ndarray, RowLayout]:
-    sizes = batch.sample_sizes()
-    feats = batch.features.data
-    blocks, degs = [], []
-    ranges = []
-    offset = 0
-    for b, n in enumerate(sizes):
-        blocks.append(feats[b, :n])
-        degs.append(batch.degrees[b, :n])
-        ranges.append((offset, offset + n))
-        offset += n
-    layout = RowLayout(ranges, list(ranges))
-    return np.concatenate(blocks, axis=0), np.concatenate(degs), layout
+def _mpgnn_adjacency(batch: BatchedGraph, layout: RowLayout) -> sparse.csr_matrix:
+    """The (R, R) 0/1 aggregation matrix of the MPGNN over the layout's rows.
 
-
-def _mpgnn_groups(batch: BatchedGraph, layout: RowLayout) -> list[list[int]]:
-    """Flat neighbor lists (self excluded): each sample's graph edges, plus
-    its prompt rows wired to every one of its original nodes and back."""
-    groups: list[list[int]] = [[] for _ in range(layout.total_rows)]
-    for adj, (bs, _), (ns, ne) in zip(batch.adjacency, layout.blocks, layout.nodes):
-        for local, nb in enumerate(adj):
-            groups[ns + local] = [ns + j for j in nb] + list(range(bs, ns))
-        for row in range(bs, ns):
-            groups[row] = list(range(ns, ne))
-    return groups
+    It holds the diagonal, each graph edge in both directions at the
+    node rows it moved to, and every prompt row of a sample wired to each
+    of that sample's original nodes and back.
+    """
+    first_node = np.array([s for s, _ in layout.nodes], dtype=np.int64)
+    block_start = np.array([s for s, _ in layout.blocks], dtype=np.int64)
+    owner = np.repeat(np.arange(batch.size), np.diff(batch.offsets))
+    node_row = np.arange(batch.offsets[-1]) + (first_node - batch.offsets[:-1])[owner]
+    a, b = node_row[batch.edges].T
+    p = (first_node - block_start)[owner]         # pair each node row with its p prompt rows
+    nodes = np.repeat(node_row, p)
+    prompt = np.repeat(block_start[owner] - np.cumsum(p) + p, p) + np.arange(nodes.size)
+    diag = np.arange(layout.total_rows)
+    rows = np.concatenate([diag, a, b, nodes, prompt])
+    cols = np.concatenate([diag, b, a, prompt, nodes])
+    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)),
+                             shape=(layout.total_rows, layout.total_rows))
 
 
 def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
@@ -419,8 +418,9 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
                  prompt_ctx: PromptSet | None = None) -> tuple[Tensor, RowLayout]:
     """Final-layer embeddings for the flattened batch, plus row bookkeeping.
 
-    Every layer takes and returns the flattened (R, d) matrix, R being the
-    batch's total row count. ``prompt_ctx`` is validated with
+    The layout starts from the batch's ``offsets``. Every layer takes and
+    returns the flattened (R, d) matrix, R being the total row count,
+    prompt rows included. ``prompt_ctx`` is validated with
     ``PromptSet.check`` and applied through the hooks of ``gpt_lab.prompt``:
     ``apply_graph_prompt`` adds the graph token to every node row, before
     or after the input projection as its stage says; virtual tokens are
@@ -433,23 +433,25 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     The transformer's attention groups are built from ``layout.blocks`` at
     entry and again after prompt rows are inserted; ``block_attention``
     gathers the rows into padded (B, heads, L, L) arrays, L being the
-    longest block, and scatters its result back to (R, d). The layout's
+    longest block, and scatters its result back to (R, d). The MPGNN's
+    adjacency is built once, after prompt rows are inserted. The layout's
     ``nodes`` ranges locate each sample's original-node rows.
     """
     cfg = backbone.cfg
     prompts = PromptSet() if prompt_ctx is None else prompt_ctx.check(cfg)
-    flat, flat_deg, layout = _flat_features(batch)
-    if flat.shape[1] != cfg.input_width:
-        raise ShapeError(f"batch feature width {flat.shape[1]} does not match "
+    if batch.features.shape[1] != cfg.input_width:
+        raise ShapeError(f"batch feature width {batch.features.shape[1]} does not match "
                          f"input projection width {cfg.input_width}")
-    x = Tensor(flat)
+    samples = [(int(s), int(e)) for s, e in zip(batch.offsets[:-1], batch.offsets[1:])]
+    layout = RowLayout(samples, samples)
+    x = Tensor(batch.features)
 
     token = prompts.graph_token
     if token is not None and prompts.token_stage == "pre_projection":
         x = apply_graph_prompt(x, token)
     h = add(matmul(x, backbone.w_in), backbone.b_in)
     if backbone.degree_table is not None:
-        ids = np.minimum(flat_deg, cfg.max_degree)
+        ids = np.minimum(batch.degrees, cfg.max_degree)
         h = add(h, embedding(backbone.degree_table, ids))
     if token is not None and prompts.token_stage == "post_projection":
         h = apply_graph_prompt(h, token)
@@ -457,9 +459,9 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         h, layout = _insert_prompt_rows(h, layout, prompts.virtual_tokens)
 
     if cfg.kind == "mpgnn":
-        groups = _mpgnn_groups(batch, layout)
+        adj = _mpgnn_adjacency(batch, layout)
         for params in backbone.layers:
-            h = mpgnn_layer_forward(h, groups, params)
+            h = mpgnn_layer_forward(h, adj, params)
         return h, layout
     prompted = prompts.prompted_layers
     groups = _attention_groups(layout)

@@ -29,7 +29,6 @@ __all__ = [
     "build_registry",
     "apply_graph_prompt",
     "inject_prefix",
-    "deepgpt_transform",
     "count_params",
 ]
 
@@ -214,7 +213,7 @@ def count_params(registry: FreezeRegistry) -> dict[str, float]:
 
 
 def apply_graph_prompt(x: Tensor, token: Tensor, node_mask=None) -> Tensor:
-    """Add the graph token to every real node row; padding rows untouched."""
+    """Add the graph token to every row ``node_mask`` selects, by default every row."""
     return add_rows_masked(x, token, node_mask)
 
 
@@ -232,7 +231,3 @@ def inject_prefix(e: Tensor, prefix: Tensor, layer: int, prompts: PromptSet,
                             f"{prompts.prompted_layers}")
     return overwrite_rows(e, prefix, starts)
 
-
-def deepgpt_transform(batch, prompts: PromptSet, backbone) -> PromptSet:
-    """Former name of ``prompts.check(backbone.cfg)``; ``batch`` is unused."""
-    return prompts.check(backbone.cfg)

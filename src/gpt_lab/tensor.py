@@ -12,7 +12,8 @@ of a matrix. Everything else is a shape error. The one place that works
 on higher-rank arrays is ``block_attention``: it gathers the rows of its
 (R, heads * dq) operands into padded (B, heads, L, dq) groups, runs
 softmax attention within each group and scatters the result back to
-(R, heads * dq), so the 4-D arrays never leave that operation.
+(R, heads * dq), so the 4-D arrays never leave that operation. The
+sparse matrix that ``spmm`` and ``neighbor_max`` take is a constant.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "add_rows_masked",
     "overwrite_rows",
     "embedding",
+    "spmm",
     "neighbor_max",
     "bce_with_logits",
 ]
@@ -649,38 +651,40 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _record(out, [(table, bwd)])
 
 
-def neighbor_max(h: Tensor, groups: Sequence[Sequence[int]]) -> Tensor:
-    """Per-row elementwise max over each row's index group.
+def spmm(a, x: Tensor) -> Tensor:
+    """Product of a constant scipy.sparse matrix and a matrix tensor; ``x`` gets ``a.T @ g``."""
+    x = _as_tensor(x)
+    if x.ndim != 2 or a.shape[1] != x.shape[0]:
+        raise ShapeError(f"spmm: cannot multiply shapes {a.shape} and {x.shape}")
+    return _record(Tensor(a @ x.data), [(x, lambda g: a.T @ g)])
 
-    Gradient routes to the argmax entry of each (row, column) pair; the
-    caller includes a row in its own group when self-aggregation is wanted.
+
+def neighbor_max(h: Tensor, adj) -> Tensor:
+    """Row i is the elementwise max of the rows of ``h`` stored in row i of CSR ``adj``.
+
+    Gradient routes to the argmax source of each (row, column) pair, on
+    ties the first in column order.
     """
     h = _as_tensor(h)
-    if h.ndim != 2:
-        raise ShapeError(f"neighbor_max needs a matrix, got shape {h.shape}")
+    if h.ndim != 2 or adj.shape[1] != h.shape[0]:
+        raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over {adj.shape}")
     n, d = h.shape
-    if len(groups) == 0:
-        raise ContractError("neighbor_max: no groups given")
-    hd = h.data
-    outd = np.empty((len(groups), d))
-    src = np.empty((len(groups), d), dtype=np.int64)
-    for i, grp in enumerate(groups):
-        idx = np.asarray(grp, dtype=np.int64)
-        if idx.size == 0:
-            raise ContractError(f"neighbor_max: group {i} is empty")
-        sub = hd[idx]
-        arg = sub.argmax(axis=0)
-        outd[i] = sub[arg, np.arange(d)]
-        src[i] = idx[arg]
-    out = Tensor(outd)
-    cols = np.arange(d)
+    if not adj.has_sorted_indices:
+        adj = adj.sorted_indices()
+    counts = np.diff(adj.indptr)
+    if not counts.all():
+        raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
+    gathered = h.data[adj.indices]
+    outd = np.maximum.reduceat(gathered, adj.indptr[:-1], axis=0)
+    hit = ~(gathered < np.repeat(outd, counts, axis=0))         # the max, or a NaN max
+    position = np.where(hit, np.arange(adj.nnz)[:, None], adj.nnz)
+    first = np.minimum.reduceat(position, adj.indptr[:-1], axis=0)
+    flat = (adj.indices[first] * d + np.arange(d)).ravel()       # source entry of each output
 
     def bwd(g):
-        z = np.zeros_like(hd)
-        np.add.at(z, (src.ravel(), np.tile(cols, len(groups))), g.ravel())
-        return z
+        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
 
-    return _record(out, [(h, bwd)])
+    return _record(Tensor(outd), [(h, bwd)])
 
 
 def bce_with_logits(logits: Tensor, labels, label_mask=None) -> Tensor:

@@ -297,15 +297,16 @@ def _metric_value(config: TuningConfig, scores: np.ndarray, labels: np.ndarray) 
     if config.metric == "rmse":
         return rmse(scores, labels)
     fn = auroc if config.metric == "auroc" else average_precision
-    vals = []
+    vals, reason = [], "no task column"
     for col in range(labels.shape[1]):
         mask = np.isfinite(labels[:, col])
         try:
             vals.append(fn(scores[mask, col], labels[mask, col]))
-        except UndefinedMetricError:
-            continue
+        except UndefinedMetricError as exc:
+            reason = exc
     if not vals:
-        raise UndefinedMetricError("metric undefined on every task column")
+        raise UndefinedMetricError(f"{config.metric} is undefined on every task column "
+                                   f"({reason})")
     return float(np.mean(vals))
 
 
@@ -420,8 +421,11 @@ def _run_fold(args) -> FoldResult:
                                      encoded[0].label_dim, seed, fold)
     registry = build_registry(bb, head, prompts, mode)
     counts = count_params(registry)
-    record = _fit(config, encoded, train_idx, eval_idx, bb, head, prompts,
-                  registry, rng_for(seed, "shuffle", fold))
+    try:
+        record = _fit(config, encoded, train_idx, eval_idx, bb, head, prompts,
+                      registry, rng_for(seed, "shuffle", fold))
+    except UndefinedMetricError as exc:
+        raise DataError(f"fold {fold}: evaluation split: {exc}") from None
     prompt_state = {name: t.data.copy() for name, t in prompts.named_params().items()}
     prompt_state.update({name: t.data.copy() for name, t in head.named_params().items()})
     return FoldResult(fold=fold, record=record, final_metric=record.eval_metrics[-1],

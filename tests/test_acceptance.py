@@ -31,7 +31,6 @@ from gpt_lab.prompt import (
     apply_graph_prompt,
     build_registry,
     count_params,
-    deepgpt_transform,
     init_prompts,
 )
 from gpt_lab.tensor import Tape, Tensor, add, backward, masked_pool_rows, matmul
@@ -75,7 +74,7 @@ def test_01_gradient_correctness_full_deepgpt_forward():
     build_registry(bb, head, prompts, "deepgpt")
     g = random_graph(6, 0.5, rng)
     prepared = prepare_batch([g], cfg)
-    ctx = deepgpt_transform(prepared, prompts, bb)
+    ctx = prompts.check(bb.cfg)
     labels = prepared.labels.data
 
     def loss_value() -> float:
@@ -133,7 +132,7 @@ def test_02_freeze_soundness_100_steps(tmp_path):
     opt = AdamW(registry.trainable, weight_decay=1e-4)
     data = gen_downstream(16, "motif_presence", seed=23, size_range=(5, 8))
     prepared = prepare_batch(data, cfg)
-    ctx = deepgpt_transform(prepared, prompts, bb)
+    ctx = prompts.check(bb.cfg)
     labels = prepared.labels.data
 
     keys_ok = True
@@ -170,7 +169,7 @@ def test_03_empty_prompt_set_reproduces_backbone_exactly():
     graphs = [random_graph(int(rng.integers(4, 9)), 0.5, rng) for _ in range(6)]
     prepared = prepare_batch(graphs, cfg)
     plain = backbone_forward(prepared, bb, head).data
-    empty_ctx = deepgpt_transform(prepared, PromptSet(), bb)
+    empty_ctx = PromptSet().check(bb.cfg)
     via_prompt = backbone_forward(prepared, bb, head, prompt_ctx=empty_ctx).data
     max_err = float(np.abs(plain - via_prompt).max())
     report(3, "empty prompt set is an exact no-op", max_err == 0.0,

@@ -276,6 +276,24 @@ class TestTuneCommand:
         assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
                      "--out", str(tmp_path / "run")]) == 3
 
+    def test_single_class_eval_fold_exits_3_naming_the_fold(self, workspace, tmp_path, capsys):
+        from gpt_lab.graphs import GraphSample, make_folds, write_graph_file
+        data = gen_downstream(18, "motif_presence", seed=5, size_range=(5, 7))
+        # One positive, in fold 0's evaluation split: fold 1 sees a single class.
+        _, fold0 = make_folds(len(data), 3, seed=11).train_eval(0)
+        data = [GraphSample(g.n, g.features, g.edges, np.array([float(i == fold0[0])]))
+                for i, g in enumerate(data)]
+        graph_file = tmp_path / "one_positive.gr"
+        write_graph_file(graph_file, data)
+        config = write_config(
+            tmp_path / "file.ini",
+            replace={"generator = motif_presence\ncount = 24\nmin_nodes = 5\nmax_nodes = 8":
+                     f"graph_file = {graph_file}"})
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: fold 1: evaluation split: auroc is undefined")
+
     def test_unknown_config_key_exits_2(self, workspace, tmp_path):
         config = write_config(tmp_path / "bad.ini",
                               replace={"p_len = 2": "p_len = 2\nbogus = 1"})

@@ -118,13 +118,16 @@ class TestBatch:
     def test_single_graph_all_real(self):
         g = triangle()
         b = batch([g])
-        assert b.n_max == 3
-        assert b.node_mask.all()
+        assert b.size == 1 and b.offsets.tolist() == [0, 3]
+        assert np.array_equal(b.features, g.features)
 
     def test_mask_counts(self):
-        b = batch([sample(3, [(0, 1)]), sample(5, [(0, 1), (2, 3)])])
-        assert b.sample_sizes() == [3, 5]
-        assert b.node_mask.sum(axis=1).tolist() == [3, 5]
+        graphs = [sample(3, [(0, 1)]), sample(5, [(0, 1), (2, 3)])]
+        b = batch(graphs)
+        assert np.diff(b.offsets).tolist() == [3, 5]
+        assert np.array_equal(b.features, np.concatenate([g.features for g in graphs]))
+        assert b.edges.tolist() == [[0, 1], [3, 4], [5, 6]]
+        assert b.degrees.tolist() == [1, 1, 0, 1, 1, 1, 1, 0]
 
     def test_heterogeneous_width_rejected(self):
         with pytest.raises(DataError, match="feature widths"):
@@ -254,6 +257,13 @@ class TestGraphFile:
         with pytest.raises(GraphParseError, match="line 1"):
             read_graph_file(path)
 
+    @pytest.mark.parametrize("gline", ["g 0 0", "g -1 0", "g 2 -1"])
+    def test_empty_or_negative_sample_header_reports_line(self, tmp_path, gline):
+        path = tmp_path / "bad.gr"
+        path.write_text(f"GPTGRAPH v1 d=1 t=0\ng 1 0\n0.5\ny\n{gline}\ny\n")
+        with pytest.raises(GraphParseError, match="line 5: a sample needs n >= 1"):
+            read_graph_file(path)
+
 
 # -- sample validation ---------------------------------------------------------
 
@@ -270,6 +280,10 @@ class TestGraphSample:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphValidationError, match="out of range"):
             sample(3, [(0, 3)])
+
+    def test_rejects_no_nodes(self):
+        with pytest.raises(GraphValidationError, match="at least one node"):
+            GraphSample(0, np.zeros((0, 3)), ())
 
 
 # -- folds ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gpt_lab.graphs import GraphSample, batch
 from gpt_lab.models import (
@@ -185,6 +186,14 @@ def oracle_mpgnn_layer(h, neighbors, weight, bias, mode):
     return np.array([[_oracle_gelu(v) for v in row] for row in lin])
 
 
+def adjacency(neighbors):
+    """CSR aggregation matrix of neighbour lists: the diagonal plus every listed pair."""
+    n = len(neighbors)
+    rows = [i for i, nb in enumerate(neighbors) for _ in range(len(nb) + 1)]
+    cols = [j for i, nb in enumerate(neighbors) for j in (i, *nb)]
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
 class TestMpgnnLayer:
     @pytest.mark.parametrize("mode", ["sum", "mean", "max"])
     def test_matches_double_loop_oracle(self, mode):
@@ -194,7 +203,7 @@ class TestMpgnnLayer:
         params = MpgnnLayerParams(weight=Tensor(rng.normal(size=(4, 4))),
                                   bias=Tensor(rng.normal(size=4)),
                                   aggregation=mode)
-        got = mpgnn_layer_forward(Tensor(h), neighbors, params).data
+        got = mpgnn_layer_forward(Tensor(h), adjacency(neighbors), params).data
         want = oracle_mpgnn_layer(h, neighbors, params.weight.data,
                                   params.bias.data, mode)
         assert np.abs(got - want).max() <= 1e-12
@@ -204,7 +213,7 @@ class TestMpgnnLayer:
         h = rng.normal(size=(3, 4))
         params = MpgnnLayerParams(weight=Tensor(rng.normal(size=(4, 4))),
                                   bias=Tensor(np.zeros(4)), aggregation="sum")
-        out = mpgnn_layer_forward(Tensor(h), [[1], [0], []], params).data
+        out = mpgnn_layer_forward(Tensor(h), adjacency([[1], [0], []]), params).data
         lin = h[2] @ params.weight.data
         want = np.array([_oracle_gelu(v) for v in lin])
         assert np.abs(out[2] - want).max() <= 1e-12
@@ -214,7 +223,7 @@ class TestMpgnnLayer:
         params = MpgnnLayerParams(weight=Tensor(np.eye(3)), bias=Tensor(np.zeros(3)),
                                   aggregation="mean")
         tri = [[1, 2], [0, 2], [0, 1]]
-        out = mpgnn_layer_forward(Tensor(h), tri, params).data
+        out = mpgnn_layer_forward(Tensor(h), adjacency(tri), params).data
         assert np.abs(out - out[0]).max() == 0.0
 
 

@@ -17,7 +17,6 @@ from gpt_lab.prompt import (
     apply_graph_prompt,
     build_registry,
     count_params,
-    deepgpt_transform,
     init_prompts,
     inject_prefix,
 )
@@ -98,7 +97,7 @@ class TestInjectPrefix:
         prepared = prepare_batch([g], cfg)
         plain = backbone_forward(prepared, bb, head).data
         empty = backbone_forward(prepared, bb, head,
-                                 prompt_ctx=deepgpt_transform(prepared, PromptSet(), bb)).data
+                                 prompt_ctx=PromptSet().check(bb.cfg)).data
         assert np.array_equal(plain, empty)
 
     def test_early_prefix_reaches_later_layers_through_attention(self):
@@ -125,7 +124,7 @@ class TestDeepgptForward:
         registry = build_registry(bb, head, prompts, "deepgpt")
         with Tape():
             out = backbone_forward(prepared, bb, head,
-                                   prompt_ctx=deepgpt_transform(prepared, prompts, bb))
+                                   prompt_ctx=prompts.check(bb.cfg))
             grads = backward(tsum(out))
         expected = {id(t) for t in registry.trainable.values()}
         got = {id(t) for t in grads}
@@ -139,19 +138,17 @@ class TestDeepgptForward:
         registry = build_registry(bb, head, prompts, "deepgpt")
         with Tape():
             out = backbone_forward(prepared, bb, head,
-                                   prompt_ctx=deepgpt_transform(prepared, prompts, bb))
+                                   prompt_ctx=prompts.check(bb.cfg))
             grads = backward(tsum(out))
         for t in registry.frozen.values():
             assert t not in grads
 
     def test_prompt_validation_against_backbone(self):
         cfg, bb, _ = small_setup(layers=2)
-        g = random_graph(4, 0.5, np.random.default_rng(6))
-        prepared = prepare_batch([g], cfg)
         bad = init_prompts("prefix_only", cfg.dim, 5, p_len=2, seed=7,
                            prompted_layers=(0, 4))
         with pytest.raises(ContractError, match="out of range"):
-            deepgpt_transform(prepared, bad, bb)
+            bad.check(bb.cfg)
 
 
 class TestVirtualNodes:
@@ -173,11 +170,13 @@ class TestVirtualNodes:
         seen = []
         layer_forward = models.mpgnn_layer_forward
         monkeypatch.setattr(models, "mpgnn_layer_forward",
-                            lambda h, nb, params: seen.append(nb) or layer_forward(h, nb, params))
+                            lambda h, adj, params: seen.append(adj) or layer_forward(h, adj, params))
         _, layout = encode_nodes(prepare_batch(graphs, cfg), bb,
                                  prompt_ctx=PromptSet(virtual_tokens=tokens))
         assert len(seen) == cfg.layers
-        neighbors = seen[0]
+        adj = seen[0]
+        assert adj.diagonal().tolist() == [1.0] * layout.total_rows
+        neighbors = [set(adj[row].indices.tolist()) - {row} for row in range(layout.total_rows)]
         for b, g in enumerate(graphs):
             nodes = list(layout.node_rows(b))
             token_rows = set(range(layout.blocks[b][0], nodes[0]))
@@ -208,7 +207,7 @@ class TestVirtualNodes:
         g = random_graph(5, 0.5, np.random.default_rng(19))
         prepared = prepare_batch([g], cfg)
         prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=3, seed=20)
-        ctx = deepgpt_transform(prepared, prompts, bb)
+        ctx = prompts.check(bb.cfg)
         pooled = backbone_forward(prepared, bb, head=None, prompt_ctx=ctx).data
         h, layout = encode_nodes(prepared, bb, prompt_ctx=ctx)
         manual = h.data[list(layout.node_rows(0))].mean(axis=0)
@@ -386,7 +385,7 @@ class TestSweepWellFormedness:
         prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=13,
                                prompted_layers=interval)
         out = backbone_forward(prepared, bb, head,
-                               prompt_ctx=deepgpt_transform(prepared, prompts, bb))
+                               prompt_ctx=prompts.check(bb.cfg))
         assert out.shape == (1, 1) and np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("p_len", [10, 60, 110])
@@ -396,7 +395,7 @@ class TestSweepWellFormedness:
         prepared = prepare_batch([g], cfg)
         prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=p_len, seed=15)
         out = backbone_forward(prepared, bb, head,
-                               prompt_ctx=deepgpt_transform(prepared, prompts, bb))
+                               prompt_ctx=prompts.check(bb.cfg))
         assert np.isfinite(out.data).all()
 
     def test_bad_interval_rejected(self):

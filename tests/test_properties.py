@@ -1,0 +1,110 @@
+"""Property tests over random small batches.
+
+Batches hold 1 to 4 graphs of 1 to 6 nodes, drawn with edgeless graphs,
+isolated nodes and repeated samples. Runs are derandomized, so the suite
+stays deterministic.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpt_lab.graphs import GraphSample
+from gpt_lab.models import (
+    Backbone,
+    BackboneConfig,
+    PredictionHead,
+    RowLayout,
+    _mpgnn_adjacency,
+    backbone_forward,
+    prepare_batch,
+)
+from gpt_lab.prompt import init_prompts
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
+                             database=None)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    seed = draw(st.integers(0, 2**16))
+    feats = np.random.default_rng(seed).normal(size=(n, 3))
+    edges = tuple(pair for pair, k in zip(pairs, keep) if k)
+    return GraphSample(n, feats, edges, np.array([float(seed % 2)]))
+
+
+@st.composite
+def batches(draw):
+    """1 to 4 samples picked, with repeats, from up to 3 distinct graphs."""
+    pool = draw(st.lists(graphs(), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    return [pool[i] for i in picks]
+
+
+def _model(kind, aggregation="sum", mode=None):
+    cfg = BackboneConfig(kind=kind, feature_dim=3, dim=8, heads=2, layers=3, ffn_mult=2,
+                         rwpe_steps=2, degree_embed=True, max_degree=3,
+                         aggregation=aggregation)
+    bb = Backbone.init(cfg, seed=1)
+    head = PredictionHead.init(cfg.dim, 1, seed=2)
+    prompts = None
+    if mode is not None:
+        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=3,
+                               prompted_layers=(1, 2) if mode == "prefix_only" else None)
+    return cfg, bb, head, prompts
+
+
+MODELS = {
+    "transformer": _model("transformer"),
+    "transformer_deepgpt": _model("transformer", mode="deepgpt"),
+    "transformer_prefix_only": _model("transformer", mode="prefix_only"),
+    **{f"mpgnn_{agg}": _model("mpgnn", agg) for agg in ("sum", "mean", "max")},
+    **{f"mpgnn_{agg}_virtual": _model("mpgnn", agg, "virtual_node")
+       for agg in ("sum", "mean", "max")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@PROPERTY_SETTINGS
+@given(batch=batches())
+def test_batched_forward_equals_per_sample_forwards(name, batch):
+    cfg, bb, head, prompts = MODELS[name]
+    together = backbone_forward(prepare_batch(batch, cfg), bb, head, prompt_ctx=prompts).data
+    alone = np.concatenate([
+        backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
+        for g in batch])
+    assert np.abs(together - alone).max() <= 1e-10
+
+
+def _layout(batch, p):
+    """Blocks of p prompt rows followed by each sample's nodes, in batch order."""
+    blocks, nodes, start = [], [], 0
+    for g in batch:
+        blocks.append((start, start + p + g.n))
+        nodes.append((start + p, start + p + g.n))
+        start += p + g.n
+    return RowLayout(blocks, nodes)
+
+
+@PROPERTY_SETTINGS
+@given(batch=batches(), p=st.integers(0, 3))
+def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
+    layout = _layout(batch, p)
+    cfg = MODELS["mpgnn_sum"][0]
+    adj = _mpgnn_adjacency(prepare_batch(batch, cfg), layout)
+    want = []
+    for g, (bs, _), (ns, _) in zip(batch, layout.blocks, layout.nodes):
+        prompt_rows = list(range(bs, ns))
+        node_rows = list(range(ns, ns + g.n))
+        want += [{row, *node_rows} for row in prompt_rows]
+        want += [{ns + i, *(ns + j for j in nb), *prompt_rows}
+                 for i, nb in enumerate(g.neighbors())]
+    assert adj.shape == (layout.total_rows, layout.total_rows)
+    assert np.array_equal(adj.data, np.ones(adj.nnz))
+    for row, expected in enumerate(want):
+        stored = adj[row].indices.tolist()
+        assert len(stored) == len(set(stored)) and set(stored) == expected

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gpt_lab import tensor as T
 from gpt_lab.tensor import (
@@ -239,6 +240,17 @@ class TestBackwardContract:
 _TRANSPOSE_W = rand(4, 3)
 _POOL_MASK = np.array([True, False, True])
 
+
+def csr(groups, cols=3):
+    """CSR matrix with a stored 1 at (i, j) for each j in groups[i]."""
+    rows = [i for i, grp in enumerate(groups) for _ in grp]
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, [j for grp in groups for j in grp])),
+                             shape=(len(groups), cols))
+
+
+_NEIGHBORS = csr([[0, 1], [1, 2], [0, 1, 2]])
+_SPARSE = sparse.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.5, 0.0], [3.0, 0.0, 0.25]]))
+
 PRIMITIVE_CASES = {
     "matmul": lambda a, b: T.matmul(a, b),
     "transpose": lambda a: T.mul(T.transpose(a), Tensor(_TRANSPOSE_W)),
@@ -254,7 +266,8 @@ PRIMITIVE_CASES = {
     "add_rows_masked": lambda a, v: T.add_rows_masked(a, v, np.array([True, False, True])),
     "overwrite_rows": lambda a, p: T.overwrite_rows(a, p, [1]),
     "embedding": lambda tab: T.embedding(tab, np.array([0, 2, 2, 1])),
-    "neighbor_max": lambda a: T.neighbor_max(a, [[0, 1], [1, 2], [0, 1, 2]]),
+    "neighbor_max": lambda a: T.neighbor_max(a, _NEIGHBORS),
+    "spmm": lambda a: T.spmm(_SPARSE, a),
     "masked_pool_sum": lambda a: T.masked_pool_rows(a, _POOL_MASK, "sum"),
     "masked_pool_mean": lambda a: T.masked_pool_rows(a, np.ones(3, dtype=bool), "mean"),
 }
@@ -282,6 +295,20 @@ def test_every_primitive_matches_finite_differences(name):
         return T.tsum(T.mul(out, w))
 
     check_against_fd(lambda: weighted(op(*args)), args, tol=1e-4)
+
+
+class TestNeighborMax:
+    def test_empty_row_rejected(self):
+        with pytest.raises(ContractError, match="row 1 has no source"):
+            T.neighbor_max(Tensor(rand(3, 2)), csr([[0], [], [1, 2]]))
+
+    def test_exact_tie_sends_the_whole_gradient_to_one_source(self):
+        h = Tensor(np.array([[1.0, 2.0], [1.0, 0.5], [1.0, 2.0]]), requires_grad=True)
+        with Tape():
+            grads = backward(T.tsum(T.neighbor_max(h, csr([[0, 1, 2], [1, 2]]))))
+        # Output row 0 ties in both columns, row 1 in column 0: the first
+        # source in column order takes each output's whole gradient.
+        assert np.array_equal(grads[h], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_bce_with_logits_matches_fd():

@@ -11,7 +11,7 @@ import pytest
 from gpt_lab import training
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
-from gpt_lab.prompt import build_registry, deepgpt_transform, init_prompts
+from gpt_lab.prompt import build_registry, init_prompts
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward
 from gpt_lab.training import (
     AdamW,
@@ -378,7 +378,7 @@ class TestFreezeSoundness:
         opt = AdamW(registry.trainable, weight_decay=1e-4)
         data = gen_downstream(8, "motif_presence", seed=18, size_range=(5, 7))
         prepared = prepare_batch(data, cfg)
-        ctx = deepgpt_transform(prepared, prompts, bb)
+        ctx = prompts.check(bb.cfg)
         labels = prepared.labels.data
         for _ in range(10):
             with Tape():
@@ -403,7 +403,7 @@ class TestFreezeSoundness:
             opt = AdamW(registry.trainable)
             data = gen_downstream(16, "motif_presence", seed=seed, size_range=(5, 8))
             prepared = prepare_batch(data, cfg)
-            ctx = deepgpt_transform(prepared, prompts, bb)
+            ctx = prompts.check(bb.cfg)
             labels = prepared.labels.data
             losses = []
             for _ in range(50):
