@@ -3,7 +3,7 @@
 Every command is driven by one config file plus a handful of flags, and
 writes CSV/JSON artifacts into an output directory. Exit codes: 0 on
 success, 2 for config problems, 3 for data problems, 4 for checkpoint
-mismatches.
+mismatches, 5 when training produces a non-finite loss or gradient.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from gpt_lab.checkpoint import (
 from gpt_lab.config import ConfigError, ExperimentConfig, load_config
 from gpt_lab.graphs import DataError, gen_downstream, gen_pretext, read_graph_file
 from gpt_lab.tensor import ContractError
-from gpt_lab.training import RunRecord, TuningConfig, pretrain, train
+from gpt_lab.training import NonFiniteError, RunRecord, TuningConfig, pretrain, train
 
 __all__ = ["main"]
 
@@ -320,6 +320,9 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except NonFiniteError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 5
     except ContractError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ sparse matrix that ``spmm`` and ``neighbor_max`` take is a constant.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -77,8 +78,9 @@ class Tensor:
     """A dense float64 array, optionally tracked on the active tape.
 
     ``tape_id`` is the slot handle on the tape the tensor was last
-    recorded on; it is only meaningful while that tape is the active one
-    (tapes are rebuilt per forward pass).
+    recorded on, and ``_tape`` a weak reference to that tape; both are
+    only meaningful while that tape is open (tapes are rebuilt per
+    forward pass).
     """
 
     __slots__ = ("data", "requires_grad", "tape_id", "_tape")
@@ -87,7 +89,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.tape_id: int | None = None
-        self._tape: "Tape | None" = None
+        self._tape: "weakref.ref[Tape] | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -135,13 +137,19 @@ class Tape:
     """Ordered record of one forward pass.
 
     Nodes are appended in execution order, so each node's inputs precede
-    it and a single reverse sweep visits every node exactly once.
+    it and a single reverse sweep visits every node exactly once. The
+    backward closures hold tensors, so tensors point back at their tape
+    only weakly: a strong reference would make each record a cycle that
+    outlives its step until the cyclic collector runs. The tape, with
+    every closure and activation it holds, is freed when its block exits
+    unless the caller keeps it; ``backward`` needs an open tape.
     """
 
     def __init__(self):
         self.nodes: list[tuple[int, list[tuple[int, _GradFn]]]] = []
-        self._leaves: dict[int, Tensor] = {}
+        self._leaves: dict[int, Tensor] | None = {}
         self._next_slot = 0
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -150,15 +158,21 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = _TAPE_STACK.pop()
         assert popped is self, "tape stack corrupted"
+        # Close the tape: the grad leaves (parameters outlive the step) no
+        # longer point at it, and backward refuses it from now on.
+        for leaf in self._leaves.values():
+            if leaf._tape is self._ref:
+                leaf._tape = leaf.tape_id = None
+        self._leaves = None
 
     def _slot_for(self, t: Tensor) -> int | None:
         """Slot of ``t`` on this tape, registering grad leaves on first use."""
-        if t._tape is self and t.tape_id is not None:
+        if t._tape is self._ref and t.tape_id is not None:
             return t.tape_id
         if t.requires_grad:
             slot = self._next_slot
             self._next_slot += 1
-            t._tape = self
+            t._tape = self._ref
             t.tape_id = slot
             self._leaves[slot] = t
             return slot
@@ -167,7 +181,7 @@ class Tape:
     def _emit(self, out: Tensor, deps: list[tuple[int, _GradFn]]) -> None:
         slot = self._next_slot
         self._next_slot += 1
-        out._tape = self
+        out._tape = self._ref
         out.tape_id = slot
         self.nodes.append((slot, deps))
 
@@ -199,13 +213,15 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns a map from leaf Tensor to its gradient array. Tensors with
     ``requires_grad=False`` never appear. Calling this twice on the same
-    loss yields identical maps.
+    loss yields identical maps. The loss's tape must still be open: call
+    this inside the ``with Tape()`` block that recorded it.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    tape = loss._tape
-    if tape is None or loss.tape_id is None:
-        raise ContractError("loss is not recorded on the active tape")
+    tape = loss._tape() if loss._tape is not None else None
+    if tape is None or tape._leaves is None or loss.tape_id is None:
+        raise ContractError("loss is not recorded on an open tape (backward runs inside "
+                            "the `with Tape()` block that recorded it)")
     grads: dict[int, np.ndarray] = {loss.tape_id: np.ones_like(loss.data)}
     for out_slot, deps in reversed(tape.nodes):
         g = grads.pop(out_slot, None)

@@ -34,6 +34,7 @@ __all__ = [
     "RunRecord",
     "FoldResult",
     "UndefinedMetricError",
+    "NonFiniteError",
     "lr_at",
     "bce_loss",
     "mse_loss",
@@ -51,6 +52,10 @@ METRICS = ("auroc", "ap", "rmse")
 
 class UndefinedMetricError(ValueError):
     """The metric is undefined for this input (e.g. single-class AUROC)."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A training step produced a non-finite loss or gradient."""
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +189,19 @@ def average_precision(scores, labels) -> float:
 
 def clip_global_norm(grads: dict[str, np.ndarray],
                      max_norm: float = 5.0) -> dict[str, np.ndarray]:
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds it."""
+    """Scale all gradients by max_norm/norm when the global L2 norm exceeds it.
+
+    A non-finite norm raises ``NonFiniteError`` naming the first gradient
+    with a non-finite entry.
+    """
     if max_norm <= 0:
         raise ContractError("max_norm must be positive")
     sq = sum(float((g * g).sum()) for g in grads.values())
     norm = math.sqrt(sq)
+    if not math.isfinite(norm):
+        bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+        raise NonFiniteError(f"gradient of {bad} is not finite" if bad else
+                             f"global gradient norm overflows to {norm}")
     if norm <= max_norm:
         return dict(grads)
     factor = max_norm / norm
@@ -322,6 +335,10 @@ def _encode_dataset(dataset, backbone_cfg: BackboneConfig) -> list[GraphSample]:
     return list(dataset)
 
 
+def _labels(encoded) -> np.ndarray:
+    return np.array([g.label for g in encoded], dtype=np.float64)
+
+
 # glibc mallopt parameters, and the values they are pinned to.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
@@ -355,15 +372,41 @@ def steady_heap() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
 
 
-def _fit(config: TuningConfig, encoded, train_idx, eval_idx, bb, head,
-         prompts: PromptSet, registry, shuffle_rng) -> RunRecord:
-    """The shared epoch loop: shuffled minibatches, clip, AdamW, epoch eval."""
+def _forwards(encoded, eval_idx, bb, head, prompts: PromptSet, embeddings=None):
+    """A fold's step forward over dataset rows, and its eval forward.
+
+    Without ``embeddings`` each step batches its graphs and runs the full
+    forward, and the eval forward runs it over the whole eval split. With
+    them (lightweight mode: the frozen backbone's readout of every graph,
+    in dataset order) the eval split's readout is taken once here and both
+    forwards run only the head.
+    """
+    eval_batch = batch_graphs([encoded[i] for i in eval_idx])
+    if embeddings is None:
+        def forward(rows):
+            batch = batch_graphs([encoded[i] for i in rows])
+            return backbone_forward(batch, bb, head, prompt_ctx=prompts)
+        return forward, lambda: backbone_forward(eval_batch, bb, head, prompt_ctx=prompts)
+    eval_embeddings = backbone_forward(eval_batch, bb, prompt_ctx=prompts)
+    return (lambda rows: head.forward(Tensor(embeddings[rows])),
+            lambda: head.forward(eval_embeddings))
+
+
+def _fit(config: TuningConfig, forwards, labels: np.ndarray, train_idx, eval_idx,
+         registry, shuffle_rng) -> RunRecord:
+    """The shared epoch loop: shuffled minibatches, clip, AdamW, epoch eval.
+
+    ``forwards`` is the pair built by ``_forwards``; ``labels`` holds every
+    graph's labels in dataset order. A non-finite loss or gradient stops
+    the run with a ``NonFiniteError`` naming the epoch and the step.
+    """
     steady_heap()
+    forward, evaluate = forwards
     optimizer = AdamW(registry.trainable, betas=config.betas, eps=config.eps,
                       weight_decay=config.weight_decay)
     schedule = Schedule(config.lr, config.warmup_epochs, config.epochs, config.decay)
-    eval_batch = batch_graphs([encoded[i] for i in eval_idx])
-    eval_labels = eval_batch.labels.data
+    eval_labels = labels[eval_idx]
+    steps = math.ceil(len(train_idx) / config.batch_size)
 
     record = RunRecord()
     for epoch in range(config.epochs):
@@ -371,23 +414,30 @@ def _fit(config: TuningConfig, encoded, train_idx, eval_idx, bb, head,
         lr_t = lr_at(epoch, schedule)
         order = shuffle_rng.permutation(len(train_idx))
         loss_sum = 0.0
-        for lo in range(0, len(order), config.batch_size):
+        for step in range(steps):
+            lo = step * config.batch_size
             chunk = [int(train_idx[i]) for i in order[lo:lo + config.batch_size]]
-            batch = batch_graphs([encoded[i] for i in chunk])
             with Tape():
-                out = backbone_forward(batch, bb, head, prompt_ctx=prompts)
-                loss = _loss(config, out, batch.labels.data)
+                out = forward(chunk)
+                loss = _loss(config, out, labels[chunk])
                 grads = backward(loss)
             named = {}
             for name, t in registry.trainable.items():
                 if t not in grads:
                     raise ContractError(f"trainable parameter {name} received no gradient")
                 named[name] = grads[t]
-            named = clip_global_norm(named, config.clip)
+            loss_value = float(loss.data)
+            try:
+                named = clip_global_norm(named, config.clip)
+                if not math.isfinite(loss_value):
+                    raise NonFiniteError(f"loss is {loss_value}")
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"epoch {epoch + 1} of {config.epochs}, "
+                                     f"step {step + 1} of {steps}: {exc}") from None
             optimizer.step(registry.trainable, named, lr_t)
-            loss_sum += float(loss.data) * len(chunk)
+            loss_sum += loss_value * len(chunk)
         record.train_losses.append(loss_sum / len(train_idx))
-        scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
+        scores = evaluate().data
         record.eval_metrics.append(_metric_value(config, scores, eval_labels))
         record.epoch_seconds.append(time.perf_counter() - started)
 
@@ -397,10 +447,15 @@ def _fit(config: TuningConfig, encoded, train_idx, eval_idx, bb, head,
     return record
 
 
-def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
-                 backbone_state, out_dim: int, seed: int, fold: int):
+def _load_backbone(backbone_cfg: BackboneConfig, backbone_state) -> Backbone:
     bb = Backbone.init(backbone_cfg, seed=0)
     bb.load_state(backbone_state)
+    return bb
+
+
+def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
+                 backbone_state, out_dim: int, seed: int, fold: int):
+    bb = _load_backbone(backbone_cfg, backbone_state)
     fold_seed = _subseed(seed, "fold", fold)
     head = PredictionHead.init(backbone_cfg.dim, out_dim, seed=fold_seed,
                                hidden=config.head_hidden)
@@ -413,7 +468,7 @@ def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
 
 
 def _run_fold(args) -> FoldResult:
-    (config, encoded, backbone_cfg, backbone_state, seed, fold) = args
+    (config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold) = args
     split = make_folds(len(encoded), config.folds, seed)
     train_idx, eval_idx = split.train_eval(fold)
     mode = config.mode.lower()
@@ -422,7 +477,8 @@ def _run_fold(args) -> FoldResult:
     registry = build_registry(bb, head, prompts, mode)
     counts = count_params(registry)
     try:
-        record = _fit(config, encoded, train_idx, eval_idx, bb, head, prompts,
+        forwards = _forwards(encoded, eval_idx, bb, head, prompts, embeddings)
+        record = _fit(config, forwards, _labels(encoded), train_idx, eval_idx,
                       registry, rng_for(seed, "shuffle", fold))
     except UndefinedMetricError as exc:
         raise DataError(f"fold {fold}: evaluation split: {exc}") from None
@@ -452,13 +508,19 @@ def train(config: TuningConfig, dataset: list[GraphSample],
           seed: int, parallel: int = 1) -> list[FoldResult]:
     """Run one tuning regime over all folds against a frozen backbone state.
 
-    The dataset is encoded once and shared by every fold. Folds are
+    The dataset is encoded once and shared by every fold. In lightweight
+    mode the frozen backbone also embeds every graph once here, and the
+    folds train only the head on rows of that (n x d) matrix. Folds are
     independent; with ``parallel > 1`` they run in a process pool (capped
     by GPT_LAB_THREADS) and results are returned in fold order either way.
     """
     _validate(config, dataset, backbone_cfg)
     encoded = _encode_dataset(dataset, backbone_cfg)
-    jobs = [(config, encoded, backbone_cfg, backbone_state, seed, fold)
+    embeddings = None
+    if config.mode.lower() == "lightweight":
+        bb = _load_backbone(backbone_cfg, backbone_state)
+        embeddings = backbone_forward(batch_graphs(encoded), bb).data
+    jobs = [(config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold)
             for fold in range(config.folds)]
     workers = min(parallel, config.folds, _worker_cap())
     if workers <= 1:
@@ -518,6 +580,7 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
     head = PredictionHead.init(backbone_cfg.dim, dataset[0].label_dim,
                                seed=_subseed(seed, "pretrain-head"))
     registry = build_registry(bb, head, PromptSet(), "ft")
-    record = _fit(config, encoded, train_idx, eval_idx, bb, head, PromptSet(),
-                  registry, rng_for(seed, "pretrain-shuffle"))
+    record = _fit(config, _forwards(encoded, eval_idx, bb, head, PromptSet()),
+                  _labels(encoded), train_idx, eval_idx, registry,
+                  rng_for(seed, "pretrain-shuffle"))
     return bb.state_arrays(), record

@@ -294,6 +294,20 @@ class TestTuneCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: fold 1: evaluation split: auroc is undefined")
 
+    def test_non_finite_backbone_exits_5_naming_the_step(self, workspace, tmp_path, capsys):
+        backbone_cfg, state = ck.load_backbone(ckpt_of(workspace))
+        state = dict(state)
+        state["layer0.ffn1.weight"] = state["layer0.ffn1.weight"].copy()
+        state["layer0.ffn1.weight"][1, 2] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        ck.save_backbone(ckpt, backbone_cfg, state)
+        config = write_config(tmp_path / "exp.ini")
+        assert main(["tune", "--config", str(config), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "run")]) == 5
+        err = capsys.readouterr().err
+        assert err == ("numerical error: epoch 1 of 2, step 1 of 2: "
+                       "gradient of head.weight is not finite\n")
+
     def test_unknown_config_key_exits_2(self, workspace, tmp_path):
         config = write_config(tmp_path / "bad.ini",
                               replace={"p_len = 2": "p_len = 2\nbogus = 1"})

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +236,43 @@ class TestBackwardContract:
         with Tape():
             grads = backward(T.tsum(T.add(x, x)))
         assert np.array_equal(grads[x], np.full((2, 2), 2.0))
+
+
+class TestTapeRelease:
+    """A tape and its record are freed when its block exits, without the cyclic GC."""
+
+    def record(self):
+        w = Tensor(rand(3, 3), requires_grad=True)
+        x = Tensor(rand(4, 3))
+        tape = Tape()
+        with tape:
+            h = T.gelu(T.matmul(x, w))
+            loss = T.tsum(T.mul(h, h))
+            grads = backward(loss)
+        return weakref.ref(tape), w, h, loss, grads
+
+    def test_tape_dead_right_after_its_block(self, no_cyclic_gc):
+        ref, w, h, loss, grads = self.record()
+        assert w in grads
+        # the parameter and the recorded outputs are still alive; the tape is not
+        assert ref() is None
+
+    def test_no_parameter_points_at_the_tape(self, no_cyclic_gc):
+        _, w, *_ = self.record()
+        assert w._tape is None and w.tape_id is None
+
+    def test_backward_after_the_block_rejected(self, no_cyclic_gc):
+        _, w, h, loss, grads = self.record()
+        with pytest.raises(ContractError, match="open tape"):
+            backward(loss)
+
+    def test_backward_on_a_held_closed_tape_rejected(self):
+        w = Tensor(rand(2), requires_grad=True)
+        with Tape() as tape:
+            loss = T.tsum(T.mul(w, w))
+        assert tape.nodes
+        with pytest.raises(ContractError, match="open tape"):
+            backward(loss)
 
 
 _TRANSPOSE_W = rand(4, 3)

@@ -4,10 +4,12 @@ import platform
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
 
+from gpt_lab import tensor as T
 from gpt_lab import training
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
@@ -15,6 +17,7 @@ from gpt_lab.prompt import build_registry, init_prompts
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward
 from gpt_lab.training import (
     AdamW,
+    NonFiniteError,
     Schedule,
     TuningConfig,
     UndefinedMetricError,
@@ -239,6 +242,16 @@ class TestClip:
             new = math.sqrt(sum(float((v * v).sum()) for v in out.values()))
             assert new == pytest.approx(min(orig, 5.0), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_norm_names_the_first_bad_gradient(self, bad):
+        g = {"a": np.ones(3), "b": np.array([1.0, bad]), "c": np.array([bad])}
+        with pytest.raises(NonFiniteError, match="gradient of b is not finite"):
+            clip_global_norm(g, 5.0)
+
+    def test_overflowing_norm_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="overflows"):
+            clip_global_norm({"a": np.full(2, 1e200)}, 5.0)
+
 
 # ---------------------------------------------------------------------------
 # Training loop
@@ -322,14 +335,15 @@ class TestTrain:
             for k in ra.prompt_state:
                 assert np.array_equal(ra.prompt_state[k], rb.prompt_state[k])
 
-    def test_rwpe_computed_once_per_call(self, motif_data, monkeypatch):
+    @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
+    def test_rwpe_computed_once_per_call(self, motif_data, monkeypatch, mode):
         """train() encodes the dataset once for all folds; evaluate_fold only its split."""
         calls = []
         encode = training.with_rwpe
         monkeypatch.setattr(training, "with_rwpe",
                             lambda graphs, k: calls.append(len(graphs)) or encode(graphs, k))
         cfg, state = tiny_backbone()
-        config = tiny_config("deepgpt")
+        config = tiny_config(mode)
         results = train(config, motif_data, cfg, state, seed=1)
         assert calls == [len(motif_data)]
         score = training.evaluate_fold(config, motif_data, cfg, state,
@@ -337,12 +351,28 @@ class TestTrain:
         assert calls == [len(motif_data), len(motif_data) // config.folds]
         assert score == results[1].final_metric
 
-    def test_parallel_folds_match_sequential(self, motif_data):
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_lightweight_runs_the_backbone_once_per_split(self, motif_data, monkeypatch,
+                                                          epochs):
+        """One forward embeds the dataset for every fold, plus one per eval split."""
+        calls = []
+        forward = training.backbone_forward
+        monkeypatch.setattr(training, "backbone_forward",
+                            lambda batch, *a, **kw: calls.append(len(batch.offsets) - 1)
+                            or forward(batch, *a, **kw))
         cfg, state = tiny_backbone()
-        seq = train(tiny_config("deepgpt"), motif_data, cfg, state, seed=7)
-        par = train(tiny_config("deepgpt"), motif_data, cfg, state, seed=7, parallel=2)
+        config = tiny_config("lightweight", epochs=epochs, warmup_epochs=epochs - 1)
+        train(config, motif_data, cfg, state, seed=1)
+        assert calls == [len(motif_data)] + [len(motif_data) // config.folds] * config.folds
+
+    @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
+    def test_parallel_folds_match_sequential(self, motif_data, mode):
+        cfg, state = tiny_backbone()
+        seq = train(tiny_config(mode), motif_data, cfg, state, seed=7)
+        par = train(tiny_config(mode), motif_data, cfg, state, seed=7, parallel=2)
         for ra, rb in zip(seq, par):
             assert ra.record.train_losses == rb.record.train_losses
+            assert ra.record.eval_metrics == rb.record.eval_metrics
 
     def test_worker_cap_env_var(self, motif_data, monkeypatch):
         from gpt_lab.training import _worker_cap
@@ -357,6 +387,26 @@ class TestTrain:
         res = train(tiny_config("deepgpt"), motif_data, cfg, state, seed=7, parallel=4)
         assert [r.fold for r in res] == [0, 1, 2]
 
+    @pytest.mark.parametrize("mode", ["lightweight", "deepgpt"])
+    def test_non_finite_backbone_state_fails_fast(self, motif_data, mode):
+        cfg, state = tiny_backbone()
+        state = dict(state)
+        state["layer1.ffn1.weight"] = state["layer1.ffn1.weight"].copy()
+        state["layer1.ffn1.weight"][0, 0] = np.nan
+        config = tiny_config(mode)
+        with pytest.raises(NonFiniteError,
+                           match=r"^epoch 1 of 2, step 1 of 2: gradient of head\.weight "
+                                 r"is not finite$"):
+            train(config, motif_data, cfg, state, seed=1)
+
+    def test_non_finite_loss_with_finite_gradients_fails_fast(self, motif_data, monkeypatch):
+        loss = training._loss
+        monkeypatch.setattr(training, "_loss", lambda config, out, labels:
+                            T.add(loss(config, out, labels), Tensor(np.array(np.inf))))
+        cfg, state = tiny_backbone()
+        with pytest.raises(NonFiniteError, match=r"^epoch 1 of 2, step 1 of 2: loss is inf$"):
+            train(tiny_config("lightweight"), motif_data, cfg, state, seed=1)
+
     def test_hidden_head_mode(self, motif_data):
         cfg, state = tiny_backbone()
         results = train(tiny_config("lightweight", head_hidden=True),
@@ -364,6 +414,31 @@ class TestTrain:
         # hidden layer (8x8 + 8) plus output layer (8 + 1)
         assert results[0].trainable_count == 8 * 8 + 8 + 8 + 1
         assert "head.hidden.weight" in results[0].prompt_state
+
+
+def test_each_step_frees_its_tape_when_its_block_exits(motif_data, monkeypatch,
+                                                       no_cyclic_gc):
+    """No tape outlives its step, even with the cyclic collector off."""
+    made = []
+
+    class CountedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    alive_at_step = []
+    step = AdamW.step
+
+    def checked_step(opt, params, grads, lr_t):
+        alive_at_step.append(sum(ref() is not None for ref in made))
+        return step(opt, params, grads, lr_t)
+
+    monkeypatch.setattr(training, "Tape", CountedTape)
+    monkeypatch.setattr(AdamW, "step", checked_step)
+    cfg, state = tiny_backbone()
+    train(tiny_config("deepgpt", epochs=1, warmup_epochs=0), motif_data, cfg, state, seed=1)
+    assert len(made) == len(alive_at_step) == 3 * 2
+    assert alive_at_step == [0] * len(made)
 
 
 class TestFreezeSoundness:
