@@ -42,13 +42,12 @@ from gpt_lab.tensor import (
     block_attention,
     concat_cols,
     concat_rows,
-    embedding,
+    gather_rows,
     gelu,
     layer_norm,
     masked_pool_rows,
     matmul,
     neighbor_max,
-    slice_rows,
     spmm,
 )
 
@@ -372,17 +371,29 @@ def _attention_groups(layout: RowLayout) -> AttentionGroups:
     return AttentionGroups(index, real[:, :, None] & real[:, None, :])
 
 
-def _insert_prompt_rows(h: Tensor, layout: RowLayout, rows: Tensor) -> tuple[Tensor, RowLayout]:
-    """Put ``rows`` at the head of every sample block, ahead of its node rows."""
-    p = rows.shape[0]
-    parts, blocks, nodes = [], [], []
-    offset = 0
-    for (bs, be), (ns, ne) in zip(layout.blocks, layout.nodes):
-        parts += [rows, slice_rows(h, bs, be)]
-        blocks.append((offset, offset + p + be - bs))
-        nodes.append((offset + p + ns - bs, offset + p + ne - bs))
-        offset = blocks[-1][1]
-    return concat_rows(parts), RowLayout(blocks, nodes)
+def _insert_prompt_rows(h: Tensor, layout: RowLayout, p: int,
+                        rows: Tensor | None = None) -> tuple[Tensor, RowLayout]:
+    """Put p prompt rows at the head of every sample block, ahead of its rows.
+
+    The prompt rows are ``rows`` when given and zero slot rows otherwise.
+    One ``gather_rows`` builds the result, from ``[rows; h]`` or, for
+    slots, from ``h`` with -1 at every slot position.
+    """
+    old = np.array(layout.blocks, dtype=np.int64).reshape(-1, 2)
+    sizes = old[:, 1] - old[:, 0] + p
+    start = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.arange(sizes.sum()) - start[owner]          # position within the new block
+    if rows is None:
+        index = np.where(pos < p, -1, old[owner, 0] + pos - p)
+    else:
+        index = np.where(pos < p, pos, old[owner, 0] + pos)   # h starts at row p of [rows; h]
+        h = concat_rows([rows, h])
+    shift = start + p - old[:, 0]
+    nodes = np.array(layout.nodes, dtype=np.int64).reshape(-1, 2) + shift[:, None]
+    blocks = np.stack([start, start + sizes], axis=1)
+    return gather_rows(h, index), RowLayout(list(map(tuple, blocks.tolist())),
+                                            list(map(tuple, nodes.tolist())))
 
 
 def _mpgnn_adjacency(batch: BatchedGraph, layout: RowLayout) -> sparse.csr_matrix:
@@ -452,11 +463,12 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     h = add(matmul(x, backbone.w_in), backbone.b_in)
     if backbone.degree_table is not None:
         ids = np.minimum(batch.degrees, cfg.max_degree)
-        h = add(h, embedding(backbone.degree_table, ids))
+        h = add(h, gather_rows(backbone.degree_table, ids))
     if token is not None and prompts.token_stage == "post_projection":
         h = apply_graph_prompt(h, token)
     if prompts.virtual_tokens is not None and prompts.virtual_tokens.shape[0] > 0:
-        h, layout = _insert_prompt_rows(h, layout, prompts.virtual_tokens)
+        h, layout = _insert_prompt_rows(h, layout, prompts.virtual_tokens.shape[0],
+                                        prompts.virtual_tokens)
 
     if cfg.kind == "mpgnn":
         adj = _mpgnn_adjacency(batch, layout)
@@ -467,8 +479,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     groups = _attention_groups(layout)
     for li, params in enumerate(backbone.layers):
         if prompted and li == prompted[0]:
-            slots = Tensor(np.zeros((prompts.p_len, cfg.dim)))
-            h, layout = _insert_prompt_rows(h, layout, slots)
+            h, layout = _insert_prompt_rows(h, layout, prompts.p_len)
             groups = _attention_groups(layout)
         if li in prompts.prefixes:
             h = inject_prefix(h, prompts.prefixes[li], li, prompts,

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from gpt_lab.seeding import rng_for
-from gpt_lab.tensor import ContractError, ShapeError, Tensor, add_rows_masked, overwrite_rows
+from gpt_lab.tensor import ContractError, ShapeError, Tensor, add, concat_rows, gather_rows
 
 __all__ = [
     "MODES",
@@ -212,9 +214,9 @@ def count_params(registry: FreezeRegistry) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def apply_graph_prompt(x: Tensor, token: Tensor, node_mask=None) -> Tensor:
-    """Add the graph token to every row ``node_mask`` selects, by default every row."""
-    return add_rows_masked(x, token, node_mask)
+def apply_graph_prompt(x: Tensor, token: Tensor) -> Tensor:
+    """Add the graph token to every row of ``x``."""
+    return add(x, token)
 
 
 def inject_prefix(e: Tensor, prefix: Tensor, layer: int, prompts: PromptSet,
@@ -224,10 +226,21 @@ def inject_prefix(e: Tensor, prefix: Tensor, layer: int, prompts: PromptSet,
     Replacement semantics: the previous slot values are discarded, and
     gradient reaches earlier prefixes only through attention into the
     real-node rows. ``starts`` gives the slot offset of each sample block
-    (a single sequence keeps the default leading block).
+    (a single sequence keeps the default leading block). One gather from
+    ``[prefix; e]`` reads prefix rows at the slots and ``e`` elsewhere, so
+    the overwritten rows of ``e`` get no gradient and the prefix gets the
+    sum over every block.
     """
     if layer not in prompts.prefixes:
         raise ContractError(f"layer {layer} is not in the prompted set "
                             f"{prompts.prompted_layers}")
-    return overwrite_rows(e, prefix, starts)
-
+    rows, p = e.shape[0], prefix.shape[0]
+    starts = np.sort(np.asarray(starts, dtype=np.int64))
+    if starts.size and (starts[0] < 0 or starts[-1] + p > rows):
+        raise ShapeError(f"inject_prefix: a {p}-row prefix at offsets {starts.tolist()} "
+                         f"exceeds {rows} rows")
+    if (np.diff(starts) < p).any():
+        raise ContractError("inject_prefix: overlapping prefix blocks")
+    index = np.arange(p, p + rows)
+    index[(starts[:, None] + np.arange(p)).ravel()] = np.tile(np.arange(p), starts.size)
+    return gather_rows(concat_rows([prefix, e]), index)

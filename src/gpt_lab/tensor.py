@@ -8,12 +8,16 @@ tensors that require gradients.
 
 Shapes are kept deliberately rigid: every tensor is a scalar, a vector or
 a matrix, and the single allowed broadcast is a row vector over the rows
-of a matrix. Everything else is a shape error. The one place that works
-on higher-rank arrays is ``block_attention``: it gathers the rows of its
-(R, heads * dq) operands into padded (B, heads, L, dq) groups, runs
-softmax attention within each group and scatters the result back to
-(R, heads * dq), so the 4-D arrays never leave that operation. The
-sparse matrix that ``spmm`` and ``neighbor_max`` take is a constant.
+of a matrix. Everything else is a shape error. Rows move by one
+primitive, ``gather_rows``: output row i reads input row ``index[i]``, or
+a zero row for -1, and the backward pass scatter-adds onto the rows read.
+``masked_pool_rows`` and ``block_attention`` gather through the same
+helper. The one place that works on higher-rank arrays is
+``block_attention``: it gathers the rows of its (R, heads * dq) operands
+into padded (B, heads, L, dq) groups, runs softmax attention within each
+group and scatters the result back to (R, heads * dq), so the 4-D arrays
+never leave that operation. The sparse matrix that ``spmm`` and
+``neighbor_max`` take is a constant.
 """
 
 from __future__ import annotations
@@ -34,23 +38,18 @@ __all__ = [
     "MASK_FILL",
     "backward",
     "matmul",
-    "transpose",
     "add",
     "mul",
     "scale",
     "gelu",
     "tsum",
-    "softmax_masked",
     "AttentionGroups",
     "block_attention",
     "layer_norm",
     "concat_rows",
     "concat_cols",
-    "slice_rows",
+    "gather_rows",
     "masked_pool_rows",
-    "add_rows_masked",
-    "overwrite_rows",
-    "embedding",
     "spmm",
     "neighbor_max",
     "bce_with_logits",
@@ -99,12 +98,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def copy_data(self) -> np.ndarray:
-        return self.data.copy()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -119,15 +112,6 @@ class Tensor:
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 _GradFn = Callable[[np.ndarray], np.ndarray]
@@ -262,14 +246,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T.copy())
-    return _record(out, [(a, lambda g: g.T.copy())])
-
-
 def _broadcast_kind(a: Tensor, b: Tensor, op: str) -> str:
     if a.shape == b.shape:
         return "same"
@@ -329,8 +305,7 @@ def tsum(a: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g * np.ones_like(ad))])
 
 
-def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str,
-                       row_ids: np.ndarray | None = None):
+def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str, row_ids: np.ndarray):
     """Softmax over the last axis with masked entries pinned to exactly zero.
 
     ``m`` broadcasts against ``scores``. Masking adds ``MASK_FILL`` before
@@ -344,8 +319,6 @@ def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str,
     gradient on them to the gradient on ``scores``.
     """
     alive = m.any(axis=-1)
-    if row_ids is None:
-        row_ids = np.arange(alive.size).reshape(alive.shape)
     dead = ~alive & (row_ids >= 0)
     if dead.any():
         raise DegenerateRowError(f"{what}: row {int(row_ids[dead][0])} is fully masked")
@@ -360,22 +333,6 @@ def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str,
         return probs * (g - dot)
 
     return probs, bwd
-
-
-def softmax_masked(scores: Tensor, mask=None) -> Tensor:
-    """Row softmax with masked entries pinned to exactly zero.
-
-    A row with no unmasked entry is rejected.
-    """
-    scores = _as_tensor(scores)
-    if scores.ndim != 2:
-        raise ShapeError(f"softmax_masked needs a matrix, got shape {scores.shape}")
-    if mask is None:
-        m = np.ones(scores.shape, dtype=bool)
-    else:
-        m = _as_mask(mask, scores.shape, "softmax_masked")
-    probs, bwd = _softmax_last_axis(scores.data, m, "softmax_masked")
-    return _record(Tensor(probs), [(scores, bwd)])
 
 
 class AttentionGroups(NamedTuple):
@@ -428,8 +385,7 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, groups: AttentionGroups,
 
     def split(a):
         """(R, heads * dq) -> (B, heads, L, dq); padding positions read zeros."""
-        padded = np.concatenate([a, np.zeros((1, width))])
-        return padded[index].reshape(b, n, heads, dq).transpose(0, 2, 1, 3)
+        return _take_rows(a, index).reshape(b, n, heads, dq).transpose(0, 2, 1, 3)
 
     def merge(a):
         """(B, heads, L, dq) -> (R, heads * dq), dropping padding positions."""
@@ -487,33 +443,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     ])
 
 
-def _row_block(t: Tensor) -> np.ndarray:
-    if t.ndim == 1:
-        return t.data[None, :]
-    if t.ndim == 2:
-        return t.data
-    raise ShapeError(f"concat_rows parts must be vectors or matrices, got shape {t.shape}")
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack parts along the row axis; 1-D parts become single rows."""
+    """Stack matrices along the row axis."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat_rows needs at least one part")
-    blocks = [_row_block(p) for p in parts]
-    width = blocks[0].shape[1]
-    for p, b in zip(parts, blocks):
-        if b.shape[1] != width:
-            raise ShapeError(f"concat_rows: width mismatch {b.shape[1]} vs {width}")
-    out = Tensor(np.concatenate(blocks, axis=0))
+    width = parts[0].shape[-1]
+    for p in parts:
+        if p.ndim != 2 or p.shape[1] != width:
+            raise ShapeError(f"concat_rows: expected {width}-column matrices, got shape {p.shape}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
     deps = []
     offset = 0
-    for p, b in zip(parts, blocks):
-        start, stop = offset, offset + b.shape[0]
-        if p.ndim == 1:
-            deps.append((p, lambda g, s=start: g[s].copy()))
-        else:
-            deps.append((p, lambda g, s=start, e=stop: g[s:e].copy()))
+    for p in parts:
+        start, stop = offset, offset + p.shape[0]
+        deps.append((p, lambda g, s=start, e=stop: g[s:e].copy()))
         offset = stop
     return _record(out, deps)
 
@@ -537,22 +481,35 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, deps)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"slice_rows needs a matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice_rows: range [{start}, {stop}) out of bounds for {n} rows")
-    out = Tensor(a.data[start:stop].copy())
-    ad = a.data
+def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[index]`` along the first axis, where an index of -1 reads a zero row."""
+    out = a.take(index, axis=0)
+    out[index < 0] = 0.0
+    return out
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
+    """Row ``i`` of the result is ``x[index[i]]``, or a zero row where ``index[i]`` is -1.
+
+    A row of ``x`` may be read any number of times; the backward pass
+    scatter-adds every gradient row back onto the row it was read from,
+    in one ``np.bincount``.
+    """
+    x = _as_tensor(x)
+    idx = np.asarray(index)
+    if x.ndim != 2 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"gather_rows needs a matrix and a 1-D int index, got shape "
+                         f"{x.shape} and {idx.dtype} index of shape {idx.shape}")
+    n, d = x.shape
+    if idx.size and (idx.min() < -1 or idx.max() >= n):
+        raise ContractError(f"gather_rows: index outside [-1, {n}) for a {n}-row matrix")
 
     def bwd(g):
-        z = np.zeros_like(ad)
-        z[start:stop] = g
-        return z
+        # -1 becomes a spare row n, whose sums are dropped.
+        flat = ((idx % (n + 1))[:, None] * d + np.arange(d)).ravel()
+        return np.bincount(flat, weights=g.ravel(), minlength=(n + 1) * d)[:n * d].reshape(n, d)
 
-    return _record(out, [(a, bwd)])
+    return _record(Tensor(_take_rows(x.data, idx)), [(x, bwd)])
 
 
 def masked_pool_rows(x: Tensor, row_mask, mode: str) -> Tensor:
@@ -583,7 +540,7 @@ def masked_pool_rows(x: Tensor, row_mask, mode: str) -> Tensor:
     index = np.full((len(counts), counts.max()), -1)
     index[owner, np.arange(rows.size) - (np.cumsum(counts) - counts)[owner]] = rows
     xd = x.data
-    pooled = np.concatenate([xd, np.zeros((1, xd.shape[1]))])[index].sum(axis=1)
+    pooled = _take_rows(xd, index).sum(axis=1)
     if mode == "mean":
         pooled = pooled / counts[:, None]
     out = Tensor(pooled[0] if vector else pooled)
@@ -595,76 +552,6 @@ def masked_pool_rows(x: Tensor, row_mask, mode: str) -> Tensor:
         return z
 
     return _record(out, [(x, bwd)])
-
-
-def add_rows_masked(x: Tensor, v: Tensor, row_mask=None) -> Tensor:
-    """Add vector ``v`` to each selected row of ``x``; other rows untouched."""
-    x, v = _as_tensor(x), _as_tensor(v)
-    if x.ndim != 2 or v.ndim != 1 or v.shape[0] != x.shape[1]:
-        raise ShapeError(f"add_rows_masked: shapes {x.shape} and {v.shape} are incompatible")
-    if row_mask is None:
-        m = np.ones(x.shape[0], dtype=bool)
-    else:
-        m = _as_mask(row_mask, (x.shape[0],), "add_rows_masked")
-    outd = x.data.copy()
-    outd[m] += v.data
-    out = Tensor(outd)
-    return _record(out, [(x, lambda g: g), (v, lambda g: g[m].sum(axis=0))])
-
-
-def overwrite_rows(base: Tensor, rows: Tensor, starts: Sequence[int]) -> Tensor:
-    """Replace ``rows.shape[0]``-row blocks of ``base`` at each start offset.
-
-    Replacement, not addition: the overwritten entries of ``base`` receive
-    no gradient, while ``rows`` accumulates gradient from every block.
-    """
-    base, rows = _as_tensor(base), _as_tensor(rows)
-    if base.ndim != 2 or rows.ndim != 2 or base.shape[1] != rows.shape[1]:
-        raise ShapeError(f"overwrite_rows: shapes {base.shape} and {rows.shape} are incompatible")
-    p = rows.shape[0]
-    starts = sorted(int(s) for s in starts)
-    for i, s in enumerate(starts):
-        if s < 0 or s + p > base.shape[0]:
-            raise ShapeError(f"overwrite_rows: block at {s} exceeds {base.shape[0]} rows")
-        if i and s < starts[i - 1] + p:
-            raise ContractError("overwrite_rows: overlapping blocks")
-    outd = base.data.copy()
-    for s in starts:
-        outd[s:s + p] = rows.data
-    out = Tensor(outd)
-
-    def bwd_base(g):
-        z = g.copy()
-        for s in starts:
-            z[s:s + p] = 0.0
-        return z
-
-    def bwd_rows(g):
-        acc = np.zeros_like(rows.data)
-        for s in starts:
-            acc += g[s:s + p]
-        return acc
-
-    return _record(out, [(base, bwd_base), (rows, bwd_rows)])
-
-
-def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer id; gradients scatter-add back."""
-    table = _as_tensor(table)
-    idx = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"embedding: table shape {table.shape}, ids shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ContractError(f"embedding: id out of range for table with {table.shape[0]} rows")
-    out = Tensor(table.data[idx].copy())
-    td = table.data
-
-    def bwd(g):
-        z = np.zeros_like(td)
-        np.add.at(z, idx, g)
-        return z
-
-    return _record(out, [(table, bwd)])
 
 
 def spmm(a, x: Tensor) -> Tensor:

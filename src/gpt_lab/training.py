@@ -398,7 +398,9 @@ def _fit(config: TuningConfig, forwards, labels: np.ndarray, train_idx, eval_idx
 
     ``forwards`` is the pair built by ``_forwards``; ``labels`` holds every
     graph's labels in dataset order. A non-finite loss or gradient stops
-    the run with a ``NonFiniteError`` naming the epoch and the step.
+    the run with a ``NonFiniteError`` naming the epoch and the step. A
+    trainable parameter without a gradient means the forward is broken,
+    not the config, so it raises ``RuntimeError``.
     """
     steady_heap()
     forward, evaluate = forwards
@@ -424,7 +426,7 @@ def _fit(config: TuningConfig, forwards, labels: np.ndarray, train_idx, eval_idx
             named = {}
             for name, t in registry.trainable.items():
                 if t not in grads:
-                    raise ContractError(f"trainable parameter {name} received no gradient")
+                    raise RuntimeError(f"trainable parameter {name} received no gradient")
                 named[name] = grads[t]
             loss_value = float(loss.data)
             try:

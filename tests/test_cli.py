@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from gpt_lab import checkpoint as ck
+from gpt_lab import training
 from gpt_lab.cli import (
     ABLATE_CSV_FIELDS,
     FOLD_CSV_FIELDS,
@@ -307,6 +309,20 @@ class TestTuneCommand:
         err = capsys.readouterr().err
         assert err == ("numerical error: epoch 1 of 2, step 1 of 2: "
                        "gradient of head.weight is not finite\n")
+
+    def test_parameter_without_gradient_is_not_a_config_error(self, workspace, tmp_path,
+                                                              monkeypatch, capsys):
+        forward = training.backbone_forward
+
+        def tokenless(batch, bb, head=None, prompt_ctx=None):
+            return forward(batch, bb, head, dataclasses.replace(prompt_ctx, graph_token=None))
+
+        monkeypatch.setattr(training, "backbone_forward", tokenless)
+        config = write_config(tmp_path / "exp.ini")
+        with pytest.raises(RuntimeError, match="prompt.token received no gradient"):
+            main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                  "--out", str(tmp_path / "run")])
+        assert "config error" not in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, workspace, tmp_path):
         config = write_config(tmp_path / "bad.ini",

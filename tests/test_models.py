@@ -16,7 +16,7 @@ from gpt_lab.models import (
     readout,
     transformer_layer_forward,
 )
-from gpt_lab.prompt import init_prompts
+from gpt_lab.prompt import build_registry, init_prompts
 from gpt_lab.tensor import AttentionGroups, ContractError, Tape, Tensor, backward, mul, tsum
 
 RNG = np.random.default_rng(100)
@@ -408,6 +408,27 @@ class TestBackboneForward:
             grads = backward(tsum(backbone_forward(prepared, bb, head)))
         for name, t in params.items():
             assert t in grads, f"no gradient for {name}"
+
+
+class TestTapeSize:
+    """Prompt rows enter by one gather, so a step's tape does not grow with the batch."""
+
+    @pytest.mark.parametrize("kind, mode", [("transformer", "deepgpt"),
+                                            ("mpgnn", "virtual_node")])
+    def test_a_step_records_as_many_nodes_at_bs_2_as_at_bs_16(self, kind, mode):
+        rng = np.random.default_rng(19)
+        cfg, bb, head = _build(kind, layers=3)
+        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=8)
+        build_registry(bb, head, prompts, mode)
+        graphs = [random_graph(int(rng.integers(3, 8)), 0.4, rng) for _ in range(16)]
+        nodes = []
+        for bs in (2, 16):
+            with Tape() as tape:
+                out = backbone_forward(prepare_batch(graphs[:bs], cfg), bb, head,
+                                       prompt_ctx=prompts)
+                backward(tsum(out))
+            nodes.append(len(tape.nodes))
+        assert nodes[0] == nodes[1]
 
 
 class TestStateRoundTrip:

@@ -20,7 +20,7 @@ from gpt_lab.prompt import (
     init_prompts,
     inject_prefix,
 )
-from gpt_lab.tensor import ContractError, ShapeError, Tape, Tensor, backward, tsum
+from gpt_lab.tensor import ContractError, ShapeError, Tape, Tensor, backward, mul, tsum
 
 RNG = np.random.default_rng(21)
 
@@ -48,13 +48,6 @@ class TestApplyGraphPrompt:
         v = RNG.normal(size=5)
         out = apply_graph_prompt(Tensor(np.zeros((3, 5))), Tensor(v))
         assert np.array_equal(out.data, np.tile(v, (3, 1)))
-
-    def test_padding_rows_untouched(self):
-        x = RNG.normal(size=(4, 5))
-        mask = np.array([True, True, False, True])
-        out = apply_graph_prompt(Tensor(x), Tensor(np.ones(5)), mask).data
-        assert np.array_equal(out[2], x[2])
-        assert np.array_equal(out[mask], x[mask] + 1.0)
 
     def test_constant_shift_equivalence_linear_model(self):
         """Setting the token to the shift constant reproduces the shifted input."""
@@ -84,6 +77,31 @@ class TestInjectPrefix:
         out = inject_prefix(e, p, 1, prompts).data
         assert np.array_equal(out[:2], p.data)
         assert np.array_equal(out[2:], e.data[2:])
+
+    def test_overwritten_rows_get_no_gradient_and_the_prefix_sums_every_block(self):
+        e = Tensor(RNG.normal(size=(7, 4)), requires_grad=True)
+        p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
+        prompts = PromptSet(prefixes={1: p}, p_len=2)
+        g = RNG.normal(size=(7, 4))
+        with Tape():
+            out = inject_prefix(e, p, 1, prompts, starts=[4, 0])
+            grads = backward(tsum(mul(out, Tensor(g))))
+        assert np.array_equal(out.data[[0, 1, 4, 5]], np.concatenate([p.data, p.data]))
+        assert np.array_equal(out.data[[2, 3, 6]], e.data[[2, 3, 6]])
+        assert np.array_equal(grads[e][[0, 1, 4, 5]], np.zeros((4, 4)))
+        assert np.array_equal(grads[e][[2, 3, 6]], g[[2, 3, 6]])
+        assert np.array_equal(grads[p], g[0:2] + g[4:6])
+
+    @pytest.mark.parametrize("starts, error, message", [
+        ([0, 6], ShapeError, "exceeds 7 rows"),
+        ([-1], ShapeError, "exceeds 7 rows"),
+        ([0, 1], ContractError, "overlapping"),
+    ])
+    def test_blocks_must_fit_and_not_overlap(self, starts, error, message):
+        p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
+        prompts = PromptSet(prefixes={1: p}, p_len=2)
+        with pytest.raises(error, match=message):
+            inject_prefix(Tensor(RNG.normal(size=(7, 4))), p, 1, prompts, starts)
 
     def test_unprompted_layer_rejected(self):
         p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)

@@ -16,11 +16,13 @@ from gpt_lab.models import (
     BackboneConfig,
     PredictionHead,
     RowLayout,
+    _insert_prompt_rows,
     _mpgnn_adjacency,
     backbone_forward,
     prepare_batch,
 )
-from gpt_lab.prompt import init_prompts
+from gpt_lab.prompt import PromptSet, init_prompts
+from gpt_lab.tensor import Tensor
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                              database=None)
@@ -108,3 +110,66 @@ def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
     for row, expected in enumerate(want):
         stored = adj[row].indices.tolist()
         assert len(stored) == len(set(stored)) and set(stored) == expected
+
+
+PROMPTED = {"deepgpt": "transformer", "prefix_only": "transformer",
+            "virtual_node": "mpgnn_max"}
+
+
+@pytest.mark.parametrize("mode", sorted(PROMPTED))
+@PROPERTY_SETTINGS
+@given(batch=batches(), p_len=st.integers(1, 8))
+def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
+    """Prompt lengths up to 8 exceed the 1-to-6-node graphs."""
+    cfg, bb, head, _ = MODELS[PROMPTED[mode]]
+    prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=p_len, seed=4,
+                           prompted_layers=(1, 2) if mode == "prefix_only" else None)
+    together = backbone_forward(prepare_batch(batch, cfg), bb, head, prompt_ctx=prompts).data
+    alone = np.concatenate([
+        backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
+        for g in batch])
+    assert np.abs(together - alone).max() <= 1e-10
+
+
+def _permuted(g, perm):
+    """``g`` with node ``perm[i]`` renamed to ``i``."""
+    new = np.argsort(perm)
+    edges = tuple((int(new[i]), int(new[j])) for i, j in g.edges)
+    return GraphSample(g.n, g.features[perm], edges, g.label)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@PROPERTY_SETTINGS
+@given(g=graphs(), seed=st.integers(0, 2**16))
+def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
+    cfg, bb, head, prompts = MODELS[name]
+    perm = np.random.default_rng(seed).permutation(g.n)
+    base = backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
+    moved = backbone_forward(prepare_batch([_permuted(g, perm)], cfg), bb, head,
+                             prompt_ctx=prompts).data
+    assert np.abs(base - moved).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["transformer", "mpgnn_sum", "mpgnn_max"])
+@PROPERTY_SETTINGS
+@given(batch=batches())
+def test_empty_prompt_set_changes_nothing(name, batch):
+    cfg, bb, head, _ = MODELS[name]
+    prepared = prepare_batch(batch, cfg)
+    plain = backbone_forward(prepared, bb, head).data
+    empty = backbone_forward(prepared, bb, head, prompt_ctx=PromptSet()).data
+    assert np.abs(plain - empty).max() == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(batch=batches(), p=st.integers(0, 3), with_rows=st.booleans(), seed=st.integers(0, 99))
+def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, with_rows, seed):
+    rng = np.random.default_rng(seed)
+    layout = _layout(batch, 0)
+    h = rng.normal(size=(layout.total_rows, 4))
+    rows = rng.normal(size=(p, 4))
+    out, new = _insert_prompt_rows(Tensor(h), layout, p, Tensor(rows) if with_rows else None)
+    head = rows if with_rows else np.zeros((p, 4))
+    want = np.concatenate([np.concatenate([head, h[s:e]]) for s, e in layout.blocks])
+    assert np.array_equal(out.data, want)
+    assert new == _layout(batch, p)

@@ -79,39 +79,47 @@ class TestMatmul:
         assert np.allclose(grads[a], expected, atol=1e-12)
 
 
+def softmax(scores, mask=None):
+    """The masked softmax core of block_attention on the rows of a matrix."""
+    scores = np.asarray(scores, dtype=float)
+    mask = np.ones(scores.shape, dtype=bool) if mask is None else mask
+    return T._softmax_last_axis(scores, mask, "softmax", np.arange(scores.shape[0]))
+
+
 class TestSoftmaxMasked:
     def test_uniform_row(self):
-        out = T.softmax_masked(Tensor([[0.0, 0.0, 0.0]]))
-        assert np.allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        probs, _ = softmax([[0.0, 0.0, 0.0]])
+        assert np.allclose(probs, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_single_survivor(self):
-        out = T.softmax_masked(Tensor([[2.5, 7.0]]), np.array([[True, False]]))
-        assert np.array_equal(out.data, [[1.0, 0.0]])
+        probs, _ = softmax([[2.5, 7.0]], np.array([[True, False]]))
+        assert np.array_equal(probs, [[1.0, 0.0]])
 
     def test_exp_normalize_oracle(self):
         row = np.array([[1.0, 2.0, 3.0]])
-        out = T.softmax_masked(Tensor(row))
+        probs, _ = softmax(row)
         e = np.exp(row)
-        assert np.abs(out.data - e / e.sum()).max() < 1e-12
+        assert np.abs(probs - e / e.sum()).max() < 1e-12
 
     def test_masked_entries_exactly_zero_and_rows_sum_to_one(self):
-        scores = Tensor(rand(5, 7) * 10)
         mask = RNG.random((5, 7)) < 0.6
         mask[:, 0] = True
-        out = T.softmax_masked(scores, mask).data
-        assert np.all(out[~mask] == 0.0)
-        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        probs, _ = softmax(rand(5, 7) * 10, mask)
+        assert np.all(probs[~mask] == 0.0)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_fully_masked_row_raises(self):
         with pytest.raises(DegenerateRowError, match="row 1"):
-            T.softmax_masked(Tensor(rand(2, 3)), np.array([[True] * 3, [False] * 3]))
+            softmax(rand(2, 3), np.array([[True] * 3, [False] * 3]))
 
     def test_grad_vs_fd(self):
-        s = Tensor(rand(3, 4), requires_grad=True)
+        s = Tensor(rand(3, 4))
         mask = np.ones((3, 4), dtype=bool)
         mask[1, 2] = False
-        w = Tensor(rand(3, 4))
-        check_against_fd(lambda: T.tsum(T.mul(T.softmax_masked(s, mask), w)), [s])
+        w = rand(3, 4)
+        _, bwd = softmax(s.data, mask)
+        fd = fd_grad(lambda: float((softmax(s.data, mask)[0] * w).sum()), s)
+        assert rel_err(bwd(w), fd) <= 1e-4
 
 
 def _two_groups():
@@ -275,7 +283,6 @@ class TestTapeRelease:
             backward(loss)
 
 
-_TRANSPOSE_W = rand(4, 3)
 _POOL_MASK = np.array([True, False, True])
 
 
@@ -291,19 +298,16 @@ _SPARSE = sparse.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.5, 0.0], [3.0, 0
 
 PRIMITIVE_CASES = {
     "matmul": lambda a, b: T.matmul(a, b),
-    "transpose": lambda a: T.mul(T.transpose(a), Tensor(_TRANSPOSE_W)),
     "add_same": lambda a, b2: T.add(a, b2),
     "add_rowvec": lambda a, v: T.add(a, v),
     "mul_same": lambda a, b2: T.mul(a, b2),
     "mul_rowvec": lambda a, v: T.mul(a, v),
     "scale": lambda a: T.scale(a, -2.5),
     "gelu": lambda a: T.gelu(a),
-    "concat_rows": lambda a, b2, v: T.concat_rows([a, b2, v]),
+    "concat_rows": lambda a, b2, p: T.concat_rows([a, b2, p]),
     "concat_cols": lambda a, b2: T.concat_cols([a, b2]),
-    "slice_rows": lambda a: T.slice_rows(a, 1, 3),
-    "add_rows_masked": lambda a, v: T.add_rows_masked(a, v, np.array([True, False, True])),
-    "overwrite_rows": lambda a, p: T.overwrite_rows(a, p, [1]),
-    "embedding": lambda tab: T.embedding(tab, np.array([0, 2, 2, 1])),
+    "gather_rows_repeated": lambda tab: T.gather_rows(tab, np.array([0, 2, 2, 1, 2])),
+    "gather_rows_zero_rows": lambda a: T.gather_rows(a, np.array([-1, 1, 1, -1, 2, -1])),
     "neighbor_max": lambda a: T.neighbor_max(a, _NEIGHBORS),
     "spmm": lambda a: T.spmm(_SPARSE, a),
     "masked_pool_sum": lambda a: T.masked_pool_rows(a, _POOL_MASK, "sum"),
@@ -371,18 +375,42 @@ def test_composite_transformer_style_graph_vs_fd():
     bias = Tensor(np.zeros(d), requires_grad=True)
     mask = np.ones((n, n), dtype=bool)
     mask[0, 3] = mask[3, 0] = False
+    groups = T.AttentionGroups(np.arange(n)[None], mask[None])
 
     def build():
         h = T.layer_norm(x, gain, bias, 1e-5)
-        q, k, vv = h @ wq, h @ wk, h @ wv
-        att = T.softmax_masked(T.scale(q @ T.transpose(k), 1 / math.sqrt(d)), mask)
-        ctx = att @ vv
+        ctx = T.block_attention(h @ wq, h @ wk, h @ wv, groups, 1)
         out = T.add(x, ctx)
         ff = T.gelu(out @ w1) @ w2
         return T.tsum(T.mul(T.add(out, ff), Tensor(rand_fixed)))
 
     rand_fixed = rand(n, d)
     check_against_fd(build, [wq, wk, wv, w1, w2, gain, bias])
+
+
+class TestGatherRows:
+    def test_rows_read_by_index_and_minus_one_reads_zeros(self):
+        x = rand(3, 2)
+        out = T.gather_rows(Tensor(x), np.array([2, -1, 0, 2])).data
+        assert np.array_equal(out, [x[2], [0.0, 0.0], x[0], x[2]])
+
+    def test_repeated_rows_sum_their_gradients(self):
+        x = Tensor(rand(3, 2), requires_grad=True)
+        g = rand(4, 2)
+        with Tape():
+            grads = backward(T.tsum(T.mul(T.gather_rows(x, np.array([2, -1, 0, 2])),
+                                          Tensor(g))))
+        assert np.array_equal(grads[x], [g[2], [0.0, 0.0], g[0] + g[3]])
+
+    @pytest.mark.parametrize("index", [[0, 3], [-2, 0]])
+    def test_out_of_range_index_rejected(self, index):
+        with pytest.raises(ContractError, match=r"outside \[-1, 3\)"):
+            T.gather_rows(Tensor(rand(3, 2)), np.array(index))
+
+    @pytest.mark.parametrize("index", [np.zeros((2, 2), dtype=int), np.array([0.0, 1.0])])
+    def test_index_must_be_a_1d_int_array(self, index):
+        with pytest.raises(ShapeError, match="1-D int index"):
+            T.gather_rows(Tensor(rand(3, 2)), index)
 
 
 def test_ops_without_tape_record_nothing():
