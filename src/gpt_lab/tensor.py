@@ -17,7 +17,11 @@ helper. The one place that works on higher-rank arrays is
 into padded (B, heads, L, dq) groups, runs softmax attention within each
 group and scatters the result back to (R, heads * dq), so the 4-D arrays
 never leave that operation. The sparse matrix that ``spmm`` and
-``neighbor_max`` take is a constant.
+``neighbor_max`` take is a constant. ``neighbor_max`` buckets its output
+rows by source count, rounded up to a power of two, and runs one gather
+and one max per bucket; only its backward pass looks up which source
+held each max (the first in column order that is not below it, so ties
+go to the lowest column and a NaN max to the row's first source).
 """
 
 from __future__ import annotations
@@ -565,8 +569,14 @@ def spmm(a, x: Tensor) -> Tensor:
 def neighbor_max(h: Tensor, adj) -> Tensor:
     """Row i is the elementwise max of the rows of ``h`` stored in row i of CSR ``adj``.
 
-    Gradient routes to the argmax source of each (row, column) pair, on
-    ties the first in column order.
+    Rows are bucketed by source count, rounded up to a power of two, so
+    one large row pads only the rows of its own bucket. Each bucket
+    gathers its sources in column order into one (slots, rows, d) block,
+    short rows reading an appended -inf row, and takes one max over the
+    slots. The gradient of each (row, column) pair goes to a single
+    source: the first slot not below the max, so ties go to the lowest
+    column and a NaN max to the row's first source. That search runs in
+    the backward pass, so an untaped forward never pays for it.
     """
     h = _as_tensor(h)
     if h.ndim != 2 or adj.shape[1] != h.shape[0]:
@@ -577,14 +587,27 @@ def neighbor_max(h: Tensor, adj) -> Tensor:
     counts = np.diff(adj.indptr)
     if not counts.all():
         raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
-    gathered = h.data[adj.indices]
-    outd = np.maximum.reduceat(gathered, adj.indptr[:-1], axis=0)
-    hit = ~(gathered < np.repeat(outd, counts, axis=0))         # the max, or a NaN max
-    position = np.where(hit, np.arange(adj.nnz)[:, None], adj.nnz)
-    first = np.minimum.reduceat(position, adj.indptr[:-1], axis=0)
-    flat = (adj.indices[first] * d + np.arange(d)).ravel()       # source entry of each output
+    padded = np.concatenate([h.data, np.full((1, d), -np.inf)])
+    sources = np.append(adj.indices, n)          # entry nnz reads the -inf row
+    log_slots = np.frexp(counts - 1)[1]          # ceil(log2(count)), 0 for one source
+    outd = np.empty((counts.size, d))
+    buckets = []
+    for b in np.unique(log_slots):
+        rows = np.flatnonzero(log_slots == b)
+        slot = np.arange(1 << int(b))[:, None]
+        table = sources[np.where(slot < counts[rows], adj.indptr[rows] + slot, adj.nnz)]
+        block = padded.take(table, axis=0)
+        top = block.max(axis=0)
+        outd[rows] = top
+        buckets.append((rows, table, block, top))
 
     def bwd(g):
+        source = np.empty((counts.size, d), dtype=np.intp)
+        for rows, table, block, top in buckets:
+            first = (block < top).argmin(axis=0)      # first slot not below the max
+            # table[first[i, j], i], read through the flat table
+            source[rows] = table.ravel().take(first * rows.size + np.arange(rows.size)[:, None])
+        flat = (source * d + np.arange(d)).ravel()
         return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
 
     return _record(Tensor(outd), [(h, bwd)])

@@ -361,7 +361,9 @@ def steady_heap() -> bool:
     32 MB always come from the heap and up to 64 MB of freed memory stays
     resident. The setting is process-wide, made once per process, and
     a no-op (returning False) where the C library has no glibc
-    ``mallopt``.
+    ``mallopt``. ``train``, ``evaluate_fold``, ``pretrain`` and each fold
+    job call it before anything else, so no forward of theirs runs on the
+    sliding thresholds.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -402,7 +404,6 @@ def _fit(config: TuningConfig, forwards, labels: np.ndarray, train_idx, eval_idx
     trainable parameter without a gradient means the forward is broken,
     not the config, so it raises ``RuntimeError``.
     """
-    steady_heap()
     forward, evaluate = forwards
     optimizer = AdamW(registry.trainable, betas=config.betas, eps=config.eps,
                       weight_decay=config.weight_decay)
@@ -470,6 +471,7 @@ def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
 
 
 def _run_fold(args) -> FoldResult:
+    steady_heap()                  # a pool worker enters the library here
     (config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold) = args
     split = make_folds(len(encoded), config.folds, seed)
     train_idx, eval_idx = split.train_eval(fold)
@@ -516,6 +518,7 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     independent; with ``parallel > 1`` they run in a process pool (capped
     by GPT_LAB_THREADS) and results are returned in fold order either way.
     """
+    steady_heap()
     _validate(config, dataset, backbone_cfg)
     encoded = _encode_dataset(dataset, backbone_cfg)
     embeddings = None
@@ -540,6 +543,7 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
     then overwrites the prompt/head values with the stored arrays, so a
     saved prompt checkpoint reproduces the recorded metric exactly.
     """
+    steady_heap()
     _validate(config, dataset, backbone_cfg)
     split = make_folds(len(dataset), config.folds, seed)
     _, eval_idx = split.train_eval(fold)
@@ -570,6 +574,7 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
     A seeded holdout split provides the per-epoch RMSE trace; the returned
     state holds only the backbone parameters (the pretext head is dropped).
     """
+    steady_heap()
     config = TuningConfig(mode="ft", metric="rmse", epochs=epochs, lr=lr,
                           weight_decay=weight_decay, batch_size=batch_size,
                           warmup_epochs=warmup_epochs, decay=decay, clip=clip)

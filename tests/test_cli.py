@@ -177,6 +177,23 @@ class TestConfig:
         assert cfg.tuning.mode == "deepgpt"
         assert cfg.task.generator == "motif_presence"
 
+    def test_optimizer_layer_and_holdout_keys_reach_the_config(self, tmp_path):
+        path = write_config(tmp_path / "ok.ini", replace={
+            "mode = deepgpt": "mode = deepgpt\nbeta1 = 0.8\nbeta2 = 0.99\neps = 1e-6\n"
+                              "prompted_from = 1\nprompted_to = 2",
+            "batch_size = 8\n\n[tuning]": "batch_size = 8\neval_fraction = 0.25\n\n[tuning]"})
+        cfg = load_config(path)
+        assert cfg.tuning.betas == (0.8, 0.99)
+        assert cfg.tuning.eps == 1e-6
+        assert cfg.tuning.prompted_layers == (1, 2)
+        assert cfg.pretrain.eval_fraction == 0.25
+
+    def test_prompted_from_without_prompted_to_rejected(self, tmp_path):
+        path = write_config(tmp_path / "bad.ini",
+                            replace={"mode = deepgpt": "mode = deepgpt\nprompted_from = 1"})
+        with pytest.raises(ConfigError, match="prompted_from and prompted_to go together"):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "nope.ini")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from gpt_lab.graphs import GraphSample
 from gpt_lab.models import (
@@ -22,7 +23,7 @@ from gpt_lab.models import (
     prepare_batch,
 )
 from gpt_lab.prompt import PromptSet, init_prompts
-from gpt_lab.tensor import Tensor
+from gpt_lab.tensor import Tape, Tensor, backward, mul, neighbor_max, tsum
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                              database=None)
@@ -173,3 +174,65 @@ def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, with_rows, seed
     want = np.concatenate([np.concatenate([head, h[s:e]]) for s, e in layout.blocks])
     assert np.array_equal(out.data, want)
     assert new == _layout(batch, p)
+
+
+@PROPERTY_SETTINGS
+@given(first=st.integers(2, 40), rest=st.lists(st.integers(1, 40), max_size=11),
+       extra=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_neighbor_max_equals_a_per_row_oracle(first, rest, extra, seed):
+    """1 to 40 sources per row, several power-of-two buckets, unsorted
+    columns, and values from a few integers and +-inf, so ties are common.
+    Each (row, column) gradient goes to the lowest column holding the max."""
+    rng = np.random.default_rng(seed)
+    counts = [first, *rest]
+    n, d = max(counts) + extra, 3
+    cols = [rng.permutation(rng.choice(n, size=k, replace=False)) for k in counts]
+    cols[0] = np.sort(cols[0])[::-1]
+    adj = sparse.csr_matrix((np.ones(sum(counts)), np.concatenate(cols),
+                             np.concatenate([[0], np.cumsum(counts)])), shape=(len(counts), n))
+    assert not adj.has_sorted_indices
+    h = rng.choice([-np.inf, -2.0, -1.0, 0.0, np.inf], size=(n, d))
+    g = rng.normal(size=(len(counts), d))
+    x = Tensor(h, requires_grad=True)
+    with Tape(), np.errstate(invalid="ignore"):
+        out = neighbor_max(x, adj)
+        grad = backward(tsum(mul(out, Tensor(g))))[x]
+    want = np.array([h[c].max(axis=0) for c in cols])
+    want_grad = np.zeros((n, d))
+    for r, c in enumerate(cols):
+        for j in range(d):
+            want_grad[c[h[c, j] == want[r, j]].min(), j] += g[r, j]
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(grad, want_grad)
+
+
+FD_CASES = {"deepgpt": "transformer_deepgpt", "virtual_node_sum": "mpgnn_sum_virtual",
+            "virtual_node_max": "mpgnn_max_virtual"}
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+@settings(PROPERTY_SETTINGS, max_examples=5)
+@given(batch=batches())
+def test_prompt_and_head_gradients_match_central_differences(case, batch):
+    """The graphs' features are seeded normals, so no max aggregation sees a tie."""
+    cfg, bb, head, prompts = MODELS[FD_CASES[case]]
+    prepared = prepare_batch(batch, cfg)
+    weights = Tensor(np.random.default_rng(0).normal(size=(len(batch), 1)))
+
+    def loss():
+        return tsum(mul(backbone_forward(prepared, bb, head, prompt_ctx=prompts), weights))
+
+    with Tape():
+        grads = backward(loss())
+    step = 1e-6
+    for name, t in {**prompts.named_params(), **head.named_params()}.items():
+        fd = np.empty(t.shape)
+        for i in np.ndindex(t.shape):
+            orig = t.data[i]
+            t.data[i] = orig + step
+            up = float(loss().data)
+            t.data[i] = orig - step
+            down = float(loss().data)
+            t.data[i] = orig
+            fd[i] = (up - down) / (2 * step)
+        assert np.abs(grads[t] - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), name

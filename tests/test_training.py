@@ -258,9 +258,10 @@ class TestClip:
 # ---------------------------------------------------------------------------
 
 
-def tiny_backbone(kind="transformer"):
+def tiny_backbone(kind="transformer", aggregation="sum"):
     cfg = BackboneConfig(kind=kind, feature_dim=4, dim=8, heads=2, layers=2,
-                         ffn_mult=2, rwpe_steps=4, degree_embed=True, max_degree=4)
+                         ffn_mult=2, rwpe_steps=4, degree_embed=True, max_degree=4,
+                         aggregation=aggregation)
     bb = Backbone.init(cfg, seed=3)
     return cfg, bb.state_arrays()
 
@@ -387,12 +388,18 @@ class TestTrain:
         res = train(tiny_config("deepgpt"), motif_data, cfg, state, seed=7, parallel=4)
         assert [r.fold for r in res] == [0, 1, 2]
 
-    @pytest.mark.parametrize("mode", ["lightweight", "deepgpt"])
+    @pytest.mark.parametrize("mode", ["lightweight", "deepgpt", "virtual_node"])
     def test_non_finite_backbone_state_fails_fast(self, motif_data, mode):
-        cfg, state = tiny_backbone()
+        if mode == "virtual_node":
+            # Every row of layer 1's max aggregation then holds a NaN column.
+            cfg, state = tiny_backbone("mpgnn", aggregation="max")
+            weight = "layer0.weight"
+        else:
+            cfg, state = tiny_backbone()
+            weight = "layer1.ffn1.weight"
         state = dict(state)
-        state["layer1.ffn1.weight"] = state["layer1.ffn1.weight"].copy()
-        state["layer1.ffn1.weight"][0, 0] = np.nan
+        state[weight] = state[weight].copy()
+        state[weight][0, 0] = np.nan
         config = tiny_config(mode)
         with pytest.raises(NonFiniteError,
                            match=r"^epoch 1 of 2, step 1 of 2: gradient of head\.weight "
@@ -439,6 +446,25 @@ def test_each_step_frees_its_tape_when_its_block_exits(motif_data, monkeypatch,
     train(tiny_config("deepgpt", epochs=1, warmup_epochs=0), motif_data, cfg, state, seed=1)
     assert len(made) == len(alive_at_step) == 3 * 2
     assert alive_at_step == [0] * len(made)
+
+
+@pytest.mark.parametrize("entry", ["train", "evaluate_fold"])
+def test_heap_is_pinned_before_the_first_forward(motif_data, monkeypatch, entry):
+    cfg, state = tiny_backbone()
+    config = tiny_config("lightweight", epochs=1, warmup_epochs=0)
+    if entry == "train":
+        run = lambda: train(config, motif_data, cfg, state, seed=1)
+    else:
+        stored = train(config, motif_data, cfg, state, seed=1)[0].prompt_state
+        run = lambda: training.evaluate_fold(config, motif_data, cfg, state, stored,
+                                             seed=1, fold=0)
+    events = []
+    forward = training.backbone_forward
+    monkeypatch.setattr(training, "steady_heap", lambda: events.append("heap"))
+    monkeypatch.setattr(training, "backbone_forward",
+                        lambda *a, **kw: events.append("forward") or forward(*a, **kw))
+    run()
+    assert "forward" in events and events[0] == "heap"
 
 
 class TestFreezeSoundness:
