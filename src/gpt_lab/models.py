@@ -1,8 +1,7 @@
 """Freezable backbones: a graph transformer, an MPGNN, readout and head.
 
 A ``BatchedGraph`` already stacks every sample's node rows into one tall
-matrix; ``encode_nodes`` reads it as it is and inserts prompt rows, if
-any, at the head of each sample block. Row-wise work, such as
+matrix; ``encode_nodes`` reads it as it is. Row-wise work, such as
 projections, layer norms, the FFN and residuals, runs on that matrix with
 no padding. Work across rows is per sample: the transformer's attention
 gathers each sample's rows into one padded group (``AttentionGroups``,
@@ -14,10 +13,13 @@ therefore agrees with per-sample forwards.
 Prompts arrive as a ``PromptSet``. ``encode_nodes`` validates it with
 ``PromptSet.check`` and applies it through ``gpt_lab.prompt``'s hooks
 (``apply_graph_prompt`` for the graph token, ``inject_prefix`` for the
-prefixes); virtual tokens and prefix slots are the same layout concept,
-p prompt rows at the head of each sample block. With no prompt set, or
-an empty one, the executed operation sequence is that of a prompt-free
-build.
+prefixes). Virtual tokens are p prompt rows at the head of each sample
+block. A prefix is p rows of keys and values that every sample's group
+shares: a prompted layer reads ``[prefix; h]``, projects the prefix once
+and asks queries of the node rows only. A transformer layer outputs the
+node rows, plus the prompt rows only when a later layer reads them, so
+the last layer returns node rows only. With no prompt set, or an empty
+one, the executed operation sequence is that of a prompt-free build.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from gpt_lab.tensor import (
     AttentionGroups,
     ContractError,
     ShapeError,
+    SourceBuckets,
     Tensor,
     add,
     block_attention,
@@ -282,7 +285,10 @@ def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
                               params: TransformerLayerParams) -> Tensor:
     """Pre-norm block: multi-head attention within groups, then the FFN, with residuals.
 
-    A single sequence with an n x n mask is the one-group case,
+    Every row of ``x`` is projected; attention, the residual, the second
+    norm and the FFN run on the query rows only, so the result has one
+    row per row of ``groups.query_rows()``. A single sequence with an
+    n x n mask is the one-group case,
     ``AttentionGroups(np.arange(n)[None], mask[None])``.
     """
     h = layer_norm(x, params.ln1_gain, params.ln1_bias, LN_EPS)
@@ -290,6 +296,8 @@ def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
     k = matmul(h, concat_cols(params.w_k))
     v = matmul(h, concat_cols(params.w_v))
     attn = block_attention(q, k, v, groups, len(params.w_q))
+    if groups.query is not None:
+        x = gather_rows(x, groups.query_rows())
     mixed = add(matmul(attn, params.w_out), params.b_out)
     x1 = add(x, mixed)
     h2 = layer_norm(x1, params.ln2_gain, params.ln2_bias, LN_EPS)
@@ -302,7 +310,8 @@ def mpgnn_layer_forward(h: Tensor, adj, params: MpgnnLayerParams) -> Tensor:
     """Aggregate each row over its row of the (R, R) CSR 0/1 ``adj``, then linear + GELU.
 
     Self-aggregation comes from the stored diagonal. Mean divides each
-    row of ``adj`` by its entry count.
+    row of ``adj`` by its entry count. Max aggregation also takes the
+    matrix's ``SourceBuckets`` in place of the matrix.
     """
     n = h.shape[0]
     if adj.shape != (n, n):
@@ -339,7 +348,8 @@ class RowLayout:
 
     Sample b owns rows ``blocks[b]`` and its original nodes are rows
     ``nodes[b]``, the tail of the block. Prompt rows (virtual tokens or
-    prefix slots), once inserted, are the rows of a block before its nodes.
+    a prefix that a later layer reads), once inserted, are the rows of a
+    block before its nodes.
     """
 
     blocks: list[tuple[int, int]]
@@ -361,39 +371,47 @@ class RowLayout:
         return mask
 
 
-def _attention_groups(layout: RowLayout) -> AttentionGroups:
-    """One padded group per sample block; every row of a block sees the whole block."""
-    starts = np.array([s for s, _ in layout.blocks], dtype=np.int64)
+def _attention_groups(layout: RowLayout, shared: int = 0,
+                      node_queries: bool = False) -> AttentionGroups:
+    """One padded group per sample block.
+
+    Group b's keys are ``shared`` rows 0..shared-1, which every group
+    reads, followed by the rows of block b moved down by ``shared``. Its
+    queries are every row of the block (self-attention; needs no shared
+    rows) or, with ``node_queries``, only the block's node rows.
+    """
+    starts = np.array([s for s, _ in layout.blocks], dtype=np.int64) + shared
     sizes = np.array([e - s for s, e in layout.blocks], dtype=np.int64)
-    pos = np.arange(sizes.max())
+    pos = np.arange(shared + sizes.max()) - shared     # position within the block
     real = pos[None, :] < sizes[:, None]
-    index = np.where(real, starts[:, None] + pos[None, :], -1)
-    return AttentionGroups(index, real[:, :, None] & real[:, None, :])
+    index = np.where(real, np.where(pos < 0, pos + shared, starts[:, None] + pos), -1)
+    if not node_queries:
+        return AttentionGroups(index, real[:, :, None] & real[:, None, :])
+    first = np.array([s for s, _ in layout.nodes], dtype=np.int64) + shared
+    counts = np.array([e - s for s, e in layout.nodes], dtype=np.int64)
+    at = np.arange(counts.max())
+    asks = at[None, :] < counts[:, None]
+    query = np.where(asks, first[:, None] + at, -1)
+    return AttentionGroups(index, asks[:, :, None] & real[:, None, :], query)
 
 
-def _insert_prompt_rows(h: Tensor, layout: RowLayout, p: int,
-                        rows: Tensor | None = None) -> tuple[Tensor, RowLayout]:
-    """Put p prompt rows at the head of every sample block, ahead of its rows.
+def _insert_prompt_rows(stacked: Tensor, layout: RowLayout, p: int) -> tuple[Tensor, RowLayout]:
+    """Copy the p leading rows of ``stacked`` to the head of every sample block.
 
-    The prompt rows are ``rows`` when given and zero slot rows otherwise.
-    One ``gather_rows`` builds the result, from ``[rows; h]`` or, for
-    slots, from ``h`` with -1 at every slot position.
+    ``stacked`` is ``[rows; h]``: p prompt rows followed by the rows that
+    ``layout`` describes. One ``gather_rows`` builds the result.
     """
     old = np.array(layout.blocks, dtype=np.int64).reshape(-1, 2)
     sizes = old[:, 1] - old[:, 0] + p
     start = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(sizes)), sizes)
     pos = np.arange(sizes.sum()) - start[owner]          # position within the new block
-    if rows is None:
-        index = np.where(pos < p, -1, old[owner, 0] + pos - p)
-    else:
-        index = np.where(pos < p, pos, old[owner, 0] + pos)   # h starts at row p of [rows; h]
-        h = concat_rows([rows, h])
+    index = np.where(pos < p, pos, old[owner, 0] + pos)   # h starts at row p of stacked
     shift = start + p - old[:, 0]
     nodes = np.array(layout.nodes, dtype=np.int64).reshape(-1, 2) + shift[:, None]
     blocks = np.stack([start, start + sizes], axis=1)
-    return gather_rows(h, index), RowLayout(list(map(tuple, blocks.tolist())),
-                                            list(map(tuple, nodes.tolist())))
+    return gather_rows(stacked, index), RowLayout(list(map(tuple, blocks.tolist())),
+                                                  list(map(tuple, nodes.tolist())))
 
 
 def _mpgnn_adjacency(batch: BatchedGraph, layout: RowLayout) -> sparse.csr_matrix:
@@ -429,24 +447,30 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
                  prompt_ctx: PromptSet | None = None) -> tuple[Tensor, RowLayout]:
     """Final-layer embeddings for the flattened batch, plus row bookkeeping.
 
-    The layout starts from the batch's ``offsets``. Every layer takes and
-    returns the flattened (R, d) matrix, R being the total row count,
-    prompt rows included. ``prompt_ctx`` is validated with
-    ``PromptSet.check`` and applied through the hooks of ``gpt_lab.prompt``:
-    ``apply_graph_prompt`` adds the graph token to every node row, before
-    or after the input projection as its stage says; virtual tokens are
-    inserted as prompt rows after the projection; at the first prompted
-    layer p_len slot rows are inserted, and ``inject_prefix`` overwrites
-    them with each prompted layer's prefix. Prompt rows sit at the head of
-    each sample block. An empty prompt set runs the same operations as no
-    prompt set.
+    The layout starts from the batch's ``offsets`` and always describes
+    the rows returned. ``prompt_ctx`` is validated with
+    ``PromptSet.check`` and applied through the hooks of
+    ``gpt_lab.prompt``: ``apply_graph_prompt`` adds the graph token to
+    every node row, before or after the input projection as its stage
+    says; virtual tokens are inserted as p prompt rows at the head of
+    each sample block after the projection. A prompted layer reads
+    ``inject_prefix``'s ``[prefix; h]``: its p prefix rows are keys and
+    values that every sample's group shares, projected once. An empty
+    prompt set runs the same operations as no prompt set.
 
-    The transformer's attention groups are built from ``layout.blocks`` at
-    entry and again after prompt rows are inserted; ``block_attention``
-    gathers the rows into padded (B, heads, L, L) arrays, L being the
-    longest block, and scatters its result back to (R, d). The MPGNN's
-    adjacency is built once, after prompt rows are inserted. The layout's
-    ``nodes`` ranges locate each sample's original-node rows.
+    A transformer layer outputs the node rows, plus the prompt rows only
+    when a later layer reads them, that is when the next layer exists
+    and is unprompted. So a prompted layer followed by an unprompted one
+    copies its prefix into every block (``_insert_prompt_rows``) and
+    runs on all rows; the next prompted layer, or the last layer, asks
+    queries of the node rows only and drops the prompt rows.
+
+    ``block_attention`` gathers each group's rows into padded arrays,
+    keys padded to the longest block with its prompt rows, and each
+    distinct set of groups is built once per forward. The MPGNN runs on
+    every row, over one adjacency and, for max aggregation, one set of
+    bucket tables, both built after prompt rows are inserted. The
+    layout's ``nodes`` ranges locate each sample's original-node rows.
     """
     cfg = backbone.cfg
     prompts = PromptSet() if prompt_ctx is None else prompt_ctx.check(cfg)
@@ -454,7 +478,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         raise ShapeError(f"batch feature width {batch.features.shape[1]} does not match "
                          f"input projection width {cfg.input_width}")
     samples = [(int(s), int(e)) for s, e in zip(batch.offsets[:-1], batch.offsets[1:])]
-    layout = RowLayout(samples, samples)
+    plain = layout = RowLayout(samples, samples)
     x = Tensor(batch.features)
 
     token = prompts.graph_token
@@ -466,25 +490,36 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         h = add(h, gather_rows(backbone.degree_table, ids))
     if token is not None and prompts.token_stage == "post_projection":
         h = apply_graph_prompt(h, token)
-    if prompts.virtual_tokens is not None and prompts.virtual_tokens.shape[0] > 0:
-        h, layout = _insert_prompt_rows(h, layout, prompts.virtual_tokens.shape[0],
-                                        prompts.virtual_tokens)
+    tokens = prompts.virtual_tokens
+    if tokens is not None and tokens.shape[0] > 0:
+        h, layout = _insert_prompt_rows(concat_rows([tokens, h]), layout, tokens.shape[0])
 
     if cfg.kind == "mpgnn":
         adj = _mpgnn_adjacency(batch, layout)
+        if cfg.aggregation == "max":
+            adj = SourceBuckets(adj)
         for params in backbone.layers:
             h = mpgnn_layer_forward(h, adj, params)
         return h, layout
-    prompted = prompts.prompted_layers
-    groups = _attention_groups(layout)
+    built: dict[tuple, AttentionGroups] = {}      # each distinct set of groups
+    p, prefixes = prompts.p_len, prompts.prefixes
     for li, params in enumerate(backbone.layers):
-        if prompted and li == prompted[0]:
-            h, layout = _insert_prompt_rows(h, layout, prompts.p_len)
-            groups = _attention_groups(layout)
-        if li in prompts.prefixes:
-            h = inject_prefix(h, prompts.prefixes[li], li, prompts,
-                              [s for s, _ in layout.blocks])
-        h = transformer_layer_forward(h, groups, params)
+        keep = li + 1 < cfg.layers and li + 1 not in prefixes   # a later layer reads prompt rows
+        shared, node_queries = 0, not keep and layout is not plain
+        if li in prefixes:
+            h = inject_prefix(h, prefixes[li], li, prompts)
+            if keep:
+                h, layout = _insert_prompt_rows(h, layout, p)
+            else:
+                shared, node_queries = p, True
+        # A forward's two layouts, node rows only and p prompt rows per
+        # block, differ in their row counts.
+        key = (layout.total_rows, shared, node_queries)
+        if key not in built:
+            built[key] = _attention_groups(layout, shared, node_queries)
+        h = transformer_layer_forward(h, built[key], params)
+        if not keep:
+            layout = plain
     return h, layout
 
 

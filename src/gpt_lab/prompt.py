@@ -2,9 +2,10 @@
 
 A prompt set bundles the graph token (one vector added to every node, at
 model width after the input projection or at input width before it),
-per-layer prefix matrices that overwrite the leading slot rows of
-prompted transformer layers, and virtual token rows that join every
-sample and, in an MPGNN, are wired to every original node.
+per-layer prefix matrices, whose p rows every sample of a prompted
+transformer layer attends to as shared keys and values, and virtual
+token rows that join every sample and, in an MPGNN, are wired to every
+original node.
 ``PromptSet.check`` is the one validator of a prompt set against a
 backbone. ``models.encode_nodes`` calls it and then applies the set
 through ``apply_graph_prompt`` and ``inject_prefix``, so those functions
@@ -17,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from gpt_lab.seeding import rng_for
-from gpt_lab.tensor import ContractError, ShapeError, Tensor, add, concat_rows, gather_rows
+from gpt_lab.tensor import ContractError, ShapeError, Tensor, add, concat_rows
 
 __all__ = [
     "MODES",
@@ -219,28 +218,18 @@ def apply_graph_prompt(x: Tensor, token: Tensor) -> Tensor:
     return add(x, token)
 
 
-def inject_prefix(e: Tensor, prefix: Tensor, layer: int, prompts: PromptSet,
-                  starts=(0,)) -> Tensor:
-    """Overwrite the slot rows of ``e`` with this layer's prefix matrix.
+def inject_prefix(e: Tensor, prefix: Tensor, layer: int, prompts: PromptSet) -> Tensor:
+    """This layer's prefix stacked ahead of the rows of ``e``: ``[prefix; e]``.
 
-    Replacement semantics: the previous slot values are discarded, and
-    gradient reaches earlier prefixes only through attention into the
-    real-node rows. ``starts`` gives the slot offset of each sample block
-    (a single sequence keeps the default leading block). One gather from
-    ``[prefix; e]`` reads prefix rows at the slots and ``e`` elsewhere, so
-    the overwritten rows of ``e`` get no gradient and the prefix gets the
-    sum over every block.
+    The p prefix rows become keys and values that every sample's
+    attention group shares, so the layer projects them once for the
+    whole batch. The prefix gets the gradient of the first p rows and
+    ``e`` that of the rest.
     """
     if layer not in prompts.prefixes:
         raise ContractError(f"layer {layer} is not in the prompted set "
                             f"{prompts.prompted_layers}")
-    rows, p = e.shape[0], prefix.shape[0]
-    starts = np.sort(np.asarray(starts, dtype=np.int64))
-    if starts.size and (starts[0] < 0 or starts[-1] + p > rows):
-        raise ShapeError(f"inject_prefix: a {p}-row prefix at offsets {starts.tolist()} "
-                         f"exceeds {rows} rows")
-    if (np.diff(starts) < p).any():
-        raise ContractError("inject_prefix: overlapping prefix blocks")
-    index = np.arange(p, p + rows)
-    index[(starts[:, None] + np.arange(p)).ravel()] = np.tile(np.arange(p), starts.size)
-    return gather_rows(concat_rows([prefix, e]), index)
+    if e.ndim != 2 or prefix.shape != (prompts.p_len, e.shape[-1]):
+        raise ShapeError(f"inject_prefix: a prefix of shape {prefix.shape} does not fit "
+                         f"p_len={prompts.p_len} rows over rows of shape {e.shape}")
+    return concat_rows([prefix, e])

@@ -14,14 +14,18 @@ a zero row for -1, and the backward pass scatter-adds onto the rows read.
 ``masked_pool_rows`` and ``block_attention`` gather through the same
 helper. The one place that works on higher-rank arrays is
 ``block_attention``: it gathers the rows of its (R, heads * dq) operands
-into padded (B, heads, L, dq) groups, runs softmax attention within each
-group and scatters the result back to (R, heads * dq), so the 4-D arrays
-never leave that operation. The sparse matrix that ``spmm`` and
-``neighbor_max`` take is a constant. ``neighbor_max`` buckets its output
-rows by source count, rounded up to a power of two, and runs one gather
-and one max per bucket; only its backward pass looks up which source
-held each max (the first in column order that is not below it, so ties
-go to the lowest column and a NaN max to the row's first source).
+into padded (B, heads, L, dq) groups, the query rows of each group
+(every row, or a subset) and its key rows (which several groups may
+share), runs softmax attention within each group and returns one row per
+query row, so the 4-D arrays never leave that operation; its backward
+pass scatter-adds each key row's gradient over every group that reads
+it. The sparse matrix that ``spmm`` and ``neighbor_max`` take is a
+constant. ``neighbor_max`` buckets its output rows by source count,
+rounded up to a power of two (``SourceBuckets``, which a caller builds
+once per matrix), and runs one gather and one max per bucket; only its
+backward pass looks up which source held each max (the first in column
+order that is not below it, so ties go to the lowest column and a NaN
+max to the row's first source).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "gather_rows",
     "masked_pool_rows",
     "spmm",
+    "SourceBuckets",
     "neighbor_max",
     "bce_with_logits",
 ]
@@ -342,13 +347,24 @@ def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str, row_ids: np
 class AttentionGroups(NamedTuple):
     """Rows of a flattened batch gathered into padded groups for attention.
 
-    ``index[b, i]`` is the row at position ``i`` of group ``b``, or -1 for
-    padding; every row appears exactly once. ``key_mask[b, i, j]`` lets
-    position ``i`` attend to position ``j`` and is false for padding keys.
+    ``index[b, j]`` is the key/value row at position ``j`` of group ``b``,
+    or -1 for padding; a row may be a key of several groups.
+    ``query[b, i]`` is the query row at position ``i`` of group ``b``, or
+    -1 for padding; a query row appears exactly once, and rows that no
+    group queries are keys only. ``query`` None means self-attention: the
+    queries are ``index``, which then holds every row exactly once.
+    ``key_mask[b, i, j]`` lets query ``i`` attend to key ``j`` and is
+    false for padding keys.
     """
 
-    index: np.ndarray      # (B, L) int
-    key_mask: np.ndarray   # (B, L, L) bool
+    index: np.ndarray                 # (B, L) int
+    key_mask: np.ndarray              # (B, Lq, L) bool
+    query: np.ndarray | None = None   # (B, Lq) int
+
+    def query_rows(self) -> np.ndarray:
+        """The query rows in ascending order."""
+        query = self.index if self.query is None else self.query
+        return np.sort(query[query >= 0])
 
 
 def block_attention(q: Tensor, k: Tensor, v: Tensor, groups: AttentionGroups,
@@ -356,10 +372,15 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, groups: AttentionGroups,
     """Multi-head scaled softmax attention within each group of rows.
 
     ``q``, ``k`` and ``v`` are (R, heads * dq); head ``h`` owns columns
-    ``h * dq : (h + 1) * dq``. Rows attend only to rows of their own group,
-    as ``groups.key_mask`` allows, and the (R, heads * dq) result keeps
-    the same column layout. The backward pass computes the gradients of
-    all three operands together, once per incoming gradient.
+    ``h * dq : (h + 1) * dq``. Each query row attends only to the keys of
+    its group, as ``groups.key_mask`` allows. The result has one row per
+    query row, in the order of ``groups.query_rows()``, and the same
+    column layout. The backward pass computes the gradients of all three
+    operands together, once per incoming gradient. Rows that ask no query
+    get no ``q`` gradient. With a query index, a key row's ``k`` and ``v``
+    gradients are summed over every group that reads it, both scatter-added
+    in one ``np.bincount`` as ``gather_rows`` does; in self-attention each
+    row is one key and its gradient is copied.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -369,46 +390,73 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, groups: AttentionGroups,
     if heads < 1 or width % heads:
         raise ShapeError(f"block_attention: width {width} does not split into {heads} heads")
     index = np.asarray(groups.index)
-    if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
-        raise ShapeError(f"block_attention: index must be a 2-D int array, got "
-                         f"{index.dtype} {index.shape}")
+    query = index if groups.query is None else np.asarray(groups.query)
+    for name, a in (("index", index), ("query", query)):
+        if a.ndim != 2 or not np.issubdtype(a.dtype, np.integer):
+            raise ShapeError(f"block_attention: {name} must be a 2-D int array, got "
+                             f"{a.dtype} {a.shape}")
     b, n = index.shape
-    m = _as_mask(groups.key_mask, (b, n, n), "block_attention")
-    real = index >= 0
-    order = index[real]
-    if index.min(initial=0) < -1 or not np.array_equal(
-            np.bincount(order, minlength=rows), np.ones(rows)):
-        raise ContractError(f"block_attention: index must hold each of the {rows} rows "
-                            "exactly once, and -1 for padding")
-    if (m & ~real[:, None, :]).any():
+    if query.shape[0] != b:
+        raise ShapeError(f"block_attention: {query.shape[0]} query groups for {b} key groups")
+    nq = query.shape[1]
+    m = _as_mask(groups.key_mask, (b, nq, n), "block_attention")
+    real_q = query >= 0
+    counts = np.bincount(query[real_q], minlength=rows)
+    if groups.query is None:
+        if query.min(initial=0) < -1 or not np.array_equal(counts, np.ones(rows)):
+            raise ContractError(f"block_attention: index must hold each of the {rows} rows "
+                                "exactly once, and -1 for padding")
+    elif index.min(initial=0) < -1 or index.max(initial=-1) >= rows:
+        raise ContractError(f"block_attention: key index outside [-1, {rows})")
+    elif query.min(initial=0) < -1 or counts.size > rows or counts.max(initial=0) > 1:
+        raise ContractError(f"block_attention: query must name rows below {rows}, each at "
+                            "most once, and -1 for padding")
+    if (m & (index < 0)[:, None, :]).any():
         raise ContractError("block_attention: key_mask allows a padding key")
     dq = width // heads
     inv_sqrt = 1.0 / math.sqrt(dq)
-    # Position of each row in the flattened (B * L) group layout.
-    slot = np.flatnonzero(real.ravel())[np.argsort(order)]
 
-    def split(a):
-        """(R, heads * dq) -> (B, heads, L, dq); padding positions read zeros."""
-        return _take_rows(a, index).reshape(b, n, heads, dq).transpose(0, 2, 1, 3)
+    # Position of each query row in the flattened (B * Lq) group layout, in
+    # row order, and each query position's row of the result.
+    sort = np.argsort(query[real_q], kind="stable")
+    slot = np.flatnonzero(real_q.ravel())[sort]
+    asked = query[real_q][sort]
+    out_row = query
+    if groups.query is not None:
+        out_row = np.full_like(query, -1)
+        out_row[real_q] = np.argsort(sort)
+
+    def split(a, idx):
+        """(rows, heads * dq) -> (B, heads, positions, dq); padding reads zeros."""
+        return _take_rows(a, idx).reshape(b, idx.shape[1], heads, dq).transpose(0, 2, 1, 3)
 
     def merge(a):
-        """(B, heads, L, dq) -> (R, heads * dq), dropping padding positions."""
-        return a.transpose(0, 2, 1, 3).reshape(b * n, width)[slot]
+        """(B, heads, Lq, dq) -> (Rq, heads * dq), dropping padding positions."""
+        return a.transpose(0, 2, 1, 3).reshape(b * nq, width)[slot]
 
-    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    qs, ks, vs = split(q.data, query), split(k.data, index), split(v.data, index)
     probs, softmax_bwd = _softmax_last_axis((qs @ ks.transpose(0, 1, 3, 2)) * inv_sqrt,
-                                            m[:, None], "block_attention", index[:, None])
+                                            m[:, None], "block_attention", query[:, None])
     out = Tensor(merge(probs @ vs))
 
     last: list = [None, None]   # [incoming gradient, (dq, dk, dv)]
 
     def grads(g):
         if last[0] is not g:
-            gs = split(g)
+            gs = split(g, out_row)
             ds = softmax_bwd(gs @ vs.transpose(0, 1, 3, 2)) * inv_sqrt
+            d_q, d_k, d_v = (merge(ds @ ks), ds.transpose(0, 1, 3, 2) @ qs,
+                             probs.transpose(0, 1, 3, 2) @ gs)
+            if groups.query is None:     # every row is one group's query and key
+                d_k, d_v = merge(d_k), merge(d_v)
+            else:
+                full = np.zeros((rows, width))
+                full[asked] = d_q
+                d_kv = np.concatenate([d_k, d_v], axis=1).transpose(0, 2, 1, 3)
+                d_kv = _scatter_add_rows(d_kv.reshape(b * n, 2 * width), index.ravel(), rows)
+                d_q, d_k, d_v = full, d_kv[:, :width], d_kv[:, width:]
             last[0] = g
-            last[1] = (merge(ds @ ks), merge(ds.transpose(0, 1, 3, 2) @ qs),
-                       merge(probs.transpose(0, 1, 3, 2) @ gs))
+            last[1] = (d_q, d_k, d_v)
         return last[1]
 
     return _record(out, [(q, lambda g: grads(g)[0]), (k, lambda g: grads(g)[1]),
@@ -492,6 +540,15 @@ def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter_add_rows(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Sum row ``i`` of ``g`` onto row ``index[i]`` of an (n, d) zero matrix, in one
+    ``np.bincount``; rows whose index is -1 are dropped."""
+    d = g.shape[1]
+    # -1 becomes a spare row n, whose sums are dropped.
+    flat = ((index % (n + 1))[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=(n + 1) * d)[:n * d].reshape(n, d)
+
+
 def gather_rows(x: Tensor, index) -> Tensor:
     """Row ``i`` of the result is ``x[index[i]]``, or a zero row where ``index[i]`` is -1.
 
@@ -504,16 +561,11 @@ def gather_rows(x: Tensor, index) -> Tensor:
     if x.ndim != 2 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"gather_rows needs a matrix and a 1-D int index, got shape "
                          f"{x.shape} and {idx.dtype} index of shape {idx.shape}")
-    n, d = x.shape
+    n = x.shape[0]
     if idx.size and (idx.min() < -1 or idx.max() >= n):
         raise ContractError(f"gather_rows: index outside [-1, {n}) for a {n}-row matrix")
-
-    def bwd(g):
-        # -1 becomes a spare row n, whose sums are dropped.
-        flat = ((idx % (n + 1))[:, None] * d + np.arange(d)).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=(n + 1) * d)[:n * d].reshape(n, d)
-
-    return _record(Tensor(_take_rows(x.data, idx)), [(x, bwd)])
+    return _record(Tensor(_take_rows(x.data, idx)),
+                   [(x, lambda g: _scatter_add_rows(g, idx, n))])
 
 
 def masked_pool_rows(x: Tensor, row_mask, mode: str) -> Tensor:
@@ -566,44 +618,63 @@ def spmm(a, x: Tensor) -> Tensor:
     return _record(Tensor(a @ x.data), [(x, lambda g: a.T @ g)])
 
 
+class SourceBuckets:
+    """The rows of a CSR matrix bucketed by source count, as ``neighbor_max`` reads them.
+
+    Rows are bucketed by source count rounded up to a power of two, so
+    one large row pads only the rows of its own bucket. Each bucket holds
+    its output rows and a (slots, rows) table of their source columns in
+    column order, short rows pointing at column n, one past the last
+    (unsorted indices are sorted first). Build it once per matrix and
+    pass it to every ``neighbor_max`` over that matrix.
+    """
+
+    def __init__(self, adj):
+        if not adj.has_sorted_indices:
+            adj = adj.sorted_indices()
+        counts = np.diff(adj.indptr)
+        if not counts.all():
+            raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
+        self.shape = adj.shape
+        sources = np.append(adj.indices, adj.shape[1])   # entry nnz reads column n
+        log_slots = np.frexp(counts - 1)[1]             # ceil(log2(count)), 0 for one source
+        self.buckets = []
+        for b in np.unique(log_slots):
+            rows = np.flatnonzero(log_slots == b)
+            slot = np.arange(1 << int(b))[:, None]
+            self.buckets.append(
+                (rows, sources[np.where(slot < counts[rows], adj.indptr[rows] + slot, adj.nnz)]))
+
+
 def neighbor_max(h: Tensor, adj) -> Tensor:
     """Row i is the elementwise max of the rows of ``h`` stored in row i of CSR ``adj``.
 
-    Rows are bucketed by source count, rounded up to a power of two, so
-    one large row pads only the rows of its own bucket. Each bucket
-    gathers its sources in column order into one (slots, rows, d) block,
-    short rows reading an appended -inf row, and takes one max over the
-    slots. The gradient of each (row, column) pair goes to a single
-    source: the first slot not below the max, so ties go to the lowest
-    column and a NaN max to the row's first source. That search runs in
-    the backward pass, so an untaped forward never pays for it.
+    ``adj`` is the CSR matrix or its ``SourceBuckets``. Each bucket
+    gathers its sources into one (slots, rows, d) block, short rows
+    reading an appended -inf row, and takes one max over the slots. The
+    gradient of each (row, column) pair goes to a single source: the
+    first slot not below the max, so ties go to the lowest column and a
+    NaN max to the row's first source. That search runs in the backward
+    pass, so an untaped forward never pays for it.
     """
     h = _as_tensor(h)
+    if not isinstance(adj, SourceBuckets):
+        adj = SourceBuckets(adj)
     if h.ndim != 2 or adj.shape[1] != h.shape[0]:
         raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over {adj.shape}")
     n, d = h.shape
-    if not adj.has_sorted_indices:
-        adj = adj.sorted_indices()
-    counts = np.diff(adj.indptr)
-    if not counts.all():
-        raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
     padded = np.concatenate([h.data, np.full((1, d), -np.inf)])
-    sources = np.append(adj.indices, n)          # entry nnz reads the -inf row
-    log_slots = np.frexp(counts - 1)[1]          # ceil(log2(count)), 0 for one source
-    outd = np.empty((counts.size, d))
-    buckets = []
-    for b in np.unique(log_slots):
-        rows = np.flatnonzero(log_slots == b)
-        slot = np.arange(1 << int(b))[:, None]
-        table = sources[np.where(slot < counts[rows], adj.indptr[rows] + slot, adj.nnz)]
+    outd = np.empty((adj.shape[0], d))
+    blocks = []
+    for rows, table in adj.buckets:
         block = padded.take(table, axis=0)
         top = block.max(axis=0)
         outd[rows] = top
-        buckets.append((rows, table, block, top))
+        blocks.append((block, top))
 
     def bwd(g):
-        source = np.empty((counts.size, d), dtype=np.intp)
-        for rows, table, block, top in buckets:
+        source = np.empty((adj.shape[0], d), dtype=np.intp)
+        for (rows, table), (block, top) in zip(adj.buckets, blocks):
             first = (block < top).argmin(axis=0)      # first slot not below the max
             # table[first[i, j], i], read through the flat table
             source[rows] = table.ravel().take(first * rows.size + np.arange(rows.size)[:, None])

@@ -266,6 +266,44 @@ class TestTuneCommand:
         rows = read_csv(out / "fold_metrics.csv", FOLD_CSV_FIELDS)
         assert metric == float(rows[-1]["final_metric"])
 
+    def test_ap_metric_reaches_the_run_and_its_fold_metrics(self, workspace, tmp_path):
+        """Seed 12 gives a final eval fold on which AP and AUROC differ."""
+        config = write_config(tmp_path / "ap.ini", replace={"metric = auroc": "metric = ap"})
+        out = tmp_path / "run"
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(out), "--seed", "12"]) == 0
+        assert read_csv(out / "metrics.csv", TUNE_CSV_FIELDS)[0]["metric"] == "ap"
+        assert json.loads((out / "run_meta.json").read_text())["metric"] == "ap"
+        meta, prompt_state = ck.load_prompt(out / "prompt.ckpt", dim=8, layers=2)
+        cfg = load_config(config)
+        assert cfg.tuning.metric == "ap"
+        backbone_cfg, backbone_state = ck.load_backbone(ckpt_of(workspace))
+        dataset = gen_downstream(cfg.task.count, cfg.task.generator, meta["seed"],
+                                 size_range=(cfg.task.min_nodes, cfg.task.max_nodes),
+                                 feature_dim=cfg.task.feature_dim)
+        scored = {metric: evaluate_fold(dataclasses.replace(cfg.tuning, metric=metric),
+                                        dataset, backbone_cfg, backbone_state, prompt_state,
+                                        seed=meta["seed"], fold=meta["fold"])
+                  for metric in ("ap", "auroc")}
+        final = float(read_csv(out / "fold_metrics.csv", FOLD_CSV_FIELDS)[-1]["final_metric"])
+        assert final == scored["ap"] != scored["auroc"]
+
+    def test_head_hidden_reaches_the_stored_prompt_state(self, workspace, tmp_path):
+        runs = {}
+        for hidden in ("false", "true"):
+            config = write_config(tmp_path / f"{hidden}.ini", extra=f"head_hidden = {hidden}\n")
+            out = tmp_path / hidden
+            assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                         "--out", str(out)]) == 0
+            _, state = ck.load_prompt(out / "prompt.ckpt", dim=8, layers=2)
+            trainable = int(read_csv(out / "metrics.csv", TUNE_CSV_FIELDS)[0]["trainable_params"])
+            runs[hidden] = (state, trainable)
+        assert "head.hidden.weight" not in runs["false"][0]
+        hidden_state, hidden_count = runs["true"]
+        assert hidden_state["head.hidden.weight"].shape == (8, 8)
+        assert hidden_state["head.hidden.bias"].shape == (8,)
+        assert hidden_count == runs["false"][1] + 8 * 8 + 8
+
     def test_backbone_checkpoint_never_mutated(self, workspace, tmp_path):
         before = Path(ckpt_of(workspace)).read_bytes()
         config = write_config(tmp_path / "exp.ini")

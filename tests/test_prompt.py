@@ -70,38 +70,35 @@ class TestApplyGraphPrompt:
 
 
 class TestInjectPrefix:
-    def test_rows_replaced_exactly(self):
+    def test_prefix_rows_come_first(self):
         e = Tensor(RNG.normal(size=(7, 4)))
         p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
         prompts = PromptSet(prefixes={1: p}, p_len=2)
         out = inject_prefix(e, p, 1, prompts).data
+        assert out.shape == (9, 4)
         assert np.array_equal(out[:2], p.data)
-        assert np.array_equal(out[2:], e.data[2:])
+        assert np.array_equal(out[2:], e.data)
 
-    def test_overwritten_rows_get_no_gradient_and_the_prefix_sums_every_block(self):
+    def test_prefix_gets_the_leading_gradient_rows(self):
         e = Tensor(RNG.normal(size=(7, 4)), requires_grad=True)
         p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
         prompts = PromptSet(prefixes={1: p}, p_len=2)
-        g = RNG.normal(size=(7, 4))
+        g = RNG.normal(size=(9, 4))
         with Tape():
-            out = inject_prefix(e, p, 1, prompts, starts=[4, 0])
-            grads = backward(tsum(mul(out, Tensor(g))))
-        assert np.array_equal(out.data[[0, 1, 4, 5]], np.concatenate([p.data, p.data]))
-        assert np.array_equal(out.data[[2, 3, 6]], e.data[[2, 3, 6]])
-        assert np.array_equal(grads[e][[0, 1, 4, 5]], np.zeros((4, 4)))
-        assert np.array_equal(grads[e][[2, 3, 6]], g[[2, 3, 6]])
-        assert np.array_equal(grads[p], g[0:2] + g[4:6])
+            grads = backward(tsum(mul(inject_prefix(e, p, 1, prompts), Tensor(g))))
+        assert np.array_equal(grads[p], g[:2])
+        assert np.array_equal(grads[e], g[2:])
 
-    @pytest.mark.parametrize("starts, error, message", [
-        ([0, 6], ShapeError, "exceeds 7 rows"),
-        ([-1], ShapeError, "exceeds 7 rows"),
-        ([0, 1], ContractError, "overlapping"),
-    ])
-    def test_blocks_must_fit_and_not_overlap(self, starts, error, message):
-        p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
-        prompts = PromptSet(prefixes={1: p}, p_len=2)
-        with pytest.raises(error, match=message):
-            inject_prefix(Tensor(RNG.normal(size=(7, 4))), p, 1, prompts, starts)
+    @pytest.mark.parametrize("rows, prefix, p_len", [
+        ((7, 4), (2, 3), 2),
+        ((7, 4), (3, 4), 2),
+        ((4,), (2, 4), 2),
+    ], ids=["width", "p_len", "not_a_matrix"])
+    def test_prefix_must_fit_the_rows(self, rows, prefix, p_len):
+        p = Tensor(RNG.normal(size=prefix), requires_grad=True)
+        prompts = PromptSet(prefixes={1: p}, p_len=p_len)
+        with pytest.raises(ShapeError, match="does not fit"):
+            inject_prefix(Tensor(RNG.normal(size=rows)), p, 1, prompts)
 
     def test_unprompted_layer_rejected(self):
         p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
@@ -124,8 +121,9 @@ class TestInjectPrefix:
         prepared = prepare_batch([g], cfg)
         prompts = init_prompts("prefix_only", cfg.dim, cfg.layers, p_len=2, seed=3)
         base, layout = encode_nodes(prepared, bb, prompt_ctx=prompts)
-        # layer-0 prefix is overwritten again at layers 1 and 2, so any
-        # influence on final real-node rows went through attention
+        # layer 0's prefix rows are keys only and never reach layers 1
+        # and 2, so any influence on final real-node rows went through
+        # attention
         prompts.prefixes[0].data[0, 0] += 0.5
         bumped, _ = encode_nodes(prepared, bb, prompt_ctx=prompts)
         rows = layout.node_rows(0)

@@ -1,7 +1,8 @@
 """Property tests over random small batches.
 
-Batches hold 1 to 4 graphs of 1 to 6 nodes, drawn with edgeless graphs,
-isolated nodes and repeated samples. Runs are derandomized, so the suite
+Batches hold 1 to 4 graphs of 1 to 6 nodes (1 to 6 graphs of 1 to 8
+nodes against the slot oracle), drawn with edgeless graphs, isolated
+nodes and repeated samples. Runs are derandomized, so the suite
 stays deterministic.
 """
 
@@ -20,18 +21,33 @@ from gpt_lab.models import (
     _insert_prompt_rows,
     _mpgnn_adjacency,
     backbone_forward,
+    encode_nodes,
     prepare_batch,
+    readout,
+    transformer_layer_forward,
 )
-from gpt_lab.prompt import PromptSet, init_prompts
-from gpt_lab.tensor import Tape, Tensor, backward, mul, neighbor_max, tsum
+from gpt_lab.prompt import TOKEN_STAGES, PromptSet, init_prompts
+from gpt_lab.tensor import (
+    AttentionGroups,
+    Tape,
+    Tensor,
+    add,
+    backward,
+    concat_rows,
+    gather_rows,
+    matmul,
+    mul,
+    neighbor_max,
+    tsum,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                              database=None)
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 6))
+def graphs(draw, max_nodes=6):
+    n = draw(st.integers(1, max_nodes))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     seed = draw(st.integers(0, 2**16))
@@ -41,10 +57,10 @@ def graphs(draw):
 
 
 @st.composite
-def batches(draw):
-    """1 to 4 samples picked, with repeats, from up to 3 distinct graphs."""
-    pool = draw(st.lists(graphs(), min_size=1, max_size=3))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+def batches(draw, max_graphs=4, max_nodes=6):
+    """1 to ``max_graphs`` samples picked, with repeats, from up to 3 distinct graphs."""
+    pool = draw(st.lists(graphs(max_nodes), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_graphs))
     return [pool[i] for i in picks]
 
 
@@ -163,15 +179,14 @@ def test_empty_prompt_set_changes_nothing(name, batch):
 
 
 @PROPERTY_SETTINGS
-@given(batch=batches(), p=st.integers(0, 3), with_rows=st.booleans(), seed=st.integers(0, 99))
-def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, with_rows, seed):
+@given(batch=batches(), p=st.integers(0, 3), seed=st.integers(0, 99))
+def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, seed):
     rng = np.random.default_rng(seed)
     layout = _layout(batch, 0)
     h = rng.normal(size=(layout.total_rows, 4))
     rows = rng.normal(size=(p, 4))
-    out, new = _insert_prompt_rows(Tensor(h), layout, p, Tensor(rows) if with_rows else None)
-    head = rows if with_rows else np.zeros((p, 4))
-    want = np.concatenate([np.concatenate([head, h[s:e]]) for s, e in layout.blocks])
+    out, new = _insert_prompt_rows(Tensor(np.concatenate([rows, h])), layout, p)
+    want = np.concatenate([np.concatenate([rows, h[s:e]]) for s, e in layout.blocks])
     assert np.array_equal(out.data, want)
     assert new == _layout(batch, p)
 
@@ -204,6 +219,74 @@ def test_neighbor_max_equals_a_per_row_oracle(first, rest, extra, seed):
             want_grad[c[h[c, j] == want[r, j]].min(), j] += g[r, j]
     assert np.array_equal(out.data, want)
     assert np.array_equal(grad, want_grad)
+
+
+def _slot_oracle(g, cfg, bb, prompts):
+    """One sample's node rows with prompt rows carried through every layer.
+
+    p prompt rows sit at the head of the sequence from the first prompted
+    layer on (or from the input projection, for virtual tokens); each
+    prompted layer replaces them with its prefix; every layer runs full
+    self-attention over the whole sequence.
+    """
+    prepared = prepare_batch([g], cfg)
+    x = Tensor(prepared.features)
+    token, pre = prompts.graph_token, prompts.token_stage == "pre_projection"
+    if token is not None and pre:
+        x = add(x, token)
+    h = add(matmul(x, bb.w_in), bb.b_in)
+    h = add(h, gather_rows(bb.degree_table, np.minimum(prepared.degrees, cfg.max_degree)))
+    if token is not None and not pre:
+        h = add(h, token)
+    p = 0
+    if prompts.virtual_tokens is not None:
+        h, p = concat_rows([prompts.virtual_tokens, h]), prompts.virtual_tokens.shape[0]
+    for li, params in enumerate(bb.layers):
+        if li in prompts.prefixes:
+            h = concat_rows([prompts.prefixes[li], gather_rows(h, np.arange(p, h.shape[0]))])
+            p = prompts.p_len
+        n = h.shape[0]
+        h = transformer_layer_forward(
+            h, AttentionGroups(np.arange(n)[None], np.ones((1, n, n), dtype=bool)), params)
+    return gather_rows(h, np.arange(p, h.shape[0]))
+
+
+@pytest.mark.parametrize("interval", [(0, 2), (0, 1), (1, 2), (1, 1), "virtual"],
+                         ids=["all", "early", "late", "single", "virtual"])
+@PROPERTY_SETTINGS
+@given(batch=batches(max_graphs=6, max_nodes=8), p_len=st.integers(1, 5),
+       stage=st.sampled_from(TOKEN_STAGES), seed=st.integers(0, 99))
+def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len, stage, seed):
+    """Prefixes as shared keys, with outputs only for rows a later layer
+    reads, give the node rows and gradients of carrying the prompt rows."""
+    cfg, bb, head, _ = MODELS["transformer"]
+    rng = np.random.default_rng(seed)
+    if interval == "virtual":
+        prompts = init_prompts("virtual_node", cfg.dim, cfg.layers, p_len=p_len, seed=seed)
+    else:
+        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=p_len, seed=seed,
+                               prompted_layers=interval, token_stage=stage,
+                               token_width=cfg.input_width)
+    for t in prompts.named_params().values():
+        t.data = rng.normal(size=t.shape)
+    weights = Tensor(rng.normal(size=(len(batch), 1)))
+    tracked = {**prompts.named_params(), **head.named_params()}
+
+    with Tape():
+        h, layout = encode_nodes(prepare_batch(batch, cfg), bb, prompt_ctx=prompts)
+        pooled = readout(h, layout.node_mask(), cfg.readout)
+        grads = backward(tsum(mul(head.forward(pooled), weights)))
+    with Tape():
+        alone = [_slot_oracle(g, cfg, bb, prompts) for g in batch]
+        pooled = concat_rows([readout(r, np.ones((1, r.shape[0]), dtype=bool), cfg.readout)
+                              for r in alone])
+        want = backward(tsum(mul(head.forward(pooled), weights)))
+
+    rows = np.concatenate([np.arange(s, e) for s, e in layout.nodes])
+    assert np.abs(h.data[rows] - np.concatenate([r.data for r in alone])).max() <= 1e-12
+    for name, t in tracked.items():
+        scale = max(1.0, np.abs(want[t]).max())
+        assert np.abs(grads[t] - want[t]).max() <= 1e-10 * scale, name
 
 
 FD_CASES = {"deepgpt": "transformer_deepgpt", "virtual_node_sum": "mpgnn_sum_virtual",

@@ -160,24 +160,85 @@ class TestBlockAttention:
             T.block_attention(q, q, q, groups, 2)
 
     def test_real_query_row_without_a_key_raises(self):
-        index, mask = _two_groups()
+        index, mask, _ = _two_groups()
         mask[1, 1, :] = False
         q = Tensor(rand(7, 4))
         with pytest.raises(DegenerateRowError, match="row 3 "):
             T.block_attention(q, q, q, T.AttentionGroups(index, mask), 2)
 
     def test_mask_shape_must_be_groups_by_length_squared(self):
-        index, mask = _two_groups()
+        index, mask, _ = _two_groups()
         q = Tensor(rand(7, 4))
         with pytest.raises(ShapeError, match="mask shape"):
             T.block_attention(q, q, q, T.AttentionGroups(index, mask[:, :3]), 2)
 
     def test_padding_key_must_stay_masked(self):
-        index, mask = _two_groups()
+        index, mask, _ = _two_groups()
         mask[0, 0, 3] = True
         q = Tensor(rand(7, 4))
         with pytest.raises(ContractError, match="padding key"):
             T.block_attention(q, q, q, T.AttentionGroups(index, mask), 2)
+
+
+def _shared_key_groups():
+    """Key row 0 is shared by both groups; rows 1-5 ask queries, row 0 is a key only."""
+    index = np.array([[0, 1, 2, -1], [0, 3, 4, 5]])
+    query = np.array([[2, 1, -1], [3, 4, 5]])
+    mask = (query >= 0)[:, :, None] & (index >= 0)[:, None, :]
+    mask[1, 0, 2] = False
+    return T.AttentionGroups(index, mask, query)
+
+
+class TestBlockAttentionWithQueries:
+    def test_grads_vs_fd_with_a_shared_key_and_a_query_subset(self):
+        q, k, v = (Tensor(rand(6, 4), requires_grad=True) for _ in range(3))
+        w = Tensor(rand(5, 4))
+        groups = _shared_key_groups()
+        check_against_fd(lambda: T.tsum(T.mul(T.block_attention(q, k, v, groups, 2), w)),
+                         [q, k, v])
+
+    def test_each_query_row_reads_its_own_group_keys(self):
+        q, k, v = (Tensor(rand(6, 4)) for _ in range(3))
+        groups = _shared_key_groups()
+        assert groups.query_rows().tolist() == [1, 2, 3, 4, 5]
+        out = T.block_attention(q, k, v, groups, 2).data
+        assert out.shape == (5, 4)
+        for row, keys in [(2, [0, 1, 2]), (3, [0, 3, 5])]:   # output rows 1 and 2
+            for h in (slice(0, 2), slice(2, 4)):
+                s = k.data[keys, h] @ q.data[row, h] / math.sqrt(2)
+                p = np.exp(s - s.max())
+                assert np.abs(out[row - 1, h] - p @ v.data[keys, h] / p.sum()).max() < 1e-12
+
+    @pytest.mark.parametrize("query", [[[2, 2, -1], [3, 4, 5]],      # repeats row 2
+                                       [[2, 1, -1], [3, 4, 6]],      # names no row
+                                       [[2, 1, -2], [3, 4, 5]]],     # bad padding id
+                             ids=["repeated", "out_of_range", "bad_padding"])
+    def test_query_must_name_distinct_rows(self, query):
+        index, mask, _ = _shared_key_groups()
+        q = Tensor(rand(6, 4))
+        with pytest.raises(ContractError, match="each at most once"):
+            T.block_attention(q, q, q, T.AttentionGroups(index, mask, np.array(query)), 2)
+
+    def test_key_index_out_of_range_rejected(self):
+        _, mask, query = _shared_key_groups()
+        index = np.array([[0, 1, 2, -1], [0, 3, 4, 6]])
+        q = Tensor(rand(6, 4))
+        with pytest.raises(ContractError, match=r"key index outside \[-1, 6\)"):
+            T.block_attention(q, q, q, T.AttentionGroups(index, mask, query), 2)
+
+    def test_padding_key_must_stay_masked(self):
+        index, mask, query = _shared_key_groups()
+        mask[0, 0, 3] = True
+        q = Tensor(rand(6, 4))
+        with pytest.raises(ContractError, match="padding key"):
+            T.block_attention(q, q, q, T.AttentionGroups(index, mask, query), 2)
+
+    def test_real_query_row_without_a_key_raises(self):
+        index, mask, query = _shared_key_groups()
+        mask[1, 1, :] = False
+        q = Tensor(rand(6, 4))
+        with pytest.raises(DegenerateRowError, match="row 4 "):
+            T.block_attention(q, q, q, T.AttentionGroups(index, mask, query), 2)
 
 
 class TestLayerNorm:
@@ -351,6 +412,20 @@ class TestNeighborMax:
         # Output row 0 ties in both columns, row 1 in column 0: the first
         # source in column order takes each output's whole gradient.
         assert np.array_equal(grads[h], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def test_buckets_built_once_serve_every_call(self):
+        adj = csr([[2, 0], [1], [0, 1, 2], [2]])
+        buckets = T.SourceBuckets(adj)
+        for _ in range(2):
+            h = Tensor(rand(3, 2), requires_grad=True)
+            with Tape():
+                shared = T.neighbor_max(h, buckets)
+                grad_shared = backward(T.tsum(shared))[h]
+            with Tape():
+                fresh = T.neighbor_max(h, adj)
+                grad_fresh = backward(T.tsum(fresh))[h]
+            assert np.array_equal(shared.data, fresh.data)
+            assert np.array_equal(grad_shared, grad_fresh)
 
 
 def test_bce_with_logits_matches_fd():
