@@ -24,7 +24,6 @@ __all__ = [
     "GraphParseError",
     "GraphValidationError",
     "rwpe",
-    "degree_encoding",
     "with_rwpe",
     "batch",
     "gen_pretext",
@@ -102,13 +101,6 @@ class GraphSample:
             out[j].append(i)
         return out
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for i, j in self.edges:
@@ -135,13 +127,6 @@ def rwpe(g: GraphSample, k: int) -> Tensor:
         cur = cur @ m
         out[:, s] = np.diagonal(cur)
     return Tensor(out)
-
-
-def degree_encoding(g: GraphSample, max_degree: int) -> np.ndarray:
-    """Node degrees clamped to max_degree, for indexing a learned table."""
-    if max_degree < 1:
-        raise DataError(f"degree_encoding needs max_degree >= 1, got {max_degree}")
-    return np.minimum(g.degrees(), max_degree)
 
 
 def with_rwpe(graphs: Sequence[GraphSample], k: int) -> list[GraphSample]:

@@ -1,25 +1,28 @@
 """Freezable backbones: a graph transformer, an MPGNN, readout and head.
 
 A ``BatchedGraph`` already stacks every sample's node rows into one tall
-matrix; ``encode_nodes`` reads it as it is. Row-wise work, such as
-projections, layer norms, the FFN and residuals, runs on that matrix with
-no padding. Work across rows is per sample: the transformer's attention
-gathers each sample's rows into one padded group (``AttentionGroups``,
-built from the row layout) and attends within it, the MPGNN multiplies by
-one sparse CSR adjacency that never joins two samples, and readout pools
-each sample's node rows, all samples in one operation. A batched forward
+matrix, sample b owning rows ``offsets[b]:offsets[b + 1]``;
+``encode_nodes`` reads it as it is. Row-wise work, such as projections,
+layer norms, the FFN and residuals, runs on that matrix with no padding.
+Work across rows is per sample: the transformer's attention gathers each
+sample's rows into one padded group (``AttentionGroups``, built from the
+offsets) and attends within it, the MPGNN multiplies by one sparse CSR
+adjacency that never joins two samples, and readout pools each sample's
+segment of node rows, all samples in one ``pool_rows``. A batched forward
 therefore agrees with per-sample forwards.
 
 Prompts arrive as a ``PromptSet``. ``encode_nodes`` validates it with
 ``PromptSet.check`` and applies it through ``gpt_lab.prompt``'s hooks
 (``apply_graph_prompt`` for the graph token, ``inject_prefix`` for the
 prefixes). Virtual tokens are p prompt rows at the head of each sample
-block. A prefix is p rows of keys and values that every sample's group
-shares: a prompted layer reads ``[prefix; h]``, projects the prefix once
-and asks queries of the node rows only. A transformer layer outputs the
-node rows, plus the prompt rows only when a later layer reads them, so
-the last layer returns node rows only. With no prompt set, or an empty
-one, the executed operation sequence is that of a prompt-free build.
+block, so the offsets and p locate every row. A prefix is p rows of keys
+and values that every sample's group shares: a prompted layer reads
+``[prefix; h]``, projects the prefix once and asks queries of the node
+rows only. A transformer layer outputs the node rows, plus the prompt
+rows only when a later layer reads them, and the MPGNN drops its prompt
+rows after its last layer, so ``encode_nodes`` returns node rows only,
+laid out by the batch's offsets. With no prompt set, or an empty one,
+the executed operation sequence is that of a prompt-free build.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from gpt_lab.tensor import (
     gather_rows,
     gelu,
     layer_norm,
-    masked_pool_rows,
     matmul,
     neighbor_max,
+    pool_rows,
     spmm,
 )
 
@@ -61,12 +64,11 @@ __all__ = [
     "Backbone",
     "PredictionHead",
     "transformer_layer_forward",
+    "aggregation_operand",
     "mpgnn_layer_forward",
-    "readout",
     "encode_nodes",
     "backbone_forward",
     "prepare_batch",
-    "RowLayout",
     "LN_EPS",
 ]
 
@@ -100,6 +102,12 @@ class BackboneConfig:
             raise ContractError(f"unknown aggregation {self.aggregation!r}")
         if self.layers < 1:
             raise ContractError("need at least one layer")
+        for key, low in (("heads", 1), ("ffn_mult", 1), ("rwpe_steps", 0)):
+            if getattr(self, key) < low:
+                raise ContractError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if self.degree_embed and self.max_degree < 1:
+            raise ContractError(f"max_degree must be at least 1 with degree_embed, "
+                                f"got {self.max_degree}")
         if self.kind == "transformer" and self.dim % self.heads != 0:
             raise ContractError(f"dim {self.dim} not divisible by {self.heads} heads")
         if self.feature_dim < 1 or self.dim < 1:
@@ -135,7 +143,6 @@ class TransformerLayerParams:
 class MpgnnLayerParams:
     weight: Tensor
     bias: Tensor
-    aggregation: str
 
 
 def _init_matrix(rng, rows, cols) -> Tensor:
@@ -192,7 +199,6 @@ class Backbone:
                 layers.append(MpgnnLayerParams(
                     weight=_init_matrix(rng, cfg.dim, cfg.dim),
                     bias=_zeros(cfg.dim),
-                    aggregation=cfg.aggregation,
                 ))
         return cls(cfg, w_in, b_in, table, layers)
 
@@ -306,35 +312,36 @@ def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
     return add(x1, ff)
 
 
-def mpgnn_layer_forward(h: Tensor, adj, params: MpgnnLayerParams) -> Tensor:
-    """Aggregate each row over its row of the (R, R) CSR 0/1 ``adj``, then linear + GELU.
+def aggregation_operand(adj: sparse.csr_matrix, aggregation: str):
+    """What ``mpgnn_layer_forward`` aggregates with, built once per (R, R) CSR 0/1 ``adj``.
 
-    Self-aggregation comes from the stored diagonal. Mean divides each
-    row of ``adj`` by its entry count. Max aggregation also takes the
-    matrix's ``SourceBuckets`` in place of the matrix.
+    Sum takes ``adj`` itself, whose stored diagonal gives self-aggregation;
+    mean divides each row of ``adj`` by its entry count; max takes the
+    matrix's ``SourceBuckets``.
+    """
+    if aggregation == "max":
+        return SourceBuckets(adj)
+    if aggregation == "mean":
+        counts = np.diff(adj.indptr)
+        return sparse.csr_matrix((adj.data / np.repeat(counts, counts), adj.indices, adj.indptr),
+                                 shape=adj.shape)
+    return adj
+
+
+def mpgnn_layer_forward(h: Tensor, operand, params: MpgnnLayerParams) -> Tensor:
+    """Aggregate each row over its row of ``operand``, then linear + GELU.
+
+    ``operand`` comes from ``aggregation_operand``: ``SourceBuckets`` runs
+    ``neighbor_max``, a sparse matrix runs ``spmm``.
     """
     n = h.shape[0]
-    if adj.shape != (n, n):
-        raise ShapeError(f"adjacency of shape {adj.shape} does not cover {n} rows")
-    if params.aggregation == "max":
-        agg = neighbor_max(h, adj)
-    elif params.aggregation == "mean":
-        counts = np.diff(adj.indptr)
-        mean = sparse.csr_matrix((adj.data / np.repeat(counts, counts), adj.indices, adj.indptr),
-                                 shape=adj.shape)
-        agg = spmm(mean, h)
+    if operand.shape != (n, n):
+        raise ShapeError(f"aggregation operand of shape {operand.shape} does not cover {n} rows")
+    if isinstance(operand, SourceBuckets):
+        agg = neighbor_max(h, operand)
     else:
-        agg = spmm(adj, h)
+        agg = spmm(operand, h)
     return gelu(add(matmul(agg, params.weight), params.bias))
-
-
-def readout(h: Tensor, node_mask, mode: str) -> Tensor:
-    """Permutation-invariant pooling of every sample's rows in one operation.
-
-    Row b of the (B, R) ``node_mask`` selects sample b's rows of ``h``;
-    the result is (B, d).
-    """
-    return masked_pool_rows(h, node_mask, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -342,37 +349,19 @@ def readout(h: Tensor, node_mask, mode: str) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RowLayout:
-    """Row bookkeeping for the flattened batch.
-
-    Sample b owns rows ``blocks[b]`` and its original nodes are rows
-    ``nodes[b]``, the tail of the block. Prompt rows (virtual tokens or
-    a prefix that a later layer reads), once inserted, are the rows of a
-    block before its nodes.
-    """
-
-    blocks: list[tuple[int, int]]
-    nodes: list[tuple[int, int]]
-
-    @property
-    def total_rows(self) -> int:
-        return self.blocks[-1][1] if self.blocks else 0
-
-    def node_rows(self, sample: int) -> range:
-        s, e = self.nodes[sample]
-        return range(s, e)
-
-    def node_mask(self) -> np.ndarray:
-        """(B, R) bool: row b marks sample b's original-node rows."""
-        mask = np.zeros((len(self.nodes), self.total_rows), dtype=bool)
-        for b, (s, e) in enumerate(self.nodes):
-            mask[b, s:e] = True
-        return mask
+def _block_starts(offsets: np.ndarray, p: int) -> np.ndarray:
+    """First row of each sample block when every block holds p prompt rows, then its nodes."""
+    return offsets[:-1] + p * np.arange(len(offsets) - 1)
 
 
-def _attention_groups(layout: RowLayout, shared: int = 0,
-                      node_queries: bool = False) -> AttentionGroups:
+def _node_rows(offsets: np.ndarray, p: int) -> np.ndarray:
+    """The row of every node, in batch order, with p prompt rows per block."""
+    counts = np.diff(offsets)
+    return np.arange(offsets[-1]) + p * np.repeat(np.arange(1, counts.size + 1), counts)
+
+
+def _attention_groups(offsets: np.ndarray, p: int, shared: int,
+                      node_queries: bool) -> AttentionGroups:
     """One padded group per sample block.
 
     Group b's keys are ``shared`` rows 0..shared-1, which every group
@@ -380,60 +369,50 @@ def _attention_groups(layout: RowLayout, shared: int = 0,
     queries are every row of the block (self-attention; needs no shared
     rows) or, with ``node_queries``, only the block's node rows.
     """
-    starts = np.array([s for s, _ in layout.blocks], dtype=np.int64) + shared
-    sizes = np.array([e - s for s, e in layout.blocks], dtype=np.int64)
+    counts = np.diff(offsets)
+    starts = _block_starts(offsets, p) + shared
+    sizes = counts + p
     pos = np.arange(shared + sizes.max()) - shared     # position within the block
     real = pos[None, :] < sizes[:, None]
     index = np.where(real, np.where(pos < 0, pos + shared, starts[:, None] + pos), -1)
     if not node_queries:
         return AttentionGroups(index, real[:, :, None] & real[:, None, :])
-    first = np.array([s for s, _ in layout.nodes], dtype=np.int64) + shared
-    counts = np.array([e - s for s, e in layout.nodes], dtype=np.int64)
     at = np.arange(counts.max())
     asks = at[None, :] < counts[:, None]
-    query = np.where(asks, first[:, None] + at, -1)
+    query = np.where(asks, starts[:, None] + p + at, -1)
     return AttentionGroups(index, asks[:, :, None] & real[:, None, :], query)
 
 
-def _insert_prompt_rows(stacked: Tensor, layout: RowLayout, p: int) -> tuple[Tensor, RowLayout]:
+def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int) -> Tensor:
     """Copy the p leading rows of ``stacked`` to the head of every sample block.
 
-    ``stacked`` is ``[rows; h]``: p prompt rows followed by the rows that
-    ``layout`` describes. One ``gather_rows`` builds the result.
+    ``stacked`` is ``[rows; h]``: p prompt rows followed by the node rows
+    that ``offsets`` describes. One ``gather_rows`` builds the result,
+    laid out with p prompt rows per block.
     """
-    old = np.array(layout.blocks, dtype=np.int64).reshape(-1, 2)
-    sizes = old[:, 1] - old[:, 0] + p
-    start = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    pos = np.arange(sizes.sum()) - start[owner]          # position within the new block
-    index = np.where(pos < p, pos, old[owner, 0] + pos)   # h starts at row p of stacked
-    shift = start + p - old[:, 0]
-    nodes = np.array(layout.nodes, dtype=np.int64).reshape(-1, 2) + shift[:, None]
-    blocks = np.stack([start, start + sizes], axis=1)
-    return gather_rows(stacked, index), RowLayout(list(map(tuple, blocks.tolist())),
-                                                  list(map(tuple, nodes.tolist())))
+    sizes = np.diff(offsets) + p
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(sizes.sum()) - _block_starts(offsets, p)[owner]   # position within the block
+    return gather_rows(stacked, np.where(pos < p, pos, offsets[owner] + pos))  # h starts at row p
 
 
-def _mpgnn_adjacency(batch: BatchedGraph, layout: RowLayout) -> sparse.csr_matrix:
-    """The (R, R) 0/1 aggregation matrix of the MPGNN over the layout's rows.
+def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> sparse.csr_matrix:
+    """The (R, R) 0/1 aggregation matrix of the MPGNN, with p prompt rows per block.
 
     It holds the diagonal, each graph edge in both directions at the
     node rows it moved to, and every prompt row of a sample wired to each
     of that sample's original nodes and back.
     """
-    first_node = np.array([s for s, _ in layout.nodes], dtype=np.int64)
-    block_start = np.array([s for s, _ in layout.blocks], dtype=np.int64)
-    owner = np.repeat(np.arange(batch.size), np.diff(batch.offsets))
-    node_row = np.arange(batch.offsets[-1]) + (first_node - batch.offsets[:-1])[owner]
+    node_row = _node_rows(batch.offsets, p)
     a, b = node_row[batch.edges].T
-    p = (first_node - block_start)[owner]         # pair each node row with its p prompt rows
-    nodes = np.repeat(node_row, p)
-    prompt = np.repeat(block_start[owner] - np.cumsum(p) + p, p) + np.arange(nodes.size)
-    diag = np.arange(layout.total_rows)
+    owner = np.repeat(np.arange(batch.size), np.diff(batch.offsets))
+    nodes = np.repeat(node_row, p)              # pair each node row with its p prompt rows
+    prompt = (_block_starts(batch.offsets, p)[owner, None] + np.arange(p)).ravel()
+    total = batch.offsets[-1] + p * batch.size
+    diag = np.arange(total)
     rows = np.concatenate([diag, a, b, nodes, prompt])
     cols = np.concatenate([diag, b, a, prompt, nodes])
-    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)),
-                             shape=(layout.total_rows, layout.total_rows))
+    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
 
 
 def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
@@ -444,19 +423,20 @@ def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> Batched
 
 
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,
-                 prompt_ctx: PromptSet | None = None) -> tuple[Tensor, RowLayout]:
-    """Final-layer embeddings for the flattened batch, plus row bookkeeping.
+                 prompt_ctx: PromptSet | None = None) -> tuple[Tensor, np.ndarray]:
+    """Final-layer embeddings of the batch's node rows, and the batch's ``offsets``.
 
-    The layout starts from the batch's ``offsets`` and always describes
-    the rows returned. ``prompt_ctx`` is validated with
-    ``PromptSet.check`` and applied through the hooks of
-    ``gpt_lab.prompt``: ``apply_graph_prompt`` adds the graph token to
-    every node row, before or after the input projection as its stage
-    says; virtual tokens are inserted as p prompt rows at the head of
-    each sample block after the projection. A prompted layer reads
-    ``inject_prefix``'s ``[prefix; h]``: its p prefix rows are keys and
-    values that every sample's group shares, projected once. An empty
-    prompt set runs the same operations as no prompt set.
+    Row i of the result belongs to node row i of ``batch``, so sample b
+    owns rows ``offsets[b]:offsets[b + 1]``; prompt rows are never
+    returned. ``prompt_ctx`` is validated with ``PromptSet.check`` and
+    applied through the hooks of ``gpt_lab.prompt``:
+    ``apply_graph_prompt`` adds the graph token to every node row, before
+    or after the input projection as its stage says; virtual tokens are
+    inserted as p prompt rows at the head of each sample block after the
+    projection. A prompted layer reads ``inject_prefix``'s ``[prefix;
+    h]``: its p prefix rows are keys and values that every sample's
+    group shares, projected once. An empty prompt set runs the same
+    operations as no prompt set.
 
     A transformer layer outputs the node rows, plus the prompt rows only
     when a later layer reads them, that is when the next layer exists
@@ -468,17 +448,16 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     ``block_attention`` gathers each group's rows into padded arrays,
     keys padded to the longest block with its prompt rows, and each
     distinct set of groups is built once per forward. The MPGNN runs on
-    every row, over one adjacency and, for max aggregation, one set of
-    bucket tables, both built after prompt rows are inserted. The
-    layout's ``nodes`` ranges locate each sample's original-node rows.
+    every row, over one aggregation operand built after prompt rows are
+    inserted, and one gather after its last layer drops the prompt rows.
     """
     cfg = backbone.cfg
     prompts = PromptSet() if prompt_ctx is None else prompt_ctx.check(cfg)
     if batch.features.shape[1] != cfg.input_width:
         raise ShapeError(f"batch feature width {batch.features.shape[1]} does not match "
                          f"input projection width {cfg.input_width}")
-    samples = [(int(s), int(e)) for s, e in zip(batch.offsets[:-1], batch.offsets[1:])]
-    plain = layout = RowLayout(samples, samples)
+    offsets = batch.offsets
+    p = 0                                         # prompt rows at the head of each block
     x = Tensor(batch.features)
 
     token = prompts.graph_token
@@ -492,35 +471,35 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         h = apply_graph_prompt(h, token)
     tokens = prompts.virtual_tokens
     if tokens is not None and tokens.shape[0] > 0:
-        h, layout = _insert_prompt_rows(concat_rows([tokens, h]), layout, tokens.shape[0])
+        p = tokens.shape[0]
+        h = _insert_prompt_rows(concat_rows([tokens, h]), offsets, p)
 
     if cfg.kind == "mpgnn":
-        adj = _mpgnn_adjacency(batch, layout)
-        if cfg.aggregation == "max":
-            adj = SourceBuckets(adj)
+        operand = aggregation_operand(_mpgnn_adjacency(batch, p), cfg.aggregation)
         for params in backbone.layers:
-            h = mpgnn_layer_forward(h, adj, params)
-        return h, layout
+            h = mpgnn_layer_forward(h, operand, params)
+        if p:
+            h = gather_rows(h, _node_rows(offsets, p))
+        return h, offsets
     built: dict[tuple, AttentionGroups] = {}      # each distinct set of groups
-    p, prefixes = prompts.p_len, prompts.prefixes
+    prefixes = prompts.prefixes
     for li, params in enumerate(backbone.layers):
         keep = li + 1 < cfg.layers and li + 1 not in prefixes   # a later layer reads prompt rows
-        shared, node_queries = 0, not keep and layout is not plain
-        if li in prefixes:
+        shared, node_queries = 0, not keep and p > 0
+        if li in prefixes:            # the rows are node rows only here
             h = inject_prefix(h, prefixes[li], li, prompts)
             if keep:
-                h, layout = _insert_prompt_rows(h, layout, p)
+                p = prompts.p_len
+                h = _insert_prompt_rows(h, offsets, p)
             else:
-                shared, node_queries = p, True
-        # A forward's two layouts, node rows only and p prompt rows per
-        # block, differ in their row counts.
-        key = (layout.total_rows, shared, node_queries)
+                shared, node_queries = prompts.p_len, True
+        key = (p, shared, node_queries)
         if key not in built:
-            built[key] = _attention_groups(layout, shared, node_queries)
+            built[key] = _attention_groups(offsets, *key)
         h = transformer_layer_forward(h, built[key], params)
         if not keep:
-            layout = plain
-    return h, layout
+            p = 0
+    return h, offsets
 
 
 def backbone_forward(batch: BatchedGraph, backbone: Backbone,
@@ -528,9 +507,9 @@ def backbone_forward(batch: BatchedGraph, backbone: Backbone,
                      prompt_ctx: PromptSet | None = None) -> Tensor:
     """Per-sample predictions (B x t), or graph embeddings when head is None.
 
-    Readout pools over original-node rows only, so prompt rows never
+    Readout pools each sample's segment of node rows, so prompt rows never
     change which positions are averaged.
     """
-    h, layout = encode_nodes(batch, backbone, prompt_ctx)
-    hg = readout(h, layout.node_mask(), backbone.cfg.readout)
+    h, offsets = encode_nodes(batch, backbone, prompt_ctx)
+    hg = pool_rows(h, offsets, backbone.cfg.readout)
     return head.forward(hg) if head is not None else hg

@@ -155,11 +155,6 @@ class FreezeRegistry:
         if overlap:
             raise ContractError(f"parameters both frozen and trainable: {sorted(overlap)}")
 
-    def all_params(self) -> dict[str, Tensor]:
-        out = dict(self.frozen)
-        out.update(self.trainable)
-        return out
-
 
 def build_registry(backbone, head, prompts: PromptSet, mode: str) -> FreezeRegistry:
     """Partition backbone, head and prompt parameters for a tuning mode.

@@ -6,26 +6,26 @@ node holding per-input backward closures; ``backward`` replays the node
 list once, in reverse, and returns a gradient map keyed by the leaf
 tensors that require gradients.
 
-Shapes are kept deliberately rigid: every tensor is a scalar, a vector or
-a matrix, and the single allowed broadcast is a row vector over the rows
-of a matrix. Everything else is a shape error. Rows move by one
-primitive, ``gather_rows``: output row i reads input row ``index[i]``, or
-a zero row for -1, and the backward pass scatter-adds onto the rows read.
-``masked_pool_rows`` and ``block_attention`` gather through the same
-helper. The one place that works on higher-rank arrays is
-``block_attention``: it gathers the rows of its (R, heads * dq) operands
-into padded (B, heads, L, dq) groups, the query rows of each group
-(every row, or a subset) and its key rows (which several groups may
-share), runs softmax attention within each group and returns one row per
-query row, so the 4-D arrays never leave that operation; its backward
-pass scatter-adds each key row's gradient over every group that reads
-it. The sparse matrix that ``spmm`` and ``neighbor_max`` take is a
-constant. ``neighbor_max`` buckets its output rows by source count,
-rounded up to a power of two (``SourceBuckets``, which a caller builds
-once per matrix), and runs one gather and one max per bucket; only its
-backward pass looks up which source held each max (the first in column
-order that is not below it, so ties go to the lowest column and a NaN
-max to the row's first source).
+Shapes are kept deliberately rigid: every tensor is a scalar, a vector
+or a matrix, and the single allowed broadcast is a row vector over the
+rows of a matrix. Everything else is a shape error. Rows move by one
+primitive, ``gather_rows``: output row i reads input row ``index[i]``,
+or a zero row for -1, and the backward pass scatter-adds onto the rows
+read. ``pool_rows``, which sums or averages contiguous segments of rows,
+and ``block_attention`` gather through the same helper. The one place
+that works on higher-rank arrays is ``block_attention``: it gathers the
+rows of its (R, heads * dq) operands into padded (B, heads, L, dq)
+groups, the query rows of each group (every row, or a subset) and its
+key rows (which several groups may share), runs softmax attention within
+each group and returns one row per query row, so the 4-D arrays never
+leave that operation; its backward pass scatter-adds each key row's
+gradient over every group that reads it. The sparse matrix that ``spmm``
+and ``neighbor_max`` take is a constant. ``neighbor_max`` buckets its
+output rows by source count, rounded up to a power of two
+(``SourceBuckets``, which a caller builds once per matrix), and runs one
+gather and one max per bucket; only its backward pass looks up which
+source held each max (the first in column order that is not below it, so
+ties go to the lowest column and a NaN max to the row's first source).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
     "concat_rows",
     "concat_cols",
     "gather_rows",
-    "masked_pool_rows",
+    "pool_rows",
     "spmm",
     "SourceBuckets",
     "neighbor_max",
@@ -568,46 +568,34 @@ def gather_rows(x: Tensor, index) -> Tensor:
                    [(x, lambda g: _scatter_add_rows(g, idx, n))])
 
 
-def masked_pool_rows(x: Tensor, row_mask, mode: str) -> Tensor:
-    """Sum or mean over selected rows of ``x``, one set of rows per mask row.
+def pool_rows(x: Tensor, offsets, mode: str) -> Tensor:
+    """Sum or mean of each segment of rows: row b of the (B, d) result pools
+    rows ``offsets[b]:offsets[b + 1]`` of ``x``.
 
-    A (B, R) mask pools B disjoint row sets into a (B, d) matrix in one
-    operation; a length-R mask pools one set into a width-d vector. Each
-    set's rows are gathered in row order into a (B, L, d) block, L being
-    the largest set and padding reading zeros, and summed along L.
+    The offsets run from 0 to the row count, and no segment is empty. The
+    segments' rows are gathered in order into one (B, L, d) block, L being
+    the longest segment and padding reading zeros, and summed along L.
     """
     x = _as_tensor(x)
     if x.ndim != 2:
-        raise ShapeError(f"masked_pool_rows needs a matrix, got shape {x.shape}")
+        raise ShapeError(f"pool_rows needs a matrix, got shape {x.shape}")
     if mode not in ("sum", "mean"):
         raise ContractError(f"unknown pooling mode {mode!r}")
-    m = np.asarray(row_mask.data if isinstance(row_mask, Tensor) else row_mask, dtype=bool)
-    if m.ndim not in (1, 2) or m.shape[-1] != x.shape[0]:
-        raise ShapeError(f"masked_pool_rows: mask shape {m.shape} does not match "
+    offsets = np.asarray(offsets)
+    if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != x.shape[0]:
+        raise ShapeError(f"pool_rows: offsets {offsets.tolist()} do not run from 0 to "
                          f"{x.shape[0]} rows")
-    vector = m.ndim == 1
-    m = np.atleast_2d(m)
-    counts = m.sum(axis=1)
-    if not counts.all():
-        raise ContractError("masked_pool_rows: empty inclusion set")
-    owner, rows = np.nonzero(m)
-    if np.bincount(rows).max() > 1:
-        raise ContractError("masked_pool_rows: row sets overlap")
-    index = np.full((len(counts), counts.max()), -1)
-    index[owner, np.arange(rows.size) - (np.cumsum(counts) - counts)[owner]] = rows
-    xd = x.data
-    pooled = _take_rows(xd, index).sum(axis=1)
+    counts = np.diff(offsets)
+    if not (counts > 0).all():
+        raise ContractError("pool_rows: empty segment")
+    pos = np.arange(counts.max())
+    index = np.where(pos < counts[:, None], offsets[:-1, None] + pos, -1)
+    pooled = _take_rows(x.data, index).sum(axis=1)
     if mode == "mean":
         pooled = pooled / counts[:, None]
-    out = Tensor(pooled[0] if vector else pooled)
     w = np.ones(len(counts)) if mode == "sum" else 1.0 / counts
-
-    def bwd(g):
-        z = np.zeros_like(xd)
-        z[rows] = (g.reshape(len(counts), -1) * w[:, None])[owner]
-        return z
-
-    return _record(out, [(x, bwd)])
+    return _record(Tensor(pooled),
+                   [(x, lambda g: np.repeat(g * w[:, None], counts, axis=0))])
 
 
 def spmm(a, x: Tensor) -> Tensor:

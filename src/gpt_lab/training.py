@@ -22,7 +22,7 @@ from scipy.stats import rankdata
 
 from gpt_lab.graphs import DataError, GraphSample, make_folds, with_rwpe
 from gpt_lab.graphs import batch as batch_graphs
-from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward
+from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
 from gpt_lab.prompt import MODES, PromptSet, build_registry, count_params, init_prompts
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward, bce_with_logits, mul, scale, tsum
@@ -559,7 +559,7 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
         if arr.shape != t.shape:
             raise ContractError(f"{name}: stored shape {arr.shape} != {t.shape}")
         t.data = arr.copy()
-    eval_batch = batch_graphs(_encode_dataset([dataset[i] for i in eval_idx], backbone_cfg))
+    eval_batch = prepare_batch([dataset[i] for i in eval_idx], backbone_cfg)
     scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
     return _metric_value(config, scores, eval_batch.labels.data)
 

@@ -33,7 +33,7 @@ from gpt_lab.prompt import (
     count_params,
     init_prompts,
 )
-from gpt_lab.tensor import Tape, Tensor, add, backward, masked_pool_rows, matmul
+from gpt_lab.tensor import Tape, Tensor, add, backward, matmul, pool_rows
 from gpt_lab.training import (
     AdamW,
     TuningConfig,
@@ -195,11 +195,10 @@ def test_04_prefix_equals_virtual_nodes():
         prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
                                p_len=4)
         virtual_ctx = PromptSet(virtual_tokens=Tensor(values.copy(), requires_grad=True))
-        h_p, lay_p = encode_nodes(prepared, bb, prompt_ctx=prefix_ctx)
-        h_v, lay_v = encode_nodes(prepared, bb, prompt_ctx=virtual_ctx)
-        rows_p = h_p.data[list(lay_p.node_rows(0))]
-        rows_v = h_v.data[list(lay_v.node_rows(0))]
-        worst = max(worst, float(np.abs(rows_p - rows_v).max()))
+        h_p, _ = encode_nodes(prepared, bb, prompt_ctx=prefix_ctx)
+        h_v, _ = encode_nodes(prepared, bb, prompt_ctx=virtual_ctx)
+        assert h_p.shape == h_v.shape == (g.n, cfg.dim)     # node rows only
+        worst = max(worst, float(np.abs(h_p.data - h_v.data).max()))
     report(4, "prefix injection vs virtual token nodes on real-node outputs",
            worst <= 1e-10, f"max |diff| = {worst:.2e}")
     assert worst <= 1e-10
@@ -219,8 +218,8 @@ def test_05_shift_case_prompt_equivalence():
 
     def linear_model(x_np: np.ndarray) -> np.ndarray:
         h = add(matmul(Tensor(x_np), w), b)
-        pooled = masked_pool_rows(h, np.ones(x_np.shape[0], dtype=bool), "sum")
-        return matmul(Tensor(pooled.data[None, :]), head_w).data
+        pooled = pool_rows(h, [0, x_np.shape[0]], "sum")
+        return matmul(Tensor(pooled.data), head_w).data
 
     worst = 0.0
     for _ in range(100):

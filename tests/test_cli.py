@@ -223,6 +223,18 @@ class TestPretrainCommand:
             drops.append(rec["eval_metrics"][0] - rec["eval_metrics"][-1])
         assert float(np.median(drops)) > 0.0
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("heads = 2", "heads = 0", "heads"),
+        ("ffn_mult = 2", "ffn_mult = 0", "ffn_mult"),
+        ("max_degree = 4", "max_degree = -1", "max_degree"),
+        ("rwpe_steps = 4", "rwpe_steps = -2", "rwpe_steps"),
+    ])
+    def test_bad_backbone_number_is_a_config_error(self, tmp_path, capsys, old, new, key):
+        config = write_config(tmp_path / "bad.ini", replace={old: new})
+        assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "pre")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [backbone]: ") and key in err
+
     def test_altered_dim_rejected_with_exit_4(self, workspace, tmp_path):
         config = write_config(tmp_path / "wider.ini", replace={"dim = 8": "dim = 16"})
         code = main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),

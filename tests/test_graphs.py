@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,6 @@ from gpt_lab.graphs import (
     GraphValidationError,
     batch,
     count_components,
-    degree_encoding,
     gen_downstream,
     gen_pretext,
     has_cycle_of_length,
@@ -21,6 +21,8 @@ from gpt_lab.graphs import (
     with_rwpe,
     write_graph_file,
 )
+from gpt_lab.models import Backbone, BackboneConfig, encode_nodes
+from gpt_lab.tensor import Tensor
 
 RNG = np.random.default_rng(7)
 
@@ -91,17 +93,27 @@ class TestRwpe:
 
 
 class TestDegreeEncoding:
+    """The batch counts degrees; ``encode_nodes`` clamps them at ``max_degree``."""
+
     def test_triangle(self):
-        assert degree_encoding(triangle(), 8).tolist() == [2, 2, 2]
+        assert batch([triangle()]).degrees.tolist() == [2, 2, 2]
 
     def test_path(self):
         g = sample(3, [(0, 1), (1, 2)])
-        assert degree_encoding(g, 8).tolist() == [1, 2, 1]
+        assert batch([g, triangle()]).degrees.tolist() == [1, 2, 1, 2, 2, 2]
 
     def test_star_clamps(self):
         g = sample(21, [(0, i) for i in range(1, 21)])
-        enc = degree_encoding(g, 8)
-        assert enc[0] == 8 and set(enc[1:].tolist()) == {1}
+        star = batch([g])
+        assert star.degrees[0] == 20 and set(star.degrees[1:].tolist()) == {1}
+        # A table whose rows 8..20 all equal row 8 gives what clamping at 8 gives.
+        wide = Backbone.init(BackboneConfig(kind="mpgnn", feature_dim=3, dim=4, layers=1,
+                                            degree_embed=True, max_degree=20), seed=0)
+        wide.degree_table.data[9:] = wide.degree_table.data[8]
+        narrow = Backbone(dataclasses.replace(wide.cfg, max_degree=8), wide.w_in, wide.b_in,
+                          Tensor(wide.degree_table.data[:9]), wide.layers)
+        assert np.array_equal(encode_nodes(star, narrow)[0].data,
+                              encode_nodes(star, wide)[0].data)
 
 
 def test_with_rwpe_widens_features():

@@ -10,14 +10,23 @@ from gpt_lab.models import (
     BackboneConfig,
     MpgnnLayerParams,
     PredictionHead,
+    aggregation_operand,
     backbone_forward,
     mpgnn_layer_forward,
     prepare_batch,
-    readout,
     transformer_layer_forward,
 )
 from gpt_lab.prompt import build_registry, init_prompts
-from gpt_lab.tensor import AttentionGroups, ContractError, Tape, Tensor, backward, mul, tsum
+from gpt_lab.tensor import (
+    AttentionGroups,
+    ContractError,
+    Tape,
+    Tensor,
+    backward,
+    mul,
+    pool_rows,
+    tsum,
+)
 
 RNG = np.random.default_rng(100)
 
@@ -186,12 +195,13 @@ def oracle_mpgnn_layer(h, neighbors, weight, bias, mode):
     return np.array([[_oracle_gelu(v) for v in row] for row in lin])
 
 
-def adjacency(neighbors):
-    """CSR aggregation matrix of neighbour lists: the diagonal plus every listed pair."""
+def operand(neighbors, mode):
+    """The aggregation operand of neighbour lists: the diagonal plus every listed pair."""
     n = len(neighbors)
     rows = [i for i, nb in enumerate(neighbors) for _ in range(len(nb) + 1)]
     cols = [j for i, nb in enumerate(neighbors) for j in (i, *nb)]
-    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return aggregation_operand(sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                                                 shape=(n, n)), mode)
 
 
 class TestMpgnnLayer:
@@ -201,9 +211,8 @@ class TestMpgnnLayer:
         h = rng.normal(size=(5, 4))
         neighbors = [[1, 2], [0], [0, 3, 4], [2], [2]]
         params = MpgnnLayerParams(weight=Tensor(rng.normal(size=(4, 4))),
-                                  bias=Tensor(rng.normal(size=4)),
-                                  aggregation=mode)
-        got = mpgnn_layer_forward(Tensor(h), adjacency(neighbors), params).data
+                                  bias=Tensor(rng.normal(size=4)))
+        got = mpgnn_layer_forward(Tensor(h), operand(neighbors, mode), params).data
         want = oracle_mpgnn_layer(h, neighbors, params.weight.data,
                                   params.bias.data, mode)
         assert np.abs(got - want).max() <= 1e-12
@@ -212,18 +221,17 @@ class TestMpgnnLayer:
         rng = np.random.default_rng(5)
         h = rng.normal(size=(3, 4))
         params = MpgnnLayerParams(weight=Tensor(rng.normal(size=(4, 4))),
-                                  bias=Tensor(np.zeros(4)), aggregation="sum")
-        out = mpgnn_layer_forward(Tensor(h), adjacency([[1], [0], []]), params).data
+                                  bias=Tensor(np.zeros(4)))
+        out = mpgnn_layer_forward(Tensor(h), operand([[1], [0], []], "sum"), params).data
         lin = h[2] @ params.weight.data
         want = np.array([_oracle_gelu(v) for v in lin])
         assert np.abs(out[2] - want).max() <= 1e-12
 
     def test_symmetric_inputs_give_identical_outputs(self):
         h = np.tile(np.array([0.3, -0.7, 1.1]), (3, 1))
-        params = MpgnnLayerParams(weight=Tensor(np.eye(3)), bias=Tensor(np.zeros(3)),
-                                  aggregation="mean")
+        params = MpgnnLayerParams(weight=Tensor(np.eye(3)), bias=Tensor(np.zeros(3)))
         tri = [[1, 2], [0, 2], [0, 1]]
-        out = mpgnn_layer_forward(Tensor(h), adjacency(tri), params).data
+        out = mpgnn_layer_forward(Tensor(h), operand(tri, "mean"), params).data
         assert np.abs(out - out[0]).max() == 0.0
 
 
@@ -233,51 +241,40 @@ class TestMpgnnLayer:
 
 
 class TestReadout:
-    """One call pools every sample's rows; the per-sample loop is the reference."""
+    """One call pools every sample's segment of rows; the per-sample loop is the reference."""
 
     def test_single_node_both_modes(self):
-        h = Tensor(RNG.normal(size=(3, 4)))
-        mask = np.array([[True, False, False], [False, False, True]])
+        h = Tensor(RNG.normal(size=(2, 4)))
         for mode in ("sum", "mean"):
-            assert np.array_equal(readout(h, mask, mode).data, h.data[[0, 2]])
+            assert np.array_equal(pool_rows(h, [0, 1, 2], mode).data, h.data)
 
     def test_mean_of_two_rows(self):
         h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 4.0], [0.0, 2.0]]))
-        mask = np.array([[True, True, False, False], [False, False, True, True]])
-        assert np.array_equal(readout(h, mask, "mean").data, [[0.5, 0.5], [1.0, 3.0]])
+        assert np.array_equal(pool_rows(h, [0, 2, 4], "mean").data, [[0.5, 0.5], [1.0, 3.0]])
 
     def test_padding_excluded_matches_stripped(self):
-        """Two samples of different sizes, with prompt and padding rows left out:
-        forward values and gradients equal the per-sample loop bit for bit."""
-        rows = RNG.normal(size=(11, 5))
-        mask = np.zeros((2, 11), dtype=bool)
-        mask[0, [1, 2, 3]] = True
-        mask[1, [6, 7, 8, 9, 10]] = True
+        """Two segments of different sizes, the shorter one padded inside the
+        pool: forward values and gradients equal the per-sample loop bit for bit."""
+        rows = RNG.normal(size=(8, 5))
+        offsets = np.array([0, 3, 8])
         weights = RNG.normal(size=(2, 5))
         h = Tensor(rows, requires_grad=True)
         for mode in ("sum", "mean"):
             with Tape():
-                pooled = readout(h, mask, mode)
+                pooled = pool_rows(h, offsets, mode)
                 grad = backward(tsum(mul(pooled, Tensor(weights))))[h]
             want_grad = np.zeros_like(rows)
-            for b, m in enumerate(mask):
-                count = int(m.sum())
-                want = rows[m].sum(axis=0)
+            for b, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+                want = rows[s:e].sum(axis=0)
                 if mode == "mean":
-                    want = want / count
+                    want = want / (e - s)
                 assert np.array_equal(pooled.data[b], want)
-                want_grad[m] = weights[b] * (1.0 if mode == "sum" else 1.0 / count)
+                want_grad[s:e] = weights[b] * (1.0 if mode == "sum" else 1.0 / (e - s))
             assert np.array_equal(grad, want_grad)
 
     def test_empty_inclusion_rejected(self):
-        mask = np.array([[True, False], [False, False]])
         with pytest.raises(ContractError, match="empty"):
-            readout(Tensor(RNG.normal(size=(2, 2))), mask, "mean")
-
-    def test_overlapping_samples_rejected(self):
-        mask = np.array([[True, True, False], [False, True, True]])
-        with pytest.raises(ContractError, match="overlap"):
-            readout(Tensor(RNG.normal(size=(3, 2))), mask, "sum")
+            pool_rows(Tensor(RNG.normal(size=(2, 2))), [0, 2, 2], "mean")
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,9 @@ class TestApplyGraphPrompt:
         c = rng.normal(size=3)
 
         def linear_sum_readout(x_np):
-            from gpt_lab.tensor import add, masked_pool_rows, matmul
+            from gpt_lab.tensor import add, matmul, pool_rows
             h = add(matmul(Tensor(x_np), w), b)
-            return masked_pool_rows(h, np.ones(x_np.shape[0], bool), "sum").data
+            return pool_rows(h, [0, x_np.shape[0]], "sum").data
 
         for _ in range(20):
             x = rng.normal(size=(int(rng.integers(2, 7)), 3))
@@ -120,14 +120,13 @@ class TestInjectPrefix:
         g = random_graph(5, 0.5, np.random.default_rng(2))
         prepared = prepare_batch([g], cfg)
         prompts = init_prompts("prefix_only", cfg.dim, cfg.layers, p_len=2, seed=3)
-        base, layout = encode_nodes(prepared, bb, prompt_ctx=prompts)
+        base, _ = encode_nodes(prepared, bb, prompt_ctx=prompts)
         # layer 0's prefix rows are keys only and never reach layers 1
         # and 2, so any influence on final real-node rows went through
         # attention
         prompts.prefixes[0].data[0, 0] += 0.5
         bumped, _ = encode_nodes(prepared, bb, prompt_ctx=prompts)
-        rows = layout.node_rows(0)
-        delta = np.abs(base.data[list(rows)] - bumped.data[list(rows)]).max()
+        delta = np.abs(base.data - bumped.data).max()
         assert delta > 1e-8
 
 
@@ -187,16 +186,17 @@ class TestVirtualNodes:
         layer_forward = models.mpgnn_layer_forward
         monkeypatch.setattr(models, "mpgnn_layer_forward",
                             lambda h, adj, params: seen.append(adj) or layer_forward(h, adj, params))
-        _, layout = encode_nodes(prepare_batch(graphs, cfg), bb,
-                                 prompt_ctx=PromptSet(virtual_tokens=tokens))
+        _, offsets = encode_nodes(prepare_batch(graphs, cfg), bb,
+                                  prompt_ctx=PromptSet(virtual_tokens=tokens))
         assert len(seen) == cfg.layers
         adj = seen[0]
-        assert adj.diagonal().tolist() == [1.0] * layout.total_rows
-        neighbors = [set(adj[row].indices.tolist()) - {row} for row in range(layout.total_rows)]
+        total = offsets[-1] + 2 * len(graphs)
+        assert adj.diagonal().tolist() == [1.0] * total
+        neighbors = [set(adj[row].indices.tolist()) - {row} for row in range(total)]
         for b, g in enumerate(graphs):
-            nodes = list(layout.node_rows(b))
-            token_rows = set(range(layout.blocks[b][0], nodes[0]))
-            assert len(token_rows) == 2
+            start = offsets[b] + 2 * b       # block b: 2 token rows, then the nodes
+            token_rows = {start, start + 1}
+            nodes = list(range(start + 2, start + 2 + g.n))
             for row in token_rows:
                 assert sorted(neighbors[row]) == nodes
             for local, nb in enumerate(g.neighbors()):
@@ -211,11 +211,10 @@ class TestVirtualNodes:
         prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
                                p_len=2)
         virtual_ctx = PromptSet(virtual_tokens=Tensor(values.copy(), requires_grad=True))
-        h_prefix, lay_p = encode_nodes(prepared, bb, prompt_ctx=prefix_ctx)
-        h_virtual, lay_v = encode_nodes(prepared, bb, prompt_ctx=virtual_ctx)
-        rows_p = h_prefix.data[list(lay_p.node_rows(0))]
-        rows_v = h_virtual.data[list(lay_v.node_rows(0))]
-        assert np.abs(rows_p - rows_v).max() <= 1e-10
+        h_prefix, _ = encode_nodes(prepared, bb, prompt_ctx=prefix_ctx)
+        h_virtual, _ = encode_nodes(prepared, bb, prompt_ctx=virtual_ctx)
+        assert h_prefix.shape == h_virtual.shape == (g.n, cfg.dim)
+        assert np.abs(h_prefix.data - h_virtual.data).max() <= 1e-10
 
     def test_readout_pools_original_nodes_only_with_prompts(self):
         """Prompt rows never change which positions the readout averages."""
@@ -225,8 +224,9 @@ class TestVirtualNodes:
         prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=3, seed=20)
         ctx = prompts.check(bb.cfg)
         pooled = backbone_forward(prepared, bb, head=None, prompt_ctx=ctx).data
-        h, layout = encode_nodes(prepared, bb, prompt_ctx=ctx)
-        manual = h.data[list(layout.node_rows(0))].mean(axis=0)
+        h, _ = encode_nodes(prepared, bb, prompt_ctx=ctx)
+        assert h.shape == (g.n, cfg.dim)
+        manual = h.data.mean(axis=0)
         assert np.abs(pooled[0] - manual).max() <= 1e-15
 
     def test_mpgnn_token_perturbation_reaches_every_node(self):
@@ -234,11 +234,11 @@ class TestVirtualNodes:
         g = random_graph(5, 0.4, np.random.default_rng(10))
         prepared = prepare_batch([g], cfg)
         tokens = Tensor(RNG.normal(size=(2, cfg.dim)), requires_grad=True)
-        base, layout = encode_nodes(prepared, bb, prompt_ctx=PromptSet(virtual_tokens=tokens))
+        base, _ = encode_nodes(prepared, bb, prompt_ctx=PromptSet(virtual_tokens=tokens))
         tokens.data[0, 0] += 0.25
         bumped, _ = encode_nodes(prepared, bb, prompt_ctx=PromptSet(virtual_tokens=tokens))
-        rows = list(layout.node_rows(0))
-        delta = np.abs(base.data[rows] - bumped.data[rows])
+        assert base.shape == (g.n, cfg.dim)
+        delta = np.abs(base.data - bumped.data)
         assert np.all(delta.max(axis=1) > 1e-10)
 
 

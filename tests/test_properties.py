@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from gpt_lab.graphs import GraphSample
+from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (
     Backbone,
     BackboneConfig,
     PredictionHead,
-    RowLayout,
     _insert_prompt_rows,
     _mpgnn_adjacency,
     backbone_forward,
     encode_nodes,
     prepare_batch,
-    readout,
     transformer_layer_forward,
 )
 from gpt_lab.prompt import TOKEN_STAGES, PromptSet, init_prompts
@@ -38,6 +37,7 @@ from gpt_lab.tensor import (
     matmul,
     mul,
     neighbor_max,
+    pool_rows,
     tsum,
 )
 
@@ -92,6 +92,7 @@ MODELS = {
 @given(batch=batches())
 def test_batched_forward_equals_per_sample_forwards(name, batch):
     cfg, bb, head, prompts = MODELS[name]
+    _assert_node_rows_only(batch, cfg, bb, prompts)
     together = backbone_forward(prepare_batch(batch, cfg), bb, head, prompt_ctx=prompts).data
     alone = np.concatenate([
         backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
@@ -99,30 +100,33 @@ def test_batched_forward_equals_per_sample_forwards(name, batch):
     assert np.abs(together - alone).max() <= 1e-10
 
 
-def _layout(batch, p):
-    """Blocks of p prompt rows followed by each sample's nodes, in batch order."""
-    blocks, nodes, start = [], [], 0
-    for g in batch:
-        blocks.append((start, start + p + g.n))
-        nodes.append((start + p, start + p + g.n))
-        start += p + g.n
-    return RowLayout(blocks, nodes)
+def _assert_node_rows_only(batch, cfg, bb, prompts):
+    """encode_nodes returns one row per node, laid out by the batch's offsets."""
+    prepared = prepare_batch(batch, cfg)
+    h, offsets = encode_nodes(prepared, bb, prompt_ctx=prompts)
+    assert offsets is prepared.offsets and h.shape == (offsets[-1], cfg.dim)
+
+
+def _blocks(batch, p):
+    """(first row, first node row) of each sample's block of p prompt rows and its nodes."""
+    starts = np.cumsum([0] + [p + g.n for g in batch[:-1]])
+    return [(int(s), int(s) + p) for s in starts]
 
 
 @PROPERTY_SETTINGS
 @given(batch=batches(), p=st.integers(0, 3))
 def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
-    layout = _layout(batch, p)
     cfg = MODELS["mpgnn_sum"][0]
-    adj = _mpgnn_adjacency(prepare_batch(batch, cfg), layout)
+    adj = _mpgnn_adjacency(prepare_batch(batch, cfg), p)
     want = []
-    for g, (bs, _), (ns, _) in zip(batch, layout.blocks, layout.nodes):
+    for g, (bs, ns) in zip(batch, _blocks(batch, p)):
         prompt_rows = list(range(bs, ns))
         node_rows = list(range(ns, ns + g.n))
         want += [{row, *node_rows} for row in prompt_rows]
         want += [{ns + i, *(ns + j for j in nb), *prompt_rows}
                  for i, nb in enumerate(g.neighbors())]
-    assert adj.shape == (layout.total_rows, layout.total_rows)
+    total = sum(p + g.n for g in batch)
+    assert adj.shape == (total, total)
     assert np.array_equal(adj.data, np.ones(adj.nnz))
     for row, expected in enumerate(want):
         stored = adj[row].indices.tolist()
@@ -141,6 +145,7 @@ def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
     cfg, bb, head, _ = MODELS[PROMPTED[mode]]
     prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=p_len, seed=4,
                            prompted_layers=(1, 2) if mode == "prefix_only" else None)
+    _assert_node_rows_only(batch, cfg, bb, prompts)
     together = backbone_forward(prepare_batch(batch, cfg), bb, head, prompt_ctx=prompts).data
     alone = np.concatenate([
         backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
@@ -182,13 +187,13 @@ def test_empty_prompt_set_changes_nothing(name, batch):
 @given(batch=batches(), p=st.integers(0, 3), seed=st.integers(0, 99))
 def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, seed):
     rng = np.random.default_rng(seed)
-    layout = _layout(batch, 0)
-    h = rng.normal(size=(layout.total_rows, 4))
+    offsets = batch_graphs(batch).offsets
+    h = rng.normal(size=(offsets[-1], 4))
     rows = rng.normal(size=(p, 4))
-    out, new = _insert_prompt_rows(Tensor(np.concatenate([rows, h])), layout, p)
-    want = np.concatenate([np.concatenate([rows, h[s:e]]) for s, e in layout.blocks])
+    out = _insert_prompt_rows(Tensor(np.concatenate([rows, h])), offsets, p)
+    want = np.concatenate([np.concatenate([rows, h[s:e]])
+                           for s, e in zip(offsets[:-1], offsets[1:])])
     assert np.array_equal(out.data, want)
-    assert new == _layout(batch, p)
 
 
 @PROPERTY_SETTINGS
@@ -219,6 +224,28 @@ def test_neighbor_max_equals_a_per_row_oracle(first, rest, extra, seed):
             want_grad[c[h[c, j] == want[r, j]].min(), j] += g[r, j]
     assert np.array_equal(out.data, want)
     assert np.array_equal(grad, want_grad)
+
+
+@PROPERTY_SETTINGS
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+       mode=st.sampled_from(["sum", "mean"]), seed=st.integers(0, 2**16))
+def test_pool_rows_equals_a_per_segment_oracle(sizes, mode, seed):
+    """1 to 12 segments of 1 to 40 rows: values and gradients equal a
+    per-segment numpy loop bit for bit."""
+    rng = np.random.default_rng(seed)
+    offsets = np.cumsum([0, *sizes])
+    rows, weights = rng.normal(size=(offsets[-1], 3)), rng.normal(size=(len(sizes), 3))
+    x = Tensor(rows, requires_grad=True)
+    with Tape():
+        pooled = pool_rows(x, offsets, mode)
+        grad = backward(tsum(mul(pooled, Tensor(weights))))[x]
+    for b, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+        want = rows[s:e].sum(axis=0)
+        scale = 1.0
+        if mode == "mean":
+            want, scale = want / (e - s), 1.0 / (e - s)
+        assert np.array_equal(pooled.data[b], want)
+        assert np.array_equal(grad[s:e], np.tile(weights[b] * scale, (e - s, 1)))
 
 
 def _slot_oracle(g, cfg, bb, prompts):
@@ -273,17 +300,15 @@ def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len
     tracked = {**prompts.named_params(), **head.named_params()}
 
     with Tape():
-        h, layout = encode_nodes(prepare_batch(batch, cfg), bb, prompt_ctx=prompts)
-        pooled = readout(h, layout.node_mask(), cfg.readout)
+        h, offsets = encode_nodes(prepare_batch(batch, cfg), bb, prompt_ctx=prompts)
+        pooled = pool_rows(h, offsets, cfg.readout)
         grads = backward(tsum(mul(head.forward(pooled), weights)))
     with Tape():
         alone = [_slot_oracle(g, cfg, bb, prompts) for g in batch]
-        pooled = concat_rows([readout(r, np.ones((1, r.shape[0]), dtype=bool), cfg.readout)
-                              for r in alone])
+        pooled = concat_rows([pool_rows(r, [0, r.shape[0]], cfg.readout) for r in alone])
         want = backward(tsum(mul(head.forward(pooled), weights)))
 
-    rows = np.concatenate([np.arange(s, e) for s, e in layout.nodes])
-    assert np.abs(h.data[rows] - np.concatenate([r.data for r in alone])).max() <= 1e-12
+    assert np.abs(h.data - np.concatenate([r.data for r in alone])).max() <= 1e-12
     for name, t in tracked.items():
         scale = max(1.0, np.abs(want[t]).max())
         assert np.abs(grads[t] - want[t]).max() <= 1e-10 * scale, name

@@ -344,9 +344,6 @@ class TestTapeRelease:
             backward(loss)
 
 
-_POOL_MASK = np.array([True, False, True])
-
-
 def csr(groups, cols=3):
     """CSR matrix with a stored 1 at (i, j) for each j in groups[i]."""
     rows = [i for i, grp in enumerate(groups) for _ in grp]
@@ -371,8 +368,8 @@ PRIMITIVE_CASES = {
     "gather_rows_zero_rows": lambda a: T.gather_rows(a, np.array([-1, 1, 1, -1, 2, -1])),
     "neighbor_max": lambda a: T.neighbor_max(a, _NEIGHBORS),
     "spmm": lambda a: T.spmm(_SPARSE, a),
-    "masked_pool_sum": lambda a: T.masked_pool_rows(a, _POOL_MASK, "sum"),
-    "masked_pool_mean": lambda a: T.masked_pool_rows(a, np.ones(3, dtype=bool), "mean"),
+    "pool_rows_sum": lambda a: T.pool_rows(a, np.array([0, 1, 3]), "sum"),
+    "pool_rows_mean": lambda a: T.pool_rows(a, np.array([0, 2, 3]), "mean"),
 }
 
 
@@ -486,6 +483,21 @@ class TestGatherRows:
     def test_index_must_be_a_1d_int_array(self, index):
         with pytest.raises(ShapeError, match="1-D int index"):
             T.gather_rows(Tensor(rand(3, 2)), index)
+
+
+class TestPoolRows:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="unknown pooling mode 'max'"):
+            T.pool_rows(Tensor(rand(3, 2)), np.array([0, 3]), "max")
+
+    def test_empty_segment_rejected(self):
+        with pytest.raises(ContractError, match="empty segment"):
+            T.pool_rows(Tensor(rand(3, 2)), np.array([0, 2, 2, 3]), "sum")
+
+    @pytest.mark.parametrize("offsets", [[1, 3], [0, 2], [0, 1, 4]])
+    def test_offsets_must_run_from_zero_to_the_row_count(self, offsets):
+        with pytest.raises(ShapeError, match="do not run from 0 to 3 rows"):
+            T.pool_rows(Tensor(rand(3, 2)), np.array(offsets), "mean")
 
 
 def test_ops_without_tape_record_nothing():

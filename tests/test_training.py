@@ -9,8 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
+from gpt_lab import models, training
 from gpt_lab import tensor as T
-from gpt_lab import training
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
 from gpt_lab.prompt import build_registry, init_prompts
@@ -338,11 +338,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
     def test_rwpe_computed_once_per_call(self, motif_data, monkeypatch, mode):
-        """train() encodes the dataset once for all folds; evaluate_fold only its split."""
+        """train() encodes the dataset once for all folds; evaluate_fold, through
+        models.prepare_batch, only its split."""
         calls = []
         encode = training.with_rwpe
-        monkeypatch.setattr(training, "with_rwpe",
-                            lambda graphs, k: calls.append(len(graphs)) or encode(graphs, k))
+        for module in (training, models):
+            monkeypatch.setattr(module, "with_rwpe",
+                                lambda graphs, k: calls.append(len(graphs)) or encode(graphs, k))
         cfg, state = tiny_backbone()
         config = tiny_config(mode)
         results = train(config, motif_data, cfg, state, seed=1)
