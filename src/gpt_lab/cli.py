@@ -56,14 +56,6 @@ def write_csv(path, fields: list[str], rows: list[dict]) -> None:
             writer.writerow({k: _fmt(row[k]) for k in fields})
 
 
-def read_csv(path, expected_fields: list[str] | None = None) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if expected_fields is not None and reader.fieldnames != expected_fields:
-            raise DataError(f"{path}: unexpected CSV schema {reader.fieldnames}")
-        return list(reader)
-
-
 def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
                           encoding="utf-8")

@@ -46,11 +46,11 @@ from gpt_lab.tensor import (
     Tensor,
     add,
     block_attention,
-    concat_cols,
     concat_rows,
     gather_rows,
     gelu,
     layer_norm,
+    linear,
     matmul,
     neighbor_max,
     pool_rows,
@@ -68,6 +68,7 @@ __all__ = [
     "mpgnn_layer_forward",
     "encode_nodes",
     "backbone_forward",
+    "encode_graphs",
     "prepare_batch",
     "LN_EPS",
 ]
@@ -124,9 +125,7 @@ class BackboneConfig:
 
 @dataclass
 class TransformerLayerParams:
-    w_q: list[Tensor]
-    w_k: list[Tensor]
-    w_v: list[Tensor]
+    w_qkv: Tensor       # (dim, 3 * dim): the q heads, then the k heads, then the v heads
     w_out: Tensor
     b_out: Tensor
     w_ff1: Tensor
@@ -181,11 +180,11 @@ class Backbone:
         layers = []
         for _ in range(cfg.layers):
             if cfg.kind == "transformer":
-                dq = cfg.head_width
+                # Each head's (dim, dq) q, k and v blocks are drawn in column order.
+                blocks = [_init_matrix(rng, cfg.dim, cfg.head_width).data
+                          for _ in range(3 * cfg.heads)]
                 layers.append(TransformerLayerParams(
-                    w_q=[_init_matrix(rng, cfg.dim, dq) for _ in range(cfg.heads)],
-                    w_k=[_init_matrix(rng, cfg.dim, dq) for _ in range(cfg.heads)],
-                    w_v=[_init_matrix(rng, cfg.dim, dq) for _ in range(cfg.heads)],
+                    w_qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
                     w_out=_init_matrix(rng, cfg.dim, cfg.dim),
                     b_out=_zeros(cfg.dim),
                     w_ff1=_init_matrix(rng, cfg.dim, cfg.ffn_mult * cfg.dim),
@@ -208,10 +207,7 @@ class Backbone:
             out["degree_table"] = self.degree_table
         for i, layer in enumerate(self.layers):
             if isinstance(layer, TransformerLayerParams):
-                for h in range(len(layer.w_q)):
-                    out[f"layer{i}.wq{h}"] = layer.w_q[h]
-                    out[f"layer{i}.wk{h}"] = layer.w_k[h]
-                    out[f"layer{i}.wv{h}"] = layer.w_v[h]
+                out[f"layer{i}.qkv.weight"] = layer.w_qkv
                 out[f"layer{i}.out.weight"] = layer.w_out
                 out[f"layer{i}.out.bias"] = layer.b_out
                 out[f"layer{i}.ffn1.weight"] = layer.w_ff1
@@ -278,8 +274,8 @@ class PredictionHead:
 
     def forward(self, hg: Tensor) -> Tensor:
         if self.w_hidden is not None:
-            hg = gelu(add(matmul(hg, self.w_hidden), self.b_hidden))
-        return add(matmul(hg, self.w), self.b)
+            hg = gelu(linear(hg, self.w_hidden, self.b_hidden))
+        return linear(hg, self.w, self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +284,22 @@ class PredictionHead:
 
 
 def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
-                              params: TransformerLayerParams) -> Tensor:
+                              params: TransformerLayerParams, heads: int) -> Tensor:
     """Pre-norm block: multi-head attention within groups, then the FFN, with residuals.
 
-    Every row of ``x`` is projected; attention, the residual, the second
-    norm and the FFN run on the query rows only, so the result has one
-    row per row of ``groups.query_rows()``. A single sequence with an
-    n x n mask is the one-group case,
-    ``AttentionGroups(np.arange(n)[None], mask[None])``.
+    One matmul by ``w_qkv`` projects every row of ``x`` for ``heads``
+    heads; attention, the residual, the second norm and the FFN run on
+    the query rows only, so the result has one row per row of
+    ``groups.query_rows()``. A single sequence with an n x n mask is the
+    one-group case, ``AttentionGroups(np.arange(n)[None], mask[None])``.
     """
     h = layer_norm(x, params.ln1_gain, params.ln1_bias, LN_EPS)
-    q = matmul(h, concat_cols(params.w_q))
-    k = matmul(h, concat_cols(params.w_k))
-    v = matmul(h, concat_cols(params.w_v))
-    attn = block_attention(q, k, v, groups, len(params.w_q))
+    attn = block_attention(matmul(h, params.w_qkv), groups, heads)
     if groups.query is not None:
         x = gather_rows(x, groups.query_rows())
-    mixed = add(matmul(attn, params.w_out), params.b_out)
-    x1 = add(x, mixed)
+    x1 = add(x, linear(attn, params.w_out, params.b_out))
     h2 = layer_norm(x1, params.ln2_gain, params.ln2_bias, LN_EPS)
-    ff = add(matmul(gelu(add(matmul(h2, params.w_ff1), params.b_ff1)), params.w_ff2),
-             params.b_ff2)
+    ff = linear(gelu(linear(h2, params.w_ff1, params.b_ff1)), params.w_ff2, params.b_ff2)
     return add(x1, ff)
 
 
@@ -341,7 +332,7 @@ def mpgnn_layer_forward(h: Tensor, operand, params: MpgnnLayerParams) -> Tensor:
         agg = neighbor_max(h, operand)
     else:
         agg = spmm(operand, h)
-    return gelu(add(matmul(agg, params.weight), params.bias))
+    return gelu(linear(agg, params.weight, params.bias))
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +406,17 @@ def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
 
 
-def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
-    """Batch samples with the encodings this backbone expects concatenated."""
+def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> list[GraphSample]:
+    """The samples with the encodings this backbone expects concatenated: the
+    ``rwpe_steps`` random-walk columns when it asks for them."""
     if cfg.rwpe_steps > 0:
-        graphs = with_rwpe(graphs, cfg.rwpe_steps)
-    return batch_graphs(graphs)
+        return with_rwpe(graphs, cfg.rwpe_steps)
+    return list(graphs)
+
+
+def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
+    """Batch samples encoded by ``encode_graphs``."""
+    return batch_graphs(encode_graphs(graphs, cfg))
 
 
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,
@@ -463,7 +460,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     token = prompts.graph_token
     if token is not None and prompts.token_stage == "pre_projection":
         x = apply_graph_prompt(x, token)
-    h = add(matmul(x, backbone.w_in), backbone.b_in)
+    h = linear(x, backbone.w_in, backbone.b_in)
     if backbone.degree_table is not None:
         ids = np.minimum(batch.degrees, cfg.max_degree)
         h = add(h, gather_rows(backbone.degree_table, ids))
@@ -496,7 +493,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         key = (p, shared, node_queries)
         if key not in built:
             built[key] = _attention_groups(offsets, *key)
-        h = transformer_layer_forward(h, built[key], params)
+        h = transformer_layer_forward(h, built[key], params, cfg.heads)
         if not keep:
             p = 0
     return h, offsets

@@ -12,20 +12,22 @@ rows of a matrix. Everything else is a shape error. Rows move by one
 primitive, ``gather_rows``: output row i reads input row ``index[i]``,
 or a zero row for -1, and the backward pass scatter-adds onto the rows
 read. ``pool_rows``, which sums or averages contiguous segments of rows,
-and ``block_attention`` gather through the same helper. The one place
-that works on higher-rank arrays is ``block_attention``: it gathers the
-rows of its (R, heads * dq) operands into padded (B, heads, L, dq)
-groups, the query rows of each group (every row, or a subset) and its
-key rows (which several groups may share), runs softmax attention within
-each group and returns one row per query row, so the 4-D arrays never
-leave that operation; its backward pass scatter-adds each key row's
-gradient over every group that reads it. The sparse matrix that ``spmm``
-and ``neighbor_max`` take is a constant. ``neighbor_max`` buckets its
-output rows by source count, rounded up to a power of two
-(``SourceBuckets``, which a caller builds once per matrix), and runs one
-gather and one max per bucket; only its backward pass looks up which
-source held each max (the first in column order that is not below it, so
-ties go to the lowest column and a NaN max to the row's first source).
+and ``block_attention`` gather through the same helper; ``linear``
+(``x @ w + b``) is the one affine map. The one place that works on
+higher-rank arrays is ``block_attention``: it gathers the rows of its
+fused (R, 3 * heads * dq) query/key/value operand into padded (B, heads,
+L, dq) groups, the query rows of each group (every row, or a subset) and
+its key rows (which several groups may share), runs softmax attention
+within each group and returns one row per query row, so the 4-D arrays
+never leave that operation; its backward pass returns one gradient of
+the fused operand, each key row's summed over every group that reads it.
+The sparse matrix that ``spmm`` and ``neighbor_max`` take is a constant.
+``neighbor_max`` buckets its output rows by source count, rounded up to
+a power of two (``SourceBuckets``, which a caller builds once per
+matrix), and runs one gather and one max per bucket; only its backward
+pass looks up which source held each max (the first in column order
+that is not below it, so ties go to the lowest column and a NaN max to
+the row's first source).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "MASK_FILL",
     "backward",
     "matmul",
+    "linear",
     "add",
     "mul",
     "scale",
@@ -55,7 +58,6 @@ __all__ = [
     "block_attention",
     "layer_norm",
     "concat_rows",
-    "concat_cols",
     "gather_rows",
     "pool_rows",
     "spmm",
@@ -255,6 +257,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of a matrix, the bias broadcast over rows, as one node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: cannot map shape {x.shape} by weight {w.shape} and "
+                         f"bias {b.shape}")
+    xd, wd = x.data, w.data
+    out = Tensor(xd @ wd + b.data)
+    return _record(out, [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g),
+                         (b, lambda g: g.sum(axis=0))])
+
+
 def _broadcast_kind(a: Tensor, b: Tensor, op: str) -> str:
     if a.shape == b.shape:
         return "same"
@@ -367,26 +381,27 @@ class AttentionGroups(NamedTuple):
         return np.sort(query[query >= 0])
 
 
-def block_attention(q: Tensor, k: Tensor, v: Tensor, groups: AttentionGroups,
-                    heads: int) -> Tensor:
+def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
     """Multi-head scaled softmax attention within each group of rows.
 
-    ``q``, ``k`` and ``v`` are (R, heads * dq); head ``h`` owns columns
-    ``h * dq : (h + 1) * dq``. Each query row attends only to the keys of
-    its group, as ``groups.key_mask`` allows. The result has one row per
-    query row, in the order of ``groups.query_rows()``, and the same
-    column layout. The backward pass computes the gradients of all three
-    operands together, once per incoming gradient. Rows that ask no query
-    get no ``q`` gradient. With a query index, a key row's ``k`` and ``v``
-    gradients are summed over every group that reads it, both scatter-added
-    in one ``np.bincount`` as ``gather_rows`` does; in self-attention each
-    row is one key and its gradient is copied.
+    ``qkv`` is one (R, 3 * w) operand, w = heads * dq: its first w columns
+    are the queries, the next w the keys and the last w the values, and
+    within each, head ``h`` owns columns ``h * dq : (h + 1) * dq``. Each
+    query row attends only to the keys of its group, as
+    ``groups.key_mask`` allows. The result has one row per query row, in
+    the order of ``groups.query_rows()``, with the (R, w) layout of the
+    queries. The backward pass returns one (R, 3 * w) gradient: its query
+    columns hold each query row's gradient, and zeros for rows that ask
+    no query. With a query index, a key row's key and value gradients are
+    summed over every group that reads it, scatter-added in one
+    ``np.bincount`` as ``gather_rows`` does; in self-attention each row is
+    one key and its gradient is copied.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"block_attention: q, k, v must be equal-shape matrices, got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    rows, width = q.shape
+    qkv = _as_tensor(qkv)
+    if qkv.ndim != 2 or qkv.shape[1] % 3:
+        raise ShapeError(f"block_attention: qkv must be a matrix of 3 equal column blocks, "
+                         f"got shape {qkv.shape}")
+    rows, width = qkv.shape[0], qkv.shape[1] // 3
     if heads < 1 or width % heads:
         raise ShapeError(f"block_attention: width {width} does not split into {heads} heads")
     index = np.asarray(groups.index)
@@ -431,36 +446,31 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, groups: AttentionGroups,
         return _take_rows(a, idx).reshape(b, idx.shape[1], heads, dq).transpose(0, 2, 1, 3)
 
     def merge(a):
-        """(B, heads, Lq, dq) -> (Rq, heads * dq), dropping padding positions."""
-        return a.transpose(0, 2, 1, 3).reshape(b * nq, width)[slot]
+        """(B, k * heads, Lq, dq) -> (Rq, k * width), dropping padding positions."""
+        return a.transpose(0, 2, 1, 3).reshape(b * nq, -1)[slot]
 
-    qs, ks, vs = split(q.data, query), split(k.data, index), split(v.data, index)
+    data = qkv.data
+    qs = split(data[:, :width], query)
+    ks, vs = split(data[:, width:2 * width], index), split(data[:, 2 * width:], index)
     probs, softmax_bwd = _softmax_last_axis((qs @ ks.transpose(0, 1, 3, 2)) * inv_sqrt,
                                             m[:, None], "block_attention", query[:, None])
     out = Tensor(merge(probs @ vs))
 
-    last: list = [None, None]   # [incoming gradient, (dq, dk, dv)]
+    def bwd(g):
+        gs = split(g, out_row)
+        ds = softmax_bwd(gs @ vs.transpose(0, 1, 3, 2)) * inv_sqrt
+        d_q = ds @ ks
+        d_kv = np.concatenate([ds.transpose(0, 1, 3, 2) @ qs,
+                               probs.transpose(0, 1, 3, 2) @ gs], axis=1)
+        if groups.query is None:     # every row is one group's query and key
+            return merge(np.concatenate([d_q, d_kv], axis=1))
+        full = np.zeros((rows, 3 * width))
+        full[asked, :width] = merge(d_q)
+        d_kv = d_kv.transpose(0, 2, 1, 3).reshape(b * n, 2 * width)
+        full[:, width:] = _scatter_add_rows(d_kv, index.ravel(), rows)
+        return full
 
-    def grads(g):
-        if last[0] is not g:
-            gs = split(g, out_row)
-            ds = softmax_bwd(gs @ vs.transpose(0, 1, 3, 2)) * inv_sqrt
-            d_q, d_k, d_v = (merge(ds @ ks), ds.transpose(0, 1, 3, 2) @ qs,
-                             probs.transpose(0, 1, 3, 2) @ gs)
-            if groups.query is None:     # every row is one group's query and key
-                d_k, d_v = merge(d_k), merge(d_v)
-            else:
-                full = np.zeros((rows, width))
-                full[asked] = d_q
-                d_kv = np.concatenate([d_k, d_v], axis=1).transpose(0, 2, 1, 3)
-                d_kv = _scatter_add_rows(d_kv.reshape(b * n, 2 * width), index.ravel(), rows)
-                d_q, d_k, d_v = full, d_kv[:, :width], d_kv[:, width:]
-            last[0] = g
-            last[1] = (d_q, d_k, d_v)
-        return last[1]
-
-    return _record(out, [(q, lambda g: grads(g)[0]), (k, lambda g: grads(g)[1]),
-                         (v, lambda g: grads(g)[2])])
+    return _record(out, [(qkv, bwd)])
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -510,25 +520,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         start, stop = offset, offset + p.shape[0]
         deps.append((p, lambda g, s=start, e=stop: g[s:e].copy()))
-        offset = stop
-    return _record(out, deps)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices along the column axis."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError(f"concat_cols: expected {rows}-row matrices, got shape {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    deps = []
-    offset = 0
-    for p in parts:
-        start, stop = offset, offset + p.shape[1]
-        deps.append((p, lambda g, s=start, e=stop: g[:, s:e].copy()))
         offset = stop
     return _record(out, deps)
 

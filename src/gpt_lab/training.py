@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from gpt_lab.graphs import DataError, GraphSample, make_folds, with_rwpe
+from gpt_lab.graphs import DataError, GraphSample, make_folds
 from gpt_lab.graphs import batch as batch_graphs
-from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
+from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
+                            encode_graphs, prepare_batch)
 from gpt_lab.prompt import MODES, PromptSet, build_registry, count_params, init_prompts
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward, bce_with_logits, mul, scale, tsum
@@ -329,12 +330,6 @@ def _loss(config: TuningConfig, out: Tensor, labels: np.ndarray) -> Tensor:
     return bce_loss(out, labels, np.isfinite(labels))
 
 
-def _encode_dataset(dataset, backbone_cfg: BackboneConfig) -> list[GraphSample]:
-    if backbone_cfg.rwpe_steps:
-        return with_rwpe(dataset, backbone_cfg.rwpe_steps)
-    return list(dataset)
-
-
 def _labels(encoded) -> np.ndarray:
     return np.array([g.label for g in encoded], dtype=np.float64)
 
@@ -497,14 +492,15 @@ def _run_fold(args) -> FoldResult:
 
 def _worker_cap() -> int:
     env = os.environ.get("GPT_LAB_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ContractError(f"GPT_LAB_THREADS must be an integer, got {env!r}") from None
-        if cap >= 1:
-            return cap
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ContractError(f"GPT_LAB_THREADS must be a positive integer, got {env!r}")
+    return cap
 
 
 def train(config: TuningConfig, dataset: list[GraphSample],
@@ -520,7 +516,7 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     """
     steady_heap()
     _validate(config, dataset, backbone_cfg)
-    encoded = _encode_dataset(dataset, backbone_cfg)
+    encoded = encode_graphs(dataset, backbone_cfg)
     embeddings = None
     if config.mode.lower() == "lightweight":
         bb = _load_backbone(backbone_cfg, backbone_state)
@@ -579,7 +575,7 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
                           weight_decay=weight_decay, batch_size=batch_size,
                           warmup_epochs=warmup_epochs, decay=decay, clip=clip)
     _validate(config, dataset, backbone_cfg)
-    encoded = _encode_dataset(dataset, backbone_cfg)
+    encoded = encode_graphs(dataset, backbone_cfg)
     n_eval = max(1, int(round(len(dataset) * eval_fraction)))
     perm = rng_for(seed, "pretrain-split").permutation(len(dataset))
     eval_idx, train_idx = perm[:n_eval], perm[n_eval:]

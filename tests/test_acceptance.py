@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from gpt_lab import checkpoint as ck
-from gpt_lab.cli import ABLATE_CSV_FIELDS, main, read_csv
+from gpt_lab.cli import ABLATE_CSV_FIELDS, main
 from gpt_lab.graphs import GraphSample, gen_downstream, gen_pretext
 from gpt_lab.models import (
     Backbone,
@@ -44,6 +44,8 @@ from gpt_lab.training import (
     pretrain,
     train,
 )
+
+from csv_rows import read_csv
 
 
 def report(criterion: int, label: str, ok: bool, detail: str = "") -> None:

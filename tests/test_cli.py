@@ -13,12 +13,13 @@ from gpt_lab.cli import (
     REPORT_CSV_FIELDS,
     TUNE_CSV_FIELDS,
     main,
-    read_csv,
 )
 from gpt_lab.config import ConfigError, load_config
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import BackboneConfig
 from gpt_lab.training import evaluate_fold
+
+from csv_rows import read_csv
 
 BASE_CONFIG = """\
 [experiment]
@@ -83,6 +84,31 @@ def ckpt_of(workspace: Path) -> str:
     return str(workspace / "pre" / "backbone.ckpt")
 
 
+def write_v1(path, meta: dict, arrays: dict, monkeypatch) -> None:
+    """Write a checkpoint file in format 1."""
+    with monkeypatch.context() as m:
+        m.setattr(ck, "FORMAT_VERSION", 1)
+        ck._write(path, meta, arrays)
+
+
+def write_v1_backbone(path, cfg: BackboneConfig, state: dict, monkeypatch) -> dict:
+    """Write a transformer state as a format-1 backbone file, each layer's fused
+    ``qkv.weight`` split into its per-head ``wq{h}``, ``wk{h}`` and ``wv{h}``
+    arrays; returns the arrays written."""
+    d, dq = cfg.dim, cfg.head_width
+    arrays = dict(state)
+    for i in range(cfg.layers):
+        fused = arrays.pop(f"layer{i}.qkv.weight")
+        for part, name in enumerate("qkv"):
+            for h in range(cfg.heads):
+                start = part * d + h * dq
+                arrays[f"layer{i}.w{name}{h}"] = fused[:, start:start + dq]
+    meta = {"kind": "backbone", "fingerprint": ck.fingerprint(cfg),
+            "config": dataclasses.asdict(cfg)}
+    write_v1(path, meta, arrays, monkeypatch)
+    return arrays
+
+
 class TestCheckpointFormat:
     def test_backbone_round_trip_bit_exact(self, tmp_path):
         cfg = BackboneConfig(kind="mpgnn", feature_dim=3, dim=8, heads=2, layers=2)
@@ -128,6 +154,48 @@ class TestCheckpointFormat:
             ck.load_prompt(path, dim=16, layers=2)
         with pytest.raises(ck.CheckpointMismatchError):
             ck.load_prompt(path, dim=8, layers=3)
+
+    def test_format_1_prompt_file_loads(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.ckpt"
+        token = np.arange(8.0)
+        write_v1(path, {"kind": "prompt", "dim": 8, "layers": 2}, {"prompt.token": token},
+                 monkeypatch)
+        _, state = ck.load_prompt(path, dim=8, layers=2)
+        assert np.array_equal(state["prompt.token"], token)
+
+    def test_format_1_backbone_loads_into_the_fused_qkv_weight(self, tmp_path, monkeypatch):
+        from gpt_lab.models import Backbone, backbone_forward, prepare_batch
+
+        cfg = BackboneConfig(kind="transformer", feature_dim=3, dim=8, heads=2, layers=2,
+                             ffn_mult=2, rwpe_steps=2)
+        bb = Backbone.init(cfg, seed=3)
+        path = tmp_path / "v1.ckpt"
+        write_v1_backbone(path, cfg, bb.state_arrays(), monkeypatch)
+        assert ck._read(path)[0]["format_version"] == 1
+        got_cfg, arrays = ck.load_backbone(path, expected=cfg)
+        loaded = Backbone.init(got_cfg, seed=4)
+        loaded.load_state(arrays)
+        batch = prepare_batch(gen_downstream(5, "motif_presence", seed=2, feature_dim=3), cfg)
+        assert np.array_equal(backbone_forward(batch, loaded).data,
+                              backbone_forward(batch, bb).data)
+
+    @pytest.mark.parametrize("damage", ["missing", "misshapen"])
+    def test_format_1_backbone_with_a_bad_head_array_rejected(self, tmp_path, monkeypatch,
+                                                              damage):
+        from gpt_lab.models import Backbone
+
+        cfg = BackboneConfig(kind="transformer", feature_dim=3, dim=8, heads=2, layers=2,
+                             ffn_mult=2)
+        path = tmp_path / "v1.ckpt"
+        arrays = write_v1_backbone(path, cfg, Backbone.init(cfg, seed=3).state_arrays(),
+                                   monkeypatch)
+        if damage == "missing":
+            del arrays["layer1.wk1"]
+        else:
+            arrays["layer1.wk1"] = arrays["layer1.wk1"][:, :1]
+        write_v1(path, ck._read(path)[0], arrays, monkeypatch)
+        with pytest.raises(ck.CheckpointError, match="layer1.wk1"):
+            ck.load_backbone(path)
 
 
 class TestPublishedScale:
@@ -362,6 +430,18 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "run")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: fold 1: evaluation split: auroc is undefined")
+
+    def test_format_1_backbone_missing_a_head_exits_4(self, workspace, tmp_path,
+                                                      monkeypatch, capsys):
+        backbone_cfg, state = ck.load_backbone(ckpt_of(workspace))
+        ckpt = tmp_path / "v1.ckpt"
+        arrays = write_v1_backbone(ckpt, backbone_cfg, state, monkeypatch)
+        del arrays["layer0.wv1"]
+        write_v1(ckpt, ck._read(ckpt)[0], arrays, monkeypatch)
+        config = write_config(tmp_path / "exp.ini")
+        assert main(["tune", "--config", str(config), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "run")]) == 4
+        assert "layer0.wv1" in capsys.readouterr().err
 
     def test_non_finite_backbone_exits_5_naming_the_step(self, workspace, tmp_path, capsys):
         backbone_cfg, state = ck.load_backbone(ckpt_of(workspace))

@@ -17,6 +17,7 @@ from gpt_lab.models import (
     transformer_layer_forward,
 )
 from gpt_lab.prompt import build_registry, init_prompts
+from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
     AttentionGroups,
     ContractError,
@@ -68,19 +69,22 @@ def _oracle_gelu(z):
     return 0.5 * z * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def oracle_transformer_layer(x, mask, p):
+def oracle_transformer_layer(x, mask, p, heads):
     """Naive re-implementation: returns (output, per-head attention rows)."""
     n, d = x.shape
     gain1, bias1 = p.ln1_gain.data.tolist(), p.ln1_bias.data.tolist()
     gain2, bias2 = p.ln2_gain.data.tolist(), p.ln2_bias.data.tolist()
     h = [_oracle_ln(list(x[i]), gain1, bias1) for i in range(n)]
-    dq = p.w_q[0].shape[1]
+    dq = d // heads
     head_cols = []
     attn_all = []
-    for wq, wk, wv in zip(p.w_q, p.w_k, p.w_v):
-        q = [_oracle_matvec(h[i], wq.data.tolist()) for i in range(n)]
-        k = [_oracle_matvec(h[i], wk.data.tolist()) for i in range(n)]
-        v = [_oracle_matvec(h[i], wv.data.tolist()) for i in range(n)]
+    for head in range(heads):
+        # Head ``head``'s q, k and v columns in the fused (d, 3d) weight.
+        wq, wk, wv = (p.w_qkv.data[:, part * d + head * dq:part * d + (head + 1) * dq].tolist()
+                      for part in range(3))
+        q = [_oracle_matvec(h[i], wq) for i in range(n)]
+        k = [_oracle_matvec(h[i], wk) for i in range(n)]
+        v = [_oracle_matvec(h[i], wv) for i in range(n)]
         attn = []
         for i in range(n):
             scores = [sum(q[i][c] * k[j][c] for c in range(dq)) / math.sqrt(dq)
@@ -124,37 +128,35 @@ class TestTransformerLayer:
         x = RNG.normal(size=(4, 6))
         mask = np.ones((4, 4), dtype=bool)
         mask[0, 2] = mask[2, 0] = False
-        got = transformer_layer_forward(Tensor(x), one_group(mask), p).data
-        want, _ = oracle_transformer_layer(x, mask, p)
+        got = transformer_layer_forward(Tensor(x), one_group(mask), p, 2).data
+        want, _ = oracle_transformer_layer(x, mask, p, 2)
         assert np.abs(got - want).max() <= 1e-10
 
     def test_single_node_attention_weight_is_one(self):
         p = _layer_params(dim=4, heads=2, seed=1)
         x = RNG.normal(size=(1, 4))
-        _, attn = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p)
+        _, attn = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p, 2)
         for head in attn:
             assert head[0][0] == pytest.approx(1.0, abs=0)
         got = transformer_layer_forward(Tensor(x), one_group(np.ones((1, 1), dtype=bool)),
-                                        p).data
-        want, _ = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p)
+                                        p, 2).data
+        want, _ = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p, 2)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_zero_query_key_gives_uniform_attention_over_unmasked(self):
         p = _layer_params(dim=4, heads=2, seed=2)
-        for wq, wk in zip(p.w_q, p.w_k):
-            wq.data[:] = 0.0
-            wk.data[:] = 0.0
+        p.w_qkv.data[:, :8] = 0.0          # every q and k column
         x = RNG.normal(size=(5, 4))
         mask = np.ones((5, 5), dtype=bool)
         mask[:, 4] = False
         mask[4, 4] = True
-        _, attn = oracle_transformer_layer(x, mask, p)
+        _, attn = oracle_transformer_layer(x, mask, p, 2)
         for head in attn:
             for i in range(4):
                 alive = [head[i][j] for j in range(5) if mask[i][j]]
                 assert np.allclose(alive, 1.0 / len(alive), atol=1e-15)
-        got = transformer_layer_forward(Tensor(x), one_group(mask), p).data
-        want, _ = oracle_transformer_layer(x, mask, p)
+        got = transformer_layer_forward(Tensor(x), one_group(mask), p, 2).data
+        want, _ = oracle_transformer_layer(x, mask, p, 2)
         assert np.abs(got - want).max() <= 1e-10
 
     def test_two_groups_of_different_sizes_match_the_oracle_per_group(self):
@@ -168,11 +170,36 @@ class TestTransformerLayer:
         key_mask[0, :3, :3] = small
         key_mask[1] = large
         index = np.array([[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]])
-        got = transformer_layer_forward(Tensor(x), AttentionGroups(index, key_mask), p).data
-        want_small, _ = oracle_transformer_layer(x[:3], small, p)
-        want_large, _ = oracle_transformer_layer(x[3:], large, p)
+        got = transformer_layer_forward(Tensor(x), AttentionGroups(index, key_mask), p, 2).data
+        want_small, _ = oracle_transformer_layer(x[:3], small, p, 2)
+        want_large, _ = oracle_transformer_layer(x[3:], large, p, 2)
         assert np.abs(got[:3] - want_small).max() <= 1e-10
         assert np.abs(got[3:] - want_large).max() <= 1e-10
+
+    def test_a_taped_layer_records_ten_nodes(self):
+        """LN1, the QKV matmul, attention, the out linear, the residual, LN2,
+        linear, GELU, linear and the residual."""
+        p = _layer_params(dim=4, heads=2, seed=1)
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        with Tape() as tape:
+            transformer_layer_forward(x, one_group(np.ones((3, 3), dtype=bool)), p, 2)
+            assert len(tape.nodes) == 10
+
+    def test_fused_qkv_holds_the_per_head_draws_in_column_order(self):
+        """Init draws each head's (dim, dq) q, then k, then v matrix in turn."""
+        cfg = BackboneConfig(kind="transformer", feature_dim=3, dim=6, heads=3, layers=2,
+                             ffn_mult=2)
+        bb = Backbone.init(cfg, seed=5)
+        rng = rng_for(5, "init-backbone")
+
+        def draw(rows, cols):
+            return rng.normal(0.0, 1.0 / math.sqrt(rows), size=(rows, cols))
+
+        draw(3, 6)                                    # the input projection
+        for layer in bb.layers:
+            heads = [draw(6, 2) for _ in range(9)]
+            assert np.array_equal(layer.w_qkv.data, np.concatenate(heads, axis=1))
+            draw(6, 6), draw(6, 12), draw(12, 6)        # out, ffn1, ffn2
 
 
 # ---------------------------------------------------------------------------

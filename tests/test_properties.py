@@ -274,7 +274,8 @@ def _slot_oracle(g, cfg, bb, prompts):
             p = prompts.p_len
         n = h.shape[0]
         h = transformer_layer_forward(
-            h, AttentionGroups(np.arange(n)[None], np.ones((1, n, n), dtype=bool)), params)
+            h, AttentionGroups(np.arange(n)[None], np.ones((1, n, n), dtype=bool)), params,
+            cfg.heads)
     return gather_rows(h, np.arange(p, h.shape[0]))
 
 

@@ -79,6 +79,29 @@ class TestMatmul:
         assert np.allclose(grads[a], expected, atol=1e-12)
 
 
+class TestLinear:
+    def test_one_node_with_the_values_and_grads_of_matmul_then_add(self):
+        x, w, b = (Tensor(rand(*shape), requires_grad=True) for shape in ((5, 3), (3, 4), (4,)))
+        with Tape() as tape:
+            fused = T.linear(x, w, b)
+            nodes = len(tape.nodes)
+            grads = backward(T.tsum(T.mul(fused, Tensor(np.arange(20.0).reshape(5, 4)))))
+        with Tape():
+            split = T.add(T.matmul(x, w), b)
+            want = backward(T.tsum(T.mul(split, Tensor(np.arange(20.0).reshape(5, 4)))))
+        assert nodes == 1
+        assert np.array_equal(fused.data, split.data)
+        for t in (x, w, b):
+            assert np.array_equal(grads[t], want[t])
+
+    @pytest.mark.parametrize("shapes", [((5, 3), (4, 4), (4,)), ((5, 3), (3, 4), (3,)),
+                                        ((3,), (3, 4), (4,))])
+    def test_shape_error_names_every_shape(self, shapes):
+        x, w, b = (Tensor(rand(*shape)) for shape in shapes)
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(x, w, b)
+
+
 def softmax(scores, mask=None):
     """The masked softmax core of block_attention on the rows of a matrix."""
     scores = np.asarray(scores, dtype=float)
@@ -131,53 +154,63 @@ def _two_groups():
     return T.AttentionGroups(index, mask)
 
 
+def _split_qkv(qkv):
+    """The query, key and value column blocks of a fused operand."""
+    return np.split(qkv.data, 3, axis=1)
+
+
 class TestBlockAttention:
     def test_grads_vs_fd_with_padding_and_a_masked_pair(self):
-        q, k, v = (Tensor(rand(7, 4), requires_grad=True) for _ in range(3))
+        qkv = Tensor(rand(7, 12), requires_grad=True)
         w = Tensor(rand(7, 4))
         groups = _two_groups()
-        check_against_fd(lambda: T.tsum(T.mul(T.block_attention(q, k, v, groups, 2), w)),
-                         [q, k, v])
+        check_against_fd(lambda: T.tsum(T.mul(T.block_attention(qkv, groups, 2), w)), [qkv])
 
     def test_padding_rows_neither_raise_nor_leak(self):
-        q, k, v = (Tensor(rand(7, 4)) for _ in range(3))
-        out = T.block_attention(q, k, v, _two_groups(), 2).data
+        qkv = Tensor(rand(7, 12))
+        q, k, v = _split_qkv(qkv)
+        out = T.block_attention(qkv, _two_groups(), 2).data
         assert np.isfinite(out).all()
         # Row 4 attends to its own padded group, rows 4, 0 and 2, and to no other row.
         rows = [4, 0, 2]
         for h in (slice(0, 2), slice(2, 4)):
-            s = k.data[rows, h] @ q.data[4, h] / math.sqrt(2)
+            s = k[rows, h] @ q[4, h] / math.sqrt(2)
             p = np.exp(s - s.max())
-            assert np.abs(out[4, h] - p @ v.data[rows, h] / p.sum()).max() < 1e-12
+            assert np.abs(out[4, h] - p @ v[rows, h] / p.sum()).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(7, 10), (7, 9)], ids=["not_three_blocks", "odd_heads"])
+    def test_operand_must_be_three_blocks_of_whole_heads(self, shape):
+        with pytest.raises(ShapeError, match="block_attention"):
+            T.block_attention(Tensor(rand(*shape)), _two_groups(), 2)
 
     @pytest.mark.parametrize("index", [[[0, 1, 2, -1], [3, 4, 5, -1]],    # skips row 6
                                        [[0, 1, 2, 2], [3, 4, 5, 6]],      # repeats row 2
                                        [[0, 1, 2, -2], [3, 4, 5, 6]]])    # bad padding id
     def test_index_must_cover_each_row_once(self, index):
-        q = Tensor(rand(7, 4))
+        qkv = Tensor(rand(7, 12))
         groups = T.AttentionGroups(np.array(index), np.ones((2, 4, 4), dtype=bool))
         with pytest.raises(ContractError, match="exactly once"):
-            T.block_attention(q, q, q, groups, 2)
+            T.block_attention(qkv, groups, 2)
 
     def test_real_query_row_without_a_key_raises(self):
         index, mask, _ = _two_groups()
         mask[1, 1, :] = False
-        q = Tensor(rand(7, 4))
+        qkv = Tensor(rand(7, 12))
         with pytest.raises(DegenerateRowError, match="row 3 "):
-            T.block_attention(q, q, q, T.AttentionGroups(index, mask), 2)
+            T.block_attention(qkv, T.AttentionGroups(index, mask), 2)
 
     def test_mask_shape_must_be_groups_by_length_squared(self):
         index, mask, _ = _two_groups()
-        q = Tensor(rand(7, 4))
+        qkv = Tensor(rand(7, 12))
         with pytest.raises(ShapeError, match="mask shape"):
-            T.block_attention(q, q, q, T.AttentionGroups(index, mask[:, :3]), 2)
+            T.block_attention(qkv, T.AttentionGroups(index, mask[:, :3]), 2)
 
     def test_padding_key_must_stay_masked(self):
         index, mask, _ = _two_groups()
         mask[0, 0, 3] = True
-        q = Tensor(rand(7, 4))
+        qkv = Tensor(rand(7, 12))
         with pytest.raises(ContractError, match="padding key"):
-            T.block_attention(q, q, q, T.AttentionGroups(index, mask), 2)
+            T.block_attention(qkv, T.AttentionGroups(index, mask), 2)
 
 
 def _shared_key_groups():
@@ -191,23 +224,30 @@ def _shared_key_groups():
 
 class TestBlockAttentionWithQueries:
     def test_grads_vs_fd_with_a_shared_key_and_a_query_subset(self):
-        q, k, v = (Tensor(rand(6, 4), requires_grad=True) for _ in range(3))
+        qkv = Tensor(rand(6, 12), requires_grad=True)
         w = Tensor(rand(5, 4))
         groups = _shared_key_groups()
-        check_against_fd(lambda: T.tsum(T.mul(T.block_attention(q, k, v, groups, 2), w)),
-                         [q, k, v])
+        check_against_fd(lambda: T.tsum(T.mul(T.block_attention(qkv, groups, 2), w)), [qkv])
+
+    def test_a_row_that_asks_no_query_gets_zero_query_gradient(self):
+        qkv = Tensor(rand(6, 12), requires_grad=True)
+        with Tape():
+            grad = backward(T.tsum(T.block_attention(qkv, _shared_key_groups(), 2)))[qkv]
+        assert np.array_equal(grad[0, :4], np.zeros(4))
+        assert np.abs(grad[0, 4:]).max() > 0.0     # row 0 is still a key and a value
 
     def test_each_query_row_reads_its_own_group_keys(self):
-        q, k, v = (Tensor(rand(6, 4)) for _ in range(3))
+        qkv = Tensor(rand(6, 12))
+        q, k, v = _split_qkv(qkv)
         groups = _shared_key_groups()
         assert groups.query_rows().tolist() == [1, 2, 3, 4, 5]
-        out = T.block_attention(q, k, v, groups, 2).data
+        out = T.block_attention(qkv, groups, 2).data
         assert out.shape == (5, 4)
         for row, keys in [(2, [0, 1, 2]), (3, [0, 3, 5])]:   # output rows 1 and 2
             for h in (slice(0, 2), slice(2, 4)):
-                s = k.data[keys, h] @ q.data[row, h] / math.sqrt(2)
+                s = k[keys, h] @ q[row, h] / math.sqrt(2)
                 p = np.exp(s - s.max())
-                assert np.abs(out[row - 1, h] - p @ v.data[keys, h] / p.sum()).max() < 1e-12
+                assert np.abs(out[row - 1, h] - p @ v[keys, h] / p.sum()).max() < 1e-12
 
     @pytest.mark.parametrize("query", [[[2, 2, -1], [3, 4, 5]],      # repeats row 2
                                        [[2, 1, -1], [3, 4, 6]],      # names no row
@@ -215,30 +255,30 @@ class TestBlockAttentionWithQueries:
                              ids=["repeated", "out_of_range", "bad_padding"])
     def test_query_must_name_distinct_rows(self, query):
         index, mask, _ = _shared_key_groups()
-        q = Tensor(rand(6, 4))
+        qkv = Tensor(rand(6, 12))
         with pytest.raises(ContractError, match="each at most once"):
-            T.block_attention(q, q, q, T.AttentionGroups(index, mask, np.array(query)), 2)
+            T.block_attention(qkv, T.AttentionGroups(index, mask, np.array(query)), 2)
 
     def test_key_index_out_of_range_rejected(self):
         _, mask, query = _shared_key_groups()
         index = np.array([[0, 1, 2, -1], [0, 3, 4, 6]])
-        q = Tensor(rand(6, 4))
+        qkv = Tensor(rand(6, 12))
         with pytest.raises(ContractError, match=r"key index outside \[-1, 6\)"):
-            T.block_attention(q, q, q, T.AttentionGroups(index, mask, query), 2)
+            T.block_attention(qkv, T.AttentionGroups(index, mask, query), 2)
 
     def test_padding_key_must_stay_masked(self):
         index, mask, query = _shared_key_groups()
         mask[0, 0, 3] = True
-        q = Tensor(rand(6, 4))
+        qkv = Tensor(rand(6, 12))
         with pytest.raises(ContractError, match="padding key"):
-            T.block_attention(q, q, q, T.AttentionGroups(index, mask, query), 2)
+            T.block_attention(qkv, T.AttentionGroups(index, mask, query), 2)
 
     def test_real_query_row_without_a_key_raises(self):
         index, mask, query = _shared_key_groups()
         mask[1, 1, :] = False
-        q = Tensor(rand(6, 4))
+        qkv = Tensor(rand(6, 12))
         with pytest.raises(DegenerateRowError, match="row 4 "):
-            T.block_attention(q, q, q, T.AttentionGroups(index, mask, query), 2)
+            T.block_attention(qkv, T.AttentionGroups(index, mask, query), 2)
 
 
 class TestLayerNorm:
@@ -356,6 +396,7 @@ _SPARSE = sparse.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.5, 0.0], [3.0, 0
 
 PRIMITIVE_CASES = {
     "matmul": lambda a, b: T.matmul(a, b),
+    "linear": lambda a, b, c: T.linear(a, b, c),
     "add_same": lambda a, b2: T.add(a, b2),
     "add_rowvec": lambda a, v: T.add(a, v),
     "mul_same": lambda a, b2: T.mul(a, b2),
@@ -363,7 +404,6 @@ PRIMITIVE_CASES = {
     "scale": lambda a: T.scale(a, -2.5),
     "gelu": lambda a: T.gelu(a),
     "concat_rows": lambda a, b2, p: T.concat_rows([a, b2, p]),
-    "concat_cols": lambda a, b2: T.concat_cols([a, b2]),
     "gather_rows_repeated": lambda tab: T.gather_rows(tab, np.array([0, 2, 2, 1, 2])),
     "gather_rows_zero_rows": lambda a: T.gather_rows(a, np.array([-1, 1, 1, -1, 2, -1])),
     "neighbor_max": lambda a: T.neighbor_max(a, _NEIGHBORS),
@@ -380,12 +420,13 @@ def test_every_primitive_matches_finite_differences(name):
     b = Tensor(rand(4, 2), requires_grad=True)
     b2 = Tensor(rand(3, 4), requires_grad=True)
     v = Tensor(rand(4), requires_grad=True)
+    c = Tensor(rand(2), requires_grad=True)
     p = Tensor(rand(1, 4), requires_grad=True)
     tab = Tensor(rand(3, 4), requires_grad=True)
     weights = rand(64)  # fixed projection so the loss sees every output entry
     op = PRIMITIVE_CASES[name]
     varnames = op.__code__.co_varnames[: op.__code__.co_argcount]
-    env = {"a": a, "b": b, "b2": b2, "v": v, "p": p, "tab": tab}
+    env = {"a": a, "b": b, "b2": b2, "v": v, "c": c, "p": p, "tab": tab}
     args = [env[n] for n in varnames]
 
     def weighted(out):
@@ -438,9 +479,7 @@ def test_composite_transformer_style_graph_vs_fd():
     """Small attention+FFN composite: every parameter checked against FD."""
     d, n = 4, 5
     x = Tensor(rand(n, d))
-    wq = Tensor(rand(d, d) * 0.5, requires_grad=True)
-    wk = Tensor(rand(d, d) * 0.5, requires_grad=True)
-    wv = Tensor(rand(d, d) * 0.5, requires_grad=True)
+    wqkv = Tensor(rand(d, 3 * d) * 0.5, requires_grad=True)
     w1 = Tensor(rand(d, 2 * d) * 0.5, requires_grad=True)
     w2 = Tensor(rand(2 * d, d) * 0.5, requires_grad=True)
     gain = Tensor(np.ones(d), requires_grad=True)
@@ -451,13 +490,13 @@ def test_composite_transformer_style_graph_vs_fd():
 
     def build():
         h = T.layer_norm(x, gain, bias, 1e-5)
-        ctx = T.block_attention(h @ wq, h @ wk, h @ wv, groups, 1)
+        ctx = T.block_attention(h @ wqkv, groups, 1)
         out = T.add(x, ctx)
         ff = T.gelu(out @ w1) @ w2
         return T.tsum(T.mul(T.add(out, ff), Tensor(rand_fixed)))
 
     rand_fixed = rand(n, d)
-    check_against_fd(build, [wq, wk, wv, w1, w2, gain, bias])
+    check_against_fd(build, [wqkv, w1, w2, gain, bias])
 
 
 class TestGatherRows:

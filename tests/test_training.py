@@ -338,13 +338,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
     def test_rwpe_computed_once_per_call(self, motif_data, monkeypatch, mode):
-        """train() encodes the dataset once for all folds; evaluate_fold, through
-        models.prepare_batch, only its split."""
+        """train() encodes the dataset once for all folds; evaluate_fold only its
+        split. Both go through models.encode_graphs."""
         calls = []
-        encode = training.with_rwpe
-        for module in (training, models):
-            monkeypatch.setattr(module, "with_rwpe",
-                                lambda graphs, k: calls.append(len(graphs)) or encode(graphs, k))
+        encode = models.with_rwpe
+        monkeypatch.setattr(models, "with_rwpe",
+                            lambda graphs, k: calls.append(len(graphs)) or encode(graphs, k))
         cfg, state = tiny_backbone()
         config = tiny_config(mode)
         results = train(config, motif_data, cfg, state, seed=1)
@@ -381,9 +380,10 @@ class TestTrain:
         from gpt_lab.training import _worker_cap
         monkeypatch.setenv("GPT_LAB_THREADS", "3")
         assert _worker_cap() == 3
-        monkeypatch.setenv("GPT_LAB_THREADS", "nope")
-        with pytest.raises(ContractError, match="GPT_LAB_THREADS"):
-            _worker_cap()
+        for bad in ("nope", "0", "-2"):
+            monkeypatch.setenv("GPT_LAB_THREADS", bad)
+            with pytest.raises(ContractError, match="GPT_LAB_THREADS"):
+                _worker_cap()
         monkeypatch.setenv("GPT_LAB_THREADS", "1")
         cfg, state = tiny_backbone()
         # capped to one worker, still correct and in fold order
