@@ -6,7 +6,8 @@ little-endian float64 array bytes in header order. Writing the same state
 twice produces byte-identical files, which archive formats with embedded
 timestamps would not. Format 2 stores a transformer layer's query, key
 and value weights as one array; ``load_backbone`` joins the per-head
-arrays of a format-1 file.
+arrays of a format-1 file, and checks every array's name and shape
+against the stored config's parameters.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gpt_lab.models import BackboneConfig
+from gpt_lab.models import Backbone, BackboneConfig
+from gpt_lab.tensor import ContractError, ShapeError
 
 __all__ = [
     "CheckpointError",
@@ -120,6 +122,10 @@ def load_backbone(path, expected: BackboneConfig | None = None
             f"configured backbone {fingerprint(expected)[:12]}...")
     if meta["format_version"] == 1 and cfg.kind == "transformer":
         arrays = _join_v1_heads(path, cfg, arrays)
+    try:
+        Backbone.init(cfg, seed=0).load_state(arrays)   # the names and shapes of cfg's parameters
+    except (ContractError, ShapeError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return cfg, arrays
 
 

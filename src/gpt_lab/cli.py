@@ -84,7 +84,7 @@ def _tuning_with_overrides(cfg: ExperimentConfig, args) -> TuningConfig:
 def _aggregate_row(tuning: TuningConfig, results) -> dict:
     finals = np.array([r.final_metric for r in results])
     return {
-        "mode": tuning.mode.lower(),
+        "mode": tuning.mode,
         "metric": tuning.metric,
         "trainable_params": results[0].trainable_count,
         "mean": float(finals.mean()),
@@ -105,7 +105,7 @@ def _dump_run(out: Path, tuning: TuningConfig, results, seed: int,
     write_csv(out / "fold_metrics.csv", FOLD_CSV_FIELDS, fold_rows)
     _write_json(out / "run_meta.json", {
         "command": command,
-        "mode": tuning.mode.lower(),
+        "mode": tuning.mode,
         "metric": tuning.metric,
         "seed": seed,
         "folds": tuning.folds,
@@ -163,10 +163,10 @@ def cmd_tune(args) -> int:
     write_csv(out / "metrics.csv", TUNE_CSV_FIELDS, [row])
     _dump_run(out, tuning, results, seed, fingerprint(backbone_cfg), "tune")
 
-    if tuning.mode.lower() in _PROMPT_MODES:
+    if tuning.mode in _PROMPT_MODES:
         last = results[-1]
         save_prompt(out / "prompt.ckpt", dim=backbone_cfg.dim,
-                    layers=backbone_cfg.layers, mode=tuning.mode.lower(),
+                    layers=backbone_cfg.layers, mode=tuning.mode,
                     p_len=tuning.p_len, token_stage=tuning.token_stage,
                     backbone_fingerprint=fingerprint(backbone_cfg),
                     state=last.prompt_state,
@@ -178,11 +178,11 @@ def cmd_tune(args) -> int:
 
 def _ablate_variant(tuning: TuningConfig, axis: str, cell) -> tuple[str, TuningConfig]:
     if axis == "depth":
-        if tuning.mode.lower() not in ("deepgpt", "prefix_only"):
+        if tuning.mode not in ("deepgpt", "prefix_only"):
             raise ConfigError("depth ablation needs a prefix-based tuning mode")
         return f"{cell[0]}-{cell[1]}", dataclasses.replace(tuning, prompted_layers=cell)
     if axis == "length":
-        if tuning.mode.lower() not in _PROMPT_MODES:
+        if tuning.mode not in _PROMPT_MODES:
             raise ConfigError("length ablation needs a prompt-based tuning mode")
         return str(cell), dataclasses.replace(tuning, p_len=cell)
     return str(cell), dataclasses.replace(tuning, mode=cell)

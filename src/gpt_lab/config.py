@@ -13,9 +13,9 @@ from pathlib import Path
 
 from gpt_lab.graphs import DOWNSTREAM_TASKS
 from gpt_lab.models import BackboneConfig
-from gpt_lab.prompt import MODES, TOKEN_STAGES
+from gpt_lab.prompt import MODES
 from gpt_lab.tensor import ContractError
-from gpt_lab.training import METRICS, TuningConfig
+from gpt_lab.training import TuningConfig
 
 __all__ = [
     "ConfigError",
@@ -218,18 +218,10 @@ def load_config(path) -> ExperimentConfig:
         if "prompted_from" in vals:
             interval = (vals.pop("prompted_from"), vals.pop("prompted_to"))
         betas = (vals.pop("beta1", 0.9), vals.pop("beta2", 0.999))
-        mode = vals.pop("mode", None)
-        if mode is None:
+        if "mode" not in vals:
             raise ConfigError("[tuning]: 'mode' is required")
-        mode = mode.lower()
-        if mode not in MODES:
-            raise ConfigError(f"[tuning]: unknown mode {mode!r} (known: {MODES})")
-        if vals.get("metric", "auroc") not in METRICS:
-            raise ConfigError(f"[tuning]: unknown metric {vals.get('metric')!r}")
-        if vals.get("token_stage", "post_projection") not in TOKEN_STAGES:
-            raise ConfigError(f"[tuning]: unknown token_stage {vals.get('token_stage')!r}")
         try:
-            tuning = TuningConfig(mode=mode, prompted_layers=interval, betas=betas, **vals)
+            tuning = TuningConfig(prompted_layers=interval, betas=betas, **vals)
         except ContractError as exc:
             raise ConfigError(f"[tuning]: {exc}") from None
 

@@ -5,11 +5,12 @@ matrix, sample b owning rows ``offsets[b]:offsets[b + 1]``;
 ``encode_nodes`` reads it as it is. Row-wise work, such as projections,
 layer norms, the FFN and residuals, runs on that matrix with no padding.
 Work across rows is per sample: the transformer's attention gathers each
-sample's rows into one padded group (``AttentionGroups``, built from the
-offsets) and attends within it, the MPGNN multiplies by one sparse CSR
-adjacency that never joins two samples, and readout pools each sample's
-segment of node rows, all samples in one ``pool_rows``. A batched forward
-therefore agrees with per-sample forwards.
+sample's rows into one padded group and attends within it (an
+``AttentionGroups`` plan of the block sizes, built once per forward),
+the MPGNN multiplies by one sparse CSR adjacency that never joins two
+samples, and readout pools each sample's segment of node rows, all
+samples in one ``pool_rows``. A batched forward therefore agrees with
+per-sample forwards.
 
 Prompts arrive as a ``PromptSet``. ``encode_nodes`` validates it with
 ``PromptSet.check`` and applies it through ``gpt_lab.prompt``'s hooks
@@ -290,13 +291,14 @@ def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
     One matmul by ``w_qkv`` projects every row of ``x`` for ``heads``
     heads; attention, the residual, the second norm and the FFN run on
     the query rows only, so the result has one row per row of
-    ``groups.query_rows()``. A single sequence with an n x n mask is the
-    one-group case, ``AttentionGroups(np.arange(n)[None], mask[None])``.
+    ``groups.query_rows``, and the residual gathers those rows of ``x``
+    when some rows are keys only. A single sequence of n rows is the
+    one-group case, ``AttentionGroups([n])``.
     """
     h = layer_norm(x, params.ln1_gain, params.ln1_bias, LN_EPS)
     attn = block_attention(matmul(h, params.w_qkv), groups, heads)
-    if groups.query is not None:
-        x = gather_rows(x, groups.query_rows())
+    if groups.query_rows.size < x.shape[0]:
+        x = gather_rows(x, groups.query_rows)
     x1 = add(x, linear(attn, params.w_out, params.b_out))
     h2 = layer_norm(x1, params.ln2_gain, params.ln2_bias, LN_EPS)
     ff = linear(gelu(linear(h2, params.w_ff1, params.b_ff1)), params.w_ff2, params.b_ff2)
@@ -349,29 +351,6 @@ def _node_rows(offsets: np.ndarray, p: int) -> np.ndarray:
     """The row of every node, in batch order, with p prompt rows per block."""
     counts = np.diff(offsets)
     return np.arange(offsets[-1]) + p * np.repeat(np.arange(1, counts.size + 1), counts)
-
-
-def _attention_groups(offsets: np.ndarray, p: int, shared: int,
-                      node_queries: bool) -> AttentionGroups:
-    """One padded group per sample block.
-
-    Group b's keys are ``shared`` rows 0..shared-1, which every group
-    reads, followed by the rows of block b moved down by ``shared``. Its
-    queries are every row of the block (self-attention; needs no shared
-    rows) or, with ``node_queries``, only the block's node rows.
-    """
-    counts = np.diff(offsets)
-    starts = _block_starts(offsets, p) + shared
-    sizes = counts + p
-    pos = np.arange(shared + sizes.max()) - shared     # position within the block
-    real = pos[None, :] < sizes[:, None]
-    index = np.where(real, np.where(pos < 0, pos + shared, starts[:, None] + pos), -1)
-    if not node_queries:
-        return AttentionGroups(index, real[:, :, None] & real[:, None, :])
-    at = np.arange(counts.max())
-    asks = at[None, :] < counts[:, None]
-    query = np.where(asks, starts[:, None] + p + at, -1)
-    return AttentionGroups(index, asks[:, :, None] & real[:, None, :], query)
 
 
 def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int) -> Tensor:
@@ -442,11 +421,14 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     runs on all rows; the next prompted layer, or the last layer, asks
     queries of the node rows only and drops the prompt rows.
 
-    ``block_attention`` gathers each group's rows into padded arrays,
-    keys padded to the longest block with its prompt rows, and each
-    distinct set of groups is built once per forward. The MPGNN runs on
-    every row, over one aggregation operand built after prompt rows are
-    inserted, and one gather after its last layer drops the prompt rows.
+    Attention groups are the sample blocks: ``AttentionGroups(sizes,
+    shared, skip)`` with each block's size (nodes plus p prompt rows),
+    the p_len shared prefix rows of a prompted layer that drops its
+    prompt rows, and ``skip = p`` key-only prompt rows when a layer drops
+    prompt rows that are in the blocks. Each distinct plan is built, and
+    checked, once per forward. The MPGNN runs on every row, over one
+    aggregation operand built after prompt rows are inserted, and one
+    gather after its last layer drops the prompt rows.
     """
     cfg = backbone.cfg
     prompts = PromptSet() if prompt_ctx is None else prompt_ctx.check(cfg)
@@ -482,17 +464,17 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     prefixes = prompts.prefixes
     for li, params in enumerate(backbone.layers):
         keep = li + 1 < cfg.layers and li + 1 not in prefixes   # a later layer reads prompt rows
-        shared, node_queries = 0, not keep and p > 0
+        shared, skip = 0, 0 if keep else p
         if li in prefixes:            # the rows are node rows only here
             h = inject_prefix(h, prefixes[li], li, prompts)
             if keep:
                 p = prompts.p_len
                 h = _insert_prompt_rows(h, offsets, p)
             else:
-                shared, node_queries = prompts.p_len, True
-        key = (p, shared, node_queries)
+                shared = prompts.p_len
+        key = (p, shared, skip)
         if key not in built:
-            built[key] = _attention_groups(offsets, *key)
+            built[key] = AttentionGroups(np.diff(offsets) + p, shared, skip)
         h = transformer_layer_forward(h, built[key], params, cfg.heads)
         if not keep:
             p = 0

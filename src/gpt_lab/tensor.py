@@ -16,11 +16,15 @@ and ``block_attention`` gather through the same helper; ``linear``
 (``x @ w + b``) is the one affine map. The one place that works on
 higher-rank arrays is ``block_attention``: it gathers the rows of its
 fused (R, 3 * heads * dq) query/key/value operand into padded (B, heads,
-L, dq) groups, the query rows of each group (every row, or a subset) and
-its key rows (which several groups may share), runs softmax attention
-within each group and returns one row per query row, so the 4-D arrays
-never leave that operation; its backward pass returns one gradient of
-the fused operand, each key row's summed over every group that reads it.
+L, dq) groups, runs softmax attention within each group and returns one
+row per query row, so the 4-D arrays never leave that operation. Its
+groups are an ``AttentionGroups`` plan built from one block layout:
+``shared`` rows that every group reads as keys, then one contiguous
+block of rows per group, whose first ``skip`` rows are keys only. The
+plan checks that layout and derives every index once, so each
+``block_attention`` over it only gathers, and its backward pass fills one
+gradient buffer in key layout, sums the shared rows over the groups and
+takes the other rows by slot.
 The sparse matrix that ``spmm`` and ``neighbor_max`` take is a constant.
 ``neighbor_max`` buckets its output rows by source count, rounded up to
 a power of two (``SourceBuckets``, which a caller builds once per
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf, expit
@@ -43,7 +47,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
-    "DegenerateRowError",
     "ContractError",
     "MASK_FILL",
     "backward",
@@ -74,10 +77,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
-
-
-class DegenerateRowError(ValueError):
-    """A masked softmax row has no unmasked entries."""
 
 
 class ContractError(ValueError):
@@ -328,28 +327,21 @@ def tsum(a: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g * np.ones_like(ad))])
 
 
-def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str, row_ids: np.ndarray):
+def _softmax_last_axis(scores: np.ndarray, m: np.ndarray):
     """Softmax over the last axis with masked entries pinned to exactly zero.
 
-    ``m`` broadcasts against ``scores``. Masking adds ``MASK_FILL`` before
-    exponentiation and zeroes the masked outputs afterwards; rows are
-    stabilized by max subtraction. ``row_ids`` (shape ``m.shape[:-1]``)
-    names each row in the caller's terms for the error message; a row
-    whose id is negative is padding, which may be fully masked and then
-    comes out all zero. Any other fully masked row is rejected.
+    ``m`` broadcasts against ``scores`` and leaves at least one entry of
+    every row unmasked. Masking adds ``MASK_FILL`` before exponentiation
+    and zeroes the masked outputs afterwards; rows are stabilized by max
+    subtraction.
 
     Returns the probabilities and the backward map from an upstream
     gradient on them to the gradient on ``scores``.
     """
-    alive = m.any(axis=-1)
-    dead = ~alive & (row_ids >= 0)
-    if dead.any():
-        raise DegenerateRowError(f"{what}: row {int(row_ids[dead][0])} is fully masked")
     shifted = scores + np.where(m, 0.0, MASK_FILL)
     shifted -= shifted.max(axis=-1, keepdims=True)
     e = np.where(m, np.exp(shifted), 0.0)
-    total = e.sum(axis=-1, keepdims=True)
-    probs = e / np.where(alive[..., None], total, 1.0)
+    probs = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         dot = (g * probs).sum(axis=-1, keepdims=True)
@@ -358,119 +350,111 @@ def _softmax_last_axis(scores: np.ndarray, m: np.ndarray, what: str, row_ids: np
     return probs, bwd
 
 
-class AttentionGroups(NamedTuple):
-    """Rows of a flattened batch gathered into padded groups for attention.
+class AttentionGroups:
+    """The groups of ``block_attention``, planned once from their block layout.
 
-    ``index[b, j]`` is the key/value row at position ``j`` of group ``b``,
-    or -1 for padding; a row may be a key of several groups.
-    ``query[b, i]`` is the query row at position ``i`` of group ``b``, or
-    -1 for padding; a query row appears exactly once, and rows that no
-    group queries are keys only. ``query`` None means self-attention: the
-    queries are ``index``, which then holds every row exactly once.
-    ``key_mask[b, i, j]`` lets query ``i`` attend to key ``j`` and is
-    false for padding keys.
+    The first ``shared`` rows are keys and values of every group. Group
+    b is the next contiguous block of ``sizes[b]`` rows: its keys are the
+    shared rows and the block, and its queries are the block's rows after
+    the first ``skip``, which are keys only. The constructor checks the
+    layout and derives what every ``block_attention`` over it reads:
+
+    - ``index`` (B, L): the key row at position j of group b, the shared
+      rows first, or -1 for padding; ``key_mask`` (B, L) is true for the
+      real keys. Every group has a query row and so a real key, so no
+      softmax row is fully masked; a padding query position attends like
+      a real one, and its output and gradient are dropped;
+    - ``query`` (B, Lq): the query row at position i of group b, or -1;
+      query position i is key position ``shared + skip + i``;
+    - ``query_rows``: the query rows in ascending order, one per output
+      row of ``block_attention``; ``out_row`` (B, Lq) the output row of
+      each query position, or -1;
+    - ``query_slot`` and ``key_slot``: the flat (B * Lq) query positions
+      and (B * L) key positions of ``query_rows`` and of rows
+      ``shared..rows - 1``, in row order.
     """
 
-    index: np.ndarray                 # (B, L) int
-    key_mask: np.ndarray              # (B, Lq, L) bool
-    query: np.ndarray | None = None   # (B, Lq) int
-
-    def query_rows(self) -> np.ndarray:
-        """The query rows in ascending order."""
-        query = self.index if self.query is None else self.query
-        return np.sort(query[query >= 0])
+    def __init__(self, sizes, shared: int = 0, skip: int = 0):
+        sizes = np.asarray(sizes)
+        if sizes.ndim != 1 or not sizes.size or not np.issubdtype(sizes.dtype, np.integer):
+            raise ShapeError(f"AttentionGroups: sizes must be a non-empty 1-D int array, "
+                             f"got {sizes.dtype} {sizes.shape}")
+        if shared < 0 or skip < 0 or (sizes <= skip).any():
+            raise ContractError(f"AttentionGroups: every block needs a query row after its "
+                                f"{skip} key-only rows, and shared ({shared}) must not be "
+                                f"negative; sizes {sizes.tolist()}")
+        self.shared, self.skip = int(shared), int(skip)
+        self.rows = self.shared + int(sizes.sum())
+        starts = self.shared + np.cumsum(sizes) - sizes           # first row of each block
+        pos = np.arange(self.shared + sizes.max()) - self.shared  # position within the block
+        self.key_mask = pos < sizes[:, None]
+        self.index = np.where(self.key_mask, np.where(pos < 0, pos + self.shared,
+                                                      starts[:, None] + pos), -1)
+        at = np.arange(sizes.max() - self.skip)
+        asks = at < (sizes - self.skip)[:, None]
+        self.query = np.where(asks, starts[:, None] + self.skip + at, -1)
+        self.query_rows = self.query[asks]
+        self.out_row = np.full(asks.shape, -1)
+        self.out_row[asks] = np.arange(self.query_rows.size)
+        self.query_slot = np.flatnonzero(asks)
+        self.key_slot = np.flatnonzero(self.key_mask & (pos >= 0))
 
 
 def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
     """Multi-head scaled softmax attention within each group of rows.
 
-    ``qkv`` is one (R, 3 * w) operand, w = heads * dq: its first w columns
-    are the queries, the next w the keys and the last w the values, and
-    within each, head ``h`` owns columns ``h * dq : (h + 1) * dq``. Each
-    query row attends only to the keys of its group, as
-    ``groups.key_mask`` allows. The result has one row per query row, in
-    the order of ``groups.query_rows()``, with the (R, w) layout of the
-    queries. The backward pass returns one (R, 3 * w) gradient: its query
-    columns hold each query row's gradient, and zeros for rows that ask
-    no query. With a query index, a key row's key and value gradients are
-    summed over every group that reads it, scatter-added in one
-    ``np.bincount`` as ``gather_rows`` does; in self-attention each row is
-    one key and its gradient is copied.
+    ``qkv`` is one (groups.rows, 3 * w) operand, w = heads * dq: its
+    first w columns are the queries, the next w the keys and the last w
+    the values, and within each, head ``h`` owns columns
+    ``h * dq : (h + 1) * dq``. Each query row attends to the keys of its
+    group (see ``AttentionGroups``). The result has one row per row of
+    ``groups.query_rows``, with the (., w) layout of the queries.
+
+    The backward pass returns one (rows, 3 * w) gradient. Since query
+    position i is key position ``shared + skip + i`` of its group, the
+    query, key and value gradients fill one (B, L, 3 * w) buffer in key
+    layout, zero where a row asks no query. The shared rows take one sum
+    over the groups and the other rows one take by ``key_slot``.
     """
     qkv = _as_tensor(qkv)
-    if qkv.ndim != 2 or qkv.shape[1] % 3:
-        raise ShapeError(f"block_attention: qkv must be a matrix of 3 equal column blocks, "
-                         f"got shape {qkv.shape}")
-    rows, width = qkv.shape[0], qkv.shape[1] // 3
+    if qkv.ndim != 2 or qkv.shape[1] % 3 or qkv.shape[0] != groups.rows:
+        raise ShapeError(f"block_attention: qkv must be a matrix of {groups.rows} rows and 3 "
+                         f"equal column blocks, got shape {qkv.shape}")
+    width = qkv.shape[1] // 3
     if heads < 1 or width % heads:
         raise ShapeError(f"block_attention: width {width} does not split into {heads} heads")
-    index = np.asarray(groups.index)
-    query = index if groups.query is None else np.asarray(groups.query)
-    for name, a in (("index", index), ("query", query)):
-        if a.ndim != 2 or not np.issubdtype(a.dtype, np.integer):
-            raise ShapeError(f"block_attention: {name} must be a 2-D int array, got "
-                             f"{a.dtype} {a.shape}")
-    b, n = index.shape
-    if query.shape[0] != b:
-        raise ShapeError(f"block_attention: {query.shape[0]} query groups for {b} key groups")
-    nq = query.shape[1]
-    m = _as_mask(groups.key_mask, (b, nq, n), "block_attention")
-    real_q = query >= 0
-    counts = np.bincount(query[real_q], minlength=rows)
-    if groups.query is None:
-        if query.min(initial=0) < -1 or not np.array_equal(counts, np.ones(rows)):
-            raise ContractError(f"block_attention: index must hold each of the {rows} rows "
-                                "exactly once, and -1 for padding")
-    elif index.min(initial=0) < -1 or index.max(initial=-1) >= rows:
-        raise ContractError(f"block_attention: key index outside [-1, {rows})")
-    elif query.min(initial=0) < -1 or counts.size > rows or counts.max(initial=0) > 1:
-        raise ContractError(f"block_attention: query must name rows below {rows}, each at "
-                            "most once, and -1 for padding")
-    if (m & (index < 0)[:, None, :]).any():
-        raise ContractError("block_attention: key_mask allows a padding key")
+    (b, n), nq, shared = groups.index.shape, groups.query.shape[1], groups.shared
     dq = width // heads
     inv_sqrt = 1.0 / math.sqrt(dq)
-
-    # Position of each query row in the flattened (B * Lq) group layout, in
-    # row order, and each query position's row of the result.
-    sort = np.argsort(query[real_q], kind="stable")
-    slot = np.flatnonzero(real_q.ravel())[sort]
-    asked = query[real_q][sort]
-    out_row = query
-    if groups.query is not None:
-        out_row = np.full_like(query, -1)
-        out_row[real_q] = np.argsort(sort)
 
     def split(a, idx):
         """(rows, heads * dq) -> (B, heads, positions, dq); padding reads zeros."""
         return _take_rows(a, idx).reshape(b, idx.shape[1], heads, dq).transpose(0, 2, 1, 3)
 
-    def merge(a):
-        """(B, k * heads, Lq, dq) -> (Rq, k * width), dropping padding positions."""
-        return a.transpose(0, 2, 1, 3).reshape(b * nq, -1)[slot]
-
     data = qkv.data
-    qs = split(data[:, :width], query)
-    ks, vs = split(data[:, width:2 * width], index), split(data[:, 2 * width:], index)
+    qs = split(data[:, :width], groups.query)
+    ks, vs = split(data[:, width:2 * width], groups.index), split(data[:, 2 * width:],
+                                                                 groups.index)
     probs, softmax_bwd = _softmax_last_axis((qs @ ks.transpose(0, 1, 3, 2)) * inv_sqrt,
-                                            m[:, None], "block_attention", query[:, None])
-    out = Tensor(merge(probs @ vs))
+                                            groups.key_mask[:, None, None, :])
+    out = (probs @ vs).transpose(0, 2, 1, 3).reshape(b * nq, width)[groups.query_slot]
 
     def bwd(g):
-        gs = split(g, out_row)
+        gs = split(g, groups.out_row)
         ds = softmax_bwd(gs @ vs.transpose(0, 1, 3, 2)) * inv_sqrt
-        d_q = ds @ ks
-        d_kv = np.concatenate([ds.transpose(0, 1, 3, 2) @ qs,
-                               probs.transpose(0, 1, 3, 2) @ gs], axis=1)
-        if groups.query is None:     # every row is one group's query and key
-            return merge(np.concatenate([d_q, d_kv], axis=1))
-        full = np.zeros((rows, 3 * width))
-        full[asked, :width] = merge(d_q)
-        d_kv = d_kv.transpose(0, 2, 1, 3).reshape(b * n, 2 * width)
-        full[:, width:] = _scatter_add_rows(d_kv, index.ravel(), rows)
+        grad = np.zeros((b, n, 3 * heads, dq))           # key layout, rows of 3 * w
+        view = grad.transpose(0, 2, 1, 3)
+        view[:, :heads, shared + groups.skip:] = ds @ ks
+        view[:, heads:2 * heads] = ds.transpose(0, 1, 3, 2) @ qs
+        view[:, 2 * heads:] = probs.transpose(0, 1, 3, 2) @ gs
+        grad = grad.reshape(b, n, 3 * width)
+        full = np.empty((groups.rows, 3 * width))
+        full[:shared] = grad[:, :shared].sum(axis=0)
+        np.take(grad.reshape(b * n, 3 * width), groups.key_slot, axis=0, out=full[shared:],
+                mode="clip")                              # "clip" writes out unbuffered
         return full
 
-    return _record(out, [(qkv, bwd)])
+    return _record(Tensor(out), [(qkv, bwd)])
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -24,7 +24,8 @@ from gpt_lab.graphs import DataError, GraphSample, make_folds
 from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
                             encode_graphs, prepare_batch)
-from gpt_lab.prompt import MODES, PromptSet, build_registry, count_params, init_prompts
+from gpt_lab.prompt import (MODES, TOKEN_STAGES, PromptSet, build_registry, count_params,
+                            init_prompts)
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward, bce_with_logits, mul, scale, tsum
 
@@ -234,10 +235,13 @@ class TuningConfig:
     head_hidden: bool = False
 
     def __post_init__(self):
-        if self.mode.lower() not in MODES:
+        object.__setattr__(self, "mode", self.mode.lower())
+        if self.mode not in MODES:
             raise ContractError(f"unknown tuning mode {self.mode!r}")
         if self.metric not in METRICS:
             raise ContractError(f"unknown metric {self.metric!r}")
+        if self.token_stage not in TOKEN_STAGES:
+            raise ContractError(f"unknown token stage {self.token_stage!r}")
         if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
             raise ContractError("batch_size/epochs/folds out of range")
         Schedule(self.lr, self.warmup_epochs, self.epochs, self.decay)
@@ -286,7 +290,7 @@ def _subseed(seed: int, *path) -> int:
 
 
 def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> int:
-    mode = config.mode.lower()
+    mode = config.mode
     if not dataset:
         raise DataError("empty dataset")
     t = dataset[0].label_dim
@@ -457,7 +461,7 @@ def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
     fold_seed = _subseed(seed, "fold", fold)
     head = PredictionHead.init(backbone_cfg.dim, out_dim, seed=fold_seed,
                                hidden=config.head_hidden)
-    prompts = init_prompts(config.mode.lower(), backbone_cfg.dim, backbone_cfg.layers,
+    prompts = init_prompts(config.mode, backbone_cfg.dim, backbone_cfg.layers,
                            config.p_len, seed=fold_seed,
                            prompted_layers=config.prompted_layers,
                            token_stage=config.token_stage,
@@ -470,7 +474,7 @@ def _run_fold(args) -> FoldResult:
     (config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold) = args
     split = make_folds(len(encoded), config.folds, seed)
     train_idx, eval_idx = split.train_eval(fold)
-    mode = config.mode.lower()
+    mode = config.mode
     bb, head, prompts = _fold_pieces(config, backbone_cfg, backbone_state,
                                      encoded[0].label_dim, seed, fold)
     registry = build_registry(bb, head, prompts, mode)
@@ -518,7 +522,7 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     _validate(config, dataset, backbone_cfg)
     encoded = encode_graphs(dataset, backbone_cfg)
     embeddings = None
-    if config.mode.lower() == "lightweight":
+    if config.mode == "lightweight":
         bb = _load_backbone(backbone_cfg, backbone_state)
         embeddings = backbone_forward(batch_graphs(encoded), bb).data
     jobs = [(config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold)

@@ -111,9 +111,10 @@ def write_v1_backbone(path, cfg: BackboneConfig, state: dict, monkeypatch) -> di
 
 class TestCheckpointFormat:
     def test_backbone_round_trip_bit_exact(self, tmp_path):
+        from gpt_lab.models import Backbone
+
         cfg = BackboneConfig(kind="mpgnn", feature_dim=3, dim=8, heads=2, layers=2)
-        state = {"a.weight": np.random.default_rng(0).normal(size=(3, 4)),
-                 "b": np.arange(5, dtype=float)}
+        state = Backbone.init(cfg, seed=0).state_arrays()
         path = tmp_path / "x.ckpt"
         ck.save_backbone(path, cfg, state)
         got_cfg, got = ck.load_backbone(path)
@@ -260,6 +261,15 @@ class TestConfig:
         path = write_config(tmp_path / "bad.ini",
                             replace={"mode = deepgpt": "mode = deepgpt\nprompted_from = 1"})
         with pytest.raises(ConfigError, match="prompted_from and prompted_to go together"):
+            load_config(path)
+
+    @pytest.mark.parametrize("old, new", [("mode = deepgpt", "mode = bogus"),
+                                          ("metric = auroc", "metric = bogus"),
+                                          ("p_len = 2", "p_len = 2\ntoken_stage = bogus")],
+                             ids=["mode", "metric", "token_stage"])
+    def test_unknown_tuning_value_is_a_config_error(self, tmp_path, old, new):
+        path = write_config(tmp_path / "bad.ini", replace={old: new})
+        with pytest.raises(ConfigError, match=r"\[tuning\]: unknown .*'bogus'"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -442,6 +452,23 @@ class TestTuneCommand:
         assert main(["tune", "--config", str(config), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "run")]) == 4
         assert "layer0.wv1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["misshapen", "renamed"])
+    def test_backbone_with_a_bad_array_exits_4(self, workspace, tmp_path, capsys, damage):
+        backbone_cfg, state = ck.load_backbone(ckpt_of(workspace))
+        state = dict(state)
+        bias = state.pop("layer0.out.bias")
+        if damage == "misshapen":
+            state["layer0.out.bias"] = bias[:3]
+        else:
+            state["layer0.out.bias_"] = bias
+        ckpt = tmp_path / "bad.ckpt"
+        ck.save_backbone(ckpt, backbone_cfg, state)
+        config = write_config(tmp_path / "exp.ini")
+        assert main(["tune", "--config", str(config), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and "layer0.out.bias" in err
 
     def test_non_finite_backbone_exits_5_naming_the_step(self, workspace, tmp_path, capsys):
         backbone_cfg, state = ck.load_backbone(ckpt_of(workspace))

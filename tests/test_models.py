@@ -111,9 +111,11 @@ def oracle_transformer_layer(x, mask, p, heads):
     return np.array(out), attn_all
 
 
-def one_group(mask):
-    """A single sequence under an arbitrary n x n mask, as attention groups."""
-    return AttentionGroups(np.arange(mask.shape[0])[None], mask[None])
+def layout_mask(sizes, shared=0):
+    """The oracle's mask of a block layout: a block's rows attend to the shared
+    rows and to their own block, and a shared row to the shared rows."""
+    owner = np.repeat(np.arange(-1, len(sizes)), [shared, *sizes])
+    return (owner[:, None] == owner[None, :]) | (owner[None, :] == -1)
 
 
 def _layer_params(dim, heads, seed=0, ffn_mult=2):
@@ -124,13 +126,14 @@ def _layer_params(dim, heads, seed=0, ffn_mult=2):
 
 class TestTransformerLayer:
     def test_matches_scalar_oracle(self):
+        """Row 0 is a shared key, and rows 1 and 3 are key-only block rows."""
         p = _layer_params(dim=6, heads=2, seed=3)
-        x = RNG.normal(size=(4, 6))
-        mask = np.ones((4, 4), dtype=bool)
-        mask[0, 2] = mask[2, 0] = False
-        got = transformer_layer_forward(Tensor(x), one_group(mask), p, 2).data
-        want, _ = oracle_transformer_layer(x, mask, p, 2)
-        assert np.abs(got - want).max() <= 1e-10
+        x = RNG.normal(size=(6, 6))
+        groups = AttentionGroups(np.array([2, 3]), shared=1, skip=1)
+        got = transformer_layer_forward(Tensor(x), groups, p, 2).data
+        want, _ = oracle_transformer_layer(x, layout_mask([2, 3], shared=1), p, 2)
+        assert groups.query_rows.tolist() == [2, 4, 5]
+        assert np.abs(got - want[groups.query_rows]).max() <= 1e-10
 
     def test_single_node_attention_weight_is_one(self):
         p = _layer_params(dim=4, heads=2, seed=1)
@@ -138,41 +141,31 @@ class TestTransformerLayer:
         _, attn = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p, 2)
         for head in attn:
             assert head[0][0] == pytest.approx(1.0, abs=0)
-        got = transformer_layer_forward(Tensor(x), one_group(np.ones((1, 1), dtype=bool)),
-                                        p, 2).data
+        got = transformer_layer_forward(Tensor(x), AttentionGroups(np.array([1])), p, 2).data
         want, _ = oracle_transformer_layer(x, np.ones((1, 1), dtype=bool), p, 2)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_zero_query_key_gives_uniform_attention_over_unmasked(self):
         p = _layer_params(dim=4, heads=2, seed=2)
         p.w_qkv.data[:, :8] = 0.0          # every q and k column
-        x = RNG.normal(size=(5, 4))
-        mask = np.ones((5, 5), dtype=bool)
-        mask[:, 4] = False
-        mask[4, 4] = True
+        x = RNG.normal(size=(6, 4))
+        mask = layout_mask([2, 3], shared=1)
         _, attn = oracle_transformer_layer(x, mask, p, 2)
         for head in attn:
-            for i in range(4):
-                alive = [head[i][j] for j in range(5) if mask[i][j]]
+            for i in range(6):
+                alive = [head[i][j] for j in range(6) if mask[i][j]]
                 assert np.allclose(alive, 1.0 / len(alive), atol=1e-15)
-        got = transformer_layer_forward(Tensor(x), one_group(mask), p, 2).data
+        got = transformer_layer_forward(Tensor(x), AttentionGroups(np.array([2, 3]), shared=1),
+                                        p, 2).data
         want, _ = oracle_transformer_layer(x, mask, p, 2)
-        assert np.abs(got - want).max() <= 1e-10
+        assert np.abs(got - want[1:]).max() <= 1e-10
 
     def test_two_groups_of_different_sizes_match_the_oracle_per_group(self):
         p = _layer_params(dim=6, heads=2, seed=4)
         x = RNG.normal(size=(8, 6))
-        small = np.ones((3, 3), dtype=bool)
-        small[1, 0] = False
-        large = np.ones((5, 5), dtype=bool)
-        large[0, 3] = large[3, 0] = large[4, 1] = False
-        key_mask = np.zeros((2, 5, 5), dtype=bool)
-        key_mask[0, :3, :3] = small
-        key_mask[1] = large
-        index = np.array([[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]])
-        got = transformer_layer_forward(Tensor(x), AttentionGroups(index, key_mask), p, 2).data
-        want_small, _ = oracle_transformer_layer(x[:3], small, p, 2)
-        want_large, _ = oracle_transformer_layer(x[3:], large, p, 2)
+        got = transformer_layer_forward(Tensor(x), AttentionGroups(np.array([3, 5])), p, 2).data
+        want_small, _ = oracle_transformer_layer(x[:3], np.ones((3, 3), dtype=bool), p, 2)
+        want_large, _ = oracle_transformer_layer(x[3:], np.ones((5, 5), dtype=bool), p, 2)
         assert np.abs(got[:3] - want_small).max() <= 1e-10
         assert np.abs(got[3:] - want_large).max() <= 1e-10
 
@@ -182,7 +175,7 @@ class TestTransformerLayer:
         p = _layer_params(dim=4, heads=2, seed=1)
         x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         with Tape() as tape:
-            transformer_layer_forward(x, one_group(np.ones((3, 3), dtype=bool)), p, 2)
+            transformer_layer_forward(x, AttentionGroups(np.array([3])), p, 2)
             assert len(tape.nodes) == 10
 
     def test_fused_qkv_holds_the_per_head_draws_in_column_order(self):

@@ -32,6 +32,7 @@ from gpt_lab.tensor import (
     Tensor,
     add,
     backward,
+    block_attention,
     concat_rows,
     gather_rows,
     matmul,
@@ -248,6 +249,51 @@ def test_pool_rows_equals_a_per_segment_oracle(sizes, mode, seed):
         assert np.array_equal(grad[s:e], np.tile(weights[b] * scale, (e - s, 1)))
 
 
+@PROPERTY_SETTINGS
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5), shared=st.integers(0, 3),
+       skip=st.integers(0, 2), heads=st.integers(1, 2), dq=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_block_attention_equals_a_dense_per_group_reference(sizes, shared, skip, heads, dq,
+                                                          seed):
+    """Random block layouts: the output and the qkv gradient equal dense
+    per-group numpy attention to 1e-12. Shared rows' key and value gradients
+    are summed over every group, and key-only rows get zero query gradient."""
+    rng = np.random.default_rng(seed)
+    sizes = [size + skip for size in sizes]
+    groups = AttentionGroups(np.array(sizes), shared, skip)
+    rows, w = shared + sum(sizes), heads * dq
+    data = rng.normal(size=(rows, 3 * w))
+    upstream = rng.normal(size=(groups.query_rows.size, w))
+    qkv = Tensor(data, requires_grad=True)
+    with Tape():
+        out = block_attention(qkv, groups, heads)
+        grad = backward(tsum(mul(out, Tensor(upstream))))[qkv]
+
+    want, want_grad = np.zeros((rows, w)), np.zeros((rows, 3 * w))
+    start = shared
+    for size in sizes:
+        keys = np.r_[:shared, start:start + size]
+        queries = np.arange(start + skip, start + size)
+        for h in range(heads):
+            q, k, v = (np.s_[part * w + h * dq:part * w + (h + 1) * dq] for part in range(3))
+            scores = data[queries, q] @ data[keys, k].T / np.sqrt(dq)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+            want[queries, q] = probs @ data[keys, v]
+            g = upstream[np.searchsorted(groups.query_rows, queries), h * dq:(h + 1) * dq]
+            dp = g @ data[keys, v].T
+            ds = probs * (dp - (dp * probs).sum(axis=1, keepdims=True)) / np.sqrt(dq)
+            want_grad[queries, q] += ds @ data[keys, k]
+            want_grad[keys, k] += ds.T @ data[queries, q]
+            want_grad[keys, v] += probs.T @ g
+        start += size
+    asks = np.zeros(rows, dtype=bool)
+    asks[groups.query_rows] = True
+    assert np.abs(out.data - want[asks]).max() <= 1e-12
+    assert np.abs(grad - want_grad).max() <= 1e-12
+    assert not grad[~asks, :w].any()
+
+
 def _slot_oracle(g, cfg, bb, prompts):
     """One sample's node rows with prompt rows carried through every layer.
 
@@ -272,10 +318,8 @@ def _slot_oracle(g, cfg, bb, prompts):
         if li in prompts.prefixes:
             h = concat_rows([prompts.prefixes[li], gather_rows(h, np.arange(p, h.shape[0]))])
             p = prompts.p_len
-        n = h.shape[0]
-        h = transformer_layer_forward(
-            h, AttentionGroups(np.arange(n)[None], np.ones((1, n, n), dtype=bool)), params,
-            cfg.heads)
+        h = transformer_layer_forward(h, AttentionGroups(np.array([h.shape[0]])), params,
+                                      cfg.heads)
     return gather_rows(h, np.arange(p, h.shape[0]))
 
 

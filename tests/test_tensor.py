@@ -8,7 +8,6 @@ from scipy import sparse
 from gpt_lab import tensor as T
 from gpt_lab.tensor import (
     ContractError,
-    DegenerateRowError,
     ShapeError,
     Tape,
     Tensor,
@@ -106,7 +105,7 @@ def softmax(scores, mask=None):
     """The masked softmax core of block_attention on the rows of a matrix."""
     scores = np.asarray(scores, dtype=float)
     mask = np.ones(scores.shape, dtype=bool) if mask is None else mask
-    return T._softmax_last_axis(scores, mask, "softmax", np.arange(scores.shape[0]))
+    return T._softmax_last_axis(scores, mask)
 
 
 class TestSoftmaxMasked:
@@ -131,10 +130,6 @@ class TestSoftmaxMasked:
         assert np.all(probs[~mask] == 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_fully_masked_row_raises(self):
-        with pytest.raises(DegenerateRowError, match="row 1"):
-            softmax(rand(2, 3), np.array([[True] * 3, [False] * 3]))
-
     def test_grad_vs_fd(self):
         s = Tensor(rand(3, 4))
         mask = np.ones((3, 4), dtype=bool)
@@ -145,13 +140,32 @@ class TestSoftmaxMasked:
         assert rel_err(bwd(w), fd) <= 1e-4
 
 
+class TestAttentionGroups:
+    def test_plan_of_shared_rows_and_key_only_rows(self):
+        groups = T.AttentionGroups(np.array([2, 3]), shared=1, skip=1)
+        assert groups.rows == 6
+        assert groups.index.tolist() == [[0, 1, 2, -1], [0, 3, 4, 5]]
+        assert groups.key_mask.tolist() == [[True, True, True, False], [True] * 4]
+        assert groups.query.tolist() == [[2, -1], [4, 5]]
+        assert groups.query_rows.tolist() == [2, 4, 5]
+
+    @pytest.mark.parametrize("sizes", [[[3, 4]], [3.0, 4.0], []],
+                             ids=["two_dims", "floats", "empty"])
+    def test_sizes_must_be_a_1d_int_array(self, sizes):
+        with pytest.raises(ShapeError, match="sizes must be a non-empty 1-D int array"):
+            T.AttentionGroups(np.array(sizes))
+
+    @pytest.mark.parametrize("sizes, shared, skip", [([3, 2], 0, 2), ([3, 0], 1, 0),
+                                                     ([3, 4], -1, 0)],
+                             ids=["all_rows_skipped", "empty_block", "negative_shared"])
+    def test_every_block_asks_a_query_and_shared_is_not_negative(self, sizes, shared, skip):
+        with pytest.raises(ContractError, match="every block needs a query row"):
+            T.AttentionGroups(np.array(sizes), shared, skip)
+
+
 def _two_groups():
-    """Groups of 3 and 4 rows (so the first is padded) with one masked key pair."""
-    index = np.array([[4, 0, 2, -1], [1, 3, 5, 6]])
-    real = index >= 0
-    mask = real[:, :, None] & real[:, None, :]
-    mask[1, 2, 0] = False
-    return T.AttentionGroups(index, mask)
+    """Blocks of rows 0-2 and 3-6, so the first group is padded."""
+    return T.AttentionGroups(np.array([3, 4]))
 
 
 def _split_qkv(qkv):
@@ -160,7 +174,7 @@ def _split_qkv(qkv):
 
 
 class TestBlockAttention:
-    def test_grads_vs_fd_with_padding_and_a_masked_pair(self):
+    def test_grads_vs_fd_with_a_padded_group(self):
         qkv = Tensor(rand(7, 12), requires_grad=True)
         w = Tensor(rand(7, 4))
         groups = _two_groups()
@@ -171,114 +185,57 @@ class TestBlockAttention:
         q, k, v = _split_qkv(qkv)
         out = T.block_attention(qkv, _two_groups(), 2).data
         assert np.isfinite(out).all()
-        # Row 4 attends to its own padded group, rows 4, 0 and 2, and to no other row.
-        rows = [4, 0, 2]
+        # Row 1 attends to its own padded group, rows 0, 1 and 2, and to no other row.
+        rows = [0, 1, 2]
         for h in (slice(0, 2), slice(2, 4)):
-            s = k[rows, h] @ q[4, h] / math.sqrt(2)
+            s = k[rows, h] @ q[1, h] / math.sqrt(2)
             p = np.exp(s - s.max())
-            assert np.abs(out[4, h] - p @ v[rows, h] / p.sum()).max() < 1e-12
+            assert np.abs(out[1, h] - p @ v[rows, h] / p.sum()).max() < 1e-12
 
     @pytest.mark.parametrize("shape", [(7, 10), (7, 9)], ids=["not_three_blocks", "odd_heads"])
     def test_operand_must_be_three_blocks_of_whole_heads(self, shape):
         with pytest.raises(ShapeError, match="block_attention"):
             T.block_attention(Tensor(rand(*shape)), _two_groups(), 2)
 
-    @pytest.mark.parametrize("index", [[[0, 1, 2, -1], [3, 4, 5, -1]],    # skips row 6
-                                       [[0, 1, 2, 2], [3, 4, 5, 6]],      # repeats row 2
-                                       [[0, 1, 2, -2], [3, 4, 5, 6]]])    # bad padding id
-    def test_index_must_cover_each_row_once(self, index):
-        qkv = Tensor(rand(7, 12))
-        groups = T.AttentionGroups(np.array(index), np.ones((2, 4, 4), dtype=bool))
-        with pytest.raises(ContractError, match="exactly once"):
-            T.block_attention(qkv, groups, 2)
-
-    def test_real_query_row_without_a_key_raises(self):
-        index, mask, _ = _two_groups()
-        mask[1, 1, :] = False
-        qkv = Tensor(rand(7, 12))
-        with pytest.raises(DegenerateRowError, match="row 3 "):
-            T.block_attention(qkv, T.AttentionGroups(index, mask), 2)
-
-    def test_mask_shape_must_be_groups_by_length_squared(self):
-        index, mask, _ = _two_groups()
-        qkv = Tensor(rand(7, 12))
-        with pytest.raises(ShapeError, match="mask shape"):
-            T.block_attention(qkv, T.AttentionGroups(index, mask[:, :3]), 2)
-
-    def test_padding_key_must_stay_masked(self):
-        index, mask, _ = _two_groups()
-        mask[0, 0, 3] = True
-        qkv = Tensor(rand(7, 12))
-        with pytest.raises(ContractError, match="padding key"):
-            T.block_attention(qkv, T.AttentionGroups(index, mask), 2)
+    @pytest.mark.parametrize("rows", [6, 8])
+    def test_qkv_rows_must_match_the_groups(self, rows):
+        with pytest.raises(ShapeError, match="matrix of 7 rows"):
+            T.block_attention(Tensor(rand(rows, 12)), _two_groups(), 2)
 
 
 def _shared_key_groups():
-    """Key row 0 is shared by both groups; rows 1-5 ask queries, row 0 is a key only."""
-    index = np.array([[0, 1, 2, -1], [0, 3, 4, 5]])
-    query = np.array([[2, 1, -1], [3, 4, 5]])
-    mask = (query >= 0)[:, :, None] & (index >= 0)[:, None, :]
-    mask[1, 0, 2] = False
-    return T.AttentionGroups(index, mask, query)
+    """Row 0 is a key of both groups, and rows 1 and 4 are keys only of their own
+    blocks (1-3 and 4-7); rows 2, 3, 5, 6 and 7 ask queries."""
+    return T.AttentionGroups(np.array([3, 4]), shared=1, skip=1)
 
 
 class TestBlockAttentionWithQueries:
     def test_grads_vs_fd_with_a_shared_key_and_a_query_subset(self):
-        qkv = Tensor(rand(6, 12), requires_grad=True)
+        qkv = Tensor(rand(8, 12), requires_grad=True)
         w = Tensor(rand(5, 4))
         groups = _shared_key_groups()
         check_against_fd(lambda: T.tsum(T.mul(T.block_attention(qkv, groups, 2), w)), [qkv])
 
     def test_a_row_that_asks_no_query_gets_zero_query_gradient(self):
-        qkv = Tensor(rand(6, 12), requires_grad=True)
+        qkv = Tensor(rand(8, 12), requires_grad=True)
         with Tape():
             grad = backward(T.tsum(T.block_attention(qkv, _shared_key_groups(), 2)))[qkv]
-        assert np.array_equal(grad[0, :4], np.zeros(4))
-        assert np.abs(grad[0, 4:]).max() > 0.0     # row 0 is still a key and a value
+        for row in (0, 1, 4):
+            assert np.array_equal(grad[row, :4], np.zeros(4))
+            assert np.abs(grad[row, 4:]).max() > 0.0     # still a key and a value
 
     def test_each_query_row_reads_its_own_group_keys(self):
-        qkv = Tensor(rand(6, 12))
+        qkv = Tensor(rand(8, 12))
         q, k, v = _split_qkv(qkv)
         groups = _shared_key_groups()
-        assert groups.query_rows().tolist() == [1, 2, 3, 4, 5]
+        assert groups.query_rows.tolist() == [2, 3, 5, 6, 7]
         out = T.block_attention(qkv, groups, 2).data
         assert out.shape == (5, 4)
-        for row, keys in [(2, [0, 1, 2]), (3, [0, 3, 5])]:   # output rows 1 and 2
+        for at, row, keys in [(1, 3, [0, 1, 2, 3]), (2, 5, [0, 4, 5, 6, 7])]:
             for h in (slice(0, 2), slice(2, 4)):
                 s = k[keys, h] @ q[row, h] / math.sqrt(2)
                 p = np.exp(s - s.max())
-                assert np.abs(out[row - 1, h] - p @ v[keys, h] / p.sum()).max() < 1e-12
-
-    @pytest.mark.parametrize("query", [[[2, 2, -1], [3, 4, 5]],      # repeats row 2
-                                       [[2, 1, -1], [3, 4, 6]],      # names no row
-                                       [[2, 1, -2], [3, 4, 5]]],     # bad padding id
-                             ids=["repeated", "out_of_range", "bad_padding"])
-    def test_query_must_name_distinct_rows(self, query):
-        index, mask, _ = _shared_key_groups()
-        qkv = Tensor(rand(6, 12))
-        with pytest.raises(ContractError, match="each at most once"):
-            T.block_attention(qkv, T.AttentionGroups(index, mask, np.array(query)), 2)
-
-    def test_key_index_out_of_range_rejected(self):
-        _, mask, query = _shared_key_groups()
-        index = np.array([[0, 1, 2, -1], [0, 3, 4, 6]])
-        qkv = Tensor(rand(6, 12))
-        with pytest.raises(ContractError, match=r"key index outside \[-1, 6\)"):
-            T.block_attention(qkv, T.AttentionGroups(index, mask, query), 2)
-
-    def test_padding_key_must_stay_masked(self):
-        index, mask, query = _shared_key_groups()
-        mask[0, 0, 3] = True
-        qkv = Tensor(rand(6, 12))
-        with pytest.raises(ContractError, match="padding key"):
-            T.block_attention(qkv, T.AttentionGroups(index, mask, query), 2)
-
-    def test_real_query_row_without_a_key_raises(self):
-        index, mask, query = _shared_key_groups()
-        mask[1, 1, :] = False
-        qkv = Tensor(rand(6, 12))
-        with pytest.raises(DegenerateRowError, match="row 4 "):
-            T.block_attention(qkv, T.AttentionGroups(index, mask, query), 2)
+                assert np.abs(out[at, h] - p @ v[keys, h] / p.sum()).max() < 1e-12
 
 
 class TestLayerNorm:
@@ -484,9 +441,7 @@ def test_composite_transformer_style_graph_vs_fd():
     w2 = Tensor(rand(2 * d, d) * 0.5, requires_grad=True)
     gain = Tensor(np.ones(d), requires_grad=True)
     bias = Tensor(np.zeros(d), requires_grad=True)
-    mask = np.ones((n, n), dtype=bool)
-    mask[0, 3] = mask[3, 0] = False
-    groups = T.AttentionGroups(np.arange(n)[None], mask[None])
+    groups = T.AttentionGroups(np.array([2, 3]))
 
     def build():
         h = T.layer_norm(x, gain, bias, 1e-5)

@@ -273,6 +273,15 @@ def tiny_config(mode, **kw):
     return TuningConfig(**defaults)
 
 
+class TestTuningConfig:
+    def test_mode_is_stored_lower_case(self):
+        assert tiny_config("DeepGPT").mode == "deepgpt"
+
+    def test_unknown_token_stage_rejected(self):
+        with pytest.raises(ContractError, match="unknown token stage 'bogus'"):
+            tiny_config("ft", token_stage="bogus")
+
+
 @pytest.fixture(scope="module")
 def motif_data():
     return gen_downstream(24, "motif_presence", seed=17, size_range=(5, 8))
