@@ -123,7 +123,7 @@ def load_backbone(path, expected: BackboneConfig | None = None
     if meta["format_version"] == 1 and cfg.kind == "transformer":
         arrays = _join_v1_heads(path, cfg, arrays)
     try:
-        Backbone.init(cfg, seed=0).load_state(arrays)   # the names and shapes of cfg's parameters
+        Backbone.from_state(cfg, arrays)   # the names and shapes of cfg's parameters
     except (ContractError, ShapeError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return cfg, arrays

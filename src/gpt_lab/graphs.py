@@ -288,6 +288,9 @@ def _gen_motif_presence(count, size_range, seed, feature_dim):
     Every label is re-verified by enumeration before the sample is kept.
     """
     lo, hi = size_range
+    if lo < 4:
+        raise DataError(f"motif_presence plants a 4-cycle, so min_nodes must be at least 4, "
+                        f"got {lo}")
     rng = rng_for(seed, "downstream-data", "motif_presence")
     targets = _balanced_flags(count, rng)
     out = []
@@ -390,6 +393,8 @@ def gen_downstream(count: int, task: str, seed: int,
                    size_range: tuple[int, int] = (6, 16),
                    feature_dim: int = 4) -> list[GraphSample]:
     """Generate a labeled downstream dataset for one of the synthetic tasks."""
+    if count < 0:
+        raise DataError(f"cannot generate a negative number of graphs ({count})")
     if task == "motif_presence":
         return _gen_motif_presence(count, size_range, seed, feature_dim)
     if task == "community_count":

@@ -63,6 +63,7 @@ __all__ = [
     "TransformerLayerParams",
     "MpgnnLayerParams",
     "Backbone",
+    "load_params",
     "PredictionHead",
     "transformer_layer_forward",
     "aggregation_operand",
@@ -227,18 +228,30 @@ class Backbone:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_params().items()}
 
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.named_params()
-        if set(arrays) != set(params):
-            missing = set(params) - set(arrays)
-            extra = set(arrays) - set(params)
-            raise ContractError(f"parameter name mismatch: missing={sorted(missing)}, "
-                                f"unexpected={sorted(extra)}")
-        for name, t in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise ShapeError(f"{name}: stored shape {arr.shape} != {t.shape}")
-            t.data = arr.copy()
+    @classmethod
+    def from_state(cls, cfg: BackboneConfig, arrays: dict[str, np.ndarray]) -> "Backbone":
+        """The backbone of ``cfg`` holding the stored ``arrays`` (see ``load_params``)."""
+        backbone = cls.init(cfg, seed=0)
+        load_params(backbone.named_params(), arrays)
+        return backbone
+
+
+def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Overwrite every named parameter with a copy of the stored array of its name.
+
+    The names must match exactly (``ContractError``) and each array must
+    have its parameter's shape (``ShapeError``).
+    """
+    if set(arrays) != set(params):
+        missing = set(params) - set(arrays)
+        extra = set(arrays) - set(params)
+        raise ContractError(f"parameter name mismatch: missing={sorted(missing)}, "
+                            f"unexpected={sorted(extra)}")
+    for name, t in params.items():
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != t.shape:
+            raise ShapeError(f"{name}: stored shape {arr.shape} != {t.shape}")
+        t.data = arr.copy()
 
 
 class PredictionHead:
@@ -466,7 +479,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         keep = li + 1 < cfg.layers and li + 1 not in prefixes   # a later layer reads prompt rows
         shared, skip = 0, 0 if keep else p
         if li in prefixes:            # the rows are node rows only here
-            h = inject_prefix(h, prefixes[li], li, prompts)
+            h = inject_prefix(h, prefixes[li])
             if keep:
                 p = prompts.p_len
                 h = _insert_prompt_rows(h, offsets, p)

@@ -6,8 +6,10 @@ per-layer prefix matrices, whose p rows every sample of a prompted
 transformer layer attends to as shared keys and values, and virtual
 token rows that join every sample and, in an MPGNN, are wired to every
 original node.
-``PromptSet.check`` is the one validator of a prompt set against a
-backbone. ``models.encode_nodes`` calls it and then applies the set
+``init_prompts`` is the one map from a tuning mode to the prompt
+parameters it trains. ``PromptSet.check`` is the one validator of a
+prompt set against a backbone: ``init_prompts`` returns its set through
+it, and ``models.encode_nodes`` calls it and then applies the set
 through ``apply_graph_prompt`` and ``inject_prefix``, so those functions
 are the forward's prompt hooks. The freeze registry splits all named
 parameters into a frozen backbone part and the trainable prompt + head
@@ -106,41 +108,41 @@ def _interval(prompted_layers, n_layers: int) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def init_prompts(mode: str, dim: int, n_layers: int, p_len: int, seed: int,
+def init_prompts(mode: str, cfg, p_len: int, seed: int,
                  prompted_layers: tuple[int, int] | None = None,
-                 token_stage: str = "post_projection",
-                 token_width: int | None = None) -> PromptSet:
-    """Fresh prompt parameters for a tuning mode.
+                 token_stage: str = "post_projection") -> PromptSet:
+    """Fresh prompt parameters for a tuning mode, checked against ``cfg``.
 
+    This is the one map from a mode to the prompt parameters it trains:
+    none for ft and lightweight, p_len virtual token rows for
+    virtual_node, and a prefix per prompted layer for prefix_only and
+    deepgpt, which adds a graph token of model width (post_projection)
+    or of the ``BackboneConfig``'s input width (pre_projection).
     ``prompted_layers`` is an inclusive (first, last) layer interval and
-    defaults to all layers. ``token_width`` only matters for the
-    pre-projection token stage, where the token lives at input width.
+    defaults to all layers. The set is returned through
+    ``PromptSet.check(cfg)``.
     """
-    mode = mode.lower()
-    if mode not in MODES:
-        raise ContractError(f"unknown tuning mode {mode!r}")
     rng = rng_for(seed, "init-prompts")
     if mode in ("ft", "lightweight"):
-        return PromptSet()
-    if mode == "virtual_node":
-        if p_len < 1:
-            raise ContractError("virtual_node mode needs p_len >= 1")
-        tokens = Tensor(rng.normal(0.0, 0.02, size=(p_len, dim)), requires_grad=True)
-        return PromptSet(virtual_tokens=tokens, p_len=p_len)
-    if p_len < 1:
+        prompts = PromptSet()
+    elif p_len < 1:
         raise ContractError(f"{mode} mode needs p_len >= 1")
-    layers = _interval(prompted_layers, n_layers)
-    prefixes = {li: Tensor(rng.normal(0.0, 0.02, size=(p_len, dim)), requires_grad=True)
-                for li in layers}
-    token = None
-    if mode == "deepgpt":
-        if token_stage == "pre_projection" and token_width is None:
-            raise ContractError("the pre_projection token stage needs token_width, "
-                                "the backbone's input width")
-        width = int(token_width) if token_stage == "pre_projection" else dim
-        token = Tensor(rng.normal(0.0, 0.02, size=width), requires_grad=True)
-    return PromptSet(graph_token=token, prefixes=prefixes, p_len=p_len,
-                     token_stage=token_stage)
+    elif mode == "virtual_node":
+        tokens = Tensor(rng.normal(0.0, 0.02, size=(p_len, cfg.dim)), requires_grad=True)
+        prompts = PromptSet(virtual_tokens=tokens, p_len=p_len)
+    elif mode in ("prefix_only", "deepgpt"):
+        prefixes = {li: Tensor(rng.normal(0.0, 0.02, size=(p_len, cfg.dim)),
+                               requires_grad=True)
+                    for li in _interval(prompted_layers, cfg.layers)}
+        token = None
+        if mode == "deepgpt":
+            width = cfg.dim if token_stage == "post_projection" else cfg.input_width
+            token = Tensor(rng.normal(0.0, 0.02, size=width), requires_grad=True)
+        prompts = PromptSet(graph_token=token, prefixes=prefixes, p_len=p_len,
+                            token_stage=token_stage)
+    else:
+        raise ContractError(f"unknown tuning mode {mode!r}")
+    return prompts.check(cfg)
 
 
 @dataclass(frozen=True)
@@ -156,34 +158,22 @@ class FreezeRegistry:
             raise ContractError(f"parameters both frozen and trainable: {sorted(overlap)}")
 
 
-def build_registry(backbone, head, prompts: PromptSet, mode: str) -> FreezeRegistry:
-    """Partition backbone, head and prompt parameters for a tuning mode.
+def build_registry(backbone, head, prompts: PromptSet, *,
+                   train_backbone: bool = False) -> FreezeRegistry:
+    """Partition backbone, head and prompt parameters into frozen and trainable.
 
-    Also sets ``requires_grad`` flags so frozen parameters can never show
-    up in a gradient map. The prediction head is trainable in every mode.
+    The head and the prompts are always trainable; the backbone is
+    trainable only with ``train_backbone`` (full fine-tuning and
+    pretraining) and frozen otherwise. Also sets ``requires_grad`` flags
+    so frozen parameters can never show up in a gradient map.
     """
-    mode = mode.lower()
-    if mode not in MODES:
-        raise ContractError(f"unknown tuning mode {mode!r}")
-    backbone_params = backbone.named_params()
-    head_params = head.named_params()
-    prompt_params = prompts.named_params()
-    if mode == "ft" and prompt_params:
-        raise ContractError("full fine-tuning does not use prompt parameters")
-    if mode in ("prefix_only", "deepgpt") and not prompts.prefixes:
-        raise ContractError(f"{mode} mode needs prefix parameters")
-    if mode == "prefix_only" and prompts.graph_token is not None:
-        raise ContractError("prefix_only mode must not carry a graph token")
-    if mode == "virtual_node" and prompts.virtual_tokens is None:
-        raise ContractError("virtual_node mode needs virtual tokens")
-
-    trainable = dict(head_params)
-    trainable.update(prompt_params)
-    if mode == "ft":
-        trainable.update(backbone_params)
-        frozen = {}
+    trainable = dict(head.named_params())
+    trainable.update(prompts.named_params())
+    frozen = {}
+    if train_backbone:
+        trainable.update(backbone.named_params())
     else:
-        frozen = dict(backbone_params)
+        frozen = dict(backbone.named_params())
     for t in frozen.values():
         t.requires_grad = False
     for t in trainable.values():
@@ -213,18 +203,12 @@ def apply_graph_prompt(x: Tensor, token: Tensor) -> Tensor:
     return add(x, token)
 
 
-def inject_prefix(e: Tensor, prefix: Tensor, layer: int, prompts: PromptSet) -> Tensor:
-    """This layer's prefix stacked ahead of the rows of ``e``: ``[prefix; e]``.
+def inject_prefix(e: Tensor, prefix: Tensor) -> Tensor:
+    """A layer's prefix stacked ahead of the rows of ``e``: ``[prefix; e]``.
 
     The p prefix rows become keys and values that every sample's
     attention group shares, so the layer projects them once for the
     whole batch. The prefix gets the gradient of the first p rows and
     ``e`` that of the rest.
     """
-    if layer not in prompts.prefixes:
-        raise ContractError(f"layer {layer} is not in the prompted set "
-                            f"{prompts.prompted_layers}")
-    if e.ndim != 2 or prefix.shape != (prompts.p_len, e.shape[-1]):
-        raise ShapeError(f"inject_prefix: a prefix of shape {prefix.shape} does not fit "
-                         f"p_len={prompts.p_len} rows over rows of shape {e.shape}")
     return concat_rows([prefix, e])

@@ -23,7 +23,7 @@ from scipy.stats import rankdata
 from gpt_lab.graphs import DataError, GraphSample, make_folds
 from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
-                            encode_graphs, prepare_batch)
+                            encode_graphs, load_params, prepare_batch)
 from gpt_lab.prompt import (MODES, TOKEN_STAGES, PromptSet, build_registry, count_params,
                             init_prompts)
 from gpt_lab.seeding import rng_for
@@ -244,6 +244,8 @@ class TuningConfig:
             raise ContractError(f"unknown token stage {self.token_stage!r}")
         if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
             raise ContractError("batch_size/epochs/folds out of range")
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ContractError(f"Adam betas must lie in [0, 1), got {self.betas}")
         Schedule(self.lr, self.warmup_epochs, self.epochs, self.decay)
 
     @property
@@ -290,7 +292,6 @@ def _subseed(seed: int, *path) -> int:
 
 
 def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> int:
-    mode = config.mode
     if not dataset:
         raise DataError("empty dataset")
     t = dataset[0].label_dim
@@ -299,9 +300,10 @@ def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> in
     for g in dataset:
         if g.label_dim != t:
             raise DataError("label arity differs across the dataset")
-    if mode in ("prefix_only", "deepgpt") and backbone_cfg.kind != "transformer":
-        raise ContractError(f"{mode} mode requires the transformer backbone")
-    if mode == "virtual_node" and backbone_cfg.kind != "mpgnn":
+        if g.feature_dim != backbone_cfg.feature_dim:
+            raise DataError(f"a graph has {g.feature_dim} feature columns, but the "
+                            f"backbone's feature_dim is {backbone_cfg.feature_dim}")
+    if config.mode == "virtual_node" and backbone_cfg.kind != "mpgnn":
         raise ContractError("virtual_node mode requires the mpgnn backbone")
     if config.metric in ("auroc", "ap"):
         for g in dataset:
@@ -449,23 +451,15 @@ def _fit(config: TuningConfig, forwards, labels: np.ndarray, train_idx, eval_idx
     return record
 
 
-def _load_backbone(backbone_cfg: BackboneConfig, backbone_state) -> Backbone:
-    bb = Backbone.init(backbone_cfg, seed=0)
-    bb.load_state(backbone_state)
-    return bb
-
-
 def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
                  backbone_state, out_dim: int, seed: int, fold: int):
-    bb = _load_backbone(backbone_cfg, backbone_state)
+    bb = Backbone.from_state(backbone_cfg, backbone_state)
     fold_seed = _subseed(seed, "fold", fold)
     head = PredictionHead.init(backbone_cfg.dim, out_dim, seed=fold_seed,
                                hidden=config.head_hidden)
-    prompts = init_prompts(config.mode, backbone_cfg.dim, backbone_cfg.layers,
-                           config.p_len, seed=fold_seed,
+    prompts = init_prompts(config.mode, backbone_cfg, config.p_len, seed=fold_seed,
                            prompted_layers=config.prompted_layers,
-                           token_stage=config.token_stage,
-                           token_width=backbone_cfg.input_width)
+                           token_stage=config.token_stage)
     return bb, head, prompts
 
 
@@ -474,10 +468,10 @@ def _run_fold(args) -> FoldResult:
     (config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold) = args
     split = make_folds(len(encoded), config.folds, seed)
     train_idx, eval_idx = split.train_eval(fold)
-    mode = config.mode
+    train_backbone = config.mode == "ft"
     bb, head, prompts = _fold_pieces(config, backbone_cfg, backbone_state,
                                      encoded[0].label_dim, seed, fold)
-    registry = build_registry(bb, head, prompts, mode)
+    registry = build_registry(bb, head, prompts, train_backbone=train_backbone)
     counts = count_params(registry)
     try:
         forwards = _forwards(encoded, eval_idx, bb, head, prompts, embeddings)
@@ -491,7 +485,7 @@ def _run_fold(args) -> FoldResult:
                       trainable_count=counts["trainable_count"],
                       frozen_count=counts["frozen_count"],
                       prompt_state=prompt_state,
-                      backbone_state=bb.state_arrays() if mode == "ft" else None)
+                      backbone_state=bb.state_arrays() if train_backbone else None)
 
 
 def _worker_cap() -> int:
@@ -523,7 +517,7 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     encoded = encode_graphs(dataset, backbone_cfg)
     embeddings = None
     if config.mode == "lightweight":
-        bb = _load_backbone(backbone_cfg, backbone_state)
+        bb = Backbone.from_state(backbone_cfg, backbone_state)
         embeddings = backbone_forward(batch_graphs(encoded), bb).data
     jobs = [(config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold)
             for fold in range(config.folds)]
@@ -549,16 +543,7 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
     _, eval_idx = split.train_eval(fold)
     bb, head, prompts = _fold_pieces(config, backbone_cfg, backbone_state,
                                      dataset[0].label_dim, seed, fold)
-    named = dict(prompts.named_params())
-    named.update(head.named_params())
-    if set(named) != set(prompt_state):
-        raise ContractError(f"prompt state keys {sorted(prompt_state)} do not match "
-                            f"the configured mode's parameters {sorted(named)}")
-    for name, t in named.items():
-        arr = np.asarray(prompt_state[name], dtype=np.float64)
-        if arr.shape != t.shape:
-            raise ContractError(f"{name}: stored shape {arr.shape} != {t.shape}")
-        t.data = arr.copy()
+    load_params({**prompts.named_params(), **head.named_params()}, prompt_state)
     eval_batch = prepare_batch([dataset[i] for i in eval_idx], backbone_cfg)
     scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
     return _metric_value(config, scores, eval_batch.labels.data)
@@ -579,14 +564,17 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
                           weight_decay=weight_decay, batch_size=batch_size,
                           warmup_epochs=warmup_epochs, decay=decay, clip=clip)
     _validate(config, dataset, backbone_cfg)
-    encoded = encode_graphs(dataset, backbone_cfg)
     n_eval = max(1, int(round(len(dataset) * eval_fraction)))
+    if n_eval >= len(dataset):
+        raise DataError(f"eval_fraction {eval_fraction} of {len(dataset)} graphs holds out "
+                        f"{n_eval}, which leaves no graph to pretrain on")
+    encoded = encode_graphs(dataset, backbone_cfg)
     perm = rng_for(seed, "pretrain-split").permutation(len(dataset))
     eval_idx, train_idx = perm[:n_eval], perm[n_eval:]
     bb = Backbone.init(backbone_cfg, seed=_subseed(seed, "pretrain-backbone"))
     head = PredictionHead.init(backbone_cfg.dim, dataset[0].label_dim,
                                seed=_subseed(seed, "pretrain-head"))
-    registry = build_registry(bb, head, PromptSet(), "ft")
+    registry = build_registry(bb, head, PromptSet(), train_backbone=True)
     record = _fit(config, _forwards(encoded, eval_idx, bb, head, PromptSet()),
                   _labels(encoded), train_idx, eval_idx, registry,
                   rng_for(seed, "pretrain-shuffle"))

@@ -72,8 +72,8 @@ def test_01_gradient_correctness_full_deepgpt_forward():
                          max_degree=4)
     bb = Backbone.init(cfg, seed=11)
     head = PredictionHead.init(cfg.dim, 1, seed=11)
-    prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=4, seed=11)
-    build_registry(bb, head, prompts, "deepgpt")
+    prompts = init_prompts("deepgpt", cfg, p_len=4, seed=11)
+    build_registry(bb, head, prompts)
     g = random_graph(6, 0.5, rng)
     prepared = prepare_batch([g], cfg)
     ctx = prompts.check(bb.cfg)
@@ -126,11 +126,10 @@ def test_02_freeze_soundness_100_steps(tmp_path):
     ck.save_backbone(ckpt, cfg, source.state_arrays())
     loaded_cfg, loaded_state = ck.load_backbone(ckpt)
 
-    bb = Backbone.init(loaded_cfg, seed=999)
-    bb.load_state(loaded_state)
+    bb = Backbone.from_state(loaded_cfg, loaded_state)
     head = PredictionHead.init(cfg.dim, 1, seed=22)
-    prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=3, seed=22)
-    registry = build_registry(bb, head, prompts, "deepgpt")
+    prompts = init_prompts("deepgpt", cfg, p_len=3, seed=22)
+    registry = build_registry(bb, head, prompts)
     opt = AdamW(registry.trainable, weight_decay=1e-4)
     data = gen_downstream(16, "motif_presence", seed=23, size_range=(5, 8))
     prepared = prepare_batch(data, cfg)
@@ -273,8 +272,8 @@ def test_06_parameter_ratio_at_large_scale():
     rows = []
     counts_ok = bound_ok = True
     for p_len in grid:
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=p_len, seed=61)
-        counts = count_params(build_registry(bb, head, prompts, "deepgpt"))
+        prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=61)
+        counts = count_params(build_registry(bb, head, prompts))
         exact = (counts["frozen_count"] == frozen_want
                  and counts["trainable_count"] == trainable_want(p_len)
                  and counts["ratio"] == ratio_want(p_len))

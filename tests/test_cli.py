@@ -174,8 +174,7 @@ class TestCheckpointFormat:
         write_v1_backbone(path, cfg, bb.state_arrays(), monkeypatch)
         assert ck._read(path)[0]["format_version"] == 1
         got_cfg, arrays = ck.load_backbone(path, expected=cfg)
-        loaded = Backbone.init(got_cfg, seed=4)
-        loaded.load_state(arrays)
+        loaded = Backbone.from_state(got_cfg, arrays)
         batch = prepare_batch(gen_downstream(5, "motif_presence", seed=2, feature_dim=3), cfg)
         assert np.array_equal(backbone_forward(batch, loaded).data,
                               backbone_forward(batch, bb).data)
@@ -210,8 +209,8 @@ class TestPublishedScale:
                              degree_embed=True, max_degree=8)
         bb = Backbone.init(cfg, seed=1)
         head = PredictionHead.init(cfg.dim, 1, seed=1)
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=10, seed=1)
-        counts = count_params(build_registry(bb, head, prompts, "deepgpt"))
+        prompts = init_prompts("deepgpt", cfg, p_len=10, seed=1)
+        counts = count_params(build_registry(bb, head, prompts))
         assert counts["ratio"] < 0.005
 
         backbone_path = tmp_path / "backbone.ckpt"
@@ -313,6 +312,14 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: [backbone]: ") and key in err
 
+    def test_holdout_of_every_graph_exits_3(self, tmp_path, capsys):
+        config = write_config(tmp_path / "all.ini",
+                              replace={"batch_size = 8\n\n[tuning]":
+                                       "batch_size = 8\neval_fraction = 1.0\n\n[tuning]"})
+        assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "pre")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: eval_fraction 1.0 of 30 graphs")
+
     def test_altered_dim_rejected_with_exit_4(self, workspace, tmp_path):
         config = write_config(tmp_path / "wider.ini", replace={"dim = 8": "dim = 16"})
         code = main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
@@ -412,6 +419,49 @@ class TestTuneCommand:
                      f"graph_file = {graph_file}"})
         assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
                      "--out", str(tmp_path / "run")]) == 0
+
+    def test_generator_feature_width_other_than_the_backbone_exits_3(self, workspace, tmp_path,
+                                                                     capsys):
+        config = write_config(tmp_path / "wide.ini", replace={"max_nodes = 8\n\n[pretrain]":
+                                                              "max_nodes = 8\nfeature_dim = 5"
+                                                              "\n\n[pretrain]"})
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: a graph has 5 feature columns, but the "
+                              "backbone's feature_dim is 4")
+
+    def test_graph_file_of_another_width_exits_3(self, workspace, tmp_path, capsys):
+        from gpt_lab.graphs import write_graph_file
+        graph_file = tmp_path / "wide.gr"
+        write_graph_file(graph_file, gen_downstream(18, "motif_presence", seed=5,
+                                                    size_range=(5, 7), feature_dim=3))
+        config = write_config(
+            tmp_path / "file.ini",
+            replace={"generator = motif_presence\ncount = 24\nmin_nodes = 5\nmax_nodes = 8":
+                     f"graph_file = {graph_file}"})
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert "a graph has 3 feature columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("count = 24", "count = -3", "negative number of graphs"),
+        ("min_nodes = 5", "min_nodes = 3", "min_nodes must be at least 4"),
+    ], ids=["negative_count", "too_small_for_a_4_cycle"])
+    def test_unfillable_generator_request_exits_3(self, workspace, tmp_path, capsys,
+                                                  old, new, message):
+        config = write_config(tmp_path / "gen.ini", replace={old: new})
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_beta1_of_one_is_a_config_error(self, workspace, tmp_path, capsys):
+        config = write_config(tmp_path / "beta.ini",
+                              replace={"mode = deepgpt": "mode = deepgpt\nbeta1 = 1.0"})
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [tuning]: Adam betas must lie in [0, 1)")
 
     def test_bad_graph_file_exits_3(self, workspace, tmp_path):
         graph_file = tmp_path / "broken.gr"

@@ -213,6 +213,15 @@ class TestDownstream:
         labels = np.stack([g.label for g in data])
         assert np.all(np.abs(labels.mean(axis=0) - 0.5) <= 0.05)
 
+    @pytest.mark.parametrize("task", ["motif_presence", "community_count", "multi_motif"])
+    def test_negative_count_rejected(self, task):
+        with pytest.raises(DataError, match="negative number of graphs"):
+            gen_downstream(-1, task, seed=0)
+
+    def test_motif_presence_needs_room_for_a_4_cycle(self):
+        with pytest.raises(DataError, match="min_nodes must be at least 4, got 3"):
+            gen_downstream(4, "motif_presence", seed=0, size_range=(3, 8))
+
     def test_deterministic(self):
         a = gen_downstream(8, "motif_presence", seed=2)
         b = gen_downstream(8, "motif_presence", seed=2)

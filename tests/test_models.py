@@ -340,7 +340,7 @@ class TestBackboneForward:
         """Prompt slots pad each group differently; outputs and prompt grads still agree."""
         rng = np.random.default_rng(18)
         cfg, bb, head = _build("transformer", layers=3)
-        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=7,
+        prompts = init_prompts(mode, cfg, p_len=2, seed=7,
                                prompted_layers=prompted_layers)
         graphs = [random_graph(n, 0.4, rng) for n in (3, 8, 5, 4, 7)]
         named = prompts.named_params()
@@ -435,8 +435,8 @@ class TestTapeSize:
     def test_a_step_records_as_many_nodes_at_bs_2_as_at_bs_16(self, kind, mode):
         rng = np.random.default_rng(19)
         cfg, bb, head = _build(kind, layers=3)
-        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=8)
-        build_registry(bb, head, prompts, mode)
+        prompts = init_prompts(mode, cfg, p_len=2, seed=8)
+        build_registry(bb, head, prompts)
         graphs = [random_graph(int(rng.integers(3, 8)), 0.4, rng) for _ in range(16)]
         nodes = []
         for bs in (2, 16):
@@ -452,8 +452,7 @@ class TestStateRoundTrip:
     def test_state_arrays_round_trip(self):
         cfg, bb, _ = _build("transformer")
         state = bb.state_arrays()
-        other = Backbone.init(cfg, seed=99)
-        other.load_state(state)
+        other = Backbone.from_state(cfg, state)
         for name, t in other.named_params().items():
             assert np.array_equal(t.data, state[name])
 
@@ -462,4 +461,4 @@ class TestStateRoundTrip:
         state = bb.state_arrays()
         state.pop("input_proj.bias")
         with pytest.raises(ContractError, match="mismatch"):
-            bb.load_state(state)
+            Backbone.from_state(cfg, state)

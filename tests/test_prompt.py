@@ -73,8 +73,7 @@ class TestInjectPrefix:
     def test_prefix_rows_come_first(self):
         e = Tensor(RNG.normal(size=(7, 4)))
         p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
-        prompts = PromptSet(prefixes={1: p}, p_len=2)
-        out = inject_prefix(e, p, 1, prompts).data
+        out = inject_prefix(e, p).data
         assert out.shape == (9, 4)
         assert np.array_equal(out[:2], p.data)
         assert np.array_equal(out[2:], e.data)
@@ -82,29 +81,20 @@ class TestInjectPrefix:
     def test_prefix_gets_the_leading_gradient_rows(self):
         e = Tensor(RNG.normal(size=(7, 4)), requires_grad=True)
         p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
-        prompts = PromptSet(prefixes={1: p}, p_len=2)
         g = RNG.normal(size=(9, 4))
         with Tape():
-            grads = backward(tsum(mul(inject_prefix(e, p, 1, prompts), Tensor(g))))
+            grads = backward(tsum(mul(inject_prefix(e, p), Tensor(g))))
         assert np.array_equal(grads[p], g[:2])
         assert np.array_equal(grads[e], g[2:])
 
-    @pytest.mark.parametrize("rows, prefix, p_len", [
-        ((7, 4), (2, 3), 2),
-        ((7, 4), (3, 4), 2),
-        ((4,), (2, 4), 2),
-    ], ids=["width", "p_len", "not_a_matrix"])
-    def test_prefix_must_fit_the_rows(self, rows, prefix, p_len):
+    @pytest.mark.parametrize("rows, prefix", [
+        ((7, 4), (2, 3)),
+        ((4,), (2, 4)),
+    ], ids=["width", "not_a_matrix"])
+    def test_prefix_must_fit_the_rows(self, rows, prefix):
         p = Tensor(RNG.normal(size=prefix), requires_grad=True)
-        prompts = PromptSet(prefixes={1: p}, p_len=p_len)
-        with pytest.raises(ShapeError, match="does not fit"):
-            inject_prefix(Tensor(RNG.normal(size=rows)), p, 1, prompts)
-
-    def test_unprompted_layer_rejected(self):
-        p = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
-        prompts = PromptSet(prefixes={1: p}, p_len=2)
-        with pytest.raises(ContractError, match="not in the prompted set"):
-            inject_prefix(Tensor(RNG.normal(size=(5, 4))), p, 0, prompts)
+        with pytest.raises(ShapeError, match="expected .*-column matrices"):
+            inject_prefix(Tensor(RNG.normal(size=rows)), p)
 
     def test_empty_prompt_set_is_noop_forward(self):
         cfg, bb, head = small_setup()
@@ -119,7 +109,7 @@ class TestInjectPrefix:
         cfg, bb, head = small_setup(layers=3)
         g = random_graph(5, 0.5, np.random.default_rng(2))
         prepared = prepare_batch([g], cfg)
-        prompts = init_prompts("prefix_only", cfg.dim, cfg.layers, p_len=2, seed=3)
+        prompts = init_prompts("prefix_only", cfg, p_len=2, seed=3)
         base, _ = encode_nodes(prepared, bb, prompt_ctx=prompts)
         # layer 0's prefix rows are keys only and never reach layers 1
         # and 2, so any influence on final real-node rows went through
@@ -135,8 +125,8 @@ class TestDeepgptForward:
         cfg, bb, head = small_setup()
         g = random_graph(5, 0.5, np.random.default_rng(4))
         prepared = prepare_batch([g], cfg)
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=5)
-        registry = build_registry(bb, head, prompts, "deepgpt")
+        prompts = init_prompts("deepgpt", cfg, p_len=2, seed=5)
+        registry = build_registry(bb, head, prompts)
         with Tape():
             out = backbone_forward(prepared, bb, head,
                                    prompt_ctx=prompts.check(bb.cfg))
@@ -149,8 +139,8 @@ class TestDeepgptForward:
         cfg, bb, head = small_setup()
         g = random_graph(4, 0.5, np.random.default_rng(5))
         prepared = prepare_batch([g], cfg)
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=6)
-        registry = build_registry(bb, head, prompts, "deepgpt")
+        prompts = init_prompts("deepgpt", cfg, p_len=2, seed=6)
+        registry = build_registry(bb, head, prompts)
         with Tape():
             out = backbone_forward(prepared, bb, head,
                                    prompt_ctx=prompts.check(bb.cfg))
@@ -160,8 +150,8 @@ class TestDeepgptForward:
 
     def test_prompt_validation_against_backbone(self):
         cfg, bb, _ = small_setup(layers=2)
-        bad = init_prompts("prefix_only", cfg.dim, 5, p_len=2, seed=7,
-                           prompted_layers=(0, 4))
+        deeper, _, _ = small_setup(layers=5)
+        bad = init_prompts("prefix_only", deeper, p_len=2, seed=7, prompted_layers=(0, 4))
         with pytest.raises(ContractError, match="out of range"):
             bad.check(bb.cfg)
 
@@ -221,7 +211,7 @@ class TestVirtualNodes:
         cfg, bb, _ = small_setup(layers=3)
         g = random_graph(5, 0.5, np.random.default_rng(19))
         prepared = prepare_batch([g], cfg)
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=3, seed=20)
+        prompts = init_prompts("deepgpt", cfg, p_len=3, seed=20)
         ctx = prompts.check(bb.cfg)
         pooled = backbone_forward(prepared, bb, head=None, prompt_ctx=ctx).data
         h, _ = encode_nodes(prepared, bb, prompt_ctx=ctx)
@@ -251,7 +241,7 @@ class TestForwardRunsThePromptHooks:
         cfg, bb, head = small_setup(layers=4)
         rng = np.random.default_rng(22)
         prepared = prepare_batch([random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)], cfg)
-        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=23,
+        prompts = init_prompts(mode, cfg, p_len=2, seed=23,
                                prompted_layers=(0, 2))
         counts = {"apply_graph_prompt": 0, "inject_prefix": 0}
         for name in counts:
@@ -295,12 +285,8 @@ class TestPreProjectionToken:
     """The input-space graph token: added to raw features before the projection."""
 
     def _prompts(self, cfg, seed=24):
-        return init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=seed,
-                            token_stage="pre_projection", token_width=cfg.input_width)
-
-    def test_needs_token_width(self):
-        with pytest.raises(ContractError, match="token_width"):
-            init_prompts("deepgpt", 8, 2, p_len=2, seed=0, token_stage="pre_projection")
+        return init_prompts("deepgpt", cfg, p_len=2, seed=seed,
+                            token_stage="pre_projection")
 
     def test_token_gradient_matches_central_differences(self):
         cfg, bb, head = small_setup(layers=2)
@@ -340,11 +326,30 @@ class TestPreProjectionToken:
         assert np.abs(out_pre - out_post).max() <= 1e-10
 
 
+class TestInitPrompts:
+    @pytest.mark.parametrize("mode", ["virtual_node", "prefix_only", "deepgpt"])
+    def test_prompted_modes_need_a_positive_length(self, mode):
+        cfg, _, _ = small_setup()
+        with pytest.raises(ContractError, match=f"{mode} mode needs p_len >= 1"):
+            init_prompts(mode, cfg, p_len=0, seed=0)
+
+    def test_unknown_mode_rejected(self):
+        cfg, _, _ = small_setup()
+        with pytest.raises(ContractError, match="unknown tuning mode 'bogus'"):
+            init_prompts("bogus", cfg, p_len=2, seed=0)
+
+    @pytest.mark.parametrize("mode", ["prefix_only", "deepgpt"])
+    def test_prefix_modes_rejected_on_an_mpgnn(self, mode):
+        cfg, _, _ = small_setup(kind="mpgnn")
+        with pytest.raises(ContractError, match="prefix tokens require the transformer"):
+            init_prompts(mode, cfg, p_len=2, seed=0)
+
+
 class TestRegistryAndCounts:
     def test_partition_total_and_disjoint(self):
         cfg, bb, head = small_setup()
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=11)
-        registry = build_registry(bb, head, prompts, "deepgpt")
+        prompts = init_prompts("deepgpt", cfg, p_len=2, seed=11)
+        registry = build_registry(bb, head, prompts)
         names = set(registry.frozen) | set(registry.trainable)
         expected = set(bb.named_params()) | set(head.named_params()) \
             | set(prompts.named_params())
@@ -358,7 +363,7 @@ class TestRegistryAndCounts:
 
     def test_lightweight_trainable_is_head_only(self):
         cfg, bb, head = small_setup()
-        registry = build_registry(bb, head, PromptSet(), "lightweight")
+        registry = build_registry(bb, head, PromptSet())
         assert set(registry.trainable) == {"head.weight", "head.bias"}
         counts = count_params(registry)
         assert counts["trainable_count"] == cfg.dim * 1 + 1
@@ -369,25 +374,27 @@ class TestRegistryAndCounts:
                              heads=4, layers=6)
         bb = Backbone.init(cfg, seed=0)
         head = PredictionHead.init(64, 1, seed=0)
-        prompts = init_prompts("deepgpt", 64, 6, p_len=10, seed=0)
-        counts = count_params(build_registry(bb, head, prompts, "deepgpt"))
+        prompts = init_prompts("deepgpt", cfg, p_len=10, seed=0)
+        counts = count_params(build_registry(bb, head, prompts))
         assert counts["trainable_count"] == 3969
 
     def test_ft_mode_trains_everything(self):
         cfg, bb, head = small_setup()
-        registry = build_registry(bb, head, PromptSet(), "ft")
+        registry = build_registry(bb, head, PromptSet(), train_backbone=True)
         assert not registry.frozen
         counts = count_params(registry)
         assert counts["ratio"] == 1.0
 
+    def test_a_positional_mode_does_not_reach_the_registry(self):
+        """A mode string in the old fourth position must not train the backbone."""
+        cfg, bb, head = small_setup()
+        with pytest.raises(TypeError):
+            build_registry(bb, head, PromptSet(), "ft")
+
     def test_prefix_only_and_deepgpt_differ_by_token_only(self):
         cfg, bb, head = small_setup()
-        deep = build_registry(bb, head,
-                              init_prompts("deepgpt", cfg.dim, cfg.layers, 2, seed=1),
-                              "deepgpt")
-        pref = build_registry(bb, head,
-                              init_prompts("prefix_only", cfg.dim, cfg.layers, 2, seed=1),
-                              "prefix_only")
+        deep = build_registry(bb, head, init_prompts("deepgpt", cfg, 2, seed=1))
+        pref = build_registry(bb, head, init_prompts("prefix_only", cfg, 2, seed=1))
         assert set(deep.trainable) - set(pref.trainable) == {"prompt.token"}
         assert set(pref.trainable) - set(deep.trainable) == set()
 
@@ -398,7 +405,7 @@ class TestSweepWellFormedness:
         cfg, bb, head = small_setup(layers=3)
         g = random_graph(4, 0.5, np.random.default_rng(12))
         prepared = prepare_batch([g], cfg)
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=13,
+        prompts = init_prompts("deepgpt", cfg, p_len=2, seed=13,
                                prompted_layers=interval)
         out = backbone_forward(prepared, bb, head,
                                prompt_ctx=prompts.check(bb.cfg))
@@ -409,11 +416,12 @@ class TestSweepWellFormedness:
         cfg, bb, head = small_setup(layers=2)
         g = random_graph(4, 0.5, np.random.default_rng(14))
         prepared = prepare_batch([g], cfg)
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=p_len, seed=15)
+        prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=15)
         out = backbone_forward(prepared, bb, head,
                                prompt_ctx=prompts.check(bb.cfg))
         assert np.isfinite(out.data).all()
 
     def test_bad_interval_rejected(self):
+        cfg, _, _ = small_setup(layers=3)
         with pytest.raises(ContractError, match="interval"):
-            init_prompts("deepgpt", 8, 3, p_len=2, seed=0, prompted_layers=(2, 1))
+            init_prompts("deepgpt", cfg, p_len=2, seed=0, prompted_layers=(2, 1))

@@ -73,7 +73,7 @@ def _model(kind, aggregation="sum", mode=None):
     head = PredictionHead.init(cfg.dim, 1, seed=2)
     prompts = None
     if mode is not None:
-        prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=2, seed=3,
+        prompts = init_prompts(mode, cfg, p_len=2, seed=3,
                                prompted_layers=(1, 2) if mode == "prefix_only" else None)
     return cfg, bb, head, prompts
 
@@ -144,7 +144,7 @@ PROMPTED = {"deepgpt": "transformer", "prefix_only": "transformer",
 def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
     """Prompt lengths up to 8 exceed the 1-to-6-node graphs."""
     cfg, bb, head, _ = MODELS[PROMPTED[mode]]
-    prompts = init_prompts(mode, cfg.dim, cfg.layers, p_len=p_len, seed=4,
+    prompts = init_prompts(mode, cfg, p_len=p_len, seed=4,
                            prompted_layers=(1, 2) if mode == "prefix_only" else None)
     _assert_node_rows_only(batch, cfg, bb, prompts)
     together = backbone_forward(prepare_batch(batch, cfg), bb, head, prompt_ctx=prompts).data
@@ -334,11 +334,10 @@ def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len
     cfg, bb, head, _ = MODELS["transformer"]
     rng = np.random.default_rng(seed)
     if interval == "virtual":
-        prompts = init_prompts("virtual_node", cfg.dim, cfg.layers, p_len=p_len, seed=seed)
+        prompts = init_prompts("virtual_node", cfg, p_len=p_len, seed=seed)
     else:
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=p_len, seed=seed,
-                               prompted_layers=interval, token_stage=stage,
-                               token_width=cfg.input_width)
+        prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=seed,
+                               prompted_layers=interval, token_stage=stage)
     for t in prompts.named_params().values():
         t.data = rng.normal(size=t.shape)
     weights = Tensor(rng.normal(size=(len(batch), 1)))

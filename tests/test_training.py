@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from gpt_lab import models, training
 from gpt_lab import tensor as T
-from gpt_lab.graphs import gen_downstream
+from gpt_lab.graphs import DataError, gen_downstream, gen_pretext
 from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
 from gpt_lab.prompt import build_registry, init_prompts
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward
@@ -281,6 +282,12 @@ class TestTuningConfig:
         with pytest.raises(ContractError, match="unknown token stage 'bogus'"):
             tiny_config("ft", token_stage="bogus")
 
+    @pytest.mark.parametrize("betas", [(1.0, 0.999), (0.9, 1.0), (-0.1, 0.999),
+                                       (0.9, float("nan"))])
+    def test_adam_betas_must_lie_in_the_unit_interval(self, betas):
+        with pytest.raises(ContractError, match=r"Adam betas must lie in \[0, 1\)"):
+            tiny_config("ft", betas=betas)
+
 
 @pytest.fixture(scope="module")
 def motif_data():
@@ -334,6 +341,27 @@ class TestTrain:
         cfg, state = tiny_backbone("mpgnn")
         with pytest.raises(ContractError, match="transformer"):
             train(tiny_config("deepgpt"), motif_data, cfg, state, seed=1)
+
+    def test_feature_width_must_match_the_backbone(self, motif_data):
+        cfg, state = tiny_backbone()
+        wide = gen_downstream(6, "motif_presence", seed=2, size_range=(5, 8), feature_dim=5)
+        with pytest.raises(DataError, match="has 5 feature columns, but the backbone's "
+                                            "feature_dim is 4"):
+            train(tiny_config("lightweight"), motif_data[:6] + wide, cfg, state, seed=1)
+
+    @pytest.mark.parametrize("damage", ["missing", "misshapen"])
+    def test_evaluate_fold_checks_the_stored_arrays(self, motif_data, damage):
+        cfg, state = tiny_backbone()
+        config = tiny_config("deepgpt", epochs=1, warmup_epochs=0)
+        stored = dict(train(config, motif_data, cfg, state, seed=1)[0].prompt_state)
+        if damage == "missing":
+            del stored["head.bias"]
+            error, message = ContractError, r"missing=\['head.bias'\]"
+        else:
+            stored["prompt.token"] = stored["prompt.token"][:3]
+            error, message = T.ShapeError, r"prompt.token: stored shape \(3,\) != \(8,\)"
+        with pytest.raises(error, match=message):
+            training.evaluate_fold(config, motif_data, cfg, state, stored, seed=1, fold=0)
 
     def test_determinism_bitwise(self, motif_data):
         cfg, state = tiny_backbone()
@@ -478,6 +506,16 @@ def test_heap_is_pinned_before_the_first_forward(motif_data, monkeypatch, entry)
     assert "forward" in events and events[0] == "heap"
 
 
+@pytest.mark.parametrize("count, fraction", [(10, 1.0), (1, 0.1), (4, 0.9)])
+def test_pretrain_needs_a_training_graph(count, fraction):
+    cfg, _ = tiny_backbone()
+    data = gen_pretext(count, (4, 6), seed=0)
+    with pytest.raises(DataError, match=f"eval_fraction {fraction} of {count} graphs "
+                                        "holds out .*no graph to pretrain on"):
+        training.pretrain(data, cfg, seed=0, epochs=1, warmup_epochs=0,
+                          eval_fraction=fraction)
+
+
 class TestFreezeSoundness:
     def test_frozen_tensors_bit_identical_after_steps(self):
         cfg = BackboneConfig(kind="transformer", feature_dim=4, dim=8, heads=2,
@@ -485,8 +523,8 @@ class TestFreezeSoundness:
         bb = Backbone.init(cfg, seed=4)
         snapshot = bb.state_arrays()
         head = PredictionHead.init(cfg.dim, 1, seed=4)
-        prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=2, seed=4)
-        registry = build_registry(bb, head, prompts, "deepgpt")
+        prompts = init_prompts("deepgpt", cfg, p_len=2, seed=4)
+        registry = build_registry(bb, head, prompts)
         opt = AdamW(registry.trainable, weight_decay=1e-4)
         data = gen_downstream(8, "motif_presence", seed=18, size_range=(5, 7))
         prepared = prepare_batch(data, cfg)
@@ -510,8 +548,8 @@ class TestFreezeSoundness:
         for seed in range(5):
             bb = Backbone.init(cfg, seed=seed)
             head = PredictionHead.init(cfg.dim, 1, seed=seed)
-            prompts = init_prompts("deepgpt", cfg.dim, cfg.layers, p_len=4, seed=seed)
-            registry = build_registry(bb, head, prompts, "deepgpt")
+            prompts = init_prompts("deepgpt", cfg, p_len=4, seed=seed)
+            registry = build_registry(bb, head, prompts)
             opt = AdamW(registry.trainable)
             data = gen_downstream(16, "motif_presence", seed=seed, size_range=(5, 8))
             prepared = prepare_batch(data, cfg)
@@ -549,8 +587,12 @@ HEAP_CHURN = textwrap.dedent("""
 
 
 def test_steady_heap_keeps_freed_arrays_resident():
+    # The child imports gpt_lab from where this process found it.
+    package_root = os.path.dirname(os.path.dirname(training.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", HEAP_CHURN], check=True,
-                         capture_output=True, text=True).stdout.split()
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout.split()
     applied, faults = out[0] == "True", int(out[1])
     assert applied == (platform.libc_ver()[0] == "glibc")
     if applied:
