@@ -27,12 +27,11 @@ from gpt_lab.checkpoint import (
 )
 from gpt_lab.config import ConfigError, ExperimentConfig, load_config
 from gpt_lab.graphs import DataError, gen_downstream, gen_pretext, read_graph_file
+from gpt_lab.prompt import init_prompts
 from gpt_lab.tensor import ContractError
 from gpt_lab.training import NonFiniteError, RunRecord, TuningConfig, pretrain, train
 
 __all__ = ["main"]
-
-_PROMPT_MODES = ("prefix_only", "deepgpt", "virtual_node")
 
 TUNE_CSV_FIELDS = ["mode", "metric", "trainable_params", "mean", "std",
                    "epochs_to_best_mean"]
@@ -163,8 +162,8 @@ def cmd_tune(args) -> int:
     write_csv(out / "metrics.csv", TUNE_CSV_FIELDS, [row])
     _dump_run(out, tuning, results, seed, fingerprint(backbone_cfg), "tune")
 
-    if tuning.mode in _PROMPT_MODES:
-        last = results[-1]
+    last = results[-1]
+    if any(name.startswith("prompt.") for name in last.prompt_state):
         save_prompt(out / "prompt.ckpt", dim=backbone_cfg.dim,
                     layers=backbone_cfg.layers, mode=tuning.mode,
                     p_len=tuning.p_len, token_stage=tuning.token_stage,
@@ -176,16 +175,19 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _ablate_variant(tuning: TuningConfig, axis: str, cell) -> tuple[str, TuningConfig]:
-    if axis == "depth":
-        if tuning.mode not in ("deepgpt", "prefix_only"):
-            raise ConfigError("depth ablation needs a prefix-based tuning mode")
-        return f"{cell[0]}-{cell[1]}", dataclasses.replace(tuning, prompted_layers=cell)
-    if axis == "length":
-        if tuning.mode not in _PROMPT_MODES:
-            raise ConfigError("length ablation needs a prompt-based tuning mode")
-        return str(cell), dataclasses.replace(tuning, p_len=cell)
-    return str(cell), dataclasses.replace(tuning, mode=cell)
+def _ablate_variant(tuning: TuningConfig, axis: str, cell,
+                    backbone_cfg) -> tuple[str, TuningConfig]:
+    """A sweep cell's name and tuning config, checked by drawing its prompts."""
+    key = {"depth": "prompted_layers", "length": "p_len", "component": "mode"}[axis]
+    variant = dataclasses.replace(tuning, **{key: cell})
+    prompts = init_prompts(variant.mode, backbone_cfg, variant.p_len, seed=0,
+                           prompted_layers=variant.prompted_layers,
+                           token_stage=variant.token_stage)
+    if axis == "depth" and not prompts.prefixes:
+        raise ConfigError("depth ablation needs a prefix-based tuning mode")
+    if axis == "length" and not prompts.p_len:
+        raise ConfigError("length ablation needs a prompt-based tuning mode")
+    return (f"{cell[0]}-{cell[1]}" if axis == "depth" else str(cell)), variant
 
 
 def cmd_ablate(args) -> int:
@@ -195,21 +197,19 @@ def cmd_ablate(args) -> int:
     tuning = _tuning_with_overrides(cfg, args)
     seed = args.seed if args.seed is not None else cfg.seed
     backbone_cfg, backbone_state = load_backbone(args.ckpt, expected=cfg.backbone)
+    axis = cfg.ablate.axis
+    variants = [_ablate_variant(tuning, axis, cell, backbone_cfg)
+                for cell in cfg.ablate.cells()]
     dataset = _load_dataset(cfg, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    axis = cfg.ablate.axis
-    for cell in cfg.ablate.cells():
-        name, variant = _ablate_variant(tuning, axis, cell)
+    for name, variant in variants:
         results = train(variant, dataset, backbone_cfg, backbone_state, seed,
                         parallel=args.parallel)
         agg = _aggregate_row(variant, results)
-        rows.append({"axis": axis, "cell": name,
-                     "trainable_params": agg["trainable_params"],
-                     "mean": agg["mean"], "std": agg["std"],
-                     "epochs_to_best_mean": agg["epochs_to_best_mean"]})
+        rows.append({"axis": axis, "cell": name, **agg})
         cell_dir = out / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
         _dump_run(cell_dir, variant, results, seed, fingerprint(backbone_cfg),

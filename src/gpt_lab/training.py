@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -246,6 +246,11 @@ class TuningConfig:
             raise ContractError("batch_size/epochs/folds out of range")
         if not all(0.0 <= b < 1.0 for b in self.betas):
             raise ContractError(f"Adam betas must lie in [0, 1), got {self.betas}")
+        for key in ("lr", "eps", "clip"):
+            if not getattr(self, key) > 0:
+                raise ContractError(f"{key} must be positive, got {getattr(self, key)}")
+        if not self.weight_decay >= 0:
+            raise ContractError(f"weight_decay must not be negative, got {self.weight_decay}")
         Schedule(self.lr, self.warmup_epochs, self.epochs, self.decay)
 
     @property
@@ -263,12 +268,7 @@ class RunRecord:
     epochs_to_best: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "eval_metrics": self.eval_metrics,
-            "epoch_seconds": self.epoch_seconds,
-            "epochs_to_best": self.epochs_to_best,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
@@ -278,13 +278,15 @@ class RunRecord:
 
 @dataclass
 class FoldResult:
+    """One fold's run. ``prompt_state`` copies every parameter that the fold's
+    registry trained: the head, the prompts and, in ft mode, the backbone."""
+
     fold: int
     record: RunRecord
     final_metric: float
     trainable_count: int
     frozen_count: int
     prompt_state: dict[str, np.ndarray]
-    backbone_state: dict[str, np.ndarray] | None = None  # ft mode only
 
 
 def _subseed(seed: int, *path) -> int:
@@ -453,6 +455,8 @@ def _fit(config: TuningConfig, forwards, labels: np.ndarray, train_idx, eval_idx
 
 def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
                  backbone_state, out_dim: int, seed: int, fold: int):
+    """A fold's backbone, head, prompts and the registry of what it trains
+    (in ft mode the backbone too), drawn from the fold's seed."""
     bb = Backbone.from_state(backbone_cfg, backbone_state)
     fold_seed = _subseed(seed, "fold", fold)
     head = PredictionHead.init(backbone_cfg.dim, out_dim, seed=fold_seed,
@@ -460,18 +464,16 @@ def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
     prompts = init_prompts(config.mode, backbone_cfg, config.p_len, seed=fold_seed,
                            prompted_layers=config.prompted_layers,
                            token_stage=config.token_stage)
-    return bb, head, prompts
+    registry = build_registry(bb, head, prompts, train_backbone=config.mode == "ft")
+    return bb, head, prompts, registry
 
 
 def _run_fold(args) -> FoldResult:
     steady_heap()                  # a pool worker enters the library here
     (config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold) = args
-    split = make_folds(len(encoded), config.folds, seed)
-    train_idx, eval_idx = split.train_eval(fold)
-    train_backbone = config.mode == "ft"
-    bb, head, prompts = _fold_pieces(config, backbone_cfg, backbone_state,
-                                     encoded[0].label_dim, seed, fold)
-    registry = build_registry(bb, head, prompts, train_backbone=train_backbone)
+    train_idx, eval_idx = make_folds(len(encoded), config.folds, seed).train_eval(fold)
+    bb, head, prompts, registry = _fold_pieces(config, backbone_cfg, backbone_state,
+                                               encoded[0].label_dim, seed, fold)
     counts = count_params(registry)
     try:
         forwards = _forwards(encoded, eval_idx, bb, head, prompts, embeddings)
@@ -479,13 +481,11 @@ def _run_fold(args) -> FoldResult:
                       registry, rng_for(seed, "shuffle", fold))
     except UndefinedMetricError as exc:
         raise DataError(f"fold {fold}: evaluation split: {exc}") from None
-    prompt_state = {name: t.data.copy() for name, t in prompts.named_params().items()}
-    prompt_state.update({name: t.data.copy() for name, t in head.named_params().items()})
     return FoldResult(fold=fold, record=record, final_metric=record.eval_metrics[-1],
                       trainable_count=counts["trainable_count"],
                       frozen_count=counts["frozen_count"],
-                      prompt_state=prompt_state,
-                      backbone_state=bb.state_arrays() if train_backbone else None)
+                      prompt_state={name: t.data.copy()
+                                    for name, t in registry.trainable.items()})
 
 
 def _worker_cap() -> int:
@@ -531,19 +531,18 @@ def train(config: TuningConfig, dataset: list[GraphSample],
 def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
                   backbone_cfg: BackboneConfig, backbone_state: dict[str, np.ndarray],
                   prompt_state: dict[str, np.ndarray], seed: int, fold: int) -> float:
-    """Metric of a stored prompt+head state on one fold's evaluation split.
+    """Metric of a fold's stored ``prompt_state`` on its evaluation split.
 
-    Reconstructs the exact fold split and prompt shapes used by ``train``,
-    then overwrites the prompt/head values with the stored arrays, so a
-    saved prompt checkpoint reproduces the recorded metric exactly.
+    Rebuilds the fold's pieces as ``train`` does and loads the state into
+    every parameter its registry trains, so the state of any mode, ft
+    included, reproduces the recorded metric exactly.
     """
     steady_heap()
     _validate(config, dataset, backbone_cfg)
-    split = make_folds(len(dataset), config.folds, seed)
-    _, eval_idx = split.train_eval(fold)
-    bb, head, prompts = _fold_pieces(config, backbone_cfg, backbone_state,
-                                     dataset[0].label_dim, seed, fold)
-    load_params({**prompts.named_params(), **head.named_params()}, prompt_state)
+    _, eval_idx = make_folds(len(dataset), config.folds, seed).train_eval(fold)
+    bb, head, prompts, registry = _fold_pieces(config, backbone_cfg, backbone_state,
+                                               dataset[0].label_dim, seed, fold)
+    load_params(registry.trainable, prompt_state)
     eval_batch = prepare_batch([dataset[i] for i in eval_idx], backbone_cfg)
     scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
     return _metric_value(config, scores, eval_batch.labels.data)

@@ -16,7 +16,7 @@ from gpt_lab.cli import (
 )
 from gpt_lab.config import ConfigError, load_config
 from gpt_lab.graphs import gen_downstream
-from gpt_lab.models import BackboneConfig
+from gpt_lab.models import Backbone, BackboneConfig
 from gpt_lab.training import evaluate_fold
 
 from csv_rows import read_csv
@@ -312,6 +312,15 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: [backbone]: ") and key in err
 
+    def test_negative_lr_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path / "lr.ini",
+                              replace={"batch_size = 8\n\n[tuning]":
+                                       "batch_size = 8\nlr = -0.001\n\n[tuning]"})
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: lr must be positive, got -0.001\n"
+        assert not (out / "backbone.ckpt").exists()
+
     def test_holdout_of_every_graph_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path / "all.ini",
                               replace={"batch_size = 8\n\n[tuning]":
@@ -463,6 +472,36 @@ class TestTuneCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: [tuning]: Adam betas must lie in [0, 1)")
 
+    def test_negative_lr_is_a_config_error(self, workspace, tmp_path, capsys):
+        config = write_config(tmp_path / "lr.ini",
+                              replace={"mode = deepgpt": "mode = deepgpt\nlr = -0.01"})
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: [tuning]: lr must be positive, got -0.01\n"
+
+    @pytest.mark.parametrize("mode, kind, written", [
+        ("ft", "transformer", False),
+        ("lightweight", "transformer", False),
+        ("prefix_only", "transformer", True),
+        ("deepgpt", "transformer", True),
+        ("virtual_node", "mpgnn", True),
+    ])
+    def test_prompt_checkpoint_only_when_the_fold_trained_prompts(self, workspace, tmp_path,
+                                                                  mode, kind, written):
+        config = write_config(tmp_path / "exp.ini",
+                              replace={"mode = deepgpt": f"mode = {mode}",
+                                       "kind = transformer": f"kind = {kind}"})
+        ckpt = ckpt_of(workspace)
+        if kind == "mpgnn":
+            cfg = load_config(config).backbone
+            ckpt = tmp_path / "mpgnn.ckpt"
+            ck.save_backbone(ckpt, cfg, Backbone.init(cfg, seed=1).state_arrays())
+        out = tmp_path / "run"
+        assert main(["tune", "--config", str(config), "--ckpt", str(ckpt),
+                     "--out", str(out)]) == 0
+        assert (out / "prompt.ckpt").exists() == written
+
     def test_bad_graph_file_exits_3(self, workspace, tmp_path):
         graph_file = tmp_path / "broken.gr"
         graph_file.write_text("GPTGRAPH v1 d=8 t=1\ng 2 1\n")
@@ -587,6 +626,32 @@ class TestAblateCommand:
         assert [r["cell"] for r in rows] == ["lightweight", "prefix_only", "deepgpt"]
         by_cell = {r["cell"]: int(r["trainable_params"]) for r in rows}
         assert by_cell["lightweight"] < by_cell["prefix_only"] < by_cell["deepgpt"]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("axis = depth\ndepth_intervals = 0-1\n",
+         "depth ablation needs a prefix-based tuning mode"),
+        ("axis = length\nlengths = 2,4\n", "length ablation needs a prompt-based tuning mode"),
+    ], ids=["depth", "length"])
+    def test_sweep_of_lightweight_exits_2_without_cells(self, workspace, tmp_path, capsys,
+                                                       grid, message):
+        config = write_config(tmp_path / "lw.ini", extra="\n[ablate]\n" + grid,
+                              replace={"mode = deepgpt": "mode = lightweight"})
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "cells").exists()
+
+    def test_out_of_range_last_depth_cell_exits_2_before_any_cell_trains(
+            self, workspace, tmp_path, capsys):
+        config = write_config(tmp_path / "exp.ini",
+                              extra="\n[ablate]\naxis = depth\n"
+                                    "depth_intervals = 0-0,1-1,5-5\n")
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(out)]) == 2
+        assert "prompted interval [5, 5] invalid for 2 layers" in capsys.readouterr().err
+        assert not (out / "cells").exists()
 
     def test_empty_grid_rejected(self, workspace, tmp_path):
         config = write_config(tmp_path / "exp.ini",

@@ -12,6 +12,7 @@ from gpt_lab.models import (
     PredictionHead,
     aggregation_operand,
     backbone_forward,
+    encode_nodes,
     mpgnn_layer_forward,
     prepare_batch,
     transformer_layer_forward,
@@ -357,6 +358,18 @@ class TestBackboneForward:
                 summed[name] += grads[t]
         for name, t in named.items():
             assert np.abs(batched_grads[t] - summed[name]).max() <= 1e-10, name
+
+    @pytest.mark.parametrize("kind", ["transformer", "mpgnn"])
+    @pytest.mark.parametrize("readout", ["sum", "mean"])
+    def test_readout_pools_each_sample_of_the_node_rows(self, kind, readout):
+        rng = np.random.default_rng(19)
+        cfg, bb, _ = _build(kind, readout=readout)
+        prepared = prepare_batch([random_graph(n, 0.5, rng) for n in (3, 6, 4)], cfg)
+        rows, offsets = encode_nodes(prepared, bb)
+        pooled = backbone_forward(prepared, bb).data
+        for b, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+            want = rows.data[s:e].sum(axis=0)
+            assert np.array_equal(pooled[b], want if readout == "sum" else want / (e - s))
 
     def test_duplicate_sample_gives_identical_rows(self):
         rng = np.random.default_rng(13)

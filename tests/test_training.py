@@ -288,6 +288,19 @@ class TestTuningConfig:
         with pytest.raises(ContractError, match=r"Adam betas must lie in \[0, 1\)"):
             tiny_config("ft", betas=betas)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", -0.01, "must be positive"), ("lr", 0.0, "must be positive"),
+        ("eps", -1.0, "must be positive"), ("eps", 0.0, "must be positive"),
+        ("clip", 0.0, "must be positive"), ("lr", float("nan"), "must be positive"),
+        ("weight_decay", -5.0, "must not be negative"),
+    ])
+    def test_optimizer_values_out_of_range_rejected(self, key, value, message):
+        with pytest.raises(ContractError, match=f"^{key} {message}, got {value}$"):
+            tiny_config("lightweight", **{key: value})
+
+    def test_zero_weight_decay_is_accepted(self):
+        assert tiny_config("lightweight", weight_decay=0.0).weight_decay == 0.0
+
 
 @pytest.fixture(scope="module")
 def motif_data():
@@ -316,8 +329,8 @@ class TestTrain:
     def test_ft_modifies_backbone(self, motif_data):
         cfg, state = tiny_backbone()
         results = train(tiny_config("ft"), motif_data, cfg, state, seed=1)
-        changed = results[0].backbone_state
-        assert changed is not None
+        changed = results[0].prompt_state
+        assert set(state) < set(changed)
         assert any(not np.array_equal(changed[k], state[k]) for k in state)
 
     def test_deepgpt_vs_prefix_only_differ_by_token(self, motif_data):
@@ -460,6 +473,43 @@ class TestTrain:
         # hidden layer (8x8 + 8) plus output layer (8 + 1)
         assert results[0].trainable_count == 8 * 8 + 8 + 8 + 1
         assert "head.hidden.weight" in results[0].prompt_state
+
+
+FOLD_RUNS = {
+    "ft": ("transformer", {}),
+    "lightweight": ("transformer", {}),
+    "prefix_only": ("transformer", {"prompted_layers": (1, 1)}),
+    "deepgpt": ("transformer", {}),
+    "virtual_node": ("mpgnn", {}),
+}
+
+
+@pytest.fixture(scope="module")
+def fold_runs(motif_data):
+    """Every mode trained once: its config, backbone and fold results."""
+    runs = {}
+    for mode, (kind, kw) in FOLD_RUNS.items():
+        cfg, state = tiny_backbone(kind)
+        config = tiny_config(mode, lr=1e-2, **kw)
+        runs[mode] = (config, cfg, state, train(config, motif_data, cfg, state, seed=3))
+    return runs
+
+
+@pytest.mark.parametrize("mode", FOLD_RUNS)
+class TestStoredFoldState:
+    """A fold's ``prompt_state`` is what its registry trained."""
+
+    def test_evaluate_fold_reproduces_every_fold(self, motif_data, fold_runs, mode):
+        config, cfg, state, results = fold_runs[mode]
+        for r in results:
+            score = training.evaluate_fold(config, motif_data, cfg, state, r.prompt_state,
+                                           seed=3, fold=r.fold)
+            assert score == r.final_metric
+
+    def test_trainable_count_is_the_size_of_the_stored_state(self, fold_runs, mode):
+        results = fold_runs[mode][3]
+        for r in results:
+            assert r.trainable_count == sum(a.size for a in r.prompt_state.values())
 
 
 def test_each_step_frees_its_tape_when_its_block_exits(motif_data, monkeypatch,
