@@ -177,9 +177,11 @@ def cmd_tune(args) -> int:
 
 def _ablate_variant(tuning: TuningConfig, axis: str, cell,
                     backbone_cfg) -> tuple[str, TuningConfig]:
-    """A sweep cell's name and tuning config, checked by drawing its prompts."""
+    """A sweep cell's name and tuning config, checked against the backbone and
+    by drawing its prompts."""
     key = {"depth": "prompted_layers", "length": "p_len", "component": "mode"}[axis]
     variant = dataclasses.replace(tuning, **{key: cell})
+    variant.check_backbone(backbone_cfg)
     prompts = init_prompts(variant.mode, backbone_cfg, variant.p_len, seed=0,
                            prompted_layers=variant.prompted_layers,
                            token_stage=variant.token_stage)

@@ -12,18 +12,22 @@ samples, and readout pools each sample's segment of node rows, all
 samples in one ``pool_rows``. A batched forward therefore agrees with
 per-sample forwards.
 
-Prompts arrive as a ``PromptSet``. ``encode_nodes`` validates it with
-``PromptSet.check`` and applies it through ``gpt_lab.prompt``'s hooks
-(``apply_graph_prompt`` for the graph token, ``inject_prefix`` for the
-prefixes). Virtual tokens are p prompt rows at the head of each sample
-block, so the offsets and p locate every row. A prefix is p rows of keys
-and values that every sample's group shares: a prompted layer reads
-``[prefix; h]``, projects the prefix once and asks queries of the node
-rows only. A transformer layer outputs the node rows, plus the prompt
-rows only when a later layer reads them, and the MPGNN drops its prompt
-rows after its last layer, so ``encode_nodes`` returns node rows only,
-laid out by the batch's offsets. With no prompt set, or an empty one,
-the executed operation sequence is that of a prompt-free build.
+Prompts arrive as a ``PromptSet``, or as the k sets of a batch that
+mixes the samples of k tasks, each sample naming its set (the folds of a
+lockstep ``train`` step share one forward this way). ``encode_nodes``
+validates them with ``prompt.check_group`` and applies them through
+``gpt_lab.prompt``'s hooks (``apply_graph_prompt`` for the graph token,
+``inject_prefix`` for the prefixes). Virtual tokens are p prompt rows at
+the head of each sample block, copied from the sample's own set, so the
+offsets and p locate every row. A prefix is p rows of keys and values
+that the groups of its set's samples share: a prompted layer reads
+``[prefix_0; ...; prefix_{k-1}; h]``, projects the prefixes once and asks
+queries of the node rows only. A transformer layer outputs the node
+rows, plus the prompt rows only when a later layer reads them, and the
+MPGNN drops its prompt rows after its last layer, so ``encode_nodes``
+returns node rows only, laid out by the batch's offsets. With no prompt
+set, or an empty one, the executed operation sequence is that of a
+prompt-free build.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from scipy import sparse
 
 from gpt_lab.graphs import BatchedGraph, GraphSample, with_rwpe
 from gpt_lab.graphs import batch as batch_graphs
-from gpt_lab.prompt import PromptSet, apply_graph_prompt, inject_prefix
+from gpt_lab.prompt import PromptSet, apply_graph_prompt, check_group, inject_prefix
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
     AttentionGroups,
@@ -56,6 +60,7 @@ from gpt_lab.tensor import (
     neighbor_max,
     pool_rows,
     spmm,
+    stack_rows,
 )
 
 __all__ = [
@@ -173,35 +178,42 @@ class Backbone:
     @classmethod
     def init(cls, cfg: BackboneConfig, seed: int) -> "Backbone":
         rng = rng_for(seed, "init-backbone")
-        w_in = _init_matrix(rng, cfg.input_width, cfg.dim)
+        return cls._build(cfg, lambda rows, cols: _init_matrix(rng, rows, cols).data,
+                          lambda shape: rng.normal(0.0, 0.02, size=shape))
+
+    @classmethod
+    def _build(cls, cfg: BackboneConfig, matrix, table) -> "Backbone":
+        """The backbone of ``cfg`` with every weight matrix drawn by ``matrix(rows,
+        cols)`` and the degree table by ``table(shape)``, in one fixed order;
+        biases start at zero and norm gains at one."""
+        def weight(rows, cols):
+            return Tensor(matrix(rows, cols), requires_grad=True)
+
+        w_in = weight(cfg.input_width, cfg.dim)
         b_in = _zeros(cfg.dim)
-        table = None
+        degrees = None
         if cfg.degree_embed:
-            table = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_degree + 1, cfg.dim)),
-                           requires_grad=True)
+            degrees = Tensor(table((cfg.max_degree + 1, cfg.dim)), requires_grad=True)
         layers = []
         for _ in range(cfg.layers):
             if cfg.kind == "transformer":
                 # Each head's (dim, dq) q, k and v blocks are drawn in column order.
-                blocks = [_init_matrix(rng, cfg.dim, cfg.head_width).data
-                          for _ in range(3 * cfg.heads)]
+                blocks = [matrix(cfg.dim, cfg.head_width) for _ in range(3 * cfg.heads)]
                 layers.append(TransformerLayerParams(
                     w_qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
-                    w_out=_init_matrix(rng, cfg.dim, cfg.dim),
+                    w_out=weight(cfg.dim, cfg.dim),
                     b_out=_zeros(cfg.dim),
-                    w_ff1=_init_matrix(rng, cfg.dim, cfg.ffn_mult * cfg.dim),
+                    w_ff1=weight(cfg.dim, cfg.ffn_mult * cfg.dim),
                     b_ff1=_zeros(cfg.ffn_mult * cfg.dim),
-                    w_ff2=_init_matrix(rng, cfg.ffn_mult * cfg.dim, cfg.dim),
+                    w_ff2=weight(cfg.ffn_mult * cfg.dim, cfg.dim),
                     b_ff2=_zeros(cfg.dim),
                     ln1_gain=_ones(cfg.dim), ln1_bias=_zeros(cfg.dim),
                     ln2_gain=_ones(cfg.dim), ln2_bias=_zeros(cfg.dim),
                 ))
             else:
-                layers.append(MpgnnLayerParams(
-                    weight=_init_matrix(rng, cfg.dim, cfg.dim),
-                    bias=_zeros(cfg.dim),
-                ))
-        return cls(cfg, w_in, b_in, table, layers)
+                layers.append(MpgnnLayerParams(weight=weight(cfg.dim, cfg.dim),
+                                               bias=_zeros(cfg.dim)))
+        return cls(cfg, w_in, b_in, degrees, layers)
 
     def named_params(self) -> dict[str, Tensor]:
         out = {"input_proj.weight": self.w_in, "input_proj.bias": self.b_in}
@@ -230,8 +242,12 @@ class Backbone:
 
     @classmethod
     def from_state(cls, cfg: BackboneConfig, arrays: dict[str, np.ndarray]) -> "Backbone":
-        """The backbone of ``cfg`` holding the stored ``arrays`` (see ``load_params``)."""
-        backbone = cls.init(cfg, seed=0)
+        """The backbone of ``cfg`` holding the stored ``arrays`` (see ``load_params``).
+
+        Its tensors start empty, with no random draws, and ``load_params``
+        fills every one of them.
+        """
+        backbone = cls._build(cfg, lambda rows, cols: np.empty((rows, cols)), np.empty)
         load_params(backbone.named_params(), arrays)
         return backbone
 
@@ -366,17 +382,21 @@ def _node_rows(offsets: np.ndarray, p: int) -> np.ndarray:
     return np.arange(offsets[-1]) + p * np.repeat(np.arange(1, counts.size + 1), counts)
 
 
-def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int) -> Tensor:
-    """Copy the p leading rows of ``stacked`` to the head of every sample block.
+def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int,
+                        owner: np.ndarray) -> Tensor:
+    """Copy p prompt rows of ``stacked`` to the head of every sample block.
 
-    ``stacked`` is ``[rows; h]``: p prompt rows followed by the node rows
-    that ``offsets`` describes. One ``gather_rows`` builds the result,
-    laid out with p prompt rows per block.
+    ``stacked`` is ``[rows; h]``: p prompt rows per prompt set, in set
+    order, followed by the node rows that ``offsets`` describes. Sample b
+    takes the p rows of set ``owner[b]``. One ``gather_rows`` builds the
+    result, laid out with p prompt rows per block.
     """
+    lead = stacked.shape[0] - offsets[-1]          # h starts at this row
     sizes = np.diff(offsets) + p
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    pos = np.arange(sizes.sum()) - _block_starts(offsets, p)[owner]   # position within the block
-    return gather_rows(stacked, np.where(pos < p, pos, offsets[owner] + pos))  # h starts at row p
+    block = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(sizes.sum()) - _block_starts(offsets, p)[block]   # position within the block
+    return gather_rows(stacked, np.where(pos < p, owner[block] * p + pos,
+                                         lead - p + offsets[block] + pos))
 
 
 def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> sparse.csr_matrix:
@@ -412,59 +432,67 @@ def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> Batched
 
 
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,
-                 prompt_ctx: PromptSet | None = None) -> tuple[Tensor, np.ndarray]:
+                 prompt_ctx: PromptSet | Sequence[PromptSet] | None = None,
+                 prompt_of=None) -> tuple[Tensor, np.ndarray]:
     """Final-layer embeddings of the batch's node rows, and the batch's ``offsets``.
 
     Row i of the result belongs to node row i of ``batch``, so sample b
     owns rows ``offsets[b]:offsets[b + 1]``; prompt rows are never
-    returned. ``prompt_ctx`` is validated with ``PromptSet.check`` and
-    applied through the hooks of ``gpt_lab.prompt``:
-    ``apply_graph_prompt`` adds the graph token to every node row, before
-    or after the input projection as its stage says; virtual tokens are
+    returned. ``prompt_ctx`` is one prompt set or the k prompt sets of a
+    batch that mixes them, and sample b reads set ``prompt_of[b]`` (set 0
+    when ``prompt_of`` is None); ``prompt.check_group`` validates them.
+    They are applied through the hooks of ``gpt_lab.prompt``:
+    ``apply_graph_prompt`` adds each row's own graph token, before or
+    after the input projection as its stage says; virtual tokens are
     inserted as p prompt rows at the head of each sample block after the
-    projection. A prompted layer reads ``inject_prefix``'s ``[prefix;
-    h]``: its p prefix rows are keys and values that every sample's
-    group shares, projected once. An empty prompt set runs the same
-    operations as no prompt set.
+    projection. A prompted layer reads ``inject_prefix``'s ``[prefix_0;
+    ...; prefix_{k-1}; h]``: each set's p prefix rows are keys and values
+    that the groups of its samples share, projected once. An empty
+    prompt set runs the same operations as no prompt set.
 
     A transformer layer outputs the node rows, plus the prompt rows only
     when a later layer reads them, that is when the next layer exists
     and is unprompted. So a prompted layer followed by an unprompted one
-    copies its prefix into every block (``_insert_prompt_rows``) and
-    runs on all rows; the next prompted layer, or the last layer, asks
-    queries of the node rows only and drops the prompt rows.
+    copies each sample's prefix into its block (``_insert_prompt_rows``)
+    and runs on all rows; the next prompted layer, or the last layer,
+    asks queries of the node rows only and drops the prompt rows.
 
     Attention groups are the sample blocks: ``AttentionGroups(sizes,
-    shared, skip)`` with each block's size (nodes plus p prompt rows),
-    the p_len shared prefix rows of a prompted layer that drops its
-    prompt rows, and ``skip = p`` key-only prompt rows when a layer drops
-    prompt rows that are in the blocks. Each distinct plan is built, and
-    checked, once per forward. The MPGNN runs on every row, over one
-    aggregation operand built after prompt rows are inserted, and one
-    gather after its last layer drops the prompt rows.
+    shared, skip, prompt_of)`` with each block's size (nodes plus p
+    prompt rows), the p_len shared prefix rows per set of a prompted
+    layer that drops its prompt rows, and ``skip = p`` key-only prompt
+    rows when a layer drops prompt rows that are in the blocks. Each
+    distinct plan is built, and checked, once per forward. The MPGNN
+    runs on every row, over one aggregation operand built after prompt
+    rows are inserted, and one gather after its last layer drops the
+    prompt rows.
     """
     cfg = backbone.cfg
-    prompts = PromptSet() if prompt_ctx is None else prompt_ctx.check(cfg)
+    sets, owner = check_group(prompt_ctx, prompt_of, cfg, batch.size)
     if batch.features.shape[1] != cfg.input_width:
         raise ShapeError(f"batch feature width {batch.features.shape[1]} does not match "
                          f"input projection width {cfg.input_width}")
     offsets = batch.offsets
+    prompts = sets[0]                             # the layout every set shares
     p = 0                                         # prompt rows at the head of each block
     x = Tensor(batch.features)
 
-    token = prompts.graph_token
-    if token is not None and prompts.token_stage == "pre_projection":
-        x = apply_graph_prompt(x, token)
+    stage = prompts.token_stage if prompts.graph_token is not None else None
+    if stage is not None:
+        tokens = stack_rows([s.graph_token for s in sets])
+        row_owner = np.repeat(owner, np.diff(offsets))
+    if stage == "pre_projection":
+        x = apply_graph_prompt(x, tokens, row_owner)
     h = linear(x, backbone.w_in, backbone.b_in)
     if backbone.degree_table is not None:
         ids = np.minimum(batch.degrees, cfg.max_degree)
         h = add(h, gather_rows(backbone.degree_table, ids))
-    if token is not None and prompts.token_stage == "post_projection":
-        h = apply_graph_prompt(h, token)
-    tokens = prompts.virtual_tokens
-    if tokens is not None and tokens.shape[0] > 0:
-        p = tokens.shape[0]
-        h = _insert_prompt_rows(concat_rows([tokens, h]), offsets, p)
+    if stage == "post_projection":
+        h = apply_graph_prompt(h, tokens, row_owner)
+    if prompts.virtual_tokens is not None and prompts.virtual_tokens.shape[0] > 0:
+        p = prompts.virtual_tokens.shape[0]
+        h = _insert_prompt_rows(concat_rows([*(s.virtual_tokens for s in sets), h]),
+                                offsets, p, owner)
 
     if cfg.kind == "mpgnn":
         operand = aggregation_operand(_mpgnn_adjacency(batch, p), cfg.aggregation)
@@ -479,15 +507,15 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         keep = li + 1 < cfg.layers and li + 1 not in prefixes   # a later layer reads prompt rows
         shared, skip = 0, 0 if keep else p
         if li in prefixes:            # the rows are node rows only here
-            h = inject_prefix(h, prefixes[li])
+            h = inject_prefix(h, *(s.prefixes[li] for s in sets))
             if keep:
                 p = prompts.p_len
-                h = _insert_prompt_rows(h, offsets, p)
+                h = _insert_prompt_rows(h, offsets, p, owner)
             else:
                 shared = prompts.p_len
         key = (p, shared, skip)
         if key not in built:
-            built[key] = AttentionGroups(np.diff(offsets) + p, shared, skip)
+            built[key] = AttentionGroups(np.diff(offsets) + p, shared, skip, owner)
         h = transformer_layer_forward(h, built[key], params, cfg.heads)
         if not keep:
             p = 0
@@ -496,12 +524,14 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
 
 def backbone_forward(batch: BatchedGraph, backbone: Backbone,
                      head: PredictionHead | None = None,
-                     prompt_ctx: PromptSet | None = None) -> Tensor:
+                     prompt_ctx: PromptSet | Sequence[PromptSet] | None = None,
+                     prompt_of=None) -> Tensor:
     """Per-sample predictions (B x t), or graph embeddings when head is None.
 
+    ``prompt_ctx`` and ``prompt_of`` are those of ``encode_nodes``.
     Readout pools each sample's segment of node rows, so prompt rows never
     change which positions are averaged.
     """
-    h, offsets = encode_nodes(batch, backbone, prompt_ctx)
+    h, offsets = encode_nodes(batch, backbone, prompt_ctx, prompt_of)
     hg = pool_rows(h, offsets, backbone.cfg.readout)
     return head.forward(hg) if head is not None else hg

@@ -9,19 +9,22 @@ original node.
 ``init_prompts`` is the one map from a tuning mode to the prompt
 parameters it trains. ``PromptSet.check`` is the one validator of a
 prompt set against a backbone: ``init_prompts`` returns its set through
-it, and ``models.encode_nodes`` calls it and then applies the set
-through ``apply_graph_prompt`` and ``inject_prefix``, so those functions
-are the forward's prompt hooks. The freeze registry splits all named
-parameters into a frozen backbone part and the trainable prompt + head
-part; frozen tensors never enter a gradient map.
+it, and ``models.encode_nodes`` calls it, through ``check_group`` for
+the k sets of a batch that mixes the samples of k tasks, and then
+applies the sets through ``apply_graph_prompt`` and ``inject_prefix``,
+so those functions are the forward's prompt hooks. The freeze registry
+splits all named parameters into a frozen backbone part and the
+trainable prompt + head part; frozen tensors never enter a gradient map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from gpt_lab.seeding import rng_for
-from gpt_lab.tensor import ContractError, ShapeError, Tensor, add, concat_rows
+from gpt_lab.tensor import ContractError, ShapeError, Tensor, add, concat_rows, gather_rows
 
 __all__ = [
     "MODES",
@@ -30,6 +33,7 @@ __all__ = [
     "FreezeRegistry",
     "init_prompts",
     "build_registry",
+    "check_group",
     "apply_graph_prompt",
     "inject_prefix",
     "count_params",
@@ -95,6 +99,41 @@ class PromptSet:
             if not t.requires_grad:
                 raise ContractError(f"prompt parameter {name} must require gradients")
         return self
+
+
+def _layout(prompts: PromptSet) -> tuple:
+    return (prompts.token_stage, prompts.p_len,
+            [(name, t.shape) for name, t in prompts.named_params().items()])
+
+
+def check_group(prompt_ctx, prompt_of, cfg, samples: int) -> tuple[list[PromptSet], np.ndarray]:
+    """The prompt sets of one forward over ``samples`` samples, each checked
+    with ``PromptSet.check(cfg)``, and each sample's index into them.
+
+    ``prompt_ctx`` is None (one empty set), one set, or a sequence of k
+    sets with one layout: the same parameters, shapes, p_len and token
+    stage. ``prompt_of`` gives sample b's set; it may be None only for
+    one set. The samples of each set are contiguous and in set order, so
+    the index never decreases, and it runs from set 0 to set k-1.
+    """
+    if prompt_ctx is None or isinstance(prompt_ctx, PromptSet):
+        prompt_ctx = [PromptSet() if prompt_ctx is None else prompt_ctx]
+    sets = [s.check(cfg) for s in prompt_ctx]
+    if not sets or any(_layout(s) != _layout(sets[0]) for s in sets):
+        raise ContractError("the prompt sets of one forward need one layout (the same "
+                            "parameters, shapes, p_len and token stage)")
+    if prompt_of is None:
+        if len(sets) > 1:
+            raise ContractError(f"{len(sets)} prompt sets need an index of each sample's set")
+        return sets, np.zeros(samples, dtype=np.intp)
+    owner = np.asarray(prompt_of)
+    if owner.shape != (samples,) or not np.issubdtype(owner.dtype, np.integer):
+        raise ShapeError(f"prompt_of must be an int index of one entry per sample "
+                         f"({samples}), got {owner.dtype} {owner.shape}")
+    if samples and (owner[0] != 0 or owner[-1] != len(sets) - 1 or (np.diff(owner) < 0).any()):
+        raise ContractError(f"prompt_of must run from set 0 up to set {len(sets) - 1} "
+                            f"without decreasing")
+    return sets, owner
 
 
 def _interval(prompted_layers, n_layers: int) -> tuple[int, ...]:
@@ -198,17 +237,20 @@ def count_params(registry: FreezeRegistry) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def apply_graph_prompt(x: Tensor, token: Tensor) -> Tensor:
-    """Add the graph token to every row of ``x``."""
-    return add(x, token)
-
-
-def inject_prefix(e: Tensor, prefix: Tensor) -> Tensor:
-    """A layer's prefix stacked ahead of the rows of ``e``: ``[prefix; e]``.
-
-    The p prefix rows become keys and values that every sample's
-    attention group shares, so the layer projects them once for the
-    whole batch. The prefix gets the gradient of the first p rows and
-    ``e`` that of the rest.
+def apply_graph_prompt(x: Tensor, tokens: Tensor, owner) -> Tensor:
+    """Add a graph token to every row of ``x``: ``tokens`` is a (k, w)
+    matrix of the k sets' tokens, and row i of ``x`` gets row ``owner[i]``.
     """
-    return concat_rows([prefix, e])
+    return add(x, gather_rows(tokens, owner))
+
+
+def inject_prefix(e: Tensor, *prefixes: Tensor) -> Tensor:
+    """A layer's prefixes stacked ahead of the rows of ``e``: ``[prefix; e]``,
+    or ``[prefix_0; ...; prefix_{k-1}; e]`` for the k sets of a mixed batch.
+
+    The p rows of each prefix become keys and values that the attention
+    groups of its samples share, so the layer projects them once for the
+    whole batch. Each prefix gets the gradient of its own rows and ``e``
+    that of the rest.
+    """
+    return concat_rows([*prefixes, e])

@@ -11,9 +11,12 @@ or a matrix, and the single allowed broadcast is a row vector over the
 rows of a matrix. Everything else is a shape error. Rows move by one
 primitive, ``gather_rows``: output row i reads input row ``index[i]``,
 or a zero row for -1, and the backward pass scatter-adds onto the rows
-read. ``pool_rows``, which sums or averages contiguous segments of rows,
-and ``block_attention`` gather through the same helper; ``linear``
-(``x @ w + b``) is the one affine map. The one place that works on
+read (or, for a strictly increasing index, assigns them), and
+``stack_rows`` makes one matrix of vectors. ``pool_rows``, which sums or
+averages contiguous segments of rows, and ``block_attention`` gather
+through the same helper; ``linear`` (``x @ w + b``) is the one affine
+map, and no row of its result or of its input gradient depends on the
+row count. The one place that works on
 higher-rank arrays is ``block_attention``: it gathers the rows of its
 fused (R, 3 * heads * dq) query/key/value operand into padded (B, heads,
 L, dq) groups, runs softmax attention within each group and returns one
@@ -21,10 +24,12 @@ row per query row, so the 4-D arrays never leave that operation. Its
 groups are an ``AttentionGroups`` plan built from one block layout:
 ``shared`` rows that every group reads as keys, then one contiguous
 block of rows per group, whose first ``skip`` rows are keys only. The
+shared rows may hold one block per prompt set of a batch that mixes
+several; each group then reads the block of its own prompt index. The
 plan checks that layout and derives every index once, so each
 ``block_attention`` over it only gathers, and its backward pass fills one
-gradient buffer in key layout, sums the shared rows over the groups and
-takes the other rows by slot.
+gradient buffer in key layout, sums each shared block over the groups
+that read it and takes the other rows by slot.
 The sparse matrix that ``spmm`` and ``neighbor_max`` take is a constant.
 ``neighbor_max`` buckets its output rows by source count, rounded up to
 a power of two (``SourceBuckets``, which a caller builds once per
@@ -61,6 +66,7 @@ __all__ = [
     "block_attention",
     "layer_norm",
     "concat_rows",
+    "stack_rows",
     "gather_rows",
     "pool_rows",
     "spmm",
@@ -244,6 +250,18 @@ def _as_mask(mask, shape: tuple[int, ...], what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _times_transpose(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``g @ w.T``, each row computed the same way whatever the row count.
+
+    OpenBLAS runs a product with a transposed right operand through a
+    small-matrix kernel for few rows, whose rows round differently from
+    the same rows of a taller product; a copied transpose is one kernel
+    for every row count, so a sample's gradient rows do not depend on the
+    batch around them.
+    """
+    return g @ np.ascontiguousarray(w.T)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -253,7 +271,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
-    return _record(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+    return _record(out, [(a, lambda g: _times_transpose(g, bd)), (b, lambda g: ad.T @ g)])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -264,7 +282,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"bias {b.shape}")
     xd, wd = x.data, w.data
     out = Tensor(xd @ wd + b.data)
-    return _record(out, [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g),
+    return _record(out, [(x, lambda g: _times_transpose(g, wd)), (w, lambda g: xd.T @ g),
                          (b, lambda g: g.sum(axis=0))])
 
 
@@ -353,13 +371,17 @@ def _softmax_last_axis(scores: np.ndarray, m: np.ndarray):
 class AttentionGroups:
     """The groups of ``block_attention``, planned once from their block layout.
 
-    The first ``shared`` rows are keys and values of every group. Group
-    b is the next contiguous block of ``sizes[b]`` rows: its keys are the
-    shared rows and the block, and its queries are the block's rows after
-    the first ``skip``, which are keys only. The constructor checks the
-    layout and derives what every ``block_attention`` over it reads:
+    The rows open with shared blocks of ``shared`` rows each, one per
+    prompt index; group b reads shared block ``prompt[b]`` (block 0 when
+    ``prompt`` is None) as keys and values. Group b is then the next
+    contiguous block of ``sizes[b]`` rows: its keys are its shared block
+    and the block, and its queries are the block's rows after the first
+    ``skip``, which are keys only. ``prompt`` never decreases, so the
+    groups of one shared block are contiguous (``readers`` bounds them).
+    The constructor checks the layout and derives what every
+    ``block_attention`` over it reads:
 
-    - ``index`` (B, L): the key row at position j of group b, the shared
+    - ``index`` (B, L): the key row at position j of group b, its shared
       rows first, or -1 for padding; ``key_mask`` (B, L) is true for the
       real keys. Every group has a query row and so a real key, so no
       softmax row is fully masked; a padding query position attends like
@@ -370,11 +392,13 @@ class AttentionGroups:
       row of ``block_attention``; ``out_row`` (B, Lq) the output row of
       each query position, or -1;
     - ``query_slot`` and ``key_slot``: the flat (B * Lq) query positions
-      and (B * L) key positions of ``query_rows`` and of rows
-      ``shared..rows - 1``, in row order.
+      and (B * L) key positions of ``query_rows`` and of the rows after
+      the shared blocks, in row order;
+    - ``readers``: group ``readers[j]`` up to ``readers[j + 1]`` read
+      shared block j.
     """
 
-    def __init__(self, sizes, shared: int = 0, skip: int = 0):
+    def __init__(self, sizes, shared: int = 0, skip: int = 0, prompt=None):
         sizes = np.asarray(sizes)
         if sizes.ndim != 1 or not sizes.size or not np.issubdtype(sizes.dtype, np.integer):
             raise ShapeError(f"AttentionGroups: sizes must be a non-empty 1-D int array, "
@@ -383,13 +407,23 @@ class AttentionGroups:
             raise ContractError(f"AttentionGroups: every block needs a query row after its "
                                 f"{skip} key-only rows, and shared ({shared}) must not be "
                                 f"negative; sizes {sizes.tolist()}")
+        prompt = np.zeros(sizes.size, dtype=np.intp) if prompt is None else np.asarray(prompt)
+        if prompt.shape != sizes.shape or not np.issubdtype(prompt.dtype, np.integer):
+            raise ShapeError(f"AttentionGroups: prompt must be an int index of one entry per "
+                             f"group, got {prompt.dtype} {prompt.shape}")
+        if prompt[0] < 0 or (np.diff(prompt) < 0).any():
+            raise ContractError(f"AttentionGroups: the prompt index must be non-negative and "
+                                f"never decrease, got {prompt.tolist()}")
         self.shared, self.skip = int(shared), int(skip)
-        self.rows = self.shared + int(sizes.sum())
-        starts = self.shared + np.cumsum(sizes) - sizes           # first row of each block
+        self.readers = np.searchsorted(prompt, np.arange(prompt[-1] + 2))
+        self.shared_rows = self.shared * (int(prompt[-1]) + 1)   # rows of the shared blocks
+        self.rows = self.shared_rows + int(sizes.sum())
+        starts = self.shared_rows + np.cumsum(sizes) - sizes     # first row of each block
         pos = np.arange(self.shared + sizes.max()) - self.shared  # position within the block
         self.key_mask = pos < sizes[:, None]
-        self.index = np.where(self.key_mask, np.where(pos < 0, pos + self.shared,
-                                                      starts[:, None] + pos), -1)
+        self.index = np.where(self.key_mask,
+                              np.where(pos < 0, pos + self.shared * (prompt[:, None] + 1),
+                                       starts[:, None] + pos), -1)
         at = np.arange(sizes.max() - self.skip)
         asks = at < (sizes - self.skip)[:, None]
         self.query = np.where(asks, starts[:, None] + self.skip + at, -1)
@@ -413,8 +447,9 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
     The backward pass returns one (rows, 3 * w) gradient. Since query
     position i is key position ``shared + skip + i`` of its group, the
     query, key and value gradients fill one (B, L, 3 * w) buffer in key
-    layout, zero where a row asks no query. The shared rows take one sum
-    over the groups and the other rows one take by ``key_slot``.
+    layout, zero where a row asks no query. Each shared block takes one
+    sum over the groups that read it and the other rows one take by
+    ``key_slot``.
     """
     qkv = _as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[1] % 3 or qkv.shape[0] != groups.rows:
@@ -449,9 +484,13 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
         view[:, 2 * heads:] = probs.transpose(0, 1, 3, 2) @ gs
         grad = grad.reshape(b, n, 3 * width)
         full = np.empty((groups.rows, 3 * width))
-        full[:shared] = grad[:, :shared].sum(axis=0)
-        np.take(grad.reshape(b * n, 3 * width), groups.key_slot, axis=0, out=full[shared:],
-                mode="clip")                              # "clip" writes out unbuffered
+        if shared:
+            readers = groups.readers
+            for j in range(readers.size - 1):
+                full[j * shared:(j + 1) * shared] = grad[readers[j]:readers[j + 1],
+                                                         :shared].sum(axis=0)
+        np.take(grad.reshape(b * n, 3 * width), groups.key_slot, axis=0,
+                out=full[groups.shared_rows:], mode="clip")  # "clip" writes out unbuffered
         return full
 
     return _record(Tensor(out), [(qkv, bwd)])
@@ -508,6 +547,16 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, deps)
 
 
+def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
+    """The (k, d) matrix whose row i is the i-th of k vectors of width d."""
+    vectors = [_as_tensor(v) for v in vectors]
+    if not vectors or any(v.ndim != 1 or v.shape != vectors[0].shape for v in vectors):
+        raise ShapeError(f"stack_rows needs vectors of one width, got shapes "
+                         f"{[v.shape for v in vectors]}")
+    return _record(Tensor(np.stack([v.data for v in vectors])),
+                   [(v, lambda g, i=i: g[i].copy()) for i, v in enumerate(vectors)])
+
+
 def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``a[index]`` along the first axis, where an index of -1 reads a zero row."""
     out = a.take(index, axis=0)
@@ -524,12 +573,21 @@ def _scatter_add_rows(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=g.ravel(), minlength=(n + 1) * d)[:n * d].reshape(n, d)
 
 
+def _assign_rows(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Row ``i`` of ``g`` written to row ``index[i]`` of an (n, d) zero matrix."""
+    out = np.zeros((n, g.shape[1]))
+    out[index] = g
+    return out
+
+
 def gather_rows(x: Tensor, index) -> Tensor:
     """Row ``i`` of the result is ``x[index[i]]``, or a zero row where ``index[i]`` is -1.
 
     A row of ``x`` may be read any number of times; the backward pass
     scatter-adds every gradient row back onto the row it was read from,
-    in one ``np.bincount``.
+    in one ``np.bincount``. When the index reads each row at most once,
+    in ascending order (no -1), the forward notes it, and the backward
+    writes the rows by assignment instead, with the same values.
     """
     x = _as_tensor(x)
     idx = np.asarray(index)
@@ -539,8 +597,9 @@ def gather_rows(x: Tensor, index) -> Tensor:
     n = x.shape[0]
     if idx.size and (idx.min() < -1 or idx.max() >= n):
         raise ContractError(f"gather_rows: index outside [-1, {n}) for a {n}-row matrix")
-    return _record(Tensor(_take_rows(x.data, idx)),
-                   [(x, lambda g: _scatter_add_rows(g, idx, n))])
+    increasing = idx.size and idx[0] >= 0 and (idx[1:] > idx[:-1]).all()
+    scatter = _assign_rows if increasing else _scatter_add_rows
+    return _record(Tensor(_take_rows(x.data, idx)), [(x, lambda g: scatter(g, idx, n))])
 
 
 def pool_rows(x: Tensor, offsets, mode: str) -> Tensor:

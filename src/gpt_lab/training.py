@@ -16,6 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.stats import rankdata
@@ -24,10 +25,11 @@ from gpt_lab.graphs import DataError, GraphSample, make_folds
 from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
                             encode_graphs, load_params, prepare_batch)
-from gpt_lab.prompt import (MODES, TOKEN_STAGES, PromptSet, build_registry, count_params,
-                            init_prompts)
+from gpt_lab.prompt import (MODES, TOKEN_STAGES, FreezeRegistry, PromptSet, build_registry,
+                            count_params, init_prompts)
 from gpt_lab.seeding import rng_for
-from gpt_lab.tensor import ContractError, Tape, Tensor, backward, bce_with_logits, mul, scale, tsum
+from gpt_lab.tensor import (ContractError, Tape, Tensor, add, backward, bce_with_logits,
+                            gather_rows, mul, scale, tsum)
 
 __all__ = [
     "AdamW",
@@ -257,6 +259,12 @@ class TuningConfig:
     def higher_is_better(self) -> bool:
         return self.metric != "rmse"
 
+    def check_backbone(self, backbone_cfg: BackboneConfig) -> None:
+        """Refuse a backbone that this mode cannot run on: virtual_node wires
+        its tokens through the MPGNN's adjacency, so it needs the MPGNN."""
+        if self.mode == "virtual_node" and backbone_cfg.kind != "mpgnn":
+            raise ContractError("virtual_node mode requires the mpgnn backbone")
+
 
 @dataclass
 class RunRecord:
@@ -305,13 +313,12 @@ def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> in
         if g.feature_dim != backbone_cfg.feature_dim:
             raise DataError(f"a graph has {g.feature_dim} feature columns, but the "
                             f"backbone's feature_dim is {backbone_cfg.feature_dim}")
-    if config.mode == "virtual_node" and backbone_cfg.kind != "mpgnn":
-        raise ContractError("virtual_node mode requires the mpgnn backbone")
+    config.check_backbone(backbone_cfg)
     if config.metric in ("auroc", "ap"):
-        for g in dataset:
-            lab = g.label[np.isfinite(g.label)]
-            if not np.all((lab == 0.0) | (lab == 1.0)):
-                raise DataError("classification metrics need 0/1 labels")
+        lab = np.concatenate([g.label for g in dataset])
+        lab = lab[np.isfinite(lab)]
+        if not np.all((lab == 0.0) | (lab == 1.0)):
+            raise DataError("classification metrics need 0/1 labels")
     return t
 
 
@@ -377,115 +384,189 @@ def steady_heap() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
 
 
-def _forwards(encoded, eval_idx, bb, head, prompts: PromptSet, embeddings=None):
-    """A fold's step forward over dataset rows, and its eval forward.
+@dataclass
+class _Fold:
+    """One fold of a lockstep group: what it trains, its splits, its shuffle
+    and its eval forward."""
 
-    Without ``embeddings`` each step batches its graphs and runs the full
-    forward, and the eval forward runs it over the whole eval split. With
+    name: str                       # names the fold in error messages
+    head: PredictionHead
+    prompts: PromptSet
+    registry: FreezeRegistry
+    train_idx: np.ndarray
+    eval_idx: np.ndarray
+    shuffle: np.random.Generator
+    evaluate: Callable[[], Tensor] | None = None
+
+
+def _attach_forwards(folds: list[_Fold], encoded, bb, embeddings=None):
+    """Give each fold its eval forward, and return the group's step forward.
+
+    The step forward maps the active folds and their chunks of dataset
+    rows to each fold's outputs. Without ``embeddings`` it batches every
+    chunk, in fold order, into one forward in which each sample reads its
+    own fold's prompts, then runs each fold's head on its own rows; a
+    fold's eval forward runs the full forward over its eval split. With
     them (lightweight mode: the frozen backbone's readout of every graph,
-    in dataset order) the eval split's readout is taken once here and both
-    forwards run only the head.
+    in dataset order) each fold's eval split is embedded once here and
+    both forwards run only the heads.
     """
-    eval_batch = batch_graphs([encoded[i] for i in eval_idx])
-    if embeddings is None:
-        def forward(rows):
-            batch = batch_graphs([encoded[i] for i in rows])
-            return backbone_forward(batch, bb, head, prompt_ctx=prompts)
-        return forward, lambda: backbone_forward(eval_batch, bb, head, prompt_ctx=prompts)
-    eval_embeddings = backbone_forward(eval_batch, bb, prompt_ctx=prompts)
-    return (lambda rows: head.forward(Tensor(embeddings[rows])),
-            lambda: head.forward(eval_embeddings))
+    for f in folds:
+        eval_batch = batch_graphs([encoded[i] for i in f.eval_idx])
+        if embeddings is None:
+            f.evaluate = lambda f=f, batch=eval_batch: backbone_forward(batch, bb, f.head,
+                                                                        prompt_ctx=f.prompts)
+        else:
+            eval_embeddings = backbone_forward(eval_batch, bb, prompt_ctx=f.prompts)
+            f.evaluate = lambda f=f, hg=eval_embeddings: f.head.forward(hg)
+
+    def forward(active: list[_Fold], chunks: list[list[int]]) -> list[Tensor]:
+        if embeddings is not None:
+            return [f.head.forward(Tensor(embeddings[c])) for f, c in zip(active, chunks)]
+        sizes = [len(c) for c in chunks]
+        batch = batch_graphs([encoded[i] for c in chunks for i in c])
+        hg = backbone_forward(batch, bb, prompt_ctx=[f.prompts for f in active],
+                              prompt_of=np.repeat(np.arange(len(active)), sizes))
+        ends = np.cumsum(sizes)
+        return [f.head.forward(gather_rows(hg, np.arange(end - size, end)))
+                for f, size, end in zip(active, sizes, ends)]
+
+    return forward
 
 
-def _fit(config: TuningConfig, forwards, labels: np.ndarray, train_idx, eval_idx,
-         registry, shuffle_rng) -> RunRecord:
-    """The shared epoch loop: shuffled minibatches, clip, AdamW, epoch eval.
+def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
+         ) -> list[RunRecord]:
+    """The one epoch loop, stepping a group of folds in lockstep.
 
-    ``forwards`` is the pair built by ``_forwards``; ``labels`` holds every
-    graph's labels in dataset order. A non-finite loss or gradient stops
-    the run with a ``NonFiniteError`` naming the epoch and the step. A
+    Step s batches chunk s of every fold's own epoch shuffle, in fold
+    order, through one ``forward`` (see ``_attach_forwards``) and runs one
+    backward of the sum of the folds' mean losses; a fold whose steps
+    have run out drops out of the batch. Each fold then clips its own
+    gradients and steps its own AdamW, and after the last step runs its
+    own eval forward. ``labels`` holds every graph's labels in dataset
+    order. A non-finite loss or gradient stops the run with a
+    ``NonFiniteError`` naming the fold, the epoch and the step. A
     trainable parameter without a gradient means the forward is broken,
     not the config, so it raises ``RuntimeError``.
+
+    A fold's epoch seconds are its eval forward plus a share of each
+    step in proportion to its graphs in that step, so the folds' seconds
+    sum to the group's time for that epoch.
     """
-    forward, evaluate = forwards
-    optimizer = AdamW(registry.trainable, betas=config.betas, eps=config.eps,
-                      weight_decay=config.weight_decay)
+    optimizers = [AdamW(f.registry.trainable, betas=config.betas, eps=config.eps,
+                        weight_decay=config.weight_decay) for f in folds]
     schedule = Schedule(config.lr, config.warmup_epochs, config.epochs, config.decay)
-    eval_labels = labels[eval_idx]
-    steps = math.ceil(len(train_idx) / config.batch_size)
+    bs = config.batch_size
+    steps = [math.ceil(len(f.train_idx) / bs) for f in folds]
+    records = [RunRecord() for _ in folds]
 
-    record = RunRecord()
     for epoch in range(config.epochs):
-        started = time.perf_counter()
+        mark = time.perf_counter()
+        seconds = [0.0] * len(folds)
         lr_t = lr_at(epoch, schedule)
-        order = shuffle_rng.permutation(len(train_idx))
-        loss_sum = 0.0
-        for step in range(steps):
-            lo = step * config.batch_size
-            chunk = [int(train_idx[i]) for i in order[lo:lo + config.batch_size]]
+        orders = [f.shuffle.permutation(len(f.train_idx)) for f in folds]
+        loss_sums = [0.0] * len(folds)
+        for step in range(max(steps)):
+            active = [i for i, n in enumerate(steps) if step < n]
+            chunks = [[int(folds[i].train_idx[j]) for j in orders[i][step * bs:(step + 1) * bs]]
+                      for i in active]
             with Tape():
-                out = forward(chunk)
-                loss = _loss(config, out, labels[chunk])
-                grads = backward(loss)
-            named = {}
-            for name, t in registry.trainable.items():
-                if t not in grads:
-                    raise RuntimeError(f"trainable parameter {name} received no gradient")
-                named[name] = grads[t]
-            loss_value = float(loss.data)
+                outs = forward([folds[i] for i in active], chunks)
+                losses = [_loss(config, out, labels[c]) for out, c in zip(outs, chunks)]
+                grads = backward(functools.reduce(add, losses))
+            for i, chunk, loss in zip(active, chunks, losses):
+                fold = folds[i]
+                named = {}
+                for name, t in fold.registry.trainable.items():
+                    if t not in grads:
+                        raise RuntimeError(f"trainable parameter {name} received no gradient")
+                    named[name] = grads[t]
+                loss_value = float(loss.data)
+                try:
+                    named = clip_global_norm(named, config.clip)
+                    if not math.isfinite(loss_value):
+                        raise NonFiniteError(f"loss is {loss_value}")
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"{fold.name}, epoch {epoch + 1} of {config.epochs}, "
+                                         f"step {step + 1} of {steps[i]}: {exc}") from None
+                optimizers[i].step(fold.registry.trainable, named, lr_t)
+                loss_sums[i] += loss_value * len(chunk)
+            now = time.perf_counter()
+            graphs = sum(len(c) for c in chunks)
+            for i, chunk in zip(active, chunks):
+                seconds[i] += (now - mark) * len(chunk) / graphs
+            mark = now
+        for i, fold in enumerate(folds):
+            record = records[i]
+            record.train_losses.append(loss_sums[i] / len(fold.train_idx))
+            scores = fold.evaluate().data
             try:
-                named = clip_global_norm(named, config.clip)
-                if not math.isfinite(loss_value):
-                    raise NonFiniteError(f"loss is {loss_value}")
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"epoch {epoch + 1} of {config.epochs}, "
-                                     f"step {step + 1} of {steps}: {exc}") from None
-            optimizer.step(registry.trainable, named, lr_t)
-            loss_sum += loss_value * len(chunk)
-        record.train_losses.append(loss_sum / len(train_idx))
-        scores = evaluate().data
-        record.eval_metrics.append(_metric_value(config, scores, eval_labels))
-        record.epoch_seconds.append(time.perf_counter() - started)
+                record.eval_metrics.append(_metric_value(config, scores,
+                                                         labels[fold.eval_idx]))
+            except UndefinedMetricError as exc:
+                raise DataError(f"{fold.name}: evaluation split: {exc}") from None
+            now = time.perf_counter()
+            record.epoch_seconds.append(seconds[i] + now - mark)
+            mark = now
 
-    metrics = np.asarray(record.eval_metrics)
-    best = int(np.argmax(metrics)) if config.higher_is_better else int(np.argmin(metrics))
-    record.epochs_to_best = best + 1
-    return record
+    for record in records:
+        metrics = np.asarray(record.eval_metrics)
+        best = int(np.argmax(metrics)) if config.higher_is_better else int(np.argmin(metrics))
+        record.epochs_to_best = best + 1
+    return records
 
 
-def _fold_pieces(config: TuningConfig, backbone_cfg: BackboneConfig,
-                 backbone_state, out_dim: int, seed: int, fold: int):
-    """A fold's backbone, head, prompts and the registry of what it trains
-    (in ft mode the backbone too), drawn from the fold's seed."""
-    bb = Backbone.from_state(backbone_cfg, backbone_state)
+def _trains_backbone(config: TuningConfig) -> bool:
+    """ft trains the backbone; every other mode tunes against a frozen one."""
+    return config.mode == "ft"
+
+
+def _fold_pieces(config: TuningConfig, bb: Backbone, out_dim: int, seed: int, fold: int):
+    """A fold's head, prompts and the registry of what it trains (with ``bb``
+    too in ft mode), drawn from the fold's seed."""
     fold_seed = _subseed(seed, "fold", fold)
-    head = PredictionHead.init(backbone_cfg.dim, out_dim, seed=fold_seed,
-                               hidden=config.head_hidden)
-    prompts = init_prompts(config.mode, backbone_cfg, config.p_len, seed=fold_seed,
+    head = PredictionHead.init(bb.cfg.dim, out_dim, seed=fold_seed, hidden=config.head_hidden)
+    prompts = init_prompts(config.mode, bb.cfg, config.p_len, seed=fold_seed,
                            prompted_layers=config.prompted_layers,
                            token_stage=config.token_stage)
-    registry = build_registry(bb, head, prompts, train_backbone=config.mode == "ft")
-    return bb, head, prompts, registry
+    registry = build_registry(bb, head, prompts, train_backbone=_trains_backbone(config))
+    return head, prompts, registry
 
 
-def _run_fold(args) -> FoldResult:
+def _run_fold(job) -> list[FoldResult]:
+    """Train one pool job: a group of folds, stepped in lockstep against one
+    backbone built from the stored state (the fold list of an ft job holds
+    one fold, since each ft fold trains its own copy)."""
     steady_heap()                  # a pool worker enters the library here
-    (config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold) = args
-    train_idx, eval_idx = make_folds(len(encoded), config.folds, seed).train_eval(fold)
-    bb, head, prompts, registry = _fold_pieces(config, backbone_cfg, backbone_state,
-                                               encoded[0].label_dim, seed, fold)
-    counts = count_params(registry)
-    try:
-        forwards = _forwards(encoded, eval_idx, bb, head, prompts, embeddings)
-        record = _fit(config, forwards, _labels(encoded), train_idx, eval_idx,
-                      registry, rng_for(seed, "shuffle", fold))
-    except UndefinedMetricError as exc:
-        raise DataError(f"fold {fold}: evaluation split: {exc}") from None
-    return FoldResult(fold=fold, record=record, final_metric=record.eval_metrics[-1],
-                      trainable_count=counts["trainable_count"],
-                      frozen_count=counts["frozen_count"],
-                      prompt_state={name: t.data.copy()
-                                    for name, t in registry.trainable.items()})
+    (config, encoded, embeddings, backbone_cfg, backbone_state, seed, group) = job
+    split = make_folds(len(encoded), config.folds, seed)
+    bb = Backbone.from_state(backbone_cfg, backbone_state)
+    folds = []
+    for fold in group:
+        train_idx, eval_idx = split.train_eval(fold)
+        folds.append(_Fold(f"fold {fold}", *_fold_pieces(config, bb, encoded[0].label_dim,
+                                                         seed, fold),
+                           train_idx, eval_idx, rng_for(seed, "shuffle", fold)))
+    forward = _attach_forwards(folds, encoded, bb, embeddings)
+    records = _fit(config, folds, forward, _labels(encoded))
+    results = []
+    for fold, f, record in zip(group, folds, records):
+        counts = count_params(f.registry)
+        results.append(FoldResult(fold=fold, record=record,
+                                  final_metric=record.eval_metrics[-1],
+                                  trainable_count=counts["trainable_count"],
+                                  frozen_count=counts["frozen_count"],
+                                  prompt_state={name: t.data.copy()
+                                                for name, t in f.registry.trainable.items()}))
+    return results
+
+
+def _fold_groups(config: TuningConfig, workers: int) -> list[tuple[int, ...]]:
+    """The folds of each pool job: one job per fold in ft mode, otherwise the
+    folds dealt round-robin into ``workers`` lockstep groups."""
+    if _trains_backbone(config):
+        return [(fold,) for fold in range(config.folds)]
+    return [tuple(range(w, config.folds, workers)) for w in range(workers)]
 
 
 def _worker_cap() -> int:
@@ -509,8 +590,14 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     The dataset is encoded once and shared by every fold. In lightweight
     mode the frozen backbone also embeds every graph once here, and the
     folds train only the head on rows of that (n x d) matrix. Folds are
-    independent; with ``parallel > 1`` they run in a process pool (capped
-    by GPT_LAB_THREADS) and results are returned in fold order either way.
+    independent. Against a frozen backbone the folds of one job step in
+    lockstep, one forward and backward for all of them (``_fit``); ft
+    folds train their own backbone copies, one job each. With
+    ``parallel > 1`` the jobs run in a process pool (capped by
+    GPT_LAB_THREADS), and the folds are dealt round-robin into one
+    lockstep group per worker. A fold's results do not depend on its
+    group, up to the last bits of the two ops that the README's
+    "Training" section names, and they are returned in fold order.
     """
     steady_heap()
     _validate(config, dataset, backbone_cfg)
@@ -519,13 +606,15 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     if config.mode == "lightweight":
         bb = Backbone.from_state(backbone_cfg, backbone_state)
         embeddings = backbone_forward(batch_graphs(encoded), bb).data
-    jobs = [(config, encoded, embeddings, backbone_cfg, backbone_state, seed, fold)
-            for fold in range(config.folds)]
     workers = min(parallel, config.folds, _worker_cap())
+    jobs = [(config, encoded, embeddings, backbone_cfg, backbone_state, seed, group)
+            for group in _fold_groups(config, max(workers, 1))]
     if workers <= 1:
-        return [_run_fold(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_fold, jobs))
+        done = [_run_fold(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_fold, jobs))
+    return sorted((r for results in done for r in results), key=lambda r: r.fold)
 
 
 def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
@@ -540,8 +629,8 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
     steady_heap()
     _validate(config, dataset, backbone_cfg)
     _, eval_idx = make_folds(len(dataset), config.folds, seed).train_eval(fold)
-    bb, head, prompts, registry = _fold_pieces(config, backbone_cfg, backbone_state,
-                                               dataset[0].label_dim, seed, fold)
+    bb = Backbone.from_state(backbone_cfg, backbone_state)
+    head, prompts, registry = _fold_pieces(config, bb, dataset[0].label_dim, seed, fold)
     load_params(registry.trainable, prompt_state)
     eval_batch = prepare_batch([dataset[i] for i in eval_idx], backbone_cfg)
     scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
@@ -574,7 +663,7 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
     head = PredictionHead.init(backbone_cfg.dim, dataset[0].label_dim,
                                seed=_subseed(seed, "pretrain-head"))
     registry = build_registry(bb, head, PromptSet(), train_backbone=True)
-    record = _fit(config, _forwards(encoded, eval_idx, bb, head, PromptSet()),
-                  _labels(encoded), train_idx, eval_idx, registry,
-                  rng_for(seed, "pretrain-shuffle"))
+    folds = [_Fold("pretrain", head, PromptSet(), registry, train_idx, eval_idx,
+                   rng_for(seed, "pretrain-shuffle"))]
+    [record] = _fit(config, folds, _attach_forwards(folds, encoded, bb), _labels(encoded))
     return bb.state_arrays(), record

@@ -227,8 +227,9 @@ def test_05_shift_case_prompt_equivalence():
         n = int(rng.integers(3, 12))
         g = random_graph(n, 0.4, rng, d=d_raw)
         c = rng.normal(size=d_raw)
-        token = Tensor(c)
-        prompted = apply_graph_prompt(Tensor(g.features), token).data
+        token = Tensor(c[None])
+        prompted = apply_graph_prompt(Tensor(g.features), token,
+                                      np.zeros(n, dtype=np.intp)).data
         shifted = g.features + c
         worst = max(worst, float(np.abs(linear_model(prompted)
                                         - linear_model(shifted)).max()))

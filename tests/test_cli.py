@@ -17,6 +17,7 @@ from gpt_lab.cli import (
 from gpt_lab.config import ConfigError, load_config
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig
+from gpt_lab.prompt import PromptSet
 from gpt_lab.training import evaluate_fold
 
 from csv_rows import read_csv
@@ -570,15 +571,17 @@ class TestTuneCommand:
         assert main(["tune", "--config", str(config), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "run")]) == 5
         err = capsys.readouterr().err
-        assert err == ("numerical error: epoch 1 of 2, step 1 of 2: "
+        assert err == ("numerical error: fold 0, epoch 1 of 2, step 1 of 2: "
                        "gradient of head.weight is not finite\n")
 
     def test_parameter_without_gradient_is_not_a_config_error(self, workspace, tmp_path,
                                                               monkeypatch, capsys):
         forward = training.backbone_forward
 
-        def tokenless(batch, bb, head=None, prompt_ctx=None):
-            return forward(batch, bb, head, dataclasses.replace(prompt_ctx, graph_token=None))
+        def tokenless(batch, bb, head=None, prompt_ctx=None, prompt_of=None):
+            sets = [prompt_ctx] if isinstance(prompt_ctx, PromptSet) else prompt_ctx
+            return forward(batch, bb, head,
+                           [dataclasses.replace(s, graph_token=None) for s in sets], prompt_of)
 
         monkeypatch.setattr(training, "backbone_forward", tokenless)
         config = write_config(tmp_path / "exp.ini")
@@ -640,6 +643,18 @@ class TestAblateCommand:
         assert main(["ablate", "--config", str(config), "--ckpt", ckpt_of(workspace),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "cells").exists()
+
+    def test_virtual_node_cell_on_a_transformer_exits_2_before_any_cell_trains(
+            self, workspace, tmp_path, capsys):
+        config = write_config(tmp_path / "exp.ini",
+                              extra="\n[ablate]\naxis = component\n"
+                                    "components = lightweight,virtual_node\n")
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: virtual_node mode requires the "
+                                           "mpgnn backbone\n")
         assert not (out / "cells").exists()
 
     def test_out_of_range_last_depth_cell_exits_2_before_any_cell_trains(

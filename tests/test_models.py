@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from gpt_lab import models
 from gpt_lab.graphs import GraphSample, batch
 from gpt_lab.models import (
     Backbone,
@@ -22,6 +23,7 @@ from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
     AttentionGroups,
     ContractError,
+    ShapeError,
     Tape,
     Tensor,
     backward,
@@ -474,4 +476,26 @@ class TestStateRoundTrip:
         state = bb.state_arrays()
         state.pop("input_proj.bias")
         with pytest.raises(ContractError, match="mismatch"):
+            Backbone.from_state(cfg, state)
+
+    @pytest.mark.parametrize("kind", ["transformer", "mpgnn"])
+    def test_from_state_draws_nothing_and_copies_every_array(self, kind, monkeypatch):
+        cfg, bb, _ = _build(kind)
+        state = bb.state_arrays()
+
+        def no_draws(*args):
+            raise AssertionError("from_state drew a random initialisation")
+
+        monkeypatch.setattr(models, "rng_for", no_draws)
+        other = Backbone.from_state(cfg, state)
+        assert other.state_arrays().keys() == state.keys()
+        for name, t in other.named_params().items():
+            assert np.array_equal(t.data, state[name]) and t.data is not state[name]
+            assert t.requires_grad
+
+    def test_from_state_rejects_a_misshapen_array(self):
+        cfg, bb, _ = _build("mpgnn")
+        state = bb.state_arrays()
+        state["layer1.bias"] = state["layer1.bias"][:3]
+        with pytest.raises(ShapeError, match=r"layer1.bias: stored shape \(3,\) != \(8,\)"):
             Backbone.from_state(cfg, state)

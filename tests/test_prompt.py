@@ -16,6 +16,7 @@ from gpt_lab.prompt import (
     PromptSet,
     apply_graph_prompt,
     build_registry,
+    check_group,
     count_params,
     init_prompts,
     inject_prefix,
@@ -41,12 +42,13 @@ def small_setup(kind="transformer", layers=3, dim=8, seed=0, **kw):
 class TestApplyGraphPrompt:
     def test_zero_token_is_identity(self):
         x = Tensor(RNG.normal(size=(4, 5)))
-        out = apply_graph_prompt(x, Tensor(np.zeros(5)))
+        out = apply_graph_prompt(x, Tensor(np.zeros((1, 5))), np.zeros(4, dtype=np.intp))
         assert np.array_equal(out.data, x.data)
 
     def test_zero_features_become_token(self):
         v = RNG.normal(size=5)
-        out = apply_graph_prompt(Tensor(np.zeros((3, 5))), Tensor(v))
+        out = apply_graph_prompt(Tensor(np.zeros((3, 5))), Tensor(v[None]),
+                                 np.zeros(3, dtype=np.intp))
         assert np.array_equal(out.data, np.tile(v, (3, 1)))
 
     def test_constant_shift_equivalence_linear_model(self):
@@ -63,7 +65,8 @@ class TestApplyGraphPrompt:
 
         for _ in range(20):
             x = rng.normal(size=(int(rng.integers(2, 7)), 3))
-            prompted = apply_graph_prompt(Tensor(x), Tensor(c)).data
+            prompted = apply_graph_prompt(Tensor(x), Tensor(c[None]),
+                                          np.zeros(len(x), dtype=np.intp)).data
             shifted = x + c
             assert np.abs(linear_sum_readout(prompted)
                           - linear_sum_readout(shifted)).max() <= 1e-10
@@ -279,6 +282,67 @@ class TestCheck:
             cfg, _, _ = small_setup(kind=kind)
             prompts = PromptSet(virtual_tokens=Tensor(np.zeros((2, cfg.dim)), requires_grad=True))
             assert prompts.check(cfg) is prompts
+
+
+class TestMixedPromptSets:
+    """One forward over the samples of k prompt sets: sample b reads set prompt_of[b]."""
+
+    @pytest.mark.parametrize("kind, mode, kw", [
+        ("transformer", "deepgpt", {}),
+        ("transformer", "deepgpt", {"token_stage": "pre_projection"}),
+        ("transformer", "prefix_only", {"prompted_layers": (0, 0)}),
+        ("transformer", "prefix_only", {"prompted_layers": (1, 1)}),
+        ("mpgnn", "virtual_node", {}),
+    ])
+    def test_each_sample_reads_its_own_set(self, kind, mode, kw):
+        cfg, bb, _ = small_setup(kind=kind, layers=3)
+        build_registry(bb, PredictionHead.init(cfg.dim, 1, seed=0), PromptSet())
+        rng = np.random.default_rng(26)
+        graphs = [random_graph(int(rng.integers(3, 8)), 0.5, rng) for _ in range(7)]
+        sets = [init_prompts(mode, cfg, p_len=2, seed=s, **kw) for s in (1, 2, 3)]
+        owner = np.array([0, 0, 1, 2, 2, 2, 2])
+        ups = rng.normal(size=(7, cfg.dim))
+        with Tape():
+            mixed = backbone_forward(prepare_batch(graphs, cfg), bb, prompt_ctx=sets,
+                                     prompt_of=owner)
+            grads = backward(tsum(mul(mixed, Tensor(ups))))
+        for k, prompts in enumerate(sets):
+            rows = np.flatnonzero(owner == k)
+            with Tape():
+                alone = backbone_forward(prepare_batch([graphs[i] for i in rows], cfg), bb,
+                                         prompt_ctx=prompts)
+                want = backward(tsum(mul(alone, Tensor(ups[rows]))))
+            assert np.abs(mixed.data[rows] - alone.data).max() < 1e-12
+            for name, t in prompts.named_params().items():
+                assert np.abs(grads[t] - want[t]).max() < 1e-12, name
+
+    def test_rejections(self):
+        cfg, _, _ = small_setup(layers=2)
+        deep = [init_prompts("deepgpt", cfg, p_len=2, seed=s) for s in (1, 2)]
+        cases = [
+            ((deep, None, 3), ContractError, "need an index of each sample's set"),
+            ((deep, np.array([0, 1, 0]), 3), ContractError, "without decreasing"),
+            ((deep, np.array([0, 2, 2]), 3), ContractError, "up to set 1"),
+            ((deep, np.array([0, 0, 0]), 3), ContractError, "up to set 1"),
+            ((deep, np.array([1, 1, 1]), 3), ContractError, "from set 0"),
+            ((deep, np.array([0, 1]), 3), ShapeError, "one entry per sample"),
+            (([deep[0], init_prompts("prefix_only", cfg, p_len=2, seed=1)], np.array([0, 1]),
+              2), ContractError, "one layout"),
+            (([deep[0], init_prompts("deepgpt", cfg, p_len=3, seed=1)], np.array([0, 1]), 2),
+             ContractError, "one layout"),
+            (([], None, 2), ContractError, "one layout"),
+        ]
+        for (ctx, owner, samples), error, message in cases:
+            with pytest.raises(error, match=message):
+                check_group(ctx, owner, cfg, samples)
+
+    def test_one_set_needs_no_index(self):
+        cfg, _, _ = small_setup(layers=2)
+        prompts = init_prompts("deepgpt", cfg, p_len=2, seed=1)
+        sets, owner = check_group(prompts, None, cfg, 4)
+        assert sets == [prompts] and owner.tolist() == [0, 0, 0, 0]
+        sets, _ = check_group(None, None, cfg, 2)
+        assert sets == [PromptSet()]
 
 
 class TestPreProjectionToken:

@@ -185,15 +185,17 @@ def test_empty_prompt_set_changes_nothing(name, batch):
 
 
 @PROPERTY_SETTINGS
-@given(batch=batches(), p=st.integers(0, 3), seed=st.integers(0, 99))
-def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, seed):
+@given(batch=batches(), p=st.integers(0, 3), k=st.integers(1, 3), seed=st.integers(0, 99))
+def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, k, seed):
+    """Each sample's block opens with the p rows of its own set among k."""
     rng = np.random.default_rng(seed)
     offsets = batch_graphs(batch).offsets
     h = rng.normal(size=(offsets[-1], 4))
-    rows = rng.normal(size=(p, 4))
-    out = _insert_prompt_rows(Tensor(np.concatenate([rows, h])), offsets, p)
-    want = np.concatenate([np.concatenate([rows, h[s:e]])
-                           for s, e in zip(offsets[:-1], offsets[1:])])
+    rows = rng.normal(size=(k, p, 4))
+    owner = np.sort(rng.integers(0, k, size=len(batch)))
+    out = _insert_prompt_rows(Tensor(np.concatenate([*rows, h])), offsets, p, owner)
+    want = np.concatenate([np.concatenate([rows[o], h[s:e]])
+                           for o, s, e in zip(owner, offsets[:-1], offsets[1:])])
     assert np.array_equal(out.data, want)
 
 

@@ -163,6 +163,108 @@ class TestAttentionGroups:
             T.AttentionGroups(np.array(sizes), shared, skip)
 
 
+class TestAttentionGroupsWithAPromptIndex:
+    """Shared rows in one block per prompt index; group b reads block prompt[b]."""
+
+    SIZES, SHARED, SKIP, PROMPT = np.array([3, 2, 4, 3]), 2, 1, np.array([0, 0, 2, 2])
+
+    def groups(self):
+        return T.AttentionGroups(self.SIZES, self.SHARED, self.SKIP, self.PROMPT)
+
+    def test_plan(self):
+        groups = self.groups()
+        assert groups.rows == 3 * 2 + 12 and groups.shared_rows == 6
+        assert groups.index[:, :2].tolist() == [[0, 1], [0, 1], [4, 5], [4, 5]]
+        assert groups.readers.tolist() == [0, 2, 2, 4]
+
+    def test_matches_a_per_group_oracle(self):
+        """Each group attends over its own shared block and block; every shared
+        block's gradient sums over its own groups, and block 1, read by no
+        group, gets none."""
+        groups = self.groups()
+        qkv = Tensor(rand(groups.rows, 12), requires_grad=True)
+        up = rand(groups.query_rows.size, 4)
+        with Tape():
+            out = T.block_attention(qkv, groups, 2)
+            grad = backward(T.tsum(T.mul(out, Tensor(up))))[qkv]
+        want_out, want_grad, at = np.zeros_like(out.data), np.zeros_like(grad), 0
+        start = groups.shared_rows
+        for size, block in zip(self.SIZES, self.PROMPT):
+            keys = [*range(block * 2, block * 2 + 2), *range(start, start + size)]
+            asks = keys[2 + self.SKIP:]
+            part = Tensor(qkv.data[keys], requires_grad=True)
+            with Tape():
+                one = T.block_attention(part, T.AttentionGroups(np.array([size]), 2, 1), 2)
+                g = backward(T.tsum(T.mul(one, Tensor(up[at:at + len(asks)]))))[part]
+            want_out[at:at + len(asks)] = one.data
+            want_grad[keys] += g
+            at, start = at + len(asks), start + size
+        assert np.abs(out.data - want_out).max() < 1e-12
+        assert np.abs(grad - want_grad).max() < 1e-12
+        assert np.array_equal(grad[2:4], np.zeros((2, 12)))
+
+    def test_grads_vs_fd(self):
+        groups = self.groups()
+        qkv = Tensor(rand(groups.rows, 12), requires_grad=True)
+        w = Tensor(rand(groups.query_rows.size, 4))
+        check_against_fd(lambda: T.tsum(T.mul(T.block_attention(qkv, groups, 2), w)), [qkv])
+
+    @pytest.mark.parametrize("prompt, error", [([0, 1, 0, 1], ContractError),
+                                               ([-1, 0, 0, 0], ContractError),
+                                               ([0, 0, 1], ShapeError)],
+                             ids=["decreasing", "negative", "one_short"])
+    def test_prompt_index_must_be_one_non_decreasing_entry_per_group(self, prompt, error):
+        with pytest.raises(error, match="prompt"):
+            T.AttentionGroups(self.SIZES, self.SHARED, self.SKIP, np.array(prompt))
+
+
+class TestGatherRowsBackward:
+    @pytest.mark.parametrize("index", [[0, 2, 3, 5], [1, 1, 4], [5, 2], [-1, 0, 3]],
+                             ids=["increasing", "repeated", "decreasing", "zero_row"])
+    def test_every_index_scatters_as_the_bincount_oracle(self, index):
+        """Assignment (for a strictly increasing index) and scatter-add give the
+        same gradient, bit for bit."""
+        x = Tensor(rand(6, 5), requires_grad=True)
+        index = np.array(index)
+        g = rand(index.size, 5)
+        with Tape():
+            grad = backward(T.tsum(T.mul(T.gather_rows(x, index), Tensor(g))))[x]
+        want = np.zeros((7, 5))          # row 6 takes the rows read as -1
+        for i, row in enumerate(index):
+            want[row] += g[i]
+        assert np.array_equal(grad, want[:6])
+
+
+def test_stack_rows_needs_vectors_of_one_width():
+    with pytest.raises(ShapeError, match="stack_rows needs vectors of one width"):
+        T.stack_rows([Tensor(rand(3)), Tensor(rand(4))])
+    with pytest.raises(ShapeError, match="stack_rows"):
+        T.stack_rows([Tensor(rand(2, 3))])
+
+
+@pytest.mark.parametrize("width", [8, 24, 32, 64, 96])
+def test_linear_rows_do_not_depend_on_the_row_count(width):
+    """A row's value and input gradient are the same in a short batch as in a
+    tall one, so stepping several batches as one changes no row."""
+    w = Tensor(rand(width, 32))
+    b = Tensor(rand(32))
+    x = rand(400, width)
+    g = rand(400, 32)
+
+    def run(rows):
+        xt = Tensor(x[:rows], requires_grad=True)
+        with Tape():
+            out = T.linear(xt, w, b)
+            grad = backward(T.tsum(T.mul(out, Tensor(g[:rows]))))[xt]
+        return out.data, grad
+
+    tall_out, tall_grad = run(400)
+    for rows in (2, 5, 16, 37, 113):
+        out, grad = run(rows)
+        assert np.array_equal(out, tall_out[:rows])
+        assert np.array_equal(grad, tall_grad[:rows])
+
+
 def _two_groups():
     """Blocks of rows 0-2 and 3-6, so the first group is padded."""
     return T.AttentionGroups(np.array([3, 4]))
@@ -363,6 +465,8 @@ PRIMITIVE_CASES = {
     "concat_rows": lambda a, b2, p: T.concat_rows([a, b2, p]),
     "gather_rows_repeated": lambda tab: T.gather_rows(tab, np.array([0, 2, 2, 1, 2])),
     "gather_rows_zero_rows": lambda a: T.gather_rows(a, np.array([-1, 1, 1, -1, 2, -1])),
+    "gather_rows_increasing": lambda a: T.gather_rows(a, np.array([0, 2])),
+    "stack_rows": lambda v, u: T.stack_rows([v, u, v]),
     "neighbor_max": lambda a: T.neighbor_max(a, _NEIGHBORS),
     "spmm": lambda a: T.spmm(_SPARSE, a),
     "pool_rows_sum": lambda a: T.pool_rows(a, np.array([0, 1, 3]), "sum"),
@@ -377,13 +481,14 @@ def test_every_primitive_matches_finite_differences(name):
     b = Tensor(rand(4, 2), requires_grad=True)
     b2 = Tensor(rand(3, 4), requires_grad=True)
     v = Tensor(rand(4), requires_grad=True)
+    u = Tensor(rand(4), requires_grad=True)
     c = Tensor(rand(2), requires_grad=True)
     p = Tensor(rand(1, 4), requires_grad=True)
     tab = Tensor(rand(3, 4), requires_grad=True)
     weights = rand(64)  # fixed projection so the loss sees every output entry
     op = PRIMITIVE_CASES[name]
     varnames = op.__code__.co_varnames[: op.__code__.co_argcount]
-    env = {"a": a, "b": b, "b2": b2, "v": v, "c": c, "p": p, "tab": tab}
+    env = {"a": a, "b": b, "b2": b2, "v": v, "u": u, "c": c, "p": p, "tab": tab}
     args = [env[n] for n in varnames]
 
     def weighted(out):

@@ -12,7 +12,7 @@ import pytest
 
 from gpt_lab import models, training
 from gpt_lab import tensor as T
-from gpt_lab.graphs import DataError, gen_downstream, gen_pretext
+from gpt_lab.graphs import DataError, GraphSample, gen_downstream, gen_pretext
 from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
 from gpt_lab.prompt import build_registry, init_prompts
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward
@@ -362,6 +362,17 @@ class TestTrain:
                                             "feature_dim is 4"):
             train(tiny_config("lightweight"), motif_data[:6] + wide, cfg, state, seed=1)
 
+    def test_classification_metrics_need_0_1_labels(self, motif_data):
+        """One check over every label of the dataset."""
+        cfg, state = tiny_backbone()
+        g = motif_data[5]
+        relabel = lambda value: motif_data[:5] + [GraphSample(g.n, g.features, g.edges,
+                                                              np.array([value]))] + motif_data[6:]
+        with pytest.raises(DataError, match="^classification metrics need 0/1 labels$"):
+            train(tiny_config("lightweight"), relabel(0.5), cfg, state, seed=1)
+        assert len(train(tiny_config("lightweight", metric="rmse"), relabel(0.5), cfg, state,
+                         seed=1)) == 3
+
     @pytest.mark.parametrize("damage", ["missing", "misshapen"])
     def test_evaluate_fold_checks_the_stored_arrays(self, motif_data, damage):
         cfg, state = tiny_backbone()
@@ -454,8 +465,8 @@ class TestTrain:
         state[weight][0, 0] = np.nan
         config = tiny_config(mode)
         with pytest.raises(NonFiniteError,
-                           match=r"^epoch 1 of 2, step 1 of 2: gradient of head\.weight "
-                                 r"is not finite$"):
+                           match=r"^fold 0, epoch 1 of 2, step 1 of 2: gradient of "
+                                 r"head\.weight is not finite$"):
             train(config, motif_data, cfg, state, seed=1)
 
     def test_non_finite_loss_with_finite_gradients_fails_fast(self, motif_data, monkeypatch):
@@ -463,7 +474,8 @@ class TestTrain:
         monkeypatch.setattr(training, "_loss", lambda config, out, labels:
                             T.add(loss(config, out, labels), Tensor(np.array(np.inf))))
         cfg, state = tiny_backbone()
-        with pytest.raises(NonFiniteError, match=r"^epoch 1 of 2, step 1 of 2: loss is inf$"):
+        with pytest.raises(NonFiniteError,
+                           match=r"^fold 0, epoch 1 of 2, step 1 of 2: loss is inf$"):
             train(tiny_config("lightweight"), motif_data, cfg, state, seed=1)
 
     def test_hidden_head_mode(self, motif_data):
@@ -533,8 +545,9 @@ def test_each_step_frees_its_tape_when_its_block_exits(motif_data, monkeypatch,
     monkeypatch.setattr(AdamW, "step", checked_step)
     cfg, state = tiny_backbone()
     train(tiny_config("deepgpt", epochs=1, warmup_epochs=0), motif_data, cfg, state, seed=1)
-    assert len(made) == len(alive_at_step) == 3 * 2
-    assert alive_at_step == [0] * len(made)
+    # One tape per lockstep step of the 3 folds, and one AdamW step per fold and step.
+    assert len(made) == 2 and len(alive_at_step) == 3 * 2
+    assert alive_at_step == [0] * len(alive_at_step)
 
 
 @pytest.mark.parametrize("entry", ["train", "evaluate_fold"])
