@@ -14,11 +14,12 @@ per-sample forwards.
 
 Prompts arrive as a ``PromptSet``, or as the k sets of a batch that
 mixes the samples of k tasks, each sample naming its set (the folds of a
-lockstep ``train`` step share one forward this way). ``encode_nodes``
-validates them with ``prompt.check_group`` and applies them through
-``gpt_lab.prompt``'s hooks (``apply_graph_prompt`` for the graph token,
-``inject_prefix`` for the prefixes). Virtual tokens are p prompt rows at
-the head of each sample block, copied from the sample's own set, so the
+lockstep ``train`` step, and their eval splits, share one forward this
+way). ``encode_nodes`` validates them with ``prompt.check_group`` and
+applies them through ``gpt_lab.prompt``'s hooks (``apply_graph_prompt``
+for the graph token, ``inject_prefix`` for the prefixes). Virtual tokens
+are p prompt rows at the head of each sample block, copied from the
+sample's own set, so the
 offsets and p locate every row. A prefix is p rows of keys and values
 that the groups of its set's samples share: a prompted layer reads
 ``[prefix_0; ...; prefix_{k-1}; h]``, projects the prefixes once and asks
@@ -40,7 +41,6 @@ import numpy as np
 from scipy import sparse
 
 from gpt_lab.graphs import BatchedGraph, GraphSample, with_rwpe
-from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.prompt import PromptSet, apply_graph_prompt, check_group, inject_prefix
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
@@ -76,7 +76,6 @@ __all__ = [
     "encode_nodes",
     "backbone_forward",
     "encode_graphs",
-    "prepare_batch",
     "LN_EPS",
 ]
 
@@ -424,11 +423,6 @@ def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> list[Gr
     if cfg.rwpe_steps > 0:
         return with_rwpe(graphs, cfg.rwpe_steps)
     return list(graphs)
-
-
-def prepare_batch(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
-    """Batch samples encoded by ``encode_graphs``."""
-    return batch_graphs(encode_graphs(graphs, cfg))
 
 
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,

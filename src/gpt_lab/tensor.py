@@ -20,7 +20,8 @@ row count. The one place that works on
 higher-rank arrays is ``block_attention``: it gathers the rows of its
 fused (R, 3 * heads * dq) query/key/value operand into padded (B, heads,
 L, dq) groups, runs softmax attention within each group and returns one
-row per query row, so the 4-D arrays never leave that operation. Its
+row per query row, so the 4-D arrays never leave that operation; its
+softmax sums each query's keys in key order, so padding changes no bit. Its
 groups are an ``AttentionGroups`` plan built from one block layout:
 ``shared`` rows that every group reads as keys, then one contiguous
 block of rows per group, whose first ``skip`` rows are keys only. The
@@ -345,24 +346,26 @@ def tsum(a: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g * np.ones_like(ad))])
 
 
-def _softmax_last_axis(scores: np.ndarray, m: np.ndarray):
-    """Softmax over the last axis with masked entries pinned to exactly zero.
+def _softmax_over_keys(scores: np.ndarray, m: np.ndarray):
+    """Softmax over the keys, axis -2, with masked entries pinned to exactly zero.
 
-    ``m`` broadcasts against ``scores`` and leaves at least one entry of
-    every row unmasked. Masking adds ``MASK_FILL`` before exponentiation
-    and zeroes the masked outputs afterwards; rows are stabilized by max
-    subtraction.
+    ``m`` broadcasts against ``scores`` and leaves every query a key.
+    Masking adds ``MASK_FILL`` before exponentiation and zeroes the
+    masked outputs afterwards; each query is stabilized by max
+    subtraction. With the keys off the innermost axis, and at least two
+    query positions on it (one would make numpy add a pairwise tree), each
+    sum adds key by key in key order, so padded keys change no bit.
 
     Returns the probabilities and the backward map from an upstream
     gradient on them to the gradient on ``scores``.
     """
     shifted = scores + np.where(m, 0.0, MASK_FILL)
-    shifted -= shifted.max(axis=-1, keepdims=True)
+    shifted -= shifted.max(axis=-2, keepdims=True)
     e = np.where(m, np.exp(shifted), 0.0)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = e / e.sum(axis=-2, keepdims=True)
 
     def bwd(g):
-        dot = (g * probs).sum(axis=-1, keepdims=True)
+        dot = (g * probs).sum(axis=-2, keepdims=True)
         return probs * (g - dot)
 
     return probs, bwd
@@ -387,7 +390,8 @@ class AttentionGroups:
       softmax row is fully masked; a padding query position attends like
       a real one, and its output and gradient are dropped;
     - ``query`` (B, Lq): the query row at position i of group b, or -1;
-      query position i is key position ``shared + skip + i``;
+      query position i is key position ``shared + skip + i``, and Lq >= 2
+      (see ``_softmax_over_keys``);
     - ``query_rows``: the query rows in ascending order, one per output
       row of ``block_attention``; ``out_row`` (B, Lq) the output row of
       each query position, or -1;
@@ -424,7 +428,7 @@ class AttentionGroups:
         self.index = np.where(self.key_mask,
                               np.where(pos < 0, pos + self.shared * (prompt[:, None] + 1),
                                        starts[:, None] + pos), -1)
-        at = np.arange(sizes.max() - self.skip)
+        at = np.arange(max(sizes.max() - self.skip, 2))
         asks = at < (sizes - self.skip)[:, None]
         self.query = np.where(asks, starts[:, None] + self.skip + at, -1)
         self.query_rows = self.query[asks]
@@ -443,6 +447,10 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
     ``h * dq : (h + 1) * dq``. Each query row attends to the keys of its
     group (see ``AttentionGroups``). The result has one row per row of
     ``groups.query_rows``, with the (., w) layout of the queries.
+
+    Scores are laid out (B, heads, L, Lq), keys first, so a group's rows
+    and gradients do not depend on how far the plan pads it when dq >= 2
+    (at dq = 1 numpy runs matrix-vector products, which round by length).
 
     The backward pass returns one (rows, 3 * w) gradient. Since query
     position i is key position ``shared + skip + i`` of its group, the
@@ -466,22 +474,28 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
         """(rows, heads * dq) -> (B, heads, positions, dq); padding reads zeros."""
         return _take_rows(a, idx).reshape(b, idx.shape[1], heads, dq).transpose(0, 2, 1, 3)
 
+    def t(a):                    # each matrix of a (B, heads, ., .) stack, transposed
+        return a.transpose(0, 1, 3, 2)
+
+    # A product that sums over padded positions takes its left operand
+    # transposed: OpenBLAS then adds trailing zeros without changing a bit,
+    # which it does not for an untransposed one and results up to 4 wide.
     data = qkv.data
     qs = split(data[:, :width], groups.query)
     ks, vs = split(data[:, width:2 * width], groups.index), split(data[:, 2 * width:],
                                                                  groups.index)
-    probs, softmax_bwd = _softmax_last_axis((qs @ ks.transpose(0, 1, 3, 2)) * inv_sqrt,
-                                            groups.key_mask[:, None, None, :])
-    out = (probs @ vs).transpose(0, 2, 1, 3).reshape(b * nq, width)[groups.query_slot]
+    probs, softmax_bwd = _softmax_over_keys((ks @ t(qs)) * inv_sqrt,
+                                            groups.key_mask[:, None, :, None])
+    out = (t(probs) @ vs).transpose(0, 2, 1, 3).reshape(b * nq, width)[groups.query_slot]
 
     def bwd(g):
         gs = split(g, groups.out_row)
-        ds = softmax_bwd(gs @ vs.transpose(0, 1, 3, 2)) * inv_sqrt
+        ds = softmax_bwd(vs @ t(gs)) * inv_sqrt
         grad = np.zeros((b, n, 3 * heads, dq))           # key layout, rows of 3 * w
         view = grad.transpose(0, 2, 1, 3)
-        view[:, :heads, shared + groups.skip:] = ds @ ks
-        view[:, heads:2 * heads] = ds.transpose(0, 1, 3, 2) @ qs
-        view[:, 2 * heads:] = probs.transpose(0, 1, 3, 2) @ gs
+        view[:, :heads, shared + groups.skip:] = (t(ds) @ ks)[:, :, :n - shared - groups.skip]
+        view[:, heads:2 * heads] = t(t(qs) @ t(ds))
+        view[:, 2 * heads:] = t(t(gs) @ t(probs))
         grad = grad.reshape(b, n, 3 * width)
         full = np.empty((groups.rows, 3 * width))
         if shared:
@@ -732,7 +746,6 @@ def bce_with_logits(logits: Tensor, labels, label_mask=None) -> Tensor:
     out = Tensor(per[m].sum() / count)
 
     def bwd(g):
-        gx = (expit(x) - y) * m
-        return gx * (float(g) / count)
+        return np.where(m, expit(x) - y, 0.0) * (float(g) / count)
 
     return _record(out, [(logits, bwd)])

@@ -16,7 +16,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.stats import rankdata
@@ -24,7 +23,7 @@ from scipy.stats import rankdata
 from gpt_lab.graphs import DataError, GraphSample, make_folds
 from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
-                            encode_graphs, load_params, prepare_batch)
+                            encode_graphs, load_params)
 from gpt_lab.prompt import (MODES, TOKEN_STAGES, FreezeRegistry, PromptSet, build_registry,
                             count_params, init_prompts)
 from gpt_lab.seeding import rng_for
@@ -307,12 +306,14 @@ def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> in
     t = dataset[0].label_dim
     if t == 0:
         raise DataError("training needs labeled samples")
-    for g in dataset:
+    for i, g in enumerate(dataset):
         if g.label_dim != t:
             raise DataError("label arity differs across the dataset")
         if g.feature_dim != backbone_cfg.feature_dim:
             raise DataError(f"a graph has {g.feature_dim} feature columns, but the "
                             f"backbone's feature_dim is {backbone_cfg.feature_dim}")
+        if config.metric == "rmse" and not np.isfinite(g.label).all():
+            raise DataError(f"graph {i} has a non-finite label, which rmse cannot score")
     config.check_backbone(backbone_cfg)
     if config.metric in ("auroc", "ap"):
         lab = np.concatenate([g.label for g in dataset])
@@ -386,8 +387,7 @@ def steady_heap() -> bool:
 
 @dataclass
 class _Fold:
-    """One fold of a lockstep group: what it trains, its splits, its shuffle
-    and its eval forward."""
+    """One fold of a lockstep group: what it trains, its splits and its shuffle."""
 
     name: str                       # names the fold in error messages
     head: PredictionHead
@@ -396,31 +396,22 @@ class _Fold:
     train_idx: np.ndarray
     eval_idx: np.ndarray
     shuffle: np.random.Generator
-    evaluate: Callable[[], Tensor] | None = None
 
 
-def _attach_forwards(folds: list[_Fold], encoded, bb, embeddings=None):
-    """Give each fold its eval forward, and return the group's step forward.
+def _forward(encoded, bb: Backbone, embeddings=None):
+    """The one forward of a group of folds, for training steps and scoring alike.
 
-    The step forward maps the active folds and their chunks of dataset
-    rows to each fold's outputs. Without ``embeddings`` it batches every
-    chunk, in fold order, into one forward in which each sample reads its
-    own fold's prompts, then runs each fold's head on its own rows; a
-    fold's eval forward runs the full forward over its eval split. With
-    them (lightweight mode: the frozen backbone's readout of every graph,
-    in dataset order) each fold's eval split is embedded once here and
-    both forwards run only the heads.
+    It maps folds and their chunks of rows of ``encoded`` to each fold's
+    outputs. Without ``embeddings`` it batches every chunk, in fold
+    order, into one forward in which each sample reads its own fold's
+    prompts, then runs each fold's head on its own rows. With them
+    (lightweight mode: the frozen backbone's readout of every graph, in
+    the order of ``encoded``) it runs only the heads, on rows of that
+    matrix. A graph's rows do not depend on the other graphs of its batch
+    (``tensor.block_attention`` sums its keys in key order), so a fold
+    scores the same alone and in any group.
     """
-    for f in folds:
-        eval_batch = batch_graphs([encoded[i] for i in f.eval_idx])
-        if embeddings is None:
-            f.evaluate = lambda f=f, batch=eval_batch: backbone_forward(batch, bb, f.head,
-                                                                        prompt_ctx=f.prompts)
-        else:
-            eval_embeddings = backbone_forward(eval_batch, bb, prompt_ctx=f.prompts)
-            f.evaluate = lambda f=f, hg=eval_embeddings: f.head.forward(hg)
-
-    def forward(active: list[_Fold], chunks: list[list[int]]) -> list[Tensor]:
+    def forward(active: list[_Fold], chunks: list) -> list[Tensor]:
         if embeddings is not None:
             return [f.head.forward(Tensor(embeddings[c])) for f, c in zip(active, chunks)]
         sizes = [len(c) for c in chunks]
@@ -439,19 +430,21 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
     """The one epoch loop, stepping a group of folds in lockstep.
 
     Step s batches chunk s of every fold's own epoch shuffle, in fold
-    order, through one ``forward`` (see ``_attach_forwards``) and runs one
+    order, through one ``forward`` (see ``_forward``) and runs one
     backward of the sum of the folds' mean losses; a fold whose steps
     have run out drops out of the batch. Each fold then clips its own
-    gradients and steps its own AdamW, and after the last step runs its
-    own eval forward. ``labels`` holds every graph's labels in dataset
-    order. A non-finite loss or gradient stops the run with a
-    ``NonFiniteError`` naming the fold, the epoch and the step. A
-    trainable parameter without a gradient means the forward is broken,
-    not the config, so it raises ``RuntimeError``.
+    gradients and steps its own AdamW. After the last step one
+    ``forward`` of every fold's eval split, outside the tape, scores the
+    epoch. ``labels`` holds every graph's labels in dataset order. A
+    non-finite loss or gradient stops the run with a ``NonFiniteError``
+    naming the fold, the epoch and the step. A trainable parameter
+    without a gradient means the forward is broken, not the config, so
+    it raises ``RuntimeError``.
 
-    A fold's epoch seconds are its eval forward plus a share of each
-    step in proportion to its graphs in that step, so the folds' seconds
-    sum to the group's time for that epoch.
+    A fold's epoch seconds are a share of each step in proportion to its
+    graphs in that step, plus a share of the scoring in proportion to its
+    eval graphs, so the folds' seconds sum to the group's time for that
+    epoch.
     """
     optimizers = [AdamW(f.registry.trainable, betas=config.betas, eps=config.eps,
                         weight_decay=config.weight_decay) for f in folds]
@@ -496,18 +489,18 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
             for i, chunk in zip(active, chunks):
                 seconds[i] += (now - mark) * len(chunk) / graphs
             mark = now
-        for i, fold in enumerate(folds):
-            record = records[i]
-            record.train_losses.append(loss_sums[i] / len(fold.train_idx))
-            scores = fold.evaluate().data
+        outs = forward(folds, [f.eval_idx for f in folds])
+        for record, fold, out, loss_sum in zip(records, folds, outs, loss_sums):
+            record.train_losses.append(loss_sum / len(fold.train_idx))
             try:
-                record.eval_metrics.append(_metric_value(config, scores,
+                record.eval_metrics.append(_metric_value(config, out.data,
                                                          labels[fold.eval_idx]))
             except UndefinedMetricError as exc:
                 raise DataError(f"{fold.name}: evaluation split: {exc}") from None
-            now = time.perf_counter()
-            record.epoch_seconds.append(seconds[i] + now - mark)
-            mark = now
+        scoring = time.perf_counter() - mark
+        eval_graphs = sum(len(f.eval_idx) for f in folds)
+        for record, fold, step_seconds in zip(records, folds, seconds):
+            record.epoch_seconds.append(step_seconds + scoring * len(fold.eval_idx) / eval_graphs)
 
     for record in records:
         metrics = np.asarray(record.eval_metrics)
@@ -521,16 +514,18 @@ def _trains_backbone(config: TuningConfig) -> bool:
     return config.mode == "ft"
 
 
-def _fold_pieces(config: TuningConfig, bb: Backbone, out_dim: int, seed: int, fold: int):
-    """A fold's head, prompts and the registry of what it trains (with ``bb``
-    too in ft mode), drawn from the fold's seed."""
+def _make_fold(config: TuningConfig, bb: Backbone, out_dim: int, seed: int, fold: int,
+               split) -> _Fold:
+    """Fold ``fold`` of ``split``: its head, prompts and the registry of what it
+    trains (with ``bb`` too in ft mode), drawn from the fold's seed."""
     fold_seed = _subseed(seed, "fold", fold)
     head = PredictionHead.init(bb.cfg.dim, out_dim, seed=fold_seed, hidden=config.head_hidden)
     prompts = init_prompts(config.mode, bb.cfg, config.p_len, seed=fold_seed,
                            prompted_layers=config.prompted_layers,
                            token_stage=config.token_stage)
     registry = build_registry(bb, head, prompts, train_backbone=_trains_backbone(config))
-    return head, prompts, registry
+    return _Fold(f"fold {fold}", head, prompts, registry, *split.train_eval(fold),
+                 rng_for(seed, "shuffle", fold))
 
 
 def _run_fold(job) -> list[FoldResult]:
@@ -541,14 +536,9 @@ def _run_fold(job) -> list[FoldResult]:
     (config, encoded, embeddings, backbone_cfg, backbone_state, seed, group) = job
     split = make_folds(len(encoded), config.folds, seed)
     bb = Backbone.from_state(backbone_cfg, backbone_state)
-    folds = []
-    for fold in group:
-        train_idx, eval_idx = split.train_eval(fold)
-        folds.append(_Fold(f"fold {fold}", *_fold_pieces(config, bb, encoded[0].label_dim,
-                                                         seed, fold),
-                           train_idx, eval_idx, rng_for(seed, "shuffle", fold)))
-    forward = _attach_forwards(folds, encoded, bb, embeddings)
-    records = _fit(config, folds, forward, _labels(encoded))
+    folds = [_make_fold(config, bb, encoded[0].label_dim, seed, fold, split)
+             for fold in group]
+    records = _fit(config, folds, _forward(encoded, bb, embeddings), _labels(encoded))
     results = []
     for fold, f, record in zip(group, folds, records):
         counts = count_params(f.registry)
@@ -589,15 +579,15 @@ def train(config: TuningConfig, dataset: list[GraphSample],
 
     The dataset is encoded once and shared by every fold. In lightweight
     mode the frozen backbone also embeds every graph once here, and the
-    folds train only the head on rows of that (n x d) matrix. Folds are
-    independent. Against a frozen backbone the folds of one job step in
-    lockstep, one forward and backward for all of them (``_fit``); ft
+    folds train and score only the head on rows of that (n x d) matrix.
+    Folds are independent. Against a frozen backbone the folds of one job
+    step in lockstep, one forward and backward for all of them (``_fit``); ft
     folds train their own backbone copies, one job each. With
     ``parallel > 1`` the jobs run in a process pool (capped by
     GPT_LAB_THREADS), and the folds are dealt round-robin into one
     lockstep group per worker. A fold's results do not depend on its
-    group, up to the last bits of the two ops that the README's
-    "Training" section names, and they are returned in fold order.
+    group, up to the last bits in the cases that the README's "Training"
+    section names, and they are returned in fold order.
     """
     steady_heap()
     _validate(config, dataset, backbone_cfg)
@@ -622,19 +612,20 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
                   prompt_state: dict[str, np.ndarray], seed: int, fold: int) -> float:
     """Metric of a fold's stored ``prompt_state`` on its evaluation split.
 
-    Rebuilds the fold's pieces as ``train`` does and loads the state into
-    every parameter its registry trains, so the state of any mode, ft
-    included, reproduces the recorded metric exactly.
+    Rebuilds the fold as ``train`` does, loads the state into every
+    parameter its registry trains and scores the encoded split with
+    ``train``'s one forward, so the state of any mode, ft included,
+    reproduces the recorded metric exactly.
     """
     steady_heap()
     _validate(config, dataset, backbone_cfg)
-    _, eval_idx = make_folds(len(dataset), config.folds, seed).train_eval(fold)
     bb = Backbone.from_state(backbone_cfg, backbone_state)
-    head, prompts, registry = _fold_pieces(config, bb, dataset[0].label_dim, seed, fold)
-    load_params(registry.trainable, prompt_state)
-    eval_batch = prepare_batch([dataset[i] for i in eval_idx], backbone_cfg)
-    scores = backbone_forward(eval_batch, bb, head, prompt_ctx=prompts).data
-    return _metric_value(config, scores, eval_batch.labels.data)
+    f = _make_fold(config, bb, dataset[0].label_dim, seed, fold,
+                   make_folds(len(dataset), config.folds, seed))
+    load_params(f.registry.trainable, prompt_state)
+    encoded = encode_graphs([dataset[i] for i in f.eval_idx], backbone_cfg)
+    [scores] = _forward(encoded, bb)([f], [range(len(encoded))])
+    return _metric_value(config, scores.data, _labels(encoded))
 
 
 def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
@@ -665,5 +656,5 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
     registry = build_registry(bb, head, PromptSet(), train_backbone=True)
     folds = [_Fold("pretrain", head, PromptSet(), registry, train_idx, eval_idx,
                    rng_for(seed, "pretrain-shuffle"))]
-    [record] = _fit(config, folds, _attach_forwards(folds, encoded, bb), _labels(encoded))
+    [record] = _fit(config, folds, _forward(encoded, bb), _labels(encoded))
     return bb.state_arrays(), record

@@ -166,7 +166,8 @@ class TestCheckpointFormat:
         assert np.array_equal(state["prompt.token"], token)
 
     def test_format_1_backbone_loads_into_the_fused_qkv_weight(self, tmp_path, monkeypatch):
-        from gpt_lab.models import Backbone, backbone_forward, prepare_batch
+        from gpt_lab.graphs import batch as batch_graphs
+        from gpt_lab.models import Backbone, backbone_forward, encode_graphs
 
         cfg = BackboneConfig(kind="transformer", feature_dim=3, dim=8, heads=2, layers=2,
                              ffn_mult=2, rwpe_steps=2)
@@ -176,7 +177,8 @@ class TestCheckpointFormat:
         assert ck._read(path)[0]["format_version"] == 1
         got_cfg, arrays = ck.load_backbone(path, expected=cfg)
         loaded = Backbone.from_state(got_cfg, arrays)
-        batch = prepare_batch(gen_downstream(5, "motif_presence", seed=2, feature_dim=3), cfg)
+        graphs = gen_downstream(5, "motif_presence", seed=2, feature_dim=3)
+        batch = batch_graphs(encode_graphs(graphs, cfg))
         assert np.array_equal(backbone_forward(batch, loaded).data,
                               backbone_forward(batch, bb).data)
 
@@ -453,6 +455,21 @@ class TestTuneCommand:
         assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
                      "--out", str(tmp_path / "run")]) == 3
         assert "a graph has 3 feature columns" in capsys.readouterr().err
+
+    def test_non_finite_regression_label_exits_3_naming_the_graph(self, workspace, tmp_path,
+                                                                 capsys):
+        from gpt_lab.graphs import write_graph_file
+        data = gen_downstream(18, "motif_presence", seed=5, size_range=(5, 7))
+        data[4] = dataclasses.replace(data[4], label=np.array([np.nan]))
+        graph_file = tmp_path / "missing.gr"
+        write_graph_file(graph_file, data)
+        config = write_config(
+            tmp_path / "file.ini",
+            replace={"generator = motif_presence\ncount = 24\nmin_nodes = 5\nmax_nodes = 8":
+                     f"graph_file = {graph_file}", "metric = auroc": "metric = rmse"})
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.startswith("data error: graph 4 has a non-finite label")
 
     @pytest.mark.parametrize("old, new, message", [
         ("count = 24", "count = -3", "negative number of graphs"),

@@ -1,8 +1,9 @@
 """A ``train`` call steps the folds of one frozen backbone in lockstep.
 
 Each step batches every active fold's chunk into one forward and one
-backward, and each fold keeps its own clip, AdamW and eval forward. A
-fold's results do not depend on which folds share its steps.
+backward, each fold keeps its own clip and AdamW, and one forward of
+every fold's eval split scores the epoch. A fold's results do not depend
+on which folds share its steps or its scoring forward.
 """
 
 import time
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from gpt_lab import training
-from gpt_lab.graphs import gen_downstream
-from gpt_lab.models import Backbone, BackboneConfig
+from gpt_lab.graphs import GraphSample, gen_downstream
+from gpt_lab.models import Backbone, BackboneConfig, encode_graphs
 from gpt_lab.training import TuningConfig, train
 
 CASES = {
@@ -84,14 +85,12 @@ def test_lockstep_equals_one_fold_at_a_time(data, monkeypatch, case, parallel):
     assert_same_folds(lockstep, alone)
 
 
-def test_a_batch_with_short_attention_rows_agrees_to_1e12(monkeypatch):
-    """One of the two ops whose bits can depend on the batch (the other is a
-    pre-projection token's gradient at some input widths): a softmax row
-    sums its padded keys with numpy's pairwise sum, which adds up to 7
-    entries in order but 8 to 15 as a tree. A fold whose own batches pad an unprompted
-    layer's keys to 5 or 6 sums in order; stepped with a fold of 9-node
-    graphs it pads to 9 and sums as a tree. Its values then move in the
-    last bits only."""
+def test_a_batch_with_short_attention_rows_gives_the_same_folds(monkeypatch):
+    """A fold whose own batches pad an unprompted layer's keys to 5 or 6, stepped
+    with a fold of 9-node graphs, pads them to 9. numpy adds up to 7 entries
+    of a contiguous row in order but 8 to 15 as a tree, so softmax sums along
+    that row would round by the padding; attention sums its keys down a
+    column instead, in key order, and the fold trains bit for bit as alone."""
     small = gen_downstream(12, "motif_presence", seed=3, size_range=(5, 6))
     large = gen_downstream(12, "motif_presence", seed=4, size_range=(9, 9))
     mixed = [g for pair in zip(small, large) for g in pair]
@@ -101,11 +100,68 @@ def test_a_batch_with_short_attention_rows_agrees_to_1e12(monkeypatch):
     lockstep = train(tuning, mixed, cfg, state, seed=5)
     one_fold_at_a_time(monkeypatch)
     alone = train(tuning, mixed, cfg, state, seed=5)
-    for a, b in zip(lockstep, alone):
-        assert np.allclose(a.record.train_losses, b.record.train_losses, rtol=0, atol=1e-12)
-        assert np.allclose(a.record.eval_metrics, b.record.eval_metrics, rtol=0, atol=1e-12)
-        for name in a.prompt_state:
-            assert np.abs(a.prompt_state[name] - b.prompt_state[name]).max() <= 1e-12
+    assert_same_folds(lockstep, alone)
+
+
+def single_node_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    return [GraphSample(1, rng.normal(size=(1, 4)), (), np.array([float(i % 2)]))
+            for i in range(count)]
+
+
+# Fold 0's graphs, fold 1's graphs and the prompt length: 5-6 against 9-12
+# nodes, and single nodes against 9 nodes at p_len 8, where fold 0's blocks
+# alone ask one query each.
+MIXED_SIZES = {
+    "5-6_vs_9-12": (lambda: gen_downstream(12, "motif_presence", seed=3, size_range=(5, 6)),
+                    lambda: gen_downstream(12, "motif_presence", seed=4, size_range=(9, 12)), 2),
+    "1_vs_9": (lambda: single_node_graphs(12, seed=3),
+               lambda: gen_downstream(12, "motif_presence", seed=4, size_range=(9, 9)), 8),
+}
+FROZEN = {
+    "lightweight": ("transformer", {}),
+    "prefix_only": ("transformer", {}),
+    "deepgpt": ("transformer", {}),
+    "deepgpt-layer0": ("transformer", {"prompted_layers": (0, 0)}),
+    "virtual_node": ("mpgnn", {}),
+}
+
+
+def mixed_folds(sizes):
+    """Fold 0's graphs and fold 1's, interleaved so that ``_Halves`` evaluates
+    fold 0 on the first kind and fold 1 on the second, and the prompt length."""
+    small, large, p_len = MIXED_SIZES[sizes]
+    mixed = [g for pair in zip(small(), large()) for g in pair]
+    return mixed, p_len
+
+
+@pytest.mark.parametrize("sizes", sorted(MIXED_SIZES))
+@pytest.mark.parametrize("case", sorted(FROZEN))
+def test_a_fold_scores_the_same_alone_and_beside_larger_graphs(case, sizes):
+    kind, kw = FROZEN[case]
+    data, p_len = mixed_folds(sizes)
+    cfg, state = backbone(kind)
+    tuning = config(case.split("-")[0], p_len=p_len, folds=2, **kw)
+    bb = Backbone.from_state(cfg, state)
+    folds = [training._make_fold(tuning, bb, 1, 5, fold, _Halves(len(data))) for fold in (0, 1)]
+    forward = training._forward(encode_graphs(data, cfg), bb)
+    together = forward(folds, [f.eval_idx for f in folds])
+    for f, scores in zip(folds, together):
+        [alone] = forward([f], [f.eval_idx])
+        assert np.array_equal(alone.data, scores.data)
+
+
+@pytest.mark.parametrize("sizes", sorted(MIXED_SIZES))
+@pytest.mark.parametrize("case", sorted(FROZEN))
+def test_folds_of_mixed_sizes_train_the_same_alone_and_in_lockstep(monkeypatch, case, sizes):
+    kind, kw = FROZEN[case]
+    data, p_len = mixed_folds(sizes)
+    cfg, state = backbone(kind)
+    tuning = config(case.split("-")[0], p_len=p_len, folds=2, **kw)
+    monkeypatch.setattr(training, "make_folds", lambda n, k, seed: _Halves(n))
+    lockstep = train(tuning, data, cfg, state, seed=5)
+    one_fold_at_a_time(monkeypatch)
+    assert_same_folds(lockstep, train(tuning, data, cfg, state, seed=5))
 
 
 class _Halves:
@@ -120,8 +176,9 @@ class _Halves:
 
 
 def test_fold_epoch_seconds_sum_to_the_group_epoch_time(data, monkeypatch):
-    """Each fold gets its eval forward plus its share of every shared step, so
-    the folds' seconds of an epoch add up to the group's time for it."""
+    """Each fold gets its share of every shared step and of the epoch's one
+    scoring forward, so the folds' seconds of an epoch add up to the group's
+    time for it."""
     ticks = []
 
     def clock():
@@ -131,15 +188,16 @@ def test_fold_epoch_seconds_sum_to_the_group_epoch_time(data, monkeypatch):
     cfg, state = backbone("transformer")
     monkeypatch.setattr(training.time, "perf_counter", clock)
     results = train(config("deepgpt", batch_size=5), data, cfg, state, seed=5)
-    # The loop reads the clock when an epoch starts and after each step and
-    # each eval forward, so every step and eval takes one tick of 0.5 s. At
-    # batch size 5 the folds' 16, 17 and 17 graphs make 4 steps each; the
-    # last batches 1, 2 and 2 graphs, so fold 0 takes a fifth of it.
-    want = [0.5 + 0.1 + 0.5, 0.5 + 0.2 + 0.5, 0.5 + 0.2 + 0.5]
+    # The loop reads the clock when an epoch starts, after each step and after
+    # scoring, so every step and the scoring take one tick of 0.5 s. At batch
+    # size 5 the folds' 16, 17 and 17 graphs make 4 steps each; the last
+    # batches 1, 2 and 2 graphs, so fold 0 takes a fifth of it. The scoring
+    # forward holds the folds' 9, 8 and 8 eval graphs.
+    want = [0.5 + 0.1 + 0.5 * 9 / 25, 0.5 + 0.2 + 0.5 * 8 / 25, 0.5 + 0.2 + 0.5 * 8 / 25]
     for r, seconds in zip(results, want):
         assert r.record.epoch_seconds == pytest.approx([seconds, seconds])
     per_epoch = np.sum([r.record.epoch_seconds for r in results], axis=0)
-    assert per_epoch.tolist() == pytest.approx([3.5, 3.5])          # 4 steps and 3 evals
+    assert per_epoch.tolist() == pytest.approx([2.5, 2.5])          # 4 steps and 1 scoring
     assert sum(per_epoch) == pytest.approx(ticks[-1] - ticks[0] - 0.5)  # one tick between
 
 

@@ -3,13 +3,14 @@ import pytest
 
 from gpt_lab import models
 from gpt_lab.graphs import GraphSample
+from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (
     Backbone,
     BackboneConfig,
     PredictionHead,
     backbone_forward,
+    encode_graphs,
     encode_nodes,
-    prepare_batch,
 )
 from gpt_lab.prompt import (
     FreezeRegistry,
@@ -102,7 +103,7 @@ class TestInjectPrefix:
     def test_empty_prompt_set_is_noop_forward(self):
         cfg, bb, head = small_setup()
         g = random_graph(5, 0.5, np.random.default_rng(1))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         plain = backbone_forward(prepared, bb, head).data
         empty = backbone_forward(prepared, bb, head,
                                  prompt_ctx=PromptSet().check(bb.cfg)).data
@@ -111,7 +112,7 @@ class TestInjectPrefix:
     def test_early_prefix_reaches_later_layers_through_attention(self):
         cfg, bb, head = small_setup(layers=3)
         g = random_graph(5, 0.5, np.random.default_rng(2))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("prefix_only", cfg, p_len=2, seed=3)
         base, _ = encode_nodes(prepared, bb, prompt_ctx=prompts)
         # layer 0's prefix rows are keys only and never reach layers 1
@@ -127,7 +128,7 @@ class TestDeepgptForward:
     def test_gradient_keys_are_exactly_the_trainable_set(self):
         cfg, bb, head = small_setup()
         g = random_graph(5, 0.5, np.random.default_rng(4))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=5)
         registry = build_registry(bb, head, prompts)
         with Tape():
@@ -141,7 +142,7 @@ class TestDeepgptForward:
     def test_frozen_params_not_in_gradient_map(self):
         cfg, bb, head = small_setup()
         g = random_graph(4, 0.5, np.random.default_rng(5))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=6)
         registry = build_registry(bb, head, prompts)
         with Tape():
@@ -163,7 +164,7 @@ class TestVirtualNodes:
     def test_zero_tokens_is_identity(self):
         cfg, bb, head = small_setup(kind="mpgnn")
         g = random_graph(5, 0.5, np.random.default_rng(7))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         plain = backbone_forward(prepared, bb, head).data
         ctx = PromptSet(virtual_tokens=Tensor(np.zeros((0, cfg.dim)), requires_grad=True))
         via = backbone_forward(prepared, bb, head, prompt_ctx=ctx).data
@@ -179,7 +180,7 @@ class TestVirtualNodes:
         layer_forward = models.mpgnn_layer_forward
         monkeypatch.setattr(models, "mpgnn_layer_forward",
                             lambda h, adj, params: seen.append(adj) or layer_forward(h, adj, params))
-        _, offsets = encode_nodes(prepare_batch(graphs, cfg), bb,
+        _, offsets = encode_nodes(batch_graphs(encode_graphs(graphs, cfg)), bb,
                                   prompt_ctx=PromptSet(virtual_tokens=tokens))
         assert len(seen) == cfg.layers
         adj = seen[0]
@@ -199,7 +200,7 @@ class TestVirtualNodes:
         """Same token values, single prompted layer: real-node rows agree."""
         cfg, bb, _ = small_setup(layers=3)
         g = random_graph(5, 0.6, np.random.default_rng(9))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         values = RNG.normal(size=(2, cfg.dim))
         prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
                                p_len=2)
@@ -213,7 +214,7 @@ class TestVirtualNodes:
         """Prompt rows never change which positions the readout averages."""
         cfg, bb, _ = small_setup(layers=3)
         g = random_graph(5, 0.5, np.random.default_rng(19))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("deepgpt", cfg, p_len=3, seed=20)
         ctx = prompts.check(bb.cfg)
         pooled = backbone_forward(prepared, bb, head=None, prompt_ctx=ctx).data
@@ -225,7 +226,7 @@ class TestVirtualNodes:
     def test_mpgnn_token_perturbation_reaches_every_node(self):
         cfg, bb, _ = small_setup(kind="mpgnn", layers=2)
         g = random_graph(5, 0.4, np.random.default_rng(10))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         tokens = Tensor(RNG.normal(size=(2, cfg.dim)), requires_grad=True)
         base, _ = encode_nodes(prepared, bb, prompt_ctx=PromptSet(virtual_tokens=tokens))
         tokens.data[0, 0] += 0.25
@@ -243,7 +244,8 @@ class TestForwardRunsThePromptHooks:
     def test_hook_calls_per_forward(self, monkeypatch, mode, calls):
         cfg, bb, head = small_setup(layers=4)
         rng = np.random.default_rng(22)
-        prepared = prepare_batch([random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)], cfg)
+        graphs = [random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)]
+        prepared = batch_graphs(encode_graphs(graphs, cfg))
         prompts = init_prompts(mode, cfg, p_len=2, seed=23,
                                prompted_layers=(0, 2))
         counts = {"apply_graph_prompt": 0, "inject_prefix": 0}
@@ -303,14 +305,15 @@ class TestMixedPromptSets:
         owner = np.array([0, 0, 1, 2, 2, 2, 2])
         ups = rng.normal(size=(7, cfg.dim))
         with Tape():
-            mixed = backbone_forward(prepare_batch(graphs, cfg), bb, prompt_ctx=sets,
+            mixed = backbone_forward(batch_graphs(encode_graphs(graphs, cfg)), bb, prompt_ctx=sets,
                                      prompt_of=owner)
             grads = backward(tsum(mul(mixed, Tensor(ups))))
         for k, prompts in enumerate(sets):
             rows = np.flatnonzero(owner == k)
             with Tape():
-                alone = backbone_forward(prepare_batch([graphs[i] for i in rows], cfg), bb,
-                                         prompt_ctx=prompts)
+                alone = backbone_forward(
+                    batch_graphs(encode_graphs([graphs[i] for i in rows], cfg)), bb,
+                    prompt_ctx=prompts)
                 want = backward(tsum(mul(alone, Tensor(ups[rows]))))
             assert np.abs(mixed.data[rows] - alone.data).max() < 1e-12
             for name, t in prompts.named_params().items():
@@ -355,7 +358,8 @@ class TestPreProjectionToken:
     def test_token_gradient_matches_central_differences(self):
         cfg, bb, head = small_setup(layers=2)
         rng = np.random.default_rng(25)
-        prepared = prepare_batch([random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)], cfg)
+        graphs = [random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)]
+        prepared = batch_graphs(encode_graphs(graphs, cfg))
         prompts = self._prompts(cfg)
         token = prompts.graph_token
         token.data = rng.normal(size=cfg.input_width)
@@ -379,7 +383,8 @@ class TestPreProjectionToken:
         """A pre-projection token c shifts the projection by c @ W_in."""
         cfg, bb, head = small_setup(layers=2)
         rng = np.random.default_rng(26)
-        prepared = prepare_batch([random_graph(6, 0.5, rng), random_graph(4, 0.5, rng)], cfg)
+        graphs = [random_graph(6, 0.5, rng), random_graph(4, 0.5, rng)]
+        prepared = batch_graphs(encode_graphs(graphs, cfg))
         pre = self._prompts(cfg)
         pre.graph_token.data = rng.normal(size=cfg.input_width)
         post = PromptSet(graph_token=Tensor(pre.graph_token.data @ bb.w_in.data,
@@ -468,7 +473,7 @@ class TestSweepWellFormedness:
     def test_contiguous_intervals_runnable(self, interval):
         cfg, bb, head = small_setup(layers=3)
         g = random_graph(4, 0.5, np.random.default_rng(12))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=13,
                                prompted_layers=interval)
         out = backbone_forward(prepared, bb, head,
@@ -479,7 +484,7 @@ class TestSweepWellFormedness:
     def test_long_prefixes_runnable(self, p_len):
         cfg, bb, head = small_setup(layers=2)
         g = random_graph(4, 0.5, np.random.default_rng(14))
-        prepared = prepare_batch([g], cfg)
+        prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=15)
         out = backbone_forward(prepared, bb, head,
                                prompt_ctx=prompts.check(bb.cfg))

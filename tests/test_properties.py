@@ -21,8 +21,8 @@ from gpt_lab.models import (
     _insert_prompt_rows,
     _mpgnn_adjacency,
     backbone_forward,
+    encode_graphs,
     encode_nodes,
-    prepare_batch,
     transformer_layer_forward,
 )
 from gpt_lab.prompt import TOKEN_STAGES, PromptSet, init_prompts
@@ -32,6 +32,7 @@ from gpt_lab.tensor import (
     Tensor,
     add,
     backward,
+    bce_with_logits,
     block_attention,
     concat_rows,
     gather_rows,
@@ -94,16 +95,17 @@ MODELS = {
 def test_batched_forward_equals_per_sample_forwards(name, batch):
     cfg, bb, head, prompts = MODELS[name]
     _assert_node_rows_only(batch, cfg, bb, prompts)
-    together = backbone_forward(prepare_batch(batch, cfg), bb, head, prompt_ctx=prompts).data
+    together = backbone_forward(batch_graphs(encode_graphs(batch, cfg)), bb, head,
+                                prompt_ctx=prompts).data
     alone = np.concatenate([
-        backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
+        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head, prompt_ctx=prompts).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
 
 
 def _assert_node_rows_only(batch, cfg, bb, prompts):
     """encode_nodes returns one row per node, laid out by the batch's offsets."""
-    prepared = prepare_batch(batch, cfg)
+    prepared = batch_graphs(encode_graphs(batch, cfg))
     h, offsets = encode_nodes(prepared, bb, prompt_ctx=prompts)
     assert offsets is prepared.offsets and h.shape == (offsets[-1], cfg.dim)
 
@@ -118,7 +120,7 @@ def _blocks(batch, p):
 @given(batch=batches(), p=st.integers(0, 3))
 def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
     cfg = MODELS["mpgnn_sum"][0]
-    adj = _mpgnn_adjacency(prepare_batch(batch, cfg), p)
+    adj = _mpgnn_adjacency(batch_graphs(encode_graphs(batch, cfg)), p)
     want = []
     for g, (bs, ns) in zip(batch, _blocks(batch, p)):
         prompt_rows = list(range(bs, ns))
@@ -147,9 +149,10 @@ def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
     prompts = init_prompts(mode, cfg, p_len=p_len, seed=4,
                            prompted_layers=(1, 2) if mode == "prefix_only" else None)
     _assert_node_rows_only(batch, cfg, bb, prompts)
-    together = backbone_forward(prepare_batch(batch, cfg), bb, head, prompt_ctx=prompts).data
+    together = backbone_forward(batch_graphs(encode_graphs(batch, cfg)), bb, head,
+                                prompt_ctx=prompts).data
     alone = np.concatenate([
-        backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
+        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head, prompt_ctx=prompts).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
 
@@ -167,8 +170,9 @@ def _permuted(g, perm):
 def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
     cfg, bb, head, prompts = MODELS[name]
     perm = np.random.default_rng(seed).permutation(g.n)
-    base = backbone_forward(prepare_batch([g], cfg), bb, head, prompt_ctx=prompts).data
-    moved = backbone_forward(prepare_batch([_permuted(g, perm)], cfg), bb, head,
+    base = backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head,
+                            prompt_ctx=prompts).data
+    moved = backbone_forward(batch_graphs(encode_graphs([_permuted(g, perm)], cfg)), bb, head,
                              prompt_ctx=prompts).data
     assert np.abs(base - moved).max() <= 1e-10
 
@@ -178,7 +182,7 @@ def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
 @given(batch=batches())
 def test_empty_prompt_set_changes_nothing(name, batch):
     cfg, bb, head, _ = MODELS[name]
-    prepared = prepare_batch(batch, cfg)
+    prepared = batch_graphs(encode_graphs(batch, cfg))
     plain = backbone_forward(prepared, bb, head).data
     empty = backbone_forward(prepared, bb, head, prompt_ctx=PromptSet()).data
     assert np.abs(plain - empty).max() == 0.0
@@ -304,7 +308,7 @@ def _slot_oracle(g, cfg, bb, prompts):
     prompted layer replaces them with its prefix; every layer runs full
     self-attention over the whole sequence.
     """
-    prepared = prepare_batch([g], cfg)
+    prepared = batch_graphs(encode_graphs([g], cfg))
     x = Tensor(prepared.features)
     token, pre = prompts.graph_token, prompts.token_stage == "pre_projection"
     if token is not None and pre:
@@ -346,7 +350,7 @@ def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len
     tracked = {**prompts.named_params(), **head.named_params()}
 
     with Tape():
-        h, offsets = encode_nodes(prepare_batch(batch, cfg), bb, prompt_ctx=prompts)
+        h, offsets = encode_nodes(batch_graphs(encode_graphs(batch, cfg)), bb, prompt_ctx=prompts)
         pooled = pool_rows(h, offsets, cfg.readout)
         grads = backward(tsum(mul(head.forward(pooled), weights)))
     with Tape():
@@ -370,7 +374,7 @@ FD_CASES = {"deepgpt": "transformer_deepgpt", "virtual_node_sum": "mpgnn_sum_vir
 def test_prompt_and_head_gradients_match_central_differences(case, batch):
     """The graphs' features are seeded normals, so no max aggregation sees a tie."""
     cfg, bb, head, prompts = MODELS[FD_CASES[case]]
-    prepared = prepare_batch(batch, cfg)
+    prepared = batch_graphs(encode_graphs(batch, cfg))
     weights = Tensor(np.random.default_rng(0).normal(size=(len(batch), 1)))
 
     def loss():
@@ -390,3 +394,27 @@ def test_prompt_and_head_gradients_match_central_differences(case, batch):
             t.data[i] = orig
             fd[i] = (up - down) / (2 * step)
         assert np.abs(grads[t] - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), name
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.integers(1, 6), cols=st.integers(1, 3), seed=st.integers(0, 2**16),
+       fill=st.sampled_from([np.nan, 0.0, 1.0]))
+def test_a_masked_label_changes_neither_the_bce_loss_nor_its_gradient(rows, cols, seed, fill):
+    """A masked entry, a missing task value, is ignored whatever it holds."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(rows, cols)) * 3
+    labels = (rng.random((rows, cols)) < 0.5).astype(float)
+    mask = rng.random((rows, cols)) < 0.6
+    mask.flat[0] = True
+
+    def loss_and_grad(y):
+        x = Tensor(logits, requires_grad=True)
+        with Tape():
+            loss = bce_with_logits(x, y, mask)
+            return loss.data, backward(loss)[x]
+
+    want_loss, want_grad = loss_and_grad(labels)
+    loss, grad = loss_and_grad(np.where(mask, labels, fill))
+    assert np.array_equal(loss, want_loss)
+    assert np.array_equal(grad, want_grad)
+    assert (grad[~mask] == 0.0).all()

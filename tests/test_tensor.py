@@ -102,10 +102,12 @@ class TestLinear:
 
 
 def softmax(scores, mask=None):
-    """The masked softmax core of block_attention on the rows of a matrix."""
+    """The masked softmax core of block_attention on the rows of a matrix. The
+    core takes a query's keys down a column, so it runs on the transpose."""
     scores = np.asarray(scores, dtype=float)
     mask = np.ones(scores.shape, dtype=bool) if mask is None else mask
-    return T._softmax_last_axis(scores, mask)
+    probs, bwd = T._softmax_over_keys(scores.T, mask.T)
+    return probs.T, lambda g: bwd(g.T).T
 
 
 class TestSoftmaxMasked:
@@ -148,6 +150,14 @@ class TestAttentionGroups:
         assert groups.key_mask.tolist() == [[True, True, True, False], [True] * 4]
         assert groups.query.tolist() == [[2, -1], [4, 5]]
         assert groups.query_rows.tolist() == [2, 4, 5]
+
+    @pytest.mark.parametrize("sizes, skip", [([1], 0), ([1, 1], 0), ([4, 4], 3)])
+    def test_the_query_axis_has_at_least_two_positions(self, sizes, skip):
+        """With one query position, a sum over keys would run along an innermost
+        axis of one position, which numpy adds as a pairwise tree."""
+        groups = T.AttentionGroups(np.array(sizes), skip=skip)
+        assert groups.query.shape == (len(sizes), 2)
+        assert (groups.query[:, 1] == -1).all() and (groups.out_row[:, 1] == -1).all()
 
     @pytest.mark.parametrize("sizes", [[[3, 4]], [3.0, 4.0], []],
                              ids=["two_dims", "floats", "empty"])
@@ -303,6 +313,37 @@ class TestBlockAttention:
     def test_qkv_rows_must_match_the_groups(self, rows):
         with pytest.raises(ShapeError, match="matrix of 7 rows"):
             T.block_attention(Tensor(rand(rows, 12)), _two_groups(), 2)
+
+
+@pytest.mark.parametrize("dq", [2, 4, 16])
+@pytest.mark.parametrize("shared, skip, size", [(0, 0, 1), (0, 0, 5), (0, 3, 7), (2, 1, 4),
+                                                (8, 0, 1), (4, 4, 9)])
+def test_a_groups_rows_and_gradients_do_not_depend_on_its_padding(shared, skip, size, dq):
+    """A group of ``size`` rows, alone and then beside groups of 9 and 24 rows
+    that read another shared block: padded to ``shared + size`` keys (under 8
+    in most cases) and then to ``shared + 24``, with 1 to 6 query positions
+    and then 24 - ``skip``. Its output rows, and the gradients of its own and
+    its shared rows, are the same bits."""
+    heads, w = 2, 2 * dq
+    rng = np.random.default_rng(size + 10 * shared + 100 * skip + 1000 * dq)
+    own = rng.normal(size=(shared + size, 3 * w))
+    other = rng.normal(size=(shared + 9 + 24, 3 * w))
+    up = rng.normal(size=(size + 9 + 24 - 3 * skip, w))      # upstream of every query
+
+    def run(qkv, sizes, prompt):
+        groups = T.AttentionGroups(np.array(sizes), shared, skip, np.array(prompt))
+        x = Tensor(qkv, requires_grad=True)
+        with Tape():
+            out = T.block_attention(x, groups, heads)
+            grad = backward(T.tsum(T.mul(out, Tensor(up[:out.shape[0]]))))[x]
+        return out.data, grad
+
+    out, grad = run(own, [size], [0])
+    both = np.concatenate([own[:shared], other[:shared], own[shared:], other[shared:]])
+    out2, grad2 = run(both, [size, 9, 24], [0, 1, 1])
+    assert np.array_equal(out, out2[:size - skip])
+    assert np.array_equal(grad[:shared], grad2[:shared])
+    assert np.array_equal(grad[shared:], grad2[2 * shared:2 * shared + size])
 
 
 def _shared_key_groups():

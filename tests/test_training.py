@@ -13,7 +13,9 @@ import pytest
 from gpt_lab import models, training
 from gpt_lab import tensor as T
 from gpt_lab.graphs import DataError, GraphSample, gen_downstream, gen_pretext
-from gpt_lab.models import Backbone, BackboneConfig, PredictionHead, backbone_forward, prepare_batch
+from gpt_lab.graphs import batch as batch_graphs
+from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
+                            encode_graphs, load_params)
 from gpt_lab.prompt import build_registry, init_prompts
 from gpt_lab.tensor import ContractError, Tape, Tensor, backward
 from gpt_lab.training import (
@@ -362,6 +364,36 @@ class TestTrain:
                                             "feature_dim is 4"):
             train(tiny_config("lightweight"), motif_data[:6] + wide, cfg, state, seed=1)
 
+    def test_a_missing_classification_label_trains_and_is_left_out_of_the_metric(
+            self, motif_data):
+        """A NaN label is masked out of the loss and its gradient, so training
+        runs, and the fold that evaluates on it scores the other graphs only."""
+        cfg, state = tiny_backbone()
+        config = tiny_config("lightweight")
+        g = motif_data[5]
+        data = motif_data[:5] + [GraphSample(g.n, g.features, g.edges,
+                                             np.array([np.nan]))] + motif_data[6:]
+        results = train(config, data, cfg, state, seed=1)
+        assert all(math.isfinite(v) for r in results
+                   for v in r.record.train_losses + r.record.eval_metrics)
+        split = training.make_folds(len(data), config.folds, 1)
+        [r] = [r for r in results if 5 in split.train_eval(r.fold)[1]]
+        bb = Backbone.from_state(cfg, state)
+        fold = training._make_fold(config, bb, 1, 1, r.fold, split)
+        load_params(fold.registry.trainable, r.prompt_state)
+        labeled = [i for i in fold.eval_idx if i != 5]
+        [scores] = training._forward(encode_graphs(data, cfg), bb)([fold], [labeled])
+        assert r.final_metric == auroc(scores.data, [data[i].label for i in labeled])
+
+    def test_a_non_finite_regression_label_is_a_data_error_naming_the_graph(self, motif_data):
+        cfg, state = tiny_backbone()
+        g = motif_data[7]
+        for value in (np.nan, np.inf):
+            data = motif_data[:7] + [GraphSample(g.n, g.features, g.edges,
+                                                 np.array([value]))] + motif_data[8:]
+            with pytest.raises(DataError, match="^graph 7 has a non-finite label"):
+                train(tiny_config("lightweight", metric="rmse"), data, cfg, state, seed=1)
+
     def test_classification_metrics_need_0_1_labels(self, motif_data):
         """One check over every label of the dataset."""
         cfg, state = tiny_backbone()
@@ -415,9 +447,10 @@ class TestTrain:
         assert score == results[1].final_metric
 
     @pytest.mark.parametrize("epochs", [1, 3])
-    def test_lightweight_runs_the_backbone_once_per_split(self, motif_data, monkeypatch,
-                                                          epochs):
-        """One forward embeds the dataset for every fold, plus one per eval split."""
+    def test_lightweight_runs_the_backbone_once_per_call(self, motif_data, monkeypatch,
+                                                         epochs):
+        """One forward embeds the dataset for every fold, and the folds train and
+        score on rows of those embeddings."""
         calls = []
         forward = training.backbone_forward
         monkeypatch.setattr(training, "backbone_forward",
@@ -426,7 +459,7 @@ class TestTrain:
         cfg, state = tiny_backbone()
         config = tiny_config("lightweight", epochs=epochs, warmup_epochs=epochs - 1)
         train(config, motif_data, cfg, state, seed=1)
-        assert calls == [len(motif_data)] + [len(motif_data) // config.folds] * config.folds
+        assert calls == [len(motif_data)]
 
     @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
     def test_parallel_folds_match_sequential(self, motif_data, mode):
@@ -590,7 +623,7 @@ class TestFreezeSoundness:
         registry = build_registry(bb, head, prompts)
         opt = AdamW(registry.trainable, weight_decay=1e-4)
         data = gen_downstream(8, "motif_presence", seed=18, size_range=(5, 7))
-        prepared = prepare_batch(data, cfg)
+        prepared = batch_graphs(encode_graphs(data, cfg))
         ctx = prompts.check(bb.cfg)
         labels = prepared.labels.data
         for _ in range(10):
@@ -615,7 +648,7 @@ class TestFreezeSoundness:
             registry = build_registry(bb, head, prompts)
             opt = AdamW(registry.trainable)
             data = gen_downstream(16, "motif_presence", seed=seed, size_range=(5, 8))
-            prepared = prepare_batch(data, cfg)
+            prepared = batch_graphs(encode_graphs(data, cfg))
             ctx = prompts.check(bb.cfg)
             labels = prepared.labels.data
             losses = []
