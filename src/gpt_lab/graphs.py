@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from gpt_lab.seeding import rng_for
-from gpt_lab.tensor import Tensor
 
 __all__ = [
     "GraphSample",
@@ -108,7 +107,7 @@ class GraphSample:
         return a
 
 
-def rwpe(g: GraphSample, k: int) -> Tensor:
+def rwpe(g: GraphSample, k: int) -> np.ndarray:
     """Random-walk return probabilities for steps 1..k, one row per node.
 
     Column s-1 holds the probability that a uniform random walk starting
@@ -126,15 +125,14 @@ def rwpe(g: GraphSample, k: int) -> Tensor:
     for s in range(1, k):
         cur = cur @ m
         out[:, s] = np.diagonal(cur)
-    return Tensor(out)
+    return out
 
 
 def with_rwpe(graphs: Sequence[GraphSample], k: int) -> list[GraphSample]:
     """Concatenate k random-walk encodings onto each sample's raw features."""
     out = []
     for g in graphs:
-        enc = rwpe(g, k).data
-        out.append(GraphSample(g.n, np.concatenate([g.features, enc], axis=1),
+        out.append(GraphSample(g.n, np.concatenate([g.features, rwpe(g, k)], axis=1),
                                g.edges, g.label))
     return out
 
@@ -152,7 +150,6 @@ class BatchedGraph:
     degrees: np.ndarray              # (R,) int
     edges: np.ndarray                # (E, 2) int, row numbers
     offsets: np.ndarray              # (B + 1,) int, offsets[0] == 0
-    labels: Tensor                   # (B, t)
 
     @property
     def size(self) -> int:
@@ -164,19 +161,15 @@ def batch(graphs: Sequence[GraphSample]) -> BatchedGraph:
     if not graphs:
         raise DataError("cannot batch an empty list of graphs")
     d = graphs[0].feature_dim
-    t = graphs[0].label_dim
     for g in graphs:
         if g.feature_dim != d:
             raise DataError(f"heterogeneous feature widths: {g.feature_dim} vs {d}")
-        if g.label_dim != t:
-            raise DataError(f"heterogeneous label arity: {g.label_dim} vs {t}")
     offsets = np.concatenate([[0], np.cumsum([g.n for g in graphs])])
     edges = np.concatenate([np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) + start
                             for g, start in zip(graphs, offsets)])
-    labels = np.array([g.label for g in graphs]) if t else np.zeros((len(graphs), 0))
     return BatchedGraph(np.concatenate([g.features for g in graphs]),
                         np.bincount(edges.ravel(), minlength=offsets[-1]),
-                        edges, offsets, Tensor(labels))
+                        edges, offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -12,30 +12,31 @@ samples, and readout pools each sample's segment of node rows, all
 samples in one ``pool_rows``. A batched forward therefore agrees with
 per-sample forwards.
 
-Prompts arrive as a ``PromptSet``, or as the k sets of a batch that
-mixes the samples of k tasks, each sample naming its set (the folds of a
+Prompts arrive in one form, a group of k ``(PromptSet, count)`` pairs:
+the first count samples read the first set, the next count the second,
+and so on, so one batch mixes the samples of k tasks (the folds of a
 lockstep ``train`` step, and their eval splits, share one forward this
-way). ``encode_nodes`` validates them with ``prompt.check_group`` and
-applies them through ``gpt_lab.prompt``'s hooks (``apply_graph_prompt``
+way; one task is a group of one pair, and None is the plain backbone).
+``encode_nodes`` validates the group with ``prompt.check_group`` and
+applies it through ``gpt_lab.prompt``'s hooks (``apply_graph_prompt``
 for the graph token, ``inject_prefix`` for the prefixes). Virtual tokens
 are p prompt rows at the head of each sample block, copied from the
-sample's own set, so the
-offsets and p locate every row. A prefix is p rows of keys and values
-that the groups of its set's samples share: a prompted layer reads
-``[prefix_0; ...; prefix_{k-1}; h]``, projects the prefixes once and asks
-queries of the node rows only. A transformer layer outputs the node
-rows, plus the prompt rows only when a later layer reads them, and the
-MPGNN drops its prompt rows after its last layer, so ``encode_nodes``
-returns node rows only, laid out by the batch's offsets. With no prompt
-set, or an empty one, the executed operation sequence is that of a
-prompt-free build.
+sample's own set, so the offsets and p locate every row. A prefix is p
+rows of keys and values that the groups of its set's samples share: a
+prompted layer reads ``[prefix_0; ...; prefix_{k-1}; h]``, projects the
+prefixes once and asks queries of the node rows only. A transformer
+layer outputs the node rows, plus the prompt rows only when a later
+layer reads them, and the MPGNN drops its prompt rows after its last
+layer, so ``encode_nodes`` returns node rows only, laid out by the
+batch's offsets. With no prompt set, or an empty one, the executed
+operation sequence is that of a prompt-free build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -426,16 +427,16 @@ def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> list[Gr
 
 
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,
-                 prompt_ctx: PromptSet | Sequence[PromptSet] | None = None,
-                 prompt_of=None) -> tuple[Tensor, np.ndarray]:
+                 group: Iterable[tuple[PromptSet, int]] | None = None
+                 ) -> tuple[Tensor, np.ndarray]:
     """Final-layer embeddings of the batch's node rows, and the batch's ``offsets``.
 
     Row i of the result belongs to node row i of ``batch``, so sample b
     owns rows ``offsets[b]:offsets[b + 1]``; prompt rows are never
-    returned. ``prompt_ctx`` is one prompt set or the k prompt sets of a
-    batch that mixes them, and sample b reads set ``prompt_of[b]`` (set 0
-    when ``prompt_of`` is None); ``prompt.check_group`` validates them.
-    They are applied through the hooks of ``gpt_lab.prompt``:
+    returned. ``group`` is k ``(PromptSet, count)`` pairs: the first
+    count samples read the first set, the next count the second, and so
+    on; None is one empty set. ``prompt.check_group`` validates it. The
+    sets are applied through the hooks of ``gpt_lab.prompt``:
     ``apply_graph_prompt`` adds each row's own graph token, before or
     after the input projection as its stage says; virtual tokens are
     inserted as p prompt rows at the head of each sample block after the
@@ -452,7 +453,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     asks queries of the node rows only and drops the prompt rows.
 
     Attention groups are the sample blocks: ``AttentionGroups(sizes,
-    shared, skip, prompt_of)`` with each block's size (nodes plus p
+    shared, skip, counts)`` with each block's size (nodes plus p
     prompt rows), the p_len shared prefix rows per set of a prompted
     layer that drops its prompt rows, and ``skip = p`` key-only prompt
     rows when a layer drops prompt rows that are in the blocks. Each
@@ -462,11 +463,12 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     prompt rows.
     """
     cfg = backbone.cfg
-    sets, owner = check_group(prompt_ctx, prompt_of, cfg, batch.size)
+    sets, counts = check_group(group, cfg, batch.size)
     if batch.features.shape[1] != cfg.input_width:
         raise ShapeError(f"batch feature width {batch.features.shape[1]} does not match "
                          f"input projection width {cfg.input_width}")
     offsets = batch.offsets
+    owner = np.repeat(np.arange(len(sets)), counts)   # each sample's set
     prompts = sets[0]                             # the layout every set shares
     p = 0                                         # prompt rows at the head of each block
     x = Tensor(batch.features)
@@ -509,7 +511,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
                 shared = prompts.p_len
         key = (p, shared, skip)
         if key not in built:
-            built[key] = AttentionGroups(np.diff(offsets) + p, shared, skip, owner)
+            built[key] = AttentionGroups(np.diff(offsets) + p, shared, skip, counts)
         h = transformer_layer_forward(h, built[key], params, cfg.heads)
         if not keep:
             p = 0
@@ -518,14 +520,13 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
 
 def backbone_forward(batch: BatchedGraph, backbone: Backbone,
                      head: PredictionHead | None = None,
-                     prompt_ctx: PromptSet | Sequence[PromptSet] | None = None,
-                     prompt_of=None) -> Tensor:
+                     group: Iterable[tuple[PromptSet, int]] | None = None) -> Tensor:
     """Per-sample predictions (B x t), or graph embeddings when head is None.
 
-    ``prompt_ctx`` and ``prompt_of`` are those of ``encode_nodes``.
+    ``group`` is that of ``encode_nodes``.
     Readout pools each sample's segment of node rows, so prompt rows never
     change which positions are averaged.
     """
-    h, offsets = encode_nodes(batch, backbone, prompt_ctx, prompt_of)
+    h, offsets = encode_nodes(batch, backbone, group)
     hg = pool_rows(h, offsets, backbone.cfg.readout)
     return head.forward(hg) if head is not None else hg

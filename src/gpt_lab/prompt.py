@@ -9,12 +9,15 @@ original node.
 ``init_prompts`` is the one map from a tuning mode to the prompt
 parameters it trains. ``PromptSet.check`` is the one validator of a
 prompt set against a backbone: ``init_prompts`` returns its set through
-it, and ``models.encode_nodes`` calls it, through ``check_group`` for
-the k sets of a batch that mixes the samples of k tasks, and then
-applies the sets through ``apply_graph_prompt`` and ``inject_prefix``,
-so those functions are the forward's prompt hooks. The freeze registry
-splits all named parameters into a frozen backbone part and the
-trainable prompt + head part; frozen tensors never enter a gradient map.
+it, and ``models.encode_nodes`` calls it through ``check_group``. A
+forward takes its prompts in one form, a group: k ``(PromptSet,
+count)`` pairs, the samples of each set contiguous and in set order, so
+one batch can mix the samples of k tasks (one pair for one task).
+``encode_nodes`` applies the sets through ``apply_graph_prompt`` and
+``inject_prefix``, so those functions are the forward's prompt hooks.
+The freeze registry splits all named parameters into a frozen backbone
+part and the trainable prompt + head part; frozen tensors never enter a
+gradient map.
 """
 
 from __future__ import annotations
@@ -106,34 +109,27 @@ def _layout(prompts: PromptSet) -> tuple:
             [(name, t.shape) for name, t in prompts.named_params().items()])
 
 
-def check_group(prompt_ctx, prompt_of, cfg, samples: int) -> tuple[list[PromptSet], np.ndarray]:
+def check_group(group, cfg, samples: int) -> tuple[list[PromptSet], np.ndarray]:
     """The prompt sets of one forward over ``samples`` samples, each checked
-    with ``PromptSet.check(cfg)``, and each sample's index into them.
+    with ``PromptSet.check(cfg)``, and the count of samples that read each.
 
-    ``prompt_ctx`` is None (one empty set), one set, or a sequence of k
-    sets with one layout: the same parameters, shapes, p_len and token
-    stage. ``prompt_of`` gives sample b's set; it may be None only for
-    one set. The samples of each set are contiguous and in set order, so
-    the index never decreases, and it runs from set 0 to set k-1.
+    ``group`` is a sequence of k ``(PromptSet, count)`` pairs: the first
+    count samples read the first set, the next count the second, and so
+    on. None is one empty set read by every sample. The sets share one
+    layout (the same parameters, shapes, p_len and token stage), and the
+    counts are non-negative ints that sum to ``samples``; a count may be 0.
     """
-    if prompt_ctx is None or isinstance(prompt_ctx, PromptSet):
-        prompt_ctx = [PromptSet() if prompt_ctx is None else prompt_ctx]
-    sets = [s.check(cfg) for s in prompt_ctx]
+    group = [(PromptSet(), samples)] if group is None else list(group)
+    sets = [s.check(cfg) for s, _ in group]
     if not sets or any(_layout(s) != _layout(sets[0]) for s in sets):
         raise ContractError("the prompt sets of one forward need one layout (the same "
                             "parameters, shapes, p_len and token stage)")
-    if prompt_of is None:
-        if len(sets) > 1:
-            raise ContractError(f"{len(sets)} prompt sets need an index of each sample's set")
-        return sets, np.zeros(samples, dtype=np.intp)
-    owner = np.asarray(prompt_of)
-    if owner.shape != (samples,) or not np.issubdtype(owner.dtype, np.integer):
-        raise ShapeError(f"prompt_of must be an int index of one entry per sample "
-                         f"({samples}), got {owner.dtype} {owner.shape}")
-    if samples and (owner[0] != 0 or owner[-1] != len(sets) - 1 or (np.diff(owner) < 0).any()):
-        raise ContractError(f"prompt_of must run from set 0 up to set {len(sets) - 1} "
-                            f"without decreasing")
-    return sets, owner
+    counts = np.asarray([count for _, count in group])
+    if not np.issubdtype(counts.dtype, np.integer) or (counts < 0).any() \
+            or counts.sum() != samples:
+        raise ContractError(f"the sample counts of a prompt group must be non-negative "
+                            f"ints that sum to {samples}, got {counts.tolist()}")
+    return sets, counts
 
 
 def _interval(prompted_layers, n_layers: int) -> tuple[int, ...]:

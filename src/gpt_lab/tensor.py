@@ -26,18 +26,19 @@ groups are an ``AttentionGroups`` plan built from one block layout:
 ``shared`` rows that every group reads as keys, then one contiguous
 block of rows per group, whose first ``skip`` rows are keys only. The
 shared rows may hold one block per prompt set of a batch that mixes
-several; each group then reads the block of its own prompt index. The
-plan checks that layout and derives every index once, so each
-``block_attention`` over it only gathers, and its backward pass fills one
-gradient buffer in key layout, sums each shared block over the groups
-that read it and takes the other rows by slot.
-The sparse matrix that ``spmm`` and ``neighbor_max`` take is a constant.
-``neighbor_max`` buckets its output rows by source count, rounded up to
-a power of two (``SourceBuckets``, which a caller builds once per
-matrix), and runs one gather and one max per bucket; only its backward
-pass looks up which source held each max (the first in column order
-that is not below it, so ties go to the lowest column and a NaN max to
-the row's first source).
+several; the groups are then dealt to the blocks in order, ``counts[j]``
+groups to block j. The plan checks that layout and derives every index
+once, so each ``block_attention`` over it only gathers, and its backward
+pass fills one gradient buffer in key layout, sums each shared block
+over the groups that read it and takes the other rows by slot.
+The sparse matrix that ``spmm`` takes is a constant, and so is the
+``SourceBuckets`` plan that ``neighbor_max`` takes of one: its output
+rows bucketed by source count, rounded up to a power of two, built once
+per matrix. ``neighbor_max`` runs one gather and one max per bucket;
+only its backward pass looks up which source held each max (the first
+in column order that is not below it, so ties go to the lowest column
+and a NaN max to the row's first source). ``bce_with_logits`` reads a
+non-finite label as missing, the one form of a missing label.
 """
 
 from __future__ import annotations
@@ -239,13 +240,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _as_mask(mask, shape: tuple[int, ...], what: str) -> np.ndarray:
-    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=bool)
-    if m.shape != shape:
-        raise ShapeError(f"{what}: mask shape {m.shape} does not match data shape {shape}")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Recorded primitives
 # ---------------------------------------------------------------------------
@@ -374,14 +368,14 @@ def _softmax_over_keys(scores: np.ndarray, m: np.ndarray):
 class AttentionGroups:
     """The groups of ``block_attention``, planned once from their block layout.
 
-    The rows open with shared blocks of ``shared`` rows each, one per
-    prompt index; group b reads shared block ``prompt[b]`` (block 0 when
-    ``prompt`` is None) as keys and values. Group b is then the next
-    contiguous block of ``sizes[b]`` rows: its keys are its shared block
-    and the block, and its queries are the block's rows after the first
-    ``skip``, which are keys only. ``prompt`` never decreases, so the
-    groups of one shared block are contiguous (``readers`` bounds them).
-    The constructor checks the layout and derives what every
+    The rows open with k shared blocks of ``shared`` rows each. Groups
+    are dealt to them in order: the first ``counts[0]`` groups read
+    shared block 0 as keys and values, the next ``counts[1]`` block 1,
+    and so on (one block read by every group when ``counts`` is None); a
+    count may be 0. Group b is then the next contiguous block of
+    ``sizes[b]`` rows: its keys are its shared block and the block, and
+    its queries are the block's rows after the first ``skip``, which are
+    keys only. The constructor checks the layout and derives what every
     ``block_attention`` over it reads:
 
     - ``index`` (B, L): the key row at position j of group b, its shared
@@ -402,7 +396,7 @@ class AttentionGroups:
       shared block j.
     """
 
-    def __init__(self, sizes, shared: int = 0, skip: int = 0, prompt=None):
+    def __init__(self, sizes, shared: int = 0, skip: int = 0, counts=None):
         sizes = np.asarray(sizes)
         if sizes.ndim != 1 or not sizes.size or not np.issubdtype(sizes.dtype, np.integer):
             raise ShapeError(f"AttentionGroups: sizes must be a non-empty 1-D int array, "
@@ -411,22 +405,17 @@ class AttentionGroups:
             raise ContractError(f"AttentionGroups: every block needs a query row after its "
                                 f"{skip} key-only rows, and shared ({shared}) must not be "
                                 f"negative; sizes {sizes.tolist()}")
-        prompt = np.zeros(sizes.size, dtype=np.intp) if prompt is None else np.asarray(prompt)
-        if prompt.shape != sizes.shape or not np.issubdtype(prompt.dtype, np.integer):
-            raise ShapeError(f"AttentionGroups: prompt must be an int index of one entry per "
-                             f"group, got {prompt.dtype} {prompt.shape}")
-        if prompt[0] < 0 or (np.diff(prompt) < 0).any():
-            raise ContractError(f"AttentionGroups: the prompt index must be non-negative and "
-                                f"never decrease, got {prompt.tolist()}")
+        counts = [sizes.size] if counts is None else counts
         self.shared, self.skip = int(shared), int(skip)
-        self.readers = np.searchsorted(prompt, np.arange(prompt[-1] + 2))
-        self.shared_rows = self.shared * (int(prompt[-1]) + 1)   # rows of the shared blocks
+        self.readers = np.concatenate([[0], np.cumsum(counts)])
+        self.shared_rows = self.shared * len(counts)              # rows of the shared blocks
         self.rows = self.shared_rows + int(sizes.sum())
         starts = self.shared_rows + np.cumsum(sizes) - sizes     # first row of each block
+        block = np.repeat(np.arange(len(counts)), counts)         # each group's shared block
         pos = np.arange(self.shared + sizes.max()) - self.shared  # position within the block
         self.key_mask = pos < sizes[:, None]
         self.index = np.where(self.key_mask,
-                              np.where(pos < 0, pos + self.shared * (prompt[:, None] + 1),
+                              np.where(pos < 0, pos + self.shared * (block[:, None] + 1),
                                        starts[:, None] + pos), -1)
         at = np.arange(max(sizes.max() - self.skip, 2))
         asks = at < (sizes - self.skip)[:, None]
@@ -682,35 +671,34 @@ class SourceBuckets:
                 (rows, sources[np.where(slot < counts[rows], adj.indptr[rows] + slot, adj.nnz)]))
 
 
-def neighbor_max(h: Tensor, adj) -> Tensor:
-    """Row i is the elementwise max of the rows of ``h`` stored in row i of CSR ``adj``.
+def neighbor_max(h: Tensor, buckets: SourceBuckets) -> Tensor:
+    """Row i is the elementwise max of the rows of ``h`` stored in row i of the
+    CSR matrix that ``buckets`` was built from.
 
-    ``adj`` is the CSR matrix or its ``SourceBuckets``. Each bucket
-    gathers its sources into one (slots, rows, d) block, short rows
-    reading an appended -inf row, and takes one max over the slots. The
+    Each bucket gathers its sources into one (slots, rows, d) block, short
+    rows reading an appended -inf row, and takes one max over the slots. The
     gradient of each (row, column) pair goes to a single source: the
     first slot not below the max, so ties go to the lowest column and a
     NaN max to the row's first source. That search runs in the backward
     pass, so an untaped forward never pays for it.
     """
     h = _as_tensor(h)
-    if not isinstance(adj, SourceBuckets):
-        adj = SourceBuckets(adj)
-    if h.ndim != 2 or adj.shape[1] != h.shape[0]:
-        raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over {adj.shape}")
+    if h.ndim != 2 or buckets.shape[1] != h.shape[0]:
+        raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over "
+                         f"{buckets.shape}")
     n, d = h.shape
     padded = np.concatenate([h.data, np.full((1, d), -np.inf)])
-    outd = np.empty((adj.shape[0], d))
+    outd = np.empty((buckets.shape[0], d))
     blocks = []
-    for rows, table in adj.buckets:
+    for rows, table in buckets.buckets:
         block = padded.take(table, axis=0)
         top = block.max(axis=0)
         outd[rows] = top
         blocks.append((block, top))
 
     def bwd(g):
-        source = np.empty((adj.shape[0], d), dtype=np.intp)
-        for (rows, table), (block, top) in zip(adj.buckets, blocks):
+        source = np.empty((buckets.shape[0], d), dtype=np.intp)
+        for (rows, table), (block, top) in zip(buckets.buckets, blocks):
             first = (block < top).argmin(axis=0)      # first slot not below the max
             # table[first[i, j], i], read through the flat table
             source[rows] = table.ravel().take(first * rows.size + np.arange(rows.size)[:, None])
@@ -720,27 +708,25 @@ def neighbor_max(h: Tensor, adj) -> Tensor:
     return _record(Tensor(outd), [(h, bwd)])
 
 
-def bce_with_logits(logits: Tensor, labels, label_mask=None) -> Tensor:
-    """Mean binary cross-entropy over unmasked entries, from raw logits.
+def bce_with_logits(logits: Tensor, labels) -> Tensor:
+    """Mean binary cross-entropy over the present labels, from raw logits.
 
-    Uses the stable ``max(x,0) - x*y + log1p(exp(-|x|))`` form. Labels must
-    be 0/1 wherever the mask is true; masked entries are ignored entirely,
-    which is how multi-task targets with missing values are handled.
+    Uses the stable ``max(x,0) - x*y + log1p(exp(-|x|))`` form. A
+    non-finite label is missing: it adds nothing to the loss or to its
+    gradient, which is how multi-task targets with missing values are
+    handled. The present labels must be 0 or 1.
     """
     logits = _as_tensor(logits)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != logits.shape:
         raise ShapeError(f"bce_with_logits: labels shape {y.shape} vs logits {logits.shape}")
-    if label_mask is None:
-        m = np.ones(logits.shape, dtype=bool)
-    else:
-        m = _as_mask(label_mask, logits.shape, "bce_with_logits")
+    m = np.isfinite(y)
     count = int(m.sum())
     if count == 0:
-        raise ContractError("bce_with_logits: every label is masked")
+        raise ContractError("bce_with_logits: every label is missing")
     ym = y[m]
     if not np.all((ym == 0.0) | (ym == 1.0)):
-        raise ContractError("bce_with_logits: unmasked labels must be 0 or 1")
+        raise ContractError("bce_with_logits: present labels must be 0 or 1")
     x = logits.data
     per = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     out = Tensor(per[m].sum() / count)

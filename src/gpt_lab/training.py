@@ -39,7 +39,6 @@ __all__ = [
     "UndefinedMetricError",
     "NonFiniteError",
     "lr_at",
-    "bce_loss",
     "mse_loss",
     "rmse",
     "auroc",
@@ -138,11 +137,6 @@ def lr_at(epoch: float, schedule: Schedule) -> float:
 # ---------------------------------------------------------------------------
 # Losses and metrics
 # ---------------------------------------------------------------------------
-
-
-def bce_loss(logits: Tensor, labels, label_mask=None) -> Tensor:
-    """Masked mean binary cross-entropy from logits (stable log-sigmoid form)."""
-    return bce_with_logits(logits, labels, label_mask)
 
 
 def mse_loss(preds: Tensor, labels) -> Tensor:
@@ -343,7 +337,7 @@ def _metric_value(config: TuningConfig, scores: np.ndarray, labels: np.ndarray) 
 def _loss(config: TuningConfig, out: Tensor, labels: np.ndarray) -> Tensor:
     if config.metric == "rmse":
         return mse_loss(out, labels)
-    return bce_loss(out, labels, np.isfinite(labels))
+    return bce_with_logits(out, labels)
 
 
 def _labels(encoded) -> np.ndarray:
@@ -416,8 +410,7 @@ def _forward(encoded, bb: Backbone, embeddings=None):
             return [f.head.forward(Tensor(embeddings[c])) for f, c in zip(active, chunks)]
         sizes = [len(c) for c in chunks]
         batch = batch_graphs([encoded[i] for c in chunks for i in c])
-        hg = backbone_forward(batch, bb, prompt_ctx=[f.prompts for f in active],
-                              prompt_of=np.repeat(np.arange(len(active)), sizes))
+        hg = backbone_forward(batch, bb, group=zip((f.prompts for f in active), sizes))
         ends = np.cumsum(sizes)
         return [f.head.forward(gather_rows(hg, np.arange(end - size, end)))
                 for f, size, end in zip(active, sizes, ends)]

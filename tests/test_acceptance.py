@@ -34,13 +34,12 @@ from gpt_lab.prompt import (
     count_params,
     init_prompts,
 )
-from gpt_lab.tensor import Tape, Tensor, add, backward, matmul, pool_rows
+from gpt_lab.tensor import Tape, Tensor, add, backward, bce_with_logits, matmul, pool_rows
 from gpt_lab.training import (
     AdamW,
     TuningConfig,
     auroc,
     average_precision,
-    bce_loss,
     clip_global_norm,
     pretrain,
     train,
@@ -78,15 +77,15 @@ def test_01_gradient_correctness_full_deepgpt_forward():
     g = random_graph(6, 0.5, rng)
     prepared = batch_graphs(encode_graphs([g], cfg))
     ctx = prompts.check(bb.cfg)
-    labels = prepared.labels.data
+    labels = np.array([g.label])
 
     def loss_value() -> float:
-        out = backbone_forward(prepared, bb, head, prompt_ctx=ctx)
-        return float(bce_loss(out, labels).data)
+        out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+        return float(bce_with_logits(out, labels).data)
 
     with Tape():
-        out = backbone_forward(prepared, bb, head, prompt_ctx=ctx)
-        grads = backward(bce_loss(out, labels))
+        out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+        grads = backward(bce_with_logits(out, labels))
 
     trainable = {**prompts.named_params(), **head.named_params()}
     h = 1e-5
@@ -135,13 +134,13 @@ def test_02_freeze_soundness_100_steps(tmp_path):
     data = gen_downstream(16, "motif_presence", seed=23, size_range=(5, 8))
     prepared = batch_graphs(encode_graphs(data, cfg))
     ctx = prompts.check(bb.cfg)
-    labels = prepared.labels.data
+    labels = np.array([g.label for g in data])
 
     keys_ok = True
     for _ in range(100):
         with Tape():
-            out = backbone_forward(prepared, bb, head, prompt_ctx=ctx)
-            grads = backward(bce_loss(out, labels))
+            out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+            grads = backward(bce_with_logits(out, labels))
         got = {id(t) for t in grads}
         want = {id(t) for t in registry.trainable.values()}
         keys_ok = keys_ok and got == want
@@ -172,7 +171,7 @@ def test_03_empty_prompt_set_reproduces_backbone_exactly():
     prepared = batch_graphs(encode_graphs(graphs, cfg))
     plain = backbone_forward(prepared, bb, head).data
     empty_ctx = PromptSet().check(bb.cfg)
-    via_prompt = backbone_forward(prepared, bb, head, prompt_ctx=empty_ctx).data
+    via_prompt = backbone_forward(prepared, bb, head, group=[(empty_ctx, prepared.size)]).data
     max_err = float(np.abs(plain - via_prompt).max())
     report(3, "empty prompt set is an exact no-op", max_err == 0.0,
            f"max |diff| = {max_err}")
@@ -197,8 +196,8 @@ def test_04_prefix_equals_virtual_nodes():
         prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
                                p_len=4)
         virtual_ctx = PromptSet(virtual_tokens=Tensor(values.copy(), requires_grad=True))
-        h_p, _ = encode_nodes(prepared, bb, prompt_ctx=prefix_ctx)
-        h_v, _ = encode_nodes(prepared, bb, prompt_ctx=virtual_ctx)
+        h_p, _ = encode_nodes(prepared, bb, group=[(prefix_ctx, prepared.size)])
+        h_v, _ = encode_nodes(prepared, bb, group=[(virtual_ctx, prepared.size)])
         assert h_p.shape == h_v.shape == (g.n, cfg.dim)     # node rows only
         worst = max(worst, float(np.abs(h_p.data - h_v.data).max()))
     report(4, "prefix injection vs virtual token nodes on real-node outputs",

@@ -17,7 +17,6 @@ from gpt_lab.cli import (
 from gpt_lab.config import ConfigError, load_config
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig
-from gpt_lab.prompt import PromptSet
 from gpt_lab.training import evaluate_fold
 
 from csv_rows import read_csv
@@ -595,10 +594,9 @@ class TestTuneCommand:
                                                               monkeypatch, capsys):
         forward = training.backbone_forward
 
-        def tokenless(batch, bb, head=None, prompt_ctx=None, prompt_of=None):
-            sets = [prompt_ctx] if isinstance(prompt_ctx, PromptSet) else prompt_ctx
+        def tokenless(batch, bb, head=None, group=None):
             return forward(batch, bb, head,
-                           [dataclasses.replace(s, graph_token=None) for s in sets], prompt_of)
+                           [(dataclasses.replace(s, graph_token=None), n) for s, n in group])
 
         monkeypatch.setattr(training, "backbone_forward", tokenless)
         config = write_config(tmp_path / "exp.ini")

@@ -349,13 +349,13 @@ class TestBackboneForward:
         named = prompts.named_params()
         with Tape():
             batched = backbone_forward(batch(encode_graphs(graphs, cfg)), bb, head,
-                                       prompt_ctx=prompts)
+                                       group=[(prompts, len(graphs))])
             batched_grads = backward(tsum(batched))
         summed = {name: np.zeros_like(t.data) for name, t in named.items()}
         for i, g in enumerate(graphs):
             with Tape():
                 solo = backbone_forward(batch(encode_graphs([g], cfg)), bb, head,
-                                        prompt_ctx=prompts)
+                                        group=[(prompts, 1)])
                 grads = backward(tsum(solo))
             assert np.abs(batched.data[i] - solo.data[0]).max() <= 1e-10
             for name, t in named.items():
@@ -459,7 +459,7 @@ class TestTapeSize:
         for bs in (2, 16):
             with Tape() as tape:
                 out = backbone_forward(batch(encode_graphs(graphs[:bs], cfg)), bb, head,
-                                       prompt_ctx=prompts)
+                                       group=[(prompts, bs)])
                 backward(tsum(out))
             nodes.append(len(tape.nodes))
         assert nodes[0] == nodes[1]

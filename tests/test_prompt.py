@@ -106,7 +106,7 @@ class TestInjectPrefix:
         prepared = batch_graphs(encode_graphs([g], cfg))
         plain = backbone_forward(prepared, bb, head).data
         empty = backbone_forward(prepared, bb, head,
-                                 prompt_ctx=PromptSet().check(bb.cfg)).data
+                                 group=[(PromptSet().check(bb.cfg), prepared.size)]).data
         assert np.array_equal(plain, empty)
 
     def test_early_prefix_reaches_later_layers_through_attention(self):
@@ -114,12 +114,12 @@ class TestInjectPrefix:
         g = random_graph(5, 0.5, np.random.default_rng(2))
         prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("prefix_only", cfg, p_len=2, seed=3)
-        base, _ = encode_nodes(prepared, bb, prompt_ctx=prompts)
+        base, _ = encode_nodes(prepared, bb, group=[(prompts, prepared.size)])
         # layer 0's prefix rows are keys only and never reach layers 1
         # and 2, so any influence on final real-node rows went through
         # attention
         prompts.prefixes[0].data[0, 0] += 0.5
-        bumped, _ = encode_nodes(prepared, bb, prompt_ctx=prompts)
+        bumped, _ = encode_nodes(prepared, bb, group=[(prompts, prepared.size)])
         delta = np.abs(base.data - bumped.data).max()
         assert delta > 1e-8
 
@@ -133,7 +133,7 @@ class TestDeepgptForward:
         registry = build_registry(bb, head, prompts)
         with Tape():
             out = backbone_forward(prepared, bb, head,
-                                   prompt_ctx=prompts.check(bb.cfg))
+                                   group=[(prompts.check(bb.cfg), prepared.size)])
             grads = backward(tsum(out))
         expected = {id(t) for t in registry.trainable.values()}
         got = {id(t) for t in grads}
@@ -147,7 +147,7 @@ class TestDeepgptForward:
         registry = build_registry(bb, head, prompts)
         with Tape():
             out = backbone_forward(prepared, bb, head,
-                                   prompt_ctx=prompts.check(bb.cfg))
+                                   group=[(prompts.check(bb.cfg), prepared.size)])
             grads = backward(tsum(out))
         for t in registry.frozen.values():
             assert t not in grads
@@ -167,7 +167,7 @@ class TestVirtualNodes:
         prepared = batch_graphs(encode_graphs([g], cfg))
         plain = backbone_forward(prepared, bb, head).data
         ctx = PromptSet(virtual_tokens=Tensor(np.zeros((0, cfg.dim)), requires_grad=True))
-        via = backbone_forward(prepared, bb, head, prompt_ctx=ctx).data
+        via = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)]).data
         assert np.array_equal(plain, via)
 
     def test_augmented_graph_structure(self, monkeypatch):
@@ -181,7 +181,7 @@ class TestVirtualNodes:
         monkeypatch.setattr(models, "mpgnn_layer_forward",
                             lambda h, adj, params: seen.append(adj) or layer_forward(h, adj, params))
         _, offsets = encode_nodes(batch_graphs(encode_graphs(graphs, cfg)), bb,
-                                  prompt_ctx=PromptSet(virtual_tokens=tokens))
+                                  group=[(PromptSet(virtual_tokens=tokens), len(graphs))])
         assert len(seen) == cfg.layers
         adj = seen[0]
         total = offsets[-1] + 2 * len(graphs)
@@ -205,8 +205,8 @@ class TestVirtualNodes:
         prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
                                p_len=2)
         virtual_ctx = PromptSet(virtual_tokens=Tensor(values.copy(), requires_grad=True))
-        h_prefix, _ = encode_nodes(prepared, bb, prompt_ctx=prefix_ctx)
-        h_virtual, _ = encode_nodes(prepared, bb, prompt_ctx=virtual_ctx)
+        h_prefix, _ = encode_nodes(prepared, bb, group=[(prefix_ctx, prepared.size)])
+        h_virtual, _ = encode_nodes(prepared, bb, group=[(virtual_ctx, prepared.size)])
         assert h_prefix.shape == h_virtual.shape == (g.n, cfg.dim)
         assert np.abs(h_prefix.data - h_virtual.data).max() <= 1e-10
 
@@ -217,8 +217,8 @@ class TestVirtualNodes:
         prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("deepgpt", cfg, p_len=3, seed=20)
         ctx = prompts.check(bb.cfg)
-        pooled = backbone_forward(prepared, bb, head=None, prompt_ctx=ctx).data
-        h, _ = encode_nodes(prepared, bb, prompt_ctx=ctx)
+        pooled = backbone_forward(prepared, bb, head=None, group=[(ctx, prepared.size)]).data
+        h, _ = encode_nodes(prepared, bb, group=[(ctx, prepared.size)])
         assert h.shape == (g.n, cfg.dim)
         manual = h.data.mean(axis=0)
         assert np.abs(pooled[0] - manual).max() <= 1e-15
@@ -228,9 +228,10 @@ class TestVirtualNodes:
         g = random_graph(5, 0.4, np.random.default_rng(10))
         prepared = batch_graphs(encode_graphs([g], cfg))
         tokens = Tensor(RNG.normal(size=(2, cfg.dim)), requires_grad=True)
-        base, _ = encode_nodes(prepared, bb, prompt_ctx=PromptSet(virtual_tokens=tokens))
+        group = [(PromptSet(virtual_tokens=tokens), 1)]
+        base, _ = encode_nodes(prepared, bb, group=group)
         tokens.data[0, 0] += 0.25
-        bumped, _ = encode_nodes(prepared, bb, prompt_ctx=PromptSet(virtual_tokens=tokens))
+        bumped, _ = encode_nodes(prepared, bb, group=group)
         assert base.shape == (g.n, cfg.dim)
         delta = np.abs(base.data - bumped.data)
         assert np.all(delta.max(axis=1) > 1e-10)
@@ -254,7 +255,7 @@ class TestForwardRunsThePromptHooks:
                 counts[_name] += 1
                 return _hook(*args)
             monkeypatch.setattr(models, name, counted)
-        backbone_forward(prepared, bb, head, prompt_ctx=prompts)
+        backbone_forward(prepared, bb, head, group=[(prompts, prepared.size)])
         assert (counts["apply_graph_prompt"], counts["inject_prefix"]) == calls
 
 
@@ -287,7 +288,7 @@ class TestCheck:
 
 
 class TestMixedPromptSets:
-    """One forward over the samples of k prompt sets: sample b reads set prompt_of[b]."""
+    """One forward over the samples of k prompt sets, given as (set, count) pairs."""
 
     @pytest.mark.parametrize("kind, mode, kw", [
         ("transformer", "deepgpt", {}),
@@ -301,19 +302,24 @@ class TestMixedPromptSets:
         build_registry(bb, PredictionHead.init(cfg.dim, 1, seed=0), PromptSet())
         rng = np.random.default_rng(26)
         graphs = [random_graph(int(rng.integers(3, 8)), 0.5, rng) for _ in range(7)]
-        sets = [init_prompts(mode, cfg, p_len=2, seed=s, **kw) for s in (1, 2, 3)]
-        owner = np.array([0, 0, 1, 2, 2, 2, 2])
+        sets = [init_prompts(mode, cfg, p_len=2, seed=s, **kw) for s in (1, 2, 3, 4)]
+        counts = [2, 0, 1, 4]             # the second set is read by no sample
         ups = rng.normal(size=(7, cfg.dim))
         with Tape():
-            mixed = backbone_forward(batch_graphs(encode_graphs(graphs, cfg)), bb, prompt_ctx=sets,
-                                     prompt_of=owner)
+            mixed = backbone_forward(batch_graphs(encode_graphs(graphs, cfg)), bb,
+                                     group=zip(sets, counts))
             grads = backward(tsum(mul(mixed, Tensor(ups))))
-        for k, prompts in enumerate(sets):
-            rows = np.flatnonzero(owner == k)
+        ends = np.cumsum(counts)
+        for prompts, count, end in zip(sets, counts, ends):
+            if not count:
+                for name, t in prompts.named_params().items():
+                    assert not grads[t].any(), name
+                continue
+            rows = np.arange(end - count, end)
             with Tape():
                 alone = backbone_forward(
                     batch_graphs(encode_graphs([graphs[i] for i in rows], cfg)), bb,
-                    prompt_ctx=prompts)
+                    group=[(prompts, count)])
                 want = backward(tsum(mul(alone, Tensor(ups[rows]))))
             assert np.abs(mixed.data[rows] - alone.data).max() < 1e-12
             for name, t in prompts.named_params().items():
@@ -321,31 +327,28 @@ class TestMixedPromptSets:
 
     def test_rejections(self):
         cfg, _, _ = small_setup(layers=2)
-        deep = [init_prompts("deepgpt", cfg, p_len=2, seed=s) for s in (1, 2)]
+        a, b = [init_prompts("deepgpt", cfg, p_len=2, seed=s) for s in (1, 2)]
         cases = [
-            ((deep, None, 3), ContractError, "need an index of each sample's set"),
-            ((deep, np.array([0, 1, 0]), 3), ContractError, "without decreasing"),
-            ((deep, np.array([0, 2, 2]), 3), ContractError, "up to set 1"),
-            ((deep, np.array([0, 0, 0]), 3), ContractError, "up to set 1"),
-            ((deep, np.array([1, 1, 1]), 3), ContractError, "from set 0"),
-            ((deep, np.array([0, 1]), 3), ShapeError, "one entry per sample"),
-            (([deep[0], init_prompts("prefix_only", cfg, p_len=2, seed=1)], np.array([0, 1]),
-              2), ContractError, "one layout"),
-            (([deep[0], init_prompts("deepgpt", cfg, p_len=3, seed=1)], np.array([0, 1]), 2),
-             ContractError, "one layout"),
-            (([], None, 2), ContractError, "one layout"),
+            (([(a, 1), (b, 1)], 3), "sum to 3"),
+            (([(a, 2), (b, 2)], 3), "sum to 3"),
+            (([(a, -1), (b, 4)], 3), "non-negative"),
+            (([(a, 1.0), (b, 2.0)], 3), "ints"),
+            (([(a, 1), (init_prompts("prefix_only", cfg, p_len=2, seed=1), 1)], 2),
+             "one layout"),
+            (([(a, 1), (init_prompts("deepgpt", cfg, p_len=3, seed=1), 1)], 2), "one layout"),
+            (([], 2), "one layout"),
         ]
-        for (ctx, owner, samples), error, message in cases:
-            with pytest.raises(error, match=message):
-                check_group(ctx, owner, cfg, samples)
+        for (group, samples), message in cases:
+            with pytest.raises(ContractError, match=message):
+                check_group(group, cfg, samples)
 
-    def test_one_set_needs_no_index(self):
+    def test_none_is_one_empty_set_and_a_count_may_be_zero(self):
         cfg, _, _ = small_setup(layers=2)
-        prompts = init_prompts("deepgpt", cfg, p_len=2, seed=1)
-        sets, owner = check_group(prompts, None, cfg, 4)
-        assert sets == [prompts] and owner.tolist() == [0, 0, 0, 0]
-        sets, _ = check_group(None, None, cfg, 2)
-        assert sets == [PromptSet()]
+        a, b = [init_prompts("deepgpt", cfg, p_len=2, seed=s) for s in (1, 2)]
+        sets, counts = check_group(None, cfg, 2)
+        assert sets == [PromptSet()] and counts.tolist() == [2]
+        sets, counts = check_group(iter([(a, 0), (b, 3), (a, 0)]), cfg, 3)
+        assert sets == [a, b, a] and counts.tolist() == [0, 3, 0]
 
 
 class TestPreProjectionToken:
@@ -364,7 +367,8 @@ class TestPreProjectionToken:
         token = prompts.graph_token
         token.data = rng.normal(size=cfg.input_width)
         with Tape():
-            grad = backward(tsum(backbone_forward(prepared, bb, head, prompt_ctx=prompts)))[token]
+            out = backbone_forward(prepared, bb, head, group=[(prompts, prepared.size)])
+            grad = backward(tsum(out))[token]
         fd = np.zeros_like(grad)
         eps = 1e-6
         for i in range(fd.size):
@@ -373,7 +377,7 @@ class TestPreProjectionToken:
             for shifted in (orig + eps, orig - eps):
                 token.data[i] = shifted
                 values.append(float(tsum(backbone_forward(prepared, bb, head,
-                                                          prompt_ctx=prompts)).data))
+                                                          group=[(prompts, prepared.size)])).data))
             token.data[i] = orig
             fd[i] = (values[0] - values[1]) / (2 * eps)
         assert np.abs(fd).max() > 1e-3
@@ -390,8 +394,8 @@ class TestPreProjectionToken:
         post = PromptSet(graph_token=Tensor(pre.graph_token.data @ bb.w_in.data,
                                             requires_grad=True),
                          prefixes=pre.prefixes, p_len=pre.p_len)
-        out_pre = backbone_forward(prepared, bb, head, prompt_ctx=pre).data
-        out_post = backbone_forward(prepared, bb, head, prompt_ctx=post).data
+        out_pre = backbone_forward(prepared, bb, head, group=[(pre, prepared.size)]).data
+        out_post = backbone_forward(prepared, bb, head, group=[(post, prepared.size)]).data
         assert np.abs(out_pre - out_post).max() <= 1e-10
 
 
@@ -477,7 +481,7 @@ class TestSweepWellFormedness:
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=13,
                                prompted_layers=interval)
         out = backbone_forward(prepared, bb, head,
-                               prompt_ctx=prompts.check(bb.cfg))
+                               group=[(prompts.check(bb.cfg), prepared.size)])
         assert out.shape == (1, 1) and np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("p_len", [10, 60, 110])
@@ -487,7 +491,7 @@ class TestSweepWellFormedness:
         prepared = batch_graphs(encode_graphs([g], cfg))
         prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=15)
         out = backbone_forward(prepared, bb, head,
-                               prompt_ctx=prompts.check(bb.cfg))
+                               group=[(prompts.check(bb.cfg), prepared.size)])
         assert np.isfinite(out.data).all()
 
     def test_bad_interval_rejected(self):

@@ -28,6 +28,7 @@ from gpt_lab.models import (
 from gpt_lab.prompt import TOKEN_STAGES, PromptSet, init_prompts
 from gpt_lab.tensor import (
     AttentionGroups,
+    SourceBuckets,
     Tape,
     Tensor,
     add,
@@ -72,7 +73,7 @@ def _model(kind, aggregation="sum", mode=None):
                          aggregation=aggregation)
     bb = Backbone.init(cfg, seed=1)
     head = PredictionHead.init(cfg.dim, 1, seed=2)
-    prompts = None
+    prompts = PromptSet()
     if mode is not None:
         prompts = init_prompts(mode, cfg, p_len=2, seed=3,
                                prompted_layers=(1, 2) if mode == "prefix_only" else None)
@@ -96,9 +97,10 @@ def test_batched_forward_equals_per_sample_forwards(name, batch):
     cfg, bb, head, prompts = MODELS[name]
     _assert_node_rows_only(batch, cfg, bb, prompts)
     together = backbone_forward(batch_graphs(encode_graphs(batch, cfg)), bb, head,
-                                prompt_ctx=prompts).data
+                                group=[(prompts, len(batch))]).data
     alone = np.concatenate([
-        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head, prompt_ctx=prompts).data
+        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head,
+                         group=[(prompts, 1)]).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
 
@@ -106,7 +108,7 @@ def test_batched_forward_equals_per_sample_forwards(name, batch):
 def _assert_node_rows_only(batch, cfg, bb, prompts):
     """encode_nodes returns one row per node, laid out by the batch's offsets."""
     prepared = batch_graphs(encode_graphs(batch, cfg))
-    h, offsets = encode_nodes(prepared, bb, prompt_ctx=prompts)
+    h, offsets = encode_nodes(prepared, bb, group=[(prompts, prepared.size)])
     assert offsets is prepared.offsets and h.shape == (offsets[-1], cfg.dim)
 
 
@@ -150,9 +152,10 @@ def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
                            prompted_layers=(1, 2) if mode == "prefix_only" else None)
     _assert_node_rows_only(batch, cfg, bb, prompts)
     together = backbone_forward(batch_graphs(encode_graphs(batch, cfg)), bb, head,
-                                prompt_ctx=prompts).data
+                                group=[(prompts, len(batch))]).data
     alone = np.concatenate([
-        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head, prompt_ctx=prompts).data
+        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head,
+                         group=[(prompts, 1)]).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
 
@@ -171,9 +174,9 @@ def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
     cfg, bb, head, prompts = MODELS[name]
     perm = np.random.default_rng(seed).permutation(g.n)
     base = backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head,
-                            prompt_ctx=prompts).data
+                            group=[(prompts, 1)]).data
     moved = backbone_forward(batch_graphs(encode_graphs([_permuted(g, perm)], cfg)), bb, head,
-                             prompt_ctx=prompts).data
+                             group=[(prompts, 1)]).data
     assert np.abs(base - moved).max() <= 1e-10
 
 
@@ -184,7 +187,7 @@ def test_empty_prompt_set_changes_nothing(name, batch):
     cfg, bb, head, _ = MODELS[name]
     prepared = batch_graphs(encode_graphs(batch, cfg))
     plain = backbone_forward(prepared, bb, head).data
-    empty = backbone_forward(prepared, bb, head, prompt_ctx=PromptSet()).data
+    empty = backbone_forward(prepared, bb, head, group=[(PromptSet(), prepared.size)]).data
     assert np.abs(plain - empty).max() == 0.0
 
 
@@ -222,7 +225,7 @@ def test_neighbor_max_equals_a_per_row_oracle(first, rest, extra, seed):
     g = rng.normal(size=(len(counts), d))
     x = Tensor(h, requires_grad=True)
     with Tape(), np.errstate(invalid="ignore"):
-        out = neighbor_max(x, adj)
+        out = neighbor_max(x, SourceBuckets(adj))
         grad = backward(tsum(mul(out, Tensor(g))))[x]
     want = np.array([h[c].max(axis=0) for c in cols])
     want_grad = np.zeros((n, d))
@@ -350,7 +353,8 @@ def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len
     tracked = {**prompts.named_params(), **head.named_params()}
 
     with Tape():
-        h, offsets = encode_nodes(batch_graphs(encode_graphs(batch, cfg)), bb, prompt_ctx=prompts)
+        h, offsets = encode_nodes(batch_graphs(encode_graphs(batch, cfg)), bb,
+                                  group=[(prompts, len(batch))])
         pooled = pool_rows(h, offsets, cfg.readout)
         grads = backward(tsum(mul(head.forward(pooled), weights)))
     with Tape():
@@ -378,7 +382,8 @@ def test_prompt_and_head_gradients_match_central_differences(case, batch):
     weights = Tensor(np.random.default_rng(0).normal(size=(len(batch), 1)))
 
     def loss():
-        return tsum(mul(backbone_forward(prepared, bb, head, prompt_ctx=prompts), weights))
+        out = backbone_forward(prepared, bb, head, group=[(prompts, prepared.size)])
+        return tsum(mul(out, weights))
 
     with Tape():
         grads = backward(loss())
@@ -398,23 +403,24 @@ def test_prompt_and_head_gradients_match_central_differences(case, batch):
 
 @PROPERTY_SETTINGS
 @given(rows=st.integers(1, 6), cols=st.integers(1, 3), seed=st.integers(0, 2**16),
-       fill=st.sampled_from([np.nan, 0.0, 1.0]))
+       fill=st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_a_masked_label_changes_neither_the_bce_loss_nor_its_gradient(rows, cols, seed, fill):
-    """A masked entry, a missing task value, is ignored whatever it holds."""
+    """A missing label, any non-finite value, is ignored whatever its logit."""
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(rows, cols)) * 3
     labels = (rng.random((rows, cols)) < 0.5).astype(float)
     mask = rng.random((rows, cols)) < 0.6
     mask.flat[0] = True
 
-    def loss_and_grad(y):
-        x = Tensor(logits, requires_grad=True)
+    def loss_and_grad(x, y):
+        x = Tensor(x, requires_grad=True)
         with Tape():
-            loss = bce_with_logits(x, y, mask)
+            loss = bce_with_logits(x, y)
             return loss.data, backward(loss)[x]
 
-    want_loss, want_grad = loss_and_grad(labels)
-    loss, grad = loss_and_grad(np.where(mask, labels, fill))
+    want_loss, want_grad = loss_and_grad(logits, np.where(mask, labels, np.nan))
+    moved = np.where(mask, logits, rng.normal(size=(rows, cols)) * 3)
+    loss, grad = loss_and_grad(moved, np.where(mask, labels, fill))
     assert np.array_equal(loss, want_loss)
     assert np.array_equal(grad, want_grad)
     assert (grad[~mask] == 0.0).all()

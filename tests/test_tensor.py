@@ -174,12 +174,14 @@ class TestAttentionGroups:
 
 
 class TestAttentionGroupsWithAPromptIndex:
-    """Shared rows in one block per prompt index; group b reads block prompt[b]."""
+    """Shared rows in one block per prompt set; the groups are dealt to the blocks
+    in order, ``counts[j]`` of them to block j, so group b reads block ``prompt[b]``."""
 
-    SIZES, SHARED, SKIP, PROMPT = np.array([3, 2, 4, 3]), 2, 1, np.array([0, 0, 2, 2])
+    SIZES, SHARED, SKIP, COUNTS = np.array([3, 2, 4, 3]), 2, 1, [2, 0, 2]
+    PROMPT = np.repeat(np.arange(3), COUNTS)           # [0, 0, 2, 2]
 
     def groups(self):
-        return T.AttentionGroups(self.SIZES, self.SHARED, self.SKIP, self.PROMPT)
+        return T.AttentionGroups(self.SIZES, self.SHARED, self.SKIP, self.COUNTS)
 
     def test_plan(self):
         groups = self.groups()
@@ -218,14 +220,6 @@ class TestAttentionGroupsWithAPromptIndex:
         qkv = Tensor(rand(groups.rows, 12), requires_grad=True)
         w = Tensor(rand(groups.query_rows.size, 4))
         check_against_fd(lambda: T.tsum(T.mul(T.block_attention(qkv, groups, 2), w)), [qkv])
-
-    @pytest.mark.parametrize("prompt, error", [([0, 1, 0, 1], ContractError),
-                                               ([-1, 0, 0, 0], ContractError),
-                                               ([0, 0, 1], ShapeError)],
-                             ids=["decreasing", "negative", "one_short"])
-    def test_prompt_index_must_be_one_non_decreasing_entry_per_group(self, prompt, error):
-        with pytest.raises(error, match="prompt"):
-            T.AttentionGroups(self.SIZES, self.SHARED, self.SKIP, np.array(prompt))
 
 
 class TestGatherRowsBackward:
@@ -330,17 +324,17 @@ def test_a_groups_rows_and_gradients_do_not_depend_on_its_padding(shared, skip, 
     other = rng.normal(size=(shared + 9 + 24, 3 * w))
     up = rng.normal(size=(size + 9 + 24 - 3 * skip, w))      # upstream of every query
 
-    def run(qkv, sizes, prompt):
-        groups = T.AttentionGroups(np.array(sizes), shared, skip, np.array(prompt))
+    def run(qkv, sizes, counts):
+        groups = T.AttentionGroups(np.array(sizes), shared, skip, counts)
         x = Tensor(qkv, requires_grad=True)
         with Tape():
             out = T.block_attention(x, groups, heads)
             grad = backward(T.tsum(T.mul(out, Tensor(up[:out.shape[0]]))))[x]
         return out.data, grad
 
-    out, grad = run(own, [size], [0])
+    out, grad = run(own, [size], [1])
     both = np.concatenate([own[:shared], other[:shared], own[shared:], other[shared:]])
-    out2, grad2 = run(both, [size, 9, 24], [0, 1, 1])
+    out2, grad2 = run(both, [size, 9, 24], [1, 2])
     assert np.array_equal(out, out2[:size - skip])
     assert np.array_equal(grad[:shared], grad2[:shared])
     assert np.array_equal(grad[shared:], grad2[2 * shared:2 * shared + size])
@@ -491,7 +485,7 @@ def csr(groups, cols=3):
                              shape=(len(groups), cols))
 
 
-_NEIGHBORS = csr([[0, 1], [1, 2], [0, 1, 2]])
+_NEIGHBORS = T.SourceBuckets(csr([[0, 1], [1, 2], [0, 1, 2]]))
 _SPARSE = sparse.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.5, 0.0], [3.0, 0.0, 0.25]]))
 
 PRIMITIVE_CASES = {
@@ -544,12 +538,13 @@ def test_every_primitive_matches_finite_differences(name):
 class TestNeighborMax:
     def test_empty_row_rejected(self):
         with pytest.raises(ContractError, match="row 1 has no source"):
-            T.neighbor_max(Tensor(rand(3, 2)), csr([[0], [], [1, 2]]))
+            T.SourceBuckets(csr([[0], [], [1, 2]]))
 
     def test_exact_tie_sends_the_whole_gradient_to_one_source(self):
         h = Tensor(np.array([[1.0, 2.0], [1.0, 0.5], [1.0, 2.0]]), requires_grad=True)
         with Tape():
-            grads = backward(T.tsum(T.neighbor_max(h, csr([[0, 1, 2], [1, 2]]))))
+            out = T.neighbor_max(h, T.SourceBuckets(csr([[0, 1, 2], [1, 2]])))
+            grads = backward(T.tsum(out))
         # Output row 0 ties in both columns, row 1 in column 0: the first
         # source in column order takes each output's whole gradient.
         assert np.array_equal(grads[h], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -563,7 +558,7 @@ class TestNeighborMax:
                 shared = T.neighbor_max(h, buckets)
                 grad_shared = backward(T.tsum(shared))[h]
             with Tape():
-                fresh = T.neighbor_max(h, adj)
+                fresh = T.neighbor_max(h, T.SourceBuckets(adj))
                 grad_fresh = backward(T.tsum(fresh))[h]
             assert np.array_equal(shared.data, fresh.data)
             assert np.array_equal(grad_shared, grad_fresh)
@@ -572,10 +567,16 @@ class TestNeighborMax:
 def test_bce_with_logits_matches_fd():
     x = Tensor(rand(4, 3), requires_grad=True)
     y = (RNG.random((4, 3)) < 0.5).astype(float)
-    mask = RNG.random((4, 3)) < 0.8
-    mask[0, 0] = True
-    y[~mask] = 0.0
-    check_against_fd(lambda: T.bce_with_logits(x, y, mask), [x])
+    y[RNG.random((4, 3)) >= 0.8] = np.nan           # missing labels
+    y[0, 0] = 1.0
+    check_against_fd(lambda: T.bce_with_logits(x, y), [x])
+
+
+@pytest.mark.parametrize("labels, message", [([[np.nan], [np.inf]], "every label is missing"),
+                                             ([[1.0], [0.5]], "must be 0 or 1")])
+def test_bce_with_logits_needs_a_present_label_and_0_1_labels(labels, message):
+    with pytest.raises(ContractError, match=message):
+        T.bce_with_logits(Tensor(rand(2, 1)), np.array(labels))
 
 
 def test_composite_transformer_style_graph_vs_fd():

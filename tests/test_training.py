@@ -17,7 +17,7 @@ from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
                             encode_graphs, load_params)
 from gpt_lab.prompt import build_registry, init_prompts
-from gpt_lab.tensor import ContractError, Tape, Tensor, backward
+from gpt_lab.tensor import ContractError, Tape, Tensor, backward, bce_with_logits
 from gpt_lab.training import (
     AdamW,
     NonFiniteError,
@@ -26,7 +26,6 @@ from gpt_lab.training import (
     UndefinedMetricError,
     auroc,
     average_precision,
-    bce_loss,
     clip_global_norm,
     lr_at,
     mse_loss,
@@ -121,11 +120,11 @@ class TestSchedule:
 
 class TestLosses:
     def test_bce_logit_zero_label_one_is_ln2(self):
-        loss = bce_loss(Tensor(np.array([[0.0]])), np.array([[1.0]]))
+        loss = bce_with_logits(Tensor(np.array([[0.0]])), np.array([[1.0]]))
         assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_bce_large_logit_goes_to_zero(self):
-        loss = bce_loss(Tensor(np.array([[40.0]])), np.array([[1.0]]))
+        loss = bce_with_logits(Tensor(np.array([[40.0]])), np.array([[1.0]]))
         assert float(loss.data) < 1e-15
 
     def test_bce_matches_naive_oracle(self):
@@ -134,8 +133,7 @@ class TestLosses:
         y = (rng.random((6, 3)) < 0.5).astype(float)
         mask = rng.random((6, 3)) < 0.8
         mask[0, 0] = True
-        got = float(bce_loss(Tensor(x), np.where(mask, y, np.nan),
-                             mask).data)
+        got = float(bce_with_logits(Tensor(x), np.where(mask, y, np.nan)).data)
         sig = 1 / (1 + np.exp(-x))
         naive = -(y * np.log(sig) + (1 - y) * np.log(1 - sig))
         assert got == pytest.approx(naive[mask].mean(), abs=1e-10)
@@ -155,7 +153,7 @@ class TestLosses:
         x = Tensor(RNG.normal(size=(3, 1)), requires_grad=True)
         y = np.array([[1.0], [0.0], [1.0]])
         with Tape():
-            grads = backward(bce_loss(x, y))
+            grads = backward(bce_with_logits(x, y))
         sig = 1 / (1 + np.exp(-x.data))
         assert np.abs(grads[x] - (sig - y) / 3).max() <= 1e-12
 
@@ -363,6 +361,14 @@ class TestTrain:
         with pytest.raises(DataError, match="has 5 feature columns, but the backbone's "
                                             "feature_dim is 4"):
             train(tiny_config("lightweight"), motif_data[:6] + wide, cfg, state, seed=1)
+
+    def test_heterogeneous_label_arity_rejected(self, motif_data):
+        cfg, state = tiny_backbone()
+        g = motif_data[5]
+        data = motif_data[:5] + [GraphSample(g.n, g.features, g.edges,
+                                             np.array([1.0, 0.0]))] + motif_data[6:]
+        with pytest.raises(DataError, match="^label arity differs across the dataset$"):
+            train(tiny_config("lightweight"), data, cfg, state, seed=1)
 
     def test_a_missing_classification_label_trains_and_is_left_out_of_the_metric(
             self, motif_data):
@@ -625,11 +631,11 @@ class TestFreezeSoundness:
         data = gen_downstream(8, "motif_presence", seed=18, size_range=(5, 7))
         prepared = batch_graphs(encode_graphs(data, cfg))
         ctx = prompts.check(bb.cfg)
-        labels = prepared.labels.data
+        labels = np.array([g.label for g in data])
         for _ in range(10):
             with Tape():
-                out = backbone_forward(prepared, bb, head, prompt_ctx=ctx)
-                grads = backward(bce_loss(out, labels))
+                out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+                grads = backward(bce_with_logits(out, labels))
             named = {name: grads[t] for name, t in registry.trainable.items()}
             opt.step(registry.trainable, clip_global_norm(named), lr_t=1e-2)
         after = bb.state_arrays()
@@ -650,12 +656,12 @@ class TestFreezeSoundness:
             data = gen_downstream(16, "motif_presence", seed=seed, size_range=(5, 8))
             prepared = batch_graphs(encode_graphs(data, cfg))
             ctx = prompts.check(bb.cfg)
-            labels = prepared.labels.data
+            labels = np.array([g.label for g in data])
             losses = []
             for _ in range(50):
                 with Tape():
-                    out = backbone_forward(prepared, bb, head, prompt_ctx=ctx)
-                    loss = bce_loss(out, labels)
+                    out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+                    loss = bce_with_logits(out, labels)
                     grads = backward(loss)
                 losses.append(float(loss.data))
                 named = {name: grads[t] for name, t in registry.trainable.items()}
