@@ -98,7 +98,7 @@ def _dump_run(out: Path, tuning: TuningConfig, results, seed: int,
     records = out / "runrecords"
     records.mkdir(parents=True, exist_ok=True)
     for r in results:
-        _write_json(records / f"fold{r.fold}.json", r.record.to_dict())
+        _write_json(records / f"fold{r.fold}.json", dataclasses.asdict(r.record))
     fold_rows = [{"fold": r.fold, "final_metric": float(r.final_metric),
                   "epochs_to_best": r.record.epochs_to_best} for r in results]
     write_csv(out / "fold_metrics.csv", FOLD_CSV_FIELDS, fold_rows)
@@ -129,18 +129,14 @@ def cmd_pretrain(args) -> int:
     pre = cfg.pretrain
     data = gen_pretext(pre.count, (pre.min_nodes, pre.max_nodes), seed,
                        feature_dim=cfg.backbone.feature_dim)
-    state, record = pretrain(data, cfg.backbone, seed, epochs=pre.epochs,
-                             lr=pre.lr, weight_decay=pre.weight_decay,
-                             batch_size=pre.batch_size,
-                             warmup_epochs=pre.warmup_epochs, decay=pre.decay,
-                             clip=pre.clip, eval_fraction=pre.eval_fraction)
+    state, record = pretrain(data, cfg.backbone, seed, **pre.training_args())
     ckpt_path = out / "backbone.ckpt"
     save_backbone(ckpt_path, cfg.backbone, state)
     _write_json(out / "pretrain_record.json", {
         "seed": seed,
         "count": pre.count,
         "final_rmse": record.eval_metrics[-1],
-        **record.to_dict(),
+        **dataclasses.asdict(record),
     })
     print(f"wrote {ckpt_path}")
     print(f"final pretext RMSE: {record.eval_metrics[-1]:.6f}")
@@ -177,11 +173,10 @@ def cmd_tune(args) -> int:
 
 def _ablate_variant(tuning: TuningConfig, axis: str, cell,
                     backbone_cfg) -> tuple[str, TuningConfig]:
-    """A sweep cell's name and tuning config, checked against the backbone and
-    by drawing its prompts."""
+    """A sweep cell's name and tuning config, checked against the backbone by
+    drawing its prompts."""
     key = {"depth": "prompted_layers", "length": "p_len", "component": "mode"}[axis]
     variant = dataclasses.replace(tuning, **{key: cell})
-    variant.check_backbone(backbone_cfg)
     prompts = init_prompts(variant.mode, backbone_cfg, variant.p_len, seed=0,
                            prompted_layers=variant.prompted_layers,
                            token_stage=variant.token_stage)
@@ -239,7 +234,7 @@ def cmd_report(args) -> int:
             "runs": 0, "epochs_to_best": [], "epoch_seconds": []})
         bucket["runs"] += 1
         for rf in record_files:
-            record = RunRecord.from_dict(json.loads(rf.read_text(encoding="utf-8")))
+            record = RunRecord(**json.loads(rf.read_text(encoding="utf-8")))
             bucket["epochs_to_best"].append(record.epochs_to_best)
             bucket["epoch_seconds"].extend(record.epoch_seconds)
 

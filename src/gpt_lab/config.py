@@ -2,20 +2,23 @@
 
 Every section and key is checked against a schema before anything runs;
 unknown names are rejected outright so a typo cannot silently fall back
-to a default.
+to a default. Values are checked at load by the dataclass that holds
+them (``[pretrain]``'s schedule by ``training.pretrain_config``), so a
+bad one fails before a command writes anything; the graph generators
+check the sizes of the data they generate.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from gpt_lab.graphs import DOWNSTREAM_TASKS
 from gpt_lab.models import BackboneConfig
 from gpt_lab.prompt import MODES
 from gpt_lab.tensor import ContractError
-from gpt_lab.training import TuningConfig
+from gpt_lab.training import TuningConfig, pretrain_config
 
 __all__ = [
     "ConfigError",
@@ -63,6 +66,14 @@ class PretrainConfig:
     decay: str = "cosine"
     clip: float = 5.0
     eval_fraction: float = 0.1
+
+    def __post_init__(self):
+        pretrain_config(**self.training_args())
+
+    def training_args(self) -> dict:
+        """The keyword arguments of ``training.pretrain``: all but the pretext's size."""
+        return {key: value for key, value in asdict(self).items()
+                if key not in ("count", "min_nodes", "max_nodes")}
 
 
 _AXES = ("depth", "length", "component")
@@ -175,6 +186,19 @@ def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
     return out
 
 
+def _tuning_fields(vals: dict) -> dict:
+    """[tuning]'s keys as ``TuningConfig`` fields: prompted_from and
+    prompted_to form ``prompted_layers``, and beta1 and beta2 ``betas``."""
+    if ("prompted_from" in vals) != ("prompted_to" in vals):
+        raise ConfigError("[tuning]: prompted_from and prompted_to go together")
+    if "prompted_from" in vals:
+        vals["prompted_layers"] = (vals.pop("prompted_from"), vals.pop("prompted_to"))
+    vals["betas"] = (vals.pop("beta1", 0.9), vals.pop("beta2", 0.999))
+    if "mode" not in vals:
+        raise ConfigError("[tuning]: 'mode' is required")
+    return vals
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment file before any execution."""
     path = Path(path)
@@ -194,40 +218,17 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("missing required section [backbone]")
 
     experiment = _section_values(parser, "experiment") if parser.has_section("experiment") else {}
-    seed = experiment.get("seed", 0)
-
-    try:
-        backbone = BackboneConfig(**_section_values(parser, "backbone"))
-    except (ContractError, TypeError) as exc:
-        raise ConfigError(f"[backbone]: {exc}") from None
-
-    task = None
-    if parser.has_section("task"):
-        task = TaskConfig(**_section_values(parser, "task"))
-
-    pre = None
-    if parser.has_section("pretrain"):
-        pre = PretrainConfig(**_section_values(parser, "pretrain"))
-
-    tuning = None
-    if parser.has_section("tuning"):
-        vals = _section_values(parser, "tuning")
-        if ("prompted_from" in vals) != ("prompted_to" in vals):
-            raise ConfigError("[tuning]: prompted_from and prompted_to go together")
-        interval = None
-        if "prompted_from" in vals:
-            interval = (vals.pop("prompted_from"), vals.pop("prompted_to"))
-        betas = (vals.pop("beta1", 0.9), vals.pop("beta2", 0.999))
-        if "mode" not in vals:
-            raise ConfigError("[tuning]: 'mode' is required")
+    sections = {}
+    for section, cls in (("backbone", BackboneConfig), ("task", TaskConfig),
+                         ("pretrain", PretrainConfig), ("tuning", TuningConfig),
+                         ("ablate", AblateConfig)):
+        if not parser.has_section(section):
+            continue
+        vals = _section_values(parser, section)
+        if section == "tuning":
+            vals = _tuning_fields(vals)
         try:
-            tuning = TuningConfig(prompted_layers=interval, betas=betas, **vals)
-        except ContractError as exc:
-            raise ConfigError(f"[tuning]: {exc}") from None
-
-    ablate = None
-    if parser.has_section("ablate"):
-        ablate = AblateConfig(**_section_values(parser, "ablate"))
-
-    return ExperimentConfig(seed=seed, backbone=backbone, task=task,
-                            pretrain=pre, tuning=tuning, ablate=ablate)
+            sections[section] = cls(**vals)
+        except (ContractError, TypeError) as exc:
+            raise ConfigError(f"[{section}]: {exc}") from None
+    return ExperimentConfig(seed=experiment.get("seed", 0), **sections)

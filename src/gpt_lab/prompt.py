@@ -7,7 +7,9 @@ transformer layer attends to as shared keys and values, and virtual
 token rows that join every sample and, in an MPGNN, are wired to every
 original node.
 ``init_prompts`` is the one map from a tuning mode to the prompt
-parameters it trains. ``PromptSet.check`` is the one validator of a
+parameters it trains, and with ``trains_backbone`` the only code that
+reads a mode name, besides the validation of a name against ``MODES``.
+``PromptSet.check`` is the one validator of a
 prompt set against a backbone: ``init_prompts`` returns its set through
 it, and ``models.encode_nodes`` calls it through ``check_group``. A
 forward takes its prompts in one form, a group: k ``(PromptSet,
@@ -35,6 +37,7 @@ __all__ = [
     "PromptSet",
     "FreezeRegistry",
     "init_prompts",
+    "trains_backbone",
     "build_registry",
     "check_group",
     "apply_graph_prompt",
@@ -154,8 +157,10 @@ def init_prompts(mode: str, cfg, p_len: int, seed: int,
     deepgpt, which adds a graph token of model width (post_projection)
     or of the ``BackboneConfig``'s input width (pre_projection).
     ``prompted_layers`` is an inclusive (first, last) layer interval and
-    defaults to all layers. The set is returned through
-    ``PromptSet.check(cfg)``.
+    defaults to all layers. virtual_node wires its tokens through the
+    MPGNN's adjacency, so it needs the MPGNN. The set is returned through
+    ``PromptSet.check(cfg)``, so drawing it checks every rule that ties a
+    mode to a backbone.
     """
     rng = rng_for(seed, "init-prompts")
     if mode in ("ft", "lightweight"):
@@ -163,6 +168,8 @@ def init_prompts(mode: str, cfg, p_len: int, seed: int,
     elif p_len < 1:
         raise ContractError(f"{mode} mode needs p_len >= 1")
     elif mode == "virtual_node":
+        if cfg.kind != "mpgnn":
+            raise ContractError("virtual_node mode requires the mpgnn backbone")
         tokens = Tensor(rng.normal(0.0, 0.02, size=(p_len, cfg.dim)), requires_grad=True)
         prompts = PromptSet(virtual_tokens=tokens, p_len=p_len)
     elif mode in ("prefix_only", "deepgpt"):
@@ -178,6 +185,11 @@ def init_prompts(mode: str, cfg, p_len: int, seed: int,
     else:
         raise ContractError(f"unknown tuning mode {mode!r}")
     return prompts.check(cfg)
+
+
+def trains_backbone(mode: str) -> bool:
+    """ft trains the backbone; every other mode tunes against a frozen one."""
+    return mode == "ft"
 
 
 @dataclass(frozen=True)

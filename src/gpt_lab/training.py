@@ -1,10 +1,11 @@
 """Optimizer, schedule, losses, metrics and the cross-validated training loop.
 
 One ``train`` call runs a tuning regime over k folds against a frozen
-backbone checkpoint. Everything is deterministic given the top-level
-seed: fold assignment, parameter init, epoch shuffles and therefore every
-recorded loss. Wall-clock durations are recorded but never feed back into
-the computation.
+backbone checkpoint. ``TuningConfig`` holds its schedule and optimizer
+settings, and ``prompt.py`` decides what its mode trains. Everything is
+deterministic given the top-level seed: fold assignment, parameter init,
+epoch shuffles and therefore every recorded loss. Wall-clock durations
+are recorded but never feed back into the computation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -25,14 +26,13 @@ from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
                             encode_graphs, load_params)
 from gpt_lab.prompt import (MODES, TOKEN_STAGES, FreezeRegistry, PromptSet, build_registry,
-                            count_params, init_prompts)
+                            count_params, init_prompts, trains_backbone)
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (ContractError, Tape, Tensor, add, backward, bce_with_logits,
                             gather_rows, mul, scale, tsum)
 
 __all__ = [
     "AdamW",
-    "Schedule",
     "TuningConfig",
     "RunRecord",
     "FoldResult",
@@ -46,6 +46,7 @@ __all__ = [
     "clip_global_norm",
     "steady_heap",
     "train",
+    "pretrain_config",
     "METRICS",
 ]
 
@@ -106,32 +107,18 @@ class AdamW:
             p.data -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    base_lr: float
-    warmup_epochs: int
-    total_epochs: int
-    decay: str = "cosine"
-
-    def __post_init__(self):
-        if not (0 <= self.warmup_epochs < self.total_epochs):
-            raise ContractError(f"need 0 <= warmup ({self.warmup_epochs}) "
-                                f"< total ({self.total_epochs})")
-        if self.decay not in ("cosine", "linear"):
-            raise ContractError(f"unknown decay {self.decay!r}")
-
-
-def lr_at(epoch: float, schedule: Schedule) -> float:
-    """Linear ramp to base over warmup, then cosine or linear decay to zero."""
-    if not (0 <= epoch < schedule.total_epochs):
-        raise ContractError(f"epoch {epoch} outside [0, {schedule.total_epochs})")
-    if schedule.warmup_epochs and epoch < schedule.warmup_epochs:
-        return schedule.base_lr * epoch / schedule.warmup_epochs
-    span = schedule.total_epochs - schedule.warmup_epochs
-    progress = (epoch - schedule.warmup_epochs) / span
-    if schedule.decay == "cosine":
-        return schedule.base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
-    return schedule.base_lr * (1.0 - progress)
+def lr_at(epoch: float, config: TuningConfig) -> float:
+    """The schedule of ``config``: a linear ramp to ``lr`` over its warmup
+    epochs, then cosine or linear decay to zero at ``epochs``."""
+    if not (0 <= epoch < config.epochs):
+        raise ContractError(f"epoch {epoch} outside [0, {config.epochs})")
+    if config.warmup_epochs and epoch < config.warmup_epochs:
+        return config.lr * epoch / config.warmup_epochs
+    span = config.epochs - config.warmup_epochs
+    progress = (epoch - config.warmup_epochs) / span
+    if config.decay == "cosine":
+        return config.lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+    return config.lr * (1.0 - progress)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +233,29 @@ class TuningConfig:
                 raise ContractError(f"{key} must be positive, got {getattr(self, key)}")
         if not self.weight_decay >= 0:
             raise ContractError(f"weight_decay must not be negative, got {self.weight_decay}")
-        Schedule(self.lr, self.warmup_epochs, self.epochs, self.decay)
+        if not (0 <= self.warmup_epochs < self.epochs):
+            raise ContractError(f"need 0 <= warmup ({self.warmup_epochs}) "
+                                f"< total ({self.epochs})")
+        if self.decay not in ("cosine", "linear"):
+            raise ContractError(f"unknown decay {self.decay!r}")
 
     @property
     def higher_is_better(self) -> bool:
         return self.metric != "rmse"
 
-    def check_backbone(self, backbone_cfg: BackboneConfig) -> None:
-        """Refuse a backbone that this mode cannot run on: virtual_node wires
-        its tokens through the MPGNN's adjacency, so it needs the MPGNN."""
-        if self.mode == "virtual_node" and backbone_cfg.kind != "mpgnn":
-            raise ContractError("virtual_node mode requires the mpgnn backbone")
+
+def pretrain_config(epochs: int, lr: float, weight_decay: float, batch_size: int,
+                    warmup_epochs: int, decay: str, clip: float,
+                    eval_fraction: float) -> TuningConfig:
+    """The ``TuningConfig`` of a ``pretrain`` call, which ``pretrain`` and the
+    config loader both build here: ft on the rmse pretext. The holdout
+    fraction must be finite and above 0; whether it leaves a graph to
+    train on depends on the dataset, so ``pretrain`` checks that."""
+    if not 0 < eval_fraction < math.inf:
+        raise ContractError(f"eval_fraction must be finite and above 0, got {eval_fraction}")
+    return TuningConfig(mode="ft", metric="rmse", epochs=epochs, lr=lr,
+                        weight_decay=weight_decay, batch_size=batch_size,
+                        warmup_epochs=warmup_epochs, decay=decay, clip=clip)
 
 
 @dataclass
@@ -267,14 +266,6 @@ class RunRecord:
     eval_metrics: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
     epochs_to_best: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(list(d["train_losses"]), list(d["eval_metrics"]),
-                   list(d["epoch_seconds"]), int(d["epochs_to_best"]))
 
 
 @dataclass
@@ -294,7 +285,9 @@ def _subseed(seed: int, *path) -> int:
     return int(rng_for(seed, *path).integers(0, 2**63 - 1))
 
 
-def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> int:
+def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> PromptSet:
+    """Check a run before anything is encoded, and return the mode's prompt
+    set as drawn from seed 0: drawing it checks every mode/backbone rule."""
     if not dataset:
         raise DataError("empty dataset")
     t = dataset[0].label_dim
@@ -308,13 +301,15 @@ def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> in
                             f"backbone's feature_dim is {backbone_cfg.feature_dim}")
         if config.metric == "rmse" and not np.isfinite(g.label).all():
             raise DataError(f"graph {i} has a non-finite label, which rmse cannot score")
-    config.check_backbone(backbone_cfg)
+    prompts = init_prompts(config.mode, backbone_cfg, config.p_len, seed=0,
+                           prompted_layers=config.prompted_layers,
+                           token_stage=config.token_stage)
     if config.metric in ("auroc", "ap"):
         lab = np.concatenate([g.label for g in dataset])
         lab = lab[np.isfinite(lab)]
         if not np.all((lab == 0.0) | (lab == 1.0)):
             raise DataError("classification metrics need 0/1 labels")
-    return t
+    return prompts
 
 
 def _metric_value(config: TuningConfig, scores: np.ndarray, labels: np.ndarray) -> float:
@@ -398,12 +393,13 @@ def _forward(encoded, bb: Backbone, embeddings=None):
     It maps folds and their chunks of rows of ``encoded`` to each fold's
     outputs. Without ``embeddings`` it batches every chunk, in fold
     order, into one forward in which each sample reads its own fold's
-    prompts, then runs each fold's head on its own rows. With them
-    (lightweight mode: the frozen backbone's readout of every graph, in
-    the order of ``encoded``) it runs only the heads, on rows of that
-    matrix. A graph's rows do not depend on the other graphs of its batch
-    (``tensor.block_attention`` sums its keys in key order), so a fold
-    scores the same alone and in any group.
+    prompts, then runs each fold's head on its own rows. With them (a
+    mode that trains only the head, such as lightweight: the frozen
+    backbone's readout of every graph, in the order of ``encoded``) it
+    runs only the heads, on rows of that matrix. A graph's rows do not
+    depend on the other graphs of its batch (``tensor.block_attention``
+    sums its keys in key order), so a fold scores the same alone and in
+    any group.
     """
     def forward(active: list[_Fold], chunks: list) -> list[Tensor]:
         if embeddings is not None:
@@ -441,7 +437,6 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
     """
     optimizers = [AdamW(f.registry.trainable, betas=config.betas, eps=config.eps,
                         weight_decay=config.weight_decay) for f in folds]
-    schedule = Schedule(config.lr, config.warmup_epochs, config.epochs, config.decay)
     bs = config.batch_size
     steps = [math.ceil(len(f.train_idx) / bs) for f in folds]
     records = [RunRecord() for _ in folds]
@@ -449,7 +444,7 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
     for epoch in range(config.epochs):
         mark = time.perf_counter()
         seconds = [0.0] * len(folds)
-        lr_t = lr_at(epoch, schedule)
+        lr_t = lr_at(epoch, config)
         orders = [f.shuffle.permutation(len(f.train_idx)) for f in folds]
         loss_sums = [0.0] * len(folds)
         for step in range(max(steps)):
@@ -502,11 +497,6 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
     return records
 
 
-def _trains_backbone(config: TuningConfig) -> bool:
-    """ft trains the backbone; every other mode tunes against a frozen one."""
-    return config.mode == "ft"
-
-
 def _make_fold(config: TuningConfig, bb: Backbone, out_dim: int, seed: int, fold: int,
                split) -> _Fold:
     """Fold ``fold`` of ``split``: its head, prompts and the registry of what it
@@ -516,7 +506,7 @@ def _make_fold(config: TuningConfig, bb: Backbone, out_dim: int, seed: int, fold
     prompts = init_prompts(config.mode, bb.cfg, config.p_len, seed=fold_seed,
                            prompted_layers=config.prompted_layers,
                            token_stage=config.token_stage)
-    registry = build_registry(bb, head, prompts, train_backbone=_trains_backbone(config))
+    registry = build_registry(bb, head, prompts, train_backbone=trains_backbone(config.mode))
     return _Fold(f"fold {fold}", head, prompts, registry, *split.train_eval(fold),
                  rng_for(seed, "shuffle", fold))
 
@@ -547,7 +537,7 @@ def _run_fold(job) -> list[FoldResult]:
 def _fold_groups(config: TuningConfig, workers: int) -> list[tuple[int, ...]]:
     """The folds of each pool job: one job per fold in ft mode, otherwise the
     folds dealt round-robin into ``workers`` lockstep groups."""
-    if _trains_backbone(config):
+    if trains_backbone(config.mode):
         return [(fold,) for fold in range(config.folds)]
     return [tuple(range(w, config.folds, workers)) for w in range(workers)]
 
@@ -570,9 +560,11 @@ def train(config: TuningConfig, dataset: list[GraphSample],
           seed: int, parallel: int = 1) -> list[FoldResult]:
     """Run one tuning regime over all folds against a frozen backbone state.
 
-    The dataset is encoded once and shared by every fold. In lightweight
-    mode the frozen backbone also embeds every graph once here, and the
-    folds train and score only the head on rows of that (n x d) matrix.
+    Every mode/backbone mismatch fails in ``_validate``, before the
+    dataset is encoded once and shared by every fold. When the mode
+    trains no prompts against a frozen backbone (lightweight), the
+    backbone also embeds every graph once here, and the folds train and
+    score only the head on rows of that (n x d) matrix.
     Folds are independent. Against a frozen backbone the folds of one job
     step in lockstep, one forward and backward for all of them (``_fit``); ft
     folds train their own backbone copies, one job each. With
@@ -583,10 +575,10 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     section names, and they are returned in fold order.
     """
     steady_heap()
-    _validate(config, dataset, backbone_cfg)
+    prompts = _validate(config, dataset, backbone_cfg)
     encoded = encode_graphs(dataset, backbone_cfg)
     embeddings = None
-    if config.mode == "lightweight":
+    if not prompts.named_params() and not trains_backbone(config.mode):
         bb = Backbone.from_state(backbone_cfg, backbone_state)
         embeddings = backbone_forward(batch_graphs(encoded), bb).data
     workers = min(parallel, config.folds, _worker_cap())
@@ -632,9 +624,8 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
     state holds only the backbone parameters (the pretext head is dropped).
     """
     steady_heap()
-    config = TuningConfig(mode="ft", metric="rmse", epochs=epochs, lr=lr,
-                          weight_decay=weight_decay, batch_size=batch_size,
-                          warmup_epochs=warmup_epochs, decay=decay, clip=clip)
+    config = pretrain_config(epochs, lr, weight_decay, batch_size, warmup_epochs, decay,
+                             clip, eval_fraction)
     _validate(config, dataset, backbone_cfg)
     n_eval = max(1, int(round(len(dataset) * eval_fraction)))
     if n_eval >= len(dataset):

@@ -14,10 +14,11 @@ from gpt_lab.cli import (
     TUNE_CSV_FIELDS,
     main,
 )
-from gpt_lab.config import ConfigError, load_config
+from gpt_lab.config import (_SCHEMA, AblateConfig, ConfigError, ExperimentConfig,
+                            PretrainConfig, TaskConfig, load_config)
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig
-from gpt_lab.training import evaluate_fold
+from gpt_lab.training import TuningConfig, evaluate_fold
 
 from csv_rows import read_csv
 
@@ -277,6 +278,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "nope.ini")
 
+    def test_every_field_has_a_key(self):
+        """Each section's keys are its dataclass's fields, a composite field
+        given as its parts, so that no field is impossible to set."""
+        composite = {"prompted_layers": {"prompted_from", "prompted_to"},
+                     "betas": {"beta1", "beta2"}}
+        classes = {"experiment": ExperimentConfig, "backbone": BackboneConfig,
+                   "task": TaskConfig, "pretrain": PretrainConfig, "tuning": TuningConfig,
+                   "ablate": AblateConfig}
+        assert set(classes) == set(_SCHEMA)
+        for section, cls in classes.items():
+            keys = set()
+            for f in dataclasses.fields(cls):
+                if f.name not in _SCHEMA:                 # ExperimentConfig's sections
+                    keys |= composite.get(f.name, {f.name})
+            assert set(_SCHEMA[section]) == keys, section
+
 
 class TestPretrainCommand:
     def test_writes_loadable_checkpoint(self, workspace):
@@ -320,8 +337,26 @@ class TestPretrainCommand:
                                        "batch_size = 8\nlr = -0.001\n\n[tuning]"})
         out = tmp_path / "pre"
         assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "config error: lr must be positive, got -0.001\n"
-        assert not (out / "backbone.ckpt").exists()
+        assert capsys.readouterr().err == ("config error: [pretrain]: lr must be positive, "
+                                           "got -0.001\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "eval_fraction must be finite and above 0, got nan"),
+        ("inf", "eval_fraction must be finite and above 0, got inf"),
+        ("0", "eval_fraction must be finite and above 0, got 0.0"),
+        ("-3", "eval_fraction must be finite and above 0, got -3.0"),
+        ("0.1\ndecay = bogus", "unknown decay 'bogus'"),
+    ], ids=["nan", "inf", "zero", "negative", "decay"])
+    def test_bad_pretrain_value_exits_2_before_any_output(self, tmp_path, capsys, value,
+                                                          message):
+        config = write_config(tmp_path / "bad.ini",
+                              replace={"batch_size = 8\n\n[tuning]":
+                                       f"batch_size = 8\neval_fraction = {value}\n\n[tuning]"})
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: [pretrain]: {message}\n"
+        assert not out.exists()
 
     def test_holdout_of_every_graph_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path / "all.ini",
@@ -496,6 +531,34 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err == "config error: [tuning]: lr must be positive, got -0.01\n"
+
+    @pytest.mark.parametrize("old, new, kind, message", [
+        ("mode = deepgpt", "mode = prefix_only", "mpgnn",
+         "prefix tokens require the transformer backbone"),
+        ("mode = deepgpt", "mode = deepgpt\nprompted_from = 1\nprompted_to = 2", "transformer",
+         "prompted interval [1, 2] invalid for 2 layers"),
+        ("p_len = 2", "p_len = 0", "transformer", "deepgpt mode needs p_len >= 1"),
+        ("mode = deepgpt", "mode = virtual_node", "transformer",
+         "virtual_node mode requires the mpgnn backbone"),
+    ], ids=["prefix-on-mpgnn", "interval", "p_len", "virtual_node-on-transformer"])
+    def test_mode_backbone_mismatch_exits_2_before_encoding(self, workspace, tmp_path,
+                                                            monkeypatch, capsys, old, new,
+                                                            kind, message):
+        config = write_config(tmp_path / "exp.ini",
+                              replace={old: new, "kind = transformer": f"kind = {kind}"})
+        ckpt = ckpt_of(workspace)
+        if kind == "mpgnn":
+            cfg = load_config(config).backbone
+            ckpt = tmp_path / "mpgnn.ckpt"
+            ck.save_backbone(ckpt, cfg, Backbone.init(cfg, seed=1).state_arrays())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was encoded")
+
+        monkeypatch.setattr(training, "encode_graphs", refuse)
+        assert main(["tune", "--config", str(config), "--ckpt", str(ckpt), "--parallel", "2",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("mode, kind, written", [
         ("ft", "transformer", False),

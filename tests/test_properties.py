@@ -342,8 +342,9 @@ def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len
     reads, give the node rows and gradients of carrying the prompt rows."""
     cfg, bb, head, _ = MODELS["transformer"]
     rng = np.random.default_rng(seed)
-    if interval == "virtual":
-        prompts = init_prompts("virtual_node", cfg, p_len=p_len, seed=seed)
+    if interval == "virtual":        # virtual tokens on a transformer: no mode draws them
+        prompts = PromptSet(virtual_tokens=Tensor(np.zeros((p_len, cfg.dim)),
+                                                  requires_grad=True), p_len=p_len)
     else:
         prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=seed,
                                prompted_layers=interval, token_stage=stage)

@@ -21,7 +21,6 @@ from gpt_lab.tensor import ContractError, Tape, Tensor, backward, bce_with_logit
 from gpt_lab.training import (
     AdamW,
     NonFiniteError,
-    Schedule,
     TuningConfig,
     UndefinedMetricError,
     auroc,
@@ -89,33 +88,42 @@ class TestAdamW:
                 assert np.abs(params[k].data - reference[k]).max() <= 1e-12
 
 
+def schedule(lr, warmup_epochs, epochs, decay="cosine"):
+    return TuningConfig("deepgpt", lr=lr, warmup_epochs=warmup_epochs, epochs=epochs,
+                        decay=decay)
+
+
 class TestSchedule:
+    """``TuningConfig`` holds the schedule and ``lr_at`` reads it."""
+
     def test_ramp_starts_at_zero(self):
-        s = Schedule(1e-3, 5, 50)
+        s = schedule(1e-3, 5, 50)
         assert lr_at(0, s) == 0.0
 
     def test_warmup_end_reaches_base(self):
-        s = Schedule(1e-3, 5, 50)
+        s = schedule(1e-3, 5, 50)
         assert lr_at(5, s) == pytest.approx(1e-3, abs=0)
 
     def test_cosine_midpoint_is_half_base(self):
-        s = Schedule(2e-3, 0, 100)
+        s = schedule(2e-3, 0, 100)
         assert lr_at(50, s) == pytest.approx(1e-3, rel=1e-12)
 
     def test_linear_decay_to_zero(self):
-        s = Schedule(1e-3, 0, 10, decay="linear")
+        s = schedule(1e-3, 0, 10, decay="linear")
         assert lr_at(9, s) == pytest.approx(1e-4, rel=1e-12)
 
     def test_continuity_at_warmup_boundary(self):
-        s = Schedule(1e-3, 5, 50)
+        s = schedule(1e-3, 5, 50)
         eps = 1e-9
         below = lr_at(5 - eps, s)
         above = lr_at(5 + eps, s)
-        assert abs(below - above) < 1e-9 * s.base_lr * 10
+        assert abs(below - above) < 1e-9 * s.lr * 10
 
     def test_invalid_warmup_rejected(self):
-        with pytest.raises(ContractError):
-            Schedule(1e-3, 10, 10)
+        with pytest.raises(ContractError, match=r"need 0 <= warmup \(10\) < total \(10\)"):
+            schedule(1e-3, 10, 10)
+        with pytest.raises(ContractError, match="unknown decay 'step'"):
+            schedule(1e-3, 0, 10, decay="step")
 
 
 class TestLosses:
@@ -616,6 +624,48 @@ def test_pretrain_needs_a_training_graph(count, fraction):
                                         "holds out .*no graph to pretrain on"):
         training.pretrain(data, cfg, seed=0, epochs=1, warmup_epochs=0,
                           eval_fraction=fraction)
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), float("inf"), 0.0, -3.0])
+def test_pretrain_eval_fraction_must_be_finite_and_above_0(fraction):
+    cfg, _ = tiny_backbone()
+    data = gen_pretext(10, (4, 6), seed=0)
+    with pytest.raises(ContractError, match=f"^eval_fraction must be finite and above 0, "
+                                            f"got {fraction}$"):
+        training.pretrain(data, cfg, seed=0, epochs=1, warmup_epochs=0,
+                          eval_fraction=fraction)
+
+
+# Each mode/backbone mismatch: (backbone kind, TuningConfig values, message).
+MISMATCHES = {
+    "prefix_only-on-mpgnn": ("mpgnn", dict(mode="prefix_only"),
+                             "prefix tokens require the transformer backbone"),
+    "deepgpt-on-mpgnn": ("mpgnn", dict(mode="deepgpt"),
+                         "prefix tokens require the transformer backbone"),
+    "interval-past-last-layer": ("transformer", dict(mode="deepgpt", prompted_layers=(1, 2)),
+                                 r"prompted interval \[1, 2\] invalid for 2 layers"),
+    "p_len-0": ("transformer", dict(mode="prefix_only", p_len=0),
+                r"prefix_only mode needs p_len >= 1"),
+    "virtual_node-p_len-0": ("mpgnn", dict(mode="virtual_node", p_len=0),
+                             r"virtual_node mode needs p_len >= 1"),
+    "virtual_node-on-transformer": ("transformer", dict(mode="virtual_node"),
+                                    "virtual_node mode requires the mpgnn backbone"),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHES)
+def test_mode_backbone_mismatch_fails_before_encoding_or_pool_work(motif_data, monkeypatch,
+                                                                  case):
+    kind, values, message = MISMATCHES[case]
+    cfg, state = tiny_backbone(kind)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached encoding or the fold pool")
+
+    monkeypatch.setattr(training, "encode_graphs", refuse)
+    monkeypatch.setattr(training, "ProcessPoolExecutor", refuse)
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        train(tiny_config(**values), motif_data, cfg, state, seed=1, parallel=2)
 
 
 class TestFreezeSoundness:
