@@ -124,12 +124,12 @@ def cmd_pretrain(args) -> int:
     if cfg.pretrain is None:
         raise ConfigError("pretrain needs a [pretrain] section")
     seed = args.seed if args.seed is not None else cfg.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pre = cfg.pretrain
     data = gen_pretext(pre.count, (pre.min_nodes, pre.max_nodes), seed,
                        feature_dim=cfg.backbone.feature_dim)
     state, record = pretrain(data, cfg.backbone, seed, **pre.training_args())
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "backbone.ckpt"
     save_backbone(ckpt_path, cfg.backbone, state)
     _write_json(out / "pretrain_record.json", {
@@ -149,11 +149,10 @@ def cmd_tune(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     backbone_cfg, backbone_state = load_backbone(args.ckpt, expected=cfg.backbone)
     dataset = _load_dataset(cfg, seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     results = train(tuning, dataset, backbone_cfg, backbone_state, seed,
                     parallel=args.parallel)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     row = _aggregate_row(tuning, results)
     write_csv(out / "metrics.csv", TUNE_CSV_FIELDS, [row])
     _dump_run(out, tuning, results, seed, fingerprint(backbone_cfg), "tune")

@@ -3,9 +3,10 @@
 Every section and key is checked against a schema before anything runs;
 unknown names are rejected outright so a typo cannot silently fall back
 to a default. Values are checked at load by the dataclass that holds
-them (``[pretrain]``'s schedule by ``training.pretrain_config``), so a
-bad one fails before a command writes anything; the graph generators
-check the sizes of the data they generate.
+them (``[pretrain]``'s schedule by ``training.pretrain_config``, its
+pretext sizes against ``graphs.PRETEXT_NODES``), so a bad one fails
+before a command writes anything; the graph generators check the sizes
+of the data they generate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import configparser
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from gpt_lab.graphs import DOWNSTREAM_TASKS
+from gpt_lab.graphs import DOWNSTREAM_TASKS, PRETEXT_NODES
 from gpt_lab.models import BackboneConfig
 from gpt_lab.prompt import MODES
 from gpt_lab.tensor import ContractError
@@ -68,6 +69,12 @@ class PretrainConfig:
     eval_fraction: float = 0.1
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ContractError(f"count must be at least 1, got {self.count}")
+        lo, hi = PRETEXT_NODES
+        if not lo <= self.min_nodes <= self.max_nodes <= hi:
+            raise ContractError(f"need {lo} <= min_nodes ({self.min_nodes}) <= max_nodes "
+                                f"({self.max_nodes}) <= {hi}")
         pretrain_config(**self.training_args())
 
     def training_args(self) -> dict:

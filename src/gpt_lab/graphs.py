@@ -1,9 +1,14 @@
 """Graph samples, positional encodings, batching, generators and file I/O.
 
 Graphs are small, undirected and immutable: a node-feature matrix, a
-canonicalized edge list and an optional label vector. Synthetic dataset
-generators label every sample by explicit enumeration of the target
-structure, so labels can always be re-verified independently.
+canonicalized edge list and an optional label vector. ``batch`` stacks
+samples into one ``BatchedGraph``, and ``BatchedGraph.take`` gathers any
+of its samples, in any order, into a new one with array indexing alone,
+so a dataset is batched once and every later batch is a gather from it.
+``rwpe`` encodes a whole batch, with one stacked product per node count.
+Synthetic dataset generators label every sample by explicit enumeration
+of the target structure, so labels can always be re-verified
+independently.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "with_rwpe",
     "batch",
     "gen_pretext",
+    "PRETEXT_NODES",
     "gen_downstream",
     "triangle_count",
     "has_cycle_of_length",
@@ -107,43 +113,15 @@ class GraphSample:
         return a
 
 
-def rwpe(g: GraphSample, k: int) -> np.ndarray:
-    """Random-walk return probabilities for steps 1..k, one row per node.
-
-    Column s-1 holds the probability that a uniform random walk starting
-    at node i is back at i after exactly s steps, i.e. the diagonal of
-    (D^-1 A)^s. Isolated nodes get all-zero rows.
-    """
-    if k < 1:
-        raise DataError(f"rwpe needs k >= 1, got {k}")
-    a = g.adjacency_matrix()
-    deg = a.sum(axis=1)
-    m = np.divide(a, deg[:, None], out=np.zeros_like(a), where=deg[:, None] > 0)
-    out = np.zeros((g.n, k))
-    cur = m
-    out[:, 0] = np.diagonal(cur)
-    for s in range(1, k):
-        cur = cur @ m
-        out[:, s] = np.diagonal(cur)
-    return out
-
-
-def with_rwpe(graphs: Sequence[GraphSample], k: int) -> list[GraphSample]:
-    """Concatenate k random-walk encodings onto each sample's raw features."""
-    out = []
-    for g in graphs:
-        out.append(GraphSample(g.n, np.concatenate([g.features, rwpe(g, k)], axis=1),
-                               g.edges, g.label))
-    return out
-
-
 @dataclass(frozen=True)
 class BatchedGraph:
     """The samples' node rows stacked in order, with their edges in row numbers.
 
     Sample b owns rows ``offsets[b]:offsets[b + 1]``. ``edges`` holds each
     undirected edge of each sample once, as a pair of those row numbers,
-    so no edge joins two samples. There is no padding.
+    so no edge joins two samples; the samples' edges come in sample
+    order, each sample's sorted, so the first column never decreases.
+    There is no padding.
     """
 
     features: np.ndarray             # (R, d)
@@ -154,6 +132,27 @@ class BatchedGraph:
     @property
     def size(self) -> int:
         return len(self.offsets) - 1
+
+    def take(self, samples) -> BatchedGraph:
+        """The batch of ``samples``, in that order and with repeats allowed:
+        each sample's rows, degrees and edges, renumbered to its new rows."""
+        idx = np.asarray(samples, dtype=np.int64).reshape(-1)
+        if not (idx.size and 0 <= idx.min() and idx.max() < self.size):
+            raise DataError(f"cannot take samples {idx.tolist()} of a batch of {self.size}")
+        rows, offsets = _spans(self.offsets, idx)
+        firsts = np.searchsorted(self.edges[:, 0], self.offsets)   # each sample's first edge
+        picks, edge_offsets = _spans(firsts, idx)
+        shift = np.repeat(offsets[:-1] - self.offsets[idx], np.diff(edge_offsets))
+        return BatchedGraph(self.features[rows], self.degrees[rows],
+                            self.edges[picks] + shift[:, None], offsets)
+
+
+def _spans(bounds: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of spans ``bounds[i]:bounds[i + 1]`` for each i of ``idx``,
+    concatenated in that order, and where each span starts among them."""
+    starts = bounds[idx]
+    offsets = np.concatenate([[0], np.cumsum(bounds[idx + 1] - starts)])
+    return np.repeat(starts - offsets[:-1], np.diff(offsets)) + np.arange(offsets[-1]), offsets
 
 
 def batch(graphs: Sequence[GraphSample]) -> BatchedGraph:
@@ -170,6 +169,49 @@ def batch(graphs: Sequence[GraphSample]) -> BatchedGraph:
     return BatchedGraph(np.concatenate([g.features for g in graphs]),
                         np.bincount(edges.ravel(), minlength=offsets[-1]),
                         edges, offsets)
+
+
+def rwpe(batch: BatchedGraph, k: int) -> np.ndarray:
+    """Random-walk return probabilities for steps 1..k, one row per node row.
+
+    Column s-1 holds the probability that a uniform random walk starting
+    at node i is back at i after exactly s steps, i.e. the diagonal of
+    (D^-1 A)^s over i's own graph. Isolated nodes get all-zero rows.
+    The graphs of one node count n share one stacked product: their (G,
+    n, n) D^-1 A, raised by k - 1 stacked matmuls, each step's diagonals
+    written to the graphs' rows.
+    """
+    if k < 1:
+        raise DataError(f"rwpe needs k >= 1, got {k}")
+    sizes = np.diff(batch.offsets)
+    owner = np.searchsorted(batch.offsets, batch.edges[:, 0], side="right") - 1
+    local = batch.edges - batch.offsets[owner, None]
+    out = np.zeros((batch.offsets[-1], k))
+    for n in np.unique(sizes):
+        members = sizes == n
+        slot = np.cumsum(members) - 1              # each member's place in its class
+        mine = members[owner]
+        g, i, j = slot[owner[mine]], local[mine, 0], local[mine, 1]
+        a = np.zeros((np.count_nonzero(members), n, n))
+        a[g, i, j] = a[g, j, i] = 1.0
+        deg = a.sum(axis=2, keepdims=True)
+        m = np.divide(a, deg, out=np.zeros_like(a), where=deg > 0)
+        rows = batch.offsets[:-1][members, None] + np.arange(n)
+        cur = m
+        out[rows, 0] = np.diagonal(cur, axis1=1, axis2=2)
+        for s in range(1, k):
+            cur = cur @ m
+            out[rows, s] = np.diagonal(cur, axis1=1, axis2=2)
+    return out
+
+
+def with_rwpe(graphs: Sequence[GraphSample], k: int) -> list[GraphSample]:
+    """Concatenate k random-walk encodings onto each sample's raw features:
+    ``rwpe`` of their batch, split back into samples."""
+    stacked = batch(graphs)
+    enc = rwpe(stacked, k)
+    return [GraphSample(g.n, np.concatenate([g.features, enc[lo:hi]], axis=1), g.edges, g.label)
+            for g, lo, hi in zip(graphs, stacked.offsets, stacked.offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +285,10 @@ def _random_features(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=(n, d))
 
 
+# The node counts a pretext graph may have.
+PRETEXT_NODES = (4, 64)
+
+
 def gen_pretext(count: int, size_range: tuple[int, int], seed: int,
                 feature_dim: int = 4) -> list[GraphSample]:
     """Random dense-ish graphs labeled with triangles-per-node (regression).
@@ -251,8 +297,9 @@ def gen_pretext(count: int, size_range: tuple[int, int], seed: int,
     the node count. Reproducible from the seed alone.
     """
     lo, hi = size_range
-    if not (4 <= lo <= hi <= 64):
-        raise DataError(f"pretext size_range must lie within [4, 64], got {size_range}")
+    if not (PRETEXT_NODES[0] <= lo <= hi <= PRETEXT_NODES[1]):
+        raise DataError(f"pretext size_range must lie within {list(PRETEXT_NODES)}, "
+                        f"got {size_range}")
     rng = rng_for(seed, "pretext-data")
     out = []
     for _ in range(count):

@@ -35,13 +35,13 @@ operation sequence is that of a prompt-free build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from gpt_lab.graphs import BatchedGraph, GraphSample, with_rwpe
+from gpt_lab.graphs import BatchedGraph, GraphSample, batch, rwpe
 from gpt_lab.prompt import PromptSet, apply_graph_prompt, check_group, inject_prefix
 from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
@@ -418,12 +418,16 @@ def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
 
 
-def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> list[GraphSample]:
-    """The samples with the encodings this backbone expects concatenated: the
-    ``rwpe_steps`` random-walk columns when it asks for them."""
+def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
+    """The samples as one batch, with the encodings this backbone expects
+    appended to its feature rows: the ``rwpe_steps`` random-walk columns
+    when it asks for them, computed once for the whole batch. A forward
+    over any of the samples gathers them with ``BatchedGraph.take``."""
+    encoded = batch(graphs)
     if cfg.rwpe_steps > 0:
-        return with_rwpe(graphs, cfg.rwpe_steps)
-    return list(graphs)
+        features = np.concatenate([encoded.features, rwpe(encoded, cfg.rwpe_steps)], axis=1)
+        encoded = replace(encoded, features=features)
+    return encoded
 
 
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,

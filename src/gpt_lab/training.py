@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from gpt_lab.graphs import DataError, GraphSample, make_folds
-from gpt_lab.graphs import batch as batch_graphs
+from gpt_lab.graphs import BatchedGraph, DataError, GraphSample, make_folds
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
                             encode_graphs, load_params)
 from gpt_lab.prompt import (MODES, TOKEN_STAGES, FreezeRegistry, PromptSet, build_registry,
@@ -335,8 +334,8 @@ def _loss(config: TuningConfig, out: Tensor, labels: np.ndarray) -> Tensor:
     return bce_with_logits(out, labels)
 
 
-def _labels(encoded) -> np.ndarray:
-    return np.array([g.label for g in encoded], dtype=np.float64)
+def _labels(dataset) -> np.ndarray:
+    return np.array([g.label for g in dataset], dtype=np.float64)
 
 
 # glibc mallopt parameters, and the values they are pinned to.
@@ -387,14 +386,16 @@ class _Fold:
     shuffle: np.random.Generator
 
 
-def _forward(encoded, bb: Backbone, embeddings=None):
+def _forward(encoded: BatchedGraph, bb: Backbone, embeddings=None):
     """The one forward of a group of folds, for training steps and scoring alike.
 
-    It maps folds and their chunks of rows of ``encoded`` to each fold's
-    outputs. Without ``embeddings`` it batches every chunk, in fold
-    order, into one forward in which each sample reads its own fold's
-    prompts, then runs each fold's head on its own rows. With them (a
-    mode that trains only the head, such as lightweight: the frozen
+    It maps folds and their chunks of sample indices of ``encoded`` (the
+    dataset's one encoded batch) to each fold's outputs. Without
+    ``embeddings`` it gathers every chunk, in fold order, into one batch
+    with ``encoded.take``, so no step builds a batch from graph samples,
+    and runs one forward in which each sample reads its own fold's
+    prompts, then each fold's head on its own rows. With them (a mode
+    that trains only the head, such as lightweight: the frozen
     backbone's readout of every graph, in the order of ``encoded``) it
     runs only the heads, on rows of that matrix. A graph's rows do not
     depend on the other graphs of its batch (``tensor.block_attention``
@@ -405,7 +406,7 @@ def _forward(encoded, bb: Backbone, embeddings=None):
         if embeddings is not None:
             return [f.head.forward(Tensor(embeddings[c])) for f, c in zip(active, chunks)]
         sizes = [len(c) for c in chunks]
-        batch = batch_graphs([encoded[i] for c in chunks for i in c])
+        batch = encoded.take(np.concatenate(chunks))
         hg = backbone_forward(batch, bb, group=zip((f.prompts for f in active), sizes))
         ends = np.cumsum(sizes)
         return [f.head.forward(gather_rows(hg, np.arange(end - size, end)))
@@ -449,8 +450,7 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
         loss_sums = [0.0] * len(folds)
         for step in range(max(steps)):
             active = [i for i, n in enumerate(steps) if step < n]
-            chunks = [[int(folds[i].train_idx[j]) for j in orders[i][step * bs:(step + 1) * bs]]
-                      for i in active]
+            chunks = [folds[i].train_idx[orders[i][step * bs:(step + 1) * bs]] for i in active]
             with Tape():
                 outs = forward([folds[i] for i in active], chunks)
                 losses = [_loss(config, out, labels[c]) for out, c in zip(outs, chunks)]
@@ -516,12 +516,11 @@ def _run_fold(job) -> list[FoldResult]:
     backbone built from the stored state (the fold list of an ft job holds
     one fold, since each ft fold trains its own copy)."""
     steady_heap()                  # a pool worker enters the library here
-    (config, encoded, embeddings, backbone_cfg, backbone_state, seed, group) = job
-    split = make_folds(len(encoded), config.folds, seed)
+    (config, encoded, labels, embeddings, backbone_cfg, backbone_state, seed, group) = job
+    split = make_folds(encoded.size, config.folds, seed)
     bb = Backbone.from_state(backbone_cfg, backbone_state)
-    folds = [_make_fold(config, bb, encoded[0].label_dim, seed, fold, split)
-             for fold in group]
-    records = _fit(config, folds, _forward(encoded, bb, embeddings), _labels(encoded))
+    folds = [_make_fold(config, bb, labels.shape[1], seed, fold, split) for fold in group]
+    records = _fit(config, folds, _forward(encoded, bb, embeddings), labels)
     results = []
     for fold, f, record in zip(group, folds, records):
         counts = count_params(f.registry)
@@ -561,7 +560,8 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     """Run one tuning regime over all folds against a frozen backbone state.
 
     Every mode/backbone mismatch fails in ``_validate``, before the
-    dataset is encoded once and shared by every fold. When the mode
+    dataset is encoded once, into one batch from which every step and
+    scoring forward of every fold gathers its graphs. When the mode
     trains no prompts against a frozen backbone (lightweight), the
     backbone also embeds every graph once here, and the folds train and
     score only the head on rows of that (n x d) matrix.
@@ -576,13 +576,13 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     """
     steady_heap()
     prompts = _validate(config, dataset, backbone_cfg)
-    encoded = encode_graphs(dataset, backbone_cfg)
+    encoded, labels = encode_graphs(dataset, backbone_cfg), _labels(dataset)
     embeddings = None
     if not prompts.named_params() and not trains_backbone(config.mode):
         bb = Backbone.from_state(backbone_cfg, backbone_state)
-        embeddings = backbone_forward(batch_graphs(encoded), bb).data
+        embeddings = backbone_forward(encoded, bb).data
     workers = min(parallel, config.folds, _worker_cap())
-    jobs = [(config, encoded, embeddings, backbone_cfg, backbone_state, seed, group)
+    jobs = [(config, encoded, labels, embeddings, backbone_cfg, backbone_state, seed, group)
             for group in _fold_groups(config, max(workers, 1))]
     if workers <= 1:
         done = [_run_fold(job) for job in jobs]
@@ -608,9 +608,9 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
     f = _make_fold(config, bb, dataset[0].label_dim, seed, fold,
                    make_folds(len(dataset), config.folds, seed))
     load_params(f.registry.trainable, prompt_state)
-    encoded = encode_graphs([dataset[i] for i in f.eval_idx], backbone_cfg)
-    [scores] = _forward(encoded, bb)([f], [range(len(encoded))])
-    return _metric_value(config, scores.data, _labels(encoded))
+    split = [dataset[i] for i in f.eval_idx]
+    [scores] = _forward(encode_graphs(split, backbone_cfg), bb)([f], [np.arange(len(split))])
+    return _metric_value(config, scores.data, _labels(split))
 
 
 def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
@@ -640,5 +640,5 @@ def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,
     registry = build_registry(bb, head, PromptSet(), train_backbone=True)
     folds = [_Fold("pretrain", head, PromptSet(), registry, train_idx, eval_idx,
                    rng_for(seed, "pretrain-shuffle"))]
-    [record] = _fit(config, folds, _forward(encoded, bb), _labels(encoded))
+    [record] = _fit(config, folds, _forward(encoded, bb), _labels(dataset))
     return bb.state_arrays(), record

@@ -18,7 +18,6 @@ import numpy as np
 from gpt_lab import checkpoint as ck
 from gpt_lab.cli import ABLATE_CSV_FIELDS, main
 from gpt_lab.graphs import GraphSample, gen_downstream, gen_pretext
-from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (
     Backbone,
     BackboneConfig,
@@ -75,7 +74,7 @@ def test_01_gradient_correctness_full_deepgpt_forward():
     prompts = init_prompts("deepgpt", cfg, p_len=4, seed=11)
     build_registry(bb, head, prompts)
     g = random_graph(6, 0.5, rng)
-    prepared = batch_graphs(encode_graphs([g], cfg))
+    prepared = encode_graphs([g], cfg)
     ctx = prompts.check(bb.cfg)
     labels = np.array([g.label])
 
@@ -132,7 +131,7 @@ def test_02_freeze_soundness_100_steps(tmp_path):
     registry = build_registry(bb, head, prompts)
     opt = AdamW(registry.trainable, weight_decay=1e-4)
     data = gen_downstream(16, "motif_presence", seed=23, size_range=(5, 8))
-    prepared = batch_graphs(encode_graphs(data, cfg))
+    prepared = encode_graphs(data, cfg)
     ctx = prompts.check(bb.cfg)
     labels = np.array([g.label for g in data])
 
@@ -168,7 +167,7 @@ def test_03_empty_prompt_set_reproduces_backbone_exactly():
     bb = Backbone.init(cfg, seed=32)
     head = PredictionHead.init(cfg.dim, 1, seed=32)
     graphs = [random_graph(int(rng.integers(4, 9)), 0.5, rng) for _ in range(6)]
-    prepared = batch_graphs(encode_graphs(graphs, cfg))
+    prepared = encode_graphs(graphs, cfg)
     plain = backbone_forward(prepared, bb, head).data
     empty_ctx = PromptSet().check(bb.cfg)
     via_prompt = backbone_forward(prepared, bb, head, group=[(empty_ctx, prepared.size)]).data
@@ -191,7 +190,7 @@ def test_04_prefix_equals_virtual_nodes():
     worst = 0.0
     for trial in range(5):
         g = random_graph(int(rng.integers(4, 9)), 0.5, rng)
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         values = rng.normal(size=(4, cfg.dim))
         prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
                                p_len=4)

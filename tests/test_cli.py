@@ -166,7 +166,6 @@ class TestCheckpointFormat:
         assert np.array_equal(state["prompt.token"], token)
 
     def test_format_1_backbone_loads_into_the_fused_qkv_weight(self, tmp_path, monkeypatch):
-        from gpt_lab.graphs import batch as batch_graphs
         from gpt_lab.models import Backbone, backbone_forward, encode_graphs
 
         cfg = BackboneConfig(kind="transformer", feature_dim=3, dim=8, heads=2, layers=2,
@@ -178,7 +177,7 @@ class TestCheckpointFormat:
         got_cfg, arrays = ck.load_backbone(path, expected=cfg)
         loaded = Backbone.from_state(got_cfg, arrays)
         graphs = gen_downstream(5, "motif_presence", seed=2, feature_dim=3)
-        batch = batch_graphs(encode_graphs(graphs, cfg))
+        batch = encode_graphs(graphs, cfg)
         assert np.array_equal(backbone_forward(batch, loaded).data,
                               backbone_forward(batch, bb).data)
 
@@ -358,13 +357,31 @@ class TestPretrainCommand:
         assert capsys.readouterr().err == f"config error: [pretrain]: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count, low, high, message", [
+        (0, 4, 8, "count must be at least 1, got 0"),
+        (30, 9, 4, "need 4 <= min_nodes (9) <= max_nodes (4) <= 64"),
+        (30, 3, 8, "need 4 <= min_nodes (3) <= max_nodes (8) <= 64"),
+        (30, 4, 65, "need 4 <= min_nodes (4) <= max_nodes (65) <= 64"),
+    ], ids=["count", "min-above-max", "min-below-4", "max-above-64"])
+    def test_bad_pretext_exits_2_before_any_output(self, tmp_path, capsys, count, low, high,
+                                                   message):
+        config = write_config(tmp_path / "bad.ini", replace={
+            "count = 30\nmin_nodes = 4\nmax_nodes = 8":
+            f"count = {count}\nmin_nodes = {low}\nmax_nodes = {high}"})
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: [pretrain]: {message}\n"
+        assert not out.exists()
+
     def test_holdout_of_every_graph_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path / "all.ini",
                               replace={"batch_size = 8\n\n[tuning]":
                                        "batch_size = 8\neval_fraction = 1.0\n\n[tuning]"})
-        assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "pre")]) == 3
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: eval_fraction 1.0 of 30 graphs")
+        assert not out.exists()
 
     def test_altered_dim_rejected_with_exit_4(self, workspace, tmp_path):
         config = write_config(tmp_path / "wider.ini", replace={"dim = 8": "dim = 16"})
@@ -556,9 +573,11 @@ class TestTuneCommand:
             raise AssertionError("the dataset was encoded")
 
         monkeypatch.setattr(training, "encode_graphs", refuse)
+        out = tmp_path / "run"
         assert main(["tune", "--config", str(config), "--ckpt", str(ckpt), "--parallel", "2",
-                     "--out", str(tmp_path / "run")]) == 2
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, kind, written", [
         ("ft", "transformer", False),

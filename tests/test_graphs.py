@@ -69,15 +69,15 @@ class TestRwpe:
     def test_triangle_by_hand(self):
         # on K3 every 1-step walk leaves the node; every 2-step walk has
         # 2 equally likely moves back, one of which returns
-        enc = rwpe(triangle(), 2)
+        enc = rwpe(batch([triangle()]), 2)
         assert np.allclose(enc, [[0.0, 0.5]] * 3, atol=1e-15)
 
     def test_single_edge_must_return(self):
-        enc = rwpe(sample(2, [(0, 1)]), 2)
+        enc = rwpe(batch([sample(2, [(0, 1)])]), 2)
         assert np.allclose(enc, [[0.0, 1.0]] * 2, atol=1e-15)
 
     def test_isolated_node_zero_row(self):
-        enc = rwpe(sample(3, [(0, 1)]), 4)
+        enc = rwpe(batch([sample(3, [(0, 1)])]), 4)
         assert np.array_equal(enc[2], np.zeros(4))
 
     def test_permutation_equivariance(self):
@@ -87,8 +87,8 @@ class TestRwpe:
         relabeled = GraphSample(
             8, g.features,  # features play no role in the encoding
             tuple((int(perm[i]), int(perm[j])) for i, j in g.edges))
-        base = rwpe(g, 5)
-        moved = rwpe(relabeled, 5)
+        base = rwpe(batch([g]), 5)
+        moved = rwpe(batch([relabeled]), 5)
         assert np.allclose(moved[perm], base, atol=1e-12)
 
 

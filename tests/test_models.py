@@ -322,8 +322,8 @@ class TestBackboneForward:
         cfg, bb, head = _build(kind)
         g = random_graph(6, 0.5, rng)
         perm = rng.permutation(6)
-        base = backbone_forward(batch(encode_graphs([g], cfg)), bb, head).data
-        moved = backbone_forward(batch(encode_graphs([permute_graph(g, perm)], cfg)),
+        base = backbone_forward(encode_graphs([g], cfg), bb, head).data
+        moved = backbone_forward(encode_graphs([permute_graph(g, perm)], cfg),
                                  bb, head).data
         assert np.abs(base - moved).max() <= 1e-9
 
@@ -332,9 +332,9 @@ class TestBackboneForward:
         rng = np.random.default_rng(12)
         cfg, bb, head = _build(kind)
         graphs = [random_graph(int(rng.integers(3, 8)), 0.4, rng) for _ in range(5)]
-        batched = backbone_forward(batch(encode_graphs(graphs, cfg)), bb, head).data
+        batched = backbone_forward(encode_graphs(graphs, cfg), bb, head).data
         for i, g in enumerate(graphs):
-            solo = backbone_forward(batch(encode_graphs([g], cfg)), bb, head).data
+            solo = backbone_forward(encode_graphs([g], cfg), bb, head).data
             assert np.abs(batched[i] - solo[0]).max() <= 1e-10
 
     @pytest.mark.parametrize("mode, prompted_layers", [("deepgpt", None),
@@ -348,13 +348,13 @@ class TestBackboneForward:
         graphs = [random_graph(n, 0.4, rng) for n in (3, 8, 5, 4, 7)]
         named = prompts.named_params()
         with Tape():
-            batched = backbone_forward(batch(encode_graphs(graphs, cfg)), bb, head,
+            batched = backbone_forward(encode_graphs(graphs, cfg), bb, head,
                                        group=[(prompts, len(graphs))])
             batched_grads = backward(tsum(batched))
         summed = {name: np.zeros_like(t.data) for name, t in named.items()}
         for i, g in enumerate(graphs):
             with Tape():
-                solo = backbone_forward(batch(encode_graphs([g], cfg)), bb, head,
+                solo = backbone_forward(encode_graphs([g], cfg), bb, head,
                                         group=[(prompts, 1)])
                 grads = backward(tsum(solo))
             assert np.abs(batched.data[i] - solo.data[0]).max() <= 1e-10
@@ -368,7 +368,7 @@ class TestBackboneForward:
     def test_readout_pools_each_sample_of_the_node_rows(self, kind, readout):
         rng = np.random.default_rng(19)
         cfg, bb, _ = _build(kind, readout=readout)
-        prepared = batch(encode_graphs([random_graph(n, 0.5, rng) for n in (3, 6, 4)], cfg))
+        prepared = encode_graphs([random_graph(n, 0.5, rng) for n in (3, 6, 4)], cfg)
         rows, offsets = encode_nodes(prepared, bb)
         pooled = backbone_forward(prepared, bb).data
         for b, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
@@ -379,7 +379,7 @@ class TestBackboneForward:
         rng = np.random.default_rng(13)
         cfg, bb, head = _build("transformer")
         g = random_graph(5, 0.5, rng)
-        out = backbone_forward(batch(encode_graphs([g, g], cfg)), bb, head).data
+        out = backbone_forward(encode_graphs([g, g], cfg), bb, head).data
         assert np.abs(out[0] - out[1]).max() <= 1e-12
 
     def test_structure_blind_without_encodings(self):
@@ -388,8 +388,8 @@ class TestBackboneForward:
         feats = rng.normal(size=(5, 3))
         a = GraphSample(5, feats, ((0, 1), (1, 2)), np.array([0.0]))
         b = GraphSample(5, feats, ((0, 4), (2, 3), (3, 4)), np.array([0.0]))
-        out_a = backbone_forward(batch(encode_graphs([a], cfg)), bb, head).data
-        out_b = backbone_forward(batch(encode_graphs([b], cfg)), bb, head).data
+        out_a = backbone_forward(encode_graphs([a], cfg), bb, head).data
+        out_b = backbone_forward(encode_graphs([b], cfg), bb, head).data
         assert np.array_equal(out_a, out_b)
 
     def test_structure_visible_with_encodings(self):
@@ -398,8 +398,8 @@ class TestBackboneForward:
         feats = rng.normal(size=(5, 3))
         a = GraphSample(5, feats, ((0, 1), (1, 2)), np.array([0.0]))
         b = GraphSample(5, feats, ((0, 1), (1, 2), (0, 2)), np.array([0.0]))
-        out_a = backbone_forward(batch(encode_graphs([a], cfg)), bb, head).data
-        out_b = backbone_forward(batch(encode_graphs([b], cfg)), bb, head).data
+        out_a = backbone_forward(encode_graphs([a], cfg), bb, head).data
+        out_b = backbone_forward(encode_graphs([b], cfg), bb, head).data
         assert np.abs(out_a - out_b).max() > 1e-8
 
     def test_feature_width_mismatch_rejected(self):
@@ -414,7 +414,7 @@ class TestBackboneForward:
         rng = np.random.default_rng(16)
         cfg, bb, head = _build(kind, rng_seed=5)
         graphs = [random_graph(5, 0.6, rng), random_graph(4, 0.6, rng)]
-        prepared = batch(encode_graphs(graphs, cfg))
+        prepared = encode_graphs(graphs, cfg)
         weights = rng.normal(size=(2, 1))
 
         def value():
@@ -436,7 +436,7 @@ class TestBackboneForward:
     def test_gradients_cover_all_params_under_full_tuning(self, kind):
         rng = np.random.default_rng(17)
         cfg, bb, head = _build(kind, rng_seed=6)
-        prepared = batch(encode_graphs([random_graph(5, 0.6, rng)], cfg))
+        prepared = encode_graphs([random_graph(5, 0.6, rng)], cfg)
         params = {**bb.named_params(), **head.named_params()}
         with Tape():
             grads = backward(tsum(backbone_forward(prepared, bb, head)))
@@ -458,7 +458,7 @@ class TestTapeSize:
         nodes = []
         for bs in (2, 16):
             with Tape() as tape:
-                out = backbone_forward(batch(encode_graphs(graphs[:bs], cfg)), bb, head,
+                out = backbone_forward(encode_graphs(graphs[:bs], cfg), bb, head,
                                        group=[(prompts, bs)])
                 backward(tsum(out))
             nodes.append(len(tape.nodes))

@@ -3,7 +3,6 @@ import pytest
 
 from gpt_lab import models
 from gpt_lab.graphs import GraphSample
-from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (
     Backbone,
     BackboneConfig,
@@ -103,7 +102,7 @@ class TestInjectPrefix:
     def test_empty_prompt_set_is_noop_forward(self):
         cfg, bb, head = small_setup()
         g = random_graph(5, 0.5, np.random.default_rng(1))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         plain = backbone_forward(prepared, bb, head).data
         empty = backbone_forward(prepared, bb, head,
                                  group=[(PromptSet().check(bb.cfg), prepared.size)]).data
@@ -112,7 +111,7 @@ class TestInjectPrefix:
     def test_early_prefix_reaches_later_layers_through_attention(self):
         cfg, bb, head = small_setup(layers=3)
         g = random_graph(5, 0.5, np.random.default_rng(2))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         prompts = init_prompts("prefix_only", cfg, p_len=2, seed=3)
         base, _ = encode_nodes(prepared, bb, group=[(prompts, prepared.size)])
         # layer 0's prefix rows are keys only and never reach layers 1
@@ -128,7 +127,7 @@ class TestDeepgptForward:
     def test_gradient_keys_are_exactly_the_trainable_set(self):
         cfg, bb, head = small_setup()
         g = random_graph(5, 0.5, np.random.default_rng(4))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=5)
         registry = build_registry(bb, head, prompts)
         with Tape():
@@ -142,7 +141,7 @@ class TestDeepgptForward:
     def test_frozen_params_not_in_gradient_map(self):
         cfg, bb, head = small_setup()
         g = random_graph(4, 0.5, np.random.default_rng(5))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=6)
         registry = build_registry(bb, head, prompts)
         with Tape():
@@ -164,7 +163,7 @@ class TestVirtualNodes:
     def test_zero_tokens_is_identity(self):
         cfg, bb, head = small_setup(kind="mpgnn")
         g = random_graph(5, 0.5, np.random.default_rng(7))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         plain = backbone_forward(prepared, bb, head).data
         ctx = PromptSet(virtual_tokens=Tensor(np.zeros((0, cfg.dim)), requires_grad=True))
         via = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)]).data
@@ -180,7 +179,7 @@ class TestVirtualNodes:
         layer_forward = models.mpgnn_layer_forward
         monkeypatch.setattr(models, "mpgnn_layer_forward",
                             lambda h, adj, params: seen.append(adj) or layer_forward(h, adj, params))
-        _, offsets = encode_nodes(batch_graphs(encode_graphs(graphs, cfg)), bb,
+        _, offsets = encode_nodes(encode_graphs(graphs, cfg), bb,
                                   group=[(PromptSet(virtual_tokens=tokens), len(graphs))])
         assert len(seen) == cfg.layers
         adj = seen[0]
@@ -200,7 +199,7 @@ class TestVirtualNodes:
         """Same token values, single prompted layer: real-node rows agree."""
         cfg, bb, _ = small_setup(layers=3)
         g = random_graph(5, 0.6, np.random.default_rng(9))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         values = RNG.normal(size=(2, cfg.dim))
         prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
                                p_len=2)
@@ -214,7 +213,7 @@ class TestVirtualNodes:
         """Prompt rows never change which positions the readout averages."""
         cfg, bb, _ = small_setup(layers=3)
         g = random_graph(5, 0.5, np.random.default_rng(19))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=3, seed=20)
         ctx = prompts.check(bb.cfg)
         pooled = backbone_forward(prepared, bb, head=None, group=[(ctx, prepared.size)]).data
@@ -226,7 +225,7 @@ class TestVirtualNodes:
     def test_mpgnn_token_perturbation_reaches_every_node(self):
         cfg, bb, _ = small_setup(kind="mpgnn", layers=2)
         g = random_graph(5, 0.4, np.random.default_rng(10))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         tokens = Tensor(RNG.normal(size=(2, cfg.dim)), requires_grad=True)
         group = [(PromptSet(virtual_tokens=tokens), 1)]
         base, _ = encode_nodes(prepared, bb, group=group)
@@ -246,7 +245,7 @@ class TestForwardRunsThePromptHooks:
         cfg, bb, head = small_setup(layers=4)
         rng = np.random.default_rng(22)
         graphs = [random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)]
-        prepared = batch_graphs(encode_graphs(graphs, cfg))
+        prepared = encode_graphs(graphs, cfg)
         prompts = init_prompts(mode, cfg, p_len=2, seed=23,
                                prompted_layers=(0, 2))
         counts = {"apply_graph_prompt": 0, "inject_prefix": 0}
@@ -306,7 +305,7 @@ class TestMixedPromptSets:
         counts = [2, 0, 1, 4]             # the second set is read by no sample
         ups = rng.normal(size=(7, cfg.dim))
         with Tape():
-            mixed = backbone_forward(batch_graphs(encode_graphs(graphs, cfg)), bb,
+            mixed = backbone_forward(encode_graphs(graphs, cfg), bb,
                                      group=zip(sets, counts))
             grads = backward(tsum(mul(mixed, Tensor(ups))))
         ends = np.cumsum(counts)
@@ -318,7 +317,7 @@ class TestMixedPromptSets:
             rows = np.arange(end - count, end)
             with Tape():
                 alone = backbone_forward(
-                    batch_graphs(encode_graphs([graphs[i] for i in rows], cfg)), bb,
+                    encode_graphs([graphs[i] for i in rows], cfg), bb,
                     group=[(prompts, count)])
                 want = backward(tsum(mul(alone, Tensor(ups[rows]))))
             assert np.abs(mixed.data[rows] - alone.data).max() < 1e-12
@@ -362,7 +361,7 @@ class TestPreProjectionToken:
         cfg, bb, head = small_setup(layers=2)
         rng = np.random.default_rng(25)
         graphs = [random_graph(5, 0.5, rng), random_graph(3, 0.5, rng)]
-        prepared = batch_graphs(encode_graphs(graphs, cfg))
+        prepared = encode_graphs(graphs, cfg)
         prompts = self._prompts(cfg)
         token = prompts.graph_token
         token.data = rng.normal(size=cfg.input_width)
@@ -388,7 +387,7 @@ class TestPreProjectionToken:
         cfg, bb, head = small_setup(layers=2)
         rng = np.random.default_rng(26)
         graphs = [random_graph(6, 0.5, rng), random_graph(4, 0.5, rng)]
-        prepared = batch_graphs(encode_graphs(graphs, cfg))
+        prepared = encode_graphs(graphs, cfg)
         pre = self._prompts(cfg)
         pre.graph_token.data = rng.normal(size=cfg.input_width)
         post = PromptSet(graph_token=Tensor(pre.graph_token.data @ bb.w_in.data,
@@ -477,7 +476,7 @@ class TestSweepWellFormedness:
     def test_contiguous_intervals_runnable(self, interval):
         cfg, bb, head = small_setup(layers=3)
         g = random_graph(4, 0.5, np.random.default_rng(12))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=13,
                                prompted_layers=interval)
         out = backbone_forward(prepared, bb, head,
@@ -488,7 +487,7 @@ class TestSweepWellFormedness:
     def test_long_prefixes_runnable(self, p_len):
         cfg, bb, head = small_setup(layers=2)
         g = random_graph(4, 0.5, np.random.default_rng(14))
-        prepared = batch_graphs(encode_graphs([g], cfg))
+        prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=15)
         out = backbone_forward(prepared, bb, head,
                                group=[(prompts.check(bb.cfg), prepared.size)])

@@ -1,18 +1,19 @@
 """Property tests over random small batches.
 
 Batches hold 1 to 4 graphs of 1 to 6 nodes (1 to 6 graphs of 1 to 8
-nodes against the slot oracle), drawn with edgeless graphs, isolated
-nodes and repeated samples. Runs are derandomized, so the suite
-stays deterministic.
+nodes against the slot oracle, and up to 8 graphs of 1 to 12 nodes for
+batch gathers and the random-walk encoding), drawn with edgeless
+graphs, isolated nodes and repeated samples. Runs are derandomized, so
+the suite stays deterministic.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from gpt_lab.graphs import GraphSample
+from gpt_lab.graphs import GraphSample, rwpe
 from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (
     Backbone,
@@ -96,10 +97,10 @@ MODELS = {
 def test_batched_forward_equals_per_sample_forwards(name, batch):
     cfg, bb, head, prompts = MODELS[name]
     _assert_node_rows_only(batch, cfg, bb, prompts)
-    together = backbone_forward(batch_graphs(encode_graphs(batch, cfg)), bb, head,
+    together = backbone_forward(encode_graphs(batch, cfg), bb, head,
                                 group=[(prompts, len(batch))]).data
     alone = np.concatenate([
-        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head,
+        backbone_forward(encode_graphs([g], cfg), bb, head,
                          group=[(prompts, 1)]).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
@@ -107,7 +108,7 @@ def test_batched_forward_equals_per_sample_forwards(name, batch):
 
 def _assert_node_rows_only(batch, cfg, bb, prompts):
     """encode_nodes returns one row per node, laid out by the batch's offsets."""
-    prepared = batch_graphs(encode_graphs(batch, cfg))
+    prepared = encode_graphs(batch, cfg)
     h, offsets = encode_nodes(prepared, bb, group=[(prompts, prepared.size)])
     assert offsets is prepared.offsets and h.shape == (offsets[-1], cfg.dim)
 
@@ -122,7 +123,7 @@ def _blocks(batch, p):
 @given(batch=batches(), p=st.integers(0, 3))
 def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
     cfg = MODELS["mpgnn_sum"][0]
-    adj = _mpgnn_adjacency(batch_graphs(encode_graphs(batch, cfg)), p)
+    adj = _mpgnn_adjacency(encode_graphs(batch, cfg), p)
     want = []
     for g, (bs, ns) in zip(batch, _blocks(batch, p)):
         prompt_rows = list(range(bs, ns))
@@ -151,10 +152,10 @@ def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
     prompts = init_prompts(mode, cfg, p_len=p_len, seed=4,
                            prompted_layers=(1, 2) if mode == "prefix_only" else None)
     _assert_node_rows_only(batch, cfg, bb, prompts)
-    together = backbone_forward(batch_graphs(encode_graphs(batch, cfg)), bb, head,
+    together = backbone_forward(encode_graphs(batch, cfg), bb, head,
                                 group=[(prompts, len(batch))]).data
     alone = np.concatenate([
-        backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head,
+        backbone_forward(encode_graphs([g], cfg), bb, head,
                          group=[(prompts, 1)]).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
@@ -173,9 +174,9 @@ def _permuted(g, perm):
 def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
     cfg, bb, head, prompts = MODELS[name]
     perm = np.random.default_rng(seed).permutation(g.n)
-    base = backbone_forward(batch_graphs(encode_graphs([g], cfg)), bb, head,
+    base = backbone_forward(encode_graphs([g], cfg), bb, head,
                             group=[(prompts, 1)]).data
-    moved = backbone_forward(batch_graphs(encode_graphs([_permuted(g, perm)], cfg)), bb, head,
+    moved = backbone_forward(encode_graphs([_permuted(g, perm)], cfg), bb, head,
                              group=[(prompts, 1)]).data
     assert np.abs(base - moved).max() <= 1e-10
 
@@ -185,7 +186,7 @@ def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
 @given(batch=batches())
 def test_empty_prompt_set_changes_nothing(name, batch):
     cfg, bb, head, _ = MODELS[name]
-    prepared = batch_graphs(encode_graphs(batch, cfg))
+    prepared = encode_graphs(batch, cfg)
     plain = backbone_forward(prepared, bb, head).data
     empty = backbone_forward(prepared, bb, head, group=[(PromptSet(), prepared.size)]).data
     assert np.abs(plain - empty).max() == 0.0
@@ -204,6 +205,61 @@ def test_insert_prompt_rows_equals_a_per_sample_oracle(batch, p, k, seed):
     want = np.concatenate([np.concatenate([rows[o], h[s:e]])
                            for o, s, e in zip(owner, offsets[:-1], offsets[1:])])
     assert np.array_equal(out.data, want)
+
+
+# A single-node graph, an edgeless one and a 12-node one, each picked twice.
+_MIXED = [GraphSample(1, np.ones((1, 3)), ()), GraphSample(4, np.ones((4, 3)), ()),
+          GraphSample(12, np.arange(36.0).reshape(12, 3),
+                      tuple((i, j) for i in range(12) for j in range(i + 1, 12) if (i + j) % 3))]
+
+
+@st.composite
+def picks(draw):
+    """Up to 5 graphs of 1 to 12 nodes, and 1 to 8 picks of them with repeats."""
+    pool = draw(st.lists(graphs(max_nodes=12), min_size=1, max_size=5))
+    return pool, draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+
+
+@PROPERTY_SETTINGS
+@given(case=picks())
+@example(case=(_MIXED, [2, 0, 1, 0, 2, 1]))
+def test_take_equals_encoding_the_picked_samples(case):
+    """Gathering samples from an encoded batch, repeats and any order included,
+    gives what encoding those samples as a new batch gives."""
+    pool, chosen = case
+    cfg = MODELS["transformer"][0]
+    got = encode_graphs(pool, cfg).take(chosen)
+    want = encode_graphs([pool[i] for i in chosen], cfg)
+    for name in ("features", "degrees", "edges", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _rwpe_oracle(g: GraphSample, k: int) -> np.ndarray:
+    """The diagonals of (D^-1 A)^s for s = 1..k of one graph, from its edge list;
+    an isolated node's row of D^-1 A, and so its encoding, is zero."""
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    m = np.zeros_like(a)
+    for i in range(g.n):
+        if a[i].any():
+            m[i] = a[i] / a[i].sum()
+    cols, power = [], m
+    for _ in range(k):
+        cols.append(np.diagonal(power).copy())
+        power = power @ m
+    return np.stack(cols, axis=1)
+
+
+@PROPERTY_SETTINGS
+@given(pool=st.lists(graphs(max_nodes=12), min_size=1, max_size=8), k=st.integers(1, 6))
+@example(pool=_MIXED + _MIXED[::-1], k=6)
+def test_batched_rwpe_equals_a_per_graph_oracle(pool, k):
+    """One stacked product per node count gives each graph's own encoding,
+    bit for bit."""
+    want = np.concatenate([_rwpe_oracle(g, k) for g in pool])
+    assert np.array_equal(rwpe(batch_graphs(pool), k), want)
 
 
 @PROPERTY_SETTINGS
@@ -311,7 +367,7 @@ def _slot_oracle(g, cfg, bb, prompts):
     prompted layer replaces them with its prefix; every layer runs full
     self-attention over the whole sequence.
     """
-    prepared = batch_graphs(encode_graphs([g], cfg))
+    prepared = encode_graphs([g], cfg)
     x = Tensor(prepared.features)
     token, pre = prompts.graph_token, prompts.token_stage == "pre_projection"
     if token is not None and pre:
@@ -354,7 +410,7 @@ def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len
     tracked = {**prompts.named_params(), **head.named_params()}
 
     with Tape():
-        h, offsets = encode_nodes(batch_graphs(encode_graphs(batch, cfg)), bb,
+        h, offsets = encode_nodes(encode_graphs(batch, cfg), bb,
                                   group=[(prompts, len(batch))])
         pooled = pool_rows(h, offsets, cfg.readout)
         grads = backward(tsum(mul(head.forward(pooled), weights)))
@@ -379,7 +435,7 @@ FD_CASES = {"deepgpt": "transformer_deepgpt", "virtual_node_sum": "mpgnn_sum_vir
 def test_prompt_and_head_gradients_match_central_differences(case, batch):
     """The graphs' features are seeded normals, so no max aggregation sees a tie."""
     cfg, bb, head, prompts = MODELS[FD_CASES[case]]
-    prepared = batch_graphs(encode_graphs(batch, cfg))
+    prepared = encode_graphs(batch, cfg)
     weights = Tensor(np.random.default_rng(0).normal(size=(len(batch), 1)))
 
     def loss():

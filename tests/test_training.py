@@ -10,10 +10,9 @@ import weakref
 import numpy as np
 import pytest
 
-from gpt_lab import models, training
+from gpt_lab import graphs, models, training
 from gpt_lab import tensor as T
 from gpt_lab.graphs import DataError, GraphSample, gen_downstream, gen_pretext
-from gpt_lab.graphs import batch as batch_graphs
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
                             encode_graphs, load_params)
 from gpt_lab.prompt import build_registry, init_prompts
@@ -446,11 +445,11 @@ class TestTrain:
     @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
     def test_rwpe_computed_once_per_call(self, motif_data, monkeypatch, mode):
         """train() encodes the dataset once for all folds; evaluate_fold only its
-        split. Both go through models.encode_graphs."""
+        split. Both run graphs.rwpe once, on one batch, in models.encode_graphs."""
         calls = []
-        encode = models.with_rwpe
-        monkeypatch.setattr(models, "with_rwpe",
-                            lambda graphs, k: calls.append(len(graphs)) or encode(graphs, k))
+        encode = models.rwpe
+        monkeypatch.setattr(models, "rwpe",
+                            lambda batch, k: calls.append(batch.size) or encode(batch, k))
         cfg, state = tiny_backbone()
         config = tiny_config(mode)
         results = train(config, motif_data, cfg, state, seed=1)
@@ -459,6 +458,30 @@ class TestTrain:
                                        results[1].prompt_state, seed=1, fold=1)
         assert calls == [len(motif_data), len(motif_data) // config.folds]
         assert score == results[1].final_metric
+
+    @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_one_batch_built_per_call(self, motif_data, monkeypatch, mode, epochs):
+        """Every step and scoring forward gathers its graphs from the one encoded
+        batch, so train() and evaluate_fold() each run graphs.batch once."""
+        calls = []
+        original = graphs.batch
+
+        def counted(samples):
+            calls.append(len(samples))
+            return original(samples)
+
+        for module in (graphs, models, training):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+        cfg, state = tiny_backbone()
+        config = tiny_config(mode, epochs=epochs, warmup_epochs=0)
+        results = train(config, motif_data, cfg, state, seed=1)
+        assert calls == [len(motif_data)]
+        training.evaluate_fold(config, motif_data, cfg, state, results[0].prompt_state,
+                               seed=1, fold=0)
+        assert calls == [len(motif_data), len(motif_data) // config.folds]
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_lightweight_runs_the_backbone_once_per_call(self, motif_data, monkeypatch,
@@ -679,7 +702,7 @@ class TestFreezeSoundness:
         registry = build_registry(bb, head, prompts)
         opt = AdamW(registry.trainable, weight_decay=1e-4)
         data = gen_downstream(8, "motif_presence", seed=18, size_range=(5, 7))
-        prepared = batch_graphs(encode_graphs(data, cfg))
+        prepared = encode_graphs(data, cfg)
         ctx = prompts.check(bb.cfg)
         labels = np.array([g.label for g in data])
         for _ in range(10):
@@ -704,7 +727,7 @@ class TestFreezeSoundness:
             registry = build_registry(bb, head, prompts)
             opt = AdamW(registry.trainable)
             data = gen_downstream(16, "motif_presence", seed=seed, size_range=(5, 8))
-            prepared = batch_graphs(encode_graphs(data, cfg))
+            prepared = encode_graphs(data, cfg)
             ctx = prompts.check(bb.cfg)
             labels = np.array([g.label for g in data])
             losses = []
