@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from gpt_lab.graphs import BatchedGraph, DataError, GraphSample, make_folds
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
@@ -148,9 +147,24 @@ def auroc(scores, labels) -> float:
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both classes present")
-    ranks = rankdata(s, method="average")
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    u = _average_ranks(s)[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``s``, each group of ties taking the mean of its
+    ranks, as ``scipy.stats.rankdata(s, method="average")`` gives them; a
+    NaN anywhere makes every rank NaN (a sort would rank it last)."""
+    if np.isnan(s).any():
+        return np.full(s.size, np.nan)
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    # A group holds ranks starts+1 .. ends; their mean is exact in float64.
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def average_precision(scores, labels) -> float:
@@ -160,13 +174,9 @@ def average_precision(scores, labels) -> float:
     n_pos = int((y == 1.0).sum())
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    order = np.argsort(-s, kind="stable")
-    hits = 0
-    total = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if y[idx] == 1.0:
-            hits += 1
-            total += hits / rank
+    ranks = np.flatnonzero(y[np.argsort(-s, kind="stable")] == 1.0) + 1
+    # cumsum adds left to right, as a walk down the ranks would.
+    total = np.cumsum(np.arange(1, n_pos + 1) / ranks)[-1]
     return float(total / n_pos)
 
 
@@ -284,15 +294,22 @@ def _subseed(seed: int, *path) -> int:
     return int(rng_for(seed, *path).integers(0, 2**63 - 1))
 
 
-def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> PromptSet:
+def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig,
+              idx=None) -> PromptSet:
     """Check a run before anything is encoded, and return the mode's prompt
-    set as drawn from seed 0: drawing it checks every mode/backbone rule."""
-    if not dataset:
+    set as drawn from seed 0: drawing it checks every mode/backbone rule.
+
+    Only the graphs ``dataset[i]`` for ``i`` in ``idx`` (default: all) are
+    checked, and an error names a graph by its index in ``dataset``.
+    """
+    idx = range(len(dataset)) if idx is None else idx
+    if len(idx) == 0:
         raise DataError("empty dataset")
-    t = dataset[0].label_dim
+    t = dataset[idx[0]].label_dim
     if t == 0:
         raise DataError("training needs labeled samples")
-    for i, g in enumerate(dataset):
+    for i in idx:
+        g = dataset[i]
         if g.label_dim != t:
             raise DataError("label arity differs across the dataset")
         if g.feature_dim != backbone_cfg.feature_dim:
@@ -304,7 +321,7 @@ def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig) -> Pr
                            prompted_layers=config.prompted_layers,
                            token_stage=config.token_stage)
     if config.metric in ("auroc", "ap"):
-        lab = np.concatenate([g.label for g in dataset])
+        lab = np.concatenate([dataset[i].label for i in idx])
         lab = lab[np.isfinite(lab)]
         if not np.all((lab == 0.0) | (lab == 1.0)):
             raise DataError("classification metrics need 0/1 labels")
@@ -600,15 +617,17 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
     Rebuilds the fold as ``train`` does, loads the state into every
     parameter its registry trains and scores the encoded split with
     ``train``'s one forward, so the state of any mode, ft included,
-    reproduces the recorded metric exactly.
+    reproduces the recorded metric exactly. Only the split's graphs are
+    validated.
     """
     steady_heap()
-    _validate(config, dataset, backbone_cfg)
+    folds = make_folds(len(dataset), config.folds, seed)
+    eval_idx = folds.train_eval(fold)[1]
+    _validate(config, dataset, backbone_cfg, eval_idx)
+    split = [dataset[i] for i in eval_idx]
     bb = Backbone.from_state(backbone_cfg, backbone_state)
-    f = _make_fold(config, bb, dataset[0].label_dim, seed, fold,
-                   make_folds(len(dataset), config.folds, seed))
+    f = _make_fold(config, bb, split[0].label_dim, seed, fold, folds)
     load_params(f.registry.trainable, prompt_state)
-    split = [dataset[i] for i in f.eval_idx]
     [scores] = _forward(encode_graphs(split, backbone_cfg), bb)([f], [np.arange(len(split))])
     return _metric_value(config, scores.data, _labels(split))
 

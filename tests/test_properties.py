@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.stats import rankdata
 
 from gpt_lab.graphs import GraphSample, rwpe
 from gpt_lab.graphs import batch as batch_graphs
@@ -44,6 +45,7 @@ from gpt_lab.tensor import (
     pool_rows,
     tsum,
 )
+from gpt_lab.training import _average_ranks
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                              database=None)
@@ -481,3 +483,17 @@ def test_a_masked_label_changes_neither_the_bce_loss_nor_its_gradient(rows, cols
     assert np.array_equal(loss, want_loss)
     assert np.array_equal(grad, want_grad)
     assert (grad[~mask] == 0.0).all()
+
+
+TIED_SCORES = st.lists(
+    st.one_of(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]),
+              st.floats(allow_nan=False)),
+    min_size=1, max_size=40)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(TIED_SCORES)
+def test_average_ranks_equal_scipy_rankdata(scores):
+    s = np.array(scores)
+    got, want = _average_ranks(s), rankdata(s, method="average")
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -209,6 +209,21 @@ class TestMetrics:
             assert auroc(scores, labels) == pytest.approx(
                 oracle_auroc(scores, labels), abs=1e-12)
 
+    def test_auroc_equals_pairwise_oracle_exactly_on_ties(self):
+        """Both sides count wins in halves, exactly, and divide once."""
+        rng = np.random.default_rng(13)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            scores = rng.choice(pool, n)
+            labels = (rng.random(n) < 0.5).astype(int)
+            if labels.min() == labels.max():
+                continue
+            assert auroc(scores, labels) == oracle_auroc(scores, labels)
+
+    def test_auroc_is_nan_when_a_score_is_nan(self):
+        assert math.isnan(auroc([0.2, np.nan, 0.7, 0.1], [0, 1, 1, 0]))
+
     def test_ap_trivials(self):
         assert average_precision([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
         assert average_precision([0.2, 0.9], [1, 0]) == 0.5
@@ -227,6 +242,18 @@ class TestMetrics:
                 continue
             assert average_precision(scores, labels) == pytest.approx(
                 oracle_average_precision(scores, labels), abs=1e-12)
+
+    def test_ap_equals_rank_walk_oracle_exactly(self):
+        """The precisions are summed left to right, as the walk adds them."""
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            n = int(rng.integers(1, 301))
+            scores = np.round(rng.random(n), int(rng.integers(1, 4)))
+            labels = (rng.random(n) < rng.random()).astype(int)
+            if labels.sum() == 0:
+                continue
+            assert average_precision(scores, labels) == oracle_average_precision(scores,
+                                                                                 labels)
 
 
 class TestClip:
@@ -431,6 +458,32 @@ class TestTrain:
             error, message = T.ShapeError, r"prompt.token: stored shape \(3,\) != \(8,\)"
         with pytest.raises(error, match=message):
             training.evaluate_fold(config, motif_data, cfg, state, stored, seed=1, fold=0)
+
+    @pytest.mark.parametrize("damage", ["label", "features"])
+    def test_evaluate_fold_validates_its_split_only(self, motif_data, damage):
+        """A malformed graph fails with its cause when the fold scores it, and
+        is not read when it lies outside the fold's evaluation split."""
+        cfg, state = tiny_backbone()
+        config = tiny_config("lightweight", metric="rmse", epochs=1, warmup_epochs=0)
+        [r, *_] = train(config, motif_data, cfg, state, seed=1)
+        train_idx, eval_idx = training.make_folds(len(motif_data), config.folds,
+                                                  1).train_eval(r.fold)
+
+        def damaged(i):
+            g = motif_data[i]
+            g = (GraphSample(g.n, g.features, g.edges, np.array([np.nan]))
+                 if damage == "label" else
+                 GraphSample(g.n, np.ones((g.n, 5)), g.edges, g.label))
+            return motif_data[:i] + [g] + motif_data[i + 1:]
+
+        run = lambda data: training.evaluate_fold(config, data, cfg, state, r.prompt_state,
+                                                  seed=1, fold=r.fold)
+        i = int(eval_idx[1])
+        cause = (f"^graph {i} has a non-finite label" if damage == "label" else
+                 "^a graph has 5 feature columns, but the backbone's feature_dim is 4$")
+        with pytest.raises(DataError, match=cause):
+            run(damaged(i))
+        assert run(damaged(int(train_idx[0]))) == r.final_metric
 
     def test_determinism_bitwise(self, motif_data):
         cfg, state = tiny_backbone()
