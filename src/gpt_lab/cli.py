@@ -68,7 +68,7 @@ def _load_dataset(cfg: ExperimentConfig, seed: int):
         return read_graph_file(task.graph_file)
     return gen_downstream(task.count, task.generator, seed,
                           size_range=(task.min_nodes, task.max_nodes),
-                          feature_dim=task.feature_dim)
+                          feature_dim=cfg.backbone.feature_dim)
 
 
 def _tuning_with_overrides(cfg: ExperimentConfig, args) -> TuningConfig:

@@ -1,7 +1,11 @@
 """Experiment configuration: one INI-style file, strictly validated.
 
-Every section and key is checked against a schema before anything runs;
-unknown names are rejected outright so a typo cannot silently fall back
+Each setting has one owner, a field of a config dataclass: a section's
+keys are the fields of its dataclass (``[experiment]`` holds
+``ExperimentConfig``'s own, ``[tuning]`` sets each of its two tuple
+fields by one key per part), each value is parsed by its field's type,
+and an omitted key takes the field's default. Unknown sections and keys
+are rejected before anything runs, so a typo cannot silently fall back
 to a default. Values are checked at load by the dataclass that holds
 them (``[pretrain]``'s schedule by ``training.pretrain_config``, its
 pretext sizes against ``graphs.PRETEXT_NODES``), so a bad one fails
@@ -12,7 +16,8 @@ of the data they generate.
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from gpt_lab.graphs import DOWNSTREAM_TASKS, PRETEXT_NODES
@@ -42,7 +47,6 @@ class TaskConfig:
     count: int = 1000
     min_nodes: int = 6
     max_nodes: int = 16
-    feature_dim: int = 4
 
     def __post_init__(self):
         if (self.generator is None) == (self.graph_file is None):
@@ -109,9 +113,9 @@ class AblateConfig:
                      "component": self.components}[self.axis])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    seed: int
+    seed: int = 0
     backbone: BackboneConfig
     task: TaskConfig | None = None
     pretrain: PretrainConfig | None = None
@@ -147,50 +151,41 @@ def _parse_strs(raw: str) -> tuple[str, ...]:
     return tuple(p.strip().lower() for p in raw.split(",") if p.strip())
 
 
-_SCHEMA: dict[str, dict] = {
-    "experiment": {"seed": int},
-    "backbone": {
-        "kind": str, "feature_dim": int, "dim": int, "heads": int, "layers": int,
-        "ffn_mult": int, "readout": str, "rwpe_steps": int,
-        "degree_embed": _parse_bool, "max_degree": int, "aggregation": str,
-    },
-    "task": {
-        "generator": str, "graph_file": str, "count": int,
-        "min_nodes": int, "max_nodes": int, "feature_dim": int,
-    },
-    "pretrain": {
-        "count": int, "min_nodes": int, "max_nodes": int, "epochs": int,
-        "warmup_epochs": int, "lr": float, "weight_decay": float,
-        "batch_size": int, "decay": str, "clip": float, "eval_fraction": float,
-    },
-    "tuning": {
-        "mode": str, "metric": str, "p_len": int, "prompted_from": int,
-        "prompted_to": int, "token_stage": str, "lr": float,
-        "weight_decay": float, "beta1": float, "beta2": float, "eps": float,
-        "clip": float, "epochs": int, "warmup_epochs": int, "decay": str,
-        "batch_size": int, "folds": int, "head_hidden": _parse_bool,
-    },
-    "ablate": {
-        "axis": str, "depth_intervals": _parse_intervals,
-        "lengths": _parse_ints, "components": _parse_strs,
-    },
+# Each field type's parser. A composite's type parses each of its parts.
+_PARSERS = {
+    int: int, float: float, str: str, str | None: str, bool: _parse_bool,
+    tuple[tuple[int, int], ...]: _parse_intervals, tuple[int, ...]: _parse_ints,
+    tuple[str, ...]: _parse_strs,
+    tuple[int, int] | None: int, tuple[float, float]: float,
 }
+# [tuning]'s composite fields, each set by one key per part.
+_PARTS = {"prompted_layers": ("prompted_from", "prompted_to"), "betas": ("beta1", "beta2")}
+# Each section's dataclass; ExperimentConfig's other fields are the sections.
+_SECTIONS = {"experiment": ExperimentConfig, "backbone": BackboneConfig, "task": TaskConfig,
+             "pretrain": PretrainConfig, "tuning": TuningConfig, "ablate": AblateConfig}
+
+
+def _keys(cls) -> dict:
+    """The INI keys of ``cls``'s section, each with the parser of its field's type."""
+    hints = typing.get_type_hints(cls)
+    return {key: _PARSERS[hints[f.name]] for f in fields(cls)
+            if f.name not in _SECTIONS for key in _PARTS.get(f.name, (f.name,))}
 
 
 def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
-    schema = _SCHEMA[section]
+    keys = _keys(_SECTIONS[section])
     out = {}
     for key, raw in parser.items(section):
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} in section [{section}] "
-                              f"(known: {sorted(schema)})")
+                              f"(known: {sorted(keys)})")
         try:
-            out[key] = schema[key](raw)
+            out[key] = keys[key](raw)
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
-    return out
+    return _tuning_fields(out) if section == "tuning" else out
 
 
 def _tuning_fields(vals: dict) -> dict:
@@ -200,9 +195,9 @@ def _tuning_fields(vals: dict) -> dict:
         raise ConfigError("[tuning]: prompted_from and prompted_to go together")
     if "prompted_from" in vals:
         vals["prompted_layers"] = (vals.pop("prompted_from"), vals.pop("prompted_to"))
-    vals["betas"] = (vals.pop("beta1", 0.9), vals.pop("beta2", 0.999))
-    if "mode" not in vals:
-        raise ConfigError("[tuning]: 'mode' is required")
+    if "beta1" in vals or "beta2" in vals:
+        beta1, beta2 = TuningConfig.betas
+        vals["betas"] = (vals.pop("beta1", beta1), vals.pop("beta2", beta2))
     return vals
 
 
@@ -217,25 +212,20 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    unknown = set(parser.sections()) - set(_SCHEMA)
+    unknown = set(parser.sections()) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)} "
-                          f"(known: {sorted(_SCHEMA)})")
+                          f"(known: {sorted(_SECTIONS)})")
     if "backbone" not in parser.sections():
         raise ConfigError("missing required section [backbone]")
 
     experiment = _section_values(parser, "experiment") if parser.has_section("experiment") else {}
     sections = {}
-    for section, cls in (("backbone", BackboneConfig), ("task", TaskConfig),
-                         ("pretrain", PretrainConfig), ("tuning", TuningConfig),
-                         ("ablate", AblateConfig)):
-        if not parser.has_section(section):
+    for section, cls in _SECTIONS.items():
+        if cls is ExperimentConfig or not parser.has_section(section):
             continue
-        vals = _section_values(parser, section)
-        if section == "tuning":
-            vals = _tuning_fields(vals)
         try:
-            sections[section] = cls(**vals)
+            sections[section] = cls(**_section_values(parser, section))
         except (ContractError, TypeError) as exc:
             raise ConfigError(f"[{section}]: {exc}") from None
-    return ExperimentConfig(seed=experiment.get("seed", 0), **sections)
+    return ExperimentConfig(**experiment, **sections)

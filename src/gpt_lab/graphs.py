@@ -13,7 +13,7 @@ independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -569,8 +569,7 @@ class DatasetSplit:
     """Fold index per sample; folds are disjoint, exhaustive, near-equal."""
 
     folds: np.ndarray
-    seed: int
-    n_folds: int = field(default=5)
+    n_folds: int
 
     def train_eval(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         if not (0 <= fold < self.n_folds):
@@ -588,4 +587,4 @@ def make_folds(count: int, n_folds: int, seed: int) -> DatasetSplit:
     folds = np.zeros(count, dtype=np.int64)
     for pos, sample in enumerate(perm):
         folds[sample] = pos % n_folds
-    return DatasetSplit(folds, seed, n_folds)
+    return DatasetSplit(folds, n_folds)

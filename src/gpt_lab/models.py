@@ -118,6 +118,9 @@ class BackboneConfig:
                                 f"got {self.max_degree}")
         if self.kind == "transformer" and self.dim % self.heads != 0:
             raise ContractError(f"dim {self.dim} not divisible by {self.heads} heads")
+        if self.kind == "transformer" and self.head_width == 1:
+            raise ContractError(f"head width {self.head_width} (dim {self.dim} // {self.heads} "
+                                "heads) must be at least 2")
         if self.feature_dim < 1 or self.dim < 1:
             raise ContractError("feature_dim and dim must be positive")
 
@@ -523,14 +526,13 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
 
 
 def backbone_forward(batch: BatchedGraph, backbone: Backbone,
-                     head: PredictionHead | None = None,
                      group: Iterable[tuple[PromptSet, int]] | None = None) -> Tensor:
-    """Per-sample predictions (B x t), or graph embeddings when head is None.
+    """Per-sample graph embeddings (B x dim), which a ``PredictionHead`` maps
+    to predictions.
 
     ``group`` is that of ``encode_nodes``.
     Readout pools each sample's segment of node rows, so prompt rows never
     change which positions are averaged.
     """
     h, offsets = encode_nodes(batch, backbone, group)
-    hg = pool_rows(h, offsets, backbone.cfg.readout)
-    return head.forward(hg) if head is not None else hg
+    return pool_rows(h, offsets, backbone.cfg.readout)

@@ -5,7 +5,8 @@ model width after the input projection or at input width before it),
 per-layer prefix matrices, whose p rows every sample of a prompted
 transformer layer attends to as shared keys and values, and virtual
 token rows that join every sample and, in an MPGNN, are wired to every
-original node.
+original node. A set's ``p_len`` is read from its tensors: the row
+count of its prefixes or virtual tokens.
 ``init_prompts`` is the one map from a tuning mode to the prompt
 parameters it trains, and with ``trains_backbone`` the only code that
 reads a mode name, besides the validation of a name against ``MODES``.
@@ -55,9 +56,15 @@ class PromptSet:
 
     graph_token: Tensor | None = None
     prefixes: dict[int, Tensor] = field(default_factory=dict)
-    p_len: int = 0
     token_stage: str = "post_projection"
     virtual_tokens: Tensor | None = None
+
+    @property
+    def p_len(self) -> int:
+        """The row count of the prefixes or of the virtual tokens, 0 with neither."""
+        if self.virtual_tokens is not None:
+            return self.virtual_tokens.shape[0]
+        return next(iter(self.prefixes.values())).shape[0] if self.prefixes else 0
 
     @property
     def prompted_layers(self) -> tuple[int, ...]:
@@ -77,7 +84,8 @@ class PromptSet:
         """Validate the prompts against a ``BackboneConfig``; return them unchanged.
 
         Every forward that takes a prompt set calls this first. Prefixes
-        need a transformer; virtual tokens run on either backbone kind.
+        need a transformer and one row count, ``p_len``; virtual tokens run
+        on either backbone kind.
         """
         if self.token_stage not in TOKEN_STAGES:
             raise ContractError(f"unknown token stage {self.token_stage!r}")
@@ -171,7 +179,7 @@ def init_prompts(mode: str, cfg, p_len: int, seed: int,
         if cfg.kind != "mpgnn":
             raise ContractError("virtual_node mode requires the mpgnn backbone")
         tokens = Tensor(rng.normal(0.0, 0.02, size=(p_len, cfg.dim)), requires_grad=True)
-        prompts = PromptSet(virtual_tokens=tokens, p_len=p_len)
+        prompts = PromptSet(virtual_tokens=tokens)
     elif mode in ("prefix_only", "deepgpt"):
         prefixes = {li: Tensor(rng.normal(0.0, 0.02, size=(p_len, cfg.dim)),
                                requires_grad=True)
@@ -180,8 +188,7 @@ def init_prompts(mode: str, cfg, p_len: int, seed: int,
         if mode == "deepgpt":
             width = cfg.dim if token_stage == "post_projection" else cfg.input_width
             token = Tensor(rng.normal(0.0, 0.02, size=width), requires_grad=True)
-        prompts = PromptSet(graph_token=token, prefixes=prefixes, p_len=p_len,
-                            token_stage=token_stage)
+        prompts = PromptSet(graph_token=token, prefixes=prefixes, token_stage=token_stage)
     else:
         raise ContractError(f"unknown tuning mode {mode!r}")
     return prompts.check(cfg)

@@ -128,7 +128,7 @@ def mse_loss(preds: Tensor, labels) -> Tensor:
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != preds.shape:
         raise ContractError(f"mse_loss: labels shape {y.shape} vs preds {preds.shape}")
-    diff = preds + Tensor(-y)
+    diff = add(preds, Tensor(-y))
     return scale(tsum(mul(diff, diff)), 1.0 / y.size)
 
 

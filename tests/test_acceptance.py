@@ -79,11 +79,11 @@ def test_01_gradient_correctness_full_deepgpt_forward():
     labels = np.array([g.label])
 
     def loss_value() -> float:
-        out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+        out = head.forward(backbone_forward(prepared, bb, group=[(ctx, prepared.size)]))
         return float(bce_with_logits(out, labels).data)
 
     with Tape():
-        out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+        out = head.forward(backbone_forward(prepared, bb, group=[(ctx, prepared.size)]))
         grads = backward(bce_with_logits(out, labels))
 
     trainable = {**prompts.named_params(), **head.named_params()}
@@ -138,7 +138,7 @@ def test_02_freeze_soundness_100_steps(tmp_path):
     keys_ok = True
     for _ in range(100):
         with Tape():
-            out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+            out = head.forward(backbone_forward(prepared, bb, group=[(ctx, prepared.size)]))
             grads = backward(bce_with_logits(out, labels))
         got = {id(t) for t in grads}
         want = {id(t) for t in registry.trainable.values()}
@@ -168,9 +168,10 @@ def test_03_empty_prompt_set_reproduces_backbone_exactly():
     head = PredictionHead.init(cfg.dim, 1, seed=32)
     graphs = [random_graph(int(rng.integers(4, 9)), 0.5, rng) for _ in range(6)]
     prepared = encode_graphs(graphs, cfg)
-    plain = backbone_forward(prepared, bb, head).data
+    plain = head.forward(backbone_forward(prepared, bb)).data
     empty_ctx = PromptSet().check(bb.cfg)
-    via_prompt = backbone_forward(prepared, bb, head, group=[(empty_ctx, prepared.size)]).data
+    via_prompt = head.forward(backbone_forward(prepared, bb,
+                                               group=[(empty_ctx, prepared.size)])).data
     max_err = float(np.abs(plain - via_prompt).max())
     report(3, "empty prompt set is an exact no-op", max_err == 0.0,
            f"max |diff| = {max_err}")
@@ -192,8 +193,7 @@ def test_04_prefix_equals_virtual_nodes():
         g = random_graph(int(rng.integers(4, 9)), 0.5, rng)
         prepared = encode_graphs([g], cfg)
         values = rng.normal(size=(4, cfg.dim))
-        prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
-                               p_len=4)
+        prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)})
         virtual_ctx = PromptSet(virtual_tokens=Tensor(values.copy(), requires_grad=True))
         h_p, _ = encode_nodes(prepared, bb, group=[(prefix_ctx, prepared.size)])
         h_v, _ = encode_nodes(prepared, bb, group=[(virtual_ctx, prepared.size)])

@@ -83,3 +83,68 @@ def test_a_workload_call_binds_to_the_current_signature(name, line, call, target
         bind(*args, **kwargs)
     except TypeError as exc:
         pytest.fail(f"workloads.py:{line}: {name}{signature} does not take this call: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# What ``benchmarks/tracer.py`` wraps
+# ---------------------------------------------------------------------------
+
+TRACER = WORKLOADS.parent / "tracer.py"
+
+# Tracer targets that no longer exist; their per-layer metrics read 0 until
+# the tracer stops naming them.
+GONE = {("gpt_lab.tensor", "masked_pool_rows"), ("gpt_lab.tensor", "softmax_masked"),
+        ("gpt_lab.prompt", "deepgpt_transform")}
+
+
+def _pairs(node: ast.Dict) -> list[tuple[str, str]]:
+    return [tuple(ast.literal_eval(key)) for key in node.keys]
+
+
+def _tracer_targets() -> list[tuple[str, str, str | None]]:
+    """(module, name, method) of every function and method the tracer wraps:
+    the keys of ``FUNCTION_SPANS`` and of ``install``'s ``special`` map, and
+    each ``_replace_method(cls, "method", ...)`` call on a class that
+    ``install`` reads as ``sys.modules["module"].Name``."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
+    targets, classes = [], {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        bound = getattr(node.targets[0], "id", None)
+        if isinstance(node.value, ast.Dict) and bound in ("FUNCTION_SPANS", "special"):
+            targets += [(module, name, None) for module, name in _pairs(node.value)]
+        elif isinstance(node.value, ast.Attribute) and isinstance(node.value.value, ast.Subscript):
+            classes[bound] = (ast.literal_eval(node.value.value.slice), node.value.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "_replace_method":
+            owner, method = node.args[0].id, ast.literal_eval(node.args[1])
+            targets.append((*classes[owner], method))
+    return targets
+
+
+TARGETS = _tracer_targets()
+
+
+def _resolves(module: str, name: str, method: str | None) -> bool:
+    found = getattr(importlib.import_module(module), name, None)
+    return found is not None and (method is None or method in vars(found))
+
+
+def test_the_parse_finds_the_tracers_special_targets_and_methods():
+    found = {(module.split(".")[-1], name, method) for module, name, method in TARGETS}
+    assert {("models", "backbone_forward", None), ("training", "_run_fold", None),
+            ("models", "PredictionHead", "forward"), ("training", "AdamW", "step"),
+            ("tensor", "Tape", "__enter__"), ("tensor", "Tape", "__exit__")} <= found
+    assert GONE <= {(module, name) for module, name, _ in TARGETS}
+
+
+@pytest.mark.parametrize("module, name, method", TARGETS,
+                         ids=[".".join(filter(None, (m.split(".")[-1], n, f)))
+                              for m, n, f in TARGETS])
+def test_every_tracer_target_resolves(module, name, method):
+    """A rename or deletion of a wrapped name would silently zero its metric."""
+    if (module, name) in GONE:
+        assert not _resolves(module, name, method), f"{module}.{name} is back; drop it from GONE"
+    else:
+        assert _resolves(module, name, method), f"tracer.py wraps {module}.{name}, which is gone"

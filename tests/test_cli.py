@@ -14,8 +14,8 @@ from gpt_lab.cli import (
     TUNE_CSV_FIELDS,
     main,
 )
-from gpt_lab.config import (_SCHEMA, AblateConfig, ConfigError, ExperimentConfig,
-                            PretrainConfig, TaskConfig, load_config)
+from gpt_lab.config import (AblateConfig, ConfigError, ExperimentConfig, PretrainConfig,
+                            TaskConfig, load_config)
 from gpt_lab.graphs import gen_downstream
 from gpt_lab.models import Backbone, BackboneConfig
 from gpt_lab.training import TuningConfig, evaluate_fold
@@ -60,6 +60,80 @@ warmup_epochs = 1
 batch_size = 8
 folds = 3
 """
+
+
+FULL_CONFIG = """\
+[experiment]
+seed = 7
+
+[backbone]
+kind = transformer
+feature_dim = 3
+dim = 12
+heads = 3
+layers = 2
+ffn_mult = 3
+readout = sum
+rwpe_steps = 5
+degree_embed = yes
+max_degree = 5
+aggregation = mean
+
+[task]
+generator = community_count
+count = 40
+min_nodes = 7
+max_nodes = 11
+
+[pretrain]
+count = 50
+min_nodes = 5
+max_nodes = 10
+epochs = 4
+warmup_epochs = 1
+lr = 0.002
+weight_decay = 0.01
+batch_size = 16
+decay = linear
+clip = 2.5
+eval_fraction = 0.2
+
+[tuning]
+mode = DeepGPT
+metric = ap
+p_len = 3
+prompted_from = 0
+prompted_to = 1
+token_stage = pre_projection
+lr = 0.004
+weight_decay = 0.02
+beta1 = 0.8
+beta2 = 0.99
+eps = 1e-6
+clip = 3.0
+epochs = 6
+warmup_epochs = 2
+decay = linear
+batch_size = 12
+folds = 4
+head_hidden = true
+
+[ablate]
+axis = length
+depth_intervals = 0-0, 1-1
+lengths = 2,3
+components = Lightweight, deepgpt
+"""
+
+
+def write_full_config(path: Path, graph_file: bool = False) -> Path:
+    """``FULL_CONFIG``, which sets every key of every section; with
+    ``graph_file``, its task reads a graph file in place of a generator."""
+    text = FULL_CONFIG
+    if graph_file:
+        text = text.replace("generator = community_count", "graph_file = data.gr")
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def write_config(path: Path, extra: str = "", replace: dict | None = None) -> Path:
@@ -277,21 +351,50 @@ class TestConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "nope.ini")
 
-    def test_every_field_has_a_key(self):
-        """Each section's keys are its dataclass's fields, a composite field
-        given as its parts, so that no field is impossible to set."""
-        composite = {"prompted_layers": {"prompted_from", "prompted_to"},
-                     "betas": {"beta1", "beta2"}}
-        classes = {"experiment": ExperimentConfig, "backbone": BackboneConfig,
-                   "task": TaskConfig, "pretrain": PretrainConfig, "tuning": TuningConfig,
-                   "ablate": AblateConfig}
-        assert set(classes) == set(_SCHEMA)
-        for section, cls in classes.items():
-            keys = set()
-            for f in dataclasses.fields(cls):
-                if f.name not in _SCHEMA:                 # ExperimentConfig's sections
-                    keys |= composite.get(f.name, {f.name})
-            assert set(_SCHEMA[section]) == keys, section
+    def test_every_field_has_a_key(self, tmp_path):
+        """``FULL_CONFIG`` moves every field of every section's dataclass off its
+        default, so that no field is impossible to set."""
+        cfg = load_config(write_full_config(tmp_path / "full.ini"))
+        task = load_config(write_full_config(tmp_path / "file.ini", graph_file=True)).task
+        for owner in (cfg, cfg.backbone, cfg.task, task, cfg.pretrain, cfg.tuning, cfg.ablate):
+            for f in dataclasses.fields(owner):
+                if f.name not in ("generator", "graph_file"):
+                    assert getattr(owner, f.name) != f.default, f.name
+        assert cfg.task.generator is not None and task.graph_file is not None
+
+    def test_every_key_of_every_section_loads(self, tmp_path):
+        cfg = load_config(write_full_config(tmp_path / "full.ini"))
+        assert cfg == ExperimentConfig(
+            seed=7,
+            backbone=BackboneConfig(kind="transformer", feature_dim=3, dim=12, heads=3,
+                                    layers=2, ffn_mult=3, readout="sum", rwpe_steps=5,
+                                    degree_embed=True, max_degree=5, aggregation="mean"),
+            task=TaskConfig(generator="community_count", count=40, min_nodes=7, max_nodes=11),
+            pretrain=PretrainConfig(count=50, min_nodes=5, max_nodes=10, epochs=4,
+                                    warmup_epochs=1, lr=0.002, weight_decay=0.01,
+                                    batch_size=16, decay="linear", clip=2.5,
+                                    eval_fraction=0.2),
+            tuning=TuningConfig(mode="deepgpt", metric="ap", p_len=3, prompted_layers=(0, 1),
+                                token_stage="pre_projection", lr=0.004, weight_decay=0.02,
+                                betas=(0.8, 0.99), eps=1e-6, clip=3.0, epochs=6,
+                                warmup_epochs=2, decay="linear", batch_size=12, folds=4,
+                                head_hidden=True),
+            ablate=AblateConfig(axis="length", depth_intervals=((0, 0), (1, 1)),
+                                lengths=(2, 3), components=("lightweight", "deepgpt")))
+        task = load_config(write_full_config(tmp_path / "file.ini", graph_file=True)).task
+        assert task == TaskConfig(graph_file="data.gr", count=40, min_nodes=7, max_nodes=11)
+
+    def test_a_missing_required_key_is_a_config_error_naming_it(self, tmp_path):
+        path = write_config(tmp_path / "bad.ini", replace={"mode = deepgpt\n": ""})
+        with pytest.raises(ConfigError, match=r"^\[tuning\]: .*'mode'$"):
+            load_config(path)
+
+    def test_task_feature_dim_is_an_unknown_key(self, tmp_path, capsys):
+        config = write_config(tmp_path / "bad.ini",
+                              replace={"max_nodes = 8\n\n[pretrain]":
+                                       "max_nodes = 8\nfeature_dim = 4\n\n[pretrain]"})
+        assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "pre")]) == 2
+        assert "unknown key 'feature_dim' in section [task]" in capsys.readouterr().err
 
 
 class TestPretrainCommand:
@@ -323,6 +426,7 @@ class TestPretrainCommand:
         ("ffn_mult = 2", "ffn_mult = 0", "ffn_mult"),
         ("max_degree = 4", "max_degree = -1", "max_degree"),
         ("rwpe_steps = 4", "rwpe_steps = -2", "rwpe_steps"),
+        ("heads = 2", "heads = 8", "head width 1"),
     ])
     def test_bad_backbone_number_is_a_config_error(self, tmp_path, capsys, old, new, key):
         config = write_config(tmp_path / "bad.ini", replace={old: new})
@@ -420,7 +524,7 @@ class TestTuneCommand:
         backbone_cfg, backbone_state = ck.load_backbone(ckpt_of(workspace))
         dataset = gen_downstream(cfg.task.count, cfg.task.generator, cfg.seed,
                                  size_range=(cfg.task.min_nodes, cfg.task.max_nodes),
-                                 feature_dim=cfg.task.feature_dim)
+                                 feature_dim=cfg.backbone.feature_dim)
         metric = evaluate_fold(cfg.tuning, dataset, backbone_cfg, backbone_state,
                                prompt_state, seed=meta["seed"], fold=meta["fold"])
         rows = read_csv(out / "fold_metrics.csv", FOLD_CSV_FIELDS)
@@ -440,7 +544,7 @@ class TestTuneCommand:
         backbone_cfg, backbone_state = ck.load_backbone(ckpt_of(workspace))
         dataset = gen_downstream(cfg.task.count, cfg.task.generator, meta["seed"],
                                  size_range=(cfg.task.min_nodes, cfg.task.max_nodes),
-                                 feature_dim=cfg.task.feature_dim)
+                                 feature_dim=cfg.backbone.feature_dim)
         scored = {metric: evaluate_fold(dataclasses.replace(cfg.tuning, metric=metric),
                                         dataset, backbone_cfg, backbone_state, prompt_state,
                                         seed=meta["seed"], fold=meta["fold"])
@@ -482,17 +586,6 @@ class TestTuneCommand:
                      f"graph_file = {graph_file}"})
         assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
                      "--out", str(tmp_path / "run")]) == 0
-
-    def test_generator_feature_width_other_than_the_backbone_exits_3(self, workspace, tmp_path,
-                                                                     capsys):
-        config = write_config(tmp_path / "wide.ini", replace={"max_nodes = 8\n\n[pretrain]":
-                                                              "max_nodes = 8\nfeature_dim = 5"
-                                                              "\n\n[pretrain]"})
-        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
-                     "--out", str(tmp_path / "run")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: a graph has 5 feature columns, but the "
-                              "backbone's feature_dim is 4")
 
     def test_graph_file_of_another_width_exits_3(self, workspace, tmp_path, capsys):
         from gpt_lab.graphs import write_graph_file
@@ -676,8 +769,8 @@ class TestTuneCommand:
                                                               monkeypatch, capsys):
         forward = training.backbone_forward
 
-        def tokenless(batch, bb, head=None, group=None):
-            return forward(batch, bb, head,
+        def tokenless(batch, bb, group=None):
+            return forward(batch, bb,
                            [(dataclasses.replace(s, graph_token=None), n) for s, n in group])
 
         monkeypatch.setattr(training, "backbone_forward", tokenless)

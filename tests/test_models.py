@@ -322,9 +322,9 @@ class TestBackboneForward:
         cfg, bb, head = _build(kind)
         g = random_graph(6, 0.5, rng)
         perm = rng.permutation(6)
-        base = backbone_forward(encode_graphs([g], cfg), bb, head).data
-        moved = backbone_forward(encode_graphs([permute_graph(g, perm)], cfg),
-                                 bb, head).data
+        base = head.forward(backbone_forward(encode_graphs([g], cfg), bb)).data
+        moved = head.forward(backbone_forward(encode_graphs([permute_graph(g, perm)], cfg),
+                                              bb)).data
         assert np.abs(base - moved).max() <= 1e-9
 
     @pytest.mark.parametrize("kind", ["transformer", "mpgnn"])
@@ -332,9 +332,9 @@ class TestBackboneForward:
         rng = np.random.default_rng(12)
         cfg, bb, head = _build(kind)
         graphs = [random_graph(int(rng.integers(3, 8)), 0.4, rng) for _ in range(5)]
-        batched = backbone_forward(encode_graphs(graphs, cfg), bb, head).data
+        batched = head.forward(backbone_forward(encode_graphs(graphs, cfg), bb)).data
         for i, g in enumerate(graphs):
-            solo = backbone_forward(encode_graphs([g], cfg), bb, head).data
+            solo = head.forward(backbone_forward(encode_graphs([g], cfg), bb)).data
             assert np.abs(batched[i] - solo[0]).max() <= 1e-10
 
     @pytest.mark.parametrize("mode, prompted_layers", [("deepgpt", None),
@@ -348,14 +348,14 @@ class TestBackboneForward:
         graphs = [random_graph(n, 0.4, rng) for n in (3, 8, 5, 4, 7)]
         named = prompts.named_params()
         with Tape():
-            batched = backbone_forward(encode_graphs(graphs, cfg), bb, head,
-                                       group=[(prompts, len(graphs))])
+            batched = head.forward(backbone_forward(encode_graphs(graphs, cfg), bb,
+                                                    group=[(prompts, len(graphs))]))
             batched_grads = backward(tsum(batched))
         summed = {name: np.zeros_like(t.data) for name, t in named.items()}
         for i, g in enumerate(graphs):
             with Tape():
-                solo = backbone_forward(encode_graphs([g], cfg), bb, head,
-                                        group=[(prompts, 1)])
+                solo = head.forward(backbone_forward(encode_graphs([g], cfg), bb,
+                                                     group=[(prompts, 1)]))
                 grads = backward(tsum(solo))
             assert np.abs(batched.data[i] - solo.data[0]).max() <= 1e-10
             for name, t in named.items():
@@ -379,7 +379,7 @@ class TestBackboneForward:
         rng = np.random.default_rng(13)
         cfg, bb, head = _build("transformer")
         g = random_graph(5, 0.5, rng)
-        out = backbone_forward(encode_graphs([g, g], cfg), bb, head).data
+        out = head.forward(backbone_forward(encode_graphs([g, g], cfg), bb)).data
         assert np.abs(out[0] - out[1]).max() <= 1e-12
 
     def test_structure_blind_without_encodings(self):
@@ -388,8 +388,8 @@ class TestBackboneForward:
         feats = rng.normal(size=(5, 3))
         a = GraphSample(5, feats, ((0, 1), (1, 2)), np.array([0.0]))
         b = GraphSample(5, feats, ((0, 4), (2, 3), (3, 4)), np.array([0.0]))
-        out_a = backbone_forward(encode_graphs([a], cfg), bb, head).data
-        out_b = backbone_forward(encode_graphs([b], cfg), bb, head).data
+        out_a = head.forward(backbone_forward(encode_graphs([a], cfg), bb)).data
+        out_b = head.forward(backbone_forward(encode_graphs([b], cfg), bb)).data
         assert np.array_equal(out_a, out_b)
 
     def test_structure_visible_with_encodings(self):
@@ -398,15 +398,15 @@ class TestBackboneForward:
         feats = rng.normal(size=(5, 3))
         a = GraphSample(5, feats, ((0, 1), (1, 2)), np.array([0.0]))
         b = GraphSample(5, feats, ((0, 1), (1, 2), (0, 2)), np.array([0.0]))
-        out_a = backbone_forward(encode_graphs([a], cfg), bb, head).data
-        out_b = backbone_forward(encode_graphs([b], cfg), bb, head).data
+        out_a = head.forward(backbone_forward(encode_graphs([a], cfg), bb)).data
+        out_b = head.forward(backbone_forward(encode_graphs([b], cfg), bb)).data
         assert np.abs(out_a - out_b).max() > 1e-8
 
     def test_feature_width_mismatch_rejected(self):
         cfg, bb, head = _build("transformer")
         bad = batch([random_graph(4, 0.5, np.random.default_rng(1))])
         with pytest.raises(Exception, match="width"):
-            backbone_forward(bad, bb, head)
+            head.forward(backbone_forward(bad, bb))
 
     @pytest.mark.parametrize("kind", ["transformer", "mpgnn"])
     def test_no_dead_parameters_under_full_tuning(self, kind):
@@ -418,7 +418,7 @@ class TestBackboneForward:
         weights = rng.normal(size=(2, 1))
 
         def value():
-            out = backbone_forward(prepared, bb, head)
+            out = head.forward(backbone_forward(prepared, bb))
             return float((out.data * weights).sum())
 
         params = {**bb.named_params(), **head.named_params()}
@@ -439,7 +439,7 @@ class TestBackboneForward:
         prepared = encode_graphs([random_graph(5, 0.6, rng)], cfg)
         params = {**bb.named_params(), **head.named_params()}
         with Tape():
-            grads = backward(tsum(backbone_forward(prepared, bb, head)))
+            grads = backward(tsum(head.forward(backbone_forward(prepared, bb))))
         for name, t in params.items():
             assert t in grads, f"no gradient for {name}"
 
@@ -458,8 +458,8 @@ class TestTapeSize:
         nodes = []
         for bs in (2, 16):
             with Tape() as tape:
-                out = backbone_forward(encode_graphs(graphs[:bs], cfg), bb, head,
-                                       group=[(prompts, bs)])
+                out = head.forward(backbone_forward(encode_graphs(graphs[:bs], cfg), bb,
+                                                    group=[(prompts, bs)]))
                 backward(tsum(out))
             nodes.append(len(tape.nodes))
         assert nodes[0] == nodes[1]

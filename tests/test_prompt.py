@@ -103,9 +103,9 @@ class TestInjectPrefix:
         cfg, bb, head = small_setup()
         g = random_graph(5, 0.5, np.random.default_rng(1))
         prepared = encode_graphs([g], cfg)
-        plain = backbone_forward(prepared, bb, head).data
-        empty = backbone_forward(prepared, bb, head,
-                                 group=[(PromptSet().check(bb.cfg), prepared.size)]).data
+        plain = head.forward(backbone_forward(prepared, bb)).data
+        empty_group = [(PromptSet().check(bb.cfg), prepared.size)]
+        empty = head.forward(backbone_forward(prepared, bb, group=empty_group)).data
         assert np.array_equal(plain, empty)
 
     def test_early_prefix_reaches_later_layers_through_attention(self):
@@ -131,8 +131,8 @@ class TestDeepgptForward:
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=5)
         registry = build_registry(bb, head, prompts)
         with Tape():
-            out = backbone_forward(prepared, bb, head,
-                                   group=[(prompts.check(bb.cfg), prepared.size)])
+            out = head.forward(backbone_forward(prepared, bb,
+                                                group=[(prompts.check(bb.cfg), prepared.size)]))
             grads = backward(tsum(out))
         expected = {id(t) for t in registry.trainable.values()}
         got = {id(t) for t in grads}
@@ -145,8 +145,8 @@ class TestDeepgptForward:
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=6)
         registry = build_registry(bb, head, prompts)
         with Tape():
-            out = backbone_forward(prepared, bb, head,
-                                   group=[(prompts.check(bb.cfg), prepared.size)])
+            out = head.forward(backbone_forward(prepared, bb,
+                                                group=[(prompts.check(bb.cfg), prepared.size)]))
             grads = backward(tsum(out))
         for t in registry.frozen.values():
             assert t not in grads
@@ -164,9 +164,9 @@ class TestVirtualNodes:
         cfg, bb, head = small_setup(kind="mpgnn")
         g = random_graph(5, 0.5, np.random.default_rng(7))
         prepared = encode_graphs([g], cfg)
-        plain = backbone_forward(prepared, bb, head).data
+        plain = head.forward(backbone_forward(prepared, bb)).data
         ctx = PromptSet(virtual_tokens=Tensor(np.zeros((0, cfg.dim)), requires_grad=True))
-        via = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)]).data
+        via = head.forward(backbone_forward(prepared, bb, group=[(ctx, prepared.size)])).data
         assert np.array_equal(plain, via)
 
     def test_augmented_graph_structure(self, monkeypatch):
@@ -201,8 +201,7 @@ class TestVirtualNodes:
         g = random_graph(5, 0.6, np.random.default_rng(9))
         prepared = encode_graphs([g], cfg)
         values = RNG.normal(size=(2, cfg.dim))
-        prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)},
-                               p_len=2)
+        prefix_ctx = PromptSet(prefixes={0: Tensor(values.copy(), requires_grad=True)})
         virtual_ctx = PromptSet(virtual_tokens=Tensor(values.copy(), requires_grad=True))
         h_prefix, _ = encode_nodes(prepared, bb, group=[(prefix_ctx, prepared.size)])
         h_virtual, _ = encode_nodes(prepared, bb, group=[(virtual_ctx, prepared.size)])
@@ -216,7 +215,7 @@ class TestVirtualNodes:
         prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=3, seed=20)
         ctx = prompts.check(bb.cfg)
-        pooled = backbone_forward(prepared, bb, head=None, group=[(ctx, prepared.size)]).data
+        pooled = backbone_forward(prepared, bb, group=[(ctx, prepared.size)]).data
         h, _ = encode_nodes(prepared, bb, group=[(ctx, prepared.size)])
         assert h.shape == (g.n, cfg.dim)
         manual = h.data.mean(axis=0)
@@ -254,7 +253,7 @@ class TestForwardRunsThePromptHooks:
                 counts[_name] += 1
                 return _hook(*args)
             monkeypatch.setattr(models, name, counted)
-        backbone_forward(prepared, bb, head, group=[(prompts, prepared.size)])
+        head.forward(backbone_forward(prepared, bb, group=[(prompts, prepared.size)]))
         assert (counts["apply_graph_prompt"], counts["inject_prefix"]) == calls
 
 
@@ -263,11 +262,12 @@ class TestCheck:
         cfg, _, _ = small_setup(layers=2)
         mpgnn_cfg, _, _ = small_setup(kind="mpgnn", layers=2)
         prefix = {0: Tensor(np.zeros((2, cfg.dim)), requires_grad=True)}
+        unequal = {**prefix, 1: Tensor(np.zeros((3, cfg.dim)), requires_grad=True)}
         virtual = Tensor(np.zeros((2, cfg.dim)), requires_grad=True)
         cases = [
-            (PromptSet(prefixes=prefix, p_len=2), mpgnn_cfg, "transformer"),
-            (PromptSet(prefixes=prefix, p_len=2, virtual_tokens=virtual), cfg, "exclusive"),
-            (PromptSet(prefixes=prefix, p_len=3), cfg, "prefix for layer 0"),
+            (PromptSet(prefixes=prefix), mpgnn_cfg, "transformer"),
+            (PromptSet(prefixes=prefix, virtual_tokens=virtual), cfg, "exclusive"),
+            (PromptSet(prefixes=unequal), cfg, "prefix for layer 1"),
             (PromptSet(graph_token=Tensor(np.zeros(cfg.dim), requires_grad=True),
                        token_stage="pre_projection"), cfg, "graph token"),
             (PromptSet(virtual_tokens=Tensor(np.zeros((2, 3)), requires_grad=True)), cfg,
@@ -278,6 +278,17 @@ class TestCheck:
         for prompts, against, message in cases:
             with pytest.raises((ContractError, ShapeError), match=message):
                 prompts.check(against)
+
+    def test_p_len_is_the_row_count_of_the_prompt_rows(self):
+        cfg, _, _ = small_setup(layers=2)
+
+        def rows(n):
+            return Tensor(np.zeros((n, cfg.dim)), requires_grad=True)
+
+        assert PromptSet(virtual_tokens=rows(3)).p_len == 3
+        assert PromptSet(prefixes={0: rows(2), 1: rows(2)}).p_len == 2
+        token = Tensor(np.zeros(cfg.dim), requires_grad=True)
+        assert PromptSet().p_len == PromptSet(graph_token=token).p_len == 0
 
     def test_virtual_tokens_allowed_on_both_kinds(self):
         for kind in ("transformer", "mpgnn"):
@@ -366,7 +377,7 @@ class TestPreProjectionToken:
         token = prompts.graph_token
         token.data = rng.normal(size=cfg.input_width)
         with Tape():
-            out = backbone_forward(prepared, bb, head, group=[(prompts, prepared.size)])
+            out = head.forward(backbone_forward(prepared, bb, group=[(prompts, prepared.size)]))
             grad = backward(tsum(out))[token]
         fd = np.zeros_like(grad)
         eps = 1e-6
@@ -375,8 +386,9 @@ class TestPreProjectionToken:
             values = []
             for shifted in (orig + eps, orig - eps):
                 token.data[i] = shifted
-                values.append(float(tsum(backbone_forward(prepared, bb, head,
-                                                          group=[(prompts, prepared.size)])).data))
+                out = head.forward(backbone_forward(prepared, bb,
+                                                    group=[(prompts, prepared.size)]))
+                values.append(float(tsum(out).data))
             token.data[i] = orig
             fd[i] = (values[0] - values[1]) / (2 * eps)
         assert np.abs(fd).max() > 1e-3
@@ -392,9 +404,9 @@ class TestPreProjectionToken:
         pre.graph_token.data = rng.normal(size=cfg.input_width)
         post = PromptSet(graph_token=Tensor(pre.graph_token.data @ bb.w_in.data,
                                             requires_grad=True),
-                         prefixes=pre.prefixes, p_len=pre.p_len)
-        out_pre = backbone_forward(prepared, bb, head, group=[(pre, prepared.size)]).data
-        out_post = backbone_forward(prepared, bb, head, group=[(post, prepared.size)]).data
+                         prefixes=pre.prefixes)
+        out_pre = head.forward(backbone_forward(prepared, bb, group=[(pre, prepared.size)])).data
+        out_post = head.forward(backbone_forward(prepared, bb, group=[(post, prepared.size)])).data
         assert np.abs(out_pre - out_post).max() <= 1e-10
 
 
@@ -479,8 +491,8 @@ class TestSweepWellFormedness:
         prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=2, seed=13,
                                prompted_layers=interval)
-        out = backbone_forward(prepared, bb, head,
-                               group=[(prompts.check(bb.cfg), prepared.size)])
+        out = head.forward(backbone_forward(prepared, bb,
+                                            group=[(prompts.check(bb.cfg), prepared.size)]))
         assert out.shape == (1, 1) and np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("p_len", [10, 60, 110])
@@ -489,8 +501,8 @@ class TestSweepWellFormedness:
         g = random_graph(4, 0.5, np.random.default_rng(14))
         prepared = encode_graphs([g], cfg)
         prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=15)
-        out = backbone_forward(prepared, bb, head,
-                               group=[(prompts.check(bb.cfg), prepared.size)])
+        out = head.forward(backbone_forward(prepared, bb,
+                                            group=[(prompts.check(bb.cfg), prepared.size)]))
         assert np.isfinite(out.data).all()
 
     def test_bad_interval_rejected(self):

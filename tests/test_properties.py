@@ -99,11 +99,11 @@ MODELS = {
 def test_batched_forward_equals_per_sample_forwards(name, batch):
     cfg, bb, head, prompts = MODELS[name]
     _assert_node_rows_only(batch, cfg, bb, prompts)
-    together = backbone_forward(encode_graphs(batch, cfg), bb, head,
-                                group=[(prompts, len(batch))]).data
+    together = head.forward(backbone_forward(encode_graphs(batch, cfg), bb,
+                                             group=[(prompts, len(batch))])).data
     alone = np.concatenate([
-        backbone_forward(encode_graphs([g], cfg), bb, head,
-                         group=[(prompts, 1)]).data
+        head.forward(backbone_forward(encode_graphs([g], cfg), bb,
+                                      group=[(prompts, 1)])).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
 
@@ -154,11 +154,11 @@ def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
     prompts = init_prompts(mode, cfg, p_len=p_len, seed=4,
                            prompted_layers=(1, 2) if mode == "prefix_only" else None)
     _assert_node_rows_only(batch, cfg, bb, prompts)
-    together = backbone_forward(encode_graphs(batch, cfg), bb, head,
-                                group=[(prompts, len(batch))]).data
+    together = head.forward(backbone_forward(encode_graphs(batch, cfg), bb,
+                                             group=[(prompts, len(batch))])).data
     alone = np.concatenate([
-        backbone_forward(encode_graphs([g], cfg), bb, head,
-                         group=[(prompts, 1)]).data
+        head.forward(backbone_forward(encode_graphs([g], cfg), bb,
+                                      group=[(prompts, 1)])).data
         for g in batch])
     assert np.abs(together - alone).max() <= 1e-10
 
@@ -176,10 +176,10 @@ def _permuted(g, perm):
 def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
     cfg, bb, head, prompts = MODELS[name]
     perm = np.random.default_rng(seed).permutation(g.n)
-    base = backbone_forward(encode_graphs([g], cfg), bb, head,
-                            group=[(prompts, 1)]).data
-    moved = backbone_forward(encode_graphs([_permuted(g, perm)], cfg), bb, head,
-                             group=[(prompts, 1)]).data
+    base = head.forward(backbone_forward(encode_graphs([g], cfg), bb,
+                                         group=[(prompts, 1)])).data
+    moved = head.forward(backbone_forward(encode_graphs([_permuted(g, perm)], cfg), bb,
+                                          group=[(prompts, 1)])).data
     assert np.abs(base - moved).max() <= 1e-10
 
 
@@ -189,8 +189,8 @@ def test_node_order_leaves_the_prediction_unchanged(name, g, seed):
 def test_empty_prompt_set_changes_nothing(name, batch):
     cfg, bb, head, _ = MODELS[name]
     prepared = encode_graphs(batch, cfg)
-    plain = backbone_forward(prepared, bb, head).data
-    empty = backbone_forward(prepared, bb, head, group=[(PromptSet(), prepared.size)]).data
+    plain = head.forward(backbone_forward(prepared, bb)).data
+    empty = head.forward(backbone_forward(prepared, bb, group=[(PromptSet(), prepared.size)])).data
     assert np.abs(plain - empty).max() == 0.0
 
 
@@ -402,7 +402,7 @@ def test_prompted_forward_equals_a_per_sample_slot_oracle(interval, batch, p_len
     rng = np.random.default_rng(seed)
     if interval == "virtual":        # virtual tokens on a transformer: no mode draws them
         prompts = PromptSet(virtual_tokens=Tensor(np.zeros((p_len, cfg.dim)),
-                                                  requires_grad=True), p_len=p_len)
+                                                  requires_grad=True))
     else:
         prompts = init_prompts("deepgpt", cfg, p_len=p_len, seed=seed,
                                prompted_layers=interval, token_stage=stage)
@@ -441,7 +441,7 @@ def test_prompt_and_head_gradients_match_central_differences(case, batch):
     weights = Tensor(np.random.default_rng(0).normal(size=(len(batch), 1)))
 
     def loss():
-        out = backbone_forward(prepared, bb, head, group=[(prompts, prepared.size)])
+        out = head.forward(backbone_forward(prepared, bb, group=[(prompts, prepared.size)]))
         return tsum(mul(out, weights))
 
     with Tape():

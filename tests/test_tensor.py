@@ -57,10 +57,10 @@ class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal((a @ b).data, b.data)
+        assert np.array_equal(T.matmul(a, b).data, b.data)
 
     def test_hand_product(self):
-        out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
+        out = T.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert np.array_equal(out.data, [[11.0]])
 
     def test_shape_error_names_both_shapes(self):
@@ -70,10 +70,10 @@ class TestMatmul:
     def test_grad_of_sum_vs_fd(self):
         a = Tensor(rand(3, 4), requires_grad=True)
         b = Tensor(rand(4, 2), requires_grad=True)
-        check_against_fd(lambda: T.tsum(a @ b), [a, b])
+        check_against_fd(lambda: T.tsum(T.matmul(a, b)), [a, b])
         # grad of sum(a@b) w.r.t. a is b summed over columns, broadcast
         with Tape():
-            grads = backward(T.tsum(a @ b))
+            grads = backward(T.tsum(T.matmul(a, b)))
         expected = np.tile(b.data.sum(axis=1), (3, 1))
         assert np.allclose(grads[a], expected, atol=1e-12)
 
@@ -592,9 +592,9 @@ def test_composite_transformer_style_graph_vs_fd():
 
     def build():
         h = T.layer_norm(x, gain, bias, 1e-5)
-        ctx = T.block_attention(h @ wqkv, groups, 1)
+        ctx = T.block_attention(T.matmul(h, wqkv), groups, 1)
         out = T.add(x, ctx)
-        ff = T.gelu(out @ w1) @ w2
+        ff = T.matmul(T.gelu(T.matmul(out, w1)), w2)
         return T.tsum(T.mul(T.add(out, ff), Tensor(rand_fixed)))
 
     rand_fixed = rand(n, d)

@@ -619,6 +619,47 @@ FOLD_RUNS = {
 }
 
 
+class TestRunRecord:
+    """What a run reports, against values known without training."""
+
+    @pytest.mark.parametrize("metric, best", [("auroc", 2), ("rmse", 4)])
+    def test_epochs_to_best_is_the_best_epoch_in_the_metric_direction(self, motif_data,
+                                                                      monkeypatch, metric,
+                                                                      best):
+        sequence = [0.5, 0.9, 0.7, 0.2]
+        calls = itertools.count()             # three folds score per epoch, in fold order
+        monkeypatch.setattr(training, "_metric_value",
+                            lambda config, scores, labels: sequence[next(calls) // 3])
+        cfg, state = tiny_backbone()
+        config = tiny_config("lightweight", metric=metric, epochs=4)
+        for r in train(config, motif_data, cfg, state, seed=1):
+            assert r.record.eval_metrics == sequence
+            assert r.record.epochs_to_best == best
+
+    def test_train_losses_average_every_graph_of_a_short_last_chunk(self):
+        """An lr too small to move a parameter leaves every step scoring the
+        initial head, so an epoch's loss is the per-graph mean over the fold's
+        training split, whatever its shuffle. Each fold trains on 13 graphs,
+        in chunks of 5, 5 and 3."""
+        data = gen_downstream(26, "motif_presence", seed=17, size_range=(5, 8))
+        cfg, state = tiny_backbone()
+        config = tiny_config("lightweight", folds=2, batch_size=5, lr=1e-300)
+        results = train(config, data, cfg, state, seed=1)
+        embeddings = backbone_forward(encode_graphs(data, cfg),
+                                      Backbone.from_state(cfg, state)).data
+        labels = np.array([g.label for g in data])
+        split = graphs.make_folds(len(data), config.folds, seed=1)
+        for r in results:
+            train_idx = split.train_eval(r.fold)[0]
+            assert len(train_idx) == 13
+            head = PredictionHead.init(cfg.dim, 1, seed=0)
+            load_params(head.named_params(), r.prompt_state)
+            per_graph = [float(bce_with_logits(head.forward(Tensor(embeddings[[i]])),
+                                               labels[[i]]).data) for i in train_idx]
+            assert r.record.train_losses == pytest.approx([np.mean(per_graph)] * config.epochs,
+                                                          rel=1e-12, abs=0)
+
+
 @pytest.fixture(scope="module")
 def fold_runs(motif_data):
     """Every mode trained once: its config, backbone and fold results."""
@@ -760,7 +801,7 @@ class TestFreezeSoundness:
         labels = np.array([g.label for g in data])
         for _ in range(10):
             with Tape():
-                out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+                out = head.forward(backbone_forward(prepared, bb, group=[(ctx, prepared.size)]))
                 grads = backward(bce_with_logits(out, labels))
             named = {name: grads[t] for name, t in registry.trainable.items()}
             opt.step(registry.trainable, clip_global_norm(named), lr_t=1e-2)
@@ -786,7 +827,8 @@ class TestFreezeSoundness:
             losses = []
             for _ in range(50):
                 with Tape():
-                    out = backbone_forward(prepared, bb, head, group=[(ctx, prepared.size)])
+                    out = head.forward(backbone_forward(prepared, bb,
+                                                        group=[(ctx, prepared.size)]))
                     loss = bce_with_logits(out, labels)
                     grads = backward(loss)
                 losses.append(float(loss.data))
