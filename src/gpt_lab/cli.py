@@ -25,7 +25,7 @@ from gpt_lab.checkpoint import (
     save_backbone,
     save_prompt,
 )
-from gpt_lab.config import ConfigError, ExperimentConfig, load_config
+from gpt_lab.config import AXES, ConfigError, ExperimentConfig, load_config
 from gpt_lab.graphs import DataError, gen_downstream, gen_pretext, read_graph_file
 from gpt_lab.prompt import init_prompts
 from gpt_lab.tensor import ContractError
@@ -60,24 +60,28 @@ def _write_json(path, obj) -> None:
                           encoding="utf-8")
 
 
-def _load_dataset(cfg: ExperimentConfig, seed: int):
+def _config(args, *sections: str) -> ExperimentConfig:
+    """The config file of ``args``, checked to hold each of ``sections``, with
+    ``--seed`` and, for a command with a [tuning] section, ``--folds`` applied
+    through the dataclasses that check them."""
+    cfg = load_config(args.config)
+    for section in sections:
+        if getattr(cfg, section) is None:
+            raise ConfigError(f"{args.command} needs a [{section}] section")
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if "tuning" in sections and args.folds is not None:
+        cfg = dataclasses.replace(cfg, tuning=dataclasses.replace(cfg.tuning, folds=args.folds))
+    return cfg
+
+
+def _load_dataset(cfg: ExperimentConfig):
     task = cfg.task
-    if task is None:
-        raise ConfigError("this command needs a [task] section")
     if task.graph_file is not None:
         return read_graph_file(task.graph_file)
-    return gen_downstream(task.count, task.generator, seed,
+    return gen_downstream(task.count, task.generator, cfg.seed,
                           size_range=(task.min_nodes, task.max_nodes),
                           feature_dim=cfg.backbone.feature_dim)
-
-
-def _tuning_with_overrides(cfg: ExperimentConfig, args) -> TuningConfig:
-    tuning = cfg.tuning
-    if tuning is None:
-        raise ConfigError("this command needs a [tuning] section")
-    if args.folds is not None:
-        tuning = dataclasses.replace(tuning, folds=args.folds)
-    return tuning
 
 
 def _aggregate_row(tuning: TuningConfig, results) -> dict:
@@ -120,20 +124,17 @@ def _dump_run(out: Path, tuning: TuningConfig, results, seed: int,
 
 
 def cmd_pretrain(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.pretrain is None:
-        raise ConfigError("pretrain needs a [pretrain] section")
-    seed = args.seed if args.seed is not None else cfg.seed
+    cfg = _config(args, "pretrain")
     pre = cfg.pretrain
-    data = gen_pretext(pre.count, (pre.min_nodes, pre.max_nodes), seed,
+    data = gen_pretext(pre.count, (pre.min_nodes, pre.max_nodes), cfg.seed,
                        feature_dim=cfg.backbone.feature_dim)
-    state, record = pretrain(data, cfg.backbone, seed, **pre.training_args())
+    state, record = pretrain(data, cfg.backbone, cfg.seed, **pre.training_args())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "backbone.ckpt"
     save_backbone(ckpt_path, cfg.backbone, state)
     _write_json(out / "pretrain_record.json", {
-        "seed": seed,
+        "seed": cfg.seed,
         "count": pre.count,
         "final_rmse": record.eval_metrics[-1],
         **dataclasses.asdict(record),
@@ -144,11 +145,10 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = load_config(args.config)
-    tuning = _tuning_with_overrides(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.seed
+    cfg = _config(args, "task", "tuning")
+    tuning, seed = cfg.tuning, cfg.seed
     backbone_cfg, backbone_state = load_backbone(args.ckpt, expected=cfg.backbone)
-    dataset = _load_dataset(cfg, seed)
+    dataset = _load_dataset(cfg)
     results = train(tuning, dataset, backbone_cfg, backbone_state, seed,
                     parallel=args.parallel)
     out = Path(args.out)
@@ -174,8 +174,7 @@ def _ablate_variant(tuning: TuningConfig, axis: str, cell,
                     backbone_cfg) -> tuple[str, TuningConfig]:
     """A sweep cell's name and tuning config, checked against the backbone by
     drawing its prompts."""
-    key = {"depth": "prompted_layers", "length": "p_len", "component": "mode"}[axis]
-    variant = dataclasses.replace(tuning, **{key: cell})
+    variant = dataclasses.replace(tuning, **{AXES[axis][1]: cell})
     prompts = init_prompts(variant.mode, backbone_cfg, variant.p_len, seed=0,
                            prompted_layers=variant.prompted_layers,
                            token_stage=variant.token_stage)
@@ -187,16 +186,13 @@ def _ablate_variant(tuning: TuningConfig, axis: str, cell,
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.ablate is None:
-        raise ConfigError("ablate needs an [ablate] section")
-    tuning = _tuning_with_overrides(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.seed
+    cfg = _config(args, "task", "tuning", "ablate")
+    seed = cfg.seed
     backbone_cfg, backbone_state = load_backbone(args.ckpt, expected=cfg.backbone)
     axis = cfg.ablate.axis
-    variants = [_ablate_variant(tuning, axis, cell, backbone_cfg)
+    variants = [_ablate_variant(cfg.tuning, axis, cell, backbone_cfg)
                 for cell in cfg.ablate.cells()]
-    dataset = _load_dataset(cfg, seed)
+    dataset = _load_dataset(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,16 +1,16 @@
 """Experiment configuration: one INI-style file, strictly validated.
 
 Each setting has one owner, a field of a config dataclass: a section's
-keys are the fields of its dataclass (``[experiment]`` holds
-``ExperimentConfig``'s own, ``[tuning]`` sets each of its two tuple
-fields by one key per part), each value is parsed by its field's type,
-and an omitted key takes the field's default. Unknown sections and keys
-are rejected before anything runs, so a typo cannot silently fall back
-to a default. Values are checked at load by the dataclass that holds
-them (``[pretrain]``'s schedule by ``training.pretrain_config``, its
-pretext sizes against ``graphs.PRETEXT_NODES``), so a bad one fails
-before a command writes anything; the graph generators check the sizes
-of the data they generate.
+keys are exactly the fields of its dataclass (``[experiment]`` holds
+``ExperimentConfig``'s own), each value is parsed by its field's type
+(a tuple field is one comma-separated list, an interval ``a-b``), and an
+omitted key takes the field's default. Unknown sections and keys are
+rejected before anything runs, so a typo cannot silently fall back to a
+default. Values are checked at load by the dataclass that holds them
+(``[pretrain]``'s schedule by ``training.pretrain_config``, its pretext
+sizes against ``graphs.PRETEXT_NODES``), so a bad one fails before a
+command writes anything; the graph generators check the sizes of the
+data they generate.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "ConfigError",
     "TaskConfig",
     "PretrainConfig",
+    "AXES",
     "AblateConfig",
     "ExperimentConfig",
     "load_config",
@@ -87,7 +88,10 @@ class PretrainConfig:
                 if key not in ("count", "min_nodes", "max_nodes")}
 
 
-_AXES = ("depth", "length", "component")
+# Each ablation axis: the AblateConfig field that holds its grid, and the
+# TuningConfig field that each of its cells sets.
+AXES = {"depth": ("depth_intervals", "prompted_layers"), "length": ("lengths", "p_len"),
+        "component": ("components", "mode")}
 
 
 @dataclass(frozen=True)
@@ -98,19 +102,16 @@ class AblateConfig:
     components: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.axis not in _AXES:
+        if self.axis not in AXES:
             raise ConfigError(f"unknown ablation axis {self.axis!r}")
-        grid = {"depth": self.depth_intervals, "length": self.lengths,
-                "component": self.components}[self.axis]
-        if not grid:
+        if not self.cells():
             raise ConfigError(f"empty grid for ablation axis {self.axis!r}")
         for comp in self.components:
             if comp not in MODES:
                 raise ConfigError(f"unknown component {comp!r}")
 
     def cells(self) -> list:
-        return list({"depth": self.depth_intervals, "length": self.lengths,
-                     "component": self.components}[self.axis])
+        return list(getattr(self, AXES[self.axis][0]))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -121,6 +122,10 @@ class ExperimentConfig:
     pretrain: PretrainConfig | None = None
     tuning: TuningConfig | None = None
     ablate: AblateConfig | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -139,27 +144,19 @@ def _parse_interval(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_intervals(raw: str) -> tuple[tuple[int, int], ...]:
-    return tuple(_parse_interval(p.strip()) for p in raw.split(",") if p.strip())
+def _parse_list(item):
+    """The parser of a comma-separated list, each item parsed by ``item``."""
+    return lambda raw: tuple(item(p.strip()) for p in raw.split(",") if p.strip())
 
 
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-
-
-def _parse_strs(raw: str) -> tuple[str, ...]:
-    return tuple(p.strip().lower() for p in raw.split(",") if p.strip())
-
-
-# Each field type's parser. A composite's type parses each of its parts.
+# Each field type's parser.
 _PARSERS = {
     int: int, float: float, str: str, str | None: str, bool: _parse_bool,
-    tuple[tuple[int, int], ...]: _parse_intervals, tuple[int, ...]: _parse_ints,
-    tuple[str, ...]: _parse_strs,
-    tuple[int, int] | None: int, tuple[float, float]: float,
+    tuple[int, int] | None: _parse_interval,
+    tuple[tuple[int, int], ...]: _parse_list(_parse_interval),
+    tuple[int, ...]: _parse_list(int), tuple[float, float]: _parse_list(float),
+    tuple[str, ...]: _parse_list(str.lower),
 }
-# [tuning]'s composite fields, each set by one key per part.
-_PARTS = {"prompted_layers": ("prompted_from", "prompted_to"), "betas": ("beta1", "beta2")}
 # Each section's dataclass; ExperimentConfig's other fields are the sections.
 _SECTIONS = {"experiment": ExperimentConfig, "backbone": BackboneConfig, "task": TaskConfig,
              "pretrain": PretrainConfig, "tuning": TuningConfig, "ablate": AblateConfig}
@@ -168,8 +165,7 @@ _SECTIONS = {"experiment": ExperimentConfig, "backbone": BackboneConfig, "task":
 def _keys(cls) -> dict:
     """The INI keys of ``cls``'s section, each with the parser of its field's type."""
     hints = typing.get_type_hints(cls)
-    return {key: _PARSERS[hints[f.name]] for f in fields(cls)
-            if f.name not in _SECTIONS for key in _PARTS.get(f.name, (f.name,))}
+    return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if f.name not in _SECTIONS}
 
 
 def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
@@ -181,24 +177,9 @@ def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
                               f"(known: {sorted(keys)})")
         try:
             out[key] = keys[key](raw)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
-    return _tuning_fields(out) if section == "tuning" else out
-
-
-def _tuning_fields(vals: dict) -> dict:
-    """[tuning]'s keys as ``TuningConfig`` fields: prompted_from and
-    prompted_to form ``prompted_layers``, and beta1 and beta2 ``betas``."""
-    if ("prompted_from" in vals) != ("prompted_to" in vals):
-        raise ConfigError("[tuning]: prompted_from and prompted_to go together")
-    if "prompted_from" in vals:
-        vals["prompted_layers"] = (vals.pop("prompted_from"), vals.pop("prompted_to"))
-    if "beta1" in vals or "beta2" in vals:
-        beta1, beta2 = TuningConfig.betas
-        vals["betas"] = (vals.pop("beta1", beta1), vals.pop("beta2", beta2))
-    return vals
+    return out
 
 
 def load_config(path) -> ExperimentConfig:

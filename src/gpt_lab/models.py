@@ -35,7 +35,7 @@ operation sequence is that of a prompt-free build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,17 +135,17 @@ class BackboneConfig:
 
 @dataclass
 class TransformerLayerParams:
-    w_qkv: Tensor       # (dim, 3 * dim): the q heads, then the k heads, then the v heads
-    w_out: Tensor
-    b_out: Tensor
-    w_ff1: Tensor
-    b_ff1: Tensor
-    w_ff2: Tensor
-    b_ff2: Tensor
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
+    qkv_weight: Tensor  # (dim, 3 * dim): the q heads, then the k heads, then the v heads
+    out_weight: Tensor
+    out_bias: Tensor
+    ffn1_weight: Tensor
+    ffn1_bias: Tensor
+    ffn2_weight: Tensor
+    ffn2_bias: Tensor
+    norm1_gain: Tensor
+    norm1_bias: Tensor
+    norm2_gain: Tensor
+    norm2_bias: Tensor
 
 
 @dataclass
@@ -203,15 +203,15 @@ class Backbone:
                 # Each head's (dim, dq) q, k and v blocks are drawn in column order.
                 blocks = [matrix(cfg.dim, cfg.head_width) for _ in range(3 * cfg.heads)]
                 layers.append(TransformerLayerParams(
-                    w_qkv=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
-                    w_out=weight(cfg.dim, cfg.dim),
-                    b_out=_zeros(cfg.dim),
-                    w_ff1=weight(cfg.dim, cfg.ffn_mult * cfg.dim),
-                    b_ff1=_zeros(cfg.ffn_mult * cfg.dim),
-                    w_ff2=weight(cfg.ffn_mult * cfg.dim, cfg.dim),
-                    b_ff2=_zeros(cfg.dim),
-                    ln1_gain=_ones(cfg.dim), ln1_bias=_zeros(cfg.dim),
-                    ln2_gain=_ones(cfg.dim), ln2_bias=_zeros(cfg.dim),
+                    qkv_weight=Tensor(np.concatenate(blocks, axis=1), requires_grad=True),
+                    out_weight=weight(cfg.dim, cfg.dim),
+                    out_bias=_zeros(cfg.dim),
+                    ffn1_weight=weight(cfg.dim, cfg.ffn_mult * cfg.dim),
+                    ffn1_bias=_zeros(cfg.ffn_mult * cfg.dim),
+                    ffn2_weight=weight(cfg.ffn_mult * cfg.dim, cfg.dim),
+                    ffn2_bias=_zeros(cfg.dim),
+                    norm1_gain=_ones(cfg.dim), norm1_bias=_zeros(cfg.dim),
+                    norm2_gain=_ones(cfg.dim), norm2_bias=_zeros(cfg.dim),
                 ))
             else:
                 layers.append(MpgnnLayerParams(weight=weight(cfg.dim, cfg.dim),
@@ -219,25 +219,14 @@ class Backbone:
         return cls(cfg, w_in, b_in, degrees, layers)
 
     def named_params(self) -> dict[str, Tensor]:
+        """Every parameter by its checkpoint name: field ``a_b`` of layer i is
+        ``layer{i}.a.b``, in the order of the layer's fields."""
         out = {"input_proj.weight": self.w_in, "input_proj.bias": self.b_in}
         if self.degree_table is not None:
             out["degree_table"] = self.degree_table
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, TransformerLayerParams):
-                out[f"layer{i}.qkv.weight"] = layer.w_qkv
-                out[f"layer{i}.out.weight"] = layer.w_out
-                out[f"layer{i}.out.bias"] = layer.b_out
-                out[f"layer{i}.ffn1.weight"] = layer.w_ff1
-                out[f"layer{i}.ffn1.bias"] = layer.b_ff1
-                out[f"layer{i}.ffn2.weight"] = layer.w_ff2
-                out[f"layer{i}.ffn2.bias"] = layer.b_ff2
-                out[f"layer{i}.norm1.gain"] = layer.ln1_gain
-                out[f"layer{i}.norm1.bias"] = layer.ln1_bias
-                out[f"layer{i}.norm2.gain"] = layer.ln2_gain
-                out[f"layer{i}.norm2.bias"] = layer.ln2_bias
-            else:
-                out[f"layer{i}.weight"] = layer.weight
-                out[f"layer{i}.bias"] = layer.bias
+            for f in fields(layer):
+                out[f"layer{i}.{f.name.replace('_', '.')}"] = getattr(layer, f.name)
         return out
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -320,21 +309,21 @@ def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
                               params: TransformerLayerParams, heads: int) -> Tensor:
     """Pre-norm block: multi-head attention within groups, then the FFN, with residuals.
 
-    One matmul by ``w_qkv`` projects every row of ``x`` for ``heads``
+    One matmul by ``qkv_weight`` projects every row of ``x`` for ``heads``
     heads; attention, the residual, the second norm and the FFN run on
     the query rows only, so the result has one row per row of
     ``groups.query_rows``, and the residual gathers those rows of ``x``
     when some rows are keys only. A single sequence of n rows is the
     one-group case, ``AttentionGroups([n])``.
     """
-    h = layer_norm(x, params.ln1_gain, params.ln1_bias, LN_EPS)
-    attn = block_attention(matmul(h, params.w_qkv), groups, heads)
+    h = layer_norm(x, params.norm1_gain, params.norm1_bias, LN_EPS)
+    attn = block_attention(matmul(h, params.qkv_weight), groups, heads)
     if groups.query_rows.size < x.shape[0]:
         x = gather_rows(x, groups.query_rows)
-    x1 = add(x, linear(attn, params.w_out, params.b_out))
-    h2 = layer_norm(x1, params.ln2_gain, params.ln2_bias, LN_EPS)
-    ff = linear(gelu(linear(h2, params.w_ff1, params.b_ff1)), params.w_ff2, params.b_ff2)
-    return add(x1, ff)
+    x1 = add(x, linear(attn, params.out_weight, params.out_bias))
+    h2 = layer_norm(x1, params.norm2_gain, params.norm2_bias, LN_EPS)
+    ff = gelu(linear(h2, params.ffn1_weight, params.ffn1_bias))
+    return add(x1, linear(ff, params.ffn2_weight, params.ffn2_bias))
 
 
 def aggregation_operand(adj: sparse.csr_matrix, aggregation: str):

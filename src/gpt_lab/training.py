@@ -235,6 +235,8 @@ class TuningConfig:
             raise ContractError(f"unknown token stage {self.token_stage!r}")
         if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
             raise ContractError("batch_size/epochs/folds out of range")
+        if len(self.betas) != 2:
+            raise ContractError(f"Adam betas must be two values, got {self.betas}")
         if not all(0.0 <= b < 1.0 for b in self.betas):
             raise ContractError(f"Adam betas must lie in [0, 1), got {self.betas}")
         for key in ("lr", "eps", "clip"):
@@ -328,7 +330,10 @@ def _validate(config: TuningConfig, dataset, backbone_cfg: BackboneConfig,
     return prompts
 
 
-def _metric_value(config: TuningConfig, scores: np.ndarray, labels: np.ndarray) -> float:
+def _metric_value(config: TuningConfig, scores: np.ndarray, labels: np.ndarray,
+                  name: str) -> float:
+    """Fold ``name``'s metric, the mean over the task columns that define it; a
+    ``DataError`` naming the fold when none does."""
     if config.metric == "rmse":
         return rmse(scores, labels)
     fn = auroc if config.metric == "auroc" else average_precision
@@ -340,8 +345,8 @@ def _metric_value(config: TuningConfig, scores: np.ndarray, labels: np.ndarray) 
         except UndefinedMetricError as exc:
             reason = exc
     if not vals:
-        raise UndefinedMetricError(f"{config.metric} is undefined on every task column "
-                                   f"({reason})")
+        raise DataError(f"{name}: evaluation split: {config.metric} is undefined on every "
+                        f"task column ({reason})")
     return float(np.mean(vals))
 
 
@@ -497,11 +502,8 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
         outs = forward(folds, [f.eval_idx for f in folds])
         for record, fold, out, loss_sum in zip(records, folds, outs, loss_sums):
             record.train_losses.append(loss_sum / len(fold.train_idx))
-            try:
-                record.eval_metrics.append(_metric_value(config, out.data,
-                                                         labels[fold.eval_idx]))
-            except UndefinedMetricError as exc:
-                raise DataError(f"{fold.name}: evaluation split: {exc}") from None
+            record.eval_metrics.append(_metric_value(config, out.data, labels[fold.eval_idx],
+                                                     fold.name))
         scoring = time.perf_counter() - mark
         eval_graphs = sum(len(f.eval_idx) for f in folds)
         for record, fold, step_seconds in zip(records, folds, seconds):
@@ -591,6 +593,8 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     group, up to the last bits in the cases that the README's "Training"
     section names, and they are returned in fold order.
     """
+    if parallel < 1:
+        raise ContractError(f"parallel must be at least 1, got {parallel}")
     steady_heap()
     prompts = _validate(config, dataset, backbone_cfg)
     encoded, labels = encode_graphs(dataset, backbone_cfg), _labels(dataset)
@@ -600,7 +604,7 @@ def train(config: TuningConfig, dataset: list[GraphSample],
         embeddings = backbone_forward(encoded, bb).data
     workers = min(parallel, config.folds, _worker_cap())
     jobs = [(config, encoded, labels, embeddings, backbone_cfg, backbone_state, seed, group)
-            for group in _fold_groups(config, max(workers, 1))]
+            for group in _fold_groups(config, workers)]
     if workers <= 1:
         done = [_run_fold(job) for job in jobs]
     else:
@@ -629,7 +633,7 @@ def evaluate_fold(config: TuningConfig, dataset: list[GraphSample],
     f = _make_fold(config, bb, split[0].label_dim, seed, fold, folds)
     load_params(f.registry.trainable, prompt_state)
     [scores] = _forward(encode_graphs(split, backbone_cfg), bb)([f], [np.arange(len(split))])
-    return _metric_value(config, scores.data, _labels(split))
+    return _metric_value(config, scores.data, _labels(split), f.name)
 
 
 def pretrain(dataset: list[GraphSample], backbone_cfg: BackboneConfig,

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -102,13 +104,11 @@ eval_fraction = 0.2
 mode = DeepGPT
 metric = ap
 p_len = 3
-prompted_from = 0
-prompted_to = 1
+prompted_layers = 0-1
 token_stage = pre_projection
 lr = 0.004
 weight_decay = 0.02
-beta1 = 0.8
-beta2 = 0.99
+betas = 0.8, 0.99
 eps = 1e-6
 clip = 3.0
 epochs = 6
@@ -323,8 +323,8 @@ class TestConfig:
 
     def test_optimizer_layer_and_holdout_keys_reach_the_config(self, tmp_path):
         path = write_config(tmp_path / "ok.ini", replace={
-            "mode = deepgpt": "mode = deepgpt\nbeta1 = 0.8\nbeta2 = 0.99\neps = 1e-6\n"
-                              "prompted_from = 1\nprompted_to = 2",
+            "mode = deepgpt": "mode = deepgpt\nbetas = 0.8, 0.99\neps = 1e-6\n"
+                              "prompted_layers = 1-2",
             "batch_size = 8\n\n[tuning]": "batch_size = 8\neval_fraction = 0.25\n\n[tuning]"})
         cfg = load_config(path)
         assert cfg.tuning.betas == (0.8, 0.99)
@@ -332,10 +332,18 @@ class TestConfig:
         assert cfg.tuning.prompted_layers == (1, 2)
         assert cfg.pretrain.eval_fraction == 0.25
 
-    def test_prompted_from_without_prompted_to_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["prompted_from", "prompted_to", "beta1", "beta2"])
+    def test_a_part_of_a_tuple_field_is_an_unknown_key(self, tmp_path, capsys, key):
+        config = write_config(tmp_path / "old.ini",
+                              replace={"mode = deepgpt": f"mode = deepgpt\n{key} = 1"})
+        assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "pre")]) == 2
+        assert f"unknown key {key!r} in section [tuning]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.9", "0.9, 0.99, 0.999"])
+    def test_betas_other_than_two_values_rejected(self, tmp_path, value):
         path = write_config(tmp_path / "bad.ini",
-                            replace={"mode = deepgpt": "mode = deepgpt\nprompted_from = 1"})
-        with pytest.raises(ConfigError, match="prompted_from and prompted_to go together"):
+                            replace={"mode = deepgpt": f"mode = deepgpt\nbetas = {value}"})
+        with pytest.raises(ConfigError, match=r"^\[tuning\]: Adam betas must be two values"):
             load_config(path)
 
     @pytest.mark.parametrize("old, new", [("mode = deepgpt", "mode = bogus"),
@@ -388,6 +396,22 @@ class TestConfig:
         path = write_config(tmp_path / "bad.ini", replace={"mode = deepgpt\n": ""})
         with pytest.raises(ConfigError, match=r"^\[tuning\]: .*'mode'$"):
             load_config(path)
+
+    def test_the_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        [example] = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.S | re.M)
+        path = tmp_path / "readme.ini"
+        path.write_text(example, encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.backbone.rwpe_steps == 6 and cfg.backbone.aggregation == "sum"
+        assert cfg.tuning.prompted_layers == (0, 2) and cfg.tuning.betas == (0.9, 0.999)
+        assert cfg.ablate.cells() == [(0, 0), (1, 1), (2, 2)]
+
+    def test_pretrain_config_defaults_are_the_keyword_defaults_of_pretrain(self):
+        defaults = {name: p.default
+                    for name, p in inspect.signature(training.pretrain).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+        assert PretrainConfig().training_args() == defaults
 
     def test_task_feature_dim_is_an_unknown_key(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.ini",
@@ -475,6 +499,17 @@ class TestPretrainCommand:
         out = tmp_path / "pre"
         assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: [pretrain]: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replace, flags, seed", [({"seed = 11": "seed = -1"}, [], -1),
+                                                      ({}, ["--seed", "-5"], -5)],
+                             ids=["ini", "flag"])
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys, replace, flags,
+                                                     seed):
+        config = write_config(tmp_path / "seed.ini", replace=replace)
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(config), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: seed must not be negative, got {seed}\n"
         assert not out.exists()
 
     def test_holdout_of_every_graph_exits_3(self, tmp_path, capsys):
@@ -628,11 +663,19 @@ class TestTuneCommand:
 
     def test_beta1_of_one_is_a_config_error(self, workspace, tmp_path, capsys):
         config = write_config(tmp_path / "beta.ini",
-                              replace={"mode = deepgpt": "mode = deepgpt\nbeta1 = 1.0"})
+                              replace={"mode = deepgpt": "mode = deepgpt\nbetas = 1.0, 0.999"})
         assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: [tuning]: Adam betas must lie in [0, 1)")
+
+    def test_parallel_below_1_exits_2_before_any_output(self, workspace, tmp_path, capsys):
+        config = write_config(tmp_path / "exp.ini")
+        out = tmp_path / "run"
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--parallel", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: parallel must be at least 1, got 0\n"
+        assert not out.exists()
 
     def test_negative_lr_is_a_config_error(self, workspace, tmp_path, capsys):
         config = write_config(tmp_path / "lr.ini",
@@ -645,7 +688,7 @@ class TestTuneCommand:
     @pytest.mark.parametrize("old, new, kind, message", [
         ("mode = deepgpt", "mode = prefix_only", "mpgnn",
          "prefix tokens require the transformer backbone"),
-        ("mode = deepgpt", "mode = deepgpt\nprompted_from = 1\nprompted_to = 2", "transformer",
+        ("mode = deepgpt", "mode = deepgpt\nprompted_layers = 1-2", "transformer",
          "prompted interval [1, 2] invalid for 2 layers"),
         ("p_len = 2", "p_len = 0", "transformer", "deepgpt mode needs p_len >= 1"),
         ("mode = deepgpt", "mode = virtual_node", "transformer",

@@ -75,15 +75,15 @@ def _oracle_gelu(z):
 def oracle_transformer_layer(x, mask, p, heads):
     """Naive re-implementation: returns (output, per-head attention rows)."""
     n, d = x.shape
-    gain1, bias1 = p.ln1_gain.data.tolist(), p.ln1_bias.data.tolist()
-    gain2, bias2 = p.ln2_gain.data.tolist(), p.ln2_bias.data.tolist()
+    gain1, bias1 = p.norm1_gain.data.tolist(), p.norm1_bias.data.tolist()
+    gain2, bias2 = p.norm2_gain.data.tolist(), p.norm2_bias.data.tolist()
     h = [_oracle_ln(list(x[i]), gain1, bias1) for i in range(n)]
     dq = d // heads
     head_cols = []
     attn_all = []
     for head in range(heads):
         # Head ``head``'s q, k and v columns in the fused (d, 3d) weight.
-        wq, wk, wv = (p.w_qkv.data[:, part * d + head * dq:part * d + (head + 1) * dq].tolist()
+        wq, wk, wv = (p.qkv_weight.data[:, part * d + head * dq:part * d + (head + 1) * dq].tolist()
                       for part in range(3))
         q = [_oracle_matvec(h[i], wq) for i in range(n)]
         k = [_oracle_matvec(h[i], wk) for i in range(n)]
@@ -100,16 +100,16 @@ def oracle_transformer_layer(x, mask, p, heads):
                            for c in range(dq)] for i in range(n)])
         attn_all.append(attn)
     concat = [[c for head in head_cols for c in head[i]] for i in range(n)]
-    mixed = [[m + b for m, b in zip(_oracle_matvec(concat[i], p.w_out.data.tolist()),
-                                    p.b_out.data.tolist())] for i in range(n)]
+    mixed = [[m + b for m, b in zip(_oracle_matvec(concat[i], p.out_weight.data.tolist()),
+                                    p.out_bias.data.tolist())] for i in range(n)]
     x1 = [[x[i][c] + mixed[i][c] for c in range(d)] for i in range(n)]
     out = []
     for i in range(n):
         h2 = _oracle_ln(x1[i], gain2, bias2)
         ff1 = [_oracle_gelu(z + b) for z, b in
-               zip(_oracle_matvec(h2, p.w_ff1.data.tolist()), p.b_ff1.data.tolist())]
+               zip(_oracle_matvec(h2, p.ffn1_weight.data.tolist()), p.ffn1_bias.data.tolist())]
         ff2 = [z + b for z, b in
-               zip(_oracle_matvec(ff1, p.w_ff2.data.tolist()), p.b_ff2.data.tolist())]
+               zip(_oracle_matvec(ff1, p.ffn2_weight.data.tolist()), p.ffn2_bias.data.tolist())]
         out.append([x1[i][c] + ff2[c] for c in range(d)])
     return np.array(out), attn_all
 
@@ -150,7 +150,7 @@ class TestTransformerLayer:
 
     def test_zero_query_key_gives_uniform_attention_over_unmasked(self):
         p = _layer_params(dim=4, heads=2, seed=2)
-        p.w_qkv.data[:, :8] = 0.0          # every q and k column
+        p.qkv_weight.data[:, :8] = 0.0     # every q and k column
         x = RNG.normal(size=(6, 4))
         mask = layout_mask([2, 3], shared=1)
         _, attn = oracle_transformer_layer(x, mask, p, 2)
@@ -194,7 +194,7 @@ class TestTransformerLayer:
         draw(3, 6)                                    # the input projection
         for layer in bb.layers:
             heads = [draw(6, 2) for _ in range(9)]
-            assert np.array_equal(layer.w_qkv.data, np.concatenate(heads, axis=1))
+            assert np.array_equal(layer.qkv_weight.data, np.concatenate(heads, axis=1))
             draw(6, 6), draw(6, 12), draw(12, 6)        # out, ffn1, ffn2
 
 
@@ -466,6 +466,24 @@ class TestTapeSize:
 
 
 class TestStateRoundTrip:
+    @pytest.mark.parametrize("kind, degree_embed, names", [
+        ("transformer", True,
+         ["input_proj.weight", "input_proj.bias", "degree_table",
+          *(f"layer{i}.{suffix}" for i in range(2)
+            for suffix in ("qkv.weight", "out.weight", "out.bias", "ffn1.weight", "ffn1.bias",
+                           "ffn2.weight", "ffn2.bias", "norm1.gain", "norm1.bias",
+                           "norm2.gain", "norm2.bias"))]),
+        ("mpgnn", False,
+         ["input_proj.weight", "input_proj.bias", "layer0.weight", "layer0.bias",
+          "layer1.weight", "layer1.bias"]),
+    ])
+    def test_checkpoint_names_in_order(self, kind, degree_embed, names):
+        """The array names, and their order, that checkpoint files store and
+        that clipping and the optimizer state follow."""
+        cfg = BackboneConfig(kind=kind, feature_dim=3, dim=8, heads=2, layers=2, ffn_mult=2,
+                             degree_embed=degree_embed)
+        assert list(Backbone.init(cfg, seed=0).named_params()) == names
+
     def test_state_arrays_round_trip(self):
         cfg, bb, _ = _build("transformer")
         state = bb.state_arrays()

@@ -163,6 +163,71 @@ def test_batched_equals_per_sample_for_any_prompt_length(mode, batch, p_len):
     assert np.abs(together - alone).max() <= 1e-10
 
 
+def _random_graph(rng, n, width=3):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = rng.random(len(pairs)) < 0.4
+    return GraphSample(n, rng.normal(size=(n, width)),
+                       tuple(pair for pair, k in zip(pairs, keep) if k))
+
+
+# 60 graphs of 4 to 9 nodes, with graphs of 2 and 3 nodes among them.
+_ROW_RNG = np.random.default_rng(8)
+_ROW_GRAPHS = [_random_graph(_ROW_RNG, n) for n in _ROW_RNG.integers(4, 10, size=60)]
+for _i, _n in ((3, 2), (17, 3), (30, 2), (44, 3), (59, 3)):
+    _ROW_GRAPHS.insert(_i, _random_graph(_ROW_RNG, _n))
+# Each case: backbone kind, aggregation, tuning mode and its prompted layers.
+ROW_CASES = {
+    "transformer": ("transformer", "sum", None, None),
+    "transformer_deepgpt": ("transformer", "sum", "deepgpt", None),
+    "transformer_prefix_before_last_layer": ("transformer", "sum", "prefix_only", (0, 1)),
+    **{f"mpgnn_{agg}{suffix}": ("mpgnn", agg, mode, None)
+       for agg in ("sum", "mean", "max")
+       for suffix, mode in (("", None), ("_virtual", "virtual_node"))},
+}
+
+
+def _row_model(case, dim):
+    kind, aggregation, mode, interval = ROW_CASES[case]
+    cfg = BackboneConfig(kind=kind, feature_dim=3, dim=dim, heads=2, layers=3, ffn_mult=2,
+                         rwpe_steps=2, degree_embed=True, max_degree=3,
+                         aggregation=aggregation)
+    prompts = PromptSet()
+    if mode is not None:
+        prompts = init_prompts(mode, cfg, p_len=3, seed=5, prompted_layers=interval)
+    return cfg, Backbone.init(cfg, seed=dim), prompts
+
+
+def _rows_alone_and_together(graphs, cfg, bb, prompts):
+    """Each graph's ``encode_nodes`` rows run alone, and its rows in the batch of all."""
+    encoded = encode_graphs(graphs, cfg)
+    together = encode_nodes(encoded, bb, group=[(prompts, encoded.size)])[0].data
+    offsets = encoded.offsets
+    return [(encode_nodes(encoded.take([i]), bb, group=[(prompts, 1)])[0].data,
+             together[offsets[i]:offsets[i + 1]]) for i in range(encoded.size)]
+
+
+@pytest.mark.parametrize("dim", [8, 16, 32])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_node_rows_alone_equal_the_rows_in_the_batch_exactly(case, dim):
+    """A graph of two or more nodes gets the same node rows, bit for bit,
+    whichever graphs share its batch."""
+    for i, (alone, together) in enumerate(
+            _rows_alone_and_together(_ROW_GRAPHS, *_row_model(case, dim))):
+        assert np.array_equal(alone, together), f"graph {i} of {_ROW_GRAPHS[i].n} nodes"
+
+
+@pytest.mark.parametrize("dim", [8, 16, 32])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_a_lone_single_node_graph_equals_its_rows_in_the_batch_to_1e_12(case, dim):
+    """A one-row product runs through BLAS's matrix-vector routine, which
+    rounds differently from the same row of a taller product (README
+    "Training"), so this case alone is held to 1e-12, not to exact equality."""
+    lone = _random_graph(np.random.default_rng(9), 1)
+    pairs = _rows_alone_and_together([*_ROW_GRAPHS[:10], lone], *_row_model(case, dim))
+    alone, together = pairs[-1]
+    assert np.abs(alone - together).max() <= 1e-12
+
+
 def _permuted(g, perm):
     """``g`` with node ``perm[i]`` renamed to ``i``."""
     new = np.argsort(perm)

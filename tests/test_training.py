@@ -485,6 +485,16 @@ class TestTrain:
             run(damaged(i))
         assert run(damaged(int(train_idx[0]))) == r.final_metric
 
+    def test_evaluate_fold_of_a_single_class_split_is_a_data_error_naming_the_fold(
+            self, motif_data):
+        cfg, state = tiny_backbone()
+        config = tiny_config("lightweight", epochs=1, warmup_epochs=0)
+        stored = train(config, motif_data, cfg, state, seed=1)[1].prompt_state
+        negatives = [GraphSample(g.n, g.features, g.edges, np.zeros(1)) for g in motif_data]
+        with pytest.raises(DataError, match=r"^fold 1: evaluation split: auroc is undefined "
+                                            r"on every task column \(AUROC needs both"):
+            training.evaluate_fold(config, negatives, cfg, state, stored, seed=1, fold=1)
+
     def test_determinism_bitwise(self, motif_data):
         cfg, state = tiny_backbone()
         a = train(tiny_config("deepgpt"), motif_data, cfg, state, seed=7)
@@ -574,6 +584,17 @@ class TestTrain:
         res = train(tiny_config("deepgpt"), motif_data, cfg, state, seed=7, parallel=4)
         assert [r.fold for r in res] == [0, 1, 2]
 
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_parallel_below_1_fails_before_the_run_is_validated(self, motif_data, monkeypatch,
+                                                                 parallel):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run was validated")
+
+        monkeypatch.setattr(training, "_validate", refuse)
+        cfg, state = tiny_backbone()
+        with pytest.raises(ContractError, match=f"^parallel must be at least 1, got {parallel}$"):
+            train(tiny_config("deepgpt"), motif_data, cfg, state, seed=7, parallel=parallel)
+
     @pytest.mark.parametrize("mode", ["lightweight", "deepgpt", "virtual_node"])
     def test_non_finite_backbone_state_fails_fast(self, motif_data, mode):
         if mode == "virtual_node":
@@ -629,7 +650,7 @@ class TestRunRecord:
         sequence = [0.5, 0.9, 0.7, 0.2]
         calls = itertools.count()             # three folds score per epoch, in fold order
         monkeypatch.setattr(training, "_metric_value",
-                            lambda config, scores, labels: sequence[next(calls) // 3])
+                            lambda config, scores, labels, name: sequence[next(calls) // 3])
         cfg, state = tiny_backbone()
         config = tiny_config("lightweight", metric=metric, epochs=4)
         for r in train(config, motif_data, cfg, state, seed=1):
