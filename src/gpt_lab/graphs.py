@@ -584,7 +584,6 @@ def make_folds(count: int, n_folds: int, seed: int) -> DatasetSplit:
         raise DataError(f"cannot split {count} samples into {n_folds} folds")
     rng = rng_for(seed, "folds")
     perm = rng.permutation(count)
-    folds = np.zeros(count, dtype=np.int64)
-    for pos, sample in enumerate(perm):
-        folds[sample] = pos % n_folds
+    folds = np.empty(count, dtype=np.int64)
+    folds[perm] = np.arange(count) % n_folds
     return DatasetSplit(folds, n_folds)

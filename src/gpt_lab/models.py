@@ -281,10 +281,6 @@ class PredictionHead:
             b_hidden = _zeros(dim)
         return cls(_init_matrix(rng, dim, out_dim), _zeros(out_dim), w_hidden, b_hidden)
 
-    @property
-    def out_dim(self) -> int:
-        return self.w.shape[1]
-
     def named_params(self) -> dict[str, Tensor]:
         out = {}
         if self.w_hidden is not None:

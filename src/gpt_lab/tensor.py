@@ -1,7 +1,8 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
-Every operation computes eagerly on numpy arrays. When a ``Tape`` is
-active and an operand participates in gradients, the operation records a
+Every operation takes its operands as ``Tensor``s (an index, offsets or
+labels as arrays) and computes eagerly on their numpy arrays. When a
+``Tape`` is active and an operand participates in gradients, it records a
 node holding per-input backward closures; ``backward`` replays the node
 list once, in reverse, and returns a gradient map keyed by the leaf
 tensors that require gradients.
@@ -224,10 +225,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     return {leaf: grads[slot] for slot, leaf in tape._leaves.items() if slot in grads}
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # Recorded primitives
 # ---------------------------------------------------------------------------
@@ -247,7 +244,6 @@ def _times_transpose(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs two matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -259,7 +255,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of a matrix, the bias broadcast over rows, as one node."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: cannot map shape {x.shape} by weight {w.shape} and "
                          f"bias {b.shape}")
@@ -280,7 +275,6 @@ def _broadcast_kind(a: Tensor, b: Tensor, op: str) -> str:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may be a row vector broadcast over rows of ``a``."""
-    a, b = _as_tensor(a), _as_tensor(b)
     kind = _broadcast_kind(a, b, "add")
     out = Tensor(a.data + b.data)
     if kind == "same":
@@ -290,7 +284,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; ``b`` may be a row vector broadcast over rows."""
-    a, b = _as_tensor(a), _as_tensor(b)
     kind = _broadcast_kind(a, b, "mul")
     out = Tensor(a.data * b.data)
     ad, bd = a.data, b.data
@@ -300,7 +293,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
     out = Tensor(a.data * c)
     return _record(out, [(a, lambda g: g * c)])
@@ -308,7 +300,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-form) GELU."""
-    a = _as_tensor(a)
     ad = a.data
     cdf = 0.5 * (1.0 + erf(ad / _SQRT2))
     out = Tensor(ad * cdf)
@@ -322,7 +313,6 @@ def gelu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
-    a = _as_tensor(a)
     ad = a.data
     out = Tensor(np.sum(ad))
     return _record(out, [(a, lambda g: g * np.ones_like(ad))])
@@ -436,7 +426,6 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
     sum over the groups that read it and the other rows one take by
     ``key_slot``.
     """
-    qkv = _as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[1] % 3 or qkv.shape[0] != groups.rows:
         raise ShapeError(f"block_attention: qkv must be a matrix of {groups.rows} rows and 3 "
                          f"equal column blocks, got shape {qkv.shape}")
@@ -489,7 +478,6 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization followed by an affine map."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.ndim != 2:
         raise ShapeError(f"layer_norm needs a matrix, got shape {x.shape}")
     d = x.shape[1]
@@ -521,7 +509,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack matrices along the row axis."""
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat_rows needs at least one part")
     width = parts[0].shape[-1]
@@ -540,7 +527,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     """The (k, d) matrix whose row i is the i-th of k vectors of width d."""
-    vectors = [_as_tensor(v) for v in vectors]
     if not vectors or any(v.ndim != 1 or v.shape != vectors[0].shape for v in vectors):
         raise ShapeError(f"stack_rows needs vectors of one width, got shapes "
                          f"{[v.shape for v in vectors]}")
@@ -580,7 +566,6 @@ def gather_rows(x: Tensor, index) -> Tensor:
     in ascending order (no -1), the forward notes it, and the backward
     writes the rows by assignment instead, with the same values.
     """
-    x = _as_tensor(x)
     idx = np.asarray(index)
     if x.ndim != 2 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"gather_rows needs a matrix and a 1-D int index, got shape "
@@ -601,7 +586,6 @@ def pool_rows(x: Tensor, offsets, mode: str) -> Tensor:
     segments' rows are gathered in order into one (B, L, d) block, L being
     the longest segment and padding reading zeros, and summed along L.
     """
-    x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"pool_rows needs a matrix, got shape {x.shape}")
     if mode not in ("sum", "mean"):
@@ -625,7 +609,6 @@ def pool_rows(x: Tensor, offsets, mode: str) -> Tensor:
 
 def spmm(a, x: Tensor) -> Tensor:
     """Product of a constant scipy.sparse matrix and a matrix tensor; ``x`` gets ``a.T @ g``."""
-    x = _as_tensor(x)
     if x.ndim != 2 or a.shape[1] != x.shape[0]:
         raise ShapeError(f"spmm: cannot multiply shapes {a.shape} and {x.shape}")
     return _record(Tensor(a @ x.data), [(x, lambda g: a.T @ g)])
@@ -670,7 +653,6 @@ def neighbor_max(h: Tensor, buckets: SourceBuckets) -> Tensor:
     NaN max to the row's first source. That search runs in the backward
     pass, so an untaped forward never pays for it.
     """
-    h = _as_tensor(h)
     if h.ndim != 2 or buckets.shape[1] != h.shape[0]:
         raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over "
                          f"{buckets.shape}")
@@ -704,7 +686,6 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
     gradient, which is how multi-task targets with missing values are
     handled. The present labels must be 0 or 1.
     """
-    logits = _as_tensor(logits)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != logits.shape:
         raise ShapeError(f"bce_with_logits: labels shape {y.shape} vs logits {logits.shape}")

@@ -233,8 +233,9 @@ class TuningConfig:
             raise ContractError(f"unknown metric {self.metric!r}")
         if self.token_stage not in TOKEN_STAGES:
             raise ContractError(f"unknown token stage {self.token_stage!r}")
-        if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
-            raise ContractError("batch_size/epochs/folds out of range")
+        for key, low in (("batch_size", 1), ("epochs", 1), ("folds", 2)):
+            if getattr(self, key) < low:
+                raise ContractError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if len(self.betas) != 2:
             raise ContractError(f"Adam betas must be two values, got {self.betas}")
         if not all(0.0 <= b < 1.0 for b in self.betas):
@@ -449,9 +450,10 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
     ``forward`` of every fold's eval split, outside the tape, scores the
     epoch. ``labels`` holds every graph's labels in dataset order. A
     non-finite loss or gradient stops the run with a ``NonFiniteError``
-    naming the fold, the epoch and the step. A trainable parameter
-    without a gradient means the forward is broken, not the config, so
-    it raises ``RuntimeError``.
+    naming the fold, the epoch and the step, and a step whose graphs have
+    no present label, before its forward, with a ``DataError`` naming the
+    same. A trainable parameter without a gradient means the forward is
+    broken, not the config, so it raises ``RuntimeError``.
 
     A fold's epoch seconds are a share of each step in proportion to its
     graphs in that step, plus a share of the scoring in proportion to its
@@ -473,9 +475,15 @@ def _fit(config: TuningConfig, folds: list[_Fold], forward, labels: np.ndarray
         for step in range(max(steps)):
             active = [i for i, n in enumerate(steps) if step < n]
             chunks = [folds[i].train_idx[orders[i][step * bs:(step + 1) * bs]] for i in active]
+            ys = [labels[c] for c in chunks]
+            for i, y in zip(active, ys):
+                if not np.isfinite(y).any():
+                    raise DataError(f"{folds[i].name}, epoch {epoch + 1} of {config.epochs}, "
+                                    f"step {step + 1} of {steps[i]}: every label of its "
+                                    f"{len(y)} graphs is missing")
             with Tape():
                 outs = forward([folds[i] for i in active], chunks)
-                losses = [_loss(config, out, labels[c]) for out, c in zip(outs, chunks)]
+                losses = [_loss(config, out, y) for out, y in zip(outs, ys)]
                 grads = backward(functools.reduce(add, losses))
             for i, chunk, loss in zip(active, chunks, losses):
                 fold = folds[i]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpt_lab import checkpoint as ck
-from gpt_lab import training
+from gpt_lab import cli, training
 from gpt_lab.cli import (
     ABLATE_CSV_FIELDS,
     FOLD_CSV_FIELDS,
@@ -18,7 +18,7 @@ from gpt_lab.cli import (
 )
 from gpt_lab.config import (AblateConfig, ConfigError, ExperimentConfig, PretrainConfig,
                             TaskConfig, load_config)
-from gpt_lab.graphs import gen_downstream
+from gpt_lab.graphs import DataError, GraphSample, gen_downstream, make_folds, write_graph_file
 from gpt_lab.models import Backbone, BackboneConfig
 from gpt_lab.training import TuningConfig, evaluate_fold
 
@@ -661,6 +661,44 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "run")]) == 3
         assert message in capsys.readouterr().err
 
+    def test_folds_flag_overrides_the_config(self, workspace, tmp_path):
+        config = write_config(tmp_path / "exp.ini")
+        out = tmp_path / "run"
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(out), "--folds", "2"]) == 0
+        assert json.loads((out / "run_meta.json").read_text())["folds"] == 2
+        assert len(read_csv(out / "fold_metrics.csv", FOLD_CSV_FIELDS)) == 2
+
+    def test_folds_flag_below_2_exits_2_naming_folds(self, workspace, tmp_path, capsys):
+        config = write_config(tmp_path / "exp.ini")
+        out = tmp_path / "run"
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(out), "--folds", "1"]) == 2
+        assert capsys.readouterr().err == "config error: folds must be at least 2, got 1\n"
+        assert not out.exists()
+
+    def test_a_step_without_a_present_label_exits_3_naming_it(self, workspace, tmp_path,
+                                                             capsys):
+        data = gen_downstream(18, "motif_presence", seed=5, size_range=(5, 7))
+        # Only one graph, in fold 0's evaluation split, keeps its label: the
+        # first chunk of fold 0's first step is all missing labels.
+        keep = make_folds(len(data), 3, seed=11).train_eval(0)[1][0]
+        data = [GraphSample(g.n, g.features, g.edges, g.label if i == keep else [np.nan])
+                for i, g in enumerate(data)]
+        graph_file = tmp_path / "missing.gr"
+        write_graph_file(graph_file, data)
+        assert graph_file.read_text().count("\ny nan\n") == 17
+        config = write_config(
+            tmp_path / "file.ini",
+            replace={"generator = motif_presence\ncount = 24\nmin_nodes = 5\nmax_nodes = 8":
+                     f"graph_file = {graph_file}"})
+        out = tmp_path / "run"
+        assert main(["tune", "--config", str(config), "--ckpt", ckpt_of(workspace),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("data error: fold 0, epoch 1 of 2, step 1 of 2: "
+                                           "every label of its 8 graphs is missing\n")
+        assert not out.exists()
+
     def test_beta1_of_one_is_a_config_error(self, workspace, tmp_path, capsys):
         config = write_config(tmp_path / "beta.ini",
                               replace={"mode = deepgpt": "mode = deepgpt\nbetas = 1.0, 0.999"})
@@ -959,3 +997,156 @@ class TestReportCommand:
         assert main(["report", str(run), "--out", str(a)]) == 0
         assert main(["report", str(run), "--out", str(b)]) == 0
         assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+
+# -- input checks ----------------------------------------------------------------
+
+
+def raw_checkpoint(header: bytes, body: bytes = b"", length: int | None = None):
+    """A call that loads a backbone from the checkpoint magic, a header length
+    (by default that of ``header``), ``header`` and ``body``."""
+    def call(tmp_path):
+        size = len(header) if length is None else length
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(ck._MAGIC + size.to_bytes(8, "little") + header + body)
+        return ck.load_backbone(path)
+    return call
+
+
+def header(**meta) -> bytes:
+    return json.dumps(meta).encode("utf-8")
+
+
+def truncated_header(tmp_path):
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(ck._MAGIC + b"\x05\x00")
+    return ck.load_backbone(path)
+
+
+def prompt_as_backbone(tmp_path):
+    path = tmp_path / "x.ckpt"
+    ck.save_prompt(path, dim=8, layers=2, mode="deepgpt", p_len=2,
+                   token_stage="post_projection", backbone_fingerprint="f", state={})
+    return ck.load_backbone(path)
+
+
+_MPGNN = BackboneConfig(kind="mpgnn", feature_dim=3, dim=8, heads=2, layers=1)
+
+
+def backbone_as_prompt(tmp_path):
+    path = tmp_path / "x.ckpt"
+    ck.save_backbone(path, _MPGNN, Backbone.init(_MPGNN, seed=0).state_arrays())
+    return ck.load_prompt(path)
+
+
+def stale_fingerprint(tmp_path):
+    path = tmp_path / "x.ckpt"
+    ck._write(path, {"kind": "backbone", "fingerprint": "0" * 64,
+                     "config": dataclasses.asdict(_MPGNN)}, {})
+    return ck.load_backbone(path)
+
+
+def config_with(replace=None, extra=""):
+    """A call that loads ``BASE_CONFIG`` with ``replace`` and ``extra`` applied."""
+    return lambda tmp_path: load_config(write_config(tmp_path / "bad.ini", extra, replace))
+
+
+def config_text(text):
+    """A call that loads a config file of ``text``."""
+    def call(tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(text, encoding="utf-8")
+        return load_config(path)
+    return call
+
+
+def run_command(argv):
+    """Run a command as ``main`` does, but let its exception through."""
+    args = cli._build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def tune_without_tuning(tmp_path):
+    config = tmp_path / "bad.ini"
+    config.write_text(BASE_CONFIG.split("[tuning]")[0], encoding="utf-8")
+    return run_command(["tune", "--config", str(config), "--ckpt", str(tmp_path / "none.ckpt"),
+                        "--out", str(tmp_path / "run")])
+
+
+def report_without_records(tmp_path):
+    run = tmp_path / "run"
+    (run / "runrecords").mkdir(parents=True)
+    (run / "run_meta.json").write_text("{}", encoding="utf-8")
+    return run_command(["report", str(run), "--out", str(tmp_path / "rep")])
+
+
+# Each input check of the checkpoint, config and command layers that no other
+# test trips: the call (given a scratch directory), and the exception type and
+# the message it starts with, ``{tmp}`` standing for the scratch directory.
+INPUT_ERRORS = {
+    "checkpoint_truncated_header": (truncated_header, ck.CheckpointError,
+                                    "{tmp}/x.ckpt: truncated header"),
+    "checkpoint_bad_header": (raw_checkpoint(b"{not json"), ck.CheckpointError,
+                              "{tmp}/x.ckpt: bad header (Expecting property name"),
+    "checkpoint_version": (raw_checkpoint(header(format_version=3, arrays=[])),
+                           ck.CheckpointError, "{tmp}/x.ckpt: unsupported format version 3"),
+    "checkpoint_truncated_array": (
+        raw_checkpoint(header(format_version=2, arrays=[{"name": "w", "shape": [2]}]),
+                       bytes(8)),
+        ck.CheckpointError, "{tmp}/x.ckpt: truncated array data for w"),
+    "checkpoint_trailing_bytes": (raw_checkpoint(header(format_version=2, arrays=[]), b"xy"),
+                                  ck.CheckpointError, "{tmp}/x.ckpt: 2 trailing bytes"),
+    "checkpoint_prompt_as_backbone": (prompt_as_backbone, ck.CheckpointError,
+                                      "{tmp}/x.ckpt: not a backbone checkpoint"),
+    "checkpoint_backbone_as_prompt": (backbone_as_prompt, ck.CheckpointError,
+                                      "{tmp}/x.ckpt: not a prompt checkpoint"),
+    "checkpoint_stale_fingerprint": (stale_fingerprint, ck.CheckpointError,
+                                     "{tmp}/x.ckpt: fingerprint does not match stored config"),
+    "backbone_kind": (config_with({"kind = transformer": "kind = graphnet"}), ConfigError,
+                      "[backbone]: unknown backbone kind 'graphnet'"),
+    "backbone_readout": (config_with({"heads = 2\n": "heads = 2\nreadout = max\n"}),
+                         ConfigError, "[backbone]: unknown readout 'max'"),
+    "backbone_aggregation": (config_with({"heads = 2\n": "heads = 2\naggregation = min\n"}),
+                             ConfigError, "[backbone]: unknown aggregation 'min'"),
+    "backbone_layers": (config_with({"layers = 2": "layers = 0"}), ConfigError,
+                        "[backbone]: need at least one layer"),
+    "backbone_heads": (config_with({"dim = 8": "dim = 9"}), ConfigError,
+                       "[backbone]: dim 9 not divisible by 2 heads"),
+    "backbone_feature_dim": (config_with({"feature_dim = 4": "feature_dim = 0"}), ConfigError,
+                             "[backbone]: feature_dim and dim must be positive"),
+    "task_two_sources": (config_with({"count = 24": "count = 24\ngraph_file = x.gr"}),
+                         ConfigError, "task needs exactly one of 'generator' or 'graph_file'"),
+    "task_generator": (config_with({"generator = motif_presence": "generator = clique"}),
+                       ConfigError, "unknown generator 'clique'; expected one of "
+                                    "('motif_presence', 'community_count', 'multi_motif')"),
+    "task_nodes": (config_with({"max_nodes = 8\n\n[pretrain]": "max_nodes = 4\n\n[pretrain]"}),
+                   ConfigError, "min_nodes must not exceed max_nodes"),
+    "ablate_axis": (config_with(extra="\n[ablate]\naxis = width\nlengths = 2\n"),
+                    ConfigError, "unknown ablation axis 'width'"),
+    "ablate_component": (config_with(extra="\n[ablate]\naxis = component\n"
+                                           "components = deepgpt, magic\n"),
+                         ConfigError, "unknown component 'magic'"),
+    "bad_boolean": (config_with({"degree_embed = true": "degree_embed = maybe"}), ConfigError,
+                    "[backbone] degree_embed: expected a boolean, got 'maybe'"),
+    "bad_interval": (config_with({"p_len = 2": "p_len = 2\nprompted_layers = 1"}),
+                     ConfigError, "[tuning] prompted_layers: expected 'a-b' interval, got '1'"),
+    "unparsable_value": (config_with({"dim = 8": "dim = eight"}), ConfigError,
+                         "[backbone] dim: invalid literal for int() with base 10: 'eight'"),
+    "malformed_file": (config_text("dim = 8\n"), ConfigError,
+                       "{tmp}/bad.ini: File contains no section headers."),
+    "missing_backbone": (config_text("[experiment]\nseed = 1\n"), ConfigError,
+                         "missing required section [backbone]"),
+    "command_needs_section": (tune_without_tuning, ConfigError,
+                              "tune needs a [tuning] section"),
+    "report_no_fold_records": (report_without_records, DataError,
+                               "{tmp}/run: no fold records"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_check_names_its_cause(name, tmp_path):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message.format(tmp=tmp_path))

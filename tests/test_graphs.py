@@ -22,6 +22,7 @@ from gpt_lab.graphs import (
     write_graph_file,
 )
 from gpt_lab.models import Backbone, BackboneConfig, encode_nodes
+from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import Tensor
 
 RNG = np.random.default_rng(7)
@@ -274,6 +275,16 @@ class TestGraphFile:
         with pytest.raises(GraphParseError, match="line 1"):
             read_graph_file(path)
 
+    def test_unlabeled_round_trip(self, tmp_path):
+        graphs = [triangle(), sample(2, [(0, 1)])]
+        path = tmp_path / "unlabeled.gr"
+        write_graph_file(path, graphs)
+        assert path.read_text().splitlines()[0] == "GPTGRAPH v1 d=3 t=0"
+        back = read_graph_file(path)
+        assert [g.label for g in back] == [None, None]
+        for a, b in zip(graphs, back):
+            assert a.edges == b.edges and np.array_equal(a.features, b.features)
+
     @pytest.mark.parametrize("gline", ["g 0 0", "g -1 0", "g 2 -1"])
     def test_empty_or_negative_sample_header_reports_line(self, tmp_path, gline):
         path = tmp_path / "bad.gr"
@@ -320,7 +331,85 @@ class TestFolds:
             assert len(set(tr) & set(ev)) == 0
             assert len(tr) + len(ev) == 20
 
+    @pytest.mark.parametrize("count, k, seed", [(5, 5, 0), (23, 5, 1), (40, 3, 7)])
+    def test_position_i_of_the_seeded_permutation_lands_in_fold_i_mod_k(self, count, k, seed):
+        perm = rng_for(seed, "folds").permutation(count)
+        folds = make_folds(count, k, seed).folds
+        assert [int(folds[sample]) for sample in perm] == [i % k for i in range(count)]
+
     def test_deterministic(self):
         a = make_folds(50, 5, seed=3)
         b = make_folds(50, 5, seed=3)
         assert np.array_equal(a.folds, b.folds)
+
+
+# -- input checks ----------------------------------------------------------------
+
+_HEADER = "GPTGRAPH v1 d=1 t=1\n"
+
+
+def parse(text):
+    """A call that reads ``text`` as a graph file."""
+    def call(tmp_path):
+        path = tmp_path / "bad.gr"
+        path.write_text(text)
+        return read_graph_file(path)
+    return call
+
+
+# Each input check of the graph module that no other test trips: the call
+# (given a scratch directory), and the exception type and message it raises.
+INPUT_ERRORS = {
+    "header_width": (parse("GPTGRAPH v1 d=x t=1\n"), GraphParseError,
+                     "line 1: bad header 'GPTGRAPH v1 d=x t=1'"),
+    "end_of_file": (parse(_HEADER + "g 2 0\n0.5\n"), GraphParseError,
+                    "line 4: unexpected end of file, expected feature row 1"),
+    "sample_start": (parse(_HEADER + "h 1 0\n"), GraphParseError,
+                     "line 2: expected 'g <n> <m>', got 'h 1 0'"),
+    "sample_count": (parse(_HEADER + "g one 0\n"), GraphParseError,
+                     "line 2: expected 'g <n> <m>', got 'g one 0'"),
+    "feature_count": (parse(_HEADER + "g 1 0\n0.5 0.5\n"), GraphParseError,
+                      "line 3: expected 1 feature values, got 2"),
+    "feature_value": (parse(_HEADER + "g 1 0\nabc\n"), GraphParseError,
+                      "line 3: bad feature value"),
+    "edge_line": (parse(_HEADER + "g 2 1\n0\n0\nx 0 1\n"), GraphParseError,
+                  "line 5: expected 'e <i> <j>', got 'x 0 1'"),
+    "edge_node": (parse(_HEADER + "g 2 1\n0\n0\ne 0 one\n"), GraphParseError,
+                  "line 5: expected 'e <i> <j>', got 'e 0 one'"),
+    "edge_self_loop": (parse(_HEADER + "g 2 1\n0\n0\ne 1 1\n"), GraphValidationError,
+                       "line 5: edge (1, 1) invalid for 2 nodes"),
+    "label_line": (parse(_HEADER + "g 1 0\n0\nz 1\n"), GraphParseError,
+                   "line 4: expected 'y ...', got 'z 1'"),
+    "label_count": (parse(_HEADER + "g 1 0\n0\ny 1 0\n"), GraphParseError,
+                    "line 4: expected 1 label values, got 2"),
+    "duplicate_edge": (parse(_HEADER + "g 2 2\n0\n0\ne 0 1\ne 1 0\ny 1\n"),
+                       GraphValidationError, "line 7: duplicate undirected edge (0, 1)"),
+    "write_mixed_arity": (lambda tmp: write_graph_file(tmp / "x.gr", [
+        GraphSample(1, np.zeros((1, 1)), (), np.ones(1)), GraphSample(1, np.zeros((1, 1)), ())]),
+        DataError, "all samples in a file must share d and label arity"),
+    "feature_rows": (lambda tmp: GraphSample(2, np.zeros((3, 1)), ()), GraphValidationError,
+                     "features must be (2, d), got shape (3, 1)"),
+    "cycle_length": (lambda tmp: has_cycle_of_length(triangle(), 2), DataError,
+                     "cycles have length >= 3, got 2"),
+    "take_out_of_range": (lambda tmp: batch([triangle()]).take([1]), DataError,
+                          "cannot take samples [1] of a batch of 1"),
+    "take_nothing": (lambda tmp: batch([triangle()]).take([]), DataError,
+                     "cannot take samples [] of a batch of 1"),
+    "batch_empty": (lambda tmp: batch([]), DataError, "cannot batch an empty list of graphs"),
+    "rwpe_no_steps": (lambda tmp: rwpe(batch([triangle()]), 0), DataError,
+                      "rwpe needs k >= 1, got 0"),
+    "folds_too_few_samples": (lambda tmp: make_folds(3, 5, seed=0), DataError,
+                              "cannot split 3 samples into 5 folds"),
+    "folds_one": (lambda tmp: make_folds(10, 1, seed=0), DataError,
+                  "cannot split 10 samples into 1 folds"),
+    "fold_out_of_range": (lambda tmp: make_folds(10, 5, seed=0).train_eval(5), DataError,
+                          "fold 5 out of range for 5 folds"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_check_names_its_cause(name, tmp_path):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error and str(info.value) == message

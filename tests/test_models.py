@@ -257,6 +257,13 @@ class TestMpgnnLayer:
         out = mpgnn_layer_forward(Tensor(h), operand(tri, "mean"), params).data
         assert np.abs(out - out[0]).max() == 0.0
 
+    @pytest.mark.parametrize("mode", ["sum", "max"])
+    def test_operand_must_cover_the_rows(self, mode):
+        params = MpgnnLayerParams(weight=Tensor(np.eye(3)), bias=Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError) as info:
+            mpgnn_layer_forward(Tensor(np.zeros((2, 3))), operand([[1], [0], []], mode), params)
+        assert str(info.value) == "aggregation operand of shape (3, 3) does not cover 2 rows"
+
 
 # ---------------------------------------------------------------------------
 # Readout

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 from gpt_lab import tensor as T
+from gpt_lab.seeding import rng_for
 from gpt_lab.tensor import (
     ContractError,
     ShapeError,
@@ -440,6 +441,14 @@ class TestBackwardContract:
             grads = backward(T.tsum(T.add(x, x)))
         assert np.array_equal(grads[x], np.full((2, 2), 2.0))
 
+    def test_a_node_the_loss_does_not_read_is_skipped(self):
+        x = Tensor(rand(2, 2), requires_grad=True)
+        with Tape() as tape:
+            T.gelu(x)                                  # recorded, never read
+            grads = backward(T.tsum(x))
+        assert len(tape.nodes) == 2
+        assert np.array_equal(grads[x], np.ones((2, 2)))
+
 
 class TestTapeRelease:
     """A tape and its record are freed when its block exits, without the cyclic GC."""
@@ -645,3 +654,50 @@ def test_ops_without_tape_record_nothing():
     x = Tensor(rand(2, 2), requires_grad=True)
     out = T.add(x, x)
     assert out.tape_id is None and out._tape is None
+
+
+def _matrix(*shape):
+    return Tensor(np.zeros(shape))
+
+
+# Each input check of the tensor ops that no other test trips: the call, and
+# the exception type and message it raises.
+INPUT_ERRORS = {
+    "matmul_vector": (lambda: T.matmul(_matrix(3), _matrix(3, 2)), ShapeError,
+                      "matmul needs two matrices, got shapes (3,) and (3, 2)"),
+    "add_broadcast": (lambda: T.add(_matrix(2, 3), _matrix(2)), ShapeError,
+                      "add: incompatible shapes (2, 3) and (2,) (only row-vector-over-rows "
+                      "broadcast is supported)"),
+    "mul_broadcast": (lambda: T.mul(_matrix(3), _matrix(2, 3)), ShapeError,
+                      "mul: incompatible shapes (3,) and (2, 3) (only row-vector-over-rows "
+                      "broadcast is supported)"),
+    "layer_norm_vector": (lambda: T.layer_norm(_matrix(3), _matrix(3), _matrix(3)), ShapeError,
+                          "layer_norm needs a matrix, got shape (3,)"),
+    "layer_norm_gain": (lambda: T.layer_norm(_matrix(2, 3), _matrix(2), _matrix(3)),
+                        ShapeError, "layer_norm: gain/bias shapes (2,)/(3,) do not match "
+                                    "width 3"),
+    "layer_norm_eps": (lambda: T.layer_norm(_matrix(2, 3), _matrix(3), _matrix(3), eps=0.0),
+                       ContractError, "layer_norm requires eps > 0"),
+    "concat_rows_empty": (lambda: T.concat_rows([]), ShapeError,
+                          "concat_rows needs at least one part"),
+    "pool_rows_vector": (lambda: T.pool_rows(_matrix(3), np.array([0, 3]), "sum"), ShapeError,
+                         "pool_rows needs a matrix, got shape (3,)"),
+    "spmm_shapes": (lambda: T.spmm(csr([[0], [1]]), _matrix(2, 2)), ShapeError,
+                    "spmm: cannot multiply shapes (2, 3) and (2, 2)"),
+    "neighbor_max_rows": (lambda: T.neighbor_max(_matrix(2, 2), _NEIGHBORS), ShapeError,
+                          "neighbor_max: cannot aggregate shape (2, 2) over (3, 3)"),
+    "bce_shapes": (lambda: T.bce_with_logits(_matrix(2, 1), np.zeros((3, 1))), ShapeError,
+                   "bce_with_logits: labels shape (3, 1) vs logits (2, 1)"),
+    "rng_for_negative": (lambda: rng_for(0, "fold", -1), ValueError,
+                         "seed path parts must be non-negative, got -1"),
+    "rng_for_float": (lambda: rng_for(0, 1.5), TypeError,
+                      "seed path parts must be int or str, got <class 'float'>"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_check_names_its_cause(name):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

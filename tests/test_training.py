@@ -12,7 +12,7 @@ import pytest
 
 from gpt_lab import graphs, models, training
 from gpt_lab import tensor as T
-from gpt_lab.graphs import DataError, GraphSample, gen_downstream, gen_pretext
+from gpt_lab.graphs import DataError, GraphSample, gen_downstream, gen_pretext, make_folds
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
                             encode_graphs, load_params)
 from gpt_lab.prompt import build_registry, init_prompts
@@ -890,3 +890,51 @@ def test_steady_heap_keeps_freed_arrays_resident():
         # 6 MB is 1536 pages; a repeat served from resident memory faults none.
         assert faults < 100, faults
     assert steady_heap() is applied
+
+
+def labels_only_in_fold_0_eval(data, folds=3, seed=1):
+    """``data`` with every label missing (NaN) but that of the first graph of
+    fold 0's evaluation split: fold 0 trains on no present label."""
+    keep = make_folds(len(data), folds, seed).train_eval(0)[1][0]
+    return [GraphSample(g.n, g.features, g.edges, g.label if i == keep else np.array([np.nan]))
+            for i, g in enumerate(data)]
+
+
+def _train(data, **config):
+    cfg, state = tiny_backbone()
+    return train(tiny_config("lightweight", **config), data, cfg, state, seed=1)
+
+
+# Each input check of the training module that no other test trips: the call
+# (given the motif dataset), and the exception type and message it raises.
+INPUT_ERRORS = {
+    "empty_dataset": (lambda data: _train([]), DataError, "empty dataset"),
+    "unlabeled_dataset": (lambda data: _train([GraphSample(g.n, g.features, g.edges)
+                                               for g in data]),
+                          DataError, "training needs labeled samples"),
+    "step_without_a_present_label": (
+        lambda data: _train(labels_only_in_fold_0_eval(data)), DataError,
+        "fold 0, epoch 1 of 2, step 1 of 2: every label of its 8 graphs is missing"),
+    "lr_at_last_epoch": (lambda data: lr_at(2, schedule(1e-3, 0, 2)), ContractError,
+                         "epoch 2 outside [0, 2)"),
+    "lr_at_negative_epoch": (lambda data: lr_at(-1, schedule(1e-3, 0, 2)), ContractError,
+                             "epoch -1 outside [0, 2)"),
+    "clip_max_norm": (lambda data: clip_global_norm({"w": np.ones(2)}, 0.0), ContractError,
+                      "max_norm must be positive"),
+    "mse_shapes": (lambda data: mse_loss(Tensor(np.zeros((2, 1))), np.zeros((3, 1))),
+                   ContractError, "mse_loss: labels shape (3, 1) vs preds (2, 1)"),
+    "batch_size": (lambda data: tiny_config("ft", batch_size=0), ContractError,
+                   "batch_size must be at least 1, got 0"),
+    "epochs": (lambda data: tiny_config("ft", epochs=0, warmup_epochs=0), ContractError,
+               "epochs must be at least 1, got 0"),
+    "folds": (lambda data: tiny_config("ft", folds=1), ContractError,
+              "folds must be at least 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_check_names_its_cause(name, motif_data):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error) as info:
+        call(motif_data)
+    assert type(info.value) is error and str(info.value) == message
