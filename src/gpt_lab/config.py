@@ -201,12 +201,15 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("missing required section [backbone]")
 
     experiment = _section_values(parser, "experiment") if parser.has_section("experiment") else {}
-    sections = {}
-    for section, cls in _SECTIONS.items():
-        if cls is ExperimentConfig or not parser.has_section(section):
-            continue
-        try:
-            sections[section] = cls(**_section_values(parser, section))
-        except (ContractError, TypeError) as exc:
-            raise ConfigError(f"[{section}]: {exc}") from None
-    return ExperimentConfig(**experiment, **sections)
+    sections = {section: _build(section, cls, _section_values(parser, section))
+                for section, cls in _SECTIONS.items()
+                if cls is not ExperimentConfig and parser.has_section(section)}
+    return _build("experiment", ExperimentConfig, {**experiment, **sections})
+
+
+def _build(section: str, cls, values: dict):
+    """``cls(**values)``, any error its checks raise named by ``[section]``."""
+    try:
+        return cls(**values)
+    except (ConfigError, ContractError, TypeError) as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None

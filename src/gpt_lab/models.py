@@ -7,10 +7,10 @@ layer norms, the FFN and residuals, runs on that matrix with no padding.
 Work across rows is per sample: the transformer's attention gathers each
 sample's rows into one padded group and attends within it (an
 ``AttentionGroups`` plan of the block sizes, built once per forward),
-the MPGNN multiplies by one sparse CSR adjacency that never joins two
-samples, and readout pools each sample's segment of node rows, all
-samples in one ``pool_rows``. A batched forward therefore agrees with
-per-sample forwards.
+the MPGNN aggregates over one sparse CSR adjacency that never joins two
+samples, built in sorted order once per forward, and readout pools each
+sample's segment of node rows, all samples in one ``pool_rows``. A
+batched forward therefore agrees with per-sample forwards.
 
 Prompts arrive in one form, a group of k ``(PromptSet, count)`` pairs:
 the first count samples read the first set, the next count the second,
@@ -26,10 +26,10 @@ rows of keys and values that the groups of its set's samples share: a
 prompted layer reads ``[prefix_0; ...; prefix_{k-1}; h]``, projects the
 prefixes once and asks queries of the node rows only. A transformer
 layer outputs the node rows, plus the prompt rows only when a later
-layer reads them, and the MPGNN drops its prompt rows after its last
-layer, so ``encode_nodes`` returns node rows only, laid out by the
-batch's offsets. With no prompt set, or an empty one, the executed
-operation sequence is that of a prompt-free build.
+layer reads them, and the MPGNN's last layer computes node rows only,
+so ``encode_nodes`` returns node rows only, laid out by the batch's
+offsets. With no prompt set, or an empty one, the executed operation
+sequence is that of a prompt-free build.
 """
 
 from __future__ import annotations
@@ -322,31 +322,32 @@ def transformer_layer_forward(x: Tensor, groups: AttentionGroups,
     return add(x1, linear(ff, params.ffn2_weight, params.ffn2_bias))
 
 
-def aggregation_operand(adj: sparse.csr_matrix, aggregation: str):
-    """What ``mpgnn_layer_forward`` aggregates with, built once per (R, R) CSR 0/1 ``adj``.
+def aggregation_operand(indptr: np.ndarray, indices: np.ndarray, columns: int,
+                        aggregation: str):
+    """What ``mpgnn_layer_forward`` aggregates with, built once per (m, columns) 0/1
+    matrix given by its CSR arrays, ``indptr`` and ``indices``.
 
-    Sum takes ``adj`` itself, whose stored diagonal gives self-aggregation;
-    mean divides each row of ``adj`` by its entry count; max takes the
-    matrix's ``SourceBuckets``.
+    Sum takes the matrix itself, whose stored diagonal gives
+    self-aggregation; mean divides each row by its entry count; max takes
+    the arrays' ``SourceBuckets``.
     """
     if aggregation == "max":
-        return SourceBuckets(adj)
+        return SourceBuckets(indptr, indices, columns)
+    data = np.ones(indices.size)
     if aggregation == "mean":
-        counts = np.diff(adj.indptr)
-        return sparse.csr_matrix((adj.data / np.repeat(counts, counts), adj.indices, adj.indptr),
-                                 shape=adj.shape)
-    return adj
+        counts = np.diff(indptr)
+        data /= np.repeat(counts, counts)
+    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, columns))
 
 
 def mpgnn_layer_forward(h: Tensor, operand, params: MpgnnLayerParams) -> Tensor:
-    """Aggregate each row over its row of ``operand``, then linear + GELU.
+    """Aggregate over each row of the (m, n) ``operand`` the rows of the n-row
+    ``h`` it stores, then linear + GELU: one output row per operand row.
 
     ``operand`` comes from ``aggregation_operand``: ``SourceBuckets`` runs
-    ``neighbor_max``, a sparse matrix runs ``spmm``.
+    ``neighbor_max``, a sparse matrix runs ``spmm``; each raises a
+    ``ShapeError`` when n is not h's row count.
     """
-    n = h.shape[0]
-    if operand.shape != (n, n):
-        raise ShapeError(f"aggregation operand of shape {operand.shape} does not cover {n} rows")
     if isinstance(operand, SourceBuckets):
         agg = neighbor_max(h, operand)
     else:
@@ -387,12 +388,16 @@ def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int,
                                          lead - p + offsets[block] + pos))
 
 
-def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> sparse.csr_matrix:
-    """The (R, R) 0/1 aggregation matrix of the MPGNN, with p prompt rows per block.
+def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays, ``indptr`` and ``indices`` in sorted order, of the (R, R)
+    0/1 aggregation matrix of the MPGNN, with p prompt rows per block.
 
     It holds the diagonal, each graph edge in both directions at the
     node rows it moved to, and every prompt row of a sample wired to each
-    of that sample's original nodes and back.
+    of that sample's original nodes and back. The entries are sorted by
+    one argsort of ``row * R + column``, a stable one, since most parts of
+    the concatenation already run in row order and a stable sort merges
+    such runs.
     """
     node_row = _node_rows(batch.offsets, p)
     a, b = node_row[batch.edges].T
@@ -403,7 +408,17 @@ def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> sparse.csr_matrix:
     diag = np.arange(total)
     rows = np.concatenate([diag, a, b, nodes, prompt])
     cols = np.concatenate([diag, b, a, prompt, nodes])
-    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=total))])
+    return indptr, cols[np.argsort(rows * total + cols, kind="stable")]
+
+
+def _csr_rows(indptr: np.ndarray, indices: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays of the given rows of a CSR matrix, in the order given."""
+    counts = np.diff(indptr)[rows]
+    ends = np.cumsum(counts)
+    entries = np.arange(ends[-1]) + np.repeat(indptr[rows] - ends + counts, counts)
+    return np.concatenate([[0], ends]), indices[entries]
 
 
 def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
@@ -451,8 +466,9 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     rows when a layer drops prompt rows that are in the blocks. Each
     distinct plan is built, and checked, once per forward. The MPGNN
     runs on every row, over one aggregation operand built after prompt
-    rows are inserted, and one gather after its last layer drops the
-    prompt rows.
+    rows are inserted, except in its last layer, which computes node rows
+    only: its operand is the node rows of the same matrix (a CSR row
+    slice, or the ``SourceBuckets`` of those rows for max).
     """
     cfg = backbone.cfg
     sets, counts = check_group(group, cfg, batch.size)
@@ -483,11 +499,13 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
                                 offsets, p, owner)
 
     if cfg.kind == "mpgnn":
-        operand = aggregation_operand(_mpgnn_adjacency(batch, p), cfg.aggregation)
-        for params in backbone.layers:
+        adj, columns = _mpgnn_adjacency(batch, p), h.shape[0]
+        operand = aggregation_operand(*adj, columns, cfg.aggregation)
+        for li, params in enumerate(backbone.layers):
+            if p and li + 1 == cfg.layers:        # the last layer computes node rows only
+                operand = aggregation_operand(*_csr_rows(*adj, _node_rows(offsets, p)),
+                                              columns, cfg.aggregation)
             h = mpgnn_layer_forward(h, operand, params)
-        if p:
-            h = gather_rows(h, _node_rows(offsets, p))
         return h, offsets
     built: dict[tuple, AttentionGroups] = {}      # each distinct set of groups
     prefixes = prompts.prefixes

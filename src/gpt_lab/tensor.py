@@ -33,13 +33,14 @@ once, so each ``block_attention`` over it only gathers, and its backward
 pass fills one gradient buffer in key layout, sums each shared block
 over the groups that read it and takes the other rows by slot.
 The sparse matrix that ``spmm`` takes is a constant, and so is the
-``SourceBuckets`` plan that ``neighbor_max`` takes of one: its output
-rows bucketed by source count, rounded up to a power of two, built once
-per matrix. ``neighbor_max`` runs one gather and one max per bucket;
-only its backward pass looks up which source held each max (the first
-in column order that is not below it, so ties go to the lowest column
-and a NaN max to the row's first source). ``bce_with_logits`` reads a
-non-finite label as missing, the one form of a missing label.
+``SourceBuckets`` plan that ``neighbor_max`` takes of the CSR arrays of
+one: its output rows bucketed by source count, rounded up to a power of
+two, built once per matrix. ``neighbor_max`` runs one gather and one max
+per bucket; only its backward pass looks up which source held each max
+(the first in column order that is not below it, so ties go to the
+lowest column and a NaN max to the row's first source).
+``bce_with_logits`` reads a non-finite label as missing, the one form of
+a missing label.
 """
 
 from __future__ import annotations
@@ -318,27 +319,37 @@ def tsum(a: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g * np.ones_like(ad))])
 
 
+def _over_keys(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over the keys, axis -2 of ``a``, kept as a length-1 axis.
+
+    It runs on a contiguous copy with the key axis outermost, so numpy
+    combines one slab per key, elementwise, in key order. With at least
+    two query positions a slab never shrinks to one entry, which would
+    make the keys one contiguous run that numpy sums by a pairwise tree.
+    """
+    keys_first = a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1).copy()
+    return ufunc.reduce(keys_first, axis=0)[..., None, :]
+
+
 def _softmax_over_keys(scores: np.ndarray, m: np.ndarray):
     """Softmax over the keys, axis -2, with masked entries pinned to exactly zero.
 
     ``m`` broadcasts against ``scores`` and leaves every query a key.
     Masking adds ``MASK_FILL`` before exponentiation and zeroes the
     masked outputs afterwards; each query is stabilized by max
-    subtraction. With the keys off the innermost axis, and at least two
-    query positions on it (one would make numpy add a pairwise tree), each
-    sum adds key by key in key order, so padded keys change no bit.
+    subtraction. Each max and sum over keys (``_over_keys``) takes the
+    keys one at a time in key order, so padded keys change no bit.
 
     Returns the probabilities and the backward map from an upstream
     gradient on them to the gradient on ``scores``.
     """
     shifted = scores + np.where(m, 0.0, MASK_FILL)
-    shifted -= shifted.max(axis=-2, keepdims=True)
+    shifted -= _over_keys(np.maximum, shifted)
     e = np.where(m, np.exp(shifted), 0.0)
-    probs = e / e.sum(axis=-2, keepdims=True)
+    probs = e / _over_keys(np.add, e)
 
     def bwd(g):
-        dot = (g * probs).sum(axis=-2, keepdims=True)
-        return probs * (g - dot)
+        return probs * (g - _over_keys(np.add, g * probs))
 
     return probs, bwd
 
@@ -617,29 +628,31 @@ def spmm(a, x: Tensor) -> Tensor:
 class SourceBuckets:
     """The rows of a CSR matrix bucketed by source count, as ``neighbor_max`` reads them.
 
-    Rows are bucketed by source count rounded up to a power of two, so
-    one large row pads only the rows of its own bucket. Each bucket holds
-    its output rows and a (slots, rows) table of their source columns in
-    column order, short rows pointing at column n, one past the last
-    (unsorted indices are sorted first). Build it once per matrix and
-    pass it to every ``neighbor_max`` over that matrix.
+    The matrix is given by its CSR arrays, ``indptr`` and ``indices``, and
+    its column count. Rows are bucketed by source count rounded up to a
+    power of two, so one large row pads only the rows of its own bucket.
+    Each bucket holds its output rows and a (slots, rows) table of their
+    source columns in column order, short rows pointing at column n, one
+    past the last (indices unsorted within a row are sorted first). Build
+    it once per matrix and pass it to every ``neighbor_max`` over that
+    matrix.
     """
 
-    def __init__(self, adj):
-        if not adj.has_sorted_indices:
-            adj = adj.sorted_indices()
-        counts = np.diff(adj.indptr)
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, columns: int):
+        counts = np.diff(indptr)
         if not counts.all():
             raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
-        self.shape = adj.shape
-        sources = np.append(adj.indices, adj.shape[1])   # entry nnz reads column n
+        self.shape = (counts.size, columns)
+        # A stable sort of (row, column) keys, linear on indices already sorted.
+        key = np.repeat(np.arange(counts.size), counts) * columns + indices
+        sources = np.append(indices[np.argsort(key, kind="stable")], columns)  # nnz reads n
         log_slots = np.frexp(counts - 1)[1]             # ceil(log2(count)), 0 for one source
         self.buckets = []
         for b in np.unique(log_slots):
             rows = np.flatnonzero(log_slots == b)
             slot = np.arange(1 << int(b))[:, None]
             self.buckets.append(
-                (rows, sources[np.where(slot < counts[rows], adj.indptr[rows] + slot, adj.nnz)]))
+                (rows, sources[np.where(slot < counts[rows], indptr[rows] + slot, indices.size)]))
 
 
 def neighbor_max(h: Tensor, buckets: SourceBuckets) -> Tensor:

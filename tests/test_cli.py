@@ -501,15 +501,15 @@ class TestPretrainCommand:
         assert capsys.readouterr().err == f"config error: [pretrain]: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("replace, flags, seed", [({"seed = 11": "seed = -1"}, [], -1),
-                                                      ({}, ["--seed", "-5"], -5)],
-                             ids=["ini", "flag"])
+    @pytest.mark.parametrize("replace, flags, message", [
+        ({"seed = 11": "seed = -1"}, [], "[experiment]: seed must not be negative, got -1"),
+        ({}, ["--seed", "-5"], "seed must not be negative, got -5")], ids=["ini", "flag"])
     def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys, replace, flags,
-                                                     seed):
+                                                     message):
         config = write_config(tmp_path / "seed.ini", replace=replace)
         out = tmp_path / "pre"
         assert main(["pretrain", "--config", str(config), "--out", str(out), *flags]) == 2
-        assert capsys.readouterr().err == f"config error: seed must not be negative, got {seed}\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_holdout_of_every_graph_exits_3(self, tmp_path, capsys):
@@ -1115,17 +1115,22 @@ INPUT_ERRORS = {
     "backbone_feature_dim": (config_with({"feature_dim = 4": "feature_dim = 0"}), ConfigError,
                              "[backbone]: feature_dim and dim must be positive"),
     "task_two_sources": (config_with({"count = 24": "count = 24\ngraph_file = x.gr"}),
-                         ConfigError, "task needs exactly one of 'generator' or 'graph_file'"),
+                         ConfigError, "[task]: task needs exactly one of 'generator' or "
+                                      "'graph_file'"),
     "task_generator": (config_with({"generator = motif_presence": "generator = clique"}),
-                       ConfigError, "unknown generator 'clique'; expected one of "
+                       ConfigError, "[task]: unknown generator 'clique'; expected one of "
                                     "('motif_presence', 'community_count', 'multi_motif')"),
     "task_nodes": (config_with({"max_nodes = 8\n\n[pretrain]": "max_nodes = 4\n\n[pretrain]"}),
-                   ConfigError, "min_nodes must not exceed max_nodes"),
+                   ConfigError, "[task]: min_nodes must not exceed max_nodes"),
     "ablate_axis": (config_with(extra="\n[ablate]\naxis = width\nlengths = 2\n"),
-                    ConfigError, "unknown ablation axis 'width'"),
+                    ConfigError, "[ablate]: unknown ablation axis 'width'"),
     "ablate_component": (config_with(extra="\n[ablate]\naxis = component\n"
                                            "components = deepgpt, magic\n"),
-                         ConfigError, "unknown component 'magic'"),
+                         ConfigError, "[ablate]: unknown component 'magic'"),
+    "ablate_empty_grid": (config_with(extra="\n[ablate]\naxis = length\n"), ConfigError,
+                          "[ablate]: empty grid for ablation axis 'length'"),
+    "experiment_seed": (config_with({"seed = 11": "seed = -1"}), ConfigError,
+                        "[experiment]: seed must not be negative, got -1"),
     "bad_boolean": (config_with({"degree_embed = true": "degree_embed = maybe"}), ConfigError,
                     "[backbone] degree_embed: expected a boolean, got 'maybe'"),
     "bad_interval": (config_with({"p_len = 2": "p_len = 2\nprompted_layers = 1"}),

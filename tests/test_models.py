@@ -218,13 +218,16 @@ def oracle_mpgnn_layer(h, neighbors, weight, bias, mode):
     return np.array([[_oracle_gelu(v) for v in row] for row in lin])
 
 
-def operand(neighbors, mode):
-    """The aggregation operand of neighbour lists: the diagonal plus every listed pair."""
+def operand(neighbors, mode, rows=None):
+    """The aggregation operand of neighbour lists: the diagonal plus every listed
+    pair, at the given rows (every row by default)."""
     n = len(neighbors)
-    rows = [i for i, nb in enumerate(neighbors) for _ in range(len(nb) + 1)]
+    at = [i for i, nb in enumerate(neighbors) for _ in range(len(nb) + 1)]
     cols = [j for i, nb in enumerate(neighbors) for j in (i, *nb)]
-    return aggregation_operand(sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                                                 shape=(n, n)), mode)
+    adj = sparse.csr_matrix((np.ones(len(at)), (at, cols)), shape=(n, n))
+    if rows is not None:
+        adj = adj[rows]
+    return aggregation_operand(adj.indptr, adj.indices, n, mode)
 
 
 class TestMpgnnLayer:
@@ -257,12 +260,16 @@ class TestMpgnnLayer:
         out = mpgnn_layer_forward(Tensor(h), operand(tri, "mean"), params).data
         assert np.abs(out - out[0]).max() == 0.0
 
-    @pytest.mark.parametrize("mode", ["sum", "max"])
-    def test_operand_must_cover_the_rows(self, mode):
-        params = MpgnnLayerParams(weight=Tensor(np.eye(3)), bias=Tensor(np.zeros(3)))
-        with pytest.raises(ShapeError) as info:
-            mpgnn_layer_forward(Tensor(np.zeros((2, 3))), operand([[1], [0], []], mode), params)
-        assert str(info.value) == "aggregation operand of shape (3, 3) does not cover 2 rows"
+    @pytest.mark.parametrize("mode", ["sum", "mean", "max"])
+    def test_an_operand_of_some_rows_computes_those_rows(self, mode):
+        rng = np.random.default_rng(6)
+        h = Tensor(rng.normal(size=(5, 4)))
+        neighbors = [[1, 2], [0], [0, 3, 4], [2], [2]]
+        params = MpgnnLayerParams(weight=Tensor(rng.normal(size=(4, 4))),
+                                  bias=Tensor(rng.normal(size=4)))
+        every = mpgnn_layer_forward(h, operand(neighbors, mode), params).data
+        some = mpgnn_layer_forward(h, operand(neighbors, mode, rows=[4, 0, 2]), params).data
+        assert np.array_equal(some, every[[4, 0, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +533,28 @@ class TestStateRoundTrip:
         state["layer1.bias"] = state["layer1.bias"][:3]
         with pytest.raises(ShapeError, match=r"layer1.bias: stored shape \(3,\) != \(8,\)"):
             Backbone.from_state(cfg, state)
+
+
+def _layer_over(mode):
+    """An MPGNN layer over 2 rows whose operand reads 3."""
+    params = MpgnnLayerParams(weight=Tensor(np.eye(3)), bias=Tensor(np.zeros(3)))
+    two_rows = operand([[1], [0], []], mode, rows=[0, 1])
+    return mpgnn_layer_forward(Tensor(np.zeros((2, 3))), two_rows, params)
+
+
+# Each input check of the model layers that no other test trips: the call,
+# and the exception type and message it raises.
+INPUT_ERRORS = {
+    "mpgnn_operand_columns_sum": (lambda: _layer_over("sum"), ShapeError,
+                                  "spmm: cannot multiply shapes (2, 3) and (2, 3)"),
+    "mpgnn_operand_columns_max": (lambda: _layer_over("max"), ShapeError,
+                                  "neighbor_max: cannot aggregate shape (2, 3) over (2, 3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_check_names_its_cause(name):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -184,6 +184,11 @@ class TestVirtualNodes:
         assert len(seen) == cfg.layers
         adj = seen[0]
         total = offsets[-1] + 2 * len(graphs)
+        # The last layer computes node rows only: its operand is their rows of adj.
+        node_rows = np.concatenate([np.arange(2, 2 + g.n) + offsets[b] + 2 * b
+                                    for b, g in enumerate(graphs)])
+        assert seen[-1].shape == (offsets[-1], total)
+        assert (seen[-1] != adj[node_rows]).nnz == 0
         assert adj.diagonal().tolist() == [1.0] * total
         neighbors = [set(adj[row].indices.tolist()) - {row} for row in range(total)]
         for b, g in enumerate(graphs):

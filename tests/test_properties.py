@@ -9,7 +9,7 @@ the suite stays deterministic.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.stats import rankdata
@@ -22,9 +22,12 @@ from gpt_lab.models import (
     PredictionHead,
     _insert_prompt_rows,
     _mpgnn_adjacency,
+    _node_rows,
+    aggregation_operand,
     backbone_forward,
     encode_graphs,
     encode_nodes,
+    mpgnn_layer_forward,
     transformer_layer_forward,
 )
 from gpt_lab.prompt import TOKEN_STAGES, PromptSet, init_prompts
@@ -39,6 +42,7 @@ from gpt_lab.tensor import (
     block_attention,
     concat_rows,
     gather_rows,
+    linear,
     matmul,
     mul,
     neighbor_max,
@@ -125,7 +129,7 @@ def _blocks(batch, p):
 @given(batch=batches(), p=st.integers(0, 3))
 def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
     cfg = MODELS["mpgnn_sum"][0]
-    adj = _mpgnn_adjacency(encode_graphs(batch, cfg), p)
+    indptr, indices = _mpgnn_adjacency(encode_graphs(batch, cfg), p)
     want = []
     for g, (bs, ns) in zip(batch, _blocks(batch, p)):
         prompt_rows = list(range(bs, ns))
@@ -134,11 +138,56 @@ def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
         want += [{ns + i, *(ns + j for j in nb), *prompt_rows}
                  for i, nb in enumerate(g.neighbors())]
     total = sum(p + g.n for g in batch)
-    assert adj.shape == (total, total)
-    assert np.array_equal(adj.data, np.ones(adj.nnz))
+    assert indptr.shape == (total + 1,) and indptr[0] == 0 and indptr[-1] == indices.size
+    assert indices.min() >= 0 and indices.max() < total
     for row, expected in enumerate(want):
-        stored = adj[row].indices.tolist()
-        assert len(stored) == len(set(stored)) and set(stored) == expected
+        stored = indices[indptr[row]:indptr[row + 1]]
+        assert (np.diff(stored) > 0).all() and set(stored.tolist()) == expected
+
+
+def _mpgnn_every_row(prepared, bb, tokens):
+    """The MPGNN forward of ``encode_nodes`` with its last layer run on every
+    row, prompt rows too, and the node rows gathered after it."""
+    cfg, offsets = bb.cfg, prepared.offsets
+    h = linear(Tensor(prepared.features), bb.w_in, bb.b_in)
+    h = add(h, gather_rows(bb.degree_table, np.minimum(prepared.degrees, cfg.max_degree)))
+    p = 0 if tokens is None else tokens.shape[0]
+    if p:
+        h = _insert_prompt_rows(concat_rows([tokens, h]), offsets, p,
+                                np.zeros(prepared.size, dtype=int))
+    operand = aggregation_operand(*_mpgnn_adjacency(prepared, p), h.shape[0],
+                                  cfg.aggregation)
+    for params in bb.layers:
+        h = mpgnn_layer_forward(h, operand, params)
+    return gather_rows(h, _node_rows(offsets, p))
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean", "max"])
+@PROPERTY_SETTINGS
+@given(batch=batches(), p=st.integers(0, 3), seed=st.integers(0, 2**16))
+def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation, batch,
+                                                                    p, seed):
+    """The node rows, and the gradients of p virtual tokens, equal bit for bit
+    those of a last layer that computes every row before the node rows are
+    gathered. A batch of one node row is left out: numpy runs its products
+    through BLAS's matrix-vector routine, which rounds differently."""
+    assume(sum(g.n for g in batch) > 1)
+    cfg, bb = MODELS[f"mpgnn_{aggregation}"][:2]
+    prepared = encode_graphs(batch, cfg)
+    rng = np.random.default_rng(seed)
+    tokens = Tensor(rng.normal(size=(p, cfg.dim)), requires_grad=True) if p else None
+    weights = Tensor(rng.normal(size=(prepared.offsets[-1], cfg.dim)))
+    group = None if tokens is None else [(PromptSet(virtual_tokens=tokens), prepared.size)]
+    runs = []
+    for forward in (lambda: encode_nodes(prepared, bb, group)[0],
+                    lambda: _mpgnn_every_row(prepared, bb, tokens)):
+        with Tape():
+            h = forward()
+            grads = backward(tsum(mul(h, weights)))
+        runs.append((h.data, grads.get(tokens)))
+    (h, grad), (want_h, want_grad) = runs
+    assert np.array_equal(h, want_h)
+    assert p == 0 or np.array_equal(grad, want_grad)
 
 
 PROMPTED = {"deepgpt": "transformer", "prefix_only": "transformer",
@@ -348,7 +397,7 @@ def test_neighbor_max_equals_a_per_row_oracle(first, rest, extra, seed):
     g = rng.normal(size=(len(counts), d))
     x = Tensor(h, requires_grad=True)
     with Tape(), np.errstate(invalid="ignore"):
-        out = neighbor_max(x, SourceBuckets(adj))
+        out = neighbor_max(x, SourceBuckets(adj.indptr, adj.indices, n))
         grad = backward(tsum(mul(out, Tensor(g))))[x]
     want = np.array([h[c].max(axis=0) for c in cols])
     want_grad = np.zeros((n, d))

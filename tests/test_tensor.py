@@ -494,7 +494,12 @@ def csr(groups, cols=3):
                              shape=(len(groups), cols))
 
 
-_NEIGHBORS = T.SourceBuckets(csr([[0, 1], [1, 2], [0, 1, 2]]))
+def buckets(adj):
+    """The ``SourceBuckets`` of a CSR matrix's arrays."""
+    return T.SourceBuckets(adj.indptr, adj.indices, adj.shape[1])
+
+
+_NEIGHBORS = buckets(csr([[0, 1], [1, 2], [0, 1, 2]]))
 _SPARSE = sparse.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.5, 0.0], [3.0, 0.0, 0.25]]))
 
 PRIMITIVE_CASES = {
@@ -547,12 +552,12 @@ def test_every_primitive_matches_finite_differences(name):
 class TestNeighborMax:
     def test_empty_row_rejected(self):
         with pytest.raises(ContractError, match="row 1 has no source"):
-            T.SourceBuckets(csr([[0], [], [1, 2]]))
+            buckets(csr([[0], [], [1, 2]]))
 
     def test_exact_tie_sends_the_whole_gradient_to_one_source(self):
         h = Tensor(np.array([[1.0, 2.0], [1.0, 0.5], [1.0, 2.0]]), requires_grad=True)
         with Tape():
-            out = T.neighbor_max(h, T.SourceBuckets(csr([[0, 1, 2], [1, 2]])))
+            out = T.neighbor_max(h, buckets(csr([[0, 1, 2], [1, 2]])))
             grads = backward(T.tsum(out))
         # Output row 0 ties in both columns, row 1 in column 0: the first
         # source in column order takes each output's whole gradient.
@@ -560,14 +565,14 @@ class TestNeighborMax:
 
     def test_buckets_built_once_serve_every_call(self):
         adj = csr([[2, 0], [1], [0, 1, 2], [2]])
-        buckets = T.SourceBuckets(adj)
+        built = buckets(adj)
         for _ in range(2):
             h = Tensor(rand(3, 2), requires_grad=True)
             with Tape():
-                shared = T.neighbor_max(h, buckets)
+                shared = T.neighbor_max(h, built)
                 grad_shared = backward(T.tsum(shared))[h]
             with Tape():
-                fresh = T.neighbor_max(h, T.SourceBuckets(adj))
+                fresh = T.neighbor_max(h, buckets(adj))
                 grad_fresh = backward(T.tsum(fresh))[h]
             assert np.array_equal(shared.data, fresh.data)
             assert np.array_equal(grad_shared, grad_fresh)
