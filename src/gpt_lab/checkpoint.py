@@ -4,10 +4,10 @@ The container is a deliberately boring binary format: a magic line, a
 length-prefixed canonical-JSON header describing the arrays, then the raw
 little-endian float64 array bytes in header order. Writing the same state
 twice produces byte-identical files, which archive formats with embedded
-timestamps would not. Format 2 stores a transformer layer's query, key
-and value weights as one array; ``load_backbone`` joins the per-head
-arrays of a format-1 file, and checks every array's name and shape
-against the stored config's parameters.
+timestamps would not. Format 2, the one format read or written, stores
+a transformer layer's query, key and value weights as one array;
+``load_backbone`` checks every array's name and shape against the
+stored config's parameters.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     pos += header_len
-    if meta.get("format_version") not in (1, FORMAT_VERSION):
+    if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version "
                               f"{meta.get('format_version')!r}")
     arrays = {}
@@ -120,31 +120,11 @@ def load_backbone(path, expected: BackboneConfig | None = None
         raise CheckpointMismatchError(
             f"{path}: checkpoint fingerprint {stored[:12]}... does not match the "
             f"configured backbone {fingerprint(expected)[:12]}...")
-    if meta["format_version"] == 1 and cfg.kind == "transformer":
-        arrays = _join_v1_heads(path, cfg, arrays)
     try:
         Backbone.from_state(cfg, arrays)   # the names and shapes of cfg's parameters
     except (ContractError, ShapeError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return cfg, arrays
-
-
-def _join_v1_heads(path, cfg: BackboneConfig, arrays: dict[str, np.ndarray]
-                   ) -> dict[str, np.ndarray]:
-    """Join a format-1 file's per-head ``layer{i}.wq{h}``, ``.wk{h}`` and
-    ``.wv{h}`` arrays into each layer's ``layer{i}.qkv.weight``, in column
-    order: the q heads, then the k heads, then the v heads."""
-    arrays = dict(arrays)
-    shape = (cfg.dim, cfg.head_width)
-    for i in range(cfg.layers):
-        names = [f"layer{i}.w{part}{h}" for part in "qkv" for h in range(cfg.heads)]
-        bad = [name for name in names if np.shape(arrays.get(name)) != shape]
-        if bad:
-            raise CheckpointError(f"{path}: format-1 head array {bad[0]} is missing or "
-                                  f"not of shape {shape}")
-        arrays[f"layer{i}.qkv.weight"] = np.concatenate([arrays.pop(n) for n in names],
-                                                        axis=1)
-    return arrays
 
 
 def save_prompt(path, *, dim: int, layers: int, mode: str, p_len: int,

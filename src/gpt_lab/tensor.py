@@ -11,13 +11,13 @@ Shapes are kept deliberately rigid: every tensor is a scalar, a vector
 or a matrix, and the single allowed broadcast is a row vector over the
 rows of a matrix. Everything else is a shape error. Rows move by one
 primitive, ``gather_rows``: output row i reads input row ``index[i]``,
-or a zero row for -1, and the backward pass scatter-adds onto the rows
+which must name a row, and the backward pass scatter-adds onto the rows
 read (or, for a strictly increasing index, assigns them), and
 ``stack_rows`` makes one matrix of vectors. ``pool_rows``, which sums or
 averages contiguous segments of rows, and ``block_attention`` gather
-through the same helper; ``linear`` (``x @ w + b``) is the one affine
-map, and no row of its result or of its input gradient depends on the
-row count. The one place that works on
+padded blocks of rows, in which -1 reads a zero row; ``linear``
+(``x @ w + b``) is the one affine map, and no row of its result or of
+its input gradient depends on the row count. The one place that works on
 higher-rank arrays is ``block_attention``: it gathers the rows of its
 fused (R, 3 * heads * dq) query/key/value operand into padded (B, heads,
 L, dq) groups, runs softmax attention within each group and returns one
@@ -34,11 +34,12 @@ pass fills one gradient buffer in key layout, sums each shared block
 over the groups that read it and takes the other rows by slot.
 The sparse matrix that ``spmm`` takes is a constant, and so is the
 ``SourceBuckets`` plan that ``neighbor_max`` takes of the CSR arrays of
-one: its output rows bucketed by source count, rounded up to a power of
-two, built once per matrix. ``neighbor_max`` runs one gather and one max
-per bucket; only its backward pass looks up which source held each max
-(the first in column order that is not below it, so ties go to the
-lowest column and a NaN max to the row's first source).
+one, each row's columns ascending: its output rows bucketed by source
+count, rounded up to a power of two, built once per matrix.
+``neighbor_max`` runs one gather and one max per bucket; only its
+backward pass looks up which source held each max (the first in column
+order that is not below it, so ties go to the lowest column and a NaN
+max to the row's first source).
 ``bce_with_logits`` reads a non-finite label as missing, the one form of
 a missing label.
 """
@@ -554,11 +555,10 @@ def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _scatter_add_rows(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     """Sum row ``i`` of ``g`` onto row ``index[i]`` of an (n, d) zero matrix, in one
-    ``np.bincount``; rows whose index is -1 are dropped."""
+    ``np.bincount``."""
     d = g.shape[1]
-    # -1 becomes a spare row n, whose sums are dropped.
-    flat = ((index % (n + 1))[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=(n + 1) * d)[:n * d].reshape(n, d)
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
 
 
 def _assign_rows(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -569,24 +569,24 @@ def _assign_rows(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
-    """Row ``i`` of the result is ``x[index[i]]``, or a zero row where ``index[i]`` is -1.
+    """Row ``i`` of the result is ``x[index[i]]``, for an index in ``[0, n)``.
 
     A row of ``x`` may be read any number of times; the backward pass
     scatter-adds every gradient row back onto the row it was read from,
     in one ``np.bincount``. When the index reads each row at most once,
-    in ascending order (no -1), the forward notes it, and the backward
-    writes the rows by assignment instead, with the same values.
+    in ascending order, the forward notes it, and the backward writes
+    the rows by assignment instead, with the same values.
     """
     idx = np.asarray(index)
     if x.ndim != 2 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"gather_rows needs a matrix and a 1-D int index, got shape "
                          f"{x.shape} and {idx.dtype} index of shape {idx.shape}")
     n = x.shape[0]
-    if idx.size and (idx.min() < -1 or idx.max() >= n):
-        raise ContractError(f"gather_rows: index outside [-1, {n}) for a {n}-row matrix")
-    increasing = idx.size and idx[0] >= 0 and (idx[1:] > idx[:-1]).all()
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ContractError(f"gather_rows: index outside [0, {n}) for a {n}-row matrix")
+    increasing = idx.size and (idx[1:] > idx[:-1]).all()
     scatter = _assign_rows if increasing else _scatter_add_rows
-    return _record(Tensor(_take_rows(x.data, idx)), [(x, lambda g: scatter(g, idx, n))])
+    return _record(Tensor(x.data.take(idx, axis=0)), [(x, lambda g: scatter(g, idx, n))])
 
 
 def pool_rows(x: Tensor, offsets, mode: str) -> Tensor:
@@ -633,19 +633,22 @@ class SourceBuckets:
     power of two, so one large row pads only the rows of its own bucket.
     Each bucket holds its output rows and a (slots, rows) table of their
     source columns in column order, short rows pointing at column n, one
-    past the last (indices unsorted within a row are sorted first). Build
-    it once per matrix and pass it to every ``neighbor_max`` over that
-    matrix.
+    past the last; each row's indices must ascend, as a matrix in
+    canonical form has them. Build it once per matrix and pass it to
+    every ``neighbor_max`` over that matrix.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, columns: int):
         counts = np.diff(indptr)
         if not counts.all():
             raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
+        ascends = np.diff(indices) > 0
+        ascends[indptr[1:-1] - 1] = True                # a row may start below the one before
+        if not ascends.all():
+            row = int(np.searchsorted(indptr, np.argmin(ascends), "right")) - 1
+            raise ContractError(f"neighbor_max: the columns of row {row} do not ascend")
         self.shape = (counts.size, columns)
-        # A stable sort of (row, column) keys, linear on indices already sorted.
-        key = np.repeat(np.arange(counts.size), counts) * columns + indices
-        sources = np.append(indices[np.argsort(key, kind="stable")], columns)  # nnz reads n
+        sources = np.append(indices, columns)           # entry nnz reads column n
         log_slots = np.frexp(counts - 1)[1]             # ceil(log2(count)), 0 for one source
         self.buckets = []
         for b in np.unique(log_slots):

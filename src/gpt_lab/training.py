@@ -287,10 +287,14 @@ class FoldResult:
 
     fold: int
     record: RunRecord
-    final_metric: float
     trainable_count: int
     frozen_count: int
     prompt_state: dict[str, np.ndarray]
+
+    @property
+    def final_metric(self) -> float:
+        """The evaluation metric of the fold's last epoch."""
+        return self.record.eval_metrics[-1]
 
 
 def _subseed(seed: int, *path) -> int:
@@ -552,7 +556,6 @@ def _run_fold(job) -> list[FoldResult]:
     for fold, f, record in zip(group, folds, records):
         counts = count_params(f.registry)
         results.append(FoldResult(fold=fold, record=record,
-                                  final_metric=record.eval_metrics[-1],
                                   trainable_count=counts["trainable_count"],
                                   frozen_count=counts["frozen_count"],
                                   prompt_state={name: t.data.copy()

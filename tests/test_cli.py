@@ -19,7 +19,8 @@ from gpt_lab.cli import (
 from gpt_lab.config import (AblateConfig, ConfigError, ExperimentConfig, PretrainConfig,
                             TaskConfig, load_config)
 from gpt_lab.graphs import DataError, GraphSample, gen_downstream, make_folds, write_graph_file
-from gpt_lab.models import Backbone, BackboneConfig
+from gpt_lab.models import Backbone, BackboneConfig, PredictionHead
+from gpt_lab.prompt import build_registry, count_params, init_prompts, trains_backbone
 from gpt_lab.training import TuningConfig, evaluate_fold
 
 from csv_rows import read_csv
@@ -159,31 +160,6 @@ def ckpt_of(workspace: Path) -> str:
     return str(workspace / "pre" / "backbone.ckpt")
 
 
-def write_v1(path, meta: dict, arrays: dict, monkeypatch) -> None:
-    """Write a checkpoint file in format 1."""
-    with monkeypatch.context() as m:
-        m.setattr(ck, "FORMAT_VERSION", 1)
-        ck._write(path, meta, arrays)
-
-
-def write_v1_backbone(path, cfg: BackboneConfig, state: dict, monkeypatch) -> dict:
-    """Write a transformer state as a format-1 backbone file, each layer's fused
-    ``qkv.weight`` split into its per-head ``wq{h}``, ``wk{h}`` and ``wv{h}``
-    arrays; returns the arrays written."""
-    d, dq = cfg.dim, cfg.head_width
-    arrays = dict(state)
-    for i in range(cfg.layers):
-        fused = arrays.pop(f"layer{i}.qkv.weight")
-        for part, name in enumerate("qkv"):
-            for h in range(cfg.heads):
-                start = part * d + h * dq
-                arrays[f"layer{i}.w{name}{h}"] = fused[:, start:start + dq]
-    meta = {"kind": "backbone", "fingerprint": ck.fingerprint(cfg),
-            "config": dataclasses.asdict(cfg)}
-    write_v1(path, meta, arrays, monkeypatch)
-    return arrays
-
-
 class TestCheckpointFormat:
     def test_backbone_round_trip_bit_exact(self, tmp_path):
         from gpt_lab.models import Backbone
@@ -230,49 +206,6 @@ class TestCheckpointFormat:
             ck.load_prompt(path, dim=16, layers=2)
         with pytest.raises(ck.CheckpointMismatchError):
             ck.load_prompt(path, dim=8, layers=3)
-
-    def test_format_1_prompt_file_loads(self, tmp_path, monkeypatch):
-        path = tmp_path / "p.ckpt"
-        token = np.arange(8.0)
-        write_v1(path, {"kind": "prompt", "dim": 8, "layers": 2}, {"prompt.token": token},
-                 monkeypatch)
-        _, state = ck.load_prompt(path, dim=8, layers=2)
-        assert np.array_equal(state["prompt.token"], token)
-
-    def test_format_1_backbone_loads_into_the_fused_qkv_weight(self, tmp_path, monkeypatch):
-        from gpt_lab.models import Backbone, backbone_forward, encode_graphs
-
-        cfg = BackboneConfig(kind="transformer", feature_dim=3, dim=8, heads=2, layers=2,
-                             ffn_mult=2, rwpe_steps=2)
-        bb = Backbone.init(cfg, seed=3)
-        path = tmp_path / "v1.ckpt"
-        write_v1_backbone(path, cfg, bb.state_arrays(), monkeypatch)
-        assert ck._read(path)[0]["format_version"] == 1
-        got_cfg, arrays = ck.load_backbone(path, expected=cfg)
-        loaded = Backbone.from_state(got_cfg, arrays)
-        graphs = gen_downstream(5, "motif_presence", seed=2, feature_dim=3)
-        batch = encode_graphs(graphs, cfg)
-        assert np.array_equal(backbone_forward(batch, loaded).data,
-                              backbone_forward(batch, bb).data)
-
-    @pytest.mark.parametrize("damage", ["missing", "misshapen"])
-    def test_format_1_backbone_with_a_bad_head_array_rejected(self, tmp_path, monkeypatch,
-                                                              damage):
-        from gpt_lab.models import Backbone
-
-        cfg = BackboneConfig(kind="transformer", feature_dim=3, dim=8, heads=2, layers=2,
-                             ffn_mult=2)
-        path = tmp_path / "v1.ckpt"
-        arrays = write_v1_backbone(path, cfg, Backbone.init(cfg, seed=3).state_arrays(),
-                                   monkeypatch)
-        if damage == "missing":
-            del arrays["layer1.wk1"]
-        else:
-            arrays["layer1.wk1"] = arrays["layer1.wk1"][:, :1]
-        write_v1(path, ck._read(path)[0], arrays, monkeypatch)
-        with pytest.raises(ck.CheckpointError, match="layer1.wk1"):
-            ck.load_backbone(path)
-
 
 class TestPublishedScale:
     def test_prompt_checkpoint_50x_smaller_and_ratio_under_half_percent(self, tmp_path):
@@ -803,17 +736,15 @@ class TestTuneCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: fold 1: evaluation split: auroc is undefined")
 
-    def test_format_1_backbone_missing_a_head_exits_4(self, workspace, tmp_path,
-                                                      monkeypatch, capsys):
-        backbone_cfg, state = ck.load_backbone(ckpt_of(workspace))
+    def test_format_1_backbone_exits_4(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "v1.ckpt"
-        arrays = write_v1_backbone(ckpt, backbone_cfg, state, monkeypatch)
-        del arrays["layer0.wv1"]
-        write_v1(ckpt, ck._read(ckpt)[0], arrays, monkeypatch)
+        ckpt.write_bytes(Path(ckpt_of(workspace)).read_bytes())
         config = write_config(tmp_path / "exp.ini")
-        assert main(["tune", "--config", str(config), "--ckpt", str(ckpt),
+        assert main(["tune", "--config", str(config), "--ckpt", str(as_format_1(ckpt)),
                      "--out", str(tmp_path / "run")]) == 4
-        assert "layer0.wv1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"checkpoint error: {ckpt}: unsupported format "
+                                           "version 1\n")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("damage", ["misshapen", "renamed"])
     def test_backbone_with_a_bad_array_exits_4(self, workspace, tmp_path, capsys, damage):
@@ -999,6 +930,122 @@ class TestReportCommand:
         assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
 
 
+# -- the run directory, recomputed from its own records --------------------------
+
+# Pretraining at an lr that makes its last epoch worse than its first, and
+# tuning for three epochs, so that every summary below can tell the last
+# epoch from the best one, a mean from a median and a sample standard
+# deviation from a population one.
+ORACLE_CONFIG = {
+    "epochs = 3\nwarmup_epochs = 1\nbatch_size = 8":
+        "epochs = 2\nwarmup_epochs = 1\nbatch_size = 8\nlr = 0.05",
+    "epochs = 2\nwarmup_epochs = 1\nbatch_size = 8\nfolds = 3":
+        "epochs = 3\nwarmup_epochs = 1\nbatch_size = 8\nfolds = 3\nlr = 0.05",
+}
+
+
+def registry_counts(cfg: ExperimentConfig, tuning: TuningConfig) -> dict:
+    """``count_params`` of the registry that a fold of ``tuning`` trains."""
+    bb = Backbone.init(cfg.backbone, seed=0)
+    head = PredictionHead.init(cfg.backbone.dim, 1, seed=0, hidden=tuning.head_hidden)
+    prompts = init_prompts(tuning.mode, cfg.backbone, tuning.p_len, seed=0,
+                           prompted_layers=tuning.prompted_layers,
+                           token_stage=tuning.token_stage)
+    return count_params(build_registry(bb, head, prompts,
+                                       train_backbone=trains_backbone(tuning.mode)))
+
+
+def fold_records(run: Path) -> list[dict]:
+    """The run records of ``run``, in the order ``gpt-lab report`` reads them."""
+    return [json.loads(path.read_text())
+            for path in sorted((run / "runrecords").glob("fold*.json"))]
+
+
+def recompute_run(run: Path, cfg: ExperimentConfig, tuning: TuningConfig,
+                  command: str) -> dict:
+    """Check ``run``'s ``fold_metrics.csv`` against its fold records and its
+    ``run_meta.json`` against the config, and return its metrics row as
+    recomputed from them."""
+    records = fold_records(run)
+    folds = read_csv(run / "fold_metrics.csv", FOLD_CSV_FIELDS)
+    finals = [float(row["final_metric"]) for row in folds]
+    best = [int(row["epochs_to_best"]) for row in folds]
+    assert [int(row["fold"]) for row in folds] == list(range(tuning.folds))
+    assert finals == [record["eval_metrics"][-1] for record in records]
+    assert best == [1 + int(np.argmax(record["eval_metrics"])) for record in records]
+    assert len(set(finals)) > 1 and np.mean(best) != np.median(best)
+    counts = registry_counts(cfg, tuning)
+    assert json.loads((run / "run_meta.json").read_text()) == {
+        "command": command, "mode": tuning.mode, "metric": tuning.metric, "seed": cfg.seed,
+        "folds": tuning.folds, "trainable_params": counts["trainable_count"],
+        "frozen_params": counts["frozen_count"],
+        "backbone_fingerprint": ck.fingerprint(cfg.backbone)}
+    return {"mode": tuning.mode, "metric": tuning.metric,
+            "trainable_params": str(counts["trainable_count"]),
+            "mean": repr(float(np.mean(finals))), "std": repr(float(np.std(finals, ddof=1))),
+            "epochs_to_best_mean": repr(float(np.mean(best)))}
+
+
+def test_a_run_directory_is_recomputed_from_its_own_records(tmp_path):
+    """``pretrain``, ``tune``, ``ablate`` and ``report`` on one tiny config: each
+    summary they write equals, by ``==``, its value recomputed from the fold
+    records and the config of the same run."""
+    config = write_config(tmp_path / "exp.ini", replace=ORACLE_CONFIG,
+                          extra="\n[ablate]\naxis = component\n"
+                                "components = lightweight, deepgpt\n")
+    cfg = load_config(config)
+    pre, run, cells = tmp_path / "pre", tmp_path / "run", tmp_path / "abl" / "cells"
+    assert main(["pretrain", "--config", str(config), "--out", str(pre)]) == 0
+    ckpt = str(pre / "backbone.ckpt")
+    assert main(["tune", "--config", str(config), "--ckpt", ckpt, "--out", str(run)]) == 0
+    assert main(["ablate", "--config", str(config), "--ckpt", ckpt,
+                 "--out", str(tmp_path / "abl")]) == 0
+    runs = [run, cells / "lightweight", cells / "deepgpt"]
+    assert main(["report", *map(str, runs), "--out", str(tmp_path / "rep")]) == 0
+
+    pretrained = json.loads((pre / "pretrain_record.json").read_text())
+    rmse = pretrained.pop("eval_metrics")
+    assert min(rmse) != rmse[-1]
+    assert pretrained.pop("seed") == cfg.seed and pretrained.pop("count") == cfg.pretrain.count
+    assert pretrained.pop("final_rmse") == rmse[-1]
+
+    tuning = cfg.tuning
+    assert read_csv(run / "metrics.csv", TUNE_CSV_FIELDS) == [
+        recompute_run(run, cfg, tuning, "tune")]
+    meta, state = ck.load_prompt(run / "prompt.ckpt")
+    assert meta.pop("arrays") == [{"name": name, "shape": list(state[name].shape)}
+                                  for name in sorted(state)]
+    assert meta == {"kind": "prompt", "format_version": ck.FORMAT_VERSION,
+                    "dim": cfg.backbone.dim, "layers": cfg.backbone.layers,
+                    "mode": tuning.mode, "p_len": tuning.p_len,
+                    "token_stage": tuning.token_stage,
+                    "backbone_fingerprint": ck.fingerprint(cfg.backbone),
+                    "fold": tuning.folds - 1, "seed": cfg.seed}
+    assert sum(a.size for a in state.values()) == registry_counts(cfg, tuning)["trainable_count"]
+
+    rows = []
+    for mode in ("lightweight", "deepgpt"):
+        row = recompute_run(cells / mode, cfg, dataclasses.replace(tuning, mode=mode), "ablate")
+        rows.append({"axis": "component", "cell": mode,
+                     **{k: v for k, v in row.items() if k in ABLATE_CSV_FIELDS}})
+    assert read_csv(tmp_path / "abl" / "ablate_component.csv", ABLATE_CSV_FIELDS) == rows
+
+    per_mode = {}
+    for path in runs:
+        bucket = per_mode.setdefault(json.loads((path / "run_meta.json").read_text())["mode"],
+                                     {"runs": 0, "best": [], "seconds": []})
+        bucket["runs"] += 1
+        for record in fold_records(path):
+            bucket["best"].append(record["epochs_to_best"])
+            bucket["seconds"] += record["epoch_seconds"]
+    assert per_mode["deepgpt"]["runs"] == 2
+    assert read_csv(tmp_path / "rep" / "report.csv", REPORT_CSV_FIELDS) == [
+        {"mode": mode, "runs": str(bucket["runs"]),
+         "epochs_to_best_mean": repr(float(np.mean(bucket["best"]))),
+         "epoch_seconds_mean": repr(float(np.mean(bucket["seconds"])))}
+        for mode, bucket in sorted(per_mode.items())]
+
+
 # -- input checks ----------------------------------------------------------------
 
 
@@ -1031,12 +1078,36 @@ def prompt_as_backbone(tmp_path):
 
 
 _MPGNN = BackboneConfig(kind="mpgnn", feature_dim=3, dim=8, heads=2, layers=1)
+_TRANSFORMER = BackboneConfig(kind="transformer", feature_dim=3, dim=8, heads=2, layers=2,
+                              ffn_mult=2)
 
 
 def backbone_as_prompt(tmp_path):
     path = tmp_path / "x.ckpt"
     ck.save_backbone(path, _MPGNN, Backbone.init(_MPGNN, seed=0).state_arrays())
     return ck.load_prompt(path)
+
+
+def as_format_1(path):
+    """The checkpoint at ``path``, its header marked as format 1."""
+    raw = path.read_bytes()
+    assert raw.count(b'"format_version": 2') == 1
+    path.write_bytes(raw.replace(b'"format_version": 2', b'"format_version": 1'))
+    return path
+
+
+def format_1_backbone(tmp_path):
+    path = tmp_path / "x.ckpt"
+    ck.save_backbone(path, _TRANSFORMER, Backbone.init(_TRANSFORMER, seed=3).state_arrays())
+    return ck.load_backbone(as_format_1(path))
+
+
+def format_1_prompt(tmp_path):
+    path = tmp_path / "x.ckpt"
+    ck.save_prompt(path, dim=8, layers=2, mode="deepgpt", p_len=2,
+                   token_stage="post_projection", backbone_fingerprint="f",
+                   state={"prompt.token": np.zeros(8)})
+    return ck.load_prompt(as_format_1(path), dim=8, layers=2)
 
 
 def stale_fingerprint(tmp_path):
@@ -1090,6 +1161,10 @@ INPUT_ERRORS = {
                               "{tmp}/x.ckpt: bad header (Expecting property name"),
     "checkpoint_version": (raw_checkpoint(header(format_version=3, arrays=[])),
                            ck.CheckpointError, "{tmp}/x.ckpt: unsupported format version 3"),
+    "checkpoint_format_1_backbone": (format_1_backbone, ck.CheckpointError,
+                                     "{tmp}/x.ckpt: unsupported format version 1"),
+    "checkpoint_format_1_prompt": (format_1_prompt, ck.CheckpointError,
+                                   "{tmp}/x.ckpt: unsupported format version 1"),
     "checkpoint_truncated_array": (
         raw_checkpoint(header(format_version=2, arrays=[{"name": "w", "shape": [2]}]),
                        bytes(8)),

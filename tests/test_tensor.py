@@ -224,8 +224,8 @@ class TestAttentionGroupsWithAPromptIndex:
 
 
 class TestGatherRowsBackward:
-    @pytest.mark.parametrize("index", [[0, 2, 3, 5], [1, 1, 4], [5, 2], [-1, 0, 3]],
-                             ids=["increasing", "repeated", "decreasing", "zero_row"])
+    @pytest.mark.parametrize("index", [[0, 2, 3, 5], [1, 1, 4], [5, 2]],
+                             ids=["increasing", "repeated", "decreasing"])
     def test_every_index_scatters_as_the_bincount_oracle(self, index):
         """Assignment (for a strictly increasing index) and scatter-add give the
         same gradient, bit for bit."""
@@ -234,10 +234,10 @@ class TestGatherRowsBackward:
         g = rand(index.size, 5)
         with Tape():
             grad = backward(T.tsum(T.mul(T.gather_rows(x, index), Tensor(g))))[x]
-        want = np.zeros((7, 5))          # row 6 takes the rows read as -1
+        want = np.zeros((6, 5))
         for i, row in enumerate(index):
             want[row] += g[i]
-        assert np.array_equal(grad, want[:6])
+        assert np.array_equal(grad, want)
 
 
 def test_stack_rows_needs_vectors_of_one_width():
@@ -513,7 +513,6 @@ PRIMITIVE_CASES = {
     "gelu": lambda a: T.gelu(a),
     "concat_rows": lambda a, b2, p: T.concat_rows([a, b2, p]),
     "gather_rows_repeated": lambda tab: T.gather_rows(tab, np.array([0, 2, 2, 1, 2])),
-    "gather_rows_zero_rows": lambda a: T.gather_rows(a, np.array([-1, 1, 1, -1, 2, -1])),
     "gather_rows_increasing": lambda a: T.gather_rows(a, np.array([0, 2])),
     "stack_rows": lambda v, u: T.stack_rows([v, u, v]),
     "neighbor_max": lambda a: T.neighbor_max(a, _NEIGHBORS),
@@ -616,22 +615,22 @@ def test_composite_transformer_style_graph_vs_fd():
 
 
 class TestGatherRows:
-    def test_rows_read_by_index_and_minus_one_reads_zeros(self):
+    def test_rows_read_by_index(self):
         x = rand(3, 2)
-        out = T.gather_rows(Tensor(x), np.array([2, -1, 0, 2])).data
-        assert np.array_equal(out, [x[2], [0.0, 0.0], x[0], x[2]])
+        out = T.gather_rows(Tensor(x), np.array([2, 1, 0, 2])).data
+        assert np.array_equal(out, [x[2], x[1], x[0], x[2]])
 
     def test_repeated_rows_sum_their_gradients(self):
         x = Tensor(rand(3, 2), requires_grad=True)
         g = rand(4, 2)
         with Tape():
-            grads = backward(T.tsum(T.mul(T.gather_rows(x, np.array([2, -1, 0, 2])),
+            grads = backward(T.tsum(T.mul(T.gather_rows(x, np.array([2, 1, 0, 2])),
                                           Tensor(g))))
-        assert np.array_equal(grads[x], [g[2], [0.0, 0.0], g[0] + g[3]])
+        assert np.array_equal(grads[x], [g[2], g[1], g[0] + g[3]])
 
     @pytest.mark.parametrize("index", [[0, 3], [-2, 0]])
     def test_out_of_range_index_rejected(self, index):
-        with pytest.raises(ContractError, match=r"outside \[-1, 3\)"):
+        with pytest.raises(ContractError, match=r"outside \[0, 3\)"):
             T.gather_rows(Tensor(rand(3, 2)), np.array(index))
 
     @pytest.mark.parametrize("index", [np.zeros((2, 2), dtype=int), np.array([0.0, 1.0])])
@@ -687,6 +686,13 @@ INPUT_ERRORS = {
                           "concat_rows needs at least one part"),
     "pool_rows_vector": (lambda: T.pool_rows(_matrix(3), np.array([0, 3]), "sum"), ShapeError,
                          "pool_rows needs a matrix, got shape (3,)"),
+    "gather_rows_minus_one": (lambda: T.gather_rows(_matrix(3, 2), np.array([0, -1])),
+                              ContractError, "gather_rows: index outside [0, 3) for a 3-row "
+                                             "matrix"),
+    "neighbor_max_unsorted_row": (lambda: T.SourceBuckets(np.array([0, 2, 4]),
+                                                          np.array([0, 1, 2, 0]), 3),
+                                  ContractError, "neighbor_max: the columns of row 1 do not "
+                                                 "ascend"),
     "spmm_shapes": (lambda: T.spmm(csr([[0], [1]]), _matrix(2, 2)), ShapeError,
                     "spmm: cannot multiply shapes (2, 3) and (2, 2)"),
     "neighbor_max_rows": (lambda: T.neighbor_max(_matrix(2, 2), _NEIGHBORS), ShapeError,

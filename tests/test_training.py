@@ -680,6 +680,17 @@ class TestRunRecord:
             assert r.record.train_losses == pytest.approx([np.mean(per_graph)] * config.epochs,
                                                           rel=1e-12, abs=0)
 
+    def test_each_fold_starts_from_its_own_draw(self, motif_data):
+        """An lr of 1e-300 moves a parameter by about 1e-300 at most (a zero
+        entry to +-1e-300), so each fold's stored state stays within 1e-200 of
+        its initial draw, and no two folds draw the same head and prompts."""
+        cfg, state = tiny_backbone()
+        results = train(tiny_config("deepgpt", lr=1e-300), motif_data, cfg, state, seed=1)
+        for a, b in itertools.combinations(results, 2):
+            assert a.prompt_state.keys() == b.prompt_state.keys()
+            assert not all(np.allclose(a.prompt_state[k], b.prompt_state[k], rtol=0, atol=1e-200)
+                           for k in a.prompt_state)
+
 
 @pytest.fixture(scope="module")
 def fold_runs(motif_data):
