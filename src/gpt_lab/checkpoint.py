@@ -80,18 +80,22 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     pos += header_len
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version "
                               f"{meta.get('format_version')!r}")
+    try:
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in meta["arrays"]]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header has no {exc} field") from None
     arrays = {}
-    for entry in meta["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if pos + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated array data for {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(
-            raw[pos:pos + nbytes], dtype="<f8").reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated array data for {name}")
+        arrays[name] = np.frombuffer(raw[pos:pos + nbytes], dtype="<f8").reshape(shape).copy()
         pos += nbytes
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
@@ -112,7 +116,10 @@ def load_backbone(path, expected: BackboneConfig | None = None
     meta, arrays = _read(path)
     if meta.get("kind") != "backbone":
         raise CheckpointError(f"{path}: not a backbone checkpoint")
-    cfg = BackboneConfig(**meta["config"])
+    try:
+        cfg = BackboneConfig(**meta["config"])
+    except (KeyError, TypeError, ContractError) as exc:
+        raise CheckpointError(f"{path}: bad backbone config ({exc})") from None
     stored = meta.get("fingerprint")
     if stored != fingerprint(cfg):
         raise CheckpointError(f"{path}: fingerprint does not match stored config")
@@ -151,6 +158,8 @@ def load_prompt(path, *, dim: int | None = None, layers: int | None = None
     meta, arrays = _read(path)
     if meta.get("kind") != "prompt":
         raise CheckpointError(f"{path}: not a prompt checkpoint")
+    if not {"dim", "layers"} <= meta.keys():
+        raise CheckpointError(f"{path}: prompt header has no 'dim' or no 'layers' field")
     if dim is not None and meta["dim"] != dim:
         raise CheckpointMismatchError(f"{path}: prompt width {meta['dim']} "
                                       f"does not match backbone width {dim}")

@@ -502,10 +502,11 @@ def read_graph_file(path) -> list[GraphSample]:
             or not parts[2].startswith("d=") or not parts[3].startswith("t="):
         raise GraphParseError(f"line {lineno}: bad header {header!r}")
     try:
-        d = int(parts[2][2:])
-        t = int(parts[3][2:])
+        d, t = int(parts[2][2:]), int(parts[3][2:])
     except ValueError:
-        raise GraphParseError(f"line {lineno}: bad header {header!r}") from None
+        d = t = -1
+    if min(d, t) < 0:
+        raise GraphParseError(f"line {lineno}: bad header {header!r}")
     out = []
     while rd.pos < len(lines):
         lineno, gline = rd.next("sample start")
@@ -551,7 +552,10 @@ def read_graph_file(path) -> list[GraphSample]:
         if len(yparts) - 1 != t:
             raise GraphParseError(f"line {lineno}: expected {t} label values, "
                                   f"got {len(yparts) - 1}")
-        label = np.array([float(v) for v in yparts[1:]]) if t else None
+        try:
+            label = np.array([float(v) for v in yparts[1:]]) if t else None
+        except ValueError:
+            raise GraphParseError(f"line {lineno}: bad label value") from None
         try:
             out.append(GraphSample(n, feats, tuple(edges), label))
         except GraphValidationError as exc:

@@ -9,8 +9,11 @@ sample's rows into one padded group and attends within it (an
 ``AttentionGroups`` plan of the block sizes, built once per forward),
 the MPGNN aggregates over one sparse CSR adjacency that never joins two
 samples, built in sorted order once per forward, and readout pools each
-sample's segment of node rows, all samples in one ``pool_rows``. A
-batched forward therefore agrees with per-sample forwards.
+sample's segment of node rows, all samples in one ``pool_rows``. Max
+aggregation plans that adjacency as its graph part plus a star per
+sample, the sample's prompt rows as hubs and its node rows as spokes, so
+a sample's prompt rows are read once per layer, not once per node row.
+A batched forward therefore agrees with per-sample forwards.
 
 Prompts arrive in one form, a group of k ``(PromptSet, count)`` pairs:
 the first count samples read the first set, the next count the second,
@@ -388,28 +391,60 @@ def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int,
                                          lead - p + offsets[block] + pos))
 
 
-def _mpgnn_adjacency(batch: BatchedGraph, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _mpgnn_adjacency(batch: BatchedGraph, p: int,
+                     star: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The CSR arrays, ``indptr`` and ``indices`` in sorted order, of the (R, R)
     0/1 aggregation matrix of the MPGNN, with p prompt rows per block.
 
     It holds the diagonal, each graph edge in both directions at the
-    node rows it moved to, and every prompt row of a sample wired to each
-    of that sample's original nodes and back. The entries are sorted by
-    one argsort of ``row * R + column``, a stable one, since most parts of
-    the concatenation already run in row order and a stable sort merges
-    such runs.
+    node rows it moved to, and a star per sample: every prompt row of the
+    sample wired to each of its original nodes and back. With ``star`` the
+    arrays hold the graph part alone, the node rows without their prompt
+    entries, for a ``SourceBuckets`` star that reads those entries from the
+    block layout. The entries are sorted by one argsort of ``row * R +
+    column``, a stable one, since most parts of the concatenation already
+    run in row order and a stable sort merges such runs.
     """
     node_row = _node_rows(batch.offsets, p)
     a, b = node_row[batch.edges].T
-    owner = np.repeat(np.arange(batch.size), np.diff(batch.offsets))
-    nodes = np.repeat(node_row, p)              # pair each node row with its p prompt rows
-    prompt = (_block_starts(batch.offsets, p)[owner, None] + np.arange(p)).ravel()
     total = batch.offsets[-1] + p * batch.size
-    diag = np.arange(total)
-    rows = np.concatenate([diag, a, b, nodes, prompt])
-    cols = np.concatenate([diag, b, a, prompt, nodes])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=total))])
+    rows, cols = [node_row, a, b], [node_row, b, a]
+    if not star:
+        owner = np.repeat(np.arange(batch.size), np.diff(batch.offsets))
+        hubs = _block_starts(batch.offsets, p) + np.arange(p)[:, None]
+        nodes = np.repeat(node_row, p)          # pair each node row with its p prompt rows
+        prompt = hubs[:, owner].T.ravel()
+        rows += [hubs.ravel(), nodes, prompt]
+        cols += [hubs.ravel(), prompt, nodes]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    counts = np.bincount(rows, minlength=total)
+    if star:
+        counts = counts[node_row]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     return indptr, cols[np.argsort(rows * total + cols, kind="stable")]
+
+
+def _mpgnn_operands(batch: BatchedGraph, p: int, aggregation: str) -> tuple:
+    """The aggregation operands of the MPGNN's layers with p prompt rows per
+    block: one over every row, and one over the node rows alone, which the
+    last layer computes.
+
+    With prompt rows, max takes one ``SourceBuckets`` of the graph part with
+    each sample's prompt rows as the hubs of its star, and that plan's
+    ``spoke_rows``. Otherwise each takes ``aggregation_operand`` of the
+    whole matrix and of its node rows.
+    """
+    columns = batch.offsets[-1] + p * batch.size
+    if aggregation == "max" and p:
+        plan = SourceBuckets(*_mpgnn_adjacency(batch, p, star=True), columns,
+                             (_block_starts(batch.offsets, p), p))
+        return plan, plan.spoke_rows()
+    adj = _mpgnn_adjacency(batch, p)
+    every = aggregation_operand(*adj, columns, aggregation)
+    if not p:
+        return every, every
+    return every, aggregation_operand(*_csr_rows(*adj, _node_rows(batch.offsets, p)),
+                                      columns, aggregation)
 
 
 def _csr_rows(indptr: np.ndarray, indices: np.ndarray,
@@ -468,7 +503,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     runs on every row, over one aggregation operand built after prompt
     rows are inserted, except in its last layer, which computes node rows
     only: its operand is the node rows of the same matrix (a CSR row
-    slice, or the ``SourceBuckets`` of those rows for max).
+    slice, or for max the ``spoke_rows`` of the same plan).
     """
     cfg = backbone.cfg
     sets, counts = check_group(group, cfg, batch.size)
@@ -499,13 +534,9 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
                                 offsets, p, owner)
 
     if cfg.kind == "mpgnn":
-        adj, columns = _mpgnn_adjacency(batch, p), h.shape[0]
-        operand = aggregation_operand(*adj, columns, cfg.aggregation)
-        for li, params in enumerate(backbone.layers):
-            if p and li + 1 == cfg.layers:        # the last layer computes node rows only
-                operand = aggregation_operand(*_csr_rows(*adj, _node_rows(offsets, p)),
-                                              columns, cfg.aggregation)
-            h = mpgnn_layer_forward(h, operand, params)
+        every, nodes = _mpgnn_operands(batch, p, cfg.aggregation)
+        for li, params in enumerate(backbone.layers):   # the last computes node rows only
+            h = mpgnn_layer_forward(h, nodes if li + 1 == cfg.layers else every, params)
         return h, offsets
     built: dict[tuple, AttentionGroups] = {}      # each distinct set of groups
     prefixes = prompts.prefixes

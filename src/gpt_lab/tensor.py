@@ -35,17 +35,22 @@ over the groups that read it and takes the other rows by slot.
 The sparse matrix that ``spmm`` takes is a constant, and so is the
 ``SourceBuckets`` plan that ``neighbor_max`` takes of the CSR arrays of
 one, each row's columns ascending: its output rows bucketed by source
-count, rounded up to a power of two, built once per matrix.
-``neighbor_max`` runs one gather and one max per bucket; only its
-backward pass looks up which source held each max (the first in column
-order that is not below it, so ties go to the lowest column and a NaN
-max to the row's first source).
+count, rounded up to a power of two, built once per matrix. The plan may
+add a star: blocks of columns whose first p columns, the hubs, every
+other row of the block reads before its own sources, and which read the
+block's other rows back, so each block's hubs and the rest are read once
+per block instead of once per row. ``neighbor_max`` runs one gather and
+one max per bucket, and per star one for its hubs and one for the rest;
+only its backward pass looks up which source held each max (the first in
+column order that is not below it, so ties go to the lowest column and a
+NaN max to the row's first source).
 ``bce_with_logits`` reads a non-finite label as missing, the one form of
 a missing label.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from typing import Callable, Iterable, Sequence
@@ -629,16 +634,27 @@ class SourceBuckets:
     """The rows of a CSR matrix bucketed by source count, as ``neighbor_max`` reads them.
 
     The matrix is given by its CSR arrays, ``indptr`` and ``indices``, and
-    its column count. Rows are bucketed by source count rounded up to a
+    its column count n. Rows are bucketed by source count rounded up to a
     power of two, so one large row pads only the rows of its own bucket.
     Each bucket holds its output rows and a (slots, rows) table of their
-    source columns in column order, short rows pointing at column n, one
-    past the last; each row's indices must ascend, as a matrix in
-    canonical form has them. Build it once per matrix and pass it to
-    every ``neighbor_max`` over that matrix.
+    source columns in column order, short rows repeating their last; each
+    row's indices must ascend, as a matrix in canonical form has them.
+    Build it once per matrix and pass it to every ``neighbor_max`` over
+    that matrix.
+
+    A ``star``, ``(starts, p)`` with p at least 1, adds sources that rows
+    share. The columns then form one block per entry of ``starts``, from
+    it to the next start or n, whose first p columns are its hubs and the
+    rest, at least one, its spokes. The CSR rows are the spokes, in column
+    order, and each reads its block's hubs before its own sources, which
+    lie after them. The plan is then (n, n), each column being an output
+    row too: a spoke's row is its CSR row, and a hub's row reads the hub
+    itself and then its block's spokes. ``spoke_rows`` gives the same
+    plan with the CSR rows alone as its output rows.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, columns: int):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, columns: int,
+                 star: tuple[np.ndarray, int] | None = None):
         counts = np.diff(indptr)
         if not counts.all():
             raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
@@ -647,47 +663,118 @@ class SourceBuckets:
         if not ascends.all():
             row = int(np.searchsorted(indptr, np.argmin(ascends), "right")) - 1
             raise ContractError(f"neighbor_max: the columns of row {row} do not ascend")
-        self.shape = (counts.size, columns)
-        sources = np.append(indices, columns)           # entry nnz reads column n
+        self.shape = self.csr_shape = (counts.size, columns)
         log_slots = np.frexp(counts - 1)[1]             # ceil(log2(count)), 0 for one source
         self.buckets = []
         for b in np.unique(log_slots):
             rows = np.flatnonzero(log_slots == b)
             slot = np.arange(1 << int(b))[:, None]
-            self.buckets.append(
-                (rows, sources[np.where(slot < counts[rows], indptr[rows] + slot, indices.size)]))
+            self.buckets.append((rows, indices[indptr[rows] + np.minimum(slot, counts[rows] - 1)]))
+        self.star = self.hubs = self.spokes = None
+        if star is not None:
+            starts, p = star
+            sizes = np.diff(np.append(starts, columns)) - p         # spokes per block
+            slot = np.arange(sizes.max())[:, None]
+            hubs = starts + np.arange(p)[:, None]                   # (p, blocks)
+            spokes = starts + p + np.minimum(slot, sizes - 1)       # padded with the last spoke
+            self.star = (hubs, spokes, np.repeat(np.arange(sizes.size), sizes))
+            self.hubs = hubs.T.ravel()
+            self.spokes = np.delete(np.arange(columns), self.hubs)
+            self.shape = (columns, columns)
+
+    def spoke_rows(self) -> "SourceBuckets":
+        """This plan with its CSR rows alone as its output rows, in their order."""
+        plan = copy.copy(self)
+        plan.shape, plan.spokes = self.csr_shape, None
+        return plan
+
+
+def _first_source(table: np.ndarray, block: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """For each (row, column) of ``top``, the column of ``h`` that the first slot
+    of its ``table`` row not below it reads, where ``block`` is the (slots,
+    rows, d) gather of the (slots, rows) ``table`` and ``top`` its max.
+
+    A running AND over the slots counts the leading slots below the max,
+    none for a NaN max, in bytes when the count fits one; the last slot is
+    never counted, since some slot holds the max.
+    """
+    below = np.ones(top.shape, dtype=bool)
+    first = np.zeros(top.shape, dtype=np.uint8 if len(block) <= 256 else np.intp)
+    for slot in block[:-1]:
+        below &= slot < top
+        first += below.view(np.uint8)
+    # table[first[i, j], i], read through the flat table
+    return table.ravel().take(first.astype(np.intp) * table.shape[1]
+                              + np.arange(table.shape[1])[:, None])
+
+
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.where(mask, a, b)`` for integer arrays, computed without branches,
+    which a mask that mixes its values would mispredict."""
+    return b + (a - b) * mask
 
 
 def neighbor_max(h: Tensor, buckets: SourceBuckets) -> Tensor:
-    """Row i is the elementwise max of the rows of ``h`` stored in row i of the
-    CSR matrix that ``buckets`` was built from.
+    """Row i is the elementwise max of the rows of ``h`` that row i of the
+    matrix planned by ``buckets`` stores.
 
-    Each bucket gathers its sources into one (slots, rows, d) block, short
-    rows reading an appended -inf row, and takes one max over the slots. The
-    gradient of each (row, column) pair goes to a single source: the
-    first slot not below the max, so ties go to the lowest column and a
-    NaN max to the row's first source. That search runs in the backward
-    pass, so an untaped forward never pays for it.
+    Each bucket gathers its sources into one (slots, rows, d) block and
+    takes one max over the slots; a short row reads its last source again,
+    which changes neither its max nor the first source holding it. A star
+    gathers each block's hubs and its spokes the same way, short blocks
+    reading their last spoke again, for one hub max and one spoke max per
+    block. A spoke's row is its hub max combined with its bucket's max,
+    and a hub's row is the hub combined with its spoke max, in that order:
+    ``np.maximum`` returns its second operand on a tie of +0 and -0, so
+    each row keeps the sign that a max over its sources in column order
+    gives. The gradient of each (row, column) pair goes to a single
+    source: the first in column order that is not below the max, so ties
+    go to the lowest column and a NaN max to the row's first source, the
+    first hub for a spoke's row. That search runs in the backward pass, so
+    an untaped forward never pays for it.
     """
     if h.ndim != 2 or buckets.shape[1] != h.shape[0]:
         raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over "
                          f"{buckets.shape}")
     n, d = h.shape
-    padded = np.concatenate([h.data, np.full((1, d), -np.inf)])
-    outd = np.empty((buckets.shape[0], d))
+    outd = np.empty((buckets.csr_shape[0], d))
     blocks = []
     for rows, table in buckets.buckets:
-        block = padded.take(table, axis=0)
+        block = h.data.take(table, axis=0)
         top = block.max(axis=0)
         outd[rows] = top
         blocks.append((block, top))
+    if buckets.star is not None:
+        hubs, spokes, owner = buckets.star
+        hub_block = h.data.take(hubs, axis=0)
+        hub_max = hub_block.max(axis=0)
+        hub_rows = hub_max[owner]
+        outd = spoke_out = np.maximum(hub_rows, outd)
+        if buckets.spokes is not None:
+            spoke_block = h.data.take(spokes, axis=0)
+            spoke_max = spoke_block.max(axis=0)
+            outd = np.empty((n, d))
+            outd[buckets.spokes] = spoke_out
+            outd[buckets.hubs] = np.maximum(h.data[buckets.hubs], spoke_max.repeat(len(hubs), 0))
 
     def bwd(g):
-        source = np.empty((buckets.shape[0], d), dtype=np.intp)
+        source = np.empty((buckets.csr_shape[0], d), dtype=np.intp)
         for (rows, table), (block, top) in zip(buckets.buckets, blocks):
-            first = (block < top).argmin(axis=0)      # first slot not below the max
-            # table[first[i, j], i], read through the flat table
-            source[rows] = table.ravel().take(first * rows.size + np.arange(rows.size)[:, None])
+            source[rows] = _first_source(table, block, top)
+        if buckets.star is not None:
+            # A spoke's row: its first hub not below the max (hub 0 for a NaN
+            # max), unless the hub max is below it; a hub's row: the hub
+            # itself, unless it is below the max, then its first spoke not below.
+            hub = np.where(np.isnan(spoke_out), hubs[0, owner, None],
+                           _first_source(hubs, hub_block, hub_max)[owner])
+            source = _select(hub_rows < spoke_out, source, hub)
+            if buckets.spokes is not None:
+                spoke_source, source = source, np.empty((n, d), dtype=np.intp)
+                source[buckets.spokes] = spoke_source
+                source[buckets.hubs] = _select(
+                    h.data[buckets.hubs] < outd[buckets.hubs],
+                    _first_source(spokes, spoke_block, spoke_max).repeat(len(hubs), 0),
+                    buckets.hubs[:, None])
         flat = (source * d + np.arange(d)).ravel()
         return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
 

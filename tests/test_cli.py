@@ -1110,11 +1110,21 @@ def format_1_prompt(tmp_path):
     return ck.load_prompt(as_format_1(path), dim=8, layers=2)
 
 
-def stale_fingerprint(tmp_path):
+def stored_config(**changes):
+    """A call that loads a backbone file whose header stores ``_MPGNN``'s config
+    with ``changes`` applied and a fingerprint of zeros."""
+    def call(tmp_path):
+        path = tmp_path / "x.ckpt"
+        ck._write(path, {"kind": "backbone", "fingerprint": "0" * 64,
+                         "config": {**dataclasses.asdict(_MPGNN), **changes}}, {})
+        return ck.load_backbone(path)
+    return call
+
+
+def prompt_without_dim(tmp_path):
     path = tmp_path / "x.ckpt"
-    ck._write(path, {"kind": "backbone", "fingerprint": "0" * 64,
-                     "config": dataclasses.asdict(_MPGNN)}, {})
-    return ck.load_backbone(path)
+    ck._write(path, {"kind": "prompt", "layers": 2}, {})
+    return ck.load_prompt(path, dim=8, layers=2)
 
 
 def config_with(replace=None, extra=""):
@@ -1175,8 +1185,24 @@ INPUT_ERRORS = {
                                       "{tmp}/x.ckpt: not a backbone checkpoint"),
     "checkpoint_backbone_as_prompt": (backbone_as_prompt, ck.CheckpointError,
                                       "{tmp}/x.ckpt: not a prompt checkpoint"),
-    "checkpoint_stale_fingerprint": (stale_fingerprint, ck.CheckpointError,
+    "checkpoint_stale_fingerprint": (stored_config(), ck.CheckpointError,
                                      "{tmp}/x.ckpt: fingerprint does not match stored config"),
+    "checkpoint_list_header": (raw_checkpoint(b"[2]"), ck.CheckpointError,
+                               "{tmp}/x.ckpt: header is not a JSON object"),
+    "checkpoint_no_arrays": (raw_checkpoint(header(format_version=2)), ck.CheckpointError,
+                             "{tmp}/x.ckpt: header has no 'arrays' field"),
+    "checkpoint_array_without_shape": (
+        raw_checkpoint(header(format_version=2, arrays=[{"name": "w"}])),
+        ck.CheckpointError, "{tmp}/x.ckpt: header has no 'shape' field"),
+    "checkpoint_config_key": (stored_config(colour=1), ck.CheckpointError,
+                              "{tmp}/x.ckpt: bad backbone config (BackboneConfig.__init__() "
+                              "got an unexpected keyword argument 'colour')"),
+    "checkpoint_config_kind": (stored_config(kind="graphnet"), ck.CheckpointError,
+                               "{tmp}/x.ckpt: bad backbone config (unknown backbone kind "
+                               "'graphnet')"),
+    "checkpoint_prompt_without_dim": (prompt_without_dim, ck.CheckpointError,
+                                      "{tmp}/x.ckpt: prompt header has no 'dim' or no "
+                                      "'layers' field"),
     "backbone_kind": (config_with({"kind = transformer": "kind = graphnet"}), ConfigError,
                       "[backbone]: unknown backbone kind 'graphnet'"),
     "backbone_readout": (config_with({"heads = 2\n": "heads = 2\nreadout = max\n"}),

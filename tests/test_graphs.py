@@ -362,6 +362,8 @@ def parse(text):
 INPUT_ERRORS = {
     "header_width": (parse("GPTGRAPH v1 d=x t=1\n"), GraphParseError,
                      "line 1: bad header 'GPTGRAPH v1 d=x t=1'"),
+    "header_negative_width": (parse("GPTGRAPH v1 d=-1 t=1\n"), GraphParseError,
+                              "line 1: bad header 'GPTGRAPH v1 d=-1 t=1'"),
     "end_of_file": (parse(_HEADER + "g 2 0\n0.5\n"), GraphParseError,
                     "line 4: unexpected end of file, expected feature row 1"),
     "sample_start": (parse(_HEADER + "h 1 0\n"), GraphParseError,
@@ -382,6 +384,8 @@ INPUT_ERRORS = {
                    "line 4: expected 'y ...', got 'z 1'"),
     "label_count": (parse(_HEADER + "g 1 0\n0\ny 1 0\n"), GraphParseError,
                     "line 4: expected 1 label values, got 2"),
+    "label_value": (parse(_HEADER + "g 1 0\n0\ny abc\n"), GraphParseError,
+                    "line 4: bad label value"),
     "duplicate_edge": (parse(_HEADER + "g 2 2\n0\n0\ne 0 1\ne 1 0\ny 1\n"),
                        GraphValidationError, "line 7: duplicate undirected edge (0, 1)"),
     "write_mixed_arity": (lambda tmp: write_graph_file(tmp / "x.gr", [

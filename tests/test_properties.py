@@ -1,11 +1,14 @@
 """Property tests over random small batches.
 
 Batches hold 1 to 4 graphs of 1 to 6 nodes (1 to 6 graphs of 1 to 8
-nodes against the slot oracle, and up to 8 graphs of 1 to 12 nodes for
-batch gathers and the random-walk encoding), drawn with edgeless
-graphs, isolated nodes and repeated samples. Runs are derandomized, so
+nodes against the slot oracle, up to 8 graphs of 1 to 6 nodes against
+the plain max plans, and up to 8 graphs of 1 to 12 nodes for batch
+gathers and the random-walk encoding), drawn with edgeless graphs,
+isolated nodes and repeated samples. Runs are derandomized, so
 the suite stays deterministic.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from gpt_lab.models import (
     Backbone,
     BackboneConfig,
     PredictionHead,
+    _csr_rows,
     _insert_prompt_rows,
     _mpgnn_adjacency,
+    _mpgnn_operands,
     _node_rows,
     aggregation_operand,
     backbone_forward,
@@ -188,6 +193,84 @@ def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation,
     (h, grad), (want_h, want_grad) = runs
     assert np.array_equal(h, want_h)
     assert p == 0 or np.array_equal(grad, want_grad)
+
+
+def _max_plans(batch, p):
+    """The max operands of ``encode_nodes``, one star plan for every row and
+    its node rows, each paired with its oracle: the plain ``SourceBuckets`` of
+    the whole matrix that ``_mpgnn_adjacency`` gives, and of its node rows."""
+    prepared = batch_graphs(batch)
+    indptr, indices = _mpgnn_adjacency(prepared, p)
+    columns = prepared.offsets[-1] + p * prepared.size
+    plain = (SourceBuckets(indptr, indices, columns),
+             SourceBuckets(*_csr_rows(indptr, indices, _node_rows(prepared.offsets, p)), columns))
+    return list(zip(_mpgnn_operands(prepared, p, "max"), plain))
+
+
+def _max_and_grad(plan, h, g):
+    x = Tensor(h, requires_grad=True)
+    with Tape(), np.errstate(invalid="ignore"):
+        out = neighbor_max(x, plan)
+        grad = backward(tsum(mul(out, Tensor(g))))[x]
+    return out.data, grad
+
+
+def _assert_same_max(star, plain, h, g):
+    """Equal values, with the sign of each zero, and equal gradients."""
+    (out, grad), (want, want_grad) = _max_and_grad(star, h, g), _max_and_grad(plain, h, g)
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
+    assert np.array_equal(grad, want_grad)
+
+
+_SINGLE = GraphSample(1, np.ones((1, 3)), ())
+_EDGELESS = GraphSample(3, np.ones((3, 3)), ())
+_PATH = GraphSample(4, np.ones((4, 3)), ((0, 1), (1, 2), (2, 3)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(batch=batches(max_graphs=8), p=st.integers(1, 8), seed=st.integers(0, 2**16))
+@example(batch=[_SINGLE, _EDGELESS, _PATH, _SINGLE], p=8, seed=0)
+def test_star_max_equals_the_max_over_the_whole_matrix(batch, p, seed):
+    """1 to 8 graphs, p from 1 to 8, and values from +-inf, +-1 and +-0 with
+    an occasional NaN: the star plan of every row and that of the node rows
+    give the values, signs of zero and gradients of the plain CSR plans of
+    the whole matrix and of its node rows."""
+    rng = np.random.default_rng(seed)
+    h = rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf],
+                   size=(sum(g.n for g in batch) + p * len(batch), 3))
+    h[rng.random(h.shape) < 0.02] = np.nan
+    for star, plain in _max_plans(batch, p):
+        _assert_same_max(star, plain, h, rng.normal(size=(plain.shape[0], 3)))
+
+
+def test_star_max_sends_a_nan_of_the_graph_part_to_virtual_row_0():
+    """A node row's NaN in its graph part, with finite virtual rows, sends the
+    row's gradient to its first source, virtual row 0; a virtual row whose
+    node max is NaN keeps its own gradient."""
+    h = np.array([[1.0], [2.0], [np.nan], [0.5]])   # virtual rows 0 and 1, then two nodes
+    wants = ([[3.0], [1.0], [0.0], [0.0]], [[2.0], [0.0], [0.0], [0.0]])
+    for (star, plain), want in zip(_max_plans([GraphSample(2, np.ones((2, 3)), ((0, 1),))], 2),
+                                   wants):
+        g = np.ones((plain.shape[0], 1))
+        _assert_same_max(star, plain, h, g)
+        assert np.array_equal(_max_and_grad(star, h, g)[1], want)
+
+
+def test_star_max_keeps_the_sign_of_a_zero_node_max():
+    """Samples of 3, 2 and 1 nodes whose node max is a zero that +0.0 and -0.0
+    both reach: each virtual row keeps the sign of a max over its sources in
+    column order, itself first."""
+    batch = [_EDGELESS, GraphSample(2, np.ones((2, 3)), ()), _SINGLE]
+    columns = [[-1.0, 0.0, -0.0, -0.0, -1.0, -0.0, 0.0, -0.0, 0.0],
+               [-1.0, -0.0, -0.0, 0.0, -1.0, 0.0, -0.0, 0.0, -0.0]]
+    h = np.array(columns).T                       # each sample's virtual row, then its nodes
+    (star, plain), _ = _max_plans(batch, 1)
+    _assert_same_max(star, plain, h, np.ones(h.shape))
+    out = _max_and_grad(star, h, np.ones(h.shape))[0]
+    for first, last in ((0, 4), (4, 7), (7, 9)):
+        want = functools.reduce(np.maximum, h[first:last])
+        assert np.array_equal(np.signbit(out[first]), np.signbit(want))
 
 
 PROMPTED = {"deepgpt": "transformer", "prefix_only": "transformer",

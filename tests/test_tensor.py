@@ -562,6 +562,18 @@ class TestNeighborMax:
         # source in column order takes each output's whole gradient.
         assert np.array_equal(grads[h], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
+    def test_a_max_past_slot_255_takes_the_gradient(self):
+        """A row of 300 sources counts its slots past a byte: its first max,
+        at column 280, takes the whole gradient."""
+        h = np.zeros((300, 2))
+        h[[280, 290]] = 1.0
+        x = Tensor(h, requires_grad=True)
+        with Tape():
+            grad = backward(T.tsum(T.neighbor_max(x, buckets(csr([range(300)], cols=300)))))[x]
+        want = np.zeros((300, 2))
+        want[280] = 1.0
+        assert np.array_equal(grad, want)
+
     def test_buckets_built_once_serve_every_call(self):
         adj = csr([[2, 0], [1], [0, 1, 2], [2]])
         built = buckets(adj)

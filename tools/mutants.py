@@ -82,11 +82,40 @@ MUTANTS = [
      "_read accepting trailing bytes"),
     ("checkpoint.py", "load_prompt", 'meta["layers"] != layers', "False",
      "load_prompt without its layer check"),
+    ("checkpoint.py", "_read", "if not isinstance(meta, dict):", "if False:",
+     "_read taking a header that is not a JSON object"),
+    ("checkpoint.py", "_read", "except KeyError as exc:", "except IndexError as exc:",
+     "_read letting a header without its arrays or an array's shape raise KeyError"),
+    ("checkpoint.py", "load_backbone", "except (KeyError, TypeError, ContractError) as exc:",
+     "except KeyError as exc:", "load_backbone letting a bad stored config raise its own error"),
+    ("checkpoint.py", "load_prompt", 'if not {"dim", "layers"} <= meta.keys():', "if False:",
+     "load_prompt letting a header without dim raise KeyError"),
+    ("graphs.py", "read_graph_file", "if min(d, t) < 0:", "if min(d, t) < -1:",
+     "read_graph_file taking a header width of -1"),
+    ("graphs.py", "read_graph_file",
+     'GraphParseError(f"line {lineno}: bad label value") from None', "",
+     "read_graph_file letting a bad label value raise ValueError"),
     # The range checks of the tensor ops.
     ("tensor.py", "gather_rows", "idx.min() < 0", "idx.min() < -1",
      "gather_rows reading index -1 as the last row"),
     ("tensor.py", "SourceBuckets.__init__", "if not ascends.all():", "if False:",
      "SourceBuckets taking a row whose columns do not ascend"),
+    # The rules that keep the star plan of max aggregation bit for bit equal
+    # to a max over each row's sources in column order.
+    ("tensor.py", "neighbor_max", "np.maximum(hub_rows, outd)", "np.maximum(outd, hub_rows)",
+     "a spoke's row taking its hub max as the second operand"),
+    ("tensor.py", "neighbor_max",
+     "np.maximum(h.data[buckets.hubs], spoke_max.repeat(len(hubs), 0))",
+     "np.maximum(spoke_max.repeat(len(hubs), 0), h.data[buckets.hubs])",
+     "a hub's row taking its spoke max as the first operand"),
+    ("tensor.py", "SourceBuckets.__init__", "np.minimum(slot, sizes - 1)",
+     "np.where(slot < sizes, slot, 0)", "star spoke tables padded with the block's first spoke"),
+    ("tensor.py", "neighbor_max", "np.where(np.isnan(spoke_out),", "np.where(False,",
+     "a spoke's NaN max sent to its first hub slot not below the hub max, not to hub 0"),
+    ("tensor.py", "_first_source", "first = np.zeros(top.shape", "first = np.ones(top.shape",
+     "the first-slot search counting one slot too many"),
+    ("tensor.py", "_first_source", "len(block) <= 256", "True",
+     "the first-slot search counting in a byte past slot 255"),
     # What the CLI writes to a run directory.
     ("cli.py", "_aggregate_row", "finals.std(ddof=1)", "finals.std(ddof=0)",
      "metrics.csv std with ddof=0"),
