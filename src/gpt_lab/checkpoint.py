@@ -66,6 +66,26 @@ def _write(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
 
 
+def _entries(path, listed) -> list[tuple[str, tuple[int, ...]]]:
+    """The name and shape of each array that a header lists, each entry an
+    object with a string ``name`` and a ``shape`` of non-negative ints."""
+    if not isinstance(listed, list):
+        raise CheckpointError(f"{path}: header field 'arrays' is not a list")
+    entries = []
+    for entry in listed:
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: array entry {entry!r} is not an object")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: array name {name!r} is not a string")
+        if not isinstance(shape, list) or not all(type(n) is int for n in shape):
+            raise CheckpointError(f"{path}: array {name}: shape {shape!r} is not a list of ints")
+        if any(n < 0 for n in shape):
+            raise CheckpointError(f"{path}: array {name}: shape {shape} has a negative size")
+        entries.append((name, tuple(shape)))
+    return entries
+
+
 def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
@@ -86,7 +106,7 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: unsupported format version "
                               f"{meta.get('format_version')!r}")
     try:
-        entries = [(entry["name"], tuple(entry["shape"])) for entry in meta["arrays"]]
+        entries = _entries(path, meta["arrays"])
     except KeyError as exc:
         raise CheckpointError(f"{path}: header has no {exc} field") from None
     arrays = {}

@@ -133,6 +133,10 @@ class BatchedGraph:
     def size(self) -> int:
         return len(self.offsets) - 1
 
+    def rows(self, samples) -> np.ndarray:
+        """The node rows of ``samples``, each sample's in order, as ``take`` gathers them."""
+        return _spans(self.offsets, np.asarray(samples, dtype=np.int64).reshape(-1))[0]
+
     def take(self, samples) -> BatchedGraph:
         """The batch of ``samples``, in that order and with repeats allowed:
         each sample's rows, degrees and edges, renumbered to its new rows."""

@@ -13,7 +13,11 @@ sample's segment of node rows, all samples in one ``pool_rows``. Max
 aggregation plans that adjacency as its graph part plus a star per
 sample, the sample's prompt rows as hubs and its node rows as spokes, so
 a sample's prompt rows are read once per layer, not once per node row.
-A batched forward therefore agrees with per-sample forwards.
+When the first layer's node rows carry no gradient (a frozen input stage
+and no graph token), that layer takes their part of the max as constants
+(``first_layer_maxima``, which ``train`` computes once per call) and
+reads the prompt rows alone. A batched forward therefore agrees with
+per-sample forwards.
 
 Prompts arrive in one form, a group of k ``(PromptSet, count)`` pairs:
 the first count samples read the first set, the next count the second,
@@ -77,6 +81,7 @@ __all__ = [
     "transformer_layer_forward",
     "aggregation_operand",
     "mpgnn_layer_forward",
+    "first_layer_maxima",
     "encode_nodes",
     "backbone_forward",
     "encode_graphs",
@@ -343,16 +348,19 @@ def aggregation_operand(indptr: np.ndarray, indices: np.ndarray, columns: int,
     return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, columns))
 
 
-def mpgnn_layer_forward(h: Tensor, operand, params: MpgnnLayerParams) -> Tensor:
+def mpgnn_layer_forward(h: Tensor, operand, params: MpgnnLayerParams,
+                        graph: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Aggregate over each row of the (m, n) ``operand`` the rows of the n-row
     ``h`` it stores, then linear + GELU: one output row per operand row.
 
     ``operand`` comes from ``aggregation_operand``: ``SourceBuckets`` runs
     ``neighbor_max``, a sparse matrix runs ``spmm``; each raises a
-    ``ShapeError`` when n is not h's row count.
+    ``ShapeError`` when n is not h's row count. With ``graph``, the
+    constant maxima of a star plan's graph part, ``h`` holds the plan's
+    hubs alone (see ``neighbor_max``).
     """
     if isinstance(operand, SourceBuckets):
-        agg = neighbor_max(h, operand)
+        agg = neighbor_max(h, operand, graph)
     else:
         agg = spmm(operand, h)
     return gelu(linear(agg, params.weight, params.bias))
@@ -468,8 +476,42 @@ def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> Batched
     return encoded
 
 
+def _input_rows(batch: BatchedGraph, backbone: Backbone, stage: str | None = None,
+                tokens: Tensor | None = None, row_owner: np.ndarray | None = None) -> Tensor:
+    """The input stage of the batch's node rows: the projection and the degree
+    embedding, with row i's graph token ``tokens[row_owner[i]]`` added before
+    or after the projection as ``stage`` says (None: no token)."""
+    x = Tensor(batch.features)
+    if stage == "pre_projection":
+        x = apply_graph_prompt(x, tokens, row_owner)
+    h = linear(x, backbone.w_in, backbone.b_in)
+    if backbone.degree_table is not None:
+        ids = np.minimum(batch.degrees, backbone.cfg.max_degree)
+        h = add(h, gather_rows(backbone.degree_table, ids))
+    if stage == "post_projection":
+        h = apply_graph_prompt(h, tokens, row_owner)
+    return h
+
+
+def first_layer_maxima(batch: BatchedGraph, backbone: Backbone
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """What the first layer of a max MPGNN reads of the batch's node rows when
+    their input stage is frozen: each node row's max over its graph sources
+    (itself and its neighbours, in row order) and each sample's max over its
+    node rows, of the input stage's rows.
+
+    Neither depends on the other samples of a batch or on its prompt rows,
+    so ``train`` computes them once for the dataset, and a forward over
+    samples ``idx`` of it passes their rows, ``(rows[batch.rows(idx)],
+    samples[idx])``, to ``encode_nodes``.
+    """
+    plan = _mpgnn_operands(batch, 1, "max")[0]
+    return plan.graph_maxima(_input_rows(batch, backbone).data)
+
+
 def encode_nodes(batch: BatchedGraph, backbone: Backbone,
-                 group: Iterable[tuple[PromptSet, int]] | None = None
+                 group: Iterable[tuple[PromptSet, int]] | None = None,
+                 maxima: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[Tensor, np.ndarray]:
     """Final-layer embeddings of the batch's node rows, and the batch's ``offsets``.
 
@@ -504,6 +546,15 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     rows are inserted, except in its last layer, which computes node rows
     only: its operand is the node rows of the same matrix (a CSR row
     slice, or for max the ``spoke_rows`` of the same plan).
+
+    When a max MPGNN's first layer reads virtual tokens and node rows that
+    carry no gradient (its input stage is frozen and there is no graph
+    token), that layer reads the node rows' part of its max as constants:
+    ``maxima``, the batch's rows of ``first_layer_maxima``, or without
+    them the same maxima taken from the forward's own plan. It then builds
+    no input rows for the node rows and sends its gradient to the prompt
+    rows alone, with the same values and gradients. ``maxima`` is ignored
+    when that layer's node rows carry a gradient.
     """
     cfg = backbone.cfg
     sets, counts = check_group(group, cfg, batch.size)
@@ -514,29 +565,34 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     owner = np.repeat(np.arange(len(sets)), counts)   # each sample's set
     prompts = sets[0]                             # the layout every set shares
     p = 0                                         # prompt rows at the head of each block
-    x = Tensor(batch.features)
+    if prompts.virtual_tokens is not None:
+        p = prompts.virtual_tokens.shape[0]
 
-    stage = prompts.token_stage if prompts.graph_token is not None else None
-    if stage is not None:
+    stage = tokens = row_owner = None
+    if prompts.graph_token is not None:
+        stage = prompts.token_stage
         tokens = stack_rows([s.graph_token for s in sets])
         row_owner = np.repeat(owner, np.diff(offsets))
-    if stage == "pre_projection":
-        x = apply_graph_prompt(x, tokens, row_owner)
-    h = linear(x, backbone.w_in, backbone.b_in)
-    if backbone.degree_table is not None:
-        ids = np.minimum(batch.degrees, cfg.max_degree)
-        h = add(h, gather_rows(backbone.degree_table, ids))
-    if stage == "post_projection":
-        h = apply_graph_prompt(h, tokens, row_owner)
-    if prompts.virtual_tokens is not None and prompts.virtual_tokens.shape[0] > 0:
-        p = prompts.virtual_tokens.shape[0]
-        h = _insert_prompt_rows(concat_rows([*(s.virtual_tokens for s in sets), h]),
-                                offsets, p, owner)
-
     if cfg.kind == "mpgnn":
         every, nodes = _mpgnn_operands(batch, p, cfg.aggregation)
+    inputs = (backbone.w_in, backbone.b_in, backbone.degree_table)
+    if cfg.kind == "mpgnn" and cfg.aggregation == "max" and p and stage is None and not any(
+            t is not None and t.requires_grad for t in inputs):
+        # The first layer reads the node rows as constants, and h is its hubs.
+        if maxima is None:
+            maxima = every.graph_maxima(_input_rows(batch, backbone).data)
+        h = gather_rows(concat_rows([s.virtual_tokens for s in sets]),
+                        (p * owner[:, None] + np.arange(p)).ravel())   # block by block
+    else:
+        maxima = None
+        h = _input_rows(batch, backbone, stage, tokens, row_owner)
+        if p:
+            h = _insert_prompt_rows(concat_rows([*(s.virtual_tokens for s in sets), h]),
+                                    offsets, p, owner)
+    if cfg.kind == "mpgnn":
         for li, params in enumerate(backbone.layers):   # the last computes node rows only
-            h = mpgnn_layer_forward(h, nodes if li + 1 == cfg.layers else every, params)
+            h = mpgnn_layer_forward(h, nodes if li + 1 == cfg.layers else every, params, maxima)
+            maxima = None
         return h, offsets
     built: dict[tuple, AttentionGroups] = {}      # each distinct set of groups
     prefixes = prompts.prefixes
@@ -560,13 +616,14 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
 
 
 def backbone_forward(batch: BatchedGraph, backbone: Backbone,
-                     group: Iterable[tuple[PromptSet, int]] | None = None) -> Tensor:
+                     group: Iterable[tuple[PromptSet, int]] | None = None,
+                     maxima: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Per-sample graph embeddings (B x dim), which a ``PredictionHead`` maps
     to predictions.
 
-    ``group`` is that of ``encode_nodes``.
+    ``group`` and ``maxima`` are those of ``encode_nodes``.
     Readout pools each sample's segment of node rows, so prompt rows never
     change which positions are averaged.
     """
-    h, offsets = encode_nodes(batch, backbone, group)
+    h, offsets = encode_nodes(batch, backbone, group, maxima)
     return pool_rows(h, offsets, backbone.cfg.readout)

@@ -43,7 +43,10 @@ per block instead of once per row. ``neighbor_max`` runs one gather and
 one max per bucket, and per star one for its hubs and one for the rest;
 only its backward pass looks up which source held each max (the first in
 column order that is not below it, so ties go to the lowest column and a
-NaN max to the row's first source).
+NaN max to the row's first source). When the rows other than the hubs
+are constants, the plan's ``graph_maxima`` of them, its bucket maxima
+and each block's spoke max, can be taken once and passed in: the max
+then reads the hub rows alone, and only they get a gradient.
 ``bce_with_logits`` reads a non-finite label as missing, the one form of
 a missing label.
 """
@@ -312,8 +315,16 @@ def gelu(a: Tensor) -> Tensor:
     out = Tensor(ad * cdf)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * ad * ad) * _INV_SQRT_2PI
-        return g * (cdf + ad * pdf)
+        # g * (cdf + ad * pdf), in one buffer: -0.5 * ad * ad is ad * ad scaled
+        # by -0.5, which is exact.
+        d = ad * ad
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= ad
+        d += cdf
+        d *= g
+        return d
 
     return _record(out, [(a, bwd)])
 
@@ -688,6 +699,29 @@ class SourceBuckets:
         plan.shape, plan.spokes = self.csr_shape, None
         return plan
 
+    def graph_maxima(self, spokes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The graph part of this star plan over ``spokes``, the (rows, d) values of
+        its spokes in column order: each CSR row's max over its own sources, and
+        each block's max over its spokes, as ``neighbor_max`` takes them for
+        ``graph``. They are the maxima that ``neighbor_max`` takes of the same
+        rows, so they keep its signs of zero."""
+        full = np.empty((self.shape[1], spokes.shape[1]))
+        full[self.spokes] = spokes
+        return _bucket_max(full, self)[0], full.take(self.star[1], axis=0).max(axis=0)
+
+
+def _bucket_max(h: np.ndarray, buckets: SourceBuckets) -> tuple[np.ndarray, list]:
+    """Each CSR row's max over its sources among the rows of ``h``, and each
+    bucket's (slots, rows, d) gather with its max."""
+    out = np.empty((buckets.csr_shape[0], h.shape[1]))
+    blocks = []
+    for rows, table in buckets.buckets:
+        block = h.take(table, axis=0)
+        top = block.max(axis=0)
+        out[rows] = top
+        blocks.append((block, top))
+    return out, blocks
+
 
 def _first_source(table: np.ndarray, block: np.ndarray, top: np.ndarray) -> np.ndarray:
     """For each (row, column) of ``top``, the column of ``h`` that the first slot
@@ -708,13 +742,14 @@ def _first_source(table: np.ndarray, block: np.ndarray, top: np.ndarray) -> np.n
                               + np.arange(table.shape[1])[:, None])
 
 
-def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _select(mask: np.ndarray, a: np.ndarray | int, b: np.ndarray) -> np.ndarray:
     """``np.where(mask, a, b)`` for integer arrays, computed without branches,
     which a mask that mixes its values would mispredict."""
     return b + (a - b) * mask
 
 
-def neighbor_max(h: Tensor, buckets: SourceBuckets) -> Tensor:
+def neighbor_max(h: Tensor, buckets: SourceBuckets,
+                 graph: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Row i is the elementwise max of the rows of ``h`` that row i of the
     matrix planned by ``buckets`` stores.
 
@@ -732,36 +767,61 @@ def neighbor_max(h: Tensor, buckets: SourceBuckets) -> Tensor:
     go to the lowest column and a NaN max to the row's first source, the
     first hub for a spoke's row. That search runs in the backward pass, so
     an untaped forward never pays for it.
+
+    With ``graph``, the spokes are constants: ``h`` holds the star's hubs
+    alone, block by block, and ``graph`` is what ``buckets.graph_maxima``
+    gives of the spokes' values, read in place of the bucket and spoke
+    maxima. Only the hubs get a gradient, each summing its entries in the
+    order of the whole plan's (row, column) pairs: its own row first, then
+    its block's spoke rows.
     """
-    if h.ndim != 2 or buckets.shape[1] != h.shape[0]:
+    star = buckets.star
+    if graph is not None and star is None:
+        raise ContractError("neighbor_max: graph maxima need a star plan")
+    sources = buckets.shape[1] if graph is None else star[0].size
+    if h.ndim != 2 or h.shape[0] != sources:
         raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over "
-                         f"{buckets.shape}")
-    n, d = h.shape
-    outd = np.empty((buckets.csr_shape[0], d))
-    blocks = []
-    for rows, table in buckets.buckets:
-        block = h.data.take(table, axis=0)
-        top = block.max(axis=0)
-        outd[rows] = top
-        blocks.append((block, top))
-    if buckets.star is not None:
-        hubs, spokes, owner = buckets.star
-        hub_block = h.data.take(hubs, axis=0)
+                         f"{buckets.shape}" + ("" if graph is None else " from its hubs"))
+    n, d = buckets.shape[0], h.shape[1]
+    hd = h.data
+    if graph is None:
+        outd, blocks = _bucket_max(hd, buckets)
+    else:
+        outd, spoke_max = graph
+        if outd.shape != (buckets.csr_shape[0], d) or spoke_max.shape != (star[0].shape[1], d):
+            raise ShapeError(f"neighbor_max: graph maxima of shapes {outd.shape} and "
+                             f"{spoke_max.shape} for {buckets.csr_shape[0]} rows of "
+                             f"{star[0].shape[1]} blocks")
+    if star is not None:
+        hubs, spokes, owner = star
+        p = len(hubs)
+        if graph is None:
+            own = buckets.hubs                          # each hub's row of h
+        else:
+            own = np.arange(hubs.size)
+            hubs = own.reshape(-1, p).T
+        hub_block = hd.take(hubs, axis=0)
         hub_max = hub_block.max(axis=0)
         hub_rows = hub_max[owner]
         outd = spoke_out = np.maximum(hub_rows, outd)
         if buckets.spokes is not None:
-            spoke_block = h.data.take(spokes, axis=0)
-            spoke_max = spoke_block.max(axis=0)
+            if graph is None:
+                spoke_block = hd.take(spokes, axis=0)
+                spoke_max = spoke_block.max(axis=0)
+            hub_in = hd.take(own, axis=0)
+            hub_out = np.maximum(hub_in, spoke_max.repeat(p, 0))
             outd = np.empty((n, d))
             outd[buckets.spokes] = spoke_out
-            outd[buckets.hubs] = np.maximum(h.data[buckets.hubs], spoke_max.repeat(len(hubs), 0))
+            outd[buckets.hubs] = hub_out
 
     def bwd(g):
-        source = np.empty((buckets.csr_shape[0], d), dtype=np.intp)
-        for (rows, table), (block, top) in zip(buckets.buckets, blocks):
-            source[rows] = _first_source(table, block, top)
-        if buckets.star is not None:
+        rows = h.shape[0]
+        source = rows                                   # a spare row, dropped at the end
+        if graph is None:
+            source = np.empty((buckets.csr_shape[0], d), dtype=np.intp)
+            for (bucket_rows, table), (block, top) in zip(buckets.buckets, blocks):
+                source[bucket_rows] = _first_source(table, block, top)
+        if star is not None:
             # A spoke's row: its first hub not below the max (hub 0 for a NaN
             # max), unless the hub max is below it; a hub's row: the hub
             # itself, unless it is below the max, then its first spoke not below.
@@ -769,14 +829,19 @@ def neighbor_max(h: Tensor, buckets: SourceBuckets) -> Tensor:
                            _first_source(hubs, hub_block, hub_max)[owner])
             source = _select(hub_rows < spoke_out, source, hub)
             if buckets.spokes is not None:
-                spoke_source, source = source, np.empty((n, d), dtype=np.intp)
-                source[buckets.spokes] = spoke_source
-                source[buckets.hubs] = _select(
-                    h.data[buckets.hubs] < outd[buckets.hubs],
-                    _first_source(spokes, spoke_block, spoke_max).repeat(len(hubs), 0),
-                    buckets.hubs[:, None])
+                spoke = rows if graph is not None else \
+                    _first_source(spokes, spoke_block, spoke_max).repeat(p, 0)
+                hub_source = _select(hub_in < hub_out, spoke, own[:, None])
+                if graph is None:
+                    spoke_source, source = source, np.empty((n, d), dtype=np.intp)
+                    source[buckets.spokes] = spoke_source
+                    source[buckets.hubs] = hub_source
+                else:               # the hub rows, then the spoke rows
+                    source = np.concatenate([hub_source, source])
+                    g = np.concatenate([g[buckets.hubs], g[buckets.spokes]])
         flat = (source * d + np.arange(d)).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
+        grad = np.bincount(flat, weights=g.ravel(), minlength=(rows + 1) * d)
+        return grad[:rows * d].reshape(rows, d)
 
     return _record(Tensor(outd), [(h, bwd)])
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from gpt_lab.graphs import BatchedGraph, DataError, GraphSample, make_folds
 from gpt_lab.models import (Backbone, BackboneConfig, PredictionHead, backbone_forward,
-                            encode_graphs, load_params)
+                            encode_graphs, first_layer_maxima, load_params)
 from gpt_lab.prompt import (MODES, TOKEN_STAGES, FreezeRegistry, PromptSet, build_registry,
                             count_params, init_prompts, trains_backbone)
 from gpt_lab.seeding import rng_for
@@ -413,7 +413,7 @@ class _Fold:
     shuffle: np.random.Generator
 
 
-def _forward(encoded: BatchedGraph, bb: Backbone, embeddings=None):
+def _forward(encoded: BatchedGraph, bb: Backbone, embeddings=None, maxima=None):
     """The one forward of a group of folds, for training steps and scoring alike.
 
     It maps folds and their chunks of sample indices of ``encoded`` (the
@@ -421,7 +421,9 @@ def _forward(encoded: BatchedGraph, bb: Backbone, embeddings=None):
     ``embeddings`` it gathers every chunk, in fold order, into one batch
     with ``encoded.take``, so no step builds a batch from graph samples,
     and runs one forward in which each sample reads its own fold's
-    prompts, then each fold's head on its own rows. With them (a mode
+    prompts, then each fold's head on its own rows; with ``maxima``,
+    ``first_layer_maxima`` of ``encoded``, that forward reads the batch's
+    rows of them. With ``embeddings`` (a mode
     that trains only the head, such as lightweight: the frozen
     backbone's readout of every graph, in the order of ``encoded``) it
     runs only the heads, on rows of that matrix. A graph's rows do not
@@ -433,8 +435,12 @@ def _forward(encoded: BatchedGraph, bb: Backbone, embeddings=None):
         if embeddings is not None:
             return [f.head.forward(Tensor(embeddings[c])) for f, c in zip(active, chunks)]
         sizes = [len(c) for c in chunks]
-        batch = encoded.take(np.concatenate(chunks))
-        hg = backbone_forward(batch, bb, group=zip((f.prompts for f in active), sizes))
+        idx = np.concatenate(chunks)
+        batch, first = encoded.take(idx), None
+        if maxima is not None:
+            first = (maxima[0][encoded.rows(idx)], maxima[1][idx])
+        hg = backbone_forward(batch, bb, group=zip((f.prompts for f in active), sizes),
+                              maxima=first)
         ends = np.cumsum(sizes)
         return [f.head.forward(gather_rows(hg, np.arange(end - size, end)))
                 for f, size, end in zip(active, sizes, ends)]
@@ -547,11 +553,12 @@ def _run_fold(job) -> list[FoldResult]:
     backbone built from the stored state (the fold list of an ft job holds
     one fold, since each ft fold trains its own copy)."""
     steady_heap()                  # a pool worker enters the library here
-    (config, encoded, labels, embeddings, backbone_cfg, backbone_state, seed, group) = job
+    (config, encoded, labels, embeddings, maxima, backbone_cfg, backbone_state, seed,
+     group) = job
     split = make_folds(encoded.size, config.folds, seed)
     bb = Backbone.from_state(backbone_cfg, backbone_state)
     folds = [_make_fold(config, bb, labels.shape[1], seed, fold, split) for fold in group]
-    records = _fit(config, folds, _forward(encoded, bb, embeddings), labels)
+    records = _fit(config, folds, _forward(encoded, bb, embeddings, maxima), labels)
     results = []
     for fold, f, record in zip(group, folds, records):
         counts = count_params(f.registry)
@@ -594,7 +601,10 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     scoring forward of every fold gathers its graphs. When the mode
     trains no prompts against a frozen backbone (lightweight), the
     backbone also embeds every graph once here, and the folds train and
-    score only the head on rows of that (n x d) matrix.
+    score only the head on rows of that (n x d) matrix. When it tunes
+    virtual tokens against a frozen max MPGNN, what the first layer reads
+    of the node rows is computed once here (``first_layer_maxima``), and
+    every step and scoring forward reads its rows of it.
     Folds are independent. Against a frozen backbone the folds of one job
     step in lockstep, one forward and backward for all of them (``_fit``); ft
     folds train their own backbone copies, one job each. With
@@ -609,13 +619,16 @@ def train(config: TuningConfig, dataset: list[GraphSample],
     steady_heap()
     prompts = _validate(config, dataset, backbone_cfg)
     encoded, labels = encode_graphs(dataset, backbone_cfg), _labels(dataset)
-    embeddings = None
-    if not prompts.named_params() and not trains_backbone(config.mode):
+    embeddings = maxima = None
+    if not trains_backbone(config.mode):
         bb = Backbone.from_state(backbone_cfg, backbone_state)
-        embeddings = backbone_forward(encoded, bb).data
+        if not prompts.named_params():
+            embeddings = backbone_forward(encoded, bb).data
+        elif backbone_cfg.aggregation == "max" and prompts.virtual_tokens is not None:
+            maxima = first_layer_maxima(encoded, bb)
     workers = min(parallel, config.folds, _worker_cap())
-    jobs = [(config, encoded, labels, embeddings, backbone_cfg, backbone_state, seed, group)
-            for group in _fold_groups(config, workers)]
+    jobs = [(config, encoded, labels, embeddings, maxima, backbone_cfg, backbone_state, seed,
+             group) for group in _fold_groups(config, workers)]
     if workers <= 1:
         done = [_run_fold(job) for job in jobs]
     else:

@@ -781,9 +781,10 @@ class TestTuneCommand:
                                                               monkeypatch, capsys):
         forward = training.backbone_forward
 
-        def tokenless(batch, bb, group=None):
+        def tokenless(batch, bb, group=None, maxima=None):
             return forward(batch, bb,
-                           [(dataclasses.replace(s, graph_token=None), n) for s, n in group])
+                           [(dataclasses.replace(s, graph_token=None), n) for s, n in group],
+                           maxima)
 
         monkeypatch.setattr(training, "backbone_forward", tokenless)
         config = write_config(tmp_path / "exp.ini")
@@ -1194,6 +1195,28 @@ INPUT_ERRORS = {
     "checkpoint_array_without_shape": (
         raw_checkpoint(header(format_version=2, arrays=[{"name": "w"}])),
         ck.CheckpointError, "{tmp}/x.ckpt: header has no 'shape' field"),
+    "checkpoint_arrays_not_a_list": (raw_checkpoint(header(format_version=2, arrays=5)),
+                                     ck.CheckpointError,
+                                     "{tmp}/x.ckpt: header field 'arrays' is not a list"),
+    "checkpoint_arrays_an_object": (
+        raw_checkpoint(header(format_version=2, arrays={"name": "w", "shape": [2]})),
+        ck.CheckpointError, "{tmp}/x.ckpt: header field 'arrays' is not a list"),
+    "checkpoint_array_entry_not_an_object": (
+        raw_checkpoint(header(format_version=2, arrays=[5])), ck.CheckpointError,
+        "{tmp}/x.ckpt: array entry 5 is not an object"),
+    "checkpoint_array_name_not_a_string": (
+        raw_checkpoint(header(format_version=2, arrays=[{"name": 5, "shape": [2]}]), bytes(16)),
+        ck.CheckpointError, "{tmp}/x.ckpt: array name 5 is not a string"),
+    "checkpoint_shape_not_a_list": (
+        raw_checkpoint(header(format_version=2, arrays=[{"name": "w", "shape": 2}]), bytes(16)),
+        ck.CheckpointError, "{tmp}/x.ckpt: array w: shape 2 is not a list of ints"),
+    "checkpoint_shape_of_strings": (
+        raw_checkpoint(header(format_version=2, arrays=[{"name": "w", "shape": ["a"]}])),
+        ck.CheckpointError, "{tmp}/x.ckpt: array w: shape ['a'] is not a list of ints"),
+    "checkpoint_negative_shape": (
+        raw_checkpoint(header(format_version=2, arrays=[{"name": "w", "shape": [-2]}]),
+                       bytes(16)),
+        ck.CheckpointError, "{tmp}/x.ckpt: array w: shape [-2] has a negative size"),
     "checkpoint_config_key": (stored_config(colour=1), ck.CheckpointError,
                               "{tmp}/x.ckpt: bad backbone config (BackboneConfig.__init__() "
                               "got an unexpected keyword argument 'colour')"),

@@ -178,7 +178,7 @@ class TestVirtualNodes:
         seen = []
         layer_forward = models.mpgnn_layer_forward
         monkeypatch.setattr(models, "mpgnn_layer_forward",
-                            lambda h, adj, params: seen.append(adj) or layer_forward(h, adj, params))
+                            lambda h, adj, *rest: seen.append(adj) or layer_forward(h, adj, *rest))
         _, offsets = encode_nodes(encode_graphs(graphs, cfg), bb,
                                   group=[(PromptSet(virtual_tokens=tokens), len(graphs))])
         assert len(seen) == cfg.layers

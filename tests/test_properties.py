@@ -32,10 +32,11 @@ from gpt_lab.models import (
     backbone_forward,
     encode_graphs,
     encode_nodes,
+    first_layer_maxima,
     mpgnn_layer_forward,
     transformer_layer_forward,
 )
-from gpt_lab.prompt import TOKEN_STAGES, PromptSet, init_prompts
+from gpt_lab.prompt import TOKEN_STAGES, PromptSet, build_registry, init_prompts
 from gpt_lab.tensor import (
     AttentionGroups,
     SourceBuckets,
@@ -172,10 +173,11 @@ def _mpgnn_every_row(prepared, bb, tokens):
 @given(batch=batches(), p=st.integers(0, 3), seed=st.integers(0, 2**16))
 def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation, batch,
                                                                     p, seed):
-    """The node rows, and the gradients of p virtual tokens, equal bit for bit
-    those of a last layer that computes every row before the node rows are
-    gathered. A batch of one node row is left out: numpy runs its products
-    through BLAS's matrix-vector routine, which rounds differently."""
+    """The node rows, and the gradients of p virtual tokens and of the input
+    stage, which trains here, equal bit for bit those of a last layer that
+    computes every row before the node rows are gathered. A batch of one
+    node row is left out: numpy runs its products through BLAS's
+    matrix-vector routine, which rounds differently."""
     assume(sum(g.n for g in batch) > 1)
     cfg, bb = MODELS[f"mpgnn_{aggregation}"][:2]
     prepared = encode_graphs(batch, cfg)
@@ -183,16 +185,19 @@ def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation,
     tokens = Tensor(rng.normal(size=(p, cfg.dim)), requires_grad=True) if p else None
     weights = Tensor(rng.normal(size=(prepared.offsets[-1], cfg.dim)))
     group = None if tokens is None else [(PromptSet(virtual_tokens=tokens), prepared.size)]
+    inputs = (bb.w_in, bb.b_in, bb.degree_table)
     runs = []
     for forward in (lambda: encode_nodes(prepared, bb, group)[0],
                     lambda: _mpgnn_every_row(prepared, bb, tokens)):
         with Tape():
             h = forward()
             grads = backward(tsum(mul(h, weights)))
-        runs.append((h.data, grads.get(tokens)))
-    (h, grad), (want_h, want_grad) = runs
+        runs.append((h.data, grads.get(tokens), [grads[t] for t in inputs]))
+    (h, grad, input_grads), (want_h, want_grad, want_input_grads) = runs
     assert np.array_equal(h, want_h)
     assert p == 0 or np.array_equal(grad, want_grad)
+    for got, want in zip(input_grads, want_input_grads):
+        assert np.array_equal(got, want)
 
 
 def _max_plans(batch, p):
@@ -242,6 +247,104 @@ def test_star_max_equals_the_max_over_the_whole_matrix(batch, p, seed):
     h[rng.random(h.shape) < 0.02] = np.nan
     for star, plain in _max_plans(batch, p):
         _assert_same_max(star, plain, h, rng.normal(size=(plain.shape[0], 3)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(batch=batches(max_graphs=8), p=st.integers(1, 8), seed=st.integers(0, 2**16))
+@example(batch=[_SINGLE, _EDGELESS, _PATH, _SINGLE], p=8, seed=0)
+def test_star_max_of_the_hubs_over_constant_spokes_equals_the_star_max(batch, p, seed):
+    """1 to 8 graphs, p from 1 to 8, and values from +-inf, +-1 and +-0 with
+    an occasional NaN. ``graph_maxima`` of the spokes gives each node row's
+    max over its graph sources and each sample's max over its node rows,
+    each reduced in order with its sign of zero; the hubs alone, read with
+    them, give the values and signs of zero of the plain CSR plans of the
+    whole matrix and of its node rows, and the gradients they send to the
+    hubs."""
+    rng = np.random.default_rng(seed)
+    h = rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf],
+                   size=(sum(g.n for g in batch) + p * len(batch), 3))
+    h[rng.random(h.shape) < 0.02] = np.nan
+    prepared = batch_graphs(batch)
+    plans = _max_plans(batch, p)
+    every = plans[0][0]
+    graph = every.graph_maxima(h[every.spokes])
+    indptr, indices = _mpgnn_adjacency(prepared, p, star=True)
+    node_rows = np.split(_node_rows(prepared.offsets, p), prepared.offsets[1:-1])
+    for got, sources in zip(graph, (np.split(indices, indptr[1:-1]), node_rows)):
+        want = np.array([functools.reduce(np.maximum, h[rows]) for rows in sources])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for plan, plain in plans:
+        g = rng.normal(size=(plan.shape[0], 3))
+        want, want_grad = _max_and_grad(plain, h, g)
+        hubs = Tensor(h[every.hubs], requires_grad=True)
+        with Tape(), np.errstate(invalid="ignore"):
+            out = neighbor_max(hubs, plan, graph)
+            grad = backward(tsum(mul(out, Tensor(g))))[hubs]
+        assert np.array_equal(out.data, want, equal_nan=True)
+        assert np.array_equal(np.signbit(out.data), np.signbit(want))
+        assert np.array_equal(grad, want_grad[every.hubs])
+
+
+def _special(rng, shape):
+    """Values from -1, -0, +0 and 1, each entry +inf, -inf or NaN at a rate of 2%."""
+    values = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+    draw = rng.random(shape)
+    values[draw < 0.06] = np.inf
+    values[draw < 0.04] = -np.inf
+    values[draw < 0.02] = np.nan
+    return values
+
+
+@st.composite
+def pooled(draw):
+    """1 to 4 graphs of 1 to 6 nodes, and 1 to 8 picks of them with repeats."""
+    pool = draw(st.lists(graphs(), min_size=1, max_size=4))
+    return pool, draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(case=pooled(), p=st.integers(1, 8), seed=st.integers(0, 2**16))
+@example(case=([_SINGLE, _EDGELESS, _PATH], [0, 1, 2, 0, 1, 2, 1, 0]), p=8, seed=0)
+def test_a_frozen_max_mpgnn_equals_the_plain_star_path(layers, case, p, seed):
+    """A frozen max MPGNN's first layer reads its node rows as constants: from
+    the forward's own plan, or as rows of ``first_layer_maxima`` of the
+    pool that the batch picks from. Both give the node rows, signs of zero
+    included, and the virtual-token gradients of the plain star path, which
+    the same backbone takes when its input stage trains. The input rows are
+    the degree table's rows (the projection is zero), drawn with the virtual
+    tokens from +-1 and +-0 and an occasional +-inf or NaN, so ties abound."""
+    pool, chosen = case
+    cfg = BackboneConfig(kind="mpgnn", feature_dim=3, dim=8, layers=layers, rwpe_steps=2,
+                         degree_embed=True, max_degree=3, aggregation="max")
+    bb = Backbone.init(cfg, seed=1)
+    bb.w_in.data[:] = bb.b_in.data[:] = 0.0
+    rng = np.random.default_rng(seed)
+    bb.degree_table.data = _special(rng, bb.degree_table.shape)
+    tokens = Tensor(_special(rng, (p, cfg.dim)), requires_grad=True)
+    prompts, head = PromptSet(virtual_tokens=tokens), PredictionHead.init(cfg.dim, 1, seed=2)
+    encoded = encode_graphs(pool, cfg)
+    batch = encoded.take(chosen)
+    weights = Tensor(rng.normal(size=(batch.offsets[-1], cfg.dim)))
+
+    def run(maxima=None):
+        with Tape(), np.errstate(invalid="ignore", over="ignore"):
+            h = encode_nodes(batch, bb, [(prompts, batch.size)], maxima)[0]
+            grads = backward(tsum(mul(h, weights)))
+        return h.data, grads[tokens], len(grads)
+
+    build_registry(bb, head, prompts)
+    with np.errstate(invalid="ignore"):
+        rows, samples = first_layer_maxima(encoded, bb)
+    frozen = [run(), run((rows[encoded.rows(chosen)], samples[chosen]))]
+    build_registry(bb, head, prompts, train_backbone=True)
+    want_h, want_grad, _ = run()
+    for h, grad, leaves in frozen:
+        assert leaves == 1                       # the virtual tokens alone
+        assert np.array_equal(h, want_h, equal_nan=True)
+        assert np.array_equal(np.signbit(h), np.signbit(want_h))
+        assert np.array_equal(grad, want_grad, equal_nan=True)
 
 
 def test_star_max_sends_a_nan_of_the_graph_part_to_virtual_row_0():
@@ -427,11 +530,13 @@ def test_take_equals_encoding_the_picked_samples(case):
     gives what encoding those samples as a new batch gives."""
     pool, chosen = case
     cfg = MODELS["transformer"][0]
-    got = encode_graphs(pool, cfg).take(chosen)
+    encoded = encode_graphs(pool, cfg)
+    got = encoded.take(chosen)
     want = encode_graphs([pool[i] for i in chosen], cfg)
     for name in ("features", "degrees", "edges", "offsets"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(encoded.features[encoded.rows(chosen)], want.features)
 
 
 def _rwpe_oracle(g: GraphSample, k: int) -> np.ndarray:

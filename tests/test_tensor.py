@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.special import erf
 
 from gpt_lab import tensor as T
 from gpt_lab.seeding import rng_for
@@ -500,6 +501,8 @@ def buckets(adj):
 
 
 _NEIGHBORS = buckets(csr([[0, 1], [1, 2], [0, 1, 2]]))
+# One block of columns: hub 0, then spokes 1 and 2, each reading itself.
+_STAR = T.SourceBuckets(np.array([0, 1, 2]), np.array([1, 2]), 3, (np.array([0]), 1))
 _SPARSE = sparse.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.5, 0.0], [3.0, 0.0, 0.25]]))
 
 PRIMITIVE_CASES = {
@@ -587,6 +590,20 @@ class TestNeighborMax:
                 grad_fresh = backward(T.tsum(fresh))[h]
             assert np.array_equal(shared.data, fresh.data)
             assert np.array_equal(grad_shared, grad_fresh)
+
+
+def test_gelu_backward_rounds_as_its_formula():
+    """The backward's one buffer rounds as the formula ``g * (cdf + x * pdf)``,
+    with ``pdf = exp(-0.5 * x * x) * (1 / sqrt(2 pi))``."""
+    x = Tensor(np.concatenate([RNG.normal(scale=3.0, size=(40, 6)).ravel(),
+                               [-0.0, 0.0, 1e-300, -40.0, 40.0, 1e155]]).reshape(-1, 3),
+               requires_grad=True)
+    g = RNG.normal(size=x.shape)
+    with Tape(), np.errstate(over="ignore"):
+        grad = backward(T.tsum(T.mul(T.gelu(x), Tensor(g))))[x]
+        cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
+    assert np.array_equal(grad, g * (cdf + x.data * pdf))
 
 
 def test_bce_with_logits_matches_fd():
@@ -709,6 +726,16 @@ INPUT_ERRORS = {
                     "spmm: cannot multiply shapes (2, 3) and (2, 2)"),
     "neighbor_max_rows": (lambda: T.neighbor_max(_matrix(2, 2), _NEIGHBORS), ShapeError,
                           "neighbor_max: cannot aggregate shape (2, 2) over (3, 3)"),
+    "neighbor_max_graph_without_star": (
+        lambda: T.neighbor_max(_matrix(3, 2), _NEIGHBORS, (np.zeros((3, 2)), np.zeros((1, 2)))),
+        ContractError, "neighbor_max: graph maxima need a star plan"),
+    "neighbor_max_hub_rows": (
+        lambda: T.neighbor_max(_matrix(3, 2), _STAR, (np.zeros((2, 2)), np.zeros((1, 2)))),
+        ShapeError, "neighbor_max: cannot aggregate shape (3, 2) over (3, 3) from its hubs"),
+    "neighbor_max_graph_shapes": (
+        lambda: T.neighbor_max(_matrix(1, 2), _STAR, (np.zeros((3, 2)), np.zeros((1, 2)))),
+        ShapeError, "neighbor_max: graph maxima of shapes (3, 2) and (1, 2) for 2 rows of "
+                    "1 blocks"),
     "bce_shapes": (lambda: T.bce_with_logits(_matrix(2, 1), np.zeros((3, 1))), ShapeError,
                    "bce_with_logits: labels shape (3, 1) vs logits (2, 1)"),
     "rng_for_negative": (lambda: rng_for(0, "fold", -1), ValueError,

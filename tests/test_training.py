@@ -561,6 +561,31 @@ class TestTrain:
         train(config, motif_data, cfg, state, seed=1)
         assert calls == [len(motif_data)]
 
+    def test_virtual_tokens_on_a_frozen_max_mpgnn_read_the_maxima_of_the_call(
+            self, motif_data, monkeypatch):
+        """train() computes the first layer's graph maxima once, and every fold
+        trains and scores as through the forward that takes them from its own
+        plan; evaluate_fold, which takes them from its plan, reproduces each
+        fold's last metric."""
+        calls = []
+        maxima = training.first_layer_maxima
+        monkeypatch.setattr(training, "first_layer_maxima",
+                            lambda batch, bb: calls.append(batch.size) or maxima(batch, bb))
+        cfg, state = tiny_backbone("mpgnn", "max")
+        config = tiny_config("virtual_node", epochs=3, lr=1e-2)
+        cached = train(config, motif_data, cfg, state, seed=5)
+        assert calls == [len(motif_data)]
+        monkeypatch.setattr(training, "first_layer_maxima", lambda batch, bb: None)
+        uncached = train(config, motif_data, cfg, state, seed=5)
+        for a, b in zip(cached, uncached):
+            assert a.record.train_losses == b.record.train_losses
+            assert a.record.eval_metrics == b.record.eval_metrics
+            assert a.prompt_state.keys() == b.prompt_state.keys()
+            for name in a.prompt_state:
+                assert np.array_equal(a.prompt_state[name], b.prompt_state[name])
+            assert training.evaluate_fold(config, motif_data, cfg, state, a.prompt_state,
+                                          seed=5, fold=a.fold) == a.final_metric
+
     @pytest.mark.parametrize("mode", ["deepgpt", "lightweight"])
     def test_parallel_folds_match_sequential(self, motif_data, mode):
         cfg, state = tiny_backbone()

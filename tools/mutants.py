@@ -41,8 +41,8 @@ MUTANTS = [
     ("models.py", "<module>", "LN_EPS = 1e-5", "LN_EPS = 1e-6", "LN_EPS 1e-6"),
     ("tensor.py", "block_attention", "inv_sqrt = 1.0 / math.sqrt(dq)", "inv_sqrt = 1.0",
      "attention without its 1/sqrt(dq) scale"),
-    ("models.py", "encode_nodes", "np.minimum(batch.degrees, cfg.max_degree)",
-     "np.minimum(batch.degrees, cfg.max_degree - 1)", "the degree clip one lower"),
+    ("models.py", "_input_rows", "np.minimum(batch.degrees, backbone.cfg.max_degree)",
+     "np.minimum(batch.degrees, backbone.cfg.max_degree - 1)", "the degree clip one lower"),
     ("graphs.py", "rwpe", "for s in range(1, k):", "for s in range(1, k - 1):",
      "RWPE one step short"),
     ("training.py", "AdamW.step", "lr_t * (m / bc1)", "lr_t * m",
@@ -86,6 +86,18 @@ MUTANTS = [
      "_read taking a header that is not a JSON object"),
     ("checkpoint.py", "_read", "except KeyError as exc:", "except IndexError as exc:",
      "_read letting a header without its arrays or an array's shape raise KeyError"),
+    ("checkpoint.py", "_entries", "if not isinstance(listed, list):", "if False:",
+     "_read iterating an 'arrays' field that is not a list"),
+    ("checkpoint.py", "_entries", "if not isinstance(entry, dict):", "if False:",
+     "_read taking an array entry that is not an object"),
+    ("checkpoint.py", "_entries", "if not isinstance(name, str):", "if False:",
+     "_read taking an array name that is not a string"),
+    ("checkpoint.py", "_entries", "if not isinstance(shape, list) or not all(", "if not all(",
+     "_read taking an array shape that is not a list"),
+    ("checkpoint.py", "_entries", "all(type(n) is int for n in shape)", "True",
+     "_read taking an array shape of non-ints"),
+    ("checkpoint.py", "_entries", "if any(n < 0 for n in shape):", "if False:",
+     "_read taking a negative array size"),
     ("checkpoint.py", "load_backbone", "except (KeyError, TypeError, ContractError) as exc:",
      "except KeyError as exc:", "load_backbone letting a bad stored config raise its own error"),
     ("checkpoint.py", "load_prompt", 'if not {"dim", "layers"} <= meta.keys():', "if False:",
@@ -104,9 +116,8 @@ MUTANTS = [
     # to a max over each row's sources in column order.
     ("tensor.py", "neighbor_max", "np.maximum(hub_rows, outd)", "np.maximum(outd, hub_rows)",
      "a spoke's row taking its hub max as the second operand"),
-    ("tensor.py", "neighbor_max",
-     "np.maximum(h.data[buckets.hubs], spoke_max.repeat(len(hubs), 0))",
-     "np.maximum(spoke_max.repeat(len(hubs), 0), h.data[buckets.hubs])",
+    ("tensor.py", "neighbor_max", "np.maximum(hub_in, spoke_max.repeat(p, 0))",
+     "np.maximum(spoke_max.repeat(p, 0), hub_in)",
      "a hub's row taking its spoke max as the first operand"),
     ("tensor.py", "SourceBuckets.__init__", "np.minimum(slot, sizes - 1)",
      "np.where(slot < sizes, slot, 0)", "star spoke tables padded with the block's first spoke"),
@@ -116,6 +127,22 @@ MUTANTS = [
      "the first-slot search counting one slot too many"),
     ("tensor.py", "_first_source", "len(block) <= 256", "True",
      "the first-slot search counting in a byte past slot 255"),
+    ("tensor.py", "gelu", "d *= g", "d -= cdf; d *= g; d += cdf",
+     "GELU's backward adding cdf after scaling by g, not before"),
+    # The first layer of a frozen max MPGNN, which reads its graph part as
+    # constants. Its graph maxima are the plan's own bucket and spoke maxima,
+    # so the star mutants above (operand orders, spoke-table padding) cover
+    # its combine and its node maxima.
+    ("tensor.py", "SourceBuckets.__init__", "np.minimum(slot, counts[rows] - 1)",
+     "np.where(slot < counts[rows], slot, 0)", "bucket tables padded with a row's first source"),
+    ("tensor.py", "neighbor_max", "np.concatenate([hub_source, source])",
+     "np.concatenate([source, hub_source])[::-1]",
+     "a hub's spoke entries summed before its own row's entry"),
+    ("models.py", "encode_nodes", "t is not None and t.requires_grad", "False",
+     "the constant first layer taken while the input stage trains"),
+    ("training.py", "_forward", "maxima[0][encoded.rows(idx)]",
+     "maxima[0][encoded.rows(np.sort(idx))]",
+     "a batch reading the node-row maxima of its samples in dataset order"),
     # What the CLI writes to a run directory.
     ("cli.py", "_aggregate_row", "finals.std(ddof=1)", "finals.std(ddof=0)",
      "metrics.csv std with ddof=0"),
