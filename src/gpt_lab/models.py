@@ -7,16 +7,18 @@ layer norms, the FFN and residuals, runs on that matrix with no padding.
 Work across rows is per sample: the transformer's attention gathers each
 sample's rows into one padded group and attends within it (an
 ``AttentionGroups`` plan of the block sizes, built once per forward),
-the MPGNN aggregates over one sparse CSR adjacency that never joins two
-samples, built in sorted order once per forward, and readout pools each
-sample's segment of node rows, all samples in one ``pool_rows``. Max
-aggregation plans that adjacency as its graph part plus a star per
-sample, the sample's prompt rows as hubs and its node rows as spokes, so
-a sample's prompt rows are read once per layer, not once per node row.
-When the first layer's node rows carry no gradient (a frozen input stage
-and no graph token), that layer takes their part of the max as constants
+the MPGNN aggregates over one graph adjacency of the node rows that
+never joins two samples, built in sorted order once per forward, and
+readout pools each sample's segment of node rows, all samples in one
+``pool_rows``. The MPGNN's rows are ``[hubs; node rows]``: a sample's
+virtual tokens, block by block, ahead of every node row. Max plans the
+adjacency once with each sample as a block whose hubs its node rows
+share, so a sample's virtual rows are read once per layer, not once per
+node row; sum and mean wire the hubs into the adjacency's rows. When the
+first layer's node rows carry no gradient (a frozen input stage and no
+graph token), that layer takes their part of the max as constants
 (``first_layer_maxima``, which ``train`` computes once per call) and
-reads the prompt rows alone. A batched forward therefore agrees with
+reads the hubs alone. A batched forward therefore agrees with
 per-sample forwards.
 
 Prompts arrive in one form, a group of k ``(PromptSet, count)`` pairs:
@@ -27,8 +29,9 @@ way; one task is a group of one pair, and None is the plain backbone).
 ``encode_nodes`` validates the group with ``prompt.check_group`` and
 applies it through ``gpt_lab.prompt``'s hooks (``apply_graph_prompt``
 for the graph token, ``inject_prefix`` for the prefixes). Virtual tokens
-are p prompt rows at the head of each sample block, copied from the
-sample's own set, so the offsets and p locate every row. A prefix is p
+are p rows per sample copied from the sample's own set: the MPGNN's
+hubs, and in the transformer p prompt rows at the head of each sample
+block, so the offsets and p locate every row. A prefix is p
 rows of keys and values that the groups of its set's samples share: a
 prompted layer reads ``[prefix_0; ...; prefix_{k-1}; h]``, projects the
 prefixes once and asks queries of the node rows only. A transformer
@@ -356,8 +359,8 @@ def mpgnn_layer_forward(h: Tensor, operand, params: MpgnnLayerParams,
     ``operand`` comes from ``aggregation_operand``: ``SourceBuckets`` runs
     ``neighbor_max``, a sparse matrix runs ``spmm``; each raises a
     ``ShapeError`` when n is not h's row count. With ``graph``, the
-    constant maxima of a star plan's graph part, ``h`` holds the plan's
-    hubs alone (see ``neighbor_max``).
+    constant maxima of a blocked plan's column rows, ``h`` holds the
+    plan's hubs alone (see ``neighbor_max``).
     """
     if isinstance(operand, SourceBuckets):
         agg = neighbor_max(h, operand, graph)
@@ -369,17 +372,6 @@ def mpgnn_layer_forward(h: Tensor, operand, params: MpgnnLayerParams,
 # ---------------------------------------------------------------------------
 # Batched forward with prompt hooks
 # ---------------------------------------------------------------------------
-
-
-def _block_starts(offsets: np.ndarray, p: int) -> np.ndarray:
-    """First row of each sample block when every block holds p prompt rows, then its nodes."""
-    return offsets[:-1] + p * np.arange(len(offsets) - 1)
-
-
-def _node_rows(offsets: np.ndarray, p: int) -> np.ndarray:
-    """The row of every node, in batch order, with p prompt rows per block."""
-    counts = np.diff(offsets)
-    return np.arange(offsets[-1]) + p * np.repeat(np.arange(1, counts.size + 1), counts)
 
 
 def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int,
@@ -394,74 +386,65 @@ def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int,
     lead = stacked.shape[0] - offsets[-1]          # h starts at this row
     sizes = np.diff(offsets) + p
     block = np.repeat(np.arange(sizes.size), sizes)
-    pos = np.arange(sizes.sum()) - _block_starts(offsets, p)[block]   # position within the block
+    starts = offsets[:-1] + p * np.arange(sizes.size)    # the first row of each block
+    pos = np.arange(sizes.sum()) - starts[block]          # position within the block
     return gather_rows(stacked, np.where(pos < p, owner[block] * p + pos,
                                          lead - p + offsets[block] + pos))
 
 
-def _mpgnn_adjacency(batch: BatchedGraph, p: int,
-                     star: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR arrays, ``indptr`` and ``indices`` in sorted order, of the (R, R)
-    0/1 aggregation matrix of the MPGNN, with p prompt rows per block.
-
-    It holds the diagonal, each graph edge in both directions at the
-    node rows it moved to, and a star per sample: every prompt row of the
-    sample wired to each of its original nodes and back. With ``star`` the
-    arrays hold the graph part alone, the node rows without their prompt
-    entries, for a ``SourceBuckets`` star that reads those entries from the
-    block layout. The entries are sorted by one argsort of ``row * R +
-    column``, a stable one, since most parts of the concatenation already
-    run in row order and a stable sort merges such runs.
+def _mpgnn_adjacency(batch: BatchedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays, ``indptr`` and ``indices`` in sorted order, of the (N, N)
+    0/1 graph adjacency of the batch's N node rows: the diagonal and each
+    edge in both directions. The entries are sorted by one argsort of ``row
+    * N + column``, a stable one, since the diagonal and the edges' first
+    ends already run in row order and a stable sort merges such runs.
     """
-    node_row = _node_rows(batch.offsets, p)
-    a, b = node_row[batch.edges].T
-    total = batch.offsets[-1] + p * batch.size
-    rows, cols = [node_row, a, b], [node_row, b, a]
-    if not star:
-        owner = np.repeat(np.arange(batch.size), np.diff(batch.offsets))
-        hubs = _block_starts(batch.offsets, p) + np.arange(p)[:, None]
-        nodes = np.repeat(node_row, p)          # pair each node row with its p prompt rows
-        prompt = hubs[:, owner].T.ravel()
-        rows += [hubs.ravel(), nodes, prompt]
-        cols += [hubs.ravel(), prompt, nodes]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    counts = np.bincount(rows, minlength=total)
-    if star:
-        counts = counts[node_row]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr, cols[np.argsort(rows * total + cols, kind="stable")]
+    n = batch.offsets[-1]
+    a, b = batch.edges.T
+    rows, cols = np.concatenate([np.arange(n), a, b]), np.concatenate([np.arange(n), b, a])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, cols[np.argsort(rows * n + cols, kind="stable")]
 
 
 def _mpgnn_operands(batch: BatchedGraph, p: int, aggregation: str) -> tuple:
-    """The aggregation operands of the MPGNN's layers with p prompt rows per
-    block: one over every row, and one over the node rows alone, which the
-    last layer computes.
+    """The aggregation operands of the MPGNN's layers over its rows ``[hubs;
+    node rows]``, H = p * B virtual-token rows block by block and then the
+    node rows: one over every row, and one over the node rows alone, the
+    rows after H, which the last layer computes.
 
-    With prompt rows, max takes one ``SourceBuckets`` of the graph part with
-    each sample's prompt rows as the hubs of its star, and that plan's
-    ``spoke_rows``. Otherwise each takes ``aggregation_operand`` of the
-    whole matrix and of its node rows.
+    Max takes one ``SourceBuckets`` of the graph adjacency, with the samples
+    as its blocks when p > 0, and its ``tail()``. Sum and mean take
+    ``aggregation_operand`` of the graph adjacency wired to the hubs, and
+    its tail slice ``H:``: a hub's row reads itself and its sample's node
+    rows, and a node row its sample's p hubs, then its graph row, which
+    keeps each row's columns ascending with no second sort.
     """
-    columns = batch.offsets[-1] + p * batch.size
-    if aggregation == "max" and p:
-        plan = SourceBuckets(*_mpgnn_adjacency(batch, p, star=True), columns,
-                             (_block_starts(batch.offsets, p), p))
-        return plan, plan.spoke_rows()
-    adj = _mpgnn_adjacency(batch, p)
-    every = aggregation_operand(*adj, columns, aggregation)
+    indptr, indices = _mpgnn_adjacency(batch)
+    offsets, n, hubs = batch.offsets, batch.offsets[-1], p * batch.size
+    if aggregation == "max":
+        plan = SourceBuckets(indptr, indices, n, offsets if p else None)
+        return plan, plan.tail()
+    if p:
+        sizes = np.diff(offsets)
+        counts = np.repeat(sizes, p) + 1                          # each hub's row
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        hub = np.repeat(np.arange(hubs), counts)
+        pos = np.arange(starts[-1]) - starts[hub]                 # 0: the hub itself
+        node_indptr = indptr + p * np.arange(n + 1)
+        wired = node_indptr[:-1, None] + np.arange(p)            # each node row's hub entries
+        node_indices = np.empty(node_indptr[-1], dtype=indices.dtype)
+        node_indices[wired] = p * np.repeat(np.arange(batch.size), sizes)[:, None] + np.arange(p)
+        graph = np.ones(node_indices.size, dtype=bool)
+        graph[wired] = False
+        node_indices[graph] = hubs + indices
+        indptr = np.concatenate([starts, starts[-1] + node_indptr[1:]])
+        indices = np.concatenate([np.where(pos == 0, hub, hubs - 1 + offsets[hub // p] + pos),
+                                  node_indices])
+    every = aggregation_operand(indptr, indices, hubs + n, aggregation)
     if not p:
         return every, every
-    return every, aggregation_operand(*_csr_rows(*adj, _node_rows(batch.offsets, p)),
-                                      columns, aggregation)
-
-
-def _csr_rows(indptr: np.ndarray, indices: np.ndarray,
-              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR arrays of the given rows of a CSR matrix, in the order given."""
-    counts = np.diff(indptr)[rows]
-    ends = np.cumsum(counts)
-    entries = np.arange(ends[-1]) + np.repeat(indptr[rows] - ends + counts, counts)
-    return np.concatenate([[0], ends]), indices[entries]
+    tail = indptr[hubs:]
+    return every, aggregation_operand(tail - tail[0], indices[tail[0]:], hubs + n, aggregation)
 
 
 def encode_graphs(graphs: Sequence[GraphSample], cfg: BackboneConfig) -> BatchedGraph:
@@ -500,12 +483,12 @@ def first_layer_maxima(batch: BatchedGraph, backbone: Backbone
     (itself and its neighbours, in row order) and each sample's max over its
     node rows, of the input stage's rows.
 
-    Neither depends on the other samples of a batch or on its prompt rows,
-    so ``train`` computes them once for the dataset, and a forward over
-    samples ``idx`` of it passes their rows, ``(rows[batch.rows(idx)],
+    Neither depends on the other samples of a batch or on its virtual
+    tokens, so ``train`` computes them once for the dataset, and a forward
+    over samples ``idx`` of it passes their rows, ``(rows[batch.rows(idx)],
     samples[idx])``, to ``encode_nodes``.
     """
-    plan = _mpgnn_operands(batch, 1, "max")[0]
+    plan = SourceBuckets(*_mpgnn_adjacency(batch), batch.offsets[-1], batch.offsets)
     return plan.graph_maxima(_input_rows(batch, backbone).data)
 
 
@@ -522,9 +505,10 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     on; None is one empty set. ``prompt.check_group`` validates it. The
     sets are applied through the hooks of ``gpt_lab.prompt``:
     ``apply_graph_prompt`` adds each row's own graph token, before or
-    after the input projection as its stage says; virtual tokens are
-    inserted as p prompt rows at the head of each sample block after the
-    projection. A prompted layer reads ``inject_prefix``'s ``[prefix_0;
+    after the input projection as its stage says; virtual tokens are p
+    rows per sample after the projection, the MPGNN's hubs ahead of the
+    node rows and the transformer's prompt rows at the head of each
+    sample block. A prompted layer reads ``inject_prefix``'s ``[prefix_0;
     ...; prefix_{k-1}; h]``: each set's p prefix rows are keys and values
     that the groups of its samples share, projected once. An empty
     prompt set runs the same operations as no prompt set.
@@ -542,18 +526,18 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     layer that drops its prompt rows, and ``skip = p`` key-only prompt
     rows when a layer drops prompt rows that are in the blocks. Each
     distinct plan is built, and checked, once per forward. The MPGNN
-    runs on every row, over one aggregation operand built after prompt
-    rows are inserted, except in its last layer, which computes node rows
-    only: its operand is the node rows of the same matrix (a CSR row
-    slice, or for max the ``spoke_rows`` of the same plan).
+    runs on every row, hubs then node rows, over one aggregation operand,
+    except in its last layer, which computes node rows only: its operand
+    is the same matrix's rows after the hubs (a CSR tail slice, or for max
+    the ``tail()`` of the same plan).
 
     When a max MPGNN's first layer reads virtual tokens and node rows that
     carry no gradient (its input stage is frozen and there is no graph
     token), that layer reads the node rows' part of its max as constants:
     ``maxima``, the batch's rows of ``first_layer_maxima``, or without
-    them the same maxima taken from the forward's own plan. It then builds
-    no input rows for the node rows and sends its gradient to the prompt
-    rows alone, with the same values and gradients. ``maxima`` is ignored
+    them the same maxima taken from the forward's own plan. It then reads
+    the hubs alone and sends its gradient to them, with the same values
+    and gradients. ``maxima`` is ignored
     when that layer's node rows carry a gradient.
     """
     cfg = backbone.cfg
@@ -564,7 +548,7 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
     offsets = batch.offsets
     owner = np.repeat(np.arange(len(sets)), counts)   # each sample's set
     prompts = sets[0]                             # the layout every set shares
-    p = 0                                         # prompt rows at the head of each block
+    p = 0                                         # virtual-token rows per sample
     if prompts.virtual_tokens is not None:
         p = prompts.virtual_tokens.shape[0]
 
@@ -575,25 +559,29 @@ def encode_nodes(batch: BatchedGraph, backbone: Backbone,
         row_owner = np.repeat(owner, np.diff(offsets))
     if cfg.kind == "mpgnn":
         every, nodes = _mpgnn_operands(batch, p, cfg.aggregation)
-    inputs = (backbone.w_in, backbone.b_in, backbone.degree_table)
-    if cfg.kind == "mpgnn" and cfg.aggregation == "max" and p and stage is None and not any(
-            t is not None and t.requires_grad for t in inputs):
-        # The first layer reads the node rows as constants, and h is its hubs.
-        if maxima is None:
-            maxima = every.graph_maxima(_input_rows(batch, backbone).data)
-        h = gather_rows(concat_rows([s.virtual_tokens for s in sets]),
-                        (p * owner[:, None] + np.arange(p)).ravel())   # block by block
-    else:
-        maxima = None
-        h = _input_rows(batch, backbone, stage, tokens, row_owner)
-        if p:
-            h = _insert_prompt_rows(concat_rows([*(s.virtual_tokens for s in sets), h]),
-                                    offsets, p, owner)
-    if cfg.kind == "mpgnn":
+        if p:                                     # the hubs, block by block
+            hubs = gather_rows(concat_rows([s.virtual_tokens for s in sets]),
+                               (p * owner[:, None] + np.arange(p)).ravel())
+        inputs = (backbone.w_in, backbone.b_in, backbone.degree_table)
+        if cfg.aggregation == "max" and p and stage is None and not any(
+                t is not None and t.requires_grad for t in inputs):
+            # The first layer reads the node rows as constants, and h is its hubs.
+            if maxima is None:
+                maxima = every.graph_maxima(_input_rows(batch, backbone).data)
+            h = hubs
+        else:
+            maxima = None
+            h = _input_rows(batch, backbone, stage, tokens, row_owner)
+            if p:
+                h = concat_rows([hubs, h])
         for li, params in enumerate(backbone.layers):   # the last computes node rows only
             h = mpgnn_layer_forward(h, nodes if li + 1 == cfg.layers else every, params, maxima)
             maxima = None
         return h, offsets
+    h = _input_rows(batch, backbone, stage, tokens, row_owner)
+    if p:
+        h = _insert_prompt_rows(concat_rows([*(s.virtual_tokens for s in sets), h]),
+                                offsets, p, owner)
     built: dict[tuple, AttentionGroups] = {}      # each distinct set of groups
     prefixes = prompts.prefixes
     for li, params in enumerate(backbone.layers):

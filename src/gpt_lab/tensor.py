@@ -17,7 +17,8 @@ read (or, for a strictly increasing index, assigns them), and
 averages contiguous segments of rows, and ``block_attention`` gather
 padded blocks of rows, in which -1 reads a zero row; ``linear``
 (``x @ w + b``) is the one affine map, and no row of its result or of
-its input gradient depends on the row count. The one place that works on
+its input gradient depends on the row count, one row included (it is
+computed as a row of a two-row product). The one place that works on
 higher-rank arrays is ``block_attention``: it gathers the rows of its
 fused (R, 3 * heads * dq) query/key/value operand into padded (B, heads,
 L, dq) groups, runs softmax attention within each group and returns one
@@ -36,17 +37,18 @@ The sparse matrix that ``spmm`` takes is a constant, and so is the
 ``SourceBuckets`` plan that ``neighbor_max`` takes of the CSR arrays of
 one, each row's columns ascending: its output rows bucketed by source
 count, rounded up to a power of two, built once per matrix. The plan may
-add a star: blocks of columns whose first p columns, the hubs, every
-other row of the block reads before its own sources, and which read the
-block's other rows back, so each block's hubs and the rest are read once
-per block instead of once per row. ``neighbor_max`` runs one gather and
-one max per bucket, and per star one for its hubs and one for the rest;
-only its backward pass looks up which source held each max (the first in
-column order that is not below it, so ties go to the lowest column and a
-NaN max to the row's first source). When the rows other than the hubs
-are constants, the plan's ``graph_maxima`` of them, its bucket maxima
-and each block's spoke max, can be taken once and passed in: the max
-then reads the hub rows alone, and only they get a gradient.
+split the columns of a square matrix into blocks, each with p hub rows
+that ``neighbor_max`` reads ahead of the column rows, p set by the rows
+it is handed: a block's rows read its hubs, and each hub reads its
+block's rows, so each block's hubs and rows are read once per block
+instead of once per row. A block's max over its rows is one more bucketed
+CSR row. ``neighbor_max`` runs one gather and one max per bucket and one
+for the hubs; only its backward pass looks up which source held each max
+(the first in column order that is not below it, so ties go to the
+lowest column and a NaN max to the row's first source). When the column
+rows are constants, the plan's ``graph_maxima`` of them can be taken
+once and passed in: the max then reads the hub rows alone, and only they
+get a gradient.
 ``bce_with_logits`` reads a non-finite label as missing, the one form of
 a missing label.
 """
@@ -240,6 +242,18 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, a one-row ``a`` computed as the first row of a two-row product.
+
+    numpy hands a one-row product to BLAS's matrix-vector routine, which
+    rounds differently from the same row of a taller product, so a batch
+    of one row would not round as that row does in a larger batch.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def _times_transpose(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``g @ w.T``, each row computed the same way whatever the row count.
 
@@ -249,7 +263,7 @@ def _times_transpose(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     for every row count, so a sample's gradient rows do not depend on the
     batch around them.
     """
-    return g @ np.ascontiguousarray(w.T)
+    return _product(g, np.ascontiguousarray(w.T))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -258,7 +272,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs two matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(_product(a.data, b.data))
     ad, bd = a.data, b.data
     return _record(out, [(a, lambda g: _times_transpose(g, bd)), (b, lambda g: ad.T @ g)])
 
@@ -269,7 +283,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: cannot map shape {x.shape} by weight {w.shape} and "
                          f"bias {b.shape}")
     xd, wd = x.data, w.data
-    out = Tensor(xd @ wd + b.data)
+    out = Tensor(_product(xd, wd) + b.data)
     return _record(out, [(x, lambda g: _times_transpose(g, wd)), (w, lambda g: xd.T @ g),
                          (b, lambda g: g.sum(axis=0))])
 
@@ -653,19 +667,19 @@ class SourceBuckets:
     Build it once per matrix and pass it to every ``neighbor_max`` over
     that matrix.
 
-    A ``star``, ``(starts, p)`` with p at least 1, adds sources that rows
-    share. The columns then form one block per entry of ``starts``, from
-    it to the next start or n, whose first p columns are its hubs and the
-    rest, at least one, its spokes. The CSR rows are the spokes, in column
-    order, and each reads its block's hubs before its own sources, which
-    lie after them. The plan is then (n, n), each column being an output
-    row too: a spoke's row is its CSR row, and a hub's row reads the hub
-    itself and then its block's spokes. ``spoke_rows`` gives the same
-    plan with the CSR rows alone as its output rows.
+    ``blocks``, the offsets of contiguous blocks of the n columns of a
+    square matrix, adds a star of hubs per block, which ``neighbor_max``
+    reads ahead of the column rows: p hubs per block, block by block, p
+    given by the rows it is handed. A block's column rows read its hubs
+    before their own sources, and each hub reads itself and then its
+    block's column rows. Each block is one more CSR row over its columns,
+    bucketed with the matrix's rows (after them in each bucket), so the
+    max over a block's column rows is taken once per block. ``tail()`` is
+    the same plan with the CSR rows alone as its output rows.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, columns: int,
-                 star: tuple[np.ndarray, int] | None = None):
+                 blocks: np.ndarray | None = None):
         counts = np.diff(indptr)
         if not counts.all():
             raise ContractError(f"neighbor_max: row {int(np.argmin(counts))} has no source")
@@ -674,53 +688,52 @@ class SourceBuckets:
         if not ascends.all():
             row = int(np.searchsorted(indptr, np.argmin(ascends), "right")) - 1
             raise ContractError(f"neighbor_max: the columns of row {row} do not ascend")
-        self.shape = self.csr_shape = (counts.size, columns)
+        self.shape = (counts.size, columns)
+        self.blocks, self.with_hubs = 0, True
+        if blocks is not None:
+            self.blocks = blocks.size - 1
+            self.owner = np.repeat(np.arange(self.blocks), np.diff(blocks))   # each row's block
+            counts = np.append(counts, np.diff(blocks))
+            indptr = np.append(indptr, indptr[-1] + blocks[1:])
+            indices = np.append(indices, np.arange(columns))
         log_slots = np.frexp(counts - 1)[1]             # ceil(log2(count)), 0 for one source
         self.buckets = []
         for b in np.unique(log_slots):
             rows = np.flatnonzero(log_slots == b)
             slot = np.arange(1 << int(b))[:, None]
-            self.buckets.append((rows, indices[indptr[rows] + np.minimum(slot, counts[rows] - 1)]))
-        self.star = self.hubs = self.spokes = None
-        if star is not None:
-            starts, p = star
-            sizes = np.diff(np.append(starts, columns)) - p         # spokes per block
-            slot = np.arange(sizes.max())[:, None]
-            hubs = starts + np.arange(p)[:, None]                   # (p, blocks)
-            spokes = starts + p + np.minimum(slot, sizes - 1)       # padded with the last spoke
-            self.star = (hubs, spokes, np.repeat(np.arange(sizes.size), sizes))
-            self.hubs = hubs.T.ravel()
-            self.spokes = np.delete(np.arange(columns), self.hubs)
-            self.shape = (columns, columns)
+            self.buckets.append((rows, indices[indptr[rows] + np.minimum(slot, counts[rows] - 1)],
+                                 np.searchsorted(rows, self.shape[0])))
 
-    def spoke_rows(self) -> "SourceBuckets":
-        """This plan with its CSR rows alone as its output rows, in their order."""
+    def tail(self) -> "SourceBuckets":
+        """This plan with its CSR rows alone as output rows: the rows after its hub rows."""
         plan = copy.copy(self)
-        plan.shape, plan.spokes = self.csr_shape, None
+        plan.with_hubs = False
         return plan
 
-    def graph_maxima(self, spokes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The graph part of this star plan over ``spokes``, the (rows, d) values of
-        its spokes in column order: each CSR row's max over its own sources, and
-        each block's max over its spokes, as ``neighbor_max`` takes them for
-        ``graph``. They are the maxima that ``neighbor_max`` takes of the same
-        rows, so they keep its signs of zero."""
-        full = np.empty((self.shape[1], spokes.shape[1]))
-        full[self.spokes] = spokes
-        return _bucket_max(full, self)[0], full.take(self.star[1], axis=0).max(axis=0)
+    def graph_maxima(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each CSR row's max over its own sources among the (n, d) column rows
+        ``x``, and each block's max over its column rows: the maxima that
+        ``neighbor_max`` takes of the same rows, with their signs of zero, as it
+        reads them for ``graph``."""
+        out = _bucket_max(x, self, True)[0]
+        return out[:self.shape[0]], out[self.shape[0]:]
 
 
-def _bucket_max(h: np.ndarray, buckets: SourceBuckets) -> tuple[np.ndarray, list]:
-    """Each CSR row's max over its sources among the rows of ``h``, and each
-    bucket's (slots, rows, d) gather with its max."""
-    out = np.empty((buckets.csr_shape[0], h.shape[1]))
-    blocks = []
-    for rows, table in buckets.buckets:
+def _bucket_max(h: np.ndarray, buckets: SourceBuckets,
+                block_rows: bool) -> tuple[np.ndarray, list]:
+    """Each CSR row's max over its sources among the rows of ``h``, then with
+    ``block_rows`` each block's, and each bucket's rows, table, (slots, rows,
+    d) gather and max."""
+    out = np.empty((buckets.shape[0] + block_rows * buckets.blocks, h.shape[1]))
+    gathers = []
+    for rows, table, csr in buckets.buckets:
+        if not block_rows:
+            rows, table = rows[:csr], table[:, :csr]
         block = h.take(table, axis=0)
         top = block.max(axis=0)
         out[rows] = top
-        blocks.append((block, top))
-    return out, blocks
+        gathers.append((rows, table, block, top))
+    return out, gathers
 
 
 def _first_source(table: np.ndarray, block: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -755,93 +768,81 @@ def neighbor_max(h: Tensor, buckets: SourceBuckets,
 
     Each bucket gathers its sources into one (slots, rows, d) block and
     takes one max over the slots; a short row reads its last source again,
-    which changes neither its max nor the first source holding it. A star
-    gathers each block's hubs and its spokes the same way, short blocks
-    reading their last spoke again, for one hub max and one spoke max per
-    block. A spoke's row is its hub max combined with its bucket's max,
-    and a hub's row is the hub combined with its spoke max, in that order:
-    ``np.maximum`` returns its second operand on a tie of +0 and -0, so
-    each row keeps the sign that a max over its sources in column order
-    gives. The gradient of each (row, column) pair goes to a single
-    source: the first in column order that is not below the max, so ties
-    go to the lowest column and a NaN max to the row's first source, the
-    first hub for a spoke's row. That search runs in the backward pass, so
-    an untaped forward never pays for it.
+    which changes neither its max nor the first source holding it. With
+    ``blocks``, ``h`` is ``[hubs; column rows]``: H = p * blocks hub rows,
+    block by block, ahead of the n column rows (p = 0 is the plain plan).
+    The result is then ``[hub rows; CSR rows]`` (the CSR rows alone for a
+    ``tail()`` plan): a CSR row is its block's hub max combined with its
+    bucket's max, and a hub's row is the hub combined with its block's
+    max, in that order: ``np.maximum`` returns its second operand on a tie
+    of +0 and -0, so each row keeps the sign that a max over its sources
+    in column order gives. The gradient of each (row, column) pair goes to
+    a single source: the first in column order that is not below the max,
+    so ties go to the lowest column and a NaN max to the row's first
+    source, the block's first hub for a CSR row. That search runs in the
+    backward pass, so an untaped forward never pays for it.
 
-    With ``graph``, the spokes are constants: ``h`` holds the star's hubs
-    alone, block by block, and ``graph`` is what ``buckets.graph_maxima``
-    gives of the spokes' values, read in place of the bucket and spoke
-    maxima. Only the hubs get a gradient, each summing its entries in the
-    order of the whole plan's (row, column) pairs: its own row first, then
-    its block's spoke rows.
+    With ``graph``, the column rows are constants: ``h`` holds the hubs
+    alone, and ``graph`` is what ``buckets.graph_maxima`` gives of the
+    column rows, read in place of the bucket maxima. Only the hubs get a
+    gradient, each summing its entries in the order of the whole plan's
+    (row, column) pairs: its own row first, then its block's CSR rows.
     """
-    star = buckets.star
-    if graph is not None and star is None:
-        raise ContractError("neighbor_max: graph maxima need a star plan")
-    sources = buckets.shape[1] if graph is None else star[0].size
-    if h.ndim != 2 or h.shape[0] != sources:
+    (rows, columns), blocks = buckets.shape, buckets.blocks
+    if graph is not None and not blocks:
+        raise ContractError("neighbor_max: graph maxima need a plan with blocks")
+    hubs = h.shape[0] - (columns if graph is None else 0) if h.ndim == 2 else -1
+    if hubs < 0 or (hubs and (not blocks or hubs % blocks)) or (
+            graph is not None and not hubs):
         raise ShapeError(f"neighbor_max: cannot aggregate shape {h.shape} over "
-                         f"{buckets.shape}" + ("" if graph is None else " from its hubs"))
-    n, d = buckets.shape[0], h.shape[1]
-    hd = h.data
+                         f"{buckets.shape}" + ("" if graph is None else " from its hubs")
+                         + (f" and {blocks} blocks" if blocks else ""))
+    p, d, hd = hubs // max(blocks, 1), h.shape[1], h.data
+    block_rows = p > 0 and buckets.with_hubs        # a hub's row reads its block's max
     if graph is None:
-        outd, blocks = _bucket_max(hd, buckets)
+        outd, gathers = _bucket_max(hd[hubs:], buckets, block_rows)
+        row_max, block_max = outd[:rows], outd[rows:]
     else:
-        outd, spoke_max = graph
-        if outd.shape != (buckets.csr_shape[0], d) or spoke_max.shape != (star[0].shape[1], d):
-            raise ShapeError(f"neighbor_max: graph maxima of shapes {outd.shape} and "
-                             f"{spoke_max.shape} for {buckets.csr_shape[0]} rows of "
-                             f"{star[0].shape[1]} blocks")
-    if star is not None:
-        hubs, spokes, owner = star
-        p = len(hubs)
-        if graph is None:
-            own = buckets.hubs                          # each hub's row of h
-        else:
-            own = np.arange(hubs.size)
-            hubs = own.reshape(-1, p).T
-        hub_block = hd.take(hubs, axis=0)
+        row_max, block_max = graph
+        if row_max.shape != (rows, d) or block_max.shape != (blocks, d):
+            raise ShapeError(f"neighbor_max: graph maxima of shapes {row_max.shape} and "
+                             f"{block_max.shape} for {rows} rows of {blocks} blocks")
+    if p:
+        table = np.arange(hubs).reshape(blocks, p).T    # (p, blocks): hub j of each block
+        hub_block = hd.take(table, axis=0)
         hub_max = hub_block.max(axis=0)
-        hub_rows = hub_max[owner]
-        outd = spoke_out = np.maximum(hub_rows, outd)
-        if buckets.spokes is not None:
-            if graph is None:
-                spoke_block = hd.take(spokes, axis=0)
-                spoke_max = spoke_block.max(axis=0)
-            hub_in = hd.take(own, axis=0)
-            hub_out = np.maximum(hub_in, spoke_max.repeat(p, 0))
-            outd = np.empty((n, d))
-            outd[buckets.spokes] = spoke_out
-            outd[buckets.hubs] = hub_out
+        hub_rows = hub_max[buckets.owner]
+        outd = row_out = np.maximum(hub_rows, row_max)
+        if block_rows:
+            hub_in = hd[:hubs]
+            hub_out = np.maximum(hub_in, block_max.repeat(p, 0))
+            outd = np.concatenate([hub_out, row_out])
 
     def bwd(g):
-        rows = h.shape[0]
-        source = rows                                   # a spare row, dropped at the end
+        n = h.shape[0]
+        row_source = block_source = n                   # a spare row, dropped at the end
         if graph is None:
-            source = np.empty((buckets.csr_shape[0], d), dtype=np.intp)
-            for (bucket_rows, table), (block, top) in zip(buckets.buckets, blocks):
-                source[bucket_rows] = _first_source(table, block, top)
-        if star is not None:
-            # A spoke's row: its first hub not below the max (hub 0 for a NaN
-            # max), unless the hub max is below it; a hub's row: the hub
-            # itself, unless it is below the max, then its first spoke not below.
-            hub = np.where(np.isnan(spoke_out), hubs[0, owner, None],
-                           _first_source(hubs, hub_block, hub_max)[owner])
-            source = _select(hub_rows < spoke_out, source, hub)
-            if buckets.spokes is not None:
-                spoke = rows if graph is not None else \
-                    _first_source(spokes, spoke_block, spoke_max).repeat(p, 0)
-                hub_source = _select(hub_in < hub_out, spoke, own[:, None])
-                if graph is None:
-                    spoke_source, source = source, np.empty((n, d), dtype=np.intp)
-                    source[buckets.spokes] = spoke_source
-                    source[buckets.hubs] = hub_source
-                else:               # the hub rows, then the spoke rows
-                    source = np.concatenate([hub_source, source])
-                    g = np.concatenate([g[buckets.hubs], g[buckets.spokes]])
+            source = np.empty((rows + blocks * block_rows, d), dtype=np.intp)
+            for bucket_rows, bucket_table, block, top in gathers:
+                source[bucket_rows] = _first_source(bucket_table, block, top)
+            source += hubs                              # the column rows follow the hubs
+            row_source, block_source = source[:rows], source[rows:].repeat(p, 0)
+        if not p:
+            source = row_source
+        else:
+            # A CSR row: its first hub not below the max (hub 0 for a NaN max),
+            # unless the hub max is below it; a hub's row: the hub itself,
+            # unless it is below the max, then its block's first row not below.
+            hub = np.where(np.isnan(row_out), table[0, buckets.owner, None],
+                           _first_source(table, hub_block, hub_max)[buckets.owner])
+            source = _select(hub_rows < row_out, row_source, hub)
+            if block_rows:
+                hub_source = _select(hub_in < hub_out, block_source,
+                                     np.arange(hubs)[:, None])
+                source = np.concatenate([hub_source, source])
         flat = (source * d + np.arange(d)).ravel()
-        grad = np.bincount(flat, weights=g.ravel(), minlength=(rows + 1) * d)
-        return grad[:rows * d].reshape(rows, d)
+        grad = np.bincount(flat, weights=g.ravel(), minlength=(n + 1) * d)
+        return grad[:n * d].reshape(n, d)
 
     return _record(Tensor(outd), [(h, bwd)])
 

@@ -183,18 +183,16 @@ class TestVirtualNodes:
                                   group=[(PromptSet(virtual_tokens=tokens), len(graphs))])
         assert len(seen) == cfg.layers
         adj = seen[0]
-        total = offsets[-1] + 2 * len(graphs)
-        # The last layer computes node rows only: its operand is their rows of adj.
-        node_rows = np.concatenate([np.arange(2, 2 + g.n) + offsets[b] + 2 * b
-                                    for b, g in enumerate(graphs)])
+        hubs = 2 * len(graphs)                # 2 token rows per sample, ahead of the nodes
+        total = offsets[-1] + hubs
+        # The last layer computes node rows only: its operand is adj's rows after the hubs.
         assert seen[-1].shape == (offsets[-1], total)
-        assert (seen[-1] != adj[node_rows]).nnz == 0
+        assert (seen[-1] != adj[hubs:]).nnz == 0
         assert adj.diagonal().tolist() == [1.0] * total
         neighbors = [set(adj[row].indices.tolist()) - {row} for row in range(total)]
         for b, g in enumerate(graphs):
-            start = offsets[b] + 2 * b       # block b: 2 token rows, then the nodes
-            token_rows = {start, start + 1}
-            nodes = list(range(start + 2, start + 2 + g.n))
+            token_rows = {2 * b, 2 * b + 1}
+            nodes = list(range(hubs + offsets[b], hubs + offsets[b] + g.n))
             for row in token_rows:
                 assert sorted(neighbors[row]) == nodes
             for local, nb in enumerate(g.neighbors()):

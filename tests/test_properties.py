@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.stats import rankdata
@@ -23,11 +23,9 @@ from gpt_lab.models import (
     Backbone,
     BackboneConfig,
     PredictionHead,
-    _csr_rows,
     _insert_prompt_rows,
     _mpgnn_adjacency,
     _mpgnn_operands,
-    _node_rows,
     aggregation_operand,
     backbone_forward,
     encode_graphs,
@@ -53,6 +51,7 @@ from gpt_lab.tensor import (
     mul,
     neighbor_max,
     pool_rows,
+    spmm,
     tsum,
 )
 from gpt_lab.training import _average_ranks
@@ -125,47 +124,56 @@ def _assert_node_rows_only(batch, cfg, bb, prompts):
     assert offsets is prepared.offsets and h.shape == (offsets[-1], cfg.dim)
 
 
-def _blocks(batch, p):
-    """(first row, first node row) of each sample's block of p prompt rows and its nodes."""
-    starts = np.cumsum([0] + [p + g.n for g in batch[:-1]])
-    return [(int(s), int(s) + p) for s in starts]
-
-
 @PROPERTY_SETTINGS
 @given(batch=batches(), p=st.integers(0, 3))
 def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
-    cfg = MODELS["mpgnn_sum"][0]
-    indptr, indices = _mpgnn_adjacency(encode_graphs(batch, cfg), p)
-    want = []
-    for g, (bs, ns) in zip(batch, _blocks(batch, p)):
-        prompt_rows = list(range(bs, ns))
-        node_rows = list(range(ns, ns + g.n))
-        want += [{row, *node_rows} for row in prompt_rows]
-        want += [{ns + i, *(ns + j for j in nb), *prompt_rows}
-                 for i, nb in enumerate(g.neighbors())]
-    total = sum(p + g.n for g in batch)
-    assert indptr.shape == (total + 1,) and indptr[0] == 0 and indptr[-1] == indices.size
-    assert indices.min() >= 0 and indices.max() < total
-    for row, expected in enumerate(want):
-        stored = indices[indptr[row]:indptr[row + 1]]
-        assert (np.diff(stored) > 0).all() and set(stored.tolist()) == expected
+    """The graph adjacency holds each node row's own row and neighbours; the
+    matrix that sum aggregates with p virtual tokens per sample, over the rows
+    ``[hubs; node rows]``, wires each sample's p hub rows to its node rows and
+    back."""
+    prepared = encode_graphs(batch, MODELS["mpgnn_sum"][0])
+    offsets, hubs = prepared.offsets, p * len(batch)
+    graph, want = [], [{row, *(hubs + offsets[b] + i for i in range(g.n))}
+                        for b, g in enumerate(batch) for row in range(p * b, p * b + p)]
+    for b, g in enumerate(batch):
+        for i, nb in enumerate(g.neighbors()):
+            graph.append({offsets[b] + i, *(offsets[b] + j for j in nb)})
+            want.append({hubs + offsets[b] + i, *(hubs + offsets[b] + j for j in nb),
+                         *range(p * b, p * b + p)})
+    every = _mpgnn_operands(prepared, p, "sum")[0]
+    wired = (every.indptr, every.indices)
+    for (indptr, indices), rows, total in ((_mpgnn_adjacency(prepared), graph, offsets[-1]),
+                                           (wired, want, hubs + offsets[-1])):
+        assert indptr.shape == (total + 1,) and indptr[0] == 0 and indptr[-1] == indices.size
+        assert indices.min() >= 0 and indices.max() < total
+        for row, expected in enumerate(rows):
+            stored = indices[indptr[row]:indptr[row + 1]]
+            assert (np.diff(stored) > 0).all() and set(stored.tolist()) == expected
+
+
+def _wired(prepared, p):
+    """The CSR matrix of the MPGNN's rows ``[hubs; node rows]`` with p hubs per
+    sample, as sum aggregates over it, and its node rows, the rows after the hubs."""
+    every = _mpgnn_operands(prepared, p, "sum")[0]
+    return every, every[p * prepared.size:]
 
 
 def _mpgnn_every_row(prepared, bb, tokens):
     """The MPGNN forward of ``encode_nodes`` with its last layer run on every
-    row, prompt rows too, and the node rows gathered after it."""
+    row, the hubs too, over the plain operand of the whole matrix (for max,
+    the ``SourceBuckets`` of its rows, with no star), and the node rows
+    gathered after it."""
     cfg, offsets = bb.cfg, prepared.offsets
     h = linear(Tensor(prepared.features), bb.w_in, bb.b_in)
     h = add(h, gather_rows(bb.degree_table, np.minimum(prepared.degrees, cfg.max_degree)))
     p = 0 if tokens is None else tokens.shape[0]
     if p:
-        h = _insert_prompt_rows(concat_rows([tokens, h]), offsets, p,
-                                np.zeros(prepared.size, dtype=int))
-    operand = aggregation_operand(*_mpgnn_adjacency(prepared, p), h.shape[0],
-                                  cfg.aggregation)
+        h = concat_rows([gather_rows(tokens, np.tile(np.arange(p), prepared.size)), h])
+    matrix = _wired(prepared, p)[0]
+    operand = aggregation_operand(matrix.indptr, matrix.indices, h.shape[0], cfg.aggregation)
     for params in bb.layers:
         h = mpgnn_layer_forward(h, operand, params)
-    return gather_rows(h, _node_rows(offsets, p))
+    return gather_rows(h, np.arange(p * prepared.size, h.shape[0]))
 
 
 @pytest.mark.parametrize("aggregation", ["sum", "mean", "max"])
@@ -175,10 +183,7 @@ def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation,
                                                                     p, seed):
     """The node rows, and the gradients of p virtual tokens and of the input
     stage, which trains here, equal bit for bit those of a last layer that
-    computes every row before the node rows are gathered. A batch of one
-    node row is left out: numpy runs its products through BLAS's
-    matrix-vector routine, which rounds differently."""
-    assume(sum(g.n for g in batch) > 1)
+    computes every row before the node rows are gathered."""
     cfg, bb = MODELS[f"mpgnn_{aggregation}"][:2]
     prepared = encode_graphs(batch, cfg)
     rng = np.random.default_rng(seed)
@@ -203,12 +208,10 @@ def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation,
 def _max_plans(batch, p):
     """The max operands of ``encode_nodes``, one star plan for every row and
     its node rows, each paired with its oracle: the plain ``SourceBuckets`` of
-    the whole matrix that ``_mpgnn_adjacency`` gives, and of its node rows."""
+    the whole matrix that sum aggregates over, and of its node rows."""
     prepared = batch_graphs(batch)
-    indptr, indices = _mpgnn_adjacency(prepared, p)
-    columns = prepared.offsets[-1] + p * prepared.size
-    plain = (SourceBuckets(indptr, indices, columns),
-             SourceBuckets(*_csr_rows(indptr, indices, _node_rows(prepared.offsets, p)), columns))
+    plain = [aggregation_operand(m.indptr, m.indices, m.shape[1], "max")
+             for m in _wired(prepared, p)]
     return list(zip(_mpgnn_operands(prepared, p, "max"), plain))
 
 
@@ -254,36 +257,69 @@ def test_star_max_equals_the_max_over_the_whole_matrix(batch, p, seed):
 @example(batch=[_SINGLE, _EDGELESS, _PATH, _SINGLE], p=8, seed=0)
 def test_star_max_of_the_hubs_over_constant_spokes_equals_the_star_max(batch, p, seed):
     """1 to 8 graphs, p from 1 to 8, and values from +-inf, +-1 and +-0 with
-    an occasional NaN. ``graph_maxima`` of the spokes gives each node row's
+    an occasional NaN. ``graph_maxima`` of the node rows gives each node row's
     max over its graph sources and each sample's max over its node rows,
     each reduced in order with its sign of zero; the hubs alone, read with
     them, give the values and signs of zero of the plain CSR plans of the
     whole matrix and of its node rows, and the gradients they send to the
     hubs."""
     rng = np.random.default_rng(seed)
+    hubs = p * len(batch)
     h = rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf],
-                   size=(sum(g.n for g in batch) + p * len(batch), 3))
+                   size=(sum(g.n for g in batch) + hubs, 3))
     h[rng.random(h.shape) < 0.02] = np.nan
     prepared = batch_graphs(batch)
     plans = _max_plans(batch, p)
-    every = plans[0][0]
-    graph = every.graph_maxima(h[every.spokes])
-    indptr, indices = _mpgnn_adjacency(prepared, p, star=True)
-    node_rows = np.split(_node_rows(prepared.offsets, p), prepared.offsets[1:-1])
+    graph = plans[0][0].graph_maxima(h[hubs:])
+    indptr, indices = _mpgnn_adjacency(prepared)
+    node_rows = np.split(np.arange(prepared.offsets[-1]), prepared.offsets[1:-1])
     for got, sources in zip(graph, (np.split(indices, indptr[1:-1]), node_rows)):
-        want = np.array([functools.reduce(np.maximum, h[rows]) for rows in sources])
+        want = np.array([functools.reduce(np.maximum, h[hubs + rows]) for rows in sources])
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     for plan, plain in plans:
-        g = rng.normal(size=(plan.shape[0], 3))
+        g = rng.normal(size=(plain.shape[0], 3))
         want, want_grad = _max_and_grad(plain, h, g)
-        hubs = Tensor(h[every.hubs], requires_grad=True)
+        x = Tensor(h[:hubs], requires_grad=True)
         with Tape(), np.errstate(invalid="ignore"):
-            out = neighbor_max(hubs, plan, graph)
-            grad = backward(tsum(mul(out, Tensor(g))))[hubs]
+            out = neighbor_max(x, plan, graph)
+            grad = backward(tsum(mul(out, Tensor(g))))[x]
         assert np.array_equal(out.data, want, equal_nan=True)
         assert np.array_equal(np.signbit(out.data), np.signbit(want))
-        assert np.array_equal(grad, want_grad[every.hubs])
+        assert np.array_equal(grad, want_grad[:hubs])
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean", "max"])
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(batch=batches(max_graphs=8), p=st.integers(0, 4), seed=st.integers(0, 2**16))
+@example(batch=[_SINGLE, _EDGELESS, _PATH, _SINGLE], p=4, seed=0)
+@example(batch=[_SINGLE], p=0, seed=0)
+def test_the_node_row_operand_is_the_tail_of_the_every_row_operand(aggregation, batch, p,
+                                                                    seed):
+    """Over the rows ``[hubs; node rows]``, H = p * B hubs: the last layer's
+    operand gives rows H: of what the every-row operand gives, and the same
+    gradient when the hub rows send none, bit for bit. Values come from
+    +-inf, +-1 and +-0 with an occasional NaN for max."""
+    rng = np.random.default_rng(seed)
+    hubs = p * len(batch)
+    every, nodes = _mpgnn_operands(batch_graphs(batch), p, aggregation)
+    shape = (sum(g.n for g in batch) + hubs, 3)
+    if aggregation == "max":
+        h = rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf], size=shape)
+        h[rng.random(shape) < 0.02] = np.nan
+    else:
+        h = rng.normal(size=shape)
+    g = rng.normal(size=(shape[0] - hubs, 3))
+    runs = []
+    for operand, upstream in ((every, np.concatenate([np.zeros((hubs, 3)), g])), (nodes, g)):
+        x = Tensor(h, requires_grad=True)
+        with Tape(), np.errstate(invalid="ignore"):
+            out = neighbor_max(x, operand) if aggregation == "max" else spmm(operand, x)
+            runs.append((out.data, backward(tsum(mul(out, Tensor(upstream))))[x]))
+    (out, grad), (tail, tail_grad) = runs
+    assert np.array_equal(out[hubs:], tail, equal_nan=True)
+    assert np.array_equal(np.signbit(out[hubs:]), np.signbit(tail))
+    assert np.array_equal(grad, tail_grad)
 
 
 def _special(rng, shape):
@@ -365,15 +401,15 @@ def test_star_max_keeps_the_sign_of_a_zero_node_max():
     both reach: each virtual row keeps the sign of a max over its sources in
     column order, itself first."""
     batch = [_EDGELESS, GraphSample(2, np.ones((2, 3)), ()), _SINGLE]
-    columns = [[-1.0, 0.0, -0.0, -0.0, -1.0, -0.0, 0.0, -0.0, 0.0],
-               [-1.0, -0.0, -0.0, 0.0, -1.0, 0.0, -0.0, 0.0, -0.0]]
-    h = np.array(columns).T                       # each sample's virtual row, then its nodes
+    columns = [[-1.0, -1.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0],
+               [-1.0, -1.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0]]
+    h = np.array(columns).T                       # the 3 virtual rows, then the 6 nodes
     (star, plain), _ = _max_plans(batch, 1)
     _assert_same_max(star, plain, h, np.ones(h.shape))
     out = _max_and_grad(star, h, np.ones(h.shape))[0]
-    for first, last in ((0, 4), (4, 7), (7, 9)):
-        want = functools.reduce(np.maximum, h[first:last])
-        assert np.array_equal(np.signbit(out[first]), np.signbit(want))
+    for b, (first, last) in enumerate(((3, 6), (6, 8), (8, 9))):
+        want = functools.reduce(np.maximum, [h[b], *h[first:last]])
+        assert np.array_equal(np.signbit(out[b]), np.signbit(want))
 
 
 PROMPTED = {"deepgpt": "transformer", "prefix_only": "transformer",
@@ -454,13 +490,26 @@ def test_node_rows_alone_equal_the_rows_in_the_batch_exactly(case, dim):
 @pytest.mark.parametrize("dim", [8, 16, 32])
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
 def test_a_lone_single_node_graph_equals_its_rows_in_the_batch_to_1e_12(case, dim):
-    """A one-row product runs through BLAS's matrix-vector routine, which
-    rounds differently from the same row of a taller product (README
-    "Training"), so this case alone is held to 1e-12, not to exact equality."""
+    """A one-row product is computed as the first row of a two-row one, so a
+    single-node graph alone gets its rows in the batch exactly, within 1e-12
+    a fortiori."""
     lone = _random_graph(np.random.default_rng(9), 1)
     pairs = _rows_alone_and_together([*_ROW_GRAPHS[:10], lone], *_row_model(case, dim))
     alone, together = pairs[-1]
-    assert np.abs(alone - together).max() <= 1e-12
+    assert np.array_equal(alone, together)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@PROPERTY_SETTINGS
+@given(g=graphs(max_nodes=1))
+def test_two_copies_of_a_single_node_graph_equal_it_alone_exactly(name, g):
+    """A batch of one single-node graph has one row in every product; it
+    rounds as the same row of a batch of two copies, bit for bit."""
+    cfg, bb, head, prompts = MODELS[name]
+    alone, twice = (head.forward(backbone_forward(encode_graphs(graphs, cfg), bb,
+                                                  group=[(prompts, len(graphs))])).data
+                    for graphs in ([g], [g, g]))
+    assert np.array_equal(twice, np.concatenate([alone, alone]))
 
 
 def _permuted(g, perm):

@@ -501,8 +501,9 @@ def buckets(adj):
 
 
 _NEIGHBORS = buckets(csr([[0, 1], [1, 2], [0, 1, 2]]))
-# One block of columns: hub 0, then spokes 1 and 2, each reading itself.
-_STAR = T.SourceBuckets(np.array([0, 1, 2]), np.array([1, 2]), 3, (np.array([0]), 1))
+# Two blocks of one column each, each column's row reading itself; a
+# neighbor_max over it reads p hub rows per block ahead of the two column rows.
+_STAR = T.SourceBuckets(np.array([0, 1, 2]), np.array([0, 1]), 2, np.array([0, 1, 2]))
 _SPARSE = sparse.csr_matrix(np.array([[1.0, 0.0, -2.0], [0.0, 0.5, 0.0], [3.0, 0.0, 0.25]]))
 
 PRIMITIVE_CASES = {
@@ -728,14 +729,15 @@ INPUT_ERRORS = {
                           "neighbor_max: cannot aggregate shape (2, 2) over (3, 3)"),
     "neighbor_max_graph_without_star": (
         lambda: T.neighbor_max(_matrix(3, 2), _NEIGHBORS, (np.zeros((3, 2)), np.zeros((1, 2)))),
-        ContractError, "neighbor_max: graph maxima need a star plan"),
+        ContractError, "neighbor_max: graph maxima need a plan with blocks"),
     "neighbor_max_hub_rows": (
-        lambda: T.neighbor_max(_matrix(3, 2), _STAR, (np.zeros((2, 2)), np.zeros((1, 2)))),
-        ShapeError, "neighbor_max: cannot aggregate shape (3, 2) over (3, 3) from its hubs"),
+        lambda: T.neighbor_max(_matrix(3, 2), _STAR, (np.zeros((2, 2)), np.zeros((2, 2)))),
+        ShapeError, "neighbor_max: cannot aggregate shape (3, 2) over (2, 2) from its hubs "
+                    "and 2 blocks"),
     "neighbor_max_graph_shapes": (
-        lambda: T.neighbor_max(_matrix(1, 2), _STAR, (np.zeros((3, 2)), np.zeros((1, 2)))),
+        lambda: T.neighbor_max(_matrix(2, 2), _STAR, (np.zeros((3, 2)), np.zeros((1, 2)))),
         ShapeError, "neighbor_max: graph maxima of shapes (3, 2) and (1, 2) for 2 rows of "
-                    "1 blocks"),
+                    "2 blocks"),
     "bce_shapes": (lambda: T.bce_with_logits(_matrix(2, 1), np.zeros((3, 1))), ShapeError,
                    "bce_with_logits: labels shape (3, 1) vs logits (2, 1)"),
     "rng_for_negative": (lambda: rng_for(0, "fold", -1), ValueError,

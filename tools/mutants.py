@@ -112,34 +112,41 @@ MUTANTS = [
      "gather_rows reading index -1 as the last row"),
     ("tensor.py", "SourceBuckets.__init__", "if not ascends.all():", "if False:",
      "SourceBuckets taking a row whose columns do not ascend"),
-    # The rules that keep the star plan of max aggregation bit for bit equal
-    # to a max over each row's sources in column order.
-    ("tensor.py", "neighbor_max", "np.maximum(hub_rows, outd)", "np.maximum(outd, hub_rows)",
-     "a spoke's row taking its hub max as the second operand"),
-    ("tensor.py", "neighbor_max", "np.maximum(hub_in, spoke_max.repeat(p, 0))",
-     "np.maximum(spoke_max.repeat(p, 0), hub_in)",
-     "a hub's row taking its spoke max as the first operand"),
-    ("tensor.py", "SourceBuckets.__init__", "np.minimum(slot, sizes - 1)",
-     "np.where(slot < sizes, slot, 0)", "star spoke tables padded with the block's first spoke"),
-    ("tensor.py", "neighbor_max", "np.where(np.isnan(spoke_out),", "np.where(False,",
-     "a spoke's NaN max sent to its first hub slot not below the hub max, not to hub 0"),
+    # The rules that keep the blocked plan of max aggregation bit for bit
+    # equal to a max over each row's sources in column order.
+    ("tensor.py", "neighbor_max", "np.maximum(hub_rows, row_max)", "np.maximum(row_max, hub_rows)",
+     "a node row taking its hub max as the second operand"),
+    ("tensor.py", "neighbor_max", "np.maximum(hub_in, block_max.repeat(p, 0))",
+     "np.maximum(block_max.repeat(p, 0), hub_in)",
+     "a hub's row taking its block max as the first operand"),
+    ("tensor.py", "neighbor_max", "np.where(np.isnan(row_out),", "np.where(False,",
+     "a node row's NaN max sent to its first hub slot not below the hub max, not to hub 0"),
     ("tensor.py", "_first_source", "first = np.zeros(top.shape", "first = np.ones(top.shape",
      "the first-slot search counting one slot too many"),
     ("tensor.py", "_first_source", "len(block) <= 256", "True",
      "the first-slot search counting in a byte past slot 255"),
     ("tensor.py", "gelu", "d *= g", "d -= cdf; d *= g; d += cdf",
      "GELU's backward adding cdf after scaling by g, not before"),
-    # The first layer of a frozen max MPGNN, which reads its graph part as
-    # constants. Its graph maxima are the plan's own bucket and spoke maxima,
-    # so the star mutants above (operand orders, spoke-table padding) cover
-    # its combine and its node maxima.
+    # The first layer of a frozen max MPGNN, which reads its node rows as
+    # constants. Its graph maxima are the plan's own bucket maxima, blocks
+    # included, so the mutants above (operand orders) and the bucket padding
+    # below cover its combine and its maxima.
     ("tensor.py", "SourceBuckets.__init__", "np.minimum(slot, counts[rows] - 1)",
-     "np.where(slot < counts[rows], slot, 0)", "bucket tables padded with a row's first source"),
+     "np.where(slot < counts[rows], slot, 0)",
+     "bucket tables, blocks included, padded with a row's first source"),
     ("tensor.py", "neighbor_max", "np.concatenate([hub_source, source])",
      "np.concatenate([source, hub_source])[::-1]",
      "a hub's spoke entries summed before its own row's entry"),
     ("models.py", "encode_nodes", "t is not None and t.requires_grad", "False",
      "the constant first layer taken while the input stage trains"),
+    # The MPGNN's rows [hubs; node rows]: H = p * B hubs block by block, then
+    # the node rows, which the last layer computes alone.
+    ("models.py", "_mpgnn_operands", "node_indices[graph] = hubs + indices",
+     "node_indices[graph] = hubs - 1 + indices", "the graph part shifted by H - 1"),
+    ("tensor.py", "neighbor_max", "np.arange(hubs).reshape(blocks, p).T",
+     "np.arange(hubs).reshape(p, blocks)", "hubs read hub-major instead of block-major"),
+    ("models.py", "_mpgnn_operands", "tail = indptr[hubs:]", "tail = indptr[hubs - p:]",
+     "the node-row operand sliced from H - p"),
     ("training.py", "_forward", "maxima[0][encoded.rows(idx)]",
      "maxima[0][encoded.rows(np.sort(idx))]",
      "a batch reading the node-row maxima of its samples in dataset order"),
