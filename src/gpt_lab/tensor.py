@@ -20,19 +20,19 @@ padded blocks of rows, in which -1 reads a zero row; ``linear``
 its input gradient depends on the row count, one row included (it is
 computed as a row of a two-row product). The one place that works on
 higher-rank arrays is ``block_attention``: it gathers the rows of its
-fused (R, 3 * heads * dq) query/key/value operand into padded (B, heads,
-L, dq) groups, runs softmax attention within each group and returns one
-row per query row, so the 4-D arrays never leave that operation; its
-softmax sums each query's keys in key order, so padding changes no bit. Its
-groups are an ``AttentionGroups`` plan built from one block layout:
-``shared`` rows that every group reads as keys, then one contiguous
-block of rows per group, whose first ``skip`` rows are keys only. The
-shared rows may hold one block per prompt set of a batch that mixes
-several; the groups are then dealt to the blocks in order, ``counts[j]``
-groups to block j. The plan checks that layout and derives every index
-once, so each ``block_attention`` over it only gathers, and its backward
-pass fills one gradient buffer in key layout, sums each shared block
-over the groups that read it and takes the other rows by slot.
+fused (R, 3 * heads * dq) query/key/value operand into padded groups,
+runs softmax attention within each group in place over scores laid out
+keys before queries, so each query's keys are summed in key order and
+padding changes no bit, and returns one row per query row. Its groups
+are an ``AttentionGroups`` plan built from one block layout: ``shared``
+rows that every group reads as keys, then one contiguous block of rows
+per group, whose first ``skip`` rows are keys only. The shared rows may
+hold one block per prompt set of a batch that mixes several; the groups
+are then dealt to the blocks in order, ``counts[j]`` groups to block j.
+The plan checks that layout and derives every index once, so each
+``block_attention`` over it only gathers, and its backward pass fills
+one gradient buffer in key layout, sums each shared block over the
+groups that read it and takes the other rows by slot.
 The sparse matrix that ``spmm`` takes is a constant, and so is the
 ``SourceBuckets`` plan that ``neighbor_max`` takes of the CSR arrays of
 one, each row's columns ascending: its output rows bucketed by source
@@ -323,9 +323,15 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-form) GELU."""
+    """Exact GELU, ``x * (0.5 * (1 + erf(x / sqrt(2))))``. erf is taken of
+    ``|x| / sqrt(2)`` and given the sign of x back, which is exact (scipy's erf
+    is odd to the bit) and spares erf's sign branch its mispredictions."""
     ad = a.data
-    cdf = 0.5 * (1.0 + erf(ad / _SQRT2))
+    cdf = np.abs(ad)
+    cdf /= _SQRT2
+    np.copysign(erf(cdf, out=cdf), ad, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(ad * cdf)
 
     def bwd(g):
@@ -350,39 +356,30 @@ def tsum(a: Tensor) -> Tensor:
     return _record(out, [(a, lambda g: g * np.ones_like(ad))])
 
 
-def _over_keys(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc`` reduced over the keys, axis -2 of ``a``, kept as a length-1 axis.
-
-    It runs on a contiguous copy with the key axis outermost, so numpy
-    combines one slab per key, elementwise, in key order. With at least
-    two query positions a slab never shrinks to one entry, which would
-    make the keys one contiguous run that numpy sums by a pairwise tree.
-    """
-    keys_first = a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1).copy()
-    return ufunc.reduce(keys_first, axis=0)[..., None, :]
-
-
 def _softmax_over_keys(scores: np.ndarray, m: np.ndarray):
-    """Softmax over the keys, axis -2, with masked entries pinned to exactly zero.
+    """Softmax over the keys, axis 0 of ``scores``, in place; the mask ``m``
+    broadcasts against it and leaves every query a key.
 
-    ``m`` broadcasts against ``scores`` and leaves every query a key.
-    Masking adds ``MASK_FILL`` before exponentiation and zeroes the
-    masked outputs afterwards; each query is stabilized by max
-    subtraction. Each max and sum over keys (``_over_keys``) takes the
-    keys one at a time in key order, so padded keys change no bit.
-
-    Returns the probabilities and the backward map from an upstream
-    gradient on them to the gradient on ``scores``.
+    Masking adds ``MASK_FILL`` before the max subtraction and zeroes the
+    masked probabilities after exponentiation. Each max and sum over the
+    keys combines one slab per key, elementwise, in key order, so padded
+    keys change no bit; with two query positions or more no slab is one
+    entry, which numpy would sum as a pairwise tree. Returns the backward
+    map, which turns the upstream gradient on the probabilities that it is
+    given into the gradient on the scores in place.
     """
-    shifted = scores + np.where(m, 0.0, MASK_FILL)
-    shifted -= _over_keys(np.maximum, shifted)
-    e = np.where(m, np.exp(shifted), 0.0)
-    probs = e / _over_keys(np.add, e)
+    scores += np.where(m, 0.0, MASK_FILL)
+    scores -= np.maximum.reduce(scores, axis=0)
+    np.exp(scores, out=scores)
+    np.copyto(scores, 0.0, where=~m)
+    scores /= np.add.reduce(scores, axis=0)
 
     def bwd(g):
-        return probs * (g - _over_keys(np.add, g * probs))
+        g -= np.add.reduce(g * scores, axis=0)
+        g *= scores
+        return g
 
-    return probs, bwd
+    return bwd
 
 
 class AttentionGroups:
@@ -403,9 +400,9 @@ class AttentionGroups:
       real keys. Every group has a query row and so a real key, so no
       softmax row is fully masked; a padding query position attends like
       a real one, and its output and gradient are dropped;
-    - ``query`` (B, Lq): the query row at position i of group b, or -1;
-      query position i is key position ``shared + skip + i``, and Lq >= 2
-      (see ``_softmax_over_keys``);
+    - ``query`` (B, Lq): the last Lq columns of ``index``, L being padded to
+      hold them, since query position i is key position ``shared + skip +
+      i``; Lq >= 2 (see ``_softmax_over_keys``);
     - ``query_rows``: the query rows in ascending order, one per output
       row of ``block_attention``; ``out_row`` (B, Lq) the output row of
       each query position, or -1;
@@ -432,17 +429,16 @@ class AttentionGroups:
         self.rows = self.shared_rows + int(sizes.sum())
         starts = self.shared_rows + np.cumsum(sizes) - sizes     # first row of each block
         block = np.repeat(np.arange(len(counts)), counts)         # each group's shared block
-        pos = np.arange(self.shared + sizes.max()) - self.shared  # position within the block
+        queries = max(sizes.max() - self.skip, 2)               # query positions, Lq
+        pos = np.arange(self.shared + self.skip + queries) - self.shared  # within the block
         self.key_mask = pos < sizes[:, None]
         self.index = np.where(self.key_mask,
                               np.where(pos < 0, pos + self.shared * (block[:, None] + 1),
                                        starts[:, None] + pos), -1)
-        at = np.arange(max(sizes.max() - self.skip, 2))
-        asks = at < (sizes - self.skip)[:, None]
-        self.query = np.where(asks, starts[:, None] + self.skip + at, -1)
+        self.query = self.index[:, self.shared + self.skip:]
+        asks = self.query >= 0
         self.query_rows = self.query[asks]
-        self.out_row = np.full(asks.shape, -1)
-        self.out_row[asks] = np.arange(self.query_rows.size)
+        self.out_row = np.where(asks, np.cumsum(asks).reshape(asks.shape) - 1, -1)
         self.query_slot = np.flatnonzero(asks)
         self.key_slot = np.flatnonzero(self.key_mask & (pos >= 0))
 
@@ -457,16 +453,13 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
     group (see ``AttentionGroups``). The result has one row per row of
     ``groups.query_rows``, with the (., w) layout of the queries.
 
-    Scores are laid out (B, heads, L, Lq), keys first, so a group's rows
-    and gradients do not depend on how far the plan pads it when dq >= 2
-    (at dq = 1 numpy runs matrix-vector products, which round by length).
-
-    The backward pass returns one (rows, 3 * w) gradient. Since query
-    position i is key position ``shared + skip + i`` of its group, the
-    query, key and value gradients fill one (B, L, 3 * w) buffer in key
-    layout, zero where a row asks no query. Each shared block takes one
-    sum over the groups that read it and the other rows one take by
-    ``key_slot``.
+    Query position i is key position ``shared + skip + i`` of its group, so
+    one gather in key layout reads queries, keys and values, and their
+    gradients fill one (B, L, 3 * w) buffer in key layout, zero where a row
+    asks no query. The scores are one (L, B, heads, Lq) buffer, keys
+    outermost, for the softmax to work on in place; a group's rows and
+    gradients do not depend on how far the plan pads it when dq >= 2 (at
+    dq = 1 numpy runs matrix-vector products, which round by length).
     """
     if qkv.ndim != 2 or qkv.shape[1] % 3 or qkv.shape[0] != groups.rows:
         raise ShapeError(f"block_attention: qkv must be a matrix of {groups.rows} rows and 3 "
@@ -478,30 +471,34 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
     dq = width // heads
     inv_sqrt = 1.0 / math.sqrt(dq)
 
-    def split(a, idx):
-        """(rows, heads * dq) -> (B, heads, positions, dq); padding reads zeros."""
-        return _take_rows(a, idx).reshape(b, idx.shape[1], heads, dq).transpose(0, 2, 1, 3)
-
     def t(a):                    # each matrix of a (B, heads, ., .) stack, transposed
         return a.transpose(0, 1, 3, 2)
 
-    # A product that sums over padded positions takes its left operand
-    # transposed: OpenBLAS then adds trailing zeros without changing a bit,
-    # which it does not for an untransposed one and results up to 4 wide.
-    data = qkv.data
-    qs = split(data[:, :width], groups.query)
-    ks, vs = split(data[:, width:2 * width], groups.index), split(data[:, 2 * width:],
-                                                                 groups.index)
-    probs, softmax_bwd = _softmax_over_keys((ks @ t(qs)) * inv_sqrt,
-                                            groups.key_mask[:, None, :, None])
-    out = (t(probs) @ vs).transpose(0, 2, 1, 3).reshape(b * nq, width)[groups.query_slot]
+    # One gather in key layout, (B, 3 * heads, L, dq), padding reading zeros;
+    # the queries are its last Lq positions. A product that sums over padded
+    # positions takes its left operand transposed: OpenBLAS then adds
+    # trailing zeros without changing a bit, which it does not for an
+    # untransposed one and results up to 4 wide.
+    rows = _take_rows(qkv.data, groups.index).reshape(b, n, 3 * heads, dq).transpose(0, 2, 1, 3)
+    qs, ks, vs = rows[:, :heads, n - nq:], rows[:, heads:2 * heads], rows[:, 2 * heads:]
+    scores = np.empty((n, b, heads, nq))             # keys outermost
+    probs = scores.transpose(1, 2, 0, 3)             # (B, heads, L, Lq), softmaxed in place
+    np.matmul(ks, t(qs), out=probs)
+    scores *= inv_sqrt
+    softmax_bwd = _softmax_over_keys(scores, groups.key_mask.T[:, :, None, None])
+    out = np.empty((b, nq, heads, dq))               # the (B, Lq, w) layout of the rows
+    np.matmul(t(probs), vs, out=out.transpose(0, 2, 1, 3))
 
     def bwd(g):
-        gs = split(g, groups.out_row)
-        ds = softmax_bwd(vs @ t(gs)) * inv_sqrt
+        gs = _take_rows(g, groups.out_row).reshape(b, nq, heads, dq).transpose(0, 2, 1, 3)
+        dp = np.empty((n, b, heads, nq))                 # keys outermost: dP, then dS in place
+        ds = dp.transpose(1, 2, 0, 3)
+        np.matmul(vs, t(gs), out=ds)
+        softmax_bwd(dp)
+        dp *= inv_sqrt
         grad = np.zeros((b, n, 3 * heads, dq))           # key layout, rows of 3 * w
         view = grad.transpose(0, 2, 1, 3)
-        view[:, :heads, shared + groups.skip:] = (t(ds) @ ks)[:, :, :n - shared - groups.skip]
+        np.matmul(t(ds), ks, out=view[:, :heads, n - nq:])
         view[:, heads:2 * heads] = t(t(qs) @ t(ds))
         view[:, 2 * heads:] = t(t(gs) @ t(probs))
         grad = grad.reshape(b, n, 3 * width)
@@ -515,11 +512,12 @@ def block_attention(qkv: Tensor, groups: AttentionGroups, heads: int) -> Tensor:
                 out=full[groups.shared_rows:], mode="clip")  # "clip" writes out unbuffered
         return full
 
-    return _record(Tensor(out), [(qkv, bwd)])
+    return _record(Tensor(out.reshape(b * nq, width)[groups.query_slot]), [(qkv, bwd)])
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization followed by an affine map."""
+    """Per-row standardization followed by an affine map. Each row mean is
+    ``np.add.reduce(., 1) / d``, which is what ``ndarray.mean`` computes."""
     if x.ndim != 2:
         raise ShapeError(f"layer_norm needs a matrix, got shape {x.shape}")
     d = x.shape[1]
@@ -528,21 +526,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                          f"do not match width {d}")
     if not eps > 0:
         raise ContractError("layer_norm requires eps > 0")
-    xd = x.data
-    mu = xd.mean(axis=1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat = x.data - np.add.reduce(x.data, 1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, 1, keepdims=True) / d + eps)
+    xhat *= inv
     gd = gain.data
+    out = xhat * gd
+    out += bias.data
 
     def bwd_x(g):
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         dxhat = g * gd
-        return inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                      - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        m = np.add.reduce(dxhat * xhat, 1, keepdims=True) / d
+        dxhat -= np.add.reduce(dxhat, 1, keepdims=True) / d
+        dxhat -= xhat * m
+        dxhat *= inv
+        return dxhat
 
-    return _record(out, [
+    return _record(Tensor(out), [
         (x, bwd_x),
         (gain, lambda g: (g * xhat).sum(axis=0)),
         (bias, lambda g: g.sum(axis=0)),
@@ -715,25 +715,24 @@ class SourceBuckets:
         ``x``, and each block's max over its column rows: the maxima that
         ``neighbor_max`` takes of the same rows, with their signs of zero, as it
         reads them for ``graph``."""
-        out = _bucket_max(x, self, True)[0]
+        out = _bucket_max(x, self, True)
         return out[:self.shape[0]], out[self.shape[0]:]
 
 
-def _bucket_max(h: np.ndarray, buckets: SourceBuckets,
-                block_rows: bool) -> tuple[np.ndarray, list]:
+def _bucket_max(h: np.ndarray, buckets: SourceBuckets, block_rows: bool,
+                gathers: list | None = None) -> np.ndarray:
     """Each CSR row's max over its sources among the rows of ``h``, then with
-    ``block_rows`` each block's, and each bucket's rows, table, (slots, rows,
-    d) gather and max."""
+    ``block_rows`` each block's; each bucket's rows, table, (slots, rows, d)
+    gather and max go into ``gathers`` when given, and are dropped if not."""
     out = np.empty((buckets.shape[0] + block_rows * buckets.blocks, h.shape[1]))
-    gathers = []
     for rows, table, csr in buckets.buckets:
         if not block_rows:
             rows, table = rows[:csr], table[:, :csr]
         block = h.take(table, axis=0)
-        top = block.max(axis=0)
-        out[rows] = top
-        gathers.append((rows, table, block, top))
-    return out, gathers
+        out[rows] = top = block.max(axis=0)
+        if gathers is not None:
+            gathers.append((rows, table, block, top))
+    return out
 
 
 def _first_source(table: np.ndarray, block: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -800,7 +799,8 @@ def neighbor_max(h: Tensor, buckets: SourceBuckets,
     p, d, hd = hubs // max(blocks, 1), h.shape[1], h.data
     block_rows = p > 0 and buckets.with_hubs        # a hub's row reads its block's max
     if graph is None:
-        outd, gathers = _bucket_max(hd[hubs:], buckets, block_rows)
+        gathers = []
+        outd = _bucket_max(hd[hubs:], buckets, block_rows, gathers)
         row_max, block_max = outd[:rows], outd[rows:]
     else:
         row_max, block_max = graph

@@ -105,11 +105,12 @@ class TestLinear:
 
 def softmax(scores, mask=None):
     """The masked softmax core of block_attention on the rows of a matrix. The
-    core takes a query's keys down a column, so it runs on the transpose."""
-    scores = np.asarray(scores, dtype=float)
-    mask = np.ones(scores.shape, dtype=bool) if mask is None else mask
-    probs, bwd = T._softmax_over_keys(scores.T, mask.T)
-    return probs.T, lambda g: bwd(g.T).T
+    core takes a query's keys down a column, in place, so it runs on a copy of
+    the transpose, and its backward on a copy of the upstream's."""
+    scores = np.array(scores, dtype=float).T.copy()
+    mask = np.ones(scores.shape, dtype=bool) if mask is None else mask.T
+    bwd = T._softmax_over_keys(scores, mask)
+    return scores.T, lambda g: bwd(g.T.copy()).T
 
 
 class TestSoftmaxMasked:
@@ -377,6 +378,84 @@ class TestBlockAttentionWithQueries:
                 assert np.abs(out[at, h] - p @ v[keys, h] / p.sum()).max() < 1e-12
 
 
+def _over_keys(ufunc, a):
+    """``ufunc`` reduced over axis -2 of ``a`` on a copy with that axis outermost."""
+    keys_first = a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1).copy()
+    return ufunc.reduce(keys_first, axis=0)[..., None, :]
+
+
+def _batch_major_attention(qkv, groups, heads, up):
+    """``block_attention`` as a batch-major formulation: three gathers into (B,
+    heads, positions, dq) arrays, L the longest group, and (B, heads, L, Lq)
+    scores whose every max and sum over keys runs on a keys-first copy. Returns
+    the output rows and the gradient of ``sum(out * up)`` on ``qkv``."""
+    n = int(groups.key_mask.sum(axis=1).max())
+    index, mask = groups.index[:, :n], groups.key_mask[:, :n]
+    (b, nq), width = groups.query.shape, qkv.shape[1] // 3
+    shared, skip = groups.shared, groups.skip
+    dq = width // heads
+    inv_sqrt = 1.0 / math.sqrt(dq)
+
+    def split(a, idx):
+        rows = a.take(idx, axis=0)
+        rows[idx < 0] = 0.0
+        return rows.reshape(b, idx.shape[1], heads, dq).transpose(0, 2, 1, 3)
+
+    def t(a):
+        return a.transpose(0, 1, 3, 2)
+
+    qs = split(qkv[:, :width], groups.query)
+    ks, vs = split(qkv[:, width:2 * width], index), split(qkv[:, 2 * width:], index)
+    m = mask[:, None, :, None]
+    shifted = (ks @ t(qs)) * inv_sqrt + np.where(m, 0.0, T.MASK_FILL)
+    shifted -= _over_keys(np.maximum, shifted)
+    e = np.where(m, np.exp(shifted), 0.0)
+    probs = e / _over_keys(np.add, e)
+    out = (t(probs) @ vs).transpose(0, 2, 1, 3).reshape(b * nq, width)[groups.query_slot]
+    gs = split(up, groups.out_row)
+    dp = vs @ t(gs)
+    ds = probs * (dp - _over_keys(np.add, dp * probs)) * inv_sqrt
+    grad = np.zeros((b, n, 3 * heads, dq))
+    view = grad.transpose(0, 2, 1, 3)
+    view[:, :heads, shared + skip:] = (t(ds) @ ks)[:, :, :n - shared - skip]
+    view[:, heads:2 * heads] = t(t(qs) @ t(ds))
+    view[:, 2 * heads:] = t(t(gs) @ t(probs))
+    grad = grad.reshape(b * n, 3 * width)
+    full = np.empty((groups.rows, 3 * width))
+    readers = groups.readers
+    for j in range(readers.size - 1):
+        full[j * shared:(j + 1) * shared] = grad.reshape(b, n, -1)[readers[j]:readers[j + 1],
+                                                                  :shared].sum(axis=0)
+    full[groups.shared_rows:] = grad[np.flatnonzero(mask & (np.arange(n) >= shared))]
+    return out, full
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_attention_rounds_as_the_batch_major_formulation(seed):
+    """Output and gradient equal the batch-major formulation's bit for bit, over
+    random plans: 0-3 shared rows in blocks some group reads and some none, 0-2
+    key-only rows, heads 1, 2 and 4 of width 2 to 8, and groups that ask one
+    query each, so that the plan pads the keys to hold its two query positions."""
+    rng = np.random.default_rng(6100 + seed)
+    for case in range(24):
+        shared, skip, heads = int(rng.integers(0, 4)), int(rng.integers(0, 3)), [1, 2, 4][case % 3]
+        counts = rng.integers(0, 4, size=int(rng.integers(1, 4)))
+        counts[rng.integers(counts.size)] = 0 if case % 2 else 1
+        counts[-1] += not counts.sum()
+        longest = 2 if case % 4 == 3 else 9                 # one query per group
+        sizes = skip + rng.integers(1, longest, size=int(counts.sum()))
+        groups = T.AttentionGroups(sizes, shared, skip, counts.tolist())
+        width = heads * int(rng.integers(2, 9))
+        qkv = Tensor(rng.normal(size=(groups.rows, 3 * width)), requires_grad=True)
+        up = rng.normal(size=(groups.query_rows.size, width))
+        with Tape():
+            out = T.block_attention(qkv, groups, heads)
+            grad = backward(T.tsum(T.mul(out, Tensor(up))))[qkv]
+        want_out, want_grad = _batch_major_attention(qkv.data, groups, heads, up)
+        assert np.array_equal(out.data, want_out), (seed, case)
+        assert np.array_equal(grad, want_grad), (seed, case)
+
+
 class TestLayerNorm:
     def test_constant_row_normalizes_to_zero(self):
         x = Tensor(np.full((2, 4), 3.7))
@@ -397,6 +476,26 @@ class TestLayerNorm:
             lambda: T.tsum(T.mul(T.layer_norm(x, gain, bias, 1e-5), w)),
             [x, gain, bias],
         )
+
+    @pytest.mark.parametrize("width", [3, 32, 130])
+    def test_output_and_gradients_round_as_the_formulas(self, width):
+        """The in-place buffers round as the textbook formulas, means taken by
+        ``ndarray.mean``; 130 entries make numpy's row sums pairwise."""
+        x = RNG.normal(loc=2.0, scale=3.0, size=(37, width))
+        gain, bias, g = RNG.normal(size=width), RNG.normal(size=width), RNG.normal(size=x.shape)
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        with Tape():
+            out = T.layer_norm(xt, gt, bt, 1e-5)
+            grads = backward(T.tsum(T.mul(out, Tensor(g))))
+        xc = x - x.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        dxhat = g * gain
+        assert np.array_equal(out.data, xhat * gain + bias)
+        means = dxhat.mean(axis=1, keepdims=True), (dxhat * xhat).mean(axis=1, keepdims=True)
+        assert np.array_equal(grads[xt], inv * (dxhat - means[0] - xhat * means[1]))
+        assert np.array_equal(grads[gt], (g * xhat).sum(axis=0))
+        assert np.array_equal(grads[bt], g.sum(axis=0))
 
 
 class TestBackwardContract:
@@ -591,6 +690,19 @@ class TestNeighborMax:
                 grad_fresh = backward(T.tsum(fresh))[h]
             assert np.array_equal(shared.data, fresh.data)
             assert np.array_equal(grad_shared, grad_fresh)
+
+
+def test_gelu_forward_rounds_as_its_formula():
+    """The forward, erf taken of |x| and given the sign of x back, rounds as
+    ``x * (0.5 * (1 + erf(x / sqrt(2))))``, signs of zero included."""
+    x = np.concatenate([RNG.normal(scale=3.0, size=240), RNG.uniform(-0.5, 0.5, size=240),
+                        [-0.0, 0.0, 1e-300, -1e-300, -40.0, 40.0, 1e155, -1e155,
+                         np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        out = T.gelu(Tensor(x)).data
+        want = x * (0.5 * (1.0 + erf(x / math.sqrt(2.0))))
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.array_equal(np.signbit(out[~np.isnan(want)]), np.signbit(want[~np.isnan(want)]))
 
 
 def test_gelu_backward_rounds_as_its_formula():

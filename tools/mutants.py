@@ -36,8 +36,11 @@ from linecov import ROOT, SLOW_TEST
 # (file in src/gpt_lab, scope, old text, new text, what the mutant does)
 MUTANTS = [
     # The numerical core and the run protocol.
-    ("tensor.py", "layer_norm", "var = (xc * xc).mean(axis=1, keepdims=True)",
-     "var = (xc * xc).sum(axis=1, keepdims=True) / (d - 1)", "layer norm's variance unbiased"),
+    ("tensor.py", "layer_norm", "np.add.reduce(xhat * xhat, 1, keepdims=True) / d",
+     "np.add.reduce(xhat * xhat, 1, keepdims=True) / (d - 1)", "layer norm's variance unbiased"),
+    ("tensor.py", "layer_norm", "x.data - np.add.reduce(x.data, 1, keepdims=True) / d",
+     "x.data - np.add.reduce(x.data, 1, keepdims=True) / (d - 1)",
+     "layer norm's row mean divided by d - 1"),
     ("models.py", "<module>", "LN_EPS = 1e-5", "LN_EPS = 1e-6", "LN_EPS 1e-6"),
     ("tensor.py", "block_attention", "inv_sqrt = 1.0 / math.sqrt(dq)", "inv_sqrt = 1.0",
      "attention without its 1/sqrt(dq) scale"),
@@ -127,6 +130,12 @@ MUTANTS = [
      "the first-slot search counting in a byte past slot 255"),
     ("tensor.py", "gelu", "d *= g", "d -= cdf; d *= g; d += cdf",
      "GELU's backward adding cdf after scaling by g, not before"),
+    ("tensor.py", "gelu", "np.copysign(erf(cdf, out=cdf), ad, out=cdf)", "erf(cdf, out=cdf)",
+     "GELU's erf of |x| without the sign of x given back"),
+    # The key-major softmax: every reduction runs over the keys, axis 0.
+    ("tensor.py", "_softmax_over_keys", "g -= np.add.reduce(g * scores, axis=0)",
+     "g -= np.add.reduce(g * scores, axis=-1, keepdims=True)",
+     "the softmax backward summing over the query positions, not the keys"),
     # The first layer of a frozen max MPGNN, which reads its node rows as
     # constants. Its graph maxima are the plan's own bucket maxima, blocks
     # included, so the mutants above (operand orders) and the bucket padding
