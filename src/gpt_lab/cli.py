@@ -212,8 +212,21 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _read_run_file(path: Path, fields: set[str], exact: bool) -> dict:
+    """The JSON object in run file ``path`` if it has the ``fields``, only those if ``exact``."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(obj, dict) or not fields <= obj.keys() or exact and obj.keys() != fields:
+        raise DataError(f"{path}: not a JSON object with {'exactly' if exact else 'at least'} "
+                        f"the fields {sorted(fields)}")
+    return obj
+
+
 def cmd_report(args) -> int:
     per_mode: dict[str, dict] = {}
+    record_fields = {f.name for f in dataclasses.fields(RunRecord)}
     for run_dir in args.run_dirs:
         run = Path(run_dir)
         meta_path = run / "run_meta.json"
@@ -221,15 +234,15 @@ def cmd_report(args) -> int:
         if not meta_path.exists() or not records_dir.is_dir():
             raise DataError(f"{run_dir}: incomplete run directory "
                             "(needs run_meta.json and runrecords/)")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         record_files = sorted(records_dir.glob("fold*.json"))
         if not record_files:
             raise DataError(f"{run_dir}: no fold records")
+        meta = _read_run_file(meta_path, {"mode"}, exact=False)
         bucket = per_mode.setdefault(meta["mode"], {
             "runs": 0, "epochs_to_best": [], "epoch_seconds": []})
         bucket["runs"] += 1
         for rf in record_files:
-            record = RunRecord(**json.loads(rf.read_text(encoding="utf-8")))
+            record = RunRecord(**_read_run_file(rf, record_fields, exact=True))
             bucket["epochs_to_best"].append(record.epochs_to_best)
             bucket["epoch_seconds"].extend(record.epoch_seconds)
 

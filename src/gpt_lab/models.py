@@ -14,9 +14,9 @@ readout pools each sample's segment of node rows, all samples in one
 virtual tokens, block by block, ahead of every node row. Max plans the
 adjacency once with each sample as a block whose hubs its node rows
 share, so a sample's virtual rows are read once per layer, not once per
-node row; sum and mean wire the hubs into the adjacency's rows. When the
-first layer's node rows carry no gradient (a frozen input stage and no
-graph token), that layer takes their part of the max as constants
+node row; for sum and mean, hubs are nodes of the one sorted adjacency.
+When the first layer's node rows carry no gradient (a frozen input stage
+and no graph token), that layer takes their part of the max as constants
 (``first_layer_maxima``, which ``train`` computes once per call) and
 reads the hubs alone. A batched forward therefore agrees with
 per-sample forwards.
@@ -384,26 +384,30 @@ def _insert_prompt_rows(stacked: Tensor, offsets: np.ndarray, p: int,
     result, laid out with p prompt rows per block.
     """
     lead = stacked.shape[0] - offsets[-1]          # h starts at this row
-    sizes = np.diff(offsets) + p
-    block = np.repeat(np.arange(sizes.size), sizes)
-    starts = offsets[:-1] + p * np.arange(sizes.size)    # the first row of each block
-    pos = np.arange(sizes.sum()) - starts[block]          # position within the block
-    return gather_rows(stacked, np.where(pos < p, owner[block] * p + pos,
-                                         lead - p + offsets[block] + pos))
+    index = np.insert(lead + np.arange(offsets[-1]), np.repeat(offsets[:-1], p),
+                      (p * owner[:, None] + np.arange(p)).ravel())
+    return gather_rows(stacked, index)
 
 
-def _mpgnn_adjacency(batch: BatchedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR arrays, ``indptr`` and ``indices`` in sorted order, of the (N, N)
-    0/1 graph adjacency of the batch's N node rows: the diagonal and each
-    edge in both directions. The entries are sorted by one argsort of ``row
-    * N + column``, a stable one, since the diagonal and the edges' first
-    ends already run in row order and a stable sort merges such runs.
+def _mpgnn_adjacency(batch: BatchedGraph, p: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays, ``indptr`` and ``indices`` in sorted order, of the 0/1
+    adjacency of the MPGNN's rows ``[hubs; node rows]``, H = p * B hubs block
+    by block and then the N node rows. Hubs are nodes of this one sorted
+    adjacency: it holds the diagonal and, in both directions, each edge and
+    each join of a hub to a node row of its sample. The entries are sorted
+    by one argsort of ``row * (H + N) + column``, a stable one, since they
+    come in runs already in that order and a stable sort merges such runs.
     """
-    n = batch.offsets[-1]
+    hubs = p * batch.size
+    m = hubs + batch.offsets[-1]
     a, b = batch.edges.T
-    rows, cols = np.concatenate([np.arange(n), a, b]), np.concatenate([np.arange(n), b, a])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return indptr, cols[np.argsort(rows * n + cols, kind="stable")]
+    if p:                     # node row i joined to hub j of its sample, one run per j
+        hub = p * np.repeat(np.arange(batch.size), np.diff(batch.offsets)) + np.arange(p)[:, None]
+        node = np.tile(np.arange(hubs, m), p)
+        a, b = np.concatenate([hubs + a, hub.ravel()]), np.concatenate([hubs + b, node])
+    rows, cols = np.concatenate([np.arange(m), a, b]), np.concatenate([np.arange(m), b, a])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    return indptr, cols[np.argsort(rows * m + cols, kind="stable")]
 
 
 def _mpgnn_operands(batch: BatchedGraph, p: int, aggregation: str) -> tuple:
@@ -412,34 +416,16 @@ def _mpgnn_operands(batch: BatchedGraph, p: int, aggregation: str) -> tuple:
     node rows: one over every row, and one over the node rows alone, the
     rows after H, which the last layer computes.
 
-    Max takes one ``SourceBuckets`` of the graph adjacency, with the samples
-    as its blocks when p > 0, and its ``tail()``. Sum and mean take
-    ``aggregation_operand`` of the graph adjacency wired to the hubs, and
-    its tail slice ``H:``: a hub's row reads itself and its sample's node
-    rows, and a node row its sample's p hubs, then its graph row, which
-    keeps each row's columns ascending with no second sort.
+    Max takes one ``SourceBuckets`` of the graph adjacency (p = 0), with the
+    samples as its blocks when p > 0, and its ``tail()``. Sum and mean take
+    ``aggregation_operand`` of ``_mpgnn_adjacency(batch, p)``, in which hubs
+    are nodes of the one sorted adjacency, and its tail slice ``H:``.
     """
-    indptr, indices = _mpgnn_adjacency(batch)
-    offsets, n, hubs = batch.offsets, batch.offsets[-1], p * batch.size
+    n, hubs = batch.offsets[-1], p * batch.size
     if aggregation == "max":
-        plan = SourceBuckets(indptr, indices, n, offsets if p else None)
+        plan = SourceBuckets(*_mpgnn_adjacency(batch), n, batch.offsets if p else None)
         return plan, plan.tail()
-    if p:
-        sizes = np.diff(offsets)
-        counts = np.repeat(sizes, p) + 1                          # each hub's row
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        hub = np.repeat(np.arange(hubs), counts)
-        pos = np.arange(starts[-1]) - starts[hub]                 # 0: the hub itself
-        node_indptr = indptr + p * np.arange(n + 1)
-        wired = node_indptr[:-1, None] + np.arange(p)            # each node row's hub entries
-        node_indices = np.empty(node_indptr[-1], dtype=indices.dtype)
-        node_indices[wired] = p * np.repeat(np.arange(batch.size), sizes)[:, None] + np.arange(p)
-        graph = np.ones(node_indices.size, dtype=bool)
-        graph[wired] = False
-        node_indices[graph] = hubs + indices
-        indptr = np.concatenate([starts, starts[-1] + node_indptr[1:]])
-        indices = np.concatenate([np.where(pos == 0, hub, hubs - 1 + offsets[hub // p] + pos),
-                                  node_indices])
+    indptr, indices = _mpgnn_adjacency(batch, p)
     every = aggregation_operand(indptr, indices, hubs + n, aggregation)
     if not p:
         return every, every

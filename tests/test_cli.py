@@ -1162,6 +1162,21 @@ def report_without_records(tmp_path):
     return run_command(["report", str(run), "--out", str(tmp_path / "rep")])
 
 
+_RECORD = json.dumps(dataclasses.asdict(training.RunRecord(epoch_seconds=[0.1])))
+
+
+def report_run(meta='{"mode": "deepgpt"}', record=_RECORD):
+    """A call that reports on a run directory whose ``run_meta.json`` holds the
+    text ``meta`` and whose one fold record holds the text ``record``."""
+    def call(tmp_path):
+        run = tmp_path / "run"
+        (run / "runrecords").mkdir(parents=True)
+        (run / "run_meta.json").write_text(meta, encoding="utf-8")
+        (run / "runrecords" / "fold0.json").write_text(record, encoding="utf-8")
+        return run_command(["report", str(run), "--out", str(tmp_path / "rep")])
+    return call
+
+
 # Each input check of the checkpoint, config and command layers that no other
 # test trips: the call (given a scratch directory), and the exception type and
 # the message it starts with, ``{tmp}`` standing for the scratch directory.
@@ -1269,6 +1284,21 @@ INPUT_ERRORS = {
                               "tune needs a [tuning] section"),
     "report_no_fold_records": (report_without_records, DataError,
                                "{tmp}/run: no fold records"),
+    "report_record_not_json": (report_run(record="{1: 2}"), DataError,
+                               "{tmp}/run/runrecords/fold0.json: not JSON (Expecting property"),
+    "report_meta_not_an_object": (report_run(meta='["deepgpt"]'), DataError,
+                                  "{tmp}/run/run_meta.json: not a JSON object with at least "
+                                  "the fields ['mode']"),
+    "report_meta_without_mode": (report_run(meta='{"seed": 1}'), DataError,
+                                 "{tmp}/run/run_meta.json: not a JSON object with at least "
+                                 "the fields ['mode']"),
+    "report_record_unknown_field": (
+        report_run(record=_RECORD[:-1] + ', "colour": 1}'), DataError,
+        "{tmp}/run/runrecords/fold0.json: not a JSON object with exactly the fields "
+        "['epoch_seconds', 'epochs_to_best', 'eval_metrics', 'train_losses']"),
+    "report_record_missing_field": (
+        report_run(record='{"epochs_to_best": 1}'), DataError,
+        "{tmp}/run/runrecords/fold0.json: not a JSON object with exactly the fields"),
 }
 
 

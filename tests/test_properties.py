@@ -124,13 +124,21 @@ def _assert_node_rows_only(batch, cfg, bb, prompts):
     assert offsets is prepared.offsets and h.shape == (offsets[-1], cfg.dim)
 
 
+_SINGLE = GraphSample(1, np.ones((1, 3)), ())
+_EDGELESS = GraphSample(3, np.ones((3, 3)), ())
+_PATH = GraphSample(4, np.ones((4, 3)), ((0, 1), (1, 2), (2, 3)))
+
+
 @PROPERTY_SETTINGS
 @given(batch=batches(), p=st.integers(0, 3))
+@example(batch=[_SINGLE], p=0)
+@example(batch=[_SINGLE, _EDGELESS, _PATH, _SINGLE], p=3)
 def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
     """The graph adjacency holds each node row's own row and neighbours; the
     matrix that sum aggregates with p virtual tokens per sample, over the rows
     ``[hubs; node rows]``, wires each sample's p hub rows to its node rows and
-    back."""
+    back. The CSR arrays of that adjacency are those of ``_wired``'s dense
+    oracle, entry for entry."""
     prepared = encode_graphs(batch, MODELS["mpgnn_sum"][0])
     offsets, hubs = prepared.offsets, p * len(batch)
     graph, want = [], [{row, *(hubs + offsets[b] + i for i in range(g.n))}
@@ -149,27 +157,42 @@ def test_mpgnn_adjacency_rows_equal_the_neighbour_lists(batch, p):
         for row, expected in enumerate(rows):
             stored = indices[indptr[row]:indptr[row + 1]]
             assert (np.diff(stored) > 0).all() and set(stored.tolist()) == expected
+    indptr, indices = _mpgnn_adjacency(prepared, p)
+    oracle = _wired(batch, p)[0]
+    assert np.array_equal(indptr, oracle.indptr) and np.array_equal(indices, oracle.indices)
 
 
-def _wired(prepared, p):
+def _wired(batch, p):
     """The CSR matrix of the MPGNN's rows ``[hubs; node rows]`` with p hubs per
-    sample, as sum aggregates over it, and its node rows, the rows after the hubs."""
-    every = _mpgnn_operands(prepared, p, "sum")[0]
-    return every, every[p * prepared.size:]
+    sample, and its node rows, the rows after the hubs. It is built apart from
+    ``gpt_lab.models``: a dense 0/1 matrix set from each sample's own edge
+    list and hub membership, then ``sparse.csr_matrix``, whose columns ascend
+    in each row."""
+    hubs = p * len(batch)
+    dense = np.eye(hubs + sum(g.n for g in batch))
+    start = hubs
+    for b, g in enumerate(batch):
+        for i, j in g.edges:
+            dense[start + i, start + j] = dense[start + j, start + i] = 1
+        dense[p * b:p * b + p, start:start + g.n] = 1
+        dense[start:start + g.n, p * b:p * b + p] = 1
+        start += g.n
+    every = sparse.csr_matrix(dense)
+    return every, every[hubs:]
 
 
-def _mpgnn_every_row(prepared, bb, tokens):
-    """The MPGNN forward of ``encode_nodes`` with its last layer run on every
-    row, the hubs too, over the plain operand of the whole matrix (for max,
-    the ``SourceBuckets`` of its rows, with no star), and the node rows
-    gathered after it."""
+def _mpgnn_every_row(batch, prepared, bb, tokens):
+    """The MPGNN forward of ``encode_nodes`` on the samples ``batch``, encoded as
+    ``prepared``, with its last layer run on every row, the hubs too, over the
+    plain operand of the whole matrix (for max, the ``SourceBuckets`` of its
+    rows, with no star), and the node rows gathered after it."""
     cfg, offsets = bb.cfg, prepared.offsets
     h = linear(Tensor(prepared.features), bb.w_in, bb.b_in)
     h = add(h, gather_rows(bb.degree_table, np.minimum(prepared.degrees, cfg.max_degree)))
     p = 0 if tokens is None else tokens.shape[0]
     if p:
         h = concat_rows([gather_rows(tokens, np.tile(np.arange(p), prepared.size)), h])
-    matrix = _wired(prepared, p)[0]
+    matrix = _wired(batch, p)[0]
     operand = aggregation_operand(matrix.indptr, matrix.indices, h.shape[0], cfg.aggregation)
     for params in bb.layers:
         h = mpgnn_layer_forward(h, operand, params)
@@ -193,7 +216,7 @@ def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation,
     inputs = (bb.w_in, bb.b_in, bb.degree_table)
     runs = []
     for forward in (lambda: encode_nodes(prepared, bb, group)[0],
-                    lambda: _mpgnn_every_row(prepared, bb, tokens)):
+                    lambda: _mpgnn_every_row(batch, prepared, bb, tokens)):
         with Tape():
             h = forward()
             grads = backward(tsum(mul(h, weights)))
@@ -208,10 +231,10 @@ def test_mpgnn_last_layer_on_node_rows_equals_every_row_then_gather(aggregation,
 def _max_plans(batch, p):
     """The max operands of ``encode_nodes``, one star plan for every row and
     its node rows, each paired with its oracle: the plain ``SourceBuckets`` of
-    the whole matrix that sum aggregates over, and of its node rows."""
+    ``_wired``'s whole matrix, and of its node rows."""
     prepared = batch_graphs(batch)
     plain = [aggregation_operand(m.indptr, m.indices, m.shape[1], "max")
-             for m in _wired(prepared, p)]
+             for m in _wired(batch, p)]
     return list(zip(_mpgnn_operands(prepared, p, "max"), plain))
 
 
@@ -229,11 +252,6 @@ def _assert_same_max(star, plain, h, g):
     assert np.array_equal(out, want, equal_nan=True)
     assert np.array_equal(np.signbit(out), np.signbit(want))
     assert np.array_equal(grad, want_grad)
-
-
-_SINGLE = GraphSample(1, np.ones((1, 3)), ())
-_EDGELESS = GraphSample(3, np.ones((3, 3)), ())
-_PATH = GraphSample(4, np.ones((4, 3)), ((0, 1), (1, 2), (2, 3)))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)

@@ -150,8 +150,11 @@ MUTANTS = [
      "the constant first layer taken while the input stage trains"),
     # The MPGNN's rows [hubs; node rows]: H = p * B hubs block by block, then
     # the node rows, which the last layer computes alone.
-    ("models.py", "_mpgnn_operands", "node_indices[graph] = hubs + indices",
-     "node_indices[graph] = hubs - 1 + indices", "the graph part shifted by H - 1"),
+    ("models.py", "_mpgnn_adjacency", "np.repeat(np.arange(batch.size), np.diff(batch.offsets))",
+     "np.repeat(np.arange(batch.size)[::-1], np.diff(batch.offsets))",
+     "sample b's node rows joined to the hubs of sample B - 1 - b"),
+    ("models.py", "_insert_prompt_rows", "np.repeat(offsets[:-1], p)",
+     "np.repeat(offsets[1:] - 1, p)", "prompt rows inserted before a block's last node row"),
     ("tensor.py", "neighbor_max", "np.arange(hubs).reshape(blocks, p).T",
      "np.arange(hubs).reshape(p, blocks)", "hubs read hub-major instead of block-major"),
     ("models.py", "_mpgnn_operands", "tail = indptr[hubs:]", "tail = indptr[hubs - p:]",
