@@ -212,21 +212,38 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _read_run_file(path: Path, fields: set[str], exact: bool) -> dict:
-    """The JSON object in run file ``path`` if it has the ``fields``, only those if ``exact``."""
+# What each field of a run file that ``report`` reads must hold.
+_STRING, _INTEGER, _NUMBERS = "a string", "an integer", "a list of numbers"
+_META_FIELDS = {"mode": _STRING}
+_RECORD_FIELDS = {"train_losses": _NUMBERS, "eval_metrics": _NUMBERS,
+                  "epoch_seconds": _NUMBERS, "epochs_to_best": _INTEGER}
+
+
+def _holds(value, kind: str) -> bool:
+    if kind == _NUMBERS:
+        return isinstance(value, list) and all(type(x) in (int, float) for x in value)
+    return type(value) is (str if kind == _STRING else int)
+
+
+def _read_run_file(path: Path, fields: dict[str, str], exact: bool) -> dict:
+    """The JSON object in run file ``path`` if it has the ``fields``, only those if
+    ``exact``, each holding the kind of value that ``fields`` names."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(obj, dict) or not fields <= obj.keys() or exact and obj.keys() != fields:
+    if (not isinstance(obj, dict) or not fields.keys() <= obj.keys()
+            or exact and obj.keys() != fields.keys()):
         raise DataError(f"{path}: not a JSON object with {'exactly' if exact else 'at least'} "
                         f"the fields {sorted(fields)}")
+    for name, kind in fields.items():
+        if not _holds(obj[name], kind):
+            raise DataError(f"{path}: {name} is not {kind}")
     return obj
 
 
 def cmd_report(args) -> int:
     per_mode: dict[str, dict] = {}
-    record_fields = {f.name for f in dataclasses.fields(RunRecord)}
     for run_dir in args.run_dirs:
         run = Path(run_dir)
         meta_path = run / "run_meta.json"
@@ -237,12 +254,15 @@ def cmd_report(args) -> int:
         record_files = sorted(records_dir.glob("fold*.json"))
         if not record_files:
             raise DataError(f"{run_dir}: no fold records")
-        meta = _read_run_file(meta_path, {"mode"}, exact=False)
+        meta = _read_run_file(meta_path, _META_FIELDS, exact=False)
+        records = [RunRecord(**_read_run_file(rf, _RECORD_FIELDS, exact=True))
+                   for rf in record_files]
+        if not any(r.epoch_seconds for r in records):
+            raise DataError(f"{run_dir}: every fold record has an empty epoch_seconds")
         bucket = per_mode.setdefault(meta["mode"], {
             "runs": 0, "epochs_to_best": [], "epoch_seconds": []})
         bucket["runs"] += 1
-        for rf in record_files:
-            record = RunRecord(**_read_run_file(rf, record_fields, exact=True))
+        for record in records:
             bucket["epochs_to_best"].append(record.epochs_to_best)
             bucket["epoch_seconds"].extend(record.epoch_seconds)
 

@@ -256,10 +256,11 @@ class Backbone:
 
 
 def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Overwrite every named parameter with a copy of the stored array of its name.
+    """Write the stored array of each name into its parameter's array, in place.
 
     The names must match exactly (``ContractError``) and each array must
-    have its parameter's shape (``ShapeError``).
+    have its parameter's shape (``ShapeError``). A parameter keeps its
+    array, so one that views an ``AdamW`` buffer still does.
     """
     if set(arrays) != set(params):
         missing = set(params) - set(arrays)
@@ -270,7 +271,7 @@ def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> Non
         arr = np.asarray(arrays[name], dtype=np.float64)
         if arr.shape != t.shape:
             raise ShapeError(f"{name}: stored shape {arr.shape} != {t.shape}")
-        t.data = arr.copy()
+        t.data[...] = arr
 
 
 class PredictionHead:

@@ -754,10 +754,13 @@ def _first_source(table: np.ndarray, block: np.ndarray, top: np.ndarray) -> np.n
                               + np.arange(table.shape[1])[:, None])
 
 
-def _select(mask: np.ndarray, a: np.ndarray | int, b: np.ndarray) -> np.ndarray:
-    """``np.where(mask, a, b)`` for integer arrays, computed without branches,
-    which a mask that mixes its values would mispredict."""
-    return b + (a - b) * mask
+def _select(mask: np.ndarray, a: np.ndarray | int, b: np.ndarray, out: np.ndarray) -> None:
+    """``np.where(mask, a, b)`` for integer arrays, written into ``out`` and
+    computed without branches, which a mask that mixes its values would
+    mispredict."""
+    np.subtract(a, b, out=out)
+    out *= mask
+    out += b
 
 
 def neighbor_max(h: Tensor, buckets: SourceBuckets,
@@ -770,12 +773,13 @@ def neighbor_max(h: Tensor, buckets: SourceBuckets,
     which changes neither its max nor the first source holding it. With
     ``blocks``, ``h`` is ``[hubs; column rows]``: H = p * blocks hub rows,
     block by block, ahead of the n column rows (p = 0 is the plain plan).
-    The result is then ``[hub rows; CSR rows]`` (the CSR rows alone for a
-    ``tail()`` plan): a CSR row is its block's hub max combined with its
-    bucket's max, and a hub's row is the hub combined with its block's
-    max, in that order: ``np.maximum`` returns its second operand on a tie
-    of +0 and -0, so each row keeps the sign that a max over its sources
-    in column order gives. The gradient of each (row, column) pair goes to
+    The result is then one array ``[hub rows; CSR rows]`` (the CSR rows
+    alone for a ``tail()`` plan), each part written in its place: a CSR
+    row is its block's hub max combined with its bucket's max, and a hub's
+    row is the hub combined with its block's max, in that order:
+    ``np.maximum`` returns its second operand on a tie of +0 and -0, so
+    each row keeps the sign that a max over its sources in column order
+    gives. The gradient of each (row, column) pair goes to
     a single source: the first in column order that is not below the max,
     so ties go to the lowest column and a NaN max to the row's first
     source, the block's first hub for a CSR row. That search runs in the
@@ -808,40 +812,45 @@ def neighbor_max(h: Tensor, buckets: SourceBuckets,
             raise ShapeError(f"neighbor_max: graph maxima of shapes {row_max.shape} and "
                              f"{block_max.shape} for {rows} rows of {blocks} blocks")
     if p:
+        lead = hubs * block_rows                        # the hub rows ahead of the CSR rows
         table = np.arange(hubs).reshape(blocks, p).T    # (p, blocks): hub j of each block
         hub_block = hd.take(table, axis=0)
         hub_max = hub_block.max(axis=0)
         hub_rows = hub_max[buckets.owner]
-        outd = row_out = np.maximum(hub_rows, row_max)
+        outd = np.empty((lead + rows, d))
+        hub_out, row_out = outd[:lead], outd[lead:]
+        np.maximum(hub_rows, row_max, out=row_out)
         if block_rows:
             hub_in = hd[:hubs]
-            hub_out = np.maximum(hub_in, block_max.repeat(p, 0))
-            outd = np.concatenate([hub_out, row_out])
+            np.maximum(hub_in, block_max.repeat(p, 0), out=hub_out)
 
     def bwd(g):
+        # Each entry's source is its row's flat offset in h, row * d, until its
+        # column is added at the end.
         n = h.shape[0]
-        row_source = block_source = n                   # a spare row, dropped at the end
+        row_source = block_source = n * d               # a spare row, dropped at the end
         if graph is None:
             source = np.empty((rows + blocks * block_rows, d), dtype=np.intp)
             for bucket_rows, bucket_table, block, top in gathers:
-                source[bucket_rows] = _first_source(bucket_table, block, top)
-            source += hubs                              # the column rows follow the hubs
+                # The column rows follow the hubs.
+                source[bucket_rows] = _first_source((bucket_table + hubs) * d, block, top)
             row_source, block_source = source[:rows], source[rows:].repeat(p, 0)
         if not p:
-            source = row_source
+            flat = row_source
         else:
             # A CSR row: its first hub not below the max (hub 0 for a NaN max),
             # unless the hub max is below it; a hub's row: the hub itself,
             # unless it is below the max, then its block's first row not below.
-            hub = np.where(np.isnan(row_out), table[0, buckets.owner, None],
-                           _first_source(table, hub_block, hub_max)[buckets.owner])
-            source = _select(hub_rows < row_out, row_source, hub)
+            hub_table = table * d
+            hub = np.where(np.isnan(row_out), hub_table[0, buckets.owner, None],
+                           _first_source(hub_table, hub_block, hub_max)[buckets.owner])
+            flat = np.empty((lead + rows, d), dtype=np.intp)
+            _select(hub_rows < row_out, row_source, hub, out=flat[lead:])
             if block_rows:
-                hub_source = _select(hub_in < hub_out, block_source,
-                                     np.arange(hubs)[:, None])
-                source = np.concatenate([hub_source, source])
-        flat = (source * d + np.arange(d)).ravel()
-        grad = np.bincount(flat, weights=g.ravel(), minlength=(n + 1) * d)
+                _select(hub_in < hub_out, block_source, np.arange(0, hubs * d, d)[:, None],
+                        out=flat[:lead])
+        flat += np.arange(d)
+        grad = np.bincount(flat.ravel(), weights=g.ravel(), minlength=(n + 1) * d)
         return grad[:n * d].reshape(n, d)
 
     return _record(Tensor(outd), [(h, bwd)])

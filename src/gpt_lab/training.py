@@ -67,8 +67,15 @@ class NonFiniteError(ArithmeticError):
 class AdamW:
     """Decoupled-weight-decay Adam over a fixed named parameter set.
 
-    The decay multiplies parameters by (1 - lr_t * wd) before the moment
-    update is applied, so with wd=0 the update equals plain Adam.
+    The optimiser owns its parameters' storage: construction copies their
+    arrays, in the order of the named map, into one flat buffer, ``flat``,
+    and rebinds each tensor's ``data`` to a view of its span, so one pass
+    over the buffer steps every parameter. Write into a parameter's array,
+    not a new one in its place (``load_params`` writes in place), or the
+    tensor no longer sees the steps. The decay multiplies parameters by
+    (1 - lr_t * wd) before the moment update is applied, so with wd=0 the
+    update equals plain Adam. Every operation is elementwise, so each
+    entry gets the bits that a step of its own array alone would give.
     """
 
     def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.999),
@@ -77,32 +84,43 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        size = sum(t.data.size for t in params.values())
+        self.flat, self._grad = np.empty(size), np.empty(size)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._grad_views = {}           # each name's span of the flat gradient
+        start = 0
+        for name, t in params.items():
+            end = start + t.data.size
+            view = self.flat[start:end].reshape(t.shape)
+            view[...] = t.data
+            t.data = view
+            self._grad_views[name] = self._grad[start:end].reshape(t.shape)
+            start = end
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
              lr_t: float) -> None:
-        if set(grads) != set(self.m):
-            missing = set(self.m) - set(grads)
-            extra = set(grads) - set(self.m)
+        """One update of the buffer by ``grads``, keyed like ``params``, the map
+        this optimiser was built over, whose tensors view the buffer."""
+        if grads.keys() != self._grad_views.keys():
+            missing = self._grad_views.keys() - grads.keys()
+            extra = grads.keys() - self._grad_views.keys()
             raise ContractError(f"gradient/parameter key mismatch: "
                                 f"missing={sorted(missing)}, unexpected={sorted(extra)}")
+        for name, g in grads.items():
+            self._grad_views[name][...] = g
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        for name, g in grads.items():
-            p = params[name]
-            if self.weight_decay:
-                p.data *= 1.0 - lr_t * self.weight_decay
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p, g, m, v = self.flat, self._grad, self.m, self.v
+        if self.weight_decay:
+            p *= 1.0 - lr_t * self.weight_decay
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def lr_at(epoch: float, config: TuningConfig) -> float:

@@ -1299,6 +1299,20 @@ INPUT_ERRORS = {
     "report_record_missing_field": (
         report_run(record='{"epochs_to_best": 1}'), DataError,
         "{tmp}/run/runrecords/fold0.json: not a JSON object with exactly the fields"),
+    "report_meta_mode_not_a_string": (report_run(meta='{"mode": ["x"]}'), DataError,
+                                      "{tmp}/run/run_meta.json: mode is not a string"),
+    "report_record_seconds_not_a_list": (
+        report_run(record=_RECORD.replace('"epoch_seconds": [0.1]', '"epoch_seconds": 5')),
+        DataError, "{tmp}/run/runrecords/fold0.json: epoch_seconds is not a list of numbers"),
+    "report_record_seconds_of_strings": (
+        report_run(record=_RECORD.replace('"epoch_seconds": [0.1]', '"epoch_seconds": ["a"]')),
+        DataError, "{tmp}/run/runrecords/fold0.json: epoch_seconds is not a list of numbers"),
+    "report_record_epochs_to_best_not_an_int": (
+        report_run(record=_RECORD.replace('"epochs_to_best": 0', '"epochs_to_best": 1.5')),
+        DataError, "{tmp}/run/runrecords/fold0.json: epochs_to_best is not an integer"),
+    "report_run_without_epoch_seconds": (
+        report_run(record=_RECORD.replace('"epoch_seconds": [0.1]', '"epoch_seconds": []')),
+        DataError, "{tmp}/run: every fold record has an empty epoch_seconds"),
 }
 
 

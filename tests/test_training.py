@@ -86,6 +86,81 @@ class TestAdamW:
             for k in params:
                 assert np.abs(params[k].data - reference[k]).max() <= 1e-12
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_flat_buffer_steps_as_each_array_alone(self, weight_decay):
+        """25 steps of one flat buffer give every array the bits of the
+        per-array loop, for arrays of three shapes and for a second
+        optimiser that has taken a different number of steps."""
+        rng = np.random.default_rng(31)
+        shapes = {"w": (3, 5), "b": (5,), "row": (1, 4)}
+        opts, refs = [], []
+        for _ in range(2):
+            params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                      for k, s in shapes.items()}
+            refs.append(_PerArrayAdamW({k: t.data.copy() for k, t in params.items()},
+                                       betas=(0.9, 0.95), eps=1e-8, weight_decay=weight_decay))
+            opts.append((params, AdamW(params, betas=(0.9, 0.95), eps=1e-8,
+                                       weight_decay=weight_decay)))
+        for step in range(25):
+            for i, ((params, opt), ref) in enumerate(zip(opts, refs)):
+                if i == 1 and step % 3 == 0:
+                    continue                       # the second optimiser skips some steps
+                grads = {k: rng.normal(size=s) for k, s in reversed(shapes.items())}
+                lr = 1e-2 * (1 + step % 4)
+                opt.step(params, grads, lr_t=lr)
+                ref.step(grads, lr)
+                for k, t in params.items():
+                    assert np.array_equal(t.data, ref.params[k])
+        assert opts[0][1].step_count == 25 and opts[1][1].step_count == 16
+
+    def test_parameters_view_the_buffer_after_construction_and_after_loading(self):
+        head = PredictionHead.init(6, 2, seed=3, hidden=4)
+        params = head.named_params()
+        opt = AdamW(params)
+        for t in params.values():
+            assert np.shares_memory(t.data, opt.flat)
+        stored = {k: RNG.normal(size=t.shape) for k, t in params.items()}
+        load_params(params, stored)
+        for k, t in params.items():
+            assert np.shares_memory(t.data, opt.flat)
+            assert np.array_equal(t.data, stored[k])
+        # A step after the load moves the loaded values.
+        ref = _PerArrayAdamW({k: a.copy() for k, a in stored.items()}, betas=opt.betas,
+                             eps=opt.eps, weight_decay=0.0)
+        grads = {k: RNG.normal(size=t.shape) for k, t in params.items()}
+        opt.step(params, grads, lr_t=0.1)
+        ref.step(grads, 0.1)
+        for k, t in params.items():
+            assert np.array_equal(t.data, ref.params[k])
+
+
+class _PerArrayAdamW:
+    """The per-array AdamW loop that the flat buffer replaced, kept as its oracle."""
+
+    def __init__(self, params, betas, eps, weight_decay):
+        self.params, self.betas, self.eps, self.weight_decay = params, betas, eps, weight_decay
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+
+    def step(self, grads, lr_t):
+        b1, b2 = self.betas
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for name, g in grads.items():
+            p = self.params[name]
+            if self.weight_decay:
+                p *= 1.0 - lr_t * self.weight_decay
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
 
 def schedule(lr, warmup_epochs, epochs, decay="cosine"):
     return TuningConfig("deepgpt", lr=lr, warmup_epochs=warmup_epochs, epochs=epochs,

@@ -56,6 +56,10 @@ MUTANTS = [
      "AdamW's eps inside the square root"),
     ("training.py", "AdamW.step", "1.0 - lr_t * self.weight_decay", "1.0 - self.weight_decay",
      "weight decay not scaled by lr"),
+    ("training.py", "AdamW.__init__", "self._grad[start:end]", "self._grad[:end - start]",
+     "every gradient copied into the first span of the flat gradient"),
+    ("models.py", "load_params", "t.data[...] = arr", "t.data = arr.copy()",
+     "load_params rebinding a parameter to a copy, which detaches it from its AdamW buffer"),
     ("training.py", "lr_at", "math.cos(math.pi * progress)", "math.cos(0.5 * math.pi * progress)",
      "a half-period cosine decay"),
     ("training.py", "lr_at", "config.lr * (1.0 - progress)", "config.lr * (1.0 - progress) ** 2",
@@ -117,10 +121,11 @@ MUTANTS = [
      "SourceBuckets taking a row whose columns do not ascend"),
     # The rules that keep the blocked plan of max aggregation bit for bit
     # equal to a max over each row's sources in column order.
-    ("tensor.py", "neighbor_max", "np.maximum(hub_rows, row_max)", "np.maximum(row_max, hub_rows)",
+    ("tensor.py", "neighbor_max", "np.maximum(hub_rows, row_max, out=row_out)",
+     "np.maximum(row_max, hub_rows, out=row_out)",
      "a node row taking its hub max as the second operand"),
-    ("tensor.py", "neighbor_max", "np.maximum(hub_in, block_max.repeat(p, 0))",
-     "np.maximum(block_max.repeat(p, 0), hub_in)",
+    ("tensor.py", "neighbor_max", "np.maximum(hub_in, block_max.repeat(p, 0), out=hub_out)",
+     "np.maximum(block_max.repeat(p, 0), hub_in, out=hub_out)",
      "a hub's row taking its block max as the first operand"),
     ("tensor.py", "neighbor_max", "np.where(np.isnan(row_out),", "np.where(False,",
      "a node row's NaN max sent to its first hub slot not below the hub max, not to hub 0"),
@@ -143,8 +148,8 @@ MUTANTS = [
     ("tensor.py", "SourceBuckets.__init__", "np.minimum(slot, counts[rows] - 1)",
      "np.where(slot < counts[rows], slot, 0)",
      "bucket tables, blocks included, padded with a row's first source"),
-    ("tensor.py", "neighbor_max", "np.concatenate([hub_source, source])",
-     "np.concatenate([source, hub_source])[::-1]",
+    ("tensor.py", "neighbor_max", "np.bincount(flat.ravel(), weights=g.ravel()",
+     "np.bincount(flat[::-1].ravel(), weights=g[::-1].ravel()",
      "a hub's spoke entries summed before its own row's entry"),
     ("models.py", "encode_nodes", "t is not None and t.requires_grad", "False",
      "the constant first layer taken while the input stage trains"),
